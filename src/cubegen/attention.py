@@ -3,17 +3,20 @@
 The G generation tokens attend everywhere.  The C context tokens attend to
 all generation tokens but only to a diagonal band of half-width K among
 themselves, which keeps context self-attention linear in C.  A dense masked
-reference and a band-gathering implementation are both provided; the sparse
-path never materializes a (G+C)^2 score matrix.
+reference and a sliding-chunk sparse path are both provided; the sparse path
+takes query rows in blocks of ``BLOCK_ROWS`` and never materializes a
+(G+C)^2 score matrix.
 
-Reduction order: scores are reduced with numpy sums over contiguous key
-blocks after max-subtraction; outputs are deterministic for a fixed BLAS,
-and tests compare with tolerances rather than bit equality.
+Reduction order: each block's scores come from one BLAS matmul and are
+reduced with numpy sums after max-subtraction; outputs are deterministic for
+a fixed BLAS, and tests compare with tolerances rather than bit equality.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -26,10 +29,15 @@ __all__ = [
     "dense_masked_attention",
     "sparse_context_attention",
     "attention_flops",
+    "attention_peak_bytes",
     "dense_attention_flops",
     "layout_from_bundle",
     "tokens_per_frame",
 ]
+
+# Query rows per block of the sparse path.  64 rows keep each block's
+# matmuls in BLAS's efficient range while its scores stay O(64 * (G+C)).
+BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -117,7 +125,7 @@ def build_context_mask(layout: TokenLayout, spec: BandedMaskSpec):
 
     # The whole attention pattern lives in this one rule; restricting
     # generation->context reads (the alternative interpretation) would be a
-    # one-line change here plus the mirrored gather in the sparse path.
+    # one-line change here plus the mirrored key window in the sparse path.
     def allowed(q: int, k: int) -> bool:
         if q < g or k < g:
             return True
@@ -171,64 +179,37 @@ def dense_masked_attention(inp: AttentionInputs, mask: np.ndarray,
 
 def sparse_context_attention(inp: AttentionInputs, layout: TokenLayout,
                              spec: BandedMaskSpec) -> np.ndarray:
-    """Band-gathering path, numerically equal to the dense reference.
+    """Sliding-chunk path, numerically equal to the dense reference.
 
-    Generation rows score against all G+C keys ((G)x(G+C), linear in C).
-    Context rows score against the G generation keys plus a gathered
-    (C, 2K+1) band of context keys; nothing quadratic in C is ever built.
+    Query rows are taken in blocks of ``BLOCK_ROWS``.  A generation block
+    scores against all G+C keys; a context block scores against the G
+    generation keys plus the contiguous context window [i0-K, i1+K), with
+    pairs outside the band |q-k| <= K set to -inf.  Each block is one scores
+    matmul, an in-place max-subtracted softmax and one values matmul, so no
+    temporary exceeds (heads, BLOCK_ROWS, G+C) and nothing is quadratic in C.
     """
-    g, c = layout.num_generation, layout.num_context
-    if g + c != inp.num_tokens:
+    g, n = layout.num_generation, layout.total
+    if n != inp.num_tokens:
         raise ValueError(
-            f"layout covers {g + c} tokens, inputs have {inp.num_tokens}")
-    if g + c == 0:
-        return inp.values.copy()
-    h, _, d = inp.queries.shape
-    scale = 1.0 / np.sqrt(d)
+            f"layout covers {n} tokens, inputs have {inp.num_tokens}")
+    kb = spec.bandwidth
+    scale = 1.0 / math.sqrt(inp.dim)
+    idx = np.arange(n)
     out = np.empty_like(inp.values)
-
-    if g:
-        scores = np.einsum("hqd,hkd->hqk", inp.queries[:, :g], inp.keys) * scale
-        weights = _softmax_rows(scores)
-        out[:, :g] = np.einsum("hqk,hkd->hqd", weights, inp.values)
-
-    if c:
-        kb = spec.bandwidth
-        q_ctx = inp.queries[:, g:]
-        k_ctx = inp.keys[:, g:]
-        v_ctx = inp.values[:, g:]
-
-        # gathered band indices, clamped; validity mask kills the clamps
-        offsets = np.arange(-kb, kb + 1)
-        band_idx = np.arange(c)[:, None] + offsets[None, :]
-        valid = (band_idx >= 0) & (band_idx < c)
-        band_idx = np.clip(band_idx, 0, c - 1)
-
-        k_band = k_ctx[:, band_idx]             # (h, C, 2K+1, d)
-        v_band = v_ctx[:, band_idx]
-        s_band = np.einsum("hcd,hcbd->hcb", q_ctx, k_band) * scale
-        s_band = np.where(valid[None], s_band, -np.inf)
-
-        if g:
-            s_gen = np.einsum("hcd,hkd->hck", q_ctx, inp.keys[:, :g]) * scale
-            scores = np.concatenate([s_gen, s_band], axis=-1)
+    for i0 in chain(range(0, g, BLOCK_ROWS), range(g, n, BLOCK_ROWS)):
+        i1 = min(i0 + BLOCK_ROWS, g if i0 < g else n)
+        if i0 < g:
+            keys, banned = slice(None), False     # generation rows read every key
         else:
-            scores = s_band
-
-        m = scores.max(axis=-1, keepdims=True)
-        e = np.exp(scores - m)
-        if g:
-            e_gen, e_band = e[..., :g], e[..., g:]
-        else:
-            e_gen, e_band = None, e
-        e_band = np.where(valid[None], e_band, 0.0)
-        denom = e_band.sum(axis=-1)
-        acc = np.einsum("hcb,hcbd->hcd", e_band, v_band)
-        if e_gen is not None:
-            denom = denom + e_gen.sum(axis=-1)
-            acc = acc + np.einsum("hck,hkd->hcd", e_gen, inp.values[:, :g])
-        out[:, g:] = acc / denom[..., None]
-
+            keys = np.concatenate((idx[:g], idx[max(g, i0 - kb):min(n, i1 + kb)]))
+            banned = (keys >= g) & (np.abs(idx[i0:i1, None] - keys) > kb)
+        scores = (inp.queries[:, i0:i1] * scale) @ inp.keys[:, keys].swapaxes(1, 2)
+        np.copyto(scores, -np.inf, where=banned)
+        scores -= scores.max(axis=-1, keepdims=True)
+        np.exp(scores, out=scores)
+        out[:, i0:i1] = ((scores @ inp.values[:, keys])
+                         / scores.sum(axis=-1, keepdims=True))
+        del scores  # never hold two blocks' scores at once
     return out
 
 
@@ -238,11 +219,34 @@ def attention_flops(layout: TokenLayout, spec: BandedMaskSpec, dim: int) -> int:
     Closed form: 2*dim * (G^2 + 2*G*C + C*min(2K+1, C)).  Every context row
     is charged a full band of min(2K+1, C) keys; rows near the context edges
     have slightly fewer allowed keys, so this is a tight upper bound on the
-    exact allowed-pair count.  Value aggregation costs the same again.
+    exact allowed-pair count.  Value aggregation costs the same again.  The
+    model counts allowed pairs only: the block path also computes, then
+    masks out, the scores of a context block's window that fall outside each
+    row's band (up to ``BLOCK_ROWS - 1`` extra keys per context row).
     """
     g, c = layout.num_generation, layout.num_context
     band = min(2 * spec.bandwidth + 1, c)
     return 2 * dim * (g * g + 2 * g * c + c * band)
+
+
+def attention_peak_bytes(layout: TokenLayout, spec: BandedMaskSpec, dim: int,
+                         itemsize: int) -> int:
+    """Upper bound on the bytes one head of the sparse path allocates.
+
+    Sum of: the (G+C, dim) output, the int64 token index, one block's scores
+    (``BLOCK_ROWS`` rows by all G+C keys when G > 0, else by one context
+    window), the boolean band mask of one context block with its three
+    temporaries (two int64, one bool), that block's gathered keys and
+    values, its three (BLOCK_ROWS, dim) query/output temporaries, and 8 KiB
+    for the Python objects and array headers of one block.  This is
+    O(BLOCK_ROWS * (G+C)); ``h`` heads allocate at most ``h`` times as much.
+    """
+    g, n = layout.num_generation, layout.total
+    k_ctx = g + min(layout.num_context, BLOCK_ROWS + 2 * spec.bandwidth)
+    k_max = n if g else k_ctx
+    return (itemsize * dim * n + 8 * n + itemsize * BLOCK_ROWS * k_max
+            + 18 * BLOCK_ROWS * k_ctx + 2 * itemsize * dim * k_ctx
+            + 3 * itemsize * BLOCK_ROWS * dim + 8192)
 
 
 def dense_attention_flops(layout: TokenLayout, dim: int) -> int:

@@ -25,6 +25,7 @@ from .attention import (
     BandedMaskSpec,
     TokenLayout,
     attention_flops,
+    attention_peak_bytes,
     dense_attention_flops,
     dense_masked_attention,
     mask_matrix,
@@ -329,6 +330,7 @@ def _write_dry_run(cfg: RunConfig, out_dir: Path) -> None:
     max_context = (6 * cfg.history * cfg.window_length + 6 * cfg.window_length
                    + 5 * cfg.frag_length) * per_frame
     layout = TokenLayout(num_generation=g, num_context=max_context)
+    band = BandedMaskSpec(bandwidth=cfg.bandwidth)
     bytes_per_latent = (cfg.window_length
                         * (cfg.resolution + 2 * cfg.pad) ** 2 * cfg.channels * 8)
     peak_bound = 6 * (cfg.history + 1) + 5
@@ -339,8 +341,9 @@ def _write_dry_run(cfg: RunConfig, out_dir: Path) -> None:
             "generation": g,
             "max_context": max_context,
             "bandwidth": cfg.bandwidth,
-            "sparse_flops_at_max_context": attention_flops(
-                layout, BandedMaskSpec(bandwidth=cfg.bandwidth), 64),
+            "sparse_flops_at_max_context": attention_flops(layout, band, 64),
+            "sparse_peak_bytes_at_max_context": attention_peak_bytes(
+                layout, band, 64, 8),
         },
         "bytes_per_face_window_latent": bytes_per_latent,
         "peak_resident_bound": peak_bound,

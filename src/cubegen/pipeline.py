@@ -104,7 +104,11 @@ def zero_denoiser(z_t, t, context=None, conditioning=None):
 
 def euler_sample(denoiser, shape: tuple, context, conditioning,
                  cfg: SamplerConfig) -> np.ndarray:
-    """Integrate the velocity field from seeded noise at t=1 down to t=0."""
+    """Integrate the velocity field from seeded noise at t=1 down to t=0.
+
+    Raises ``RuntimeError`` when the denoiser returns the wrong shape, a
+    non-floating-point dtype or a non-finite value.
+    """
     rng = np.random.default_rng(cfg.seed)
     z = rng.standard_normal(shape)
     ts = np.linspace(1.0, 0.0, cfg.steps + 1)
@@ -114,6 +118,11 @@ def euler_sample(denoiser, shape: tuple, context, conditioning,
         if v.shape != z.shape:
             raise RuntimeError(
                 f"denoiser returned shape {v.shape}, expected {z.shape}")
+        if not np.issubdtype(v.dtype, np.floating):
+            raise RuntimeError(
+                f"denoiser returned dtype {v.dtype}, expected floating point")
+        if not np.isfinite(v).all():
+            raise RuntimeError(f"denoiser returned non-finite values at t={t:g}")
         z = z + (dt / t) * v
     return z
 

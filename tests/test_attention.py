@@ -1,14 +1,18 @@
 """Attention tests.  The dense masked path is checked against a scalar
 double-loop oracle; the sparse path is checked against the dense path."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cubegen.attention import (
+    BLOCK_ROWS,
     AttentionInputs,
     BandedMaskSpec,
     TokenLayout,
     attention_flops,
+    attention_peak_bytes,
     build_context_mask,
     dense_attention_flops,
     dense_masked_attention,
@@ -173,6 +177,77 @@ class TestSparseContextAttention:
         sparse = sparse_context_attention(inp, layout, spec)
         dense = dense_masked_attention(inp, mask_matrix(layout, spec))
         np.testing.assert_allclose(sparse, dense, atol=1e-10)
+
+
+class TestSparseBlockBoundaries:
+    """Layouts whose G and C straddle multiples of ``BLOCK_ROWS`` (64), with
+    band windows clipped at both context ends or wider than the context."""
+
+    GS = (0, 1, 70, 130)
+    CS = (1, 63, 64, 65, 200)
+
+    @staticmethod
+    def bandwidths(c):
+        return (1, 64, 100, c)
+
+    @pytest.mark.parametrize("g", GS)
+    @pytest.mark.parametrize("c", CS)
+    def test_equivalence_float64(self, rng, g, c):
+        layout = TokenLayout(num_generation=g, num_context=c)
+        inp = random_inputs(rng, g + c, dim=8)
+        for kb in self.bandwidths(c):
+            spec = BandedMaskSpec(bandwidth=kb)
+            sparse = sparse_context_attention(inp, layout, spec)
+            dense = dense_masked_attention(inp, mask_matrix(layout, spec))
+            np.testing.assert_allclose(sparse, dense, rtol=0, atol=1e-10)
+
+    def test_equivalence_float32(self, rng):
+        worst = 0.0
+        for g in self.GS:
+            for c in self.CS:
+                layout = TokenLayout(num_generation=g, num_context=c)
+                inp = random_inputs(rng, g + c, dim=8, dtype=np.float32)
+                for kb in self.bandwidths(c):
+                    spec = BandedMaskSpec(bandwidth=kb)
+                    sparse = sparse_context_attention(inp, layout, spec)
+                    assert sparse.dtype == np.float32
+                    dense = dense_masked_attention(inp, mask_matrix(layout, spec))
+                    worst = max(worst, np.abs(sparse - dense).max())
+        assert worst < 1e-5
+
+    def test_empty_layout(self, rng):
+        inp = random_inputs(rng, 0)
+        out = sparse_context_attention(inp, TokenLayout(0, 0), BandedMaskSpec(1))
+        assert out.shape == inp.values.shape
+
+
+class TestAttentionPeakBytes:
+    @pytest.mark.parametrize("g", [0, 256])
+    def test_tracemalloc_peak_within_bound(self, g):
+        # The attend-grid shape at its largest context (K = tokens per frame
+        # at R=64, patch 8); a (C, 2K+1, d) key copy alone would be 270 MB.
+        c, d = 16384, 32
+        layout = TokenLayout(num_generation=g, num_context=c)
+        spec = BandedMaskSpec(bandwidth=64)
+        rng = np.random.default_rng(7)
+        inp = AttentionInputs(*(rng.standard_normal((1, g + c, d), dtype=np.float32)
+                                for _ in range(3)))
+        tracemalloc.start()
+        try:
+            sparse_context_attention(inp, layout, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= attention_peak_bytes(layout, spec, d, itemsize=4)
+
+    def test_linear_in_context(self):
+        spec = BandedMaskSpec(bandwidth=64)
+        b1, b2 = (attention_peak_bytes(TokenLayout(256, c), spec, 32, 4)
+                  for c in (1 << 16, 1 << 17))
+        assert 1.9 < b2 / b1 < 2.0
+        # O(BLOCK_ROWS * (G+C)): a generation block's scores dominate
+        n = 256 + (1 << 17)
+        assert b2 < 2 * 4 * BLOCK_ROWS * n
 
 
 class TestAttentionFlops:

@@ -8,6 +8,7 @@ import pytest
 
 from cubegen import cli
 from cubegen.artifacts import load_schema, validate_artifact
+from cubegen.attention import BandedMaskSpec, TokenLayout, attention_peak_bytes
 from cubegen.config import default_config
 from cubegen.imgio import read_pfm, read_mask_pgm
 
@@ -125,6 +126,11 @@ class TestSubcommands:
         rep = json.loads((out / "dry_run.json").read_text())
         validate_artifact("dry_run", rep)
         assert rep["tokens"]["generation"] == 4 * (960 // 8) ** 2
+        tok = rep["tokens"]
+        layout = TokenLayout(num_generation=tok["generation"],
+                             num_context=tok["max_context"])
+        assert tok["sparse_peak_bytes_at_max_context"] == attention_peak_bytes(
+            layout, BandedMaskSpec(bandwidth=tok["bandwidth"]), 64, 8)
         assert not list(out.glob("*.pfm"))
 
     def test_metrics_validates(self, tmp_path):

@@ -122,6 +122,21 @@ class TestOracleAndSampler:
         with pytest.raises(RuntimeError):
             euler_sample(bad, (2, 2), None, None, SamplerConfig(steps=1, seed=0))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_denoiser_non_finite_is_error(self, value):
+        def bad(z, t, ctx, cond):
+            v = np.zeros_like(z)
+            v[0, 1] = value
+            return v
+        with pytest.raises(RuntimeError, match="non-finite"):
+            euler_sample(bad, (2, 2), None, None, SamplerConfig(steps=2, seed=0))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.bool_, np.complex128, object])
+    def test_denoiser_non_float_is_error(self, dtype):
+        bad = lambda z, t, ctx, cond: np.zeros(z.shape, dtype=dtype)
+        with pytest.raises(RuntimeError, match="dtype"):
+            euler_sample(bad, (2, 2), None, None, SamplerConfig(steps=1, seed=0))
+
 
 class TestGenerateStep:
     def setup_state(self, res=16, teacher=True):
