@@ -182,7 +182,7 @@ def _write_image(path_base: Path, pixels: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_project(cfg: RunConfig, out_dir: Path) -> None:
-    from .geometry import resample_mask_to_equirect
+    from .geometry import EquirectTaps
     _, frames, poses = _load_inputs(cfg)
     cond = _conditional(cfg, frames, poses)
     fc, wp, ct = _coverage_tables(cfg, cond)
@@ -190,8 +190,9 @@ def cmd_project(cfg: RunConfig, out_dir: Path) -> None:
         for t in range(cfg.num_frames):
             _write_image(out_dir / f"cond_{f}_{t:03d}", cond.faces[f][t])
             write_mask_pgm(out_dir / f"mask_{f}_{t:03d}.pgm", cond.masks[f][t])
+    taps = EquirectTaps.create(cfg.resolution, cfg.equirect_width)
     for t in range(cfg.num_frames):
-        eq_mask = resample_mask_to_equirect(cond.frame(t), cfg.equirect_width)
+        eq_mask = taps.apply_mask([cond.masks[f][t] for f in FACES])
         write_mask_pgm(out_dir / f"eq_mask_{t:03d}.pgm", eq_mask)
     write_poses(out_dir / "poses.json", poses)
     write_json_artifact(out_dir / "coverage.json", "coverage",

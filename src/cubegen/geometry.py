@@ -4,6 +4,16 @@ All mappings use pixel-center sampling (offset 0.5).  Images are sampled
 bilinearly; binary masks nearest-neighbor.  The equirectangular longitude
 seam wraps, latitude clamps at the poles.  Frustum boundary pixels count as
 observed.  See :mod:`cubegen.faces` for the frozen axis convention.
+
+Cube->equirect resampling depends only on (R, W), so it is a fixed tap
+table, :class:`EquirectTaps`: for every equirect pixel the flat index of its
+top-left bilinear tap in the six faces stacked as (6*R*R), its row and
+column fractions, and a nearest index for masks.  Build it once per run and
+apply it frame by frame; :func:`cubemap_to_equirect` and
+:func:`resample_mask_to_equirect` are one-shot callers of it.
+
+Rotations convert between matrices and rotation vectors with plain numpy
+(Rodrigues one way, the unit quaternion the other).
 """
 
 from __future__ import annotations
@@ -11,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from .faces import FACES, FACE_AXES
 
@@ -27,8 +36,12 @@ __all__ = [
     "face_coords_to_direction",
     "face_pixel_directions",
     "project_perspective_to_cubemap",
+    "EquirectTaps",
     "cubemap_to_equirect",
+    "resample_mask_to_equirect",
     "equirect_to_cubemap",
+    "rotvec_to_matrix",
+    "matrix_to_rotvec",
     "sample_trajectory",
     "equirect_pixel_solid_angles",
     "face_pixel_solid_angles",
@@ -92,6 +105,8 @@ class PerspectiveFrame:
         px = np.asarray(self.pixels, dtype=np.float64)
         if px.ndim != 3 or px.shape[0] < 1 or px.shape[1] < 1:
             raise ValueError(f"pixels must be (H, W, C) with H, W >= 1, got {px.shape}")
+        if not np.isfinite(px).all():
+            raise ValueError("pixels must be finite (no NaN or inf)")
         object.__setattr__(self, "pixels", px)
 
     @property
@@ -151,7 +166,7 @@ class CubemapFrame:
                 res = px.shape[0]
             if px.shape[0] != res or mk.shape != (res, res):
                 raise ValueError("all faces/masks must share one resolution")
-            if not np.isin(mk, (0, 1)).all():
+            if not ((mk == 0) | (mk == 1)).all():
                 raise ValueError(f"mask of face {f} must be binary")
             self.faces[f] = px
             self.masks[f] = mk.astype(np.uint8)
@@ -184,7 +199,7 @@ class CubemapVideo:
                 shape = px.shape[:3]
             if px.shape[:3] != shape or mk.shape != shape:
                 raise ValueError("all face videos/masks must share (N, R, R)")
-            if not np.isin(mk, (0, 1)).all():
+            if not ((mk == 0) | (mk == 1)).all():
                 raise ValueError(f"mask video of face {f} must be binary")
             self.faces[f] = px
             self.masks[f] = mk.astype(np.uint8)
@@ -295,15 +310,21 @@ def face_pixel_directions(face: str, resolution: int) -> np.ndarray:
 # resampling helpers
 # ---------------------------------------------------------------------------
 
+def _clamped_taps(coords: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lower tap index and fraction of fractional coords on an axis of n
+    samples that clamps at both ends; the upper tap is index + 1 (n > 1)."""
+    coords = np.clip(coords, 0.0, n - 1.0)
+    i0 = np.floor(coords).astype(np.intp)
+    i0 = np.minimum(i0, n - 2) if n > 1 else np.zeros_like(i0)
+    return i0, coords - i0
+
+
 def _bilinear(grid: np.ndarray, rows: np.ndarray, cols: np.ndarray,
               wrap_cols: bool = False) -> np.ndarray:
     """Bilinear sample of (H, W, C) at fractional (rows, cols); rows clamp."""
     h, w = grid.shape[:2]
-    rows = np.clip(rows, 0.0, h - 1.0)
-    r0 = np.floor(rows).astype(np.intp)
-    r0 = np.minimum(r0, h - 2) if h > 1 else np.zeros_like(r0)
+    r0, fr = _clamped_taps(rows, h)
     r1 = np.minimum(r0 + 1, h - 1)
-    fr = rows - r0
 
     if wrap_cols:
         cols = np.mod(cols, w)
@@ -312,11 +333,8 @@ def _bilinear(grid: np.ndarray, rows: np.ndarray, cols: np.ndarray,
         fc = cols - c0
         c0 = np.mod(c0, w)
     else:
-        cols = np.clip(cols, 0.0, w - 1.0)
-        c0 = np.floor(cols).astype(np.intp)
-        c0 = np.minimum(c0, w - 2) if w > 1 else np.zeros_like(c0)
+        c0, fc = _clamped_taps(cols, w)
         c1 = np.minimum(c0 + 1, w - 1)
-        fc = cols - c0
 
     fr = fr[..., None]
     fc = fc[..., None]
@@ -325,14 +343,86 @@ def _bilinear(grid: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     return top * (1.0 - fr) + bot * fr
 
 
-def _nearest(grid: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-             wrap_cols: bool = False) -> np.ndarray:
-    """Nearest-neighbor sample of (H, W) at fractional (rows, cols)."""
-    h, w = grid.shape[:2]
-    r = np.clip(np.rint(rows).astype(np.intp), 0, h - 1)
-    c = np.rint(cols).astype(np.intp)
-    c = np.mod(c, w) if wrap_cols else np.clip(c, 0, w - 1)
-    return grid[r, c]
+@dataclass(frozen=True)
+class EquirectTaps:
+    """Fixed cube->equirect resampling table for one (R, W).
+
+    Entries run over the (W/2, W) equirect pixels in row-major order and
+    index the six faces stacked in canonical order and flattened to (6*R*R):
+    ``index`` is the top-left bilinear tap (the other taps sit one column
+    and one face row further on), ``row_frac``/``col_frac`` its fractions,
+    and ``nearest`` the nearest face pixel, used for masks.
+    """
+
+    resolution: int
+    width: int
+    index: np.ndarray
+    row_frac: np.ndarray
+    col_frac: np.ndarray
+    nearest: np.ndarray
+
+    @classmethod
+    def create(cls, resolution: int, width: int) -> "EquirectTaps":
+        if width % 4:
+            raise ValueError(f"equirect width must be a multiple of 4, got {width}")
+        res = resolution
+        u, v = np.meshgrid(np.arange(width), np.arange(width // 2), indexing="xy")
+        face, x, y = direction_to_face_coords(equirect_pixel_to_direction(u, v, width))
+        rows = y * res - 0.5
+        cols = x * res - 0.5
+        r0, fr = _clamped_taps(rows, res)
+        c0, fc = _clamped_taps(cols, res)
+        base = face * (res * res)
+        near_r = np.clip(np.rint(rows).astype(np.intp), 0, res - 1)
+        near_c = np.clip(np.rint(cols).astype(np.intp), 0, res - 1)
+        return cls(resolution=res, width=width,
+                   index=(base + r0 * res + c0).ravel(),
+                   row_frac=fr.ravel(), col_frac=fc.ravel(),
+                   nearest=(base + near_r * res + near_c).ravel())
+
+    def _check(self, grids) -> None:
+        res = self.resolution
+        if len(grids) != 6 or any(np.shape(g)[:2] != (res, res) for g in grids):
+            raise ValueError(f"need six face grids of resolution {res}")
+
+    def apply(self, faces, out: np.ndarray | None = None) -> np.ndarray:
+        """Bilinear resample of six (R, R, C) faces, in canonical order, onto
+        a (W/2, W, C) grid; writes into ``out`` when given."""
+        self._check(faces)
+        res, height = self.resolution, self.width // 2
+        channels = np.shape(faces[0])[2]
+        if out is None:
+            out = np.empty((height, self.width, channels), dtype=np.float64)
+        # At R == 1 both taps of an axis are pixel 0 (see _clamped_taps).
+        step_c, step_r = (1, res) if res > 1 else (0, 0)
+        idx, fr, fc = self.index, self.row_frac, self.col_frac
+        wr, wc = 1.0 - fr, 1.0 - fc
+        # In place, but the same products and sums in the same order as
+        # _bilinear, so the result is bit-identical to it.
+        for c in range(channels):
+            src = np.stack([np.asarray(f)[..., c] for f in faces]).ravel()
+            top = np.take(src, idx)
+            top *= wc
+            tap = np.take(src[step_c:], idx)
+            tap *= fc
+            top += tap
+            bot = np.take(src[step_r:], idx)
+            bot *= wc
+            np.take(src[step_r + step_c:], idx, out=tap)
+            tap *= fc
+            bot += tap
+            top *= wr
+            bot *= fr
+            top += bot
+            out[..., c] = top.reshape(height, self.width)
+        return out
+
+    def apply_mask(self, masks) -> np.ndarray:
+        """Nearest-neighbor transfer of six (R, R) binary masks, in canonical
+        order, onto a (W/2, W) uint8 grid."""
+        self._check(masks)
+        src = np.stack([np.asarray(m, dtype=np.uint8) for m in masks]).ravel()
+        return np.take(src, self.nearest).reshape(self.width // 2, self.width)
 
 
 # ---------------------------------------------------------------------------
@@ -371,23 +461,12 @@ def project_perspective_to_cubemap(frame: PerspectiveFrame, pose: CameraPose,
 
 
 def cubemap_to_equirect(cube: CubemapFrame, width: int) -> EquirectGrid:
-    """Resample a cubemap onto an equirectangular grid of the given width."""
-    if width % 4:
-        raise ValueError(f"equirect width must be a multiple of 4, got {width}")
-    height = width // 2
-    res = cube.resolution
-    u, v = np.meshgrid(np.arange(width), np.arange(height), indexing="xy")
-    dirs = equirect_pixel_to_direction(u, v, width)
-    face, x, y = direction_to_face_coords(dirs)
-    out = np.zeros((height, width, cube.channels), dtype=np.float64)
-    for i, f in enumerate(FACES):
-        sel = face == i
-        if not sel.any():
-            continue
-        rows = y[sel] * res - 0.5
-        cols = x[sel] * res - 0.5
-        out[sel] = _bilinear(cube.faces[f], rows, cols)
-    return EquirectGrid(pixels=out)
+    """Resample a cubemap onto an equirectangular grid of the given width.
+
+    Builds the (R, W) tap table for one frame; callers resampling many
+    frames build :class:`EquirectTaps` once and apply it per frame."""
+    taps = EquirectTaps.create(cube.resolution, width)
+    return EquirectGrid(pixels=taps.apply([cube.faces[f] for f in FACES]))
 
 
 def equirect_to_cubemap(eq: EquirectGrid, resolution: int) -> CubemapFrame:
@@ -406,19 +485,60 @@ def equirect_to_cubemap(eq: EquirectGrid, resolution: int) -> CubemapFrame:
 
 def resample_mask_to_equirect(cube: CubemapFrame, width: int) -> np.ndarray:
     """Nearest-neighbor transfer of the cubemap masks onto an equirect grid."""
-    if width % 4:
-        raise ValueError(f"equirect width must be a multiple of 4, got {width}")
-    height = width // 2
-    res = cube.resolution
-    u, v = np.meshgrid(np.arange(width), np.arange(height), indexing="xy")
-    dirs = equirect_pixel_to_direction(u, v, width)
-    face, x, y = direction_to_face_coords(dirs)
-    out = np.zeros((height, width), dtype=np.uint8)
-    for i, f in enumerate(FACES):
-        sel = face == i
-        if sel.any():
-            out[sel] = _nearest(cube.masks[f], y[sel] * res - 0.5, x[sel] * res - 0.5)
-    return out
+    taps = EquirectTaps.create(cube.resolution, width)
+    return taps.apply_mask([cube.masks[f] for f in FACES])
+
+
+# ---------------------------------------------------------------------------
+# rotations
+# ---------------------------------------------------------------------------
+
+def rotvec_to_matrix(vec) -> np.ndarray:
+    """(3, 3) rotation matrix of a rotation vector (unit axis times angle),
+    by the Rodrigues formula; a Taylor series takes over near angle 0."""
+    v = np.asarray(vec, dtype=np.float64)
+    theta = float(np.linalg.norm(v))
+    k = np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
+    if theta < 1e-4:
+        t2 = theta * theta
+        a = 1.0 - t2 / 6.0 + t2 * t2 / 120.0        # sin(x) / x
+        b = 0.5 - t2 / 24.0 + t2 * t2 / 720.0       # (1 - cos(x)) / x^2
+    else:
+        a = np.sin(theta) / theta
+        b = 2.0 * np.sin(theta / 2.0) ** 2 / (theta * theta)
+    return np.eye(3) + a * k + b * (k @ k)
+
+
+def matrix_to_rotvec(rot) -> np.ndarray:
+    """Rotation vector of a (3, 3) rotation matrix, angle in [0, pi].
+
+    Goes through the unit quaternion, read off whichever of the trace and
+    the three diagonal entries is largest, so it stays accurate as the angle
+    approaches pi.
+    """
+    m = np.asarray(rot, dtype=np.float64)
+    diag = np.diag(m)
+    trace = diag.sum()
+    q = np.empty(4)  # (x, y, z, w)
+    i = int(np.argmax(diag))
+    if trace > diag[i]:
+        q[:3] = m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]
+        q[3] = 1.0 + trace
+    else:
+        j, k = (i + 1) % 3, (i + 2) % 3
+        q[i] = 1.0 - trace + 2.0 * m[i, i]
+        q[j] = m[j, i] + m[i, j]
+        q[k] = m[k, i] + m[i, k]
+        q[3] = m[k, j] - m[j, k]
+    q /= np.linalg.norm(q)
+    if q[3] < 0:
+        q = -q
+    angle = 2.0 * np.arctan2(np.linalg.norm(q[:3]), q[3])
+    if angle <= 1e-3:  # angle / sin(angle / 2), Taylor series
+        scale = 2.0 + angle ** 2 / 12.0 + 7.0 * angle ** 4 / 2880.0
+    else:
+        scale = angle / np.sin(angle / 2.0)
+    return scale * q[:3]
 
 
 # ---------------------------------------------------------------------------
@@ -437,11 +557,10 @@ def sample_trajectory(anchors: list[CameraPose], n_frames: int) -> list[CameraPo
     if n_frames < 2:
         raise ValueError("need at least 2 frames")
 
-    rots = [Rotation.from_matrix(a.rotation) for a in anchors]
+    rots = [a.rotation for a in anchors]
     rel_vecs = []
     for ra, rb in zip(rots[:-1], rots[1:]):
-        rel = ra.inv() * rb
-        vec = rel.as_rotvec()
+        vec = matrix_to_rotvec(ra.T @ rb)
         ang = np.linalg.norm(vec)
         if ang > np.pi - 1e-9:
             raise ValueError("consecutive anchors are antipodal; slerp ill-defined")
@@ -471,10 +590,10 @@ def sample_trajectory(anchors: list[CameraPose], n_frames: int) -> list[CameraPo
         k = min(k, len(anchors) - 2)
         span = cum[k + 1] - cum[k]
         t = (s - cum[k]) / span if span > 0 else 0.0
-        rot = rots[k] * Rotation.from_rotvec(t * rel_vecs[k])
+        rot = rots[k] @ rotvec_to_matrix(t * rel_vecs[k])
         hf = (1 - t) * anchors[k].hfov_deg + t * anchors[k + 1].hfov_deg
         vf = (1 - t) * anchors[k].vfov_deg + t * anchors[k + 1].vfov_deg
-        out.append(CameraPose(rot.as_matrix(), hf, vf))
+        out.append(CameraPose(rot, hf, vf))
     return out
 
 

@@ -66,7 +66,7 @@ def read_pgm(path) -> np.ndarray:
 def write_mask_pgm(path, mask: np.ndarray) -> None:
     """Binary mask as P5 with values {0, 255}."""
     m = np.asarray(mask)
-    if not np.isin(m, (0, 1)).all():
+    if not ((m == 0) | (m == 1)).all():
         raise ValueError("mask must be binary")
     write_pgm(path, m.astype(np.float64))
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .faces import FACES
-from .geometry import CubemapFrame, CubemapVideo, cubemap_to_equirect
+from .geometry import CubemapFrame, CubemapVideo, EquirectTaps
 from .planner import FrameCoverage, GenerationPlan, PlanStep, frame_coverage
 from .context import (
     ContextBundle,
@@ -186,11 +186,10 @@ def build_context(state: GenerationState, step: PlanStep) -> ContextBundle:
                             fragments, state.cond.faces)
 
 
-def _padded_cond_video(state: GenerationState, step: PlanStep) -> np.ndarray:
-    frames = []
-    for t in range(step.start, step.end):
-        padded = pad_face(state.cond.frame(t), step.face, state.pad, state.layout)
-        frames.append(padded.as_array())
+def _padded_video_from(video: CubemapVideo, face: str, start: int, end: int,
+                       pad: int, layout: CubeLayout) -> np.ndarray:
+    frames = [pad_face(video.frame(t), face, pad, layout).as_array()
+              for t in range(start, end)]
     return np.stack(frames)
 
 
@@ -254,7 +253,9 @@ def generate_step(state: GenerationState, step: PlanStep, denoiser,
     t_begin = time.perf_counter()
     _advance_window(state, step)
     bundle = build_context(state, step)
-    padded_cond = _padded_cond_video(state, step)  # conditional on the padded grid
+    # the conditional on the padded grid
+    padded_cond = _padded_video_from(state.cond, step.face, step.start,
+                                     step.end, state.pad, state.layout)
     step_cfg = SamplerConfig(steps=cfg.steps, seed=_step_seed(cfg, state.next_index),
                              teacher_forcing=cfg.teacher_forcing)
     z = euler_sample(denoiser, padded_cond.shape, bundle, ConditioningTag(), step_cfg)
@@ -317,7 +318,8 @@ def generate_all(cond_video: CubemapVideo, plan: GenerationPlan, denoiser,
                  pad: int = 4, history_capacity: int = 2, frag_length: int = 4,
                  frag_threshold: float = 0.5, equirect_width: int | None = None,
                  ground_truth: CubemapVideo | None = None) -> GenerationResult:
-    """Run every plan step window-major, then assemble equirect frames."""
+    """Run every plan step window-major, then assemble equirect frames
+    through one (R, W) tap table."""
     res = cond_video.resolution
     layout = layout or CubeLayout.create(res)
     width = equirect_width or 4 * res
@@ -329,10 +331,12 @@ def generate_all(cond_video: CubemapVideo, plan: GenerationPlan, denoiser,
 
     masks = {f: np.ones_like(cond_video.masks[f]) for f in FACES}
     out_video = CubemapVideo(faces={f: state.working[f] for f in FACES}, masks=masks)
-    frames = [cubemap_to_equirect(out_video.frame(t), width).pixels
-              for t in range(out_video.num_frames)]
+    taps = EquirectTaps.create(res, width)
+    equirect = np.empty((out_video.num_frames, width // 2, width, out_video.channels))
+    for t in range(out_video.num_frames):
+        taps.apply([out_video.faces[f][t] for f in FACES], out=equirect[t])
     return GenerationResult(
-        equirect=np.stack(frames), cubemap=out_video,
+        equirect=equirect, cubemap=out_video,
         pool_trace=state.pool_trace, resident_trace=state.resident_trace,
         step_log=state.step_log, step_timings=state.step_timings)
 
@@ -341,33 +345,32 @@ def generate_all(cond_video: CubemapVideo, plan: GenerationPlan, denoiser,
 # built-in denoisers beyond the plain oracle
 # ---------------------------------------------------------------------------
 
-def _padded_video_from(video: CubemapVideo, face: str, start: int, end: int,
-                       pad: int, layout: CubeLayout) -> np.ndarray:
-    frames = [pad_face(video.frame(t), face, pad, layout).as_array()
-              for t in range(start, end)]
-    return np.stack(frames)
+def _padded_target_denoiser(video: CubemapVideo, pad: int, layout: CubeLayout):
+    """Velocity toward ``video``'s padded face window for the step named by
+    the context bundle.  The target is padded when (face, start, end)
+    changes and reused for the remaining Euler steps of that plan step."""
+    cached = {"key": None, "target": None}
+
+    def denoise(z_t, t, context, conditioning=None):
+        key = (context.face, context.start, context.end)
+        if cached["key"] != key:
+            cached["target"] = _padded_video_from(video, *key, pad, layout)
+            cached["key"] = key
+        return cached["target"] - z_t
+
+    return denoise
 
 
 def make_scene_oracle_denoiser(truth: CubemapVideo, pad: int,
                                layout: CubeLayout):
     """Oracle that reads the current step from the context bundle and drives
-    the sample toward the padded ground-truth face video."""
-
-    def denoise(z_t, t, context, conditioning=None):
-        target = _padded_video_from(truth, context.face, context.start,
-                                    context.end, pad, layout)
-        return target - z_t
-
-    return denoise
+    the sample toward the padded ground-truth face video, padded once per
+    plan step."""
+    return _padded_target_denoiser(truth, pad, layout)
 
 
 def make_copy_denoiser(cond: CubemapVideo, pad: int, layout: CubeLayout):
     """Baseline that drives the sample toward the (masked) conditional
-    content of the current step; unobserved pixels head to zero."""
-
-    def denoise(z_t, t, context, conditioning=None):
-        target = _padded_video_from(cond, context.face, context.start,
-                                    context.end, pad, layout)
-        return target - z_t
-
-    return denoise
+    content of the current step, padded once per plan step; unobserved
+    pixels head to zero."""
+    return _padded_target_denoiser(cond, pad, layout)

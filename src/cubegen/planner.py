@@ -99,7 +99,7 @@ def frame_coverage(masks: dict) -> FrameCoverage:
     values = np.empty((6, n), dtype=np.float64)
     for i, f in enumerate(FACES):
         m = np.asarray(masks[f])
-        if not np.isin(m, (0, 1)).all():
+        if not ((m == 0) | (m == 1)).all():
             raise ValueError(f"mask of face {f} must be binary")
         values[i] = m.reshape(m.shape[0], -1).mean(axis=1)
     return FrameCoverage(values=values)

@@ -7,7 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from .faces import FACES
 from .config import RunConfig
@@ -18,6 +17,7 @@ from .geometry import (
     equirect_pixel_to_direction,
     face_pixel_directions,
     project_perspective_to_cubemap,
+    rotvec_to_matrix,
     sample_trajectory,
 )
 
@@ -55,8 +55,8 @@ class SyntheticScene:
 
     def value(self, directions: np.ndarray, frame: int) -> np.ndarray:
         """Evaluate the field at unit directions for one frame; (..., C)."""
-        rot = Rotation.from_rotvec(-frame * self.spin_per_frame * self.spin_axis)
-        d = directions @ rot.as_matrix().T
+        rot = rotvec_to_matrix(-frame * self.spin_per_frame * self.spin_axis)
+        d = directions @ rot.T
         x, y, z = d[..., 0], d[..., 1], d[..., 2]
         basis = np.stack([b(x, y, z) for b in _BASIS], axis=-1)
         return 0.5 + basis @ self.coeffs.T
@@ -92,7 +92,7 @@ def _trajectory_anchors(cfg: RunConfig, rng: np.random.Generator) -> list[Camera
         if k:
             vec = rng.normal(size=3)
             vec *= rng.uniform(0.15, 0.6) / np.linalg.norm(vec)
-            rot = rot @ Rotation.from_rotvec(vec).as_matrix()
+            rot = rot @ rotvec_to_matrix(vec)
         anchors.append(CameraPose(rot, cfg.scene.hfov_deg, cfg.scene.vfov_deg))
     return anchors
 

@@ -1,6 +1,8 @@
 """End-to-end CLI tests: artifacts, schemas, determinism, and error paths."""
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +11,8 @@ import pytest
 from cubegen import cli
 from cubegen.artifacts import load_schema, validate_artifact
 from cubegen.attention import BandedMaskSpec, TokenLayout, attention_peak_bytes
-from cubegen.config import default_config
-from cubegen.imgio import read_pfm, read_mask_pgm
+from cubegen.config import default_config, parse_config
+from cubegen.imgio import read_pfm, read_mask_pgm, write_pfm, write_poses
 
 import jsonschema
 
@@ -195,7 +197,39 @@ class TestErrorPaths:
         err = json.loads(capsys.readouterr().err)
         assert "paths" in err["error"]["message"]
 
+    def test_non_finite_input_frame_rejected_early(self, tmp_path, capsys):
+        from cubegen import scene as sc
+
+        frames_dir = tmp_path / "frames"
+        frames_dir.mkdir()
+        _, frames, poses = sc.synth_scene(parse_config(small_cfg(tmp_path)))
+        for t, frame in enumerate(frames):
+            px = frame.pixels.copy()
+            if t == 5:
+                px[1, 2, 0] = np.nan
+            write_pfm(frames_dir / f"input_{t:03d}.pfm", px)
+        write_poses(frames_dir / "poses.json", poses)
+        cfg = small_cfg(tmp_path, paths={"frames_dir": str(frames_dir),
+                                         "poses": str(frames_dir / "poses.json")},
+                        mode={"teacher_forcing": False, "denoiser": "copy"})
+        out = tmp_path / "o"
+        code = run(["generate", "--config", cfg, "--out", out])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        validate_artifact("error", err)
+        assert err["error"]["type"] == "ValueError"
+        assert "pixels must be finite" in err["error"]["message"]
+        assert not list(out.glob("frame_*.pfm"))
+
     def test_schemas_are_valid_jsonschema(self):
         for name in ("plan", "coverage", "context", "run_report", "timings",
                      "metrics", "error", "dry_run"):
             jsonschema.Draft202012Validator.check_schema(load_schema(name))
+
+
+def test_cli_import_leaves_scipy_out():
+    code = "import sys, cubegen.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          cwd=Path(__file__).resolve().parents[1] / "src")
+    assert proc.stdout.strip() == "False"

@@ -255,6 +255,169 @@ class TestCubemapEquirect:
         assert abs(observed - expected) / expected <= 0.02
 
 
+# ── tap table against the per-face loops it replaced ─────────────────────
+
+def _ref_bilinear(grid, rows, cols):
+    h, w = grid.shape[:2]
+    rows = np.clip(rows, 0.0, h - 1.0)
+    r0 = np.floor(rows).astype(np.intp)
+    r0 = np.minimum(r0, h - 2) if h > 1 else np.zeros_like(r0)
+    r1 = np.minimum(r0 + 1, h - 1)
+    fr = rows - r0
+    cols = np.clip(cols, 0.0, w - 1.0)
+    c0 = np.floor(cols).astype(np.intp)
+    c0 = np.minimum(c0, w - 2) if w > 1 else np.zeros_like(c0)
+    c1 = np.minimum(c0 + 1, w - 1)
+    fc = cols - c0
+    fr = fr[..., None]
+    fc = fc[..., None]
+    top = grid[r0, c0] * (1.0 - fc) + grid[r0, c1] * fc
+    bot = grid[r1, c0] * (1.0 - fc) + grid[r1, c1] * fc
+    return top * (1.0 - fr) + bot * fr
+
+
+def _ref_nearest(grid, rows, cols):
+    h, w = grid.shape[:2]
+    r = np.clip(np.rint(rows).astype(np.intp), 0, h - 1)
+    c = np.clip(np.rint(cols).astype(np.intp), 0, w - 1)
+    return grid[r, c]
+
+
+def _ref_face_lookup(width):
+    u, v = np.meshgrid(np.arange(width), np.arange(width // 2), indexing="xy")
+    return geo.direction_to_face_coords(geo.equirect_pixel_to_direction(u, v, width))
+
+
+def ref_cubemap_to_equirect(cube, width):
+    """Per-face selection loop: every equirect pixel samples its face."""
+    res = cube.resolution
+    face, x, y = _ref_face_lookup(width)
+    out = np.zeros((width // 2, width, cube.channels), dtype=np.float64)
+    for i, f in enumerate(FACES):
+        sel = face == i
+        if sel.any():
+            out[sel] = _ref_bilinear(cube.faces[f], y[sel] * res - 0.5,
+                                     x[sel] * res - 0.5)
+    return out
+
+
+def ref_resample_mask_to_equirect(cube, width):
+    res = cube.resolution
+    face, x, y = _ref_face_lookup(width)
+    out = np.zeros((width // 2, width), dtype=np.uint8)
+    for i, f in enumerate(FACES):
+        sel = face == i
+        if sel.any():
+            out[sel] = _ref_nearest(cube.masks[f], y[sel] * res - 0.5,
+                                    x[sel] * res - 0.5)
+    return out
+
+
+class TestEquirectTaps:
+    @pytest.mark.parametrize("res,width", [(4, 16), (64, 256), (256, 1024), (64, 200)])
+    def test_bit_identical_to_per_face_loops(self, rng, res, width):
+        faces = {f: rng.random((res, res, 3)) for f in FACES}
+        masks = {f: (rng.random((res, res)) < 0.5).astype(np.uint8) for f in FACES}
+        cube = CubemapFrame(faces=faces, masks=masks)
+        assert np.array_equal(geo.cubemap_to_equirect(cube, width).pixels,
+                              ref_cubemap_to_equirect(cube, width))
+        assert np.array_equal(geo.resample_mask_to_equirect(cube, width),
+                              ref_resample_mask_to_equirect(cube, width))
+
+    def test_one_table_serves_many_frames(self, rng):
+        res, width = 8, 32
+        taps = geo.EquirectTaps.create(res, width)
+        out = np.empty((3, width // 2, width, 2))
+        for t in range(3):
+            faces = {f: rng.random((res, res, 2)) for f in FACES}
+            masks = {f: np.ones((res, res), np.uint8) for f in FACES}
+            taps.apply([faces[f] for f in FACES], out=out[t])
+            assert np.array_equal(out[t], ref_cubemap_to_equirect(
+                CubemapFrame(faces=faces, masks=masks), width))
+
+    def test_wrong_face_grids_rejected(self):
+        taps = geo.EquirectTaps.create(8, 32)
+        with pytest.raises(ValueError):
+            taps.apply([np.zeros((8, 8, 1))] * 5)
+        with pytest.raises(ValueError):
+            taps.apply_mask([np.zeros((4, 4), np.uint8)] * 6)
+
+
+# ── input validation ─────────────────────────────────────────────────────
+
+def _cube_parts(mask_value, video=False):
+    lead = (2,) if video else ()
+    faces = {f: np.zeros(lead + (4, 4, 1)) for f in FACES}
+    masks = {f: np.ones(lead + (4, 4)) for f in FACES}
+    masks["U"] = masks["U"].copy()
+    masks["U"][..., 1, 2] = mask_value
+    return faces, masks
+
+
+class TestMaskValidation:
+    @pytest.mark.parametrize("cls", [CubemapFrame, geo.CubemapVideo])
+    @pytest.mark.parametrize("value", [2.0, 0.5, -1.0, np.nan])
+    def test_non_binary_rejected(self, cls, value):
+        faces, masks = _cube_parts(value, video=cls is geo.CubemapVideo)
+        with pytest.raises(ValueError, match="binary"):
+            cls(faces=faces, masks=masks)
+
+    @pytest.mark.parametrize("cls", [CubemapFrame, geo.CubemapVideo])
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.float64])
+    def test_binary_dtypes_accepted(self, cls, dtype):
+        faces, masks = _cube_parts(0, video=cls is geo.CubemapVideo)
+        masks = {f: m.astype(dtype) for f, m in masks.items()}
+        cube = cls(faces=faces, masks=masks)
+        assert all(cube.masks[f].dtype == np.uint8 for f in FACES)
+        assert cube.masks["U"][..., 1, 2].max() == 0 and cube.masks["F"].min() == 1
+
+
+class TestPerspectiveFrameValidation:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, value):
+        px = np.full((4, 6, 3), 0.5)
+        px[2, 3, 1] = value
+        with pytest.raises(ValueError, match="finite"):
+            PerspectiveFrame(px)
+
+
+# ── rotations against scipy ──────────────────────────────────────────────
+
+class TestRotationHelpers:
+    def _random_rotvecs(self, rng, angles):
+        axes = rng.normal(size=(len(angles), 3))
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        return axes * np.asarray(angles)[:, None]
+
+    def _angles(self, rng):
+        near_zero = [0.0, 1e-12, 1e-8, 1e-5, 9.9e-5, 1e-4, 1e-3, 2e-3]
+        near_pi = [np.pi - d for d in (1e-9, 1e-7, 1e-4, 1e-2)]
+        return near_zero + near_pi + list(rng.uniform(0.0, np.pi, 40))
+
+    def test_rotvec_to_matrix_matches_scipy(self, rng):
+        Rotation = pytest.importorskip("scipy.spatial.transform").Rotation
+        for vec in self._random_rotvecs(rng, self._angles(rng)):
+            np.testing.assert_allclose(geo.rotvec_to_matrix(vec),
+                                       Rotation.from_rotvec(vec).as_matrix(),
+                                       rtol=0, atol=1e-12)
+
+    def test_matrix_to_rotvec_matches_scipy(self, rng):
+        Rotation = pytest.importorskip("scipy.spatial.transform").Rotation
+        for vec in self._random_rotvecs(rng, self._angles(rng)):
+            mat = Rotation.from_rotvec(vec).as_matrix()
+            np.testing.assert_allclose(geo.matrix_to_rotvec(mat),
+                                       Rotation.from_matrix(mat).as_rotvec(),
+                                       rtol=0, atol=1e-12)
+
+    def test_round_trip_and_identity(self, rng):
+        assert np.array_equal(geo.rotvec_to_matrix(np.zeros(3)), np.eye(3))
+        assert np.array_equal(geo.matrix_to_rotvec(np.eye(3)), np.zeros(3))
+        for vec in self._random_rotvecs(rng, rng.uniform(0.0, np.pi - 1e-3, 20)):
+            np.testing.assert_allclose(
+                geo.matrix_to_rotvec(geo.rotvec_to_matrix(vec)), vec,
+                rtol=0, atol=1e-12)
+
+
 # ── trajectories ─────────────────────────────────────────────────────────
 
 def geodesic_angle(ra, rb):

@@ -7,7 +7,7 @@ import pytest
 
 from cubegen.faces import FACES
 from cubegen.config import default_config
-from cubegen.continuity import CubeLayout
+from cubegen.continuity import CubeLayout, pad_face
 from cubegen.geometry import CubemapVideo
 from cubegen.planner import (
     frame_coverage,
@@ -22,11 +22,13 @@ from cubegen.pipeline import (
     generate_all,
     generate_step,
     init_state,
+    make_copy_denoiser,
     make_scene_oracle_denoiser,
     oracle_denoiser,
     sample_path,
     zero_denoiser,
 )
+from cubegen import pipeline as pl
 from cubegen import scene as sc
 
 
@@ -255,3 +257,48 @@ class TestGenerateAll:
                               SamplerConfig(steps=2, seed=0), pad=2)
         assert result.equirect.shape == (8, 2 * res, 4 * res, 3)
         assert np.isfinite(result.equirect).all()
+
+
+class TestPaddedTargetDenoiser:
+    """The built-in denoisers pad their target once per plan step."""
+
+    def test_pads_at_most_twice_the_window_per_step(self, monkeypatch):
+        res, t_win = 16, 4
+        cfg, truth, cond, plan = small_scene(res=res, n=8, t_win=t_win)
+        layout = CubeLayout.create(res)
+        calls = []
+
+        def counting_pad(*args, **kwargs):
+            calls.append(1)
+            return pad_face(*args, **kwargs)
+
+        monkeypatch.setattr(pl, "pad_face", counting_pad)
+        state = init_state(cond, plan, layout=layout, pad=2, history_capacity=2,
+                           frag_length=4, frag_threshold=0.5, ground_truth=truth)
+        denoiser = make_scene_oracle_denoiser(truth, 2, layout)
+        scfg = SamplerConfig(steps=6, seed=2, teacher_forcing=True)
+        for step in plan.steps:
+            before = len(calls)
+            generate_step(state, step, denoiser, scfg)
+            assert len(calls) - before <= 2 * t_win
+
+    @pytest.mark.parametrize("factory", ["oracle", "copy"])
+    def test_cached_equals_uncached(self, factory):
+        res = 16
+        cfg, truth, cond, plan = small_scene(res=res)
+        layout = CubeLayout.create(res)
+        video = truth if factory == "oracle" else cond
+
+        def uncached(z_t, t, context, conditioning=None):
+            frames = [pad_face(video.frame(k), context.face, 2, layout).as_array()
+                      for k in range(context.start, context.end)]
+            return np.stack(frames) - z_t
+
+        cached = (make_scene_oracle_denoiser(truth, 2, layout) if factory == "oracle"
+                  else make_copy_denoiser(cond, 2, layout))
+        scfg = SamplerConfig(steps=3, seed=4, teacher_forcing=factory == "oracle")
+        runs = [generate_all(cond, plan, d, scfg, layout=layout, pad=2,
+                             ground_truth=truth) for d in (cached, uncached)]
+        assert runs[0].equirect.tobytes() == runs[1].equirect.tobytes()
+        for f in FACES:
+            assert runs[0].cubemap.faces[f].tobytes() == runs[1].cubemap.faces[f].tobytes()
