@@ -6,7 +6,7 @@ Submodules map one-to-one onto the processing stages:
 - :mod:`cubegen.planner`    temporal windows and coverage-guided face order
 - :mod:`cubegen.context`    history pool and [hist; curr; fut] assembly
 - :mod:`cubegen.attention`  banded context mask, dense/sparse paths, FLOPs
-- :mod:`cubegen.continuity` flattened-cross positions, padding, blending
+- :mod:`cubegen.continuity` flattened-cross positions, padding and blending index maps
 - :mod:`cubegen.pipeline`   flow-matching loss/sampler and the generation loop
 - :mod:`cubegen.scene`      analytic synthetic scenes for oracles and demos
 - :mod:`cubegen.cli`        the ``cubegen`` command-line tool
@@ -55,7 +55,6 @@ from .attention import (
 )
 from .continuity import (
     CubeLayout,
-    PaddedFace,
     blend_overlaps,
     corner_cycle_identity,
     face_position_grid,

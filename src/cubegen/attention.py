@@ -168,7 +168,7 @@ def dense_masked_attention(inp: AttentionInputs, mask: np.ndarray,
         raise ValueError(f"mask must be ({n}, {n}), got {mask.shape}")
     if not mask.any(axis=1).all():
         raise ValueError("a query row has zero allowed keys")
-    scale = 1.0 / np.sqrt(inp.dim)
+    scale = 1.0 / math.sqrt(inp.dim)  # a Python float keeps the inputs' dtype
     scores = np.einsum("hqd,hkd->hqk", inp.queries, inp.keys) * scale
     weights = _softmax_rows(scores, valid=mask[None, :, :])
     out = np.einsum("hqk,hkd->hqd", weights, inp.values)

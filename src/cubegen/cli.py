@@ -49,8 +49,7 @@ from .pipeline import (
     SamplerConfig,
     generate_all,
     init_state,
-    make_copy_denoiser,
-    make_scene_oracle_denoiser,
+    padded_target_denoiser,
     simulate_contexts,
     zero_denoiser,
 )
@@ -272,9 +271,9 @@ def _make_denoiser(cfg: RunConfig, truth, cond, layout):
         if truth is None:
             raise ConfigError("mode.denoiser 'oracle' needs the synthetic scene "
                               "(ground truth); unset paths.frames_dir/poses")
-        return make_scene_oracle_denoiser(truth, cfg.pad, layout)
+        return padded_target_denoiser(truth, cfg.pad, layout)
     if cfg.mode.denoiser == "copy":
-        return make_copy_denoiser(cond, cfg.pad, layout)
+        return padded_target_denoiser(cond, cfg.pad, layout)
     return zero_denoiser
 
 
@@ -302,15 +301,13 @@ def cmd_generate(cfg: RunConfig, out_dir: Path, dry_run: bool = False) -> None:
     for t in range(cfg.num_frames):
         write_pfm(out_dir / f"frame_{t:03d}.pfm", result.equirect[t])
         _write_image(out_dir / f"frame_{t:03d}", np.clip(result.equirect[t], 0, 1))
-    seam = [seam_metric(result.cubemap.frame(t), layout)
-            for t in range(cfg.num_frames)]
     report = {
         "config": cfg.to_json_dict(),
         "plan": plan.to_json_dict()["steps"],
         "pool_trace": result.pool_trace,
         "resident_trace": result.resident_trace,
         "peak_resident": result.peak_resident,
-        "seam_per_frame": seam,
+        "seam_per_frame": _seam_per_frame(result.cubemap, layout),
         "steps": result.step_log,
     }
     write_json_artifact(out_dir / "run_report.json", "run_report", report)
@@ -318,6 +315,11 @@ def cmd_generate(cfg: RunConfig, out_dir: Path, dry_run: bool = False) -> None:
         "step_seconds": result.step_timings,
         "total_seconds": time.perf_counter() - t_total,
     })
+
+
+def _seam_per_frame(video: CubemapVideo, layout: CubeLayout) -> list[float]:
+    return [seam_metric([video.faces[f][t] for f in FACES], layout)
+            for t in range(video.num_frames)]
 
 
 def _write_dry_run(cfg: RunConfig, out_dir: Path) -> None:
@@ -359,9 +361,8 @@ def cmd_metrics(cfg: RunConfig, out_dir: Path) -> None:
     fc, wp, ct = _coverage_tables(cfg, cond)
     layout = CubeLayout.create(cfg.resolution)
     source = truth if truth is not None else cond
-    seam = [seam_metric(source.frame(t), layout) for t in range(cfg.num_frames)]
     report = {
-        "seam_per_frame": seam,
+        "seam_per_frame": _seam_per_frame(source, layout),
         "coverage": {
             "per_face_mean": {f: float(fc.values[i].mean())
                               for i, f in enumerate(FACES)},

@@ -1,46 +1,55 @@
-"""Flattened-cross positional layout, topology-aligned padding, and blending.
+"""Flattened-cross positional layout, cube padding and blending as index maps.
 
 The cross layout stacks U / F / D vertically (row offsets 0, R, 2R) and
 places L, F, R, B horizontally (column offsets 0, R, 2R, 3R); U and D share
-F's columns.  Every face edge has exactly one neighbor; strips copied across
-an edge are pixel-exact dihedral (rotate/flip) rearrangements of the
-neighbor's border band, so padding never resamples.
+F's columns.  Every face edge has exactly one neighbor.
 
-Strip arrays are stored in (depth, along) orientation: row k is the band at
-distance k from the shared edge, columns run along the edge in the owning
-face's traversal direction (columns for top/bottom edges, rows for
-left/right).  The adjacency transform maps the neighbor's raw border slice
-into this orientation; it is derived numerically from the face-axis tables
-at import time rather than hand-written.
+Padding a face by p pixels across its edges (cube padding, Cheng et al.,
+CVPR 2018) is a fixed pixel permutation that depends only on (R, p) and the
+adjacency table.  It is held as one index map per face: the flat index of
+every pixel of the (R+2p) x (R+2p) padded grid into the six faces stacked
+in canonical order as (6*R*R).  Strip pixels copy the neighbor's border
+band, so padding never resamples; a corner pixel repeats the nearer strip,
+ties going to the top/bottom strip.  Blending a generated padded face back
+scatters its 4*p*R strip pixels onto the neighbor pixels they were copied
+from, with ramp weight 1 - k/p at depth k.  :func:`pad_face`,
+:func:`blend_overlaps` and :func:`seam_metric` read the same map, built once
+per (R, p).
+
+A strip pixel is addressed by (depth, along): depth k is its distance from
+the shared edge (0 next to it), and along runs in the owning face's
+traversal direction (columns for top/bottom edges, rows for left/right).
+:func:`_neighbor_pixel` is the one formula from (depth, along) to a neighbor
+pixel.  Each adjacency record also names the dihedral ``transform`` that
+rearranges the neighbor's raw border slice into a (depth, along) strip; the
+names are derived from the same formula at import time and documented in
+``docs/cube_layout.json``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .faces import FACES, face_axes
-from .geometry import CubemapFrame
+from .faces import FACES, FACE_INDEX, face_axes
 
 __all__ = [
     "EDGES",
     "EdgeAdjacency",
     "CubeLayout",
-    "PaddedFace",
     "face_position_grid",
-    "extract_strip",
     "pad_face",
     "blend_overlaps",
     "seam_metric",
     "corner_cycle_identity",
-    "apply_transform",
-    "inverse_transform_name",
 ]
 
 EDGES = ("top", "bottom", "left", "right")
 
-# The eight dihedral rearrangements of a 2D grid (leading two axes).
+# The eight dihedral rearrangements of a 2D grid (leading two axes); they
+# name each edge's transform in the adjacency table.
 _TRANSFORMS = {
     "identity": lambda a: a,
     "rot90": lambda a: np.rot90(a, 1),
@@ -51,26 +60,6 @@ _TRANSFORMS = {
     "transpose": lambda a: np.swapaxes(a, 0, 1),
     "anti_transpose": lambda a: np.swapaxes(a, 0, 1)[::-1, ::-1],
 }
-
-_INVERSE = {
-    "identity": "identity",
-    "rot90": "rot270",
-    "rot180": "rot180",
-    "rot270": "rot90",
-    "flip_h": "flip_h",
-    "flip_v": "flip_v",
-    "transpose": "transpose",
-    "anti_transpose": "anti_transpose",
-}
-
-
-def apply_transform(name: str, grid: np.ndarray) -> np.ndarray:
-    """Apply a named dihedral rearrangement to the leading two axes."""
-    return _TRANSFORMS[name](grid)
-
-
-def inverse_transform_name(name: str) -> str:
-    return _INVERSE[name]
 
 
 @dataclass(frozen=True)
@@ -115,29 +104,23 @@ def _border_slice(grid: np.ndarray, edge: str, pad: int) -> np.ndarray:
     return grid[:, grid.shape[1] - pad:]
 
 
-def _reference_strip(neighbor_grid: np.ndarray, neighbor_edge: str,
-                     flipped: bool, pad: int) -> np.ndarray:
-    """Scalar-indexed ground truth for the (depth, along) strip content."""
-    res = neighbor_grid.shape[0]
-    strip = np.empty((pad, res) + neighbor_grid.shape[2:], neighbor_grid.dtype)
-    for k in range(pad):
-        for j in range(res):
-            m = res - 1 - j if flipped else j
-            if neighbor_edge == "top":
-                i2, j2 = k, m
-            elif neighbor_edge == "bottom":
-                i2, j2 = res - 1 - k, m
-            elif neighbor_edge == "left":
-                i2, j2 = m, k
-            else:
-                i2, j2 = m, res - 1 - k
-            strip[k, j] = neighbor_grid[i2, j2]
-    return strip
+def _neighbor_pixel(neighbor_edge: str, flipped: bool, depth, along, res: int):
+    """(row, col) on the neighbor face of the strip pixel at (depth, along);
+    scalars or broadcastable integer arrays."""
+    m = res - 1 - along if flipped else along
+    if neighbor_edge == "top":
+        return depth, m
+    if neighbor_edge == "bottom":
+        return res - 1 - depth, m
+    if neighbor_edge == "left":
+        return m, depth
+    return m, res - 1 - depth
 
 
 def _derive_adjacency() -> dict:
     table = {}
     probe = np.arange(36.0).reshape(6, 6)  # unique values force a unique match
+    depth, along = np.indices((2, 6))
     for f in FACES:
         for e in EDGES:
             g = _face_with_normal(_edge_outward(f, e))
@@ -146,7 +129,7 @@ def _derive_adjacency() -> dict:
                          if np.array_equal(_edge_outward(g, e2), n_f)]
             sigma = float(_edge_traversal(f, e) @ _edge_traversal(g, e_back))
             flipped = sigma < 0
-            want = _reference_strip(probe, e_back, flipped, pad=2)
+            want = probe[_neighbor_pixel(e_back, flipped, depth, along, 6)]
             raw = _border_slice(probe, e_back, pad=2)
             names = [name for name, op in _TRANSFORMS.items()
                      if op(raw).shape == want.shape and np.array_equal(op(raw), want)]
@@ -190,177 +173,143 @@ class CubeLayout:
         }
 
 
-def face_position_grid(layout: CubeLayout, face: str) -> np.ndarray:
-    """(R, R, 2) flattened-plane (row, col) coordinate of each face pixel."""
+def face_position_grid(layout: CubeLayout, face: str, pad: int = 0) -> np.ndarray:
+    """(R+2p, R+2p, 2) flattened-plane (row, col) coordinate of each pixel
+    of the face's padded grid.  Strip coordinates continue the core grid by
+    exactly one step per band, so positions stay monotone across each edge."""
     r = layout.resolution
     ro, co = layout.offsets[face]
-    rows, cols = np.meshgrid(np.arange(r) + ro, np.arange(r) + co, indexing="ij")
+    rows, cols = np.meshgrid(np.arange(-pad, r + pad) + ro,
+                             np.arange(-pad, r + pad) + co, indexing="ij")
     return np.stack([rows, cols], axis=-1)
 
 
-def extract_strip(face_grids: dict, face: str, edge: str, pad: int,
-                  layout: CubeLayout) -> np.ndarray:
-    """(pad, R, ...) strip for ``edge`` of ``face``: the neighbor's border
-    band in (depth, along) orientation.  Pixel-exact copy, no resampling."""
-    adj = layout.adjacency[(face, edge)]
-    raw = _border_slice(face_grids[adj.neighbor], adj.neighbor_edge, pad)
-    return apply_transform(adj.transform, raw).copy()
-
+# ---------------------------------------------------------------------------
+# padding and blending index maps
+# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PaddedFace:
-    """A face core with four neighbor strips and extrapolated positions.
+class _PadTable:
+    """Index maps of one (R, p), faces in canonical order.
 
-    ``positions`` covers the assembled (R+2p) x (R+2p) grid; strip
-    coordinates continue the core grid by exactly one step per band, so
-    positions stay monotone across each edge.
+    ``index[f]`` holds, for every pixel of face f's flattened padded grid,
+    its flat index into the (6*R*R) face stack.  The blend scatter runs over
+    the 4*p*R strip pixels: ``src`` is their flat padded-grid index (the
+    same for every face), ``dst[f]`` the stack index they were copied from
+    and blend back into, and ``weight`` the ramp weight 1 - k/p at depth k.
     """
 
-    face: str
-    pad: int
-    core: np.ndarray       # (R, R, C)
-    strips: dict           # edge -> (p, R, C)
-    positions: np.ndarray  # (R+2p, R+2p, 2)
-
-    def as_array(self) -> np.ndarray:
-        """Assemble core plus strips; corner blocks extend the nearer strip
-        (ties go to the top/bottom strip) and are excluded from invariants."""
-        r, p = self.core.shape[0], self.pad
-        n = r + 2 * p
-        out = np.zeros((n, n) + self.core.shape[2:], self.core.dtype)
-        out[p:p + r, p:p + r] = self.core
-        out[:p, p:p + r] = self.strips["top"][::-1]
-        out[p + r:, p:p + r] = self.strips["bottom"]
-        out[p:p + r, :p] = np.swapaxes(self.strips["left"], 0, 1)[:, ::-1]
-        out[p:p + r, p + r:] = np.swapaxes(self.strips["right"], 0, 1)
-        for rows, cols in (((0, p), (0, p)), ((0, p), (p + r, n)),
-                           ((p + r, n), (0, p)), ((p + r, n), (p + r, n))):
-            _fill_corner(out, rows, cols, p, r)
-        return out
-
-    @classmethod
-    def from_array(cls, arr: np.ndarray, face: str, pad: int,
-                   layout: CubeLayout) -> "PaddedFace":
-        """Split an assembled padded array back into core + strips."""
-        p = pad
-        r = arr.shape[0] - 2 * p
-        strips = {
-            "top": arr[:p, p:p + r][::-1].copy(),
-            "bottom": arr[p + r:, p:p + r].copy(),
-            "left": np.swapaxes(arr[p:p + r, :p][:, ::-1], 0, 1).copy(),
-            "right": np.swapaxes(arr[p:p + r, p + r:], 0, 1).copy(),
-        }
-        return cls(face=face, pad=p, core=arr[p:p + r, p:p + r].copy(),
-                   strips=strips, positions=_padded_positions(layout, face, p))
+    index: np.ndarray   # (6, (R+2p)**2)
+    src: np.ndarray     # (4*p*R,)
+    dst: np.ndarray     # (6, 4*p*R)
+    weight: np.ndarray  # (4*p*R,)
 
 
-def _fill_corner(out: np.ndarray, rows: tuple, cols: tuple, p: int, r: int):
-    """Extend the nearer strip into a p x p corner block of the assembly;
-    ties extend the top/bottom strip.  Corner content is ill-defined on a
-    cube, so these blocks are excluded from every invariant."""
-    r0, r1 = rows
-    c0, c1 = cols
-    near_col = p if c0 == 0 else p + r - 1  # nearest top/bottom-strip column
-    near_row = p if r0 == 0 else p + r - 1  # nearest left/right-strip row
-    for i in range(r0, r1):
-        for j in range(c0, c1):
-            gap_h = (p - j) if c0 == 0 else (j - (p + r) + 1)
-            gap_v = (p - i) if r0 == 0 else (i - (p + r) + 1)
-            if gap_h <= gap_v:  # top/bottom strip is nearer: extend its row
-                out[i, j] = out[i, near_col]
-            else:
-                out[i, j] = out[near_row, j]
+@lru_cache(maxsize=None)
+def _pad_table(res: int, pad: int) -> _PadTable:
+    n = res + 2 * pad
+    rows, cols = np.indices((n, n)) - pad  # face coordinates; off the core
+    out_r = np.maximum(-rows, rows - (res - 1))  # > 0: band outside the core rows
+    out_c = np.maximum(-cols, cols - (res - 1))
+    corner = (out_r > 0) & (out_c > 0)
+    # a corner pixel repeats the nearer strip; ties go to the top/bottom strip
+    cols_in = np.where(corner & (out_c <= out_r), np.clip(cols, 0, res - 1), cols)
+    rows_in = np.where(corner & (out_c > out_r), np.clip(rows, 0, res - 1), rows)
+    bands = (("top", rows_in < 0, -rows_in - 1, cols_in),
+             ("bottom", rows_in >= res, rows_in - res, cols_in),
+             ("left", cols_in < 0, -cols_in - 1, rows_in),
+             ("right", cols_in >= res, cols_in - res, rows_in))
+    index = np.empty((6, n, n), dtype=np.intp)
+    for fi, face in enumerate(FACES):
+        index[fi] = (fi * res * res + rows_in.clip(0, res - 1) * res
+                     + cols_in.clip(0, res - 1))
+        for edge, sel, depth, along in bands:
+            adj = _ADJACENCY[(face, edge)]
+            i2, j2 = _neighbor_pixel(adj.neighbor_edge, adj.flipped,
+                                     depth[sel], along[sel], res)
+            index[fi][sel] = FACE_INDEX[adj.neighbor] * res * res + i2 * res + j2
+    index = index.reshape(6, n * n)
+    strip = (out_r > 0) ^ (out_c > 0)
+    src = np.flatnonzero(strip)
+    depth = np.maximum(out_r, out_c).ravel()[src] - 1
+    table = _PadTable(index=index, src=src, dst=index[:, src],
+                      weight=1.0 - depth / pad)
+    for arr in (table.index, table.src, table.dst, table.weight):
+        arr.flags.writeable = False  # cached and shared by every caller
+    return table
 
 
-def _padded_positions(layout: CubeLayout, face: str, pad: int) -> np.ndarray:
+def _checked_table(layout: CubeLayout, pad: int) -> _PadTable:
     r = layout.resolution
-    ro, co = layout.offsets[face]
-    rows = np.arange(-pad, r + pad) + ro
-    cols = np.arange(-pad, r + pad) + co
-    rr, cc = np.meshgrid(rows, cols, indexing="ij")
-    return np.stack([rr, cc], axis=-1)
-
-
-def pad_face(cubemap: CubemapFrame, face: str, pad: int,
-             layout: CubeLayout) -> PaddedFace:
-    """Pad ``face`` with transformed border strips from its four neighbors."""
-    r = cubemap.resolution
     if not 1 <= pad <= r // 2:
         raise ValueError(f"pad width must lie in [1, R/2], got {pad} for R={r}")
-    strips = {e: extract_strip(cubemap.faces, face, e, pad, layout) for e in EDGES}
-    return PaddedFace(face=face, pad=pad, core=cubemap.faces[face].copy(),
-                      strips=strips, positions=_padded_positions(layout, face, pad))
+    return _pad_table(r, pad)
 
 
-def blend_overlaps(generated: PaddedFace, cubemap: CubemapFrame, pad: int,
-                   layout: CubeLayout) -> CubemapFrame:
-    """Write a generated padded face back: core replaces the face wholesale,
-    strips blend into each neighbor's border band with a linear ramp
-    (weight 1 at the shared edge, falling to 1/p at depth p-1)."""
-    if pad != generated.pad:
-        raise ValueError("pad width does not match the generated face")
-    faces = {f: cubemap.faces[f].copy() for f in FACES}
-    faces[generated.face] = generated.core.copy()
-    r = cubemap.resolution
-
-    ramp = (1.0 - np.arange(pad) / pad)[:, None]  # (p, 1): depth 0 overwrites
-    for e in EDGES:
-        adj = layout.adjacency[(generated.face, e)]
-        strip = generated.strips[e]
-        w = np.broadcast_to(ramp, strip.shape[:2])
-        if strip.ndim == 3:
-            w = w[..., None]
-        inv = inverse_transform_name(adj.transform)
-        native_new = apply_transform(inv, strip * w)
-        native_w = apply_transform(inv, np.broadcast_to(w, strip.shape))
-        band = _border_slice(faces[adj.neighbor], adj.neighbor_edge, pad)
-        blended = native_new + (1.0 - native_w) * band
-        _assign_border(faces[adj.neighbor], adj.neighbor_edge, pad, blended)
-    return CubemapFrame(faces=faces, masks={f: cubemap.masks[f].copy() for f in FACES})
+def _check_stack(stack: np.ndarray, res: int, name: str) -> None:
+    if stack.ndim != 5 or stack.shape[1:4] != (6, res, res):
+        raise ValueError(f"{name} must be (T, 6, {res}, {res}, C), got {stack.shape}")
 
 
-def _assign_border(grid: np.ndarray, edge: str, pad: int, value: np.ndarray):
-    if edge == "top":
-        grid[:pad] = value
-    elif edge == "bottom":
-        grid[grid.shape[0] - pad:] = value
-    elif edge == "left":
-        grid[:, :pad] = value
-    else:
-        grid[:, grid.shape[1] - pad:] = value
+def pad_face(stack: np.ndarray, face: str, pad: int,
+             layout: CubeLayout) -> np.ndarray:
+    """(T, R+2p, R+2p, C) padded video of ``face`` from a (T, 6, R, R, C)
+    window of the six faces in canonical order: one gather through the
+    face's index map.  Pixel-exact copy, no resampling."""
+    table = _checked_table(layout, pad)
+    r = layout.resolution
+    _check_stack(stack, r, "stack")
+    t, c, n = stack.shape[0], stack.shape[-1], r + 2 * pad
+    flat = stack.reshape(t, 6 * r * r, c)
+    return np.take(flat, table.index[FACE_INDEX[face]], axis=1).reshape(t, n, n, c)
 
 
-def seam_metric(cubemap: CubemapFrame, layout: CubeLayout) -> float:
-    """Mean absolute pixel difference across all 12 cube edges, pairing the
-    border lines via the adjacency transforms."""
-    total, count = 0.0, 0
-    seen = set()
-    for f in FACES:
-        for e in EDGES:
-            adj = layout.adjacency[(f, e)]
-            key = frozenset({(f, e), (adj.neighbor, adj.neighbor_edge)})
-            if key in seen:
-                continue
-            seen.add(key)
-            # f's border line carried onto the neighbor's side of the edge,
-            # paired against the neighbor's own border line
-            carried = extract_strip(cubemap.faces, adj.neighbor,
-                                    adj.neighbor_edge, 1, layout)[0]
-            native = _own_border_line(cubemap.faces[adj.neighbor], adj.neighbor_edge)
-            total += np.abs(carried - native).sum()
-            count += carried.size
-    return total / count
+def blend_overlaps(generated: np.ndarray, canvas: np.ndarray, face: str,
+                   pad: int, layout: CubeLayout) -> None:
+    """Write a generated (T, R+2p, R+2p, C) padded video of ``face`` into a
+    C-contiguous (T, 6, R, R, C) canvas, in place: the core replaces the face
+    wholesale, and each strip pixel blends into the neighbor pixel it pads
+    with a linear ramp (weight 1 at the shared edge, falling to 1/p at depth
+    p-1), as ``w * strip + (1 - w) * old``."""
+    table = _checked_table(layout, pad)
+    r, p = layout.resolution, pad
+    _check_stack(canvas, r, "canvas")
+    t, c = canvas.shape[0], canvas.shape[-1]
+    if generated.shape != (t, r + 2 * p, r + 2 * p, c):
+        raise ValueError(f"generated face must be {(t, r + 2 * p, r + 2 * p, c)}, "
+                         f"got {generated.shape}")
+    if not canvas.flags.c_contiguous:
+        raise ValueError("canvas must be C-contiguous to be written in place")
+    fi = FACE_INDEX[face]
+    canvas[:, fi] = generated[:, p:p + r, p:p + r]
+    flat = canvas.reshape(t, 6 * r * r, c)
+    dst, w = table.dst[fi], table.weight[:, None]
+    strips = generated.reshape(t, -1, c)[:, table.src]
+    flat[:, dst] = strips * w + (1.0 - w) * flat[:, dst]
 
 
-def _own_border_line(grid: np.ndarray, edge: str) -> np.ndarray:
-    """A face's own border line in (along,) orientation for seam pairing."""
-    if edge == "top":
-        return grid[0]
-    if edge == "bottom":
-        return grid[grid.shape[0] - 1]
-    if edge == "left":
-        return grid[:, 0]
-    return grid[:, grid.shape[1] - 1]
+@lru_cache(maxsize=None)
+def _seam_pairs(res: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stack indices of the 12*R pixel pairs that meet across the 12 cube
+    edges: each pad-1 strip pixel against the border pixel it lies next to,
+    keeping one of the two sides that see the same pair."""
+    grid = _pad_table(res, 1).index.reshape(6, res + 2, res + 2)
+    core = grid[:, 1:-1, 1:-1]
+    outside = np.concatenate([grid[:, 0, 1:-1], grid[:, -1, 1:-1],
+                              grid[:, 1:-1, 0], grid[:, 1:-1, -1]], axis=1)
+    border = np.concatenate([core[:, 0], core[:, -1],
+                             core[:, :, 0], core[:, :, -1]], axis=1)
+    keep = outside < border
+    return outside[keep], border[keep]
+
+
+def seam_metric(faces, layout: CubeLayout) -> float:
+    """Mean absolute pixel difference across all 12 cube edges; ``faces``
+    are the six (R, R, C) grids in canonical order."""
+    r = layout.resolution
+    flat = np.asarray(faces).reshape(6 * r * r, -1)
+    a, b = _seam_pairs(r)
+    return float(np.abs(flat[a] - flat[b]).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -373,20 +322,13 @@ def _corner_edges(ci: int, cj: int) -> tuple[str, str]:
 
 def _cross_corner(face: str, ci: int, cj: int, edge: str,
                   layout: CubeLayout) -> tuple[str, int, int, str]:
-    """Follow one edge crossing; returns (face', ci', cj', arrival edge)."""
+    """Follow one edge crossing; returns (face', ci', cj', arrival edge).
+    A corner is a pixel of a 2x2 face, so the crossing is one neighbor
+    pixel lookup at depth 0."""
     adj = layout.adjacency[(face, edge)]
     pos = cj if edge in ("top", "bottom") else ci  # 0 or 1 along traversal
-    m = 1 - pos if adj.flipped else pos
-    e2 = adj.neighbor_edge
-    if e2 == "top":
-        ci2, cj2 = 0, m
-    elif e2 == "bottom":
-        ci2, cj2 = 1, m
-    elif e2 == "left":
-        ci2, cj2 = m, 0
-    else:
-        ci2, cj2 = m, 1
-    return adj.neighbor, ci2, cj2, e2
+    ci2, cj2 = _neighbor_pixel(adj.neighbor_edge, adj.flipped, 0, pos, 2)
+    return adj.neighbor, ci2, cj2, adj.neighbor_edge
 
 
 def corner_cycle_identity(layout: CubeLayout) -> bool:

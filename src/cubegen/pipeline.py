@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .faces import FACES
-from .geometry import CubemapFrame, CubemapVideo, EquirectTaps
+from .geometry import CubemapVideo, EquirectTaps
 from .planner import FrameCoverage, GenerationPlan, PlanStep, frame_coverage
 from .context import (
     ContextBundle,
@@ -28,7 +28,7 @@ from .context import (
     pool_push,
     select_future_fragments,
 )
-from .continuity import CubeLayout, PaddedFace, blend_overlaps, pad_face
+from .continuity import CubeLayout, blend_overlaps, pad_face
 
 __all__ = [
     "ConditioningTag",
@@ -36,8 +36,7 @@ __all__ = [
     "sample_path",
     "flow_matching_loss",
     "oracle_denoiser",
-    "make_scene_oracle_denoiser",
-    "make_copy_denoiser",
+    "padded_target_denoiser",
     "zero_denoiser",
     "euler_sample",
     "GenerationState",
@@ -143,7 +142,7 @@ class GenerationState:
     frag_length: int
     frag_threshold: float
     pool: ContextPool
-    working: dict                      # face -> (N, R, R, C) output canvas
+    working: np.ndarray                # (N, 6, R, R, C) canvas, canonical face order
     next_index: int = 0
     window_state: WindowState | None = None
     ground_truth: CubemapVideo | None = None
@@ -172,7 +171,7 @@ def init_state(cond: CubemapVideo, plan: GenerationPlan, *, layout: CubeLayout,
         frag_length=frag_length,
         frag_threshold=frag_threshold,
         pool=ContextPool(capacity=history_capacity),
-        working={f: cond.faces[f].copy() for f in FACES},
+        working=_stacked(cond, 0, cond.num_frames),
         ground_truth=ground_truth,
     )
 
@@ -186,11 +185,10 @@ def build_context(state: GenerationState, step: PlanStep) -> ContextBundle:
                             fragments, state.cond.faces)
 
 
-def _padded_video_from(video: CubemapVideo, face: str, start: int, end: int,
-                       pad: int, layout: CubeLayout) -> np.ndarray:
-    frames = [pad_face(video.frame(t), face, pad, layout).as_array()
-              for t in range(start, end)]
-    return np.stack(frames)
+def _stacked(video: CubemapVideo, start: int, end: int) -> np.ndarray:
+    """(end-start, 6, R, R, C) copy of ``video``'s frames [start, end), the
+    six faces stacked in canonical order."""
+    return np.stack([video.faces[f][start:end] for f in FACES], axis=1)
 
 
 def _step_seed(cfg: SamplerConfig, index: int) -> int:
@@ -242,43 +240,33 @@ def _finish_step(state: GenerationState, step: PlanStep,
 
 
 def generate_step(state: GenerationState, step: PlanStep, denoiser,
-                  cfg: SamplerConfig) -> list[PaddedFace]:
+                  cfg: SamplerConfig) -> np.ndarray:
     """Run one plan step: assemble context, sample the padded face video,
     blend it into the canvas, advance window progress.
 
-    Steps must arrive exactly in plan order.  Returns the generated padded
-    face, one entry per frame of the window.
+    Steps must arrive exactly in plan order.  Returns the sampled
+    (T, R+2p, R+2p, C) padded face video of the window; its core is
+    ``out[:, p:p+R, p:p+R]``.
     """
     _check_step_order(state, step, cfg)
     t_begin = time.perf_counter()
     _advance_window(state, step)
     bundle = build_context(state, step)
-    # the conditional on the padded grid
-    padded_cond = _padded_video_from(state.cond, step.face, step.start,
-                                     step.end, state.pad, state.layout)
+    r, p = state.resolution, state.pad
+    shape = (step.end - step.start, r + 2 * p, r + 2 * p, state.cond.channels)
     step_cfg = SamplerConfig(steps=cfg.steps, seed=_step_seed(cfg, state.next_index),
                              teacher_forcing=cfg.teacher_forcing)
-    z = euler_sample(denoiser, padded_cond.shape, bundle, ConditioningTag(), step_cfg)
-
-    generated_frames = []
-    for k, t in enumerate(range(step.start, step.end)):
-        padded = PaddedFace.from_array(z[k], step.face, state.pad, state.layout)
-        frame = CubemapFrame(
-            faces={f: state.working[f][t] for f in FACES},
-            masks={f: state.cond.masks[f][t] for f in FACES})
-        blended = blend_overlaps(padded, frame, state.pad, state.layout)
-        for f in FACES:
-            state.working[f][t] = blended.faces[f]
-        generated_frames.append(padded)
+    z = euler_sample(denoiser, shape, bundle, ConditioningTag(), step_cfg)
+    blend_overlaps(z, state.working[step.start:step.end], step.face, p, state.layout)
 
     if cfg.teacher_forcing:
         content = state.ground_truth.faces[step.face][step.start:step.end].copy()
     else:
-        content = np.stack([p.core for p in generated_frames])
+        content = z[:, p:p + r, p:p + r].copy()
     _log_step(state, step, bundle)
     _finish_step(state, step, content)
     state.step_timings.append(time.perf_counter() - t_begin)
-    return generated_frames
+    return z
 
 
 def simulate_contexts(state: GenerationState) -> list[dict]:
@@ -302,7 +290,7 @@ def simulate_contexts(state: GenerationState) -> list[dict]:
 @dataclass
 class GenerationResult:
     equirect: np.ndarray           # (N, W/2, W, C)
-    cubemap: CubemapVideo
+    cubemap: CubemapVideo          # faces are views of the (N, 6, R, R, C) canvas
     pool_trace: list
     resident_trace: list
     step_log: list
@@ -330,11 +318,12 @@ def generate_all(cond_video: CubemapVideo, plan: GenerationPlan, denoiser,
         generate_step(state, step, denoiser, cfg)
 
     masks = {f: np.ones_like(cond_video.masks[f]) for f in FACES}
-    out_video = CubemapVideo(faces={f: state.working[f] for f in FACES}, masks=masks)
+    out_video = CubemapVideo(
+        faces={f: state.working[:, i] for i, f in enumerate(FACES)}, masks=masks)
     taps = EquirectTaps.create(res, width)
     equirect = np.empty((out_video.num_frames, width // 2, width, out_video.channels))
     for t in range(out_video.num_frames):
-        taps.apply([out_video.faces[f][t] for f in FACES], out=equirect[t])
+        taps.apply(state.working[t], out=equirect[t])
     return GenerationResult(
         equirect=equirect, cubemap=out_video,
         pool_trace=state.pool_trace, resident_trace=state.resident_trace,
@@ -345,32 +334,20 @@ def generate_all(cond_video: CubemapVideo, plan: GenerationPlan, denoiser,
 # built-in denoisers beyond the plain oracle
 # ---------------------------------------------------------------------------
 
-def _padded_target_denoiser(video: CubemapVideo, pad: int, layout: CubeLayout):
+def padded_target_denoiser(video: CubemapVideo, pad: int, layout: CubeLayout):
     """Velocity toward ``video``'s padded face window for the step named by
-    the context bundle.  The target is padded when (face, start, end)
-    changes and reused for the remaining Euler steps of that plan step."""
+    the context bundle.  Given the ground truth it is the scene oracle; given
+    the (masked) conditional it is the copy baseline, whose unobserved pixels
+    head to zero.  The target is padded when (face, start, end) changes and
+    reused for the remaining Euler steps of that plan step."""
     cached = {"key": None, "target": None}
 
     def denoise(z_t, t, context, conditioning=None):
         key = (context.face, context.start, context.end)
         if cached["key"] != key:
-            cached["target"] = _padded_video_from(video, *key, pad, layout)
+            window = _stacked(video, context.start, context.end)
+            cached["target"] = pad_face(window, context.face, pad, layout)
             cached["key"] = key
         return cached["target"] - z_t
 
     return denoise
-
-
-def make_scene_oracle_denoiser(truth: CubemapVideo, pad: int,
-                               layout: CubeLayout):
-    """Oracle that reads the current step from the context bundle and drives
-    the sample toward the padded ground-truth face video, padded once per
-    plan step."""
-    return _padded_target_denoiser(truth, pad, layout)
-
-
-def make_copy_denoiser(cond: CubemapVideo, pad: int, layout: CubeLayout):
-    """Baseline that drives the sample toward the (masked) conditional
-    content of the current step, padded once per plan step; unobserved
-    pixels head to zero."""
-    return _padded_target_denoiser(cond, pad, layout)

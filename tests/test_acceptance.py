@@ -22,9 +22,7 @@ from cubegen.attention import (
     sparse_context_attention,
 )
 from cubegen.continuity import (
-    EDGES,
     CubeLayout,
-    PaddedFace,
     blend_overlaps,
     corner_cycle_identity,
     face_position_grid,
@@ -210,22 +208,18 @@ def test_criterion_5_linear_complexity_and_wall_clock():
 def test_criterion_6_continuity():
     res = 64
     layout = CubeLayout.create(res)
-    faces = {f: smooth_field(face_pixel_directions(f, res)) for f in FACES}
-    masks = {f: np.ones((res, res), np.uint8) for f in FACES}
-    cube = CubemapFrame(faces=faces, masks=masks)
+    cube = np.stack([smooth_field(face_pixel_directions(f, res)) for f in FACES])
     smooth_seam = seam_metric(cube, layout)
     assert smooth_seam <= 0.05
 
-    offset = CubemapFrame(
-        faces={f: faces[f] + (0.5 if f == "F" else 0.0) for f in FACES},
-        masks=masks)
+    offset = cube.copy()
+    offset[FACE_INDEX["F"]] += 0.5
     before = seam_metric(offset, layout)
     pad = 4
-    padded = pad_face(cube, "F", pad, layout)
-    shifted = PaddedFace(face="F", pad=pad, core=padded.core + 0.5,
-                         strips={e: padded.strips[e] + 0.5 for e in EDGES},
-                         positions=padded.positions)
-    after = seam_metric(blend_overlaps(shifted, offset, pad, layout), layout)
+    shifted = pad_face(cube[None], "F", pad, layout) + 0.5
+    canvas = offset[None].copy()
+    blend_overlaps(shifted, canvas, "F", pad, layout)
+    after = seam_metric(canvas[0], layout)
     assert after < before
 
     assert corner_cycle_identity(layout)

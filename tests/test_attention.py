@@ -151,7 +151,9 @@ class TestSparseContextAttention:
                     spec = BandedMaskSpec(bandwidth=kb)
                     inp = random_inputs(rng, g + c, dtype=np.float32)
                     sparse = sparse_context_attention(inp, layout, spec)
-                    dense = dense_masked_attention(inp, mask_matrix(layout, spec))
+                    dense, weights = dense_masked_attention(
+                        inp, mask_matrix(layout, spec), return_weights=True)
+                    assert dense.dtype == weights.dtype == np.float32
                     worst = max(worst, np.abs(sparse - dense).max())
         assert worst < 1e-5
 

@@ -197,7 +197,12 @@ class TestErrorPaths:
         err = json.loads(capsys.readouterr().err)
         assert "paths" in err["error"]["message"]
 
-    def test_non_finite_input_frame_rejected_early(self, tmp_path, capsys):
+    @pytest.mark.parametrize("bad,message", [
+        ("nan-frame", "pixels must be finite"),
+        ("skewed-pose", "rotation is not orthonormal"),
+    ], ids=["nan-frame", "skewed-pose"])
+    def test_non_finite_input_frame_rejected_early(self, tmp_path, capsys,
+                                                    bad, message):
         from cubegen import scene as sc
 
         frames_dir = tmp_path / "frames"
@@ -205,10 +210,14 @@ class TestErrorPaths:
         _, frames, poses = sc.synth_scene(parse_config(small_cfg(tmp_path)))
         for t, frame in enumerate(frames):
             px = frame.pixels.copy()
-            if t == 5:
+            if t == 5 and bad == "nan-frame":
                 px[1, 2, 0] = np.nan
             write_pfm(frames_dir / f"input_{t:03d}.pfm", px)
         write_poses(frames_dir / "poses.json", poses)
+        if bad == "skewed-pose":
+            records = json.loads((frames_dir / "poses.json").read_text())
+            records[5]["rotation"][1] += 0.25  # no longer orthonormal
+            (frames_dir / "poses.json").write_text(json.dumps(records))
         cfg = small_cfg(tmp_path, paths={"frames_dir": str(frames_dir),
                                          "poses": str(frames_dir / "poses.json")},
                         mode={"teacher_forcing": False, "denoiser": "copy"})
@@ -218,7 +227,7 @@ class TestErrorPaths:
         err = json.loads(capsys.readouterr().err)
         validate_artifact("error", err)
         assert err["error"]["type"] == "ValueError"
-        assert "pixels must be finite" in err["error"]["message"]
+        assert message in err["error"]["message"]
         assert not list(out.glob("frame_*.pfm"))
 
     def test_schemas_are_valid_jsonschema(self):

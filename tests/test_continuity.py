@@ -1,37 +1,41 @@
 """Continuity tests: padding fidelity is bit-exact by construction, so the
-oracles here are the analytic spherical field and explicit index bookkeeping."""
+oracles here are the analytic spherical field, explicit index bookkeeping,
+and the strip-based reference in ``strip_reference``."""
 
 import numpy as np
 import pytest
 
-from cubegen.faces import FACES, FACE_AXES
+from cubegen.faces import FACES, FACE_AXES, FACE_INDEX
 from cubegen.continuity import (
     EDGES,
     CubeLayout,
-    PaddedFace,
-    apply_transform,
     blend_overlaps,
     corner_cycle_identity,
     face_position_grid,
-    inverse_transform_name,
     pad_face,
     seam_metric,
 )
-from cubegen.geometry import CubemapFrame, face_pixel_directions
+from cubegen.geometry import face_pixel_directions
 
+import strip_reference as ref
 from conftest import smooth_field
 
 
 def make_cube(res, fn):
-    faces = {f: fn(face_pixel_directions(f, res)) for f in FACES}
-    masks = {f: np.ones((res, res), np.uint8) for f in FACES}
-    return CubemapFrame(faces=faces, masks=masks)
+    """(6, R, R, C) faces of an analytic field, canonical order."""
+    return np.stack([fn(face_pixel_directions(f, res)) for f in FACES])
 
 
 def random_cube(rng, res, c=2):
-    faces = {f: rng.random((res, res, c)) for f in FACES}
-    masks = {f: np.ones((res, res), np.uint8) for f in FACES}
-    return CubemapFrame(faces=faces, masks=masks)
+    return rng.random((6, res, res, c))
+
+
+def as_dict(cube):
+    return {f: cube[i] for i, f in enumerate(FACES)}
+
+
+def face_of(cube, face):
+    return cube[..., FACE_INDEX[face], :, :, :]
 
 
 def border_pixel(edge, pos, res):
@@ -103,11 +107,14 @@ class TestAdjacency:
         assert corner_cycle_identity(CubeLayout.create(4))
 
     def test_transform_inverse_round_trip(self, rng):
+        # the documented transform names and their inverses, as the
+        # fidelity test below applies them
         strip = rng.random((3, 8, 2))
-        for name in ("identity", "rot90", "rot180", "rot270",
-                     "flip_h", "flip_v", "transpose", "anti_transpose"):
-            back = apply_transform(inverse_transform_name(name),
-                                   apply_transform(name, strip))
+        documented = {a.transform for a in CubeLayout.create(4).adjacency.values()}
+        assert documented <= set(ref.TRANSFORMS)
+        for name in ref.TRANSFORMS:
+            back = ref.apply_transform(ref.INVERSE[name],
+                                       ref.apply_transform(name, strip))
             np.testing.assert_array_equal(back, strip)
 
     def test_strip_content_matches_sphere_geometry(self):
@@ -117,11 +124,10 @@ class TestAdjacency:
         # is covered by test_padding_fidelity_bit_exact)
         res = 16
         layout = CubeLayout.create(res)
-        cube = make_cube(res, smooth_field)
+        cube = make_cube(res, smooth_field)[None]
         for f in FACES:
             padded = pad_face(cube, f, 2, layout)
-            for e in EDGES:
-                assert np.abs(padded.strips[e]).max() <= 1.0
+            assert np.abs(padded).max() <= 1.0
 
 
 # ── padding ──────────────────────────────────────────────────────────────
@@ -129,24 +135,23 @@ class TestAdjacency:
 class TestPadFace:
     def test_constant_cube_constant_strips(self):
         res = 8
-        faces = {f: np.full((res, res, 1), 0.4) for f in FACES}
-        masks = {f: np.ones((res, res), np.uint8) for f in FACES}
-        cube = CubemapFrame(faces=faces, masks=masks)
+        cube = np.full((1, 6, res, res, 1), 0.4)
         padded = pad_face(cube, "F", 3, CubeLayout.create(res))
-        for e in EDGES:
-            np.testing.assert_allclose(padded.strips[e], 0.4)
+        assert padded.shape == (1, res + 6, res + 6, 1)
+        np.testing.assert_allclose(padded, 0.4)
 
     def test_padding_fidelity_bit_exact(self, rng):
-        res = 8
+        # each strip, carried back through the inverse of the documented
+        # transform, is the neighbor's raw border band
+        res, pad = 8, 2
         layout = CubeLayout.create(res)
         cube = random_cube(rng, res)
         for f in FACES:
-            padded = pad_face(cube, f, 2, layout)
+            _, strips = ref.split(pad_face(cube[None], f, pad, layout)[0], pad)
             for e in EDGES:
                 adj = layout.adjacency[(f, e)]
-                raw = apply_transform(inverse_transform_name(adj.transform),
-                                      padded.strips[e])
-                neighbor = cube.faces[adj.neighbor]
+                raw = ref.apply_transform(ref.INVERSE[adj.transform], strips[e])
+                neighbor = face_of(cube, adj.neighbor)
                 if adj.neighbor_edge == "top":
                     band = neighbor[:2]
                 elif adj.neighbor_edge == "bottom":
@@ -165,7 +170,7 @@ class TestPadFace:
         worst = 0.0
         for f in FACES:
             n, r, d = (np.asarray(v) for v in FACE_AXES[f])
-            padded = pad_face(cube, f, pad, layout)
+            _, strips = ref.split(pad_face(cube[None], f, pad, layout)[0], pad)
             along = 2.0 * (np.arange(res) + 0.5) / res - 1.0
             for e in EDGES:
                 for k in range(pad):
@@ -181,16 +186,14 @@ class TestPadFace:
                     v = n + np.multiply.outer(np.broadcast_to(a, (res,)), r) \
                         + np.multiply.outer(np.broadcast_to(b, (res,)), d)
                     v = v / np.linalg.norm(v, axis=-1, keepdims=True)
-                    diff = np.abs(padded.strips[e][k] - smooth_field(v)).max()
+                    diff = np.abs(strips[e][k] - smooth_field(v)).max()
                     worst = max(worst, diff)
         assert worst <= 0.08
 
     def test_positions_continue_monotonically(self):
         res, pad = 8, 2
         layout = CubeLayout.create(res)
-        cube = make_cube(res, smooth_field)
-        padded = pad_face(cube, "F", pad, layout)
-        pos = padded.positions
+        pos = face_position_grid(layout, "F", pad)
         assert pos.shape == (res + 2 * pad, res + 2 * pad, 2)
         np.testing.assert_array_equal(np.diff(pos[:, 0, 0]), 1)
         np.testing.assert_array_equal(np.diff(pos[0, :, 1]), 1)
@@ -198,22 +201,66 @@ class TestPadFace:
         np.testing.assert_array_equal(pos[pad:pad + res, pad:pad + res], core)
 
     def test_pad_width_bounds(self):
-        cube = make_cube(8, smooth_field)
+        cube = make_cube(8, smooth_field)[None]
         layout = CubeLayout.create(8)
-        with pytest.raises(ValueError):
-            pad_face(cube, "F", 0, layout)
-        with pytest.raises(ValueError):
-            pad_face(cube, "F", 5, layout)
+        for pad in (0, 5):
+            with pytest.raises(ValueError):
+                pad_face(cube, "F", pad, layout)
+            with pytest.raises(ValueError):
+                blend_overlaps(np.zeros((1, 8 + 2 * pad, 8 + 2 * pad, 3)),
+                               cube.copy(), "F", pad, layout)
 
     def test_assembly_round_trip(self, rng):
+        # the padded grid splits back into the face's core and the strips
+        # the reference extracts from the neighbors
         res, pad = 8, 2
         layout = CubeLayout.create(res)
         cube = random_cube(rng, res)
-        padded = pad_face(cube, "R", pad, layout)
-        back = PaddedFace.from_array(padded.as_array(), "R", pad, layout)
-        np.testing.assert_array_equal(back.core, padded.core)
+        core, strips = ref.split(pad_face(cube[None], "R", pad, layout)[0], pad)
+        np.testing.assert_array_equal(core, face_of(cube, "R"))
+        want = ref.strips_of(as_dict(cube), "R", pad, layout)
         for e in EDGES:
-            np.testing.assert_array_equal(back.strips[e], padded.strips[e])
+            np.testing.assert_array_equal(strips[e], want[e])
+
+
+# ── the index maps against the strip reference ───────────────────────────
+
+class TestMatchesStripReference:
+    @pytest.mark.parametrize("res,pad", [(8, 1), (8, 4), (64, 4), (256, 16)])
+    @pytest.mark.parametrize("c", [1, 3])
+    def test_pad_and_blend_equal_reference(self, res, pad, c):
+        rng = np.random.default_rng(res * 31 + pad * 7 + c)
+        layout = CubeLayout.create(res)
+        cube = rng.random((6, res, res, c))
+        faces = as_dict(cube)
+        for f in FACES:
+            padded = pad_face(cube[None], f, pad, layout)[0]
+            assert np.array_equal(padded, ref.pad_face(faces, f, pad, layout))
+            generated = rng.random(padded.shape)
+            canvas = cube[None].copy()
+            blend_overlaps(generated[None], canvas, f, pad, layout)
+            core, strips = ref.split(generated, pad)
+            want = ref.blend_overlaps(f, core, strips, faces, pad, layout)
+            for g in FACES:
+                assert np.array_equal(face_of(canvas[0], g), want[g]), (f, g)
+
+    @pytest.mark.parametrize("res", [4, 8, 64])
+    def test_seam_metric_equals_reference(self, rng, res):
+        layout = CubeLayout.create(res)
+        cube = random_cube(rng, res, c=3)
+        assert abs(seam_metric(cube, layout)
+                   - ref.seam_metric(as_dict(cube), layout)) <= 1e-12
+
+    def test_blends_every_frame_of_a_window(self, rng):
+        res, pad, t = 8, 2, 3
+        layout = CubeLayout.create(res)
+        canvas = rng.random((t, 6, res, res, 2))
+        generated = rng.random((t, res + 2 * pad, res + 2 * pad, 2))
+        per_frame = canvas.copy()
+        for k in range(t):
+            blend_overlaps(generated[k:k + 1], per_frame[k:k + 1], "U", pad, layout)
+        blend_overlaps(generated, canvas, "U", pad, layout)
+        assert np.array_equal(canvas, per_frame)
 
 
 # ── blending ─────────────────────────────────────────────────────────────
@@ -222,68 +269,71 @@ class TestBlendOverlaps:
     def test_identical_strips_leave_neighbors_unchanged(self, rng):
         res, pad = 8, 2
         layout = CubeLayout.create(res)
-        cube = random_cube(rng, res)
+        cube = random_cube(rng, res)[None]
         padded = pad_face(cube, "F", pad, layout)  # strips == neighbor bands
-        out = blend_overlaps(padded, cube, pad, layout)
-        for f in FACES:
-            np.testing.assert_allclose(out.faces[f], cube.faces[f], atol=1e-12)
+        canvas = cube.copy()
+        blend_overlaps(padded, canvas, "F", pad, layout)
+        np.testing.assert_allclose(canvas, cube, atol=1e-12)
 
     def test_p1_overwrites_edge_band(self, rng):
         res = 8
         layout = CubeLayout.create(res)
-        cube = random_cube(rng, res)
-        padded = pad_face(cube, "F", 1, layout)
-        strips = {e: np.full_like(padded.strips[e], 9.0) for e in EDGES}
-        stamped = PaddedFace(face="F", pad=1, core=padded.core, strips=strips,
-                             positions=padded.positions)
-        out = blend_overlaps(stamped, cube, 1, layout)
-        np.testing.assert_allclose(out.faces["U"][-1], 9.0)   # F.top -> U.bottom
-        np.testing.assert_allclose(out.faces["D"][0], 9.0)    # F.bottom -> D.top
-        np.testing.assert_allclose(out.faces["L"][:, -1], 9.0)
-        np.testing.assert_allclose(out.faces["R"][:, 0], 9.0)
+        cube = random_cube(rng, res)[None]
+        stamped = np.full_like(pad_face(cube, "F", 1, layout), 9.0)
+        stamped[:, 1:-1, 1:-1] = face_of(cube, "F")
+        blend_overlaps(stamped, cube, "F", 1, layout)
+        out = as_dict(cube[0])
+        np.testing.assert_allclose(out["U"][-1], 9.0)   # F.top -> U.bottom
+        np.testing.assert_allclose(out["D"][0], 9.0)    # F.bottom -> D.top
+        np.testing.assert_allclose(out["L"][:, -1], 9.0)
+        np.testing.assert_allclose(out["R"][:, 0], 9.0)
 
     def test_linear_ramp_weights(self, rng):
         # with constant strips, the blended band must equal w*s + (1-w)*old
         res, pad = 8, 4
         layout = CubeLayout.create(res)
-        cube = random_cube(rng, res, c=1)
-        padded = pad_face(cube, "F", pad, layout)
-        strips = {e: np.full_like(padded.strips[e], 2.0) for e in EDGES}
-        stamped = PaddedFace(face="F", pad=pad, core=padded.core, strips=strips,
-                             positions=padded.positions)
-        out = blend_overlaps(stamped, cube, pad, layout)
+        cube = random_cube(rng, res, c=1)[None]
+        old_u = face_of(cube[0], "U").copy()
+        stamped = np.full_like(pad_face(cube, "F", pad, layout), 2.0)
+        stamped[:, pad:-pad, pad:-pad] = face_of(cube, "F")
+        blend_overlaps(stamped, cube, "F", pad, layout)
+        new_u = face_of(cube[0], "U")
         for k in range(pad):  # depth k from the shared edge on U's side
             w = 1.0 - k / pad
-            expect = w * 2.0 + (1 - w) * cube.faces["U"][res - 1 - k]
-            np.testing.assert_allclose(out.faces["U"][res - 1 - k], expect, atol=1e-12)
-        np.testing.assert_allclose(out.faces["U"][:res - pad],
-                                   cube.faces["U"][:res - pad])
+            expect = w * 2.0 + (1 - w) * old_u[res - 1 - k]
+            np.testing.assert_allclose(new_u[res - 1 - k], expect, atol=1e-12)
+        np.testing.assert_allclose(new_u[:res - pad], old_u[:res - pad])
 
     def test_core_replaces_face_wholesale(self, rng):
         res, pad = 8, 2
         layout = CubeLayout.create(res)
-        cube = random_cube(rng, res)
-        padded = pad_face(cube, "B", pad, layout)
-        stamped = PaddedFace(face="B", pad=pad, core=np.full_like(padded.core, 5.0),
-                             strips=padded.strips, positions=padded.positions)
-        out = blend_overlaps(stamped, cube, pad, layout)
-        np.testing.assert_allclose(out.faces["B"], 5.0)
+        cube = random_cube(rng, res)[None]
+        stamped = pad_face(cube, "B", pad, layout)
+        stamped[:, pad:-pad, pad:-pad] = 5.0
+        blend_overlaps(stamped, cube, "B", pad, layout)
+        np.testing.assert_allclose(face_of(cube, "B"), 5.0)
 
     def test_blend_reduces_injected_seam(self):
         res, pad = 32, 4
         layout = CubeLayout.create(res)
         cube = make_cube(res, smooth_field)
-        offset = CubemapFrame(
-            faces={f: (cube.faces[f] + (0.5 if f == "F" else 0.0)) for f in FACES},
-            masks={f: cube.masks[f] for f in FACES})
+        offset = cube.copy()
+        offset[FACE_INDEX["F"]] += 0.5
         before = seam_metric(offset, layout)
-        padded = pad_face(cube, "F", pad, layout)  # consistent content for F
-        shifted = PaddedFace(face="F", pad=pad, core=padded.core + 0.5,
-                             strips={e: padded.strips[e] + 0.5 for e in EDGES},
-                             positions=padded.positions)
-        blended = blend_overlaps(shifted, offset, pad, layout)
-        after = seam_metric(blended, layout)
+        # consistent content for F, shifted by the same offset
+        shifted = pad_face(cube[None], "F", pad, layout) + 0.5
+        canvas = offset[None].copy()
+        blend_overlaps(shifted, canvas, "F", pad, layout)
+        after = seam_metric(canvas[0], layout)
         assert after < before
+
+    def test_canvas_must_be_writable_in_place(self, rng):
+        res, pad = 8, 2
+        layout = CubeLayout.create(res)
+        canvas = random_cube(rng, res)[None][..., ::-1]
+        generated = pad_face(canvas, "F", pad, layout)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            blend_overlaps(generated, canvas, "F", pad, layout)
 
 
 # ── seam metric ──────────────────────────────────────────────────────────
@@ -300,9 +350,7 @@ class TestLayoutExport:
 class TestSeamMetric:
     def test_constant_cube_zero(self):
         res = 8
-        faces = {f: np.full((res, res, 1), 0.5) for f in FACES}
-        masks = {f: np.ones((res, res), np.uint8) for f in FACES}
-        assert seam_metric(CubemapFrame(faces=faces, masks=masks),
+        assert seam_metric(np.full((6, res, res, 1), 0.5),
                            CubeLayout.create(res)) == 0.0
 
     def test_smooth_field_low_seam(self):
@@ -313,8 +361,6 @@ class TestSeamMetric:
         res = 64
         layout = CubeLayout.create(res)
         cube = make_cube(res, smooth_field)
-        offset = CubemapFrame(
-            faces={f: cube.faces[f] + (1.0 if f == "F" else 0.0) for f in FACES},
-            masks={f: cube.masks[f] for f in FACES})
-        metric = seam_metric(offset, layout)
+        cube[FACE_INDEX["F"]] += 1.0
+        metric = seam_metric(cube, layout)
         assert abs(metric - 1.0 / 3.0) <= 0.03

@@ -7,7 +7,7 @@ import pytest
 
 from cubegen.faces import FACES
 from cubegen.config import default_config
-from cubegen.continuity import CubeLayout, pad_face
+from cubegen.continuity import CubeLayout
 from cubegen.geometry import CubemapVideo
 from cubegen.planner import (
     frame_coverage,
@@ -22,14 +22,15 @@ from cubegen.pipeline import (
     generate_all,
     generate_step,
     init_state,
-    make_copy_denoiser,
-    make_scene_oracle_denoiser,
     oracle_denoiser,
+    padded_target_denoiser,
     sample_path,
     zero_denoiser,
 )
 from cubegen import pipeline as pl
 from cubegen import scene as sc
+
+import strip_reference as ref
 
 
 def small_scene(res=32, n=8, t_win=4, seed=7):
@@ -147,7 +148,7 @@ class TestGenerateStep:
         state = init_state(cond, plan, layout=layout, pad=2, history_capacity=2,
                            frag_length=4, frag_threshold=0.5,
                            ground_truth=truth if teacher else None)
-        denoiser = make_scene_oracle_denoiser(truth, 2, layout)
+        denoiser = padded_target_denoiser(truth, 2, layout)
         return cfg, truth, cond, plan, state, denoiser
 
     def test_oracle_step_reproduces_truth(self):
@@ -156,7 +157,8 @@ class TestGenerateStep:
         out = generate_step(state, step, denoiser,
                             SamplerConfig(steps=4, seed=1, teacher_forcing=True))
         gt = truth.faces[step.face][step.start:step.end]
-        got = np.stack([p.core for p in out])
+        assert out.shape == (step.end - step.start, 16 + 4, 16 + 4, 3)
+        got = out[:, 2:2 + 16, 2:2 + 16]
         assert np.abs(got - gt).max() <= 1e-5
 
     def test_first_step_context_boundary(self):
@@ -176,7 +178,7 @@ class TestGenerateStep:
         for k, t in enumerate(range(step.start, step.end)):
             m = cond.masks[step.face][t].astype(bool)
             if m.any():
-                diff = np.abs(out[k].core - cond.faces[step.face][t])[m]
+                diff = np.abs(out[k, 2:2 + 16, 2:2 + 16] - cond.faces[step.face][t])[m]
                 assert diff.max() <= 0.02  # bilinear error of the conditional
 
     def test_plan_order_violation(self):
@@ -202,7 +204,7 @@ class TestGenerateAll:
         res = 32
         cfg, truth, cond, plan = small_scene(res=res)
         layout = CubeLayout.create(res)
-        denoiser = make_scene_oracle_denoiser(truth, 2, layout)
+        denoiser = padded_target_denoiser(truth, 2, layout)
         result = generate_all(cond, plan, denoiser,
                               SamplerConfig(steps=4, seed=5, teacher_forcing=True),
                               layout=layout, pad=2, history_capacity=2,
@@ -218,7 +220,7 @@ class TestGenerateAll:
         cond = CubemapVideo(faces=faces, masks=masks)
         wp = partition_windows(n, n)
         plan = plan_order(window_coverage(frame_coverage(cond.masks), wp), wp)
-        denoiser = make_scene_oracle_denoiser(cond, 2, CubeLayout.create(res))
+        denoiser = padded_target_denoiser(cond, 2, CubeLayout.create(res))
         result = generate_all(cond, plan, denoiser,
                               SamplerConfig(steps=2, seed=0), pad=2,
                               history_capacity=1)
@@ -228,7 +230,7 @@ class TestGenerateAll:
         res = 16
         cfg, truth, cond, plan = small_scene(res=res)
         layout = CubeLayout.create(res)
-        denoiser = make_scene_oracle_denoiser(truth, 2, layout)
+        denoiser = padded_target_denoiser(truth, 2, layout)
         h = 1
         result = generate_all(cond, plan, denoiser,
                               SamplerConfig(steps=1, seed=0, teacher_forcing=True),
@@ -242,7 +244,7 @@ class TestGenerateAll:
         res = 16
         cfg, truth, cond, plan = small_scene(res=res)
         layout = CubeLayout.create(res)
-        denoiser = make_scene_oracle_denoiser(truth, 2, layout)
+        denoiser = padded_target_denoiser(truth, 2, layout)
         scfg = SamplerConfig(steps=2, seed=9, teacher_forcing=True)
         a = generate_all(cond, plan, denoiser, scfg, layout=layout, pad=2,
                          ground_truth=truth)
@@ -257,45 +259,53 @@ class TestGenerateAll:
                               SamplerConfig(steps=2, seed=0), pad=2)
         assert result.equirect.shape == (8, 2 * res, 4 * res, 3)
         assert np.isfinite(result.equirect).all()
+        # the returned faces are views of one canvas, not copies
+        base = result.cubemap.faces["F"].base
+        assert base is not None and all(result.cubemap.faces[f].base is base
+                                        for f in FACES)
 
 
 class TestPaddedTargetDenoiser:
-    """The built-in denoisers pad their target once per plan step."""
+    """The built-in denoisers pad their target once per plan step, and a
+    plan step pads nothing else."""
 
-    def test_pads_at_most_twice_the_window_per_step(self, monkeypatch):
+    def test_pads_once_per_step(self, monkeypatch):
         res, t_win = 16, 4
         cfg, truth, cond, plan = small_scene(res=res, n=8, t_win=t_win)
         layout = CubeLayout.create(res)
         calls = []
+        real_pad = pl.pad_face
 
         def counting_pad(*args, **kwargs):
             calls.append(1)
-            return pad_face(*args, **kwargs)
+            return real_pad(*args, **kwargs)
 
         monkeypatch.setattr(pl, "pad_face", counting_pad)
         state = init_state(cond, plan, layout=layout, pad=2, history_capacity=2,
                            frag_length=4, frag_threshold=0.5, ground_truth=truth)
-        denoiser = make_scene_oracle_denoiser(truth, 2, layout)
+        denoiser = padded_target_denoiser(truth, 2, layout)
         scfg = SamplerConfig(steps=6, seed=2, teacher_forcing=True)
         for step in plan.steps:
             before = len(calls)
             generate_step(state, step, denoiser, scfg)
-            assert len(calls) - before <= 2 * t_win
+            assert len(calls) - before == 1
 
     @pytest.mark.parametrize("factory", ["oracle", "copy"])
     def test_cached_equals_uncached(self, factory):
+        # the cached index-map target against the strip reference, padded
+        # frame by frame on every Euler step
         res = 16
         cfg, truth, cond, plan = small_scene(res=res)
         layout = CubeLayout.create(res)
         video = truth if factory == "oracle" else cond
 
         def uncached(z_t, t, context, conditioning=None):
-            frames = [pad_face(video.frame(k), context.face, 2, layout).as_array()
+            frames = [ref.pad_face({f: video.faces[f][k] for f in FACES},
+                                   context.face, 2, layout)
                       for k in range(context.start, context.end)]
             return np.stack(frames) - z_t
 
-        cached = (make_scene_oracle_denoiser(truth, 2, layout) if factory == "oracle"
-                  else make_copy_denoiser(cond, 2, layout))
+        cached = padded_target_denoiser(video, 2, layout)
         scfg = SamplerConfig(steps=3, seed=4, teacher_forcing=factory == "oracle")
         runs = [generate_all(cond, plan, d, scfg, layout=layout, pad=2,
                              ground_truth=truth) for d in (cached, uncached)]
