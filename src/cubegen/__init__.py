@@ -15,7 +15,6 @@ Submodules map one-to-one onto the processing stages:
 from .faces import FACES, adjacent_faces
 from .geometry import (
     CameraPose,
-    CubemapFrame,
     CubemapVideo,
     EquirectGrid,
     PerspectiveFrame,

@@ -185,14 +185,13 @@ def cmd_project(cfg: RunConfig, out_dir: Path) -> None:
     _, frames, poses = _load_inputs(cfg)
     cond = _conditional(cfg, frames, poses)
     fc, wp, ct = _coverage_tables(cfg, cond)
-    for f in FACES:
+    for i, f in enumerate(FACES):
         for t in range(cfg.num_frames):
-            _write_image(out_dir / f"cond_{f}_{t:03d}", cond.faces[f][t])
-            write_mask_pgm(out_dir / f"mask_{f}_{t:03d}.pgm", cond.masks[f][t])
+            _write_image(out_dir / f"cond_{f}_{t:03d}", cond.pixels[t, i])
+            write_mask_pgm(out_dir / f"mask_{f}_{t:03d}.pgm", cond.masks[t, i])
     taps = EquirectTaps.create(cfg.resolution, cfg.equirect_width)
     for t in range(cfg.num_frames):
-        eq_mask = taps.apply_mask([cond.masks[f][t] for f in FACES])
-        write_mask_pgm(out_dir / f"eq_mask_{t:03d}.pgm", eq_mask)
+        write_mask_pgm(out_dir / f"eq_mask_{t:03d}.pgm", taps.apply_mask(cond.masks[t]))
     write_poses(out_dir / "poses.json", poses)
     write_json_artifact(out_dir / "coverage.json", "coverage",
                         _coverage_json(fc, ct))
@@ -318,8 +317,7 @@ def cmd_generate(cfg: RunConfig, out_dir: Path, dry_run: bool = False) -> None:
 
 
 def _seam_per_frame(video: CubemapVideo, layout: CubeLayout) -> list[float]:
-    return [seam_metric([video.faces[f][t] for f in FACES], layout)
-            for t in range(video.num_frames)]
+    return [seam_metric(video.pixels[t], layout) for t in range(video.num_frames)]
 
 
 def _write_dry_run(cfg: RunConfig, out_dir: Path) -> None:

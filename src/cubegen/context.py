@@ -157,10 +157,10 @@ class WindowState:
 
 
 def assemble_context(pool: ContextPool, state: WindowState, face: str,
-                     fragments: list[FragmentSpec], cond: dict) -> ContextBundle:
+                     fragments: list[FragmentSpec], cond: np.ndarray) -> ContextBundle:
     """Build the [hist; curr; fut] bundle for generating ``face``.
 
-    ``cond`` maps face -> (N, R, R, C) conditional video.  curr holds the
+    ``cond`` is the (N, 6, R, R, C) conditional video.  curr holds the
     window's generated faces in generation order, then conditional inputs for
     the ungenerated faces (current one included) in canonical order.
     """
@@ -187,9 +187,8 @@ def assemble_context(pool: ContextPool, state: WindowState, face: str,
                          hist=hist, curr=tuple(curr), fut=fut)
 
 
-def _cond_slice(cond: dict, face: str, start: int, end: int) -> np.ndarray:
-    video = cond.get(face)
-    if video is None or video.shape[0] < end:
+def _cond_slice(cond: np.ndarray, face: str, start: int, end: int) -> np.ndarray:
+    if cond.shape[0] < end:
         raise RuntimeError(
             f"conditional content for face {face} frames [{start}, {end}) unavailable")
-    return video[start:end]
+    return cond[start:end, FACE_INDEX[face]]

@@ -1,5 +1,11 @@
 """Projections among perspective frames, equirectangular grids, and cubemaps.
 
+A cubemap is one stacked array: six (R, R, C) faces in the canonical order
+:data:`cubegen.faces.FACES`, so one frame is (6, R, R, C) with (6, R, R)
+binary masks, and a video, :class:`CubemapVideo`, is (N, 6, R, R, C) with
+(N, 6, R, R) masks.  Every layer indexes that layout directly; face ``f`` of
+frame ``t`` is ``pixels[t, FACE_INDEX[f]]``.
+
 All mappings use pixel-center sampling (offset 0.5).  Images are sampled
 bilinearly; binary masks nearest-neighbor.  The equirectangular longitude
 seam wraps, latitude clamps at the poles.  Frustum boundary pixels count as
@@ -7,10 +13,9 @@ observed.  See :mod:`cubegen.faces` for the frozen axis convention.
 
 Cube->equirect resampling depends only on (R, W), so it is a fixed tap
 table, :class:`EquirectTaps`: for every equirect pixel the flat index of its
-top-left bilinear tap in the six faces stacked as (6*R*R), its row and
-column fractions, and a nearest index for masks.  Build it once per run and
-apply it frame by frame; :func:`cubemap_to_equirect` and
-:func:`resample_mask_to_equirect` are one-shot callers of it.
+top-left bilinear tap in the (6*R*R) flattened faces, its row and column
+fractions, and a nearest index for masks.  Build it once per run and apply
+it frame by frame; :func:`cubemap_to_equirect` is a one-shot caller of it.
 
 Rotations convert between matrices and rotation vectors with plain numpy
 (Rodrigues one way, the unit quaternion the other).
@@ -18,7 +23,7 @@ Rotations convert between matrices and rotation vectors with plain numpy
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +33,6 @@ __all__ = [
     "CameraPose",
     "PerspectiveFrame",
     "EquirectGrid",
-    "CubemapFrame",
     "CubemapVideo",
     "equirect_pixel_to_direction",
     "direction_to_equirect_pixel",
@@ -38,7 +42,6 @@ __all__ = [
     "project_perspective_to_cubemap",
     "EquirectTaps",
     "cubemap_to_equirect",
-    "resample_mask_to_equirect",
     "equirect_to_cubemap",
     "rotvec_to_matrix",
     "matrix_to_rotvec",
@@ -107,6 +110,9 @@ class PerspectiveFrame:
             raise ValueError(f"pixels must be (H, W, C) with H, W >= 1, got {px.shape}")
         if not np.isfinite(px).all():
             raise ValueError("pixels must be finite (no NaN or inf)")
+        lo, hi = px.min(), px.max()
+        if lo < 0.0 or hi > 1.0:
+            raise ValueError(f"pixels must lie in [0, 1], got [{lo:g}, {hi:g}]")
         object.__setattr__(self, "pixels", px)
 
     @property
@@ -147,80 +153,37 @@ class EquirectGrid:
 
 
 @dataclass(frozen=True)
-class CubemapFrame:
-    """Six (R, R, C) face grids plus (R, R) binary observation masks."""
-
-    faces: dict
-    masks: dict
-
-    def __post_init__(self):
-        if set(self.faces) != set(FACES) or set(self.masks) != set(FACES):
-            raise ValueError("all six faces F,R,B,L,U,D must be present")
-        res = None
-        for f in FACES:
-            px = np.asarray(self.faces[f], dtype=np.float64)
-            mk = np.asarray(self.masks[f])
-            if px.ndim != 3 or px.shape[0] != px.shape[1]:
-                raise ValueError(f"face {f} must be (R, R, C), got {px.shape}")
-            if res is None:
-                res = px.shape[0]
-            if px.shape[0] != res or mk.shape != (res, res):
-                raise ValueError("all faces/masks must share one resolution")
-            if not ((mk == 0) | (mk == 1)).all():
-                raise ValueError(f"mask of face {f} must be binary")
-            self.faces[f] = px
-            self.masks[f] = mk.astype(np.uint8)
-        object.__setattr__(self, "resolution", res)
-
-    resolution: int = field(init=False)
-
-    @property
-    def channels(self) -> int:
-        return self.faces["F"].shape[2]
-
-
-@dataclass(frozen=True)
 class CubemapVideo:
-    """Per-face (N, R, R, C) pixel videos plus (N, R, R) binary masks."""
+    """A cubemap video as one stacked array: ``pixels`` (N, 6, R, R, C)
+    float64 and binary observation ``masks`` (N, 6, R, R) uint8, faces in
+    canonical order.  Shapes and masks are checked once, here."""
 
-    faces: dict
-    masks: dict
+    pixels: np.ndarray
+    masks: np.ndarray
 
     def __post_init__(self):
-        if set(self.faces) != set(FACES) or set(self.masks) != set(FACES):
-            raise ValueError("all six faces F,R,B,L,U,D must be present")
-        shape = None
-        for f in FACES:
-            px = np.asarray(self.faces[f], dtype=np.float64)
-            mk = np.asarray(self.masks[f])
-            if px.ndim != 4 or px.shape[1] != px.shape[2]:
-                raise ValueError(f"face {f} video must be (N, R, R, C), got {px.shape}")
-            if shape is None:
-                shape = px.shape[:3]
-            if px.shape[:3] != shape or mk.shape != shape:
-                raise ValueError("all face videos/masks must share (N, R, R)")
-            if not ((mk == 0) | (mk == 1)).all():
-                raise ValueError(f"mask video of face {f} must be binary")
-            self.faces[f] = px
-            self.masks[f] = mk.astype(np.uint8)
+        px = np.asarray(self.pixels, dtype=np.float64)
+        mk = np.asarray(self.masks)
+        if px.ndim != 5 or px.shape[1] != 6 or px.shape[2] != px.shape[3]:
+            raise ValueError(f"pixels must be (N, 6, R, R, C), got {px.shape}")
+        if mk.shape != px.shape[:4]:
+            raise ValueError(f"masks must be {px.shape[:4]}, got {mk.shape}")
+        if not ((mk == 0) | (mk == 1)).all():
+            raise ValueError("masks must be binary")
+        object.__setattr__(self, "pixels", px)
+        object.__setattr__(self, "masks", mk.astype(np.uint8, copy=False))
 
     @property
     def num_frames(self) -> int:
-        return self.faces["F"].shape[0]
+        return self.pixels.shape[0]
 
     @property
     def resolution(self) -> int:
-        return self.faces["F"].shape[1]
+        return self.pixels.shape[2]
 
     @property
     def channels(self) -> int:
-        return self.faces["F"].shape[3]
-
-    def frame(self, t: int) -> CubemapFrame:
-        return CubemapFrame(
-            faces={f: self.faces[f][t] for f in FACES},
-            masks={f: self.masks[f][t] for f in FACES},
-        )
+        return self.pixels.shape[4]
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +311,7 @@ class EquirectTaps:
     """Fixed cube->equirect resampling table for one (R, W).
 
     Entries run over the (W/2, W) equirect pixels in row-major order and
-    index the six faces stacked in canonical order and flattened to (6*R*R):
+    index the (6, R, R) faces flattened to (6*R*R):
     ``index`` is the top-left bilinear tap (the other taps sit one column
     and one face row further on), ``row_frac``/``col_frac`` its fractions,
     and ``nearest`` the nearest face pixel, used for masks.
@@ -380,17 +343,18 @@ class EquirectTaps:
                    row_frac=fr.ravel(), col_frac=fc.ravel(),
                    nearest=(base + near_r * res + near_c).ravel())
 
-    def _check(self, grids) -> None:
+    def _check(self, grids: np.ndarray, ndim: int) -> None:
         res = self.resolution
-        if len(grids) != 6 or any(np.shape(g)[:2] != (res, res) for g in grids):
-            raise ValueError(f"need six face grids of resolution {res}")
+        if grids.ndim != ndim or grids.shape[:3] != (6, res, res):
+            raise ValueError(f"need (6, {res}, {res}) face grids, got {grids.shape}")
 
     def apply(self, faces, out: np.ndarray | None = None) -> np.ndarray:
-        """Bilinear resample of six (R, R, C) faces, in canonical order, onto
-        a (W/2, W, C) grid; writes into ``out`` when given."""
-        self._check(faces)
+        """Bilinear resample of (6, R, R, C) faces onto a (W/2, W, C) grid;
+        writes into ``out`` when given."""
+        faces = np.asarray(faces)
+        self._check(faces, 4)
         res, height = self.resolution, self.width // 2
-        channels = np.shape(faces[0])[2]
+        channels = faces.shape[3]
         if out is None:
             out = np.empty((height, self.width, channels), dtype=np.float64)
         # At R == 1 both taps of an axis are pixel 0 (see _clamped_taps).
@@ -400,7 +364,7 @@ class EquirectTaps:
         # In place, but the same products and sums in the same order as
         # _bilinear, so the result is bit-identical to it.
         for c in range(channels):
-            src = np.stack([np.asarray(f)[..., c] for f in faces]).ravel()
+            src = faces[..., c].ravel()
             top = np.take(src, idx)
             top *= wc
             tap = np.take(src[step_c:], idx)
@@ -418,11 +382,11 @@ class EquirectTaps:
         return out
 
     def apply_mask(self, masks) -> np.ndarray:
-        """Nearest-neighbor transfer of six (R, R) binary masks, in canonical
-        order, onto a (W/2, W) uint8 grid."""
-        self._check(masks)
-        src = np.stack([np.asarray(m, dtype=np.uint8) for m in masks]).ravel()
-        return np.take(src, self.nearest).reshape(self.width // 2, self.width)
+        """Nearest-neighbor transfer of (6, R, R) binary masks onto a
+        (W/2, W) uint8 grid."""
+        masks = np.asarray(masks, dtype=np.uint8)
+        self._check(masks, 3)
+        return np.take(masks.ravel(), self.nearest).reshape(self.width // 2, self.width)
 
 
 # ---------------------------------------------------------------------------
@@ -430,20 +394,22 @@ class EquirectTaps:
 # ---------------------------------------------------------------------------
 
 def project_perspective_to_cubemap(frame: PerspectiveFrame, pose: CameraPose,
-                                   resolution: int) -> CubemapFrame:
+                                   resolution: int) -> tuple[np.ndarray, np.ndarray]:
     """Project one perspective frame onto a cubemap with observation masks.
 
     Each cube-face pixel direction is rotated into the camera frame; pixels
     inside the FoV frustum (boundary inclusive) bilinearly sample the frame
-    and get mask 1, everything else is 0 with mask 0.
+    and get mask 1, everything else is 0 with mask 0.  Returns the
+    (6, R, R, C) faces and the (6, R, R) uint8 masks.
     """
     if resolution < 4:
         raise ValueError(f"face resolution must be >= 4, got {resolution}")
     tan_h = np.tan(np.radians(pose.hfov_deg) / 2.0)
     tan_v = np.tan(np.radians(pose.vfov_deg) / 2.0)
     h, w = frame.height, frame.width
-    faces, masks = {}, {}
-    for f in FACES:
+    faces = np.empty((6, resolution, resolution, frame.channels))
+    masks = np.empty((6, resolution, resolution), dtype=np.uint8)
+    for i, f in enumerate(FACES):
         d_cam = face_pixel_directions(f, resolution) @ pose.rotation  # R^T d
         x, y, z = d_cam[..., 0], d_cam[..., 1], d_cam[..., 2]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -455,38 +421,32 @@ def project_perspective_to_cubemap(frame: PerspectiveFrame, pose: CameraPose,
         cols = np.where(inside, cols, 0.0)
         rows = np.where(inside, rows, 0.0)
         sampled = _bilinear(frame.pixels, rows, cols)
-        faces[f] = np.where(inside[..., None], sampled, 0.0)
-        masks[f] = inside.astype(np.uint8)
-    return CubemapFrame(faces=faces, masks=masks)
+        faces[i] = np.where(inside[..., None], sampled, 0.0)
+        masks[i] = inside
+    return faces, masks
 
 
-def cubemap_to_equirect(cube: CubemapFrame, width: int) -> EquirectGrid:
-    """Resample a cubemap onto an equirectangular grid of the given width.
+def cubemap_to_equirect(faces: np.ndarray, width: int) -> EquirectGrid:
+    """Resample (6, R, R, C) faces onto an equirectangular grid of the given
+    width.
 
     Builds the (R, W) tap table for one frame; callers resampling many
     frames build :class:`EquirectTaps` once and apply it per frame."""
-    taps = EquirectTaps.create(cube.resolution, width)
-    return EquirectGrid(pixels=taps.apply([cube.faces[f] for f in FACES]))
+    faces = np.asarray(faces)
+    taps = EquirectTaps.create(faces.shape[1], width)
+    return EquirectGrid(pixels=taps.apply(faces))
 
 
-def equirect_to_cubemap(eq: EquirectGrid, resolution: int) -> CubemapFrame:
-    """Resample an equirectangular grid onto a cubemap; masks are all ones."""
+def equirect_to_cubemap(eq: EquirectGrid, resolution: int) -> np.ndarray:
+    """Resample an equirectangular grid onto (6, R, R, C) cube faces."""
     if resolution < 1:
         raise ValueError("face resolution must be >= 1")
-    w = eq.width
-    faces, masks = {}, {}
-    for f in FACES:
-        dirs = face_pixel_directions(f, resolution)
-        u, v = direction_to_equirect_pixel(dirs, w)
-        faces[f] = _bilinear(eq.pixels, v, u, wrap_cols=True)
-        masks[f] = np.ones((resolution, resolution), dtype=np.uint8)
-    return CubemapFrame(faces=faces, masks=masks)
-
-
-def resample_mask_to_equirect(cube: CubemapFrame, width: int) -> np.ndarray:
-    """Nearest-neighbor transfer of the cubemap masks onto an equirect grid."""
-    taps = EquirectTaps.create(cube.resolution, width)
-    return taps.apply_mask([cube.masks[f] for f in FACES])
+    faces = np.empty((6, resolution, resolution, eq.pixels.shape[2]))
+    for i, f in enumerate(FACES):
+        u, v = direction_to_equirect_pixel(face_pixel_directions(f, resolution),
+                                           eq.width)
+        faces[i] = _bilinear(eq.pixels, v, u, wrap_cols=True)
+    return faces
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .faces import FACES
+from .faces import FACE_INDEX
 from .geometry import CubemapVideo, EquirectTaps
 from .planner import FrameCoverage, GenerationPlan, PlanStep, frame_coverage
 from .context import (
@@ -171,7 +171,7 @@ def init_state(cond: CubemapVideo, plan: GenerationPlan, *, layout: CubeLayout,
         frag_length=frag_length,
         frag_threshold=frag_threshold,
         pool=ContextPool(capacity=history_capacity),
-        working=_stacked(cond, 0, cond.num_frames),
+        working=cond.pixels.copy(),
         ground_truth=ground_truth,
     )
 
@@ -182,13 +182,7 @@ def build_context(state: GenerationState, step: PlanStep) -> ContextBundle:
         state.coverage, step.face, step.end, state.frag_length,
         state.frag_threshold, state.cond.num_frames)
     return assemble_context(state.pool, state.window_state, step.face,
-                            fragments, state.cond.faces)
-
-
-def _stacked(video: CubemapVideo, start: int, end: int) -> np.ndarray:
-    """(end-start, 6, R, R, C) copy of ``video``'s frames [start, end), the
-    six faces stacked in canonical order."""
-    return np.stack([video.faces[f][start:end] for f in FACES], axis=1)
+                            fragments, state.cond.pixels)
 
 
 def _step_seed(cfg: SamplerConfig, index: int) -> int:
@@ -260,7 +254,8 @@ def generate_step(state: GenerationState, step: PlanStep, denoiser,
     blend_overlaps(z, state.working[step.start:step.end], step.face, p, state.layout)
 
     if cfg.teacher_forcing:
-        content = state.ground_truth.faces[step.face][step.start:step.end].copy()
+        content = state.ground_truth.pixels[step.start:step.end,
+                                            FACE_INDEX[step.face]].copy()
     else:
         content = z[:, p:p + r, p:p + r].copy()
     _log_step(state, step, bundle)
@@ -283,14 +278,14 @@ def simulate_contexts(state: GenerationState) -> list[dict]:
         bundle = build_context(state, step)
         _log_step(state, step, bundle)
         _finish_step(state, step,
-                     source.faces[step.face][step.start:step.end].copy())
+                     source.pixels[step.start:step.end, FACE_INDEX[step.face]].copy())
     return state.step_log
 
 
 @dataclass
 class GenerationResult:
     equirect: np.ndarray           # (N, W/2, W, C)
-    cubemap: CubemapVideo          # faces are views of the (N, 6, R, R, C) canvas
+    cubemap: CubemapVideo          # pixels is the (N, 6, R, R, C) canvas itself
     pool_trace: list
     resident_trace: list
     step_log: list
@@ -317,13 +312,12 @@ def generate_all(cond_video: CubemapVideo, plan: GenerationPlan, denoiser,
     for step in plan.steps:
         generate_step(state, step, denoiser, cfg)
 
-    masks = {f: np.ones_like(cond_video.masks[f]) for f in FACES}
-    out_video = CubemapVideo(
-        faces={f: state.working[:, i] for i, f in enumerate(FACES)}, masks=masks)
+    out_video = CubemapVideo(pixels=state.working,
+                             masks=np.ones_like(cond_video.masks))
     taps = EquirectTaps.create(res, width)
     equirect = np.empty((out_video.num_frames, width // 2, width, out_video.channels))
     for t in range(out_video.num_frames):
-        taps.apply(state.working[t], out=equirect[t])
+        taps.apply(out_video.pixels[t], out=equirect[t])
     return GenerationResult(
         equirect=equirect, cubemap=out_video,
         pool_trace=state.pool_trace, resident_trace=state.resident_trace,
@@ -345,7 +339,7 @@ def padded_target_denoiser(video: CubemapVideo, pad: int, layout: CubeLayout):
     def denoise(z_t, t, context, conditioning=None):
         key = (context.face, context.start, context.end)
         if cached["key"] != key:
-            window = _stacked(video, context.start, context.end)
+            window = video.pixels[context.start:context.end]
             cached["target"] = pad_face(window, context.face, pad, layout)
             cached["key"] = key
         return cached["target"] - z_t

@@ -93,16 +93,14 @@ def partition_windows(num_frames: int, window_length: int) -> WindowPartition:
                            windows=windows)
 
 
-def frame_coverage(masks: dict) -> FrameCoverage:
-    """Spatial mean of each binary face mask: masks[face] is (N, R, R)."""
-    n = np.asarray(masks[FACES[0]]).shape[0]
-    values = np.empty((6, n), dtype=np.float64)
-    for i, f in enumerate(FACES):
-        m = np.asarray(masks[f])
-        if not ((m == 0) | (m == 1)).all():
-            raise ValueError(f"mask of face {f} must be binary")
-        values[i] = m.reshape(m.shape[0], -1).mean(axis=1)
-    return FrameCoverage(values=values)
+def frame_coverage(masks: np.ndarray) -> FrameCoverage:
+    """Spatial mean of each binary face mask; ``masks`` is (N, 6, R, R)."""
+    m = np.asarray(masks)
+    if m.ndim != 4 or m.shape[1] != 6:
+        raise ValueError(f"masks must be (N, 6, R, R), got {m.shape}")
+    if not ((m == 0) | (m == 1)).all():
+        raise ValueError("masks must be binary")
+    return FrameCoverage(values=m.reshape(m.shape[0], 6, -1).mean(axis=2).T.copy())
 
 
 def window_coverage(fc: FrameCoverage, wp: WindowPartition) -> CoverageTable:

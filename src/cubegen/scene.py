@@ -62,12 +62,13 @@ class SyntheticScene:
         return 0.5 + basis @ self.coeffs.T
 
     def cubemap_video(self, resolution: int, num_frames: int) -> CubemapVideo:
-        faces, masks = {}, {}
-        for f in FACES:
+        """Fully observed (N, 6, R, R, C) video, filled one face at a time."""
+        pixels = np.empty((num_frames, 6, resolution, resolution, len(self.coeffs)))
+        for i, f in enumerate(FACES):
             dirs = face_pixel_directions(f, resolution)
-            faces[f] = np.stack([self.value(dirs, t) for t in range(num_frames)])
-            masks[f] = np.ones(faces[f].shape[:3], dtype=np.uint8)
-        return CubemapVideo(faces=faces, masks=masks)
+            for t in range(num_frames):
+                pixels[t, i] = self.value(dirs, t)
+        return CubemapVideo(pixels=pixels, masks=np.ones(pixels.shape[:4], np.uint8))
 
     def perspective_frame(self, pose: CameraPose, height: int, width: int,
                           frame: int) -> PerspectiveFrame:
@@ -115,15 +116,9 @@ def synth_scene(cfg: RunConfig, seed: int | None = None):
 
 def conditional_video(truth_resolution: int, frames, poses) -> CubemapVideo:
     """Project perspective frames into the masked conditional cubemap video."""
-    faces = {f: [] for f in FACES}
-    masks = {f: [] for f in FACES}
-    for frame, pose in zip(frames, poses):
-        cube = project_perspective_to_cubemap(frame, pose, truth_resolution)
-        for f in FACES:
-            faces[f].append(cube.faces[f])
-            masks[f].append(cube.masks[f])
-    return CubemapVideo(faces={f: np.stack(faces[f]) for f in FACES},
-                        masks={f: np.stack(masks[f]) for f in FACES})
+    faces, masks = zip(*(project_perspective_to_cubemap(frame, pose, truth_resolution)
+                         for frame, pose in zip(frames, poses)))
+    return CubemapVideo(pixels=np.stack(faces), masks=np.stack(masks))
 
 
 def render_equirect_video(scene: SyntheticScene, width: int,

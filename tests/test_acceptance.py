@@ -32,7 +32,6 @@ from cubegen.continuity import (
 from cubegen.faces import FACES, FACE_INDEX, adjacent_faces
 from cubegen.geometry import (
     CameraPose,
-    CubemapFrame,
     EquirectGrid,
     PerspectiveFrame,
     equirect_pixel_to_direction,
@@ -62,11 +61,9 @@ def report(num, text):
 
 def test_criterion_1_projection_round_trip():
     res, width = 64, 256
-    faces = {f: smooth_field(face_pixel_directions(f, res)) for f in FACES}
-    masks = {f: np.ones((res, res), np.uint8) for f in FACES}
-    cube = CubemapFrame(faces=faces, masks=masks)
-    back = equirect_to_cubemap(cubemap_to_equirect(cube, width), res)
-    err_c = max(np.abs(back.faces[f] - faces[f]).max() for f in FACES)
+    faces = np.stack([smooth_field(face_pixel_directions(f, res)) for f in FACES])
+    back = equirect_to_cubemap(cubemap_to_equirect(faces, width), res)
+    err_c = np.abs(back - faces).max()
     assert err_c <= 0.02
 
     u, v = np.meshgrid(np.arange(width), np.arange(width // 2), indexing="xy")
@@ -79,9 +76,9 @@ def test_criterion_1_projection_round_trip():
     w = face_pixel_solid_angles(256)
     worst_rel = 0.0
     for hfov, vfov in [(90.0, 45.0), (120.0, 60.0), (73.0, 100.0)]:
-        proj = project_perspective_to_cubemap(
+        _, masks = project_perspective_to_cubemap(
             frame, CameraPose(np.eye(3), hfov, vfov), 256)
-        measured = sum((w * proj.masks[f]).sum() for f in FACES)
+        measured = (w * masks).sum()
         analytic = frustum_solid_angle(hfov, vfov)
         worst_rel = max(worst_rel, abs(measured - analytic) / analytic)
     assert worst_rel <= 0.01
@@ -94,12 +91,12 @@ def test_criterion_2_planner_oracle_equivalence():
     res, n, t_win = 16, 8, 4
     wp = partition_windows(n, t_win)
     for _ in range(100):
-        masks = {f: (rng.random((n, res, res)) < rng.uniform(0.1, 0.9))
-                 .astype(np.uint8) for f in FACES}
+        masks = np.stack([(rng.random((n, res, res)) < rng.uniform(0.1, 0.9))
+                          .astype(np.uint8) for f in FACES], axis=1)
         plan = plan_order(window_coverage(frame_coverage(masks), wp), wp)
         expect = []
         for s, e in wp.windows:
-            means = {f: sum(int(masks[f][t][i, j]) for t in range(s, e)
+            means = {f: sum(int(masks[t, FACE_INDEX[f], i, j]) for t in range(s, e)
                             for i in range(res) for j in range(res))
                      / (t_win * res * res) for f in FACES}
             order = sorted(FACES, key=lambda f: (-means[f], FACE_INDEX[f]))

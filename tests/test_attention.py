@@ -301,8 +301,7 @@ class TestLayoutHelpers:
 
     def test_layout_from_bundle(self):
         from cubegen.context import ContextPool, WindowState, assemble_context
-        from cubegen.faces import FACES
-        cond = {f: np.zeros((8, 16, 16, 1)) for f in FACES}
+        cond = np.zeros((8, 6, 16, 16, 1))
         state = WindowState(window=1, start=0, end=4)
         bundle = assemble_context(ContextPool(capacity=0), state, "F", [], cond)
         layout = layout_from_bundle(bundle, generation_frames=4, resolution=16,

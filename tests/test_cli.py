@@ -199,8 +199,9 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("bad,message", [
         ("nan-frame", "pixels must be finite"),
+        ("out-of-range-frame", "pixels must lie in [0, 1]"),
         ("skewed-pose", "rotation is not orthonormal"),
-    ], ids=["nan-frame", "skewed-pose"])
+    ], ids=["nan-frame", "out-of-range-frame", "skewed-pose"])
     def test_non_finite_input_frame_rejected_early(self, tmp_path, capsys,
                                                     bad, message):
         from cubegen import scene as sc
@@ -212,6 +213,8 @@ class TestErrorPaths:
             px = frame.pixels.copy()
             if t == 5 and bad == "nan-frame":
                 px[1, 2, 0] = np.nan
+            if t == 5 and bad == "out-of-range-frame":
+                px[1, 2, 0] = 1.5
             write_pfm(frames_dir / f"input_{t:03d}.pfm", px)
         write_poses(frames_dir / "poses.json", poses)
         if bad == "skewed-pose":

@@ -4,7 +4,7 @@ starts are verified against exhaustive linear scans."""
 import numpy as np
 import pytest
 
-from cubegen.faces import FACES, adjacent_faces
+from cubegen.faces import FACES, FACE_INDEX, adjacent_faces
 from cubegen.context import (
     ContextPool,
     FragmentSpec,
@@ -157,8 +157,9 @@ class TestSelectFutureFragments:
 
 class TestAssembleContext:
     def cond(self, n=8, res=4, c=1):
-        return {f: np.full((n, res, res, c), 0.1 * i)
-                for i, f in enumerate(FACES)}
+        """(n, 6, res, res, c) conditional video; face i holds 0.1 * i."""
+        return np.broadcast_to(0.1 * np.arange(6)[:, None, None, None],
+                               (n, 6, res, res, c)).copy()
 
     def test_first_step_boundary_case(self):
         state = WindowState(window=1, start=0, end=4)
@@ -211,7 +212,10 @@ class TestAssembleContext:
         state = WindowState(window=1, start=0, end=4)
         bundle = assemble_context(ContextPool(capacity=0), state, "F",
                                   [FragmentSpec("R", 5, 2)], cond)
-        np.testing.assert_array_equal(bundle.fut[0].content, cond["R"][5:7])
+        np.testing.assert_array_equal(bundle.fut[0].content,
+                                      cond[5:7, FACE_INDEX["R"]])
+        for src in bundle.curr:
+            np.testing.assert_array_equal(src.content, cond[0:4, FACE_INDEX[src.face]])
 
     def test_missing_cond_range_is_internal_error(self):
         state = WindowState(window=1, start=0, end=4)

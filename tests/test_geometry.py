@@ -5,11 +5,11 @@ in this file."""
 import numpy as np
 import pytest
 
-from cubegen.faces import FACES, FACE_AXES
+from cubegen.faces import FACES, FACE_AXES, FACE_INDEX
 from cubegen import geometry as geo
 from cubegen.geometry import (
     CameraPose,
-    CubemapFrame,
+    CubemapVideo,
     EquirectGrid,
     PerspectiveFrame,
 )
@@ -98,23 +98,23 @@ class TestFaceCoords:
 
 # ── perspective -> cubemap ───────────────────────────────────────────────
 
-def coverage(cube):
-    return {f: cube.masks[f].mean() for f in FACES}
+def coverage(masks):
+    return {f: masks[i].mean() for i, f in enumerate(FACES)}
 
 
 class TestProjectPerspective:
     def test_90x90_identity_covers_exactly_front(self):
         frame = PerspectiveFrame(np.full((32, 32, 1), 0.25))
-        cube = geo.project_perspective_to_cubemap(frame, CameraPose(np.eye(3), 90, 90), 64)
-        cov = coverage(cube)
+        _, masks = geo.project_perspective_to_cubemap(frame, CameraPose(np.eye(3), 90, 90), 64)
+        cov = coverage(masks)
         assert cov["F"] == 1.0
         for f in "RBLUD":
             assert cov[f] == 0.0
 
     def test_yaw_90_covers_right(self):
         frame = PerspectiveFrame(np.full((32, 32, 1), 0.25))
-        cube = geo.project_perspective_to_cubemap(frame, yaw_pose(90.0), 64)
-        cov = coverage(cube)
+        _, masks = geo.project_perspective_to_cubemap(frame, yaw_pose(90.0), 64)
+        cov = coverage(masks)
         assert cov["R"] == 1.0
         for f in "FBLUD":
             assert cov[f] == 0.0
@@ -122,8 +122,8 @@ class TestProjectPerspective:
     def test_narrow_vfov_band_coverage(self):
         # hfov=90, vfov=45: F rows with |b| <= tan(22.5 deg) are observed
         frame = PerspectiveFrame(np.full((64, 128, 1), 0.5))
-        cube = geo.project_perspective_to_cubemap(frame, CameraPose(np.eye(3), 90, 45), 256)
-        cov = coverage(cube)["F"]
+        _, masks = geo.project_perspective_to_cubemap(frame, CameraPose(np.eye(3), 90, 45), 256)
+        cov = coverage(masks)["F"]
         assert abs(cov - np.tan(np.radians(22.5))) <= 1.5 / 256
 
     def test_matches_scalar_ray_cast_oracle(self):
@@ -131,7 +131,9 @@ class TestProjectPerspective:
         hfov, vfov, res = 75.0, 50.0, 24
         pose = yaw_pose(30.0, hfov, vfov)
         frame = PerspectiveFrame(np.full((16, 16, 1), 1.0))
-        cube = geo.project_perspective_to_cubemap(frame, pose, res)
+        faces, masks = geo.project_perspective_to_cubemap(frame, pose, res)
+        assert faces.shape == (6, res, res, 1) and masks.shape == (6, res, res)
+        assert masks.dtype == np.uint8
         th, tv = np.tan(np.radians(hfov) / 2), np.tan(np.radians(vfov) / 2)
         for face in FACES:
             n, r, d = (np.asarray(a, dtype=np.float64) for a in FACE_AXES[face])
@@ -143,23 +145,23 @@ class TestProjectPerspective:
                     v = v / np.linalg.norm(v)
                     cam = pose.rotation.T @ v
                     inside = cam[2] > 0 and abs(cam[0] / cam[2]) <= th and abs(cam[1] / cam[2]) <= tv
-                    assert cube.masks[face][i, j] == int(inside), (face, i, j)
+                    assert masks[FACE_INDEX[face], i, j] == int(inside), (face, i, j)
 
     def test_cube_symmetry_permutes_coverage_exactly(self):
         frame = PerspectiveFrame(np.full((20, 30, 1), 1.0))
-        base = geo.project_perspective_to_cubemap(frame, CameraPose(np.eye(3), 73, 100), 64)
-        yawed = geo.project_perspective_to_cubemap(frame, yaw_pose(90.0, 73, 100), 64)
+        _, base = geo.project_perspective_to_cubemap(frame, CameraPose(np.eye(3), 73, 100), 64)
+        _, yawed = geo.project_perspective_to_cubemap(frame, yaw_pose(90.0, 73, 100), 64)
         perm = {"F": "R", "R": "B", "B": "L", "L": "F", "U": "U", "D": "D"}
         for f in FACES:
-            assert base.masks[f].sum() == yawed.masks[perm[f]].sum()
+            assert base[FACE_INDEX[f]].sum() == yawed[FACE_INDEX[perm[f]]].sum()
 
     def test_masked_solid_angle_matches_frustum(self):
         frame = PerspectiveFrame(np.full((16, 16, 1), 1.0))
         w = geo.face_pixel_solid_angles(256)
         for hfov, vfov in [(90.0, 45.0), (120.0, 60.0), (73.0, 100.0)]:
-            cube = geo.project_perspective_to_cubemap(
+            _, masks = geo.project_perspective_to_cubemap(
                 frame, CameraPose(np.eye(3), hfov, vfov), 256)
-            total = sum((w * cube.masks[f]).sum() for f in FACES)
+            total = (w * masks).sum()
             ana = geo.frustum_solid_angle(hfov, vfov)
             assert abs(total - ana) / ana <= 0.01
 
@@ -179,26 +181,21 @@ class TestProjectPerspective:
 
 class TestCubemapEquirect:
     def test_constant_cubemap_constant_equirect(self):
-        faces = {f: np.full((8, 8, 2), 0.7) for f in FACES}
-        masks = {f: np.ones((8, 8), np.uint8) for f in FACES}
-        eq = geo.cubemap_to_equirect(CubemapFrame(faces=faces, masks=masks), 64)
+        eq = geo.cubemap_to_equirect(np.full((6, 8, 8, 2), 0.7), 64)
         np.testing.assert_allclose(eq.pixels, 0.7, atol=1e-12)
 
     def test_constant_equirect_constant_cubemap(self):
         eq = EquirectGrid(np.full((32, 64, 1), 0.3))
-        cube = geo.equirect_to_cubemap(eq, 16)
-        for f in FACES:
-            np.testing.assert_allclose(cube.faces[f], 0.3, atol=1e-12)
-            assert cube.masks[f].all()
+        faces = geo.equirect_to_cubemap(eq, 16)
+        assert faces.shape == (6, 16, 16, 1)
+        np.testing.assert_allclose(faces, 0.3, atol=1e-12)
 
     def test_band_limited_round_trip_cubemap_start(self):
         res, w = 64, 256
-        faces = {f: smooth_field(geo.face_pixel_directions(f, res)) for f in FACES}
-        masks = {f: np.ones((res, res), np.uint8) for f in FACES}
-        cube = CubemapFrame(faces=faces, masks=masks)
-        back = geo.equirect_to_cubemap(geo.cubemap_to_equirect(cube, 4 * res), res)
-        for f in FACES:
-            assert np.abs(back.faces[f] - faces[f]).max() <= 0.02
+        faces = np.stack([smooth_field(geo.face_pixel_directions(f, res)) for f in FACES])
+        back = geo.equirect_to_cubemap(geo.cubemap_to_equirect(faces, 4 * res), res)
+        for i in range(6):
+            assert np.abs(back[i] - faces[i]).max() <= 0.02
 
     def test_band_limited_round_trip_equirect_start(self):
         res, w = 64, 256
@@ -211,10 +208,9 @@ class TestCubemapEquirect:
         # area-weighted equirect mean of the F indicator ~= 1/6 of the sphere;
         # oracle: numerical integration of the indicator over equirect cells
         res, w = 64, 512
-        faces = {f: (np.ones((res, res, 1)) if f == "F" else np.zeros((res, res, 1)))
-                 for f in FACES}
-        masks = {f: np.ones((res, res), np.uint8) for f in FACES}
-        eq = geo.cubemap_to_equirect(CubemapFrame(faces=faces, masks=masks), w)
+        faces = np.zeros((6, res, res, 1))
+        faces[FACE_INDEX["F"]] = 1.0
+        eq = geo.cubemap_to_equirect(faces, w)
         area = geo.equirect_pixel_solid_angles(w)
         measured = (eq.pixels[..., 0] * area).sum() / area.sum()
 
@@ -227,14 +223,12 @@ class TestCubemapEquirect:
 
     def test_minimum_sizes(self):
         eq = EquirectGrid(np.full((4, 8, 1), 0.5))
-        cube = geo.equirect_to_cubemap(eq, 2)
-        assert cube.resolution == 2
+        faces = geo.equirect_to_cubemap(eq, 2)
+        assert faces.shape == (6, 2, 2, 1)
 
     def test_width_not_multiple_of_four_rejected(self):
-        faces = {f: np.zeros((4, 4, 1)) for f in FACES}
-        masks = {f: np.ones((4, 4), np.uint8) for f in FACES}
         with pytest.raises(ValueError):
-            geo.cubemap_to_equirect(CubemapFrame(faces=faces, masks=masks), 30)
+            geo.cubemap_to_equirect(np.zeros((6, 4, 4, 1)), 30)
 
     def test_total_equirect_solid_angle(self):
         total = geo.equirect_pixel_solid_angles(512).sum()
@@ -244,14 +238,14 @@ class TestCubemapEquirect:
         # nearest-neighbor mask resampling: binary output, and the observed
         # sphere fraction matches the cubemap's solid-angle-weighted masks
         frame = PerspectiveFrame(np.full((16, 16, 1), 1.0))
-        cube = geo.project_perspective_to_cubemap(
+        _, masks = geo.project_perspective_to_cubemap(
             frame, CameraPose(np.eye(3), 90.0, 60.0), 64)
-        eq_mask = geo.resample_mask_to_equirect(cube, 256)
+        eq_mask = geo.EquirectTaps.create(64, 256).apply_mask(masks)
         assert set(np.unique(eq_mask)) <= {0, 1}
         area = geo.equirect_pixel_solid_angles(256)
         observed = (area * eq_mask).sum()
         w = geo.face_pixel_solid_angles(64)
-        expected = sum((w * cube.masks[f]).sum() for f in FACES)
+        expected = (w * masks).sum()
         assert abs(observed - expected) / expected <= 0.02
 
 
@@ -288,27 +282,27 @@ def _ref_face_lookup(width):
     return geo.direction_to_face_coords(geo.equirect_pixel_to_direction(u, v, width))
 
 
-def ref_cubemap_to_equirect(cube, width):
+def ref_cubemap_to_equirect(faces, width):
     """Per-face selection loop: every equirect pixel samples its face."""
-    res = cube.resolution
+    res = faces.shape[1]
     face, x, y = _ref_face_lookup(width)
-    out = np.zeros((width // 2, width, cube.channels), dtype=np.float64)
-    for i, f in enumerate(FACES):
+    out = np.zeros((width // 2, width, faces.shape[3]), dtype=np.float64)
+    for i in range(6):
         sel = face == i
         if sel.any():
-            out[sel] = _ref_bilinear(cube.faces[f], y[sel] * res - 0.5,
+            out[sel] = _ref_bilinear(faces[i], y[sel] * res - 0.5,
                                      x[sel] * res - 0.5)
     return out
 
 
-def ref_resample_mask_to_equirect(cube, width):
-    res = cube.resolution
+def ref_mask_to_equirect(masks, width):
+    res = masks.shape[1]
     face, x, y = _ref_face_lookup(width)
     out = np.zeros((width // 2, width), dtype=np.uint8)
-    for i, f in enumerate(FACES):
+    for i in range(6):
         sel = face == i
         if sel.any():
-            out[sel] = _ref_nearest(cube.masks[f], y[sel] * res - 0.5,
+            out[sel] = _ref_nearest(masks[i], y[sel] * res - 0.5,
                                     x[sel] * res - 0.5)
     return out
 
@@ -316,60 +310,62 @@ def ref_resample_mask_to_equirect(cube, width):
 class TestEquirectTaps:
     @pytest.mark.parametrize("res,width", [(4, 16), (64, 256), (256, 1024), (64, 200)])
     def test_bit_identical_to_per_face_loops(self, rng, res, width):
-        faces = {f: rng.random((res, res, 3)) for f in FACES}
-        masks = {f: (rng.random((res, res)) < 0.5).astype(np.uint8) for f in FACES}
-        cube = CubemapFrame(faces=faces, masks=masks)
-        assert np.array_equal(geo.cubemap_to_equirect(cube, width).pixels,
-                              ref_cubemap_to_equirect(cube, width))
-        assert np.array_equal(geo.resample_mask_to_equirect(cube, width),
-                              ref_resample_mask_to_equirect(cube, width))
+        faces = rng.random((6, res, res, 3))
+        masks = (rng.random((6, res, res)) < 0.5).astype(np.uint8)
+        taps = geo.EquirectTaps.create(res, width)
+        assert np.array_equal(taps.apply(faces), ref_cubemap_to_equirect(faces, width))
+        assert np.array_equal(geo.cubemap_to_equirect(faces, width).pixels,
+                              ref_cubemap_to_equirect(faces, width))
+        assert np.array_equal(taps.apply_mask(masks),
+                              ref_mask_to_equirect(masks, width))
 
     def test_one_table_serves_many_frames(self, rng):
         res, width = 8, 32
         taps = geo.EquirectTaps.create(res, width)
         out = np.empty((3, width // 2, width, 2))
+        video = rng.random((3, 6, res, res, 2))
         for t in range(3):
-            faces = {f: rng.random((res, res, 2)) for f in FACES}
-            masks = {f: np.ones((res, res), np.uint8) for f in FACES}
-            taps.apply([faces[f] for f in FACES], out=out[t])
-            assert np.array_equal(out[t], ref_cubemap_to_equirect(
-                CubemapFrame(faces=faces, masks=masks), width))
+            taps.apply(video[t], out=out[t])
+            assert np.array_equal(out[t], ref_cubemap_to_equirect(video[t], width))
 
     def test_wrong_face_grids_rejected(self):
         taps = geo.EquirectTaps.create(8, 32)
         with pytest.raises(ValueError):
-            taps.apply([np.zeros((8, 8, 1))] * 5)
+            taps.apply(np.zeros((5, 8, 8, 1)))
         with pytest.raises(ValueError):
-            taps.apply_mask([np.zeros((4, 4), np.uint8)] * 6)
+            taps.apply(np.zeros((6, 8, 8)))
+        with pytest.raises(ValueError):
+            taps.apply_mask(np.zeros((6, 4, 4), np.uint8))
 
 
 # ── input validation ─────────────────────────────────────────────────────
 
-def _cube_parts(mask_value, video=False):
-    lead = (2,) if video else ()
-    faces = {f: np.zeros(lead + (4, 4, 1)) for f in FACES}
-    masks = {f: np.ones(lead + (4, 4)) for f in FACES}
-    masks["U"] = masks["U"].copy()
-    masks["U"][..., 1, 2] = mask_value
-    return faces, masks
+def _video(pixels_shape=(2, 6, 4, 4, 1), mask_shape=None, mask_value=0):
+    masks = np.ones(mask_shape or pixels_shape[:4])
+    masks.flat[5] = mask_value
+    return np.zeros(pixels_shape), masks
 
 
-class TestMaskValidation:
-    @pytest.mark.parametrize("cls", [CubemapFrame, geo.CubemapVideo])
-    @pytest.mark.parametrize("value", [2.0, 0.5, -1.0, np.nan])
-    def test_non_binary_rejected(self, cls, value):
-        faces, masks = _cube_parts(value, video=cls is geo.CubemapVideo)
-        with pytest.raises(ValueError, match="binary"):
-            cls(faces=faces, masks=masks)
+class TestCubemapVideoValidation:
+    @pytest.mark.parametrize("video,match", [
+        pytest.param(_video((6, 4, 4, 1)), "pixels", id="ndim"),
+        pytest.param(_video((2, 5, 4, 4, 1)), "pixels", id="five-faces"),
+        pytest.param(_video((2, 6, 4, 3, 1)), "pixels", id="non-square"),
+        pytest.param(_video(mask_shape=(2, 6, 4, 3)), "masks must be", id="mask-shape"),
+        *(pytest.param(_video(mask_value=v), "binary", id=f"mask-{v}")
+          for v in (2.0, 0.5, -1.0, np.nan)),
+    ])
+    def test_rejected(self, video, match):
+        with pytest.raises(ValueError, match=match):
+            CubemapVideo(*video)
 
-    @pytest.mark.parametrize("cls", [CubemapFrame, geo.CubemapVideo])
     @pytest.mark.parametrize("dtype", [bool, np.uint8, np.float64])
-    def test_binary_dtypes_accepted(self, cls, dtype):
-        faces, masks = _cube_parts(0, video=cls is geo.CubemapVideo)
-        masks = {f: m.astype(dtype) for f, m in masks.items()}
-        cube = cls(faces=faces, masks=masks)
-        assert all(cube.masks[f].dtype == np.uint8 for f in FACES)
-        assert cube.masks["U"][..., 1, 2].max() == 0 and cube.masks["F"].min() == 1
+    def test_binary_dtypes_accepted(self, dtype):
+        pixels, masks = _video()
+        video = CubemapVideo(pixels=pixels.astype(np.float32), masks=masks.astype(dtype))
+        assert video.masks.dtype == np.uint8 and video.pixels.dtype == np.float64
+        assert video.masks.flat[5] == 0 and video.masks.sum() == video.masks.size - 1
+        assert (video.num_frames, video.resolution, video.channels) == (2, 4, 1)
 
 
 class TestPerspectiveFrameValidation:
@@ -378,6 +374,13 @@ class TestPerspectiveFrameValidation:
         px = np.full((4, 6, 3), 0.5)
         px[2, 3, 1] = value
         with pytest.raises(ValueError, match="finite"):
+            PerspectiveFrame(px)
+
+    @pytest.mark.parametrize("value", [1.5, -0.25])
+    def test_out_of_range_rejected(self, value):
+        px = np.full((4, 6, 3), 0.5)
+        px[1, 2, 0] = value
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
             PerspectiveFrame(px)
 
 

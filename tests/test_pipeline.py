@@ -2,11 +2,14 @@
 sampler configuration land exactly on the clean latent, which calibrates the
 integrator; end-to-end runs are checked against the analytic scene."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from cubegen.faces import FACES
+from cubegen.faces import FACES, FACE_INDEX
 from cubegen.config import default_config
+from cubegen.context import ContextBundle
 from cubegen.continuity import CubeLayout
 from cubegen.geometry import CubemapVideo
 from cubegen.planner import (
@@ -156,7 +159,7 @@ class TestGenerateStep:
         step = plan.steps[0]
         out = generate_step(state, step, denoiser,
                             SamplerConfig(steps=4, seed=1, teacher_forcing=True))
-        gt = truth.faces[step.face][step.start:step.end]
+        gt = truth.pixels[step.start:step.end, FACE_INDEX[step.face]]
         assert out.shape == (step.end - step.start, 16 + 4, 16 + 4, 3)
         got = out[:, 2:2 + 16, 2:2 + 16]
         assert np.abs(got - gt).max() <= 1e-5
@@ -176,9 +179,10 @@ class TestGenerateStep:
         out = generate_step(state, step, denoiser,
                             SamplerConfig(steps=4, seed=1, teacher_forcing=True))
         for k, t in enumerate(range(step.start, step.end)):
-            m = cond.masks[step.face][t].astype(bool)
+            fi = FACE_INDEX[step.face]
+            m = cond.masks[t, fi].astype(bool)
             if m.any():
-                diff = np.abs(out[k, 2:2 + 16, 2:2 + 16] - cond.faces[step.face][t])[m]
+                diff = np.abs(out[k, 2:2 + 16, 2:2 + 16] - cond.pixels[t, fi])[m]
                 assert diff.max() <= 0.02  # bilinear error of the conditional
 
     def test_plan_order_violation(self):
@@ -215,9 +219,8 @@ class TestGenerateAll:
 
     def test_constant_scene_constant_output(self):
         res, n = 16, 4
-        faces = {f: np.full((n, res, res, 1), 0.6) for f in FACES}
-        masks = {f: np.ones((n, res, res), np.uint8) for f in FACES}
-        cond = CubemapVideo(faces=faces, masks=masks)
+        cond = CubemapVideo(pixels=np.full((n, 6, res, res, 1), 0.6),
+                            masks=np.ones((n, 6, res, res), np.uint8))
         wp = partition_windows(n, n)
         plan = plan_order(window_coverage(frame_coverage(cond.masks), wp), wp)
         denoiser = padded_target_denoiser(cond, 2, CubeLayout.create(res))
@@ -259,10 +262,10 @@ class TestGenerateAll:
                               SamplerConfig(steps=2, seed=0), pad=2)
         assert result.equirect.shape == (8, 2 * res, 4 * res, 3)
         assert np.isfinite(result.equirect).all()
-        # the returned faces are views of one canvas, not copies
-        base = result.cubemap.faces["F"].base
-        assert base is not None and all(result.cubemap.faces[f].base is base
-                                        for f in FACES)
+        # the returned cubemap is the (N, 6, R, R, C) canvas, fully observed
+        assert result.cubemap.pixels.shape == (8, 6, res, res, 3)
+        assert result.cubemap.pixels.flags.c_contiguous
+        assert result.cubemap.masks.dtype == np.uint8 and result.cubemap.masks.all()
 
 
 class TestPaddedTargetDenoiser:
@@ -300,7 +303,7 @@ class TestPaddedTargetDenoiser:
         video = truth if factory == "oracle" else cond
 
         def uncached(z_t, t, context, conditioning=None):
-            frames = [ref.pad_face({f: video.faces[f][k] for f in FACES},
+            frames = [ref.pad_face(dict(zip(FACES, video.pixels[k])),
                                    context.face, 2, layout)
                       for k in range(context.start, context.end)]
             return np.stack(frames) - z_t
@@ -310,5 +313,24 @@ class TestPaddedTargetDenoiser:
         runs = [generate_all(cond, plan, d, scfg, layout=layout, pad=2,
                              ground_truth=truth) for d in (cached, uncached)]
         assert runs[0].equirect.tobytes() == runs[1].equirect.tobytes()
-        for f in FACES:
-            assert runs[0].cubemap.faces[f].tobytes() == runs[1].cubemap.faces[f].tobytes()
+        assert runs[0].cubemap.pixels.tobytes() == runs[1].cubemap.pixels.tobytes()
+
+    def test_first_call_allocates_less_than_the_window(self):
+        # the target is padded from a view of the video's frames [s, e), so
+        # the first call never holds a (T, 6, R, R, C) copy of the window
+        res, t_win, pad, c = 64, 4, 4, 3
+        rng = np.random.default_rng(0)
+        video = CubemapVideo(pixels=rng.random((2 * t_win, 6, res, res, c)),
+                             masks=np.ones((2 * t_win, 6, res, res), np.uint8))
+        denoiser = padded_target_denoiser(video, pad, CubeLayout.create(res))
+        context = ContextBundle(face="R", window=1, start=0, end=t_win,
+                                hist=(), curr=(), fut=())
+        z = np.zeros((t_win, res + 2 * pad, res + 2 * pad, c))
+        tracemalloc.start()
+        try:
+            denoiser(z, 1.0, context)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        window_bytes = t_win * 6 * res * res * c * 8  # 2.36 MB
+        assert peak < window_bytes, (peak, window_bytes)

@@ -15,7 +15,9 @@ from cubegen.planner import (
 
 
 def random_masks(rng, n=8, res=16, p=0.4):
-    return {f: (rng.random((n, res, res)) < p).astype(np.uint8) for f in FACES}
+    """(n, 6, res, res) uint8 masks, drawn one face at a time."""
+    return np.stack([(rng.random((n, res, res)) < p).astype(np.uint8) for f in FACES],
+                    axis=1)
 
 
 class TestPartitionWindows:
@@ -39,38 +41,42 @@ class TestPartitionWindows:
 
 class TestFrameCoverage:
     def test_all_ones(self):
-        masks = {f: np.ones((2, 4, 4), np.uint8) for f in FACES}
-        assert (frame_coverage(masks).values == 1.0).all()
+        fc = frame_coverage(np.ones((2, 6, 4, 4), np.uint8))
+        assert fc.values.shape == (6, 2) and (fc.values == 1.0).all()
 
     def test_all_zeros(self):
-        masks = {f: np.zeros((2, 4, 4), np.uint8) for f in FACES}
-        assert (frame_coverage(masks).values == 0.0).all()
+        assert (frame_coverage(np.zeros((2, 6, 4, 4), np.uint8)).values == 0.0).all()
 
     def test_matches_pixel_count_oracle(self, rng):
         masks = random_masks(rng)
         fc = frame_coverage(masks)
         for f in FACES:
             for t in range(8):
-                count = sum(int(masks[f][t][i, j]) for i in range(16) for j in range(16))
+                count = sum(int(masks[t, FACE_INDEX[f], i, j])
+                            for i in range(16) for j in range(16))
                 assert fc.value(f, t) == count / 256
 
     def test_non_binary_rejected(self):
-        masks = {f: np.ones((1, 4, 4), np.uint8) for f in FACES}
-        masks["F"] = np.full((1, 4, 4), 2, np.uint8)
-        with pytest.raises(ValueError):
+        masks = np.ones((1, 6, 4, 4), np.uint8)
+        masks[0, FACE_INDEX["F"]] = 2
+        with pytest.raises(ValueError, match="binary"):
             frame_coverage(masks)
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ValueError):
+            frame_coverage(np.ones((1, 5, 4, 4), np.uint8))
 
 
 class TestWindowCoverage:
     def test_constant(self):
-        fc = frame_coverage({f: np.zeros((8, 4, 4), np.uint8) for f in FACES})
+        fc = frame_coverage(np.zeros((8, 6, 4, 4), np.uint8))
         fc.values[:] = 0.3
         ct = window_coverage(fc, partition_windows(8, 4))
         np.testing.assert_allclose(ct.values, 0.3)
 
     def test_single_covered_frame(self):
-        masks = {f: np.zeros((4, 4, 4), np.uint8) for f in FACES}
-        masks["F"][0] = 1
+        masks = np.zeros((4, 6, 4, 4), np.uint8)
+        masks[0, FACE_INDEX["F"]] = 1
         ct = window_coverage(frame_coverage(masks), partition_windows(4, 4))
         assert ct.value("F", 1) == 0.25
 
@@ -82,7 +88,8 @@ class TestWindowCoverage:
             for w, (s, e) in enumerate(wp.windows, start=1):
                 acc = 0.0
                 for t in range(s, e):
-                    acc += masks[f][t].sum() / masks[f][t].size
+                    face_mask = masks[t, FACE_INDEX[f]]
+                    acc += face_mask.sum() / face_mask.size
                 assert np.isclose(ct.value(f, w), acc / (e - s), atol=1e-12)
 
 
@@ -90,8 +97,8 @@ class TestPlanOrder:
     def test_static_front_camera(self):
         frame = geo.PerspectiveFrame(np.full((16, 16, 1), 1.0))
         pose = geo.CameraPose(np.eye(3), 90.0, 90.0)
-        cube = geo.project_perspective_to_cubemap(frame, pose, 16)
-        masks = {f: np.repeat(cube.masks[f][None], 8, axis=0) for f in FACES}
+        _, cube_masks = geo.project_perspective_to_cubemap(frame, pose, 16)
+        masks = np.repeat(cube_masks[None], 8, axis=0)
         wp = partition_windows(8, 4)
         plan = plan_order(window_coverage(frame_coverage(masks), wp), wp)
         # F first in each window, the five uncovered faces tie -> canonical
@@ -118,8 +125,8 @@ class TestPlanOrder:
             for s, e in wp.windows:
                 means = {}
                 for f in FACES:
-                    total = sum(masks[f][t].sum() for t in range(s, e))
-                    means[f] = total / ((e - s) * masks[f][0].size)
+                    total = sum(masks[t, FACE_INDEX[f]].sum() for t in range(s, e))
+                    means[f] = total / ((e - s) * masks[0, FACE_INDEX[f]].size)
                 order = sorted(FACES, key=lambda f: (-means[f], FACE_INDEX[f]))
                 expect.extend((f, s, e) for f in order)
             assert [(p.face, p.start, p.end) for p in plan.steps] == expect
