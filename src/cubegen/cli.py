@@ -34,7 +34,7 @@ from .attention import (
 )
 from .config import ConfigError, RunConfig, parse_config
 from .continuity import CubeLayout, seam_metric
-from .geometry import CubemapVideo
+from .geometry import CubemapVideo, EquirectTaps
 from .imgio import (
     read_pfm,
     read_ppm,
@@ -181,7 +181,6 @@ def _write_image(path_base: Path, pixels: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_project(cfg: RunConfig, out_dir: Path) -> None:
-    from .geometry import EquirectTaps
     _, frames, poses = _load_inputs(cfg)
     cond = _conditional(cfg, frames, poses)
     fc, wp, ct = _coverage_tables(cfg, cond)
@@ -280,11 +279,13 @@ def cmd_generate(cfg: RunConfig, out_dir: Path, dry_run: bool = False) -> None:
     if dry_run:
         _write_dry_run(cfg, out_dir)
         return
-    t_total = time.perf_counter()
+    marks = [time.perf_counter()]  # stage boundaries, see ``stages`` below
     truth, frames, poses = _load_inputs(cfg)
+    marks.append(time.perf_counter())
     cond = _conditional(cfg, frames, poses)
     fc, wp, ct = _coverage_tables(cfg, cond)
     plan = plan_order(ct, wp)
+    marks.append(time.perf_counter())
     layout = CubeLayout.create(cfg.resolution)
     if cfg.mode.teacher_forcing and truth is None:
         raise ConfigError("mode.teacher_forcing requires the synthetic scene")
@@ -295,11 +296,17 @@ def cmd_generate(cfg: RunConfig, out_dir: Path, dry_run: bool = False) -> None:
                       teacher_forcing=cfg.mode.teacher_forcing),
         layout=layout, pad=cfg.pad, history_capacity=cfg.history,
         frag_length=cfg.frag_length, frag_threshold=cfg.frag_threshold,
-        equirect_width=cfg.equirect_width, ground_truth=truth)
+        ground_truth=truth)
+    marks.append(time.perf_counter())
 
+    # One tap table and one frame buffer: each equirect frame is resampled
+    # and written before the next, so the (N, W/2, W, C) video never exists.
+    taps = EquirectTaps.create(cfg.resolution, cfg.equirect_width)
+    frame = None
     for t in range(cfg.num_frames):
-        write_pfm(out_dir / f"frame_{t:03d}.pfm", result.equirect[t])
-        _write_image(out_dir / f"frame_{t:03d}", np.clip(result.equirect[t], 0, 1))
+        frame = taps.apply(result.cubemap.pixels[t], out=frame)
+        write_pfm(out_dir / f"frame_{t:03d}.pfm", frame)
+        _write_image(out_dir / f"frame_{t:03d}", np.clip(frame, 0, 1))
     report = {
         "config": cfg.to_json_dict(),
         "plan": plan.to_json_dict()["steps"],
@@ -310,9 +317,12 @@ def cmd_generate(cfg: RunConfig, out_dir: Path, dry_run: bool = False) -> None:
         "steps": result.step_log,
     }
     write_json_artifact(out_dir / "run_report.json", "run_report", report)
+    marks.append(time.perf_counter())
+    stages = ("inputs", "conditional", "sampling", "output")
     write_json_artifact(out_dir / "timings.json", "timings", {
+        "stage_seconds": {k: b - a for k, a, b in zip(stages, marks, marks[1:])},
         "step_seconds": result.step_timings,
-        "total_seconds": time.perf_counter() - t_total,
+        "total_seconds": time.perf_counter() - marks[0],
     })
 
 

@@ -11,6 +11,10 @@ bilinearly; binary masks nearest-neighbor.  The equirectangular longitude
 seam wraps, latitude clamps at the poles.  Frustum boundary pixels count as
 observed.  See :mod:`cubegen.faces` for the frozen axis convention.
 
+The (6, R, R, 3) pixel-center directions of the cube depend only on R, so
+:func:`face_directions` builds them once per R as one read-only stack that
+projection, resampling and the synthetic scene share.
+
 Cube->equirect resampling depends only on (R, W), so it is a fixed tap
 table, :class:`EquirectTaps`: for every equirect pixel the flat index of its
 top-left bilinear tap in the (6*R*R) flattened faces, its row and column
@@ -24,6 +28,7 @@ Rotations convert between matrices and rotation vectors with plain numpy
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,6 +43,7 @@ __all__ = [
     "direction_to_equirect_pixel",
     "direction_to_face_coords",
     "face_coords_to_direction",
+    "face_directions",
     "face_pixel_directions",
     "project_perspective_to_cubemap",
     "EquirectTaps",
@@ -262,11 +268,21 @@ def face_coords_to_direction(face, x, y) -> np.ndarray:
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
-def face_pixel_directions(face: str, resolution: int) -> np.ndarray:
-    """(R, R, 3) unit directions of pixel centers of one cube face."""
+@lru_cache(maxsize=4)
+def face_directions(resolution: int) -> np.ndarray:
+    """Read-only (6, R, R, 3) unit directions of every cube-face pixel
+    center, faces in canonical order; built once per resolution."""
     c = (np.arange(resolution) + 0.5) / resolution
     y, x = np.meshgrid(c, c, indexing="ij")
-    return face_coords_to_direction(FACES.index(face), x, y)
+    dirs = face_coords_to_direction(np.arange(6)[:, None, None], x, y)
+    dirs.flags.writeable = False
+    return dirs
+
+
+def face_pixel_directions(face: str, resolution: int) -> np.ndarray:
+    """(R, R, 3) unit directions of pixel centers of one cube face: a
+    read-only view of :func:`face_directions`."""
+    return face_directions(resolution)[FACES.index(face)]
 
 
 # ---------------------------------------------------------------------------
@@ -397,33 +413,28 @@ def project_perspective_to_cubemap(frame: PerspectiveFrame, pose: CameraPose,
                                    resolution: int) -> tuple[np.ndarray, np.ndarray]:
     """Project one perspective frame onto a cubemap with observation masks.
 
-    Each cube-face pixel direction is rotated into the camera frame; pixels
-    inside the FoV frustum (boundary inclusive) bilinearly sample the frame
-    and get mask 1, everything else is 0 with mask 0.  Returns the
-    (6, R, R, C) faces and the (6, R, R) uint8 masks.
+    The cached direction stack is rotated into the camera frame by one
+    matmul; only pixels inside the FoV frustum (boundary inclusive) sample
+    the frame bilinearly and get mask 1, everything else is 0 with mask 0.
+    Returns the (6, R, R, C) faces and the (6, R, R) uint8 masks.
     """
     if resolution < 4:
         raise ValueError(f"face resolution must be >= 4, got {resolution}")
     tan_h = np.tan(np.radians(pose.hfov_deg) / 2.0)
     tan_v = np.tan(np.radians(pose.vfov_deg) / 2.0)
-    h, w = frame.height, frame.width
-    faces = np.empty((6, resolution, resolution, frame.channels))
-    masks = np.empty((6, resolution, resolution), dtype=np.uint8)
-    for i, f in enumerate(FACES):
-        d_cam = face_pixel_directions(f, resolution) @ pose.rotation  # R^T d
-        x, y, z = d_cam[..., 0], d_cam[..., 1], d_cam[..., 2]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            px = np.where(z > 0, x / z, np.inf)
-            py = np.where(z > 0, -y / z, np.inf)
+    d_cam = face_directions(resolution) @ pose.rotation  # R^T d, (6, R, R, 3)
+    # (x, -y) / z in place, so the stack is the only full-size temporary
+    np.negative(d_cam[..., 1], out=d_cam[..., 1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d_cam[..., :2] /= d_cam[..., 2:]
+        px, py, z = np.moveaxis(d_cam, -1, 0)
         inside = (z > 0) & (np.abs(px) <= tan_h) & (np.abs(py) <= tan_v)
-        cols = (px / tan_h + 1.0) / 2.0 * w - 0.5
-        rows = (py / tan_v + 1.0) / 2.0 * h - 0.5
-        cols = np.where(inside, cols, 0.0)
-        rows = np.where(inside, rows, 0.0)
-        sampled = _bilinear(frame.pixels, rows, cols)
-        faces[i] = np.where(inside[..., None], sampled, 0.0)
-        masks[i] = inside
-    return faces, masks
+    cols = (px[inside] / tan_h + 1.0) / 2.0 * frame.width - 0.5
+    rows = (py[inside] / tan_v + 1.0) / 2.0 * frame.height - 0.5
+    del d_cam, px, py, z  # freed before the faces are allocated
+    faces = np.zeros((6, resolution, resolution, frame.channels))
+    faces[inside] = _bilinear(frame.pixels, rows, cols)
+    return faces, inside.astype(np.uint8)
 
 
 def cubemap_to_equirect(faces: np.ndarray, width: int) -> EquirectGrid:
@@ -441,12 +452,8 @@ def equirect_to_cubemap(eq: EquirectGrid, resolution: int) -> np.ndarray:
     """Resample an equirectangular grid onto (6, R, R, C) cube faces."""
     if resolution < 1:
         raise ValueError("face resolution must be >= 1")
-    faces = np.empty((6, resolution, resolution, eq.pixels.shape[2]))
-    for i, f in enumerate(FACES):
-        u, v = direction_to_equirect_pixel(face_pixel_directions(f, resolution),
-                                           eq.width)
-        faces[i] = _bilinear(eq.pixels, v, u, wrap_cols=True)
-    return faces
+    u, v = direction_to_equirect_pixel(face_directions(resolution), eq.width)
+    return _bilinear(eq.pixels, v, u, wrap_cols=True)
 
 
 # ---------------------------------------------------------------------------

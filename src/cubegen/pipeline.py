@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .faces import FACE_INDEX
-from .geometry import CubemapVideo, EquirectTaps
+from .geometry import CubemapVideo
 from .planner import FrameCoverage, GenerationPlan, PlanStep, frame_coverage
 from .context import (
     ContextBundle,
@@ -122,7 +122,7 @@ def euler_sample(denoiser, shape: tuple, context, conditioning,
                 f"denoiser returned dtype {v.dtype}, expected floating point")
         if not np.isfinite(v).all():
             raise RuntimeError(f"denoiser returned non-finite values at t={t:g}")
-        z = z + (dt / t) * v
+        z += (dt / t) * v  # z is the sampler's own; v is never written
     return z
 
 
@@ -284,7 +284,6 @@ def simulate_contexts(state: GenerationState) -> list[dict]:
 
 @dataclass
 class GenerationResult:
-    equirect: np.ndarray           # (N, W/2, W, C)
     cubemap: CubemapVideo          # pixels is the (N, 6, R, R, C) canvas itself
     pool_trace: list
     resident_trace: list
@@ -299,13 +298,11 @@ class GenerationResult:
 def generate_all(cond_video: CubemapVideo, plan: GenerationPlan, denoiser,
                  cfg: SamplerConfig, *, layout: CubeLayout | None = None,
                  pad: int = 4, history_capacity: int = 2, frag_length: int = 4,
-                 frag_threshold: float = 0.5, equirect_width: int | None = None,
+                 frag_threshold: float = 0.5,
                  ground_truth: CubemapVideo | None = None) -> GenerationResult:
-    """Run every plan step window-major, then assemble equirect frames
-    through one (R, W) tap table."""
-    res = cond_video.resolution
-    layout = layout or CubeLayout.create(res)
-    width = equirect_width or 4 * res
+    """Run every plan step window-major; the result is the cube canvas,
+    which callers resample to equirect frames one at a time."""
+    layout = layout or CubeLayout.create(cond_video.resolution)
     state = init_state(cond_video, plan, layout=layout, pad=pad,
                        history_capacity=history_capacity, frag_length=frag_length,
                        frag_threshold=frag_threshold, ground_truth=ground_truth)
@@ -314,12 +311,8 @@ def generate_all(cond_video: CubemapVideo, plan: GenerationPlan, denoiser,
 
     out_video = CubemapVideo(pixels=state.working,
                              masks=np.ones_like(cond_video.masks))
-    taps = EquirectTaps.create(res, width)
-    equirect = np.empty((out_video.num_frames, width // 2, width, out_video.channels))
-    for t in range(out_video.num_frames):
-        taps.apply(out_video.pixels[t], out=equirect[t])
     return GenerationResult(
-        equirect=equirect, cubemap=out_video,
+        cubemap=out_video,
         pool_trace=state.pool_trace, resident_trace=state.resident_trace,
         step_log=state.step_log, step_timings=state.step_timings)
 

@@ -8,14 +8,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .faces import FACES
 from .config import RunConfig
 from .geometry import (
     CameraPose,
     CubemapVideo,
     PerspectiveFrame,
     equirect_pixel_to_direction,
-    face_pixel_directions,
+    face_directions,
     project_perspective_to_cubemap,
     rotvec_to_matrix,
     sample_trajectory,
@@ -64,10 +63,10 @@ class SyntheticScene:
     def cubemap_video(self, resolution: int, num_frames: int) -> CubemapVideo:
         """Fully observed (N, 6, R, R, C) video, filled one face at a time."""
         pixels = np.empty((num_frames, 6, resolution, resolution, len(self.coeffs)))
-        for i, f in enumerate(FACES):
-            dirs = face_pixel_directions(f, resolution)
+        dirs = face_directions(resolution)
+        for i in range(6):
             for t in range(num_frames):
-                pixels[t, i] = self.value(dirs, t)
+                pixels[t, i] = self.value(dirs[i], t)
         return CubemapVideo(pixels=pixels, masks=np.ones(pixels.shape[:4], np.uint8))
 
     def perspective_frame(self, pose: CameraPose, height: int, width: int,
@@ -115,10 +114,16 @@ def synth_scene(cfg: RunConfig, seed: int | None = None):
 
 
 def conditional_video(truth_resolution: int, frames, poses) -> CubemapVideo:
-    """Project perspective frames into the masked conditional cubemap video."""
-    faces, masks = zip(*(project_perspective_to_cubemap(frame, pose, truth_resolution)
-                         for frame, pose in zip(frames, poses)))
-    return CubemapVideo(pixels=np.stack(faces), masks=np.stack(masks))
+    """Project perspective frames into the masked conditional cubemap video,
+    filled frame by frame so only one frame's projection is held at a time."""
+    if len(frames) != len(poses):
+        raise ValueError(f"{len(frames)} frames but {len(poses)} poses")
+    r = truth_resolution
+    pixels = np.empty((len(frames), 6, r, r, frames[0].channels))
+    masks = np.empty(pixels.shape[:4], np.uint8)
+    for t, (frame, pose) in enumerate(zip(frames, poses)):
+        pixels[t], masks[t] = project_perspective_to_cubemap(frame, pose, r)
+    return CubemapVideo(pixels=pixels, masks=masks)
 
 
 def render_equirect_video(scene: SyntheticScene, width: int,

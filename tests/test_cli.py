@@ -119,6 +119,9 @@ class TestSubcommands:
         timings = json.loads((out / "timings.json").read_text())
         validate_artifact("timings", timings)
         assert len(timings["step_seconds"]) == 12
+        stages = timings["stage_seconds"]
+        assert set(stages) == {"inputs", "conditional", "sampling", "output"}
+        assert sum(stages.values()) <= timings["total_seconds"]
 
     def test_generate_dry_run_allocates_nothing(self, tmp_path):
         cfg = small_cfg(tmp_path, resolution=960, equirect_width=3840,

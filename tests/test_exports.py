@@ -24,3 +24,10 @@ def test_every_package_import_resolves():
     for module, name in imported:
         mod = importlib.import_module(f"cubegen.{module}")
         assert hasattr(mod, name) and hasattr(cubegen, name), f"{module}.{name}"
+
+
+def test_direction_stack_exported():
+    from cubegen import geometry
+
+    assert {"face_directions", "face_pixel_directions"} <= set(geometry.__all__)
+    assert geometry.face_directions.cache_info().maxsize is not None

@@ -2,10 +2,14 @@
 pixel-center formulas or computed by an independent scalar/brute-force oracle
 in this file."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from cubegen.config import parse_config
 from cubegen.faces import FACES, FACE_AXES, FACE_INDEX
+from cubegen import scene as sc
 from cubegen import geometry as geo
 from cubegen.geometry import (
     CameraPose,
@@ -336,6 +340,101 @@ class TestEquirectTaps:
             taps.apply(np.zeros((6, 8, 8)))
         with pytest.raises(ValueError):
             taps.apply_mask(np.zeros((6, 4, 4), np.uint8))
+
+
+# ── direction stack and frustum-only projection against the per-face code ──
+
+def ref_face_pixel_directions(face, res):
+    """Per-face meshgrid formula that the cached direction stack replaced."""
+    c = (np.arange(res) + 0.5) / res
+    y, x = np.meshgrid(c, c, indexing="ij")
+    return geo.face_coords_to_direction(FACES.index(face), x, y)
+
+
+def ref_project(frame, pose, res):
+    """Full-grid per-face projection: every face pixel samples the frame,
+    then the pixels outside the frustum are zeroed."""
+    tan_h = np.tan(np.radians(pose.hfov_deg) / 2.0)
+    tan_v = np.tan(np.radians(pose.vfov_deg) / 2.0)
+    h, w = frame.height, frame.width
+    faces = np.empty((6, res, res, frame.channels))
+    masks = np.empty((6, res, res), dtype=np.uint8)
+    for i, f in enumerate(FACES):
+        d_cam = ref_face_pixel_directions(f, res) @ pose.rotation
+        x, y, z = d_cam[..., 0], d_cam[..., 1], d_cam[..., 2]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            px = np.where(z > 0, x / z, np.inf)
+            py = np.where(z > 0, -y / z, np.inf)
+        inside = (z > 0) & (np.abs(px) <= tan_h) & (np.abs(py) <= tan_v)
+        cols = np.where(inside, (px / tan_h + 1.0) / 2.0 * w - 0.5, 0.0)
+        rows = np.where(inside, (py / tan_v + 1.0) / 2.0 * h - 0.5, 0.0)
+        sampled = _ref_bilinear(frame.pixels, rows, cols)
+        faces[i] = np.where(inside[..., None], sampled, 0.0)
+        masks[i] = inside
+    return faces, masks
+
+
+def ref_equirect_to_cubemap(eq, res):
+    faces = np.empty((6, res, res, eq.pixels.shape[2]))
+    for i, f in enumerate(FACES):
+        u, v = geo.direction_to_equirect_pixel(ref_face_pixel_directions(f, res),
+                                               eq.width)
+        faces[i] = geo._bilinear(eq.pixels, v, u, wrap_cols=True)
+    return faces
+
+
+def _projection_case(name):
+    """(frames, poses) of one projection case."""
+    if name == "demo":
+        cfg = parse_config(Path(__file__).parents[1] / "configs" / "demo.json")
+        _, frames, poses = sc.synth_scene(cfg)
+        return frames, poses
+    rng = np.random.default_rng(5)
+    channels = 1 if name == "gray" else 3
+    frame = PerspectiveFrame(rng.random((24, 40, channels)))
+    yaw = geo.rotvec_to_matrix([0.0, 0.3, 0.0])
+    pose = {
+        "up": CameraPose(yaw @ geo.rotvec_to_matrix([-np.pi / 2, 0.0, 0.0]), 90, 60),
+        "down": CameraPose(yaw @ geo.rotvec_to_matrix([np.pi / 2, 0.0, 0.0]), 90, 60),
+        "hfov179": CameraPose(yaw, 179.0, 90.0),
+        "gray": CameraPose(yaw, 100.0, 70.0),
+    }[name]
+    return [frame], [pose]
+
+
+class TestDirectionStack:
+    @pytest.mark.parametrize("res", [1, 4, 64, 256])
+    def test_face_views_equal_meshgrid_formula(self, res):
+        for f in FACES:
+            got = geo.face_pixel_directions(f, res)
+            assert got.tobytes() == ref_face_pixel_directions(f, res).tobytes()
+
+    def test_read_only_and_cached(self):
+        dirs = geo.face_directions(8)
+        assert dirs.shape == (6, 8, 8, 3)
+        assert geo.face_directions(8) is dirs
+        with pytest.raises(ValueError):
+            dirs[0, 0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            geo.face_pixel_directions("U", 8)[...] = 0.0
+
+    @pytest.mark.parametrize("res", [4, 64, 256])
+    @pytest.mark.parametrize("case", ["demo", "up", "down", "hfov179", "gray"])
+    def test_projection_equals_full_grid_reference(self, res, case):
+        frames, poses = _projection_case(case)
+        for frame, pose in zip(frames, poses):
+            faces, masks = geo.project_perspective_to_cubemap(frame, pose, res)
+            ref_faces, ref_masks = ref_project(frame, pose, res)
+            assert masks.dtype == np.uint8 and masks.any()
+            assert np.array_equal(masks, ref_masks)
+            assert faces.tobytes() == ref_faces.tobytes()
+
+    @pytest.mark.parametrize("res", [2, 16, 64])
+    def test_equirect_to_cubemap_equals_per_face_loop(self, rng, res):
+        eq = EquirectGrid(rng.random((32, 64, 3)))
+        got = geo.equirect_to_cubemap(eq, res)
+        assert got.shape == (6, res, res, 3)
+        assert np.array_equal(got, ref_equirect_to_cubemap(eq, res))
 
 
 # ── input validation ─────────────────────────────────────────────────────

@@ -11,7 +11,7 @@ from cubegen.faces import FACES, FACE_INDEX
 from cubegen.config import default_config
 from cubegen.context import ContextBundle
 from cubegen.continuity import CubeLayout
-from cubegen.geometry import CubemapVideo
+from cubegen.geometry import CubemapVideo, EquirectTaps
 from cubegen.planner import (
     frame_coverage,
     partition_windows,
@@ -44,6 +44,14 @@ def small_scene(res=32, n=8, t_win=4, seed=7):
     wp = partition_windows(n, t_win)
     plan = plan_order(window_coverage(frame_coverage(cond.masks), wp), wp)
     return cfg, truth, cond, plan
+
+
+def equirect_frames(result, width=None):
+    """(N, W/2, W, C) equirect frames of a result's cube canvas, resampled
+    the way ``generate`` writes them; W defaults to 4R."""
+    res = result.cubemap.resolution
+    taps = EquirectTaps.create(res, width or 4 * res)
+    return np.stack([taps.apply(frame) for frame in result.cubemap.pixels])
 
 
 class TestSamplePath:
@@ -144,6 +152,42 @@ class TestOracleAndSampler:
             euler_sample(bad, (2, 2), None, None, SamplerConfig(steps=1, seed=0))
 
 
+def out_of_place_euler(denoiser, shape, cfg):
+    """The sampler's update written out of place, as a bit-level reference."""
+    z = np.random.default_rng(cfg.seed).standard_normal(shape)
+    ts = np.linspace(1.0, 0.0, cfg.steps + 1)
+    for s in range(cfg.steps):
+        t, dt = ts[s], ts[s] - ts[s + 1]
+        z = z + (dt / t) * np.asarray(denoiser(z, float(t), None, None))
+    return z
+
+
+class TestInPlaceEuler:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_equals_out_of_place_update(self, rng, dtype):
+        target = rng.normal(size=(3, 5, 5, 2))
+
+        def denoiser(z_t, t, ctx, cond):
+            return (np.sin(3.0 * z_t) * t + target - z_t).astype(dtype)
+
+        cfg = SamplerConfig(steps=5, seed=3)
+        got = euler_sample(denoiser, target.shape, None, None, cfg)
+        ref = out_of_place_euler(denoiser, target.shape, cfg)
+        assert got.dtype == ref.dtype == np.float64
+        assert got.tobytes() == ref.tobytes()
+
+    def test_returned_array_left_unchanged(self, rng):
+        # a denoiser handing back one cached array every call
+        cached = rng.normal(size=(2, 4, 4, 1))
+        before = cached.copy()
+        cfg = SamplerConfig(steps=4, seed=1)
+        got = euler_sample(lambda z, t, ctx, cond: cached, cached.shape,
+                           None, None, cfg)
+        assert np.array_equal(cached, before)
+        ref = out_of_place_euler(lambda z, t, ctx, cond: before, cached.shape, cfg)
+        assert got.tobytes() == ref.tobytes()
+
+
 class TestGenerateStep:
     def setup_state(self, res=16, teacher=True):
         cfg, truth, cond, plan = small_scene(res=res, n=8, t_win=4)
@@ -215,7 +259,7 @@ class TestGenerateAll:
                               ground_truth=truth)
         scene_obj = sc.SyntheticScene.random(cfg.channels, cfg.seed)
         expected = sc.render_equirect_video(scene_obj, 4 * res, 8)
-        assert np.abs(result.equirect - expected).max() <= 0.02
+        assert np.abs(equirect_frames(result) - expected).max() <= 0.02
 
     def test_constant_scene_constant_output(self):
         res, n = 16, 4
@@ -227,7 +271,7 @@ class TestGenerateAll:
         result = generate_all(cond, plan, denoiser,
                               SamplerConfig(steps=2, seed=0), pad=2,
                               history_capacity=1)
-        np.testing.assert_allclose(result.equirect, 0.6, atol=1e-9)
+        np.testing.assert_allclose(equirect_frames(result), 0.6, atol=1e-9)
 
     def test_pool_occupancy_and_residency_bounds(self):
         res = 16
@@ -253,15 +297,16 @@ class TestGenerateAll:
                          ground_truth=truth)
         b = generate_all(cond, plan, denoiser, scfg, layout=layout, pad=2,
                          ground_truth=truth)
-        assert np.array_equal(a.equirect, b.equirect)
+        assert np.array_equal(equirect_frames(a), equirect_frames(b))
 
     def test_zero_denoiser_runs_and_differs(self):
         res = 16
         cfg, truth, cond, plan = small_scene(res=res)
         result = generate_all(cond, plan, zero_denoiser,
                               SamplerConfig(steps=2, seed=0), pad=2)
-        assert result.equirect.shape == (8, 2 * res, 4 * res, 3)
-        assert np.isfinite(result.equirect).all()
+        equirect = equirect_frames(result)
+        assert equirect.shape == (8, 2 * res, 4 * res, 3)
+        assert np.isfinite(equirect).all()
         # the returned cubemap is the (N, 6, R, R, C) canvas, fully observed
         assert result.cubemap.pixels.shape == (8, 6, res, res, 3)
         assert result.cubemap.pixels.flags.c_contiguous
@@ -312,7 +357,8 @@ class TestPaddedTargetDenoiser:
         scfg = SamplerConfig(steps=3, seed=4, teacher_forcing=factory == "oracle")
         runs = [generate_all(cond, plan, d, scfg, layout=layout, pad=2,
                              ground_truth=truth) for d in (cached, uncached)]
-        assert runs[0].equirect.tobytes() == runs[1].equirect.tobytes()
+        assert (equirect_frames(runs[0]).tobytes()
+                == equirect_frames(runs[1]).tobytes())
         assert runs[0].cubemap.pixels.tobytes() == runs[1].cubemap.pixels.tobytes()
 
     def test_first_call_allocates_less_than_the_window(self):

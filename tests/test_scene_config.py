@@ -1,6 +1,7 @@
 """Config validation and synthetic-scene determinism/self-consistency."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,3 +134,26 @@ class TestSyntheticScene:
         cond = sc.conditional_video(cfg.resolution, frames, poses)
         total = cond.masks.mean(axis=(0, 2, 3)).sum()
         assert 0.0 < total < 6.0
+
+    def test_conditional_video_holds_one_copy(self):
+        # filled in place frame by frame: the peak is the result plus one
+        # frame's projection, not every frame's projection plus their stack
+        res, n = 64, 8
+        cfg = default_config(resolution=res, num_frames=n, channels=3)
+        _, frames, poses = sc.synth_scene(cfg)
+        # the per-R direction stack is shared fixed work; build it first
+        sc.conditional_video(res, frames[:1], poses[:1])
+        tracemalloc.start()
+        try:
+            video = sc.conditional_video(res, frames, poses)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert video.pixels.shape == (n, 6, res, res, 3)
+        assert peak <= 1.3 * video.pixels.nbytes, (peak, video.pixels.nbytes)
+
+    def test_conditional_video_rejects_pose_count_mismatch(self):
+        cfg = default_config(resolution=16, equirect_width=64, num_frames=8)
+        _, frames, poses = sc.synth_scene(cfg)
+        with pytest.raises(ValueError, match="poses"):
+            sc.conditional_video(16, frames, poses[:-1])
