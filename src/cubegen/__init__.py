@@ -4,7 +4,7 @@ Submodules map one-to-one onto the processing stages:
 
 - :mod:`cubegen.geometry`   projections among perspective / equirect / cubemap
 - :mod:`cubegen.planner`    temporal windows and coverage-guided face order
-- :mod:`cubegen.context`    history pool and [hist; curr; fut] assembly
+- :mod:`cubegen.context`    [hist; curr; fut] assembly as views of the cube video
 - :mod:`cubegen.attention`  banded context mask, dense/sparse paths, FLOPs
 - :mod:`cubegen.continuity` flattened-cross positions, padding and blending index maps
 - :mod:`cubegen.pipeline`   flow-matching loss/sampler and the generation loop
@@ -16,7 +16,6 @@ from .faces import FACES, adjacent_faces
 from .geometry import (
     CameraPose,
     CubemapVideo,
-    EquirectGrid,
     PerspectiveFrame,
     cubemap_to_equirect,
     equirect_to_cubemap,
@@ -36,10 +35,9 @@ from .planner import (
 )
 from .context import (
     ContextBundle,
-    ContextPool,
     FragmentSpec,
     assemble_context,
-    pool_push,
+    history_windows,
     select_future_fragments,
     short_horizon_coverage,
 )

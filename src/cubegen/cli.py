@@ -22,6 +22,7 @@ from .faces import FACES
 from . import scene as scene_mod
 from .artifacts import dump_json, validate_artifact, write_json_artifact
 from .attention import (
+    AttentionInputs,
     BandedMaskSpec,
     TokenLayout,
     attention_flops,
@@ -34,7 +35,7 @@ from .attention import (
 )
 from .config import ConfigError, RunConfig, parse_config
 from .continuity import CubeLayout, seam_metric
-from .geometry import CubemapVideo, EquirectTaps
+from .geometry import CubemapVideo, EquirectTaps, PerspectiveFrame
 from .imgio import (
     read_pfm,
     read_ppm,
@@ -133,7 +134,6 @@ def _load_inputs(cfg: RunConfig):
     if cfg.paths.frames_dir is None or cfg.paths.poses is None:
         raise ConfigError("config fields 'paths.frames_dir' and 'paths.poses' "
                           "must be provided together")
-    from .geometry import PerspectiveFrame
     poses = read_poses(cfg.paths.poses)
     frame_dir = Path(cfg.paths.frames_dir)
     files = sorted(frame_dir.glob("*.pfm")) + sorted(frame_dir.glob("*.ppm"))
@@ -147,10 +147,6 @@ def _load_inputs(cfg: RunConfig):
     frames = [PerspectiveFrame(read_pfm(f) if f.suffix == ".pfm" else read_ppm(f))
               for f in files]
     return None, frames, poses
-
-
-def _conditional(cfg: RunConfig, frames, poses) -> CubemapVideo:
-    return scene_mod.conditional_video(cfg.resolution, frames, poses)
 
 
 def _coverage_tables(cfg: RunConfig, cond: CubemapVideo):
@@ -182,7 +178,7 @@ def _write_image(path_base: Path, pixels: np.ndarray) -> None:
 
 def cmd_project(cfg: RunConfig, out_dir: Path) -> None:
     _, frames, poses = _load_inputs(cfg)
-    cond = _conditional(cfg, frames, poses)
+    cond = scene_mod.conditional_video(cfg.resolution, frames, poses)
     fc, wp, ct = _coverage_tables(cfg, cond)
     for i, f in enumerate(FACES):
         for t in range(cfg.num_frames):
@@ -198,7 +194,7 @@ def cmd_project(cfg: RunConfig, out_dir: Path) -> None:
 
 def cmd_plan(cfg: RunConfig, out_dir: Path) -> None:
     _, frames, poses = _load_inputs(cfg)
-    cond = _conditional(cfg, frames, poses)
+    cond = scene_mod.conditional_video(cfg.resolution, frames, poses)
     fc, wp, ct = _coverage_tables(cfg, cond)
     plan = plan_order(ct, wp)
     write_json_artifact(out_dir / "plan.json", "plan", plan.to_json_dict())
@@ -208,7 +204,7 @@ def cmd_plan(cfg: RunConfig, out_dir: Path) -> None:
 
 def cmd_context(cfg: RunConfig, out_dir: Path) -> None:
     truth, frames, poses = _load_inputs(cfg)
-    cond = _conditional(cfg, frames, poses)
+    cond = scene_mod.conditional_video(cfg.resolution, frames, poses)
     fc, wp, ct = _coverage_tables(cfg, cond)
     plan = plan_order(ct, wp)
     state = init_state(cond, plan, layout=CubeLayout.create(cfg.resolution),
@@ -236,7 +232,6 @@ def cmd_attend_bench(cfg: RunConfig, out_dir: Path, head_dim: int = 32,
         fl_dense = dense_attention_flops(layout, head_dim)
         if trials > 0:
             shape = (1, g + c, head_dim)
-            from .attention import AttentionInputs
             inp = AttentionInputs(
                 queries=rng.normal(size=shape).astype(np.float32),
                 keys=rng.normal(size=shape).astype(np.float32),
@@ -282,7 +277,7 @@ def cmd_generate(cfg: RunConfig, out_dir: Path, dry_run: bool = False) -> None:
     marks = [time.perf_counter()]  # stage boundaries, see ``stages`` below
     truth, frames, poses = _load_inputs(cfg)
     marks.append(time.perf_counter())
-    cond = _conditional(cfg, frames, poses)
+    cond = scene_mod.conditional_video(cfg.resolution, frames, poses)
     fc, wp, ct = _coverage_tables(cfg, cond)
     plan = plan_order(ct, wp)
     marks.append(time.perf_counter())
@@ -365,7 +360,7 @@ def _write_dry_run(cfg: RunConfig, out_dir: Path) -> None:
 
 def cmd_metrics(cfg: RunConfig, out_dir: Path) -> None:
     truth, frames, poses = _load_inputs(cfg)
-    cond = _conditional(cfg, frames, poses)
+    cond = scene_mod.conditional_video(cfg.resolution, frames, poses)
     fc, wp, ct = _coverage_tables(cfg, cond)
     layout = CubeLayout.create(cfg.resolution)
     source = truth if truth is not None else cond

@@ -1,65 +1,44 @@
-"""Bounded history pool and three-part context assembly.
+"""Three-part context assembly over the one cube video.
 
 Each generation step conditions on [history; current-window; future-fragment]
-token sources, in that order.  History holds up to H completed windows
-(oldest evicted first).  Future fragments are the nearest fully-inside spans
-of conditional input, on the current face and its neighbors, whose
-short-horizon coverage clears the threshold.
+token sources, in that order.  History is the last H completed windows,
+oldest dropped first; it is plan arithmetic (:func:`history_windows`), not a
+store.  Future fragments are the nearest fully-inside spans of conditional
+input, on the current face and its neighbors, whose short-horizon coverage
+clears the threshold.
+
+Every source's content is a view ``video[s:e, FACE_INDEX[f]]`` of an
+(N, 6, R, R, C) array, never a copy: history and generated current-window
+faces view the video being composed, the other current-window faces and the
+fragments view the conditional input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .faces import FACES, FACE_INDEX, adjacent_faces
-from .planner import FrameCoverage
+from .planner import FrameCoverage, PlanStep
 
 __all__ = [
-    "ContextPool",
     "FragmentSpec",
     "TokenSource",
     "ContextBundle",
-    "WindowState",
-    "pool_push",
+    "history_windows",
     "short_horizon_coverage",
     "select_future_fragments",
     "assemble_context",
 ]
 
 
-@dataclass(frozen=True)
-class ContextPool:
-    """FIFO store of completed windows: entries are (window index, content).
-
-    ``content`` maps face -> (T_win, R, R, C) video.  Never holds more than
-    ``capacity`` entries; pushes must come in increasing window order.
-    """
-
-    capacity: int
-    entries: tuple = ()
-
-    def __post_init__(self):
-        if self.capacity < 0:
-            raise ValueError("capacity must be >= 0")
-
-    @property
-    def windows(self) -> tuple:
-        return tuple(w for w, _ in self.entries)
-
-
-def pool_push(pool: ContextPool, window: int, content: dict) -> ContextPool:
-    """Append a completed window, evicting the oldest beyond capacity."""
-    if pool.entries and window <= pool.entries[-1][0]:
-        raise ValueError(
-            f"window {window} pushed out of order (last was {pool.entries[-1][0]})")
-    if missing := set(FACES) - set(content):
-        raise ValueError(f"window content missing faces {sorted(missing)}")
-    entries = pool.entries + ((window, dict(content)),)
-    if len(entries) > pool.capacity:
-        entries = entries[len(entries) - pool.capacity:] if pool.capacity else ()
-    return ContextPool(capacity=pool.capacity, entries=entries)
+def history_windows(window: int, capacity: int) -> range:
+    """1-based indices of the completed windows the FIFO history holds while
+    ``window`` is generated: the last ``capacity`` of them."""
+    if capacity < 0:
+        raise ValueError(f"history capacity must be >= 0, got {capacity}")
+    return range(max(1, window - capacity), window)
 
 
 @dataclass(frozen=True)
@@ -113,7 +92,7 @@ class TokenSource:
     face: str
     start: int
     end: int
-    content: np.ndarray  # (end-start, R, R, C)
+    content: np.ndarray  # (end-start, R, R, C) view of a cube video
 
     def provenance(self) -> dict:
         return {"kind": self.kind, "face": self.face, "s": self.start, "e": self.end}
@@ -139,56 +118,46 @@ class ContextBundle:
         return [s.provenance() for s in self.sources]
 
 
-@dataclass
-class WindowState:
-    """Progress through one window: which faces are generated, in order."""
+def assemble_context(source: np.ndarray, cond: np.ndarray, step: PlanStep,
+                     done: tuple, capacity: int,
+                     fragments: list[FragmentSpec]) -> ContextBundle:
+    """Build the [hist; curr; fut] bundle for generating ``step``.
 
-    window: int
-    start: int
-    end: int
-    generated: dict = field(default_factory=dict)  # face -> (T_win, R, R, C)
-    order: list = field(default_factory=list)
+    ``source`` is the (N, 6, R, R, C) video being composed and ``cond`` the
+    conditional one; ``done`` names the faces of the step's window generated
+    before it, in generation order.  hist views ``source`` over the last
+    ``capacity`` windows, all six faces each.  curr holds the done faces from
+    ``source``, then the conditional input of the others (current face
+    included) in canonical order.  fut views ``cond`` over ``fragments``.
 
-    def mark_generated(self, face: str, content: np.ndarray) -> None:
-        if face in self.generated:
-            raise ValueError(f"face {face} already generated in window {self.window}")
-        self.generated[face] = content
-        self.order.append(face)
-
-
-def assemble_context(pool: ContextPool, state: WindowState, face: str,
-                     fragments: list[FragmentSpec], cond: np.ndarray) -> ContextBundle:
-    """Build the [hist; curr; fut] bundle for generating ``face``.
-
-    ``cond`` is the (N, 6, R, R, C) conditional video.  curr holds the
-    window's generated faces in generation order, then conditional inputs for
-    the ungenerated faces (current one included) in canonical order.
+    Every content is a view.  Where ``source`` is the canvas (a run without
+    teacher forcing), a hist or curr-gen view shows the faces as the output
+    does: with the ramp blends that faces generated later in the same window
+    wrote into their border strips.
     """
-    s, e = state.start, state.end
+    s, e = step.start, step.end
+    length = e - s
+    window = s // length + 1
     hist = tuple(
-        TokenSource(kind="hist", face=f,
-                    start=(w - 1) * (e - s), end=w * (e - s),
-                    content=content[f])
-        for w, content in pool.entries for f in FACES)
-
-    curr = [TokenSource(kind="curr-gen", face=f, start=s, end=e,
-                        content=state.generated[f]) for f in state.order]
-    for f in FACES:
-        if f not in state.generated:
-            curr.append(TokenSource(kind="curr-cond", face=f, start=s, end=e,
-                                    content=_cond_slice(cond, f, s, e)))
-
+        TokenSource(kind="hist", face=f, start=(w - 1) * length, end=w * length,
+                    content=_view(source, f, (w - 1) * length, w * length))
+        for w in history_windows(window, capacity) for f in FACES)
+    curr = tuple(TokenSource(kind="curr-gen", face=f, start=s, end=e,
+                             content=_view(source, f, s, e)) for f in done)
+    curr += tuple(TokenSource(kind="curr-cond", face=f, start=s, end=e,
+                              content=_view(cond, f, s, e))
+                  for f in FACES if f not in done)
     fut = tuple(TokenSource(kind="fut", face=fr.face, start=fr.start,
                             end=fr.start + fr.length,
-                            content=_cond_slice(cond, fr.face, fr.start,
-                                                fr.start + fr.length))
+                            content=_view(cond, fr.face, fr.start,
+                                          fr.start + fr.length))
                 for fr in fragments)
-    return ContextBundle(face=face, window=state.window, start=s, end=e,
-                         hist=hist, curr=tuple(curr), fut=fut)
+    return ContextBundle(face=step.face, window=window, start=s, end=e,
+                         hist=hist, curr=curr, fut=fut)
 
 
-def _cond_slice(cond: np.ndarray, face: str, start: int, end: int) -> np.ndarray:
-    if cond.shape[0] < end:
+def _view(video: np.ndarray, face: str, start: int, end: int) -> np.ndarray:
+    if video.shape[0] < end:
         raise RuntimeError(
-            f"conditional content for face {face} frames [{start}, {end}) unavailable")
-    return cond[start:end, FACE_INDEX[face]]
+            f"content for face {face} frames [{start}, {end}) unavailable")
+    return video[start:end, FACE_INDEX[face]]

@@ -37,7 +37,6 @@ from .faces import FACES, FACE_AXES
 __all__ = [
     "CameraPose",
     "PerspectiveFrame",
-    "EquirectGrid",
     "CubemapVideo",
     "equirect_pixel_to_direction",
     "direction_to_equirect_pixel",
@@ -59,6 +58,7 @@ __all__ = [
 
 _UNIT_TOL = 1e-9
 _ORTHO_TOL = 1e-7
+_TAP_BLOCK_PIXELS = 1 << 16  # equirect pixels per block of EquirectTaps.create
 
 
 # ---------------------------------------------------------------------------
@@ -132,30 +132,6 @@ class PerspectiveFrame:
     @property
     def channels(self) -> int:
         return self.pixels.shape[2]
-
-
-@dataclass(frozen=True)
-class EquirectGrid:
-    """Equirectangular image, shape (W/2, W, C); height = width / 2 exactly."""
-
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        px = np.asarray(self.pixels, dtype=np.float64)
-        if px.ndim != 3:
-            raise ValueError(f"pixels must be (H, W, C), got {px.shape}")
-        h, w = px.shape[:2]
-        if w != 2 * h:
-            raise ValueError(f"equirect height must equal width/2, got {h}x{w}")
-        object.__setattr__(self, "pixels", px)
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
 
 
 @dataclass(frozen=True)
@@ -344,20 +320,33 @@ class EquirectTaps:
     def create(cls, resolution: int, width: int) -> "EquirectTaps":
         if width % 4:
             raise ValueError(f"equirect width must be a multiple of 4, got {width}")
-        res = resolution
-        u, v = np.meshgrid(np.arange(width), np.arange(width // 2), indexing="xy")
-        face, x, y = direction_to_face_coords(equirect_pixel_to_direction(u, v, width))
-        rows = y * res - 0.5
-        cols = x * res - 0.5
-        r0, fr = _clamped_taps(rows, res)
-        c0, fc = _clamped_taps(cols, res)
-        base = face * (res * res)
-        near_r = np.clip(np.rint(rows).astype(np.intp), 0, res - 1)
-        near_c = np.clip(np.rint(cols).astype(np.intp), 0, res - 1)
-        return cls(resolution=res, width=width,
-                   index=(base + r0 * res + c0).ravel(),
-                   row_frac=fr.ravel(), col_frac=fc.ravel(),
-                   nearest=(base + near_r * res + near_c).ravel())
+        res, height = resolution, width // 2
+        index = np.empty(height * width, dtype=np.intp)
+        nearest = np.empty_like(index)
+        row_frac = np.empty(height * width)
+        col_frac = np.empty_like(row_frac)
+        # Built in blocks of equirect rows, so the per-pixel directions and
+        # face coordinates never exist for the whole grid at once.
+        block = max(1, _TAP_BLOCK_PIXELS // width)
+        for top in range(0, height, block):
+            u, v = np.meshgrid(np.arange(width),
+                               np.arange(top, min(top + block, height)), indexing="xy")
+            face, x, y = direction_to_face_coords(
+                equirect_pixel_to_direction(u, v, width))
+            rows = y * res - 0.5
+            cols = x * res - 0.5
+            r0, fr = _clamped_taps(rows, res)
+            c0, fc = _clamped_taps(cols, res)
+            base = face * (res * res)
+            near_r = np.clip(np.rint(rows).astype(np.intp), 0, res - 1)
+            near_c = np.clip(np.rint(cols).astype(np.intp), 0, res - 1)
+            out = slice(top * width, top * width + u.size)
+            index[out] = (base + r0 * res + c0).ravel()
+            row_frac[out] = fr.ravel()
+            col_frac[out] = fc.ravel()
+            nearest[out] = (base + near_r * res + near_c).ravel()
+        return cls(resolution=res, width=width, index=index,
+                   row_frac=row_frac, col_frac=col_frac, nearest=nearest)
 
     def _check(self, grids: np.ndarray, ndim: int) -> None:
         res = self.resolution
@@ -437,23 +426,25 @@ def project_perspective_to_cubemap(frame: PerspectiveFrame, pose: CameraPose,
     return faces, inside.astype(np.uint8)
 
 
-def cubemap_to_equirect(faces: np.ndarray, width: int) -> EquirectGrid:
-    """Resample (6, R, R, C) faces onto an equirectangular grid of the given
-    width.
+def cubemap_to_equirect(faces: np.ndarray, width: int) -> np.ndarray:
+    """Resample (6, R, R, C) faces onto a (W/2, W, C) equirectangular grid.
 
     Builds the (R, W) tap table for one frame; callers resampling many
     frames build :class:`EquirectTaps` once and apply it per frame."""
     faces = np.asarray(faces)
-    taps = EquirectTaps.create(faces.shape[1], width)
-    return EquirectGrid(pixels=taps.apply(faces))
+    return EquirectTaps.create(faces.shape[1], width).apply(faces)
 
 
-def equirect_to_cubemap(eq: EquirectGrid, resolution: int) -> np.ndarray:
-    """Resample an equirectangular grid onto (6, R, R, C) cube faces."""
+def equirect_to_cubemap(eq: np.ndarray, resolution: int) -> np.ndarray:
+    """Resample a (W/2, W, C) equirectangular grid onto (6, R, R, C) cube
+    faces."""
+    eq = np.asarray(eq, dtype=np.float64)
+    if eq.ndim != 3 or eq.shape[1] != 2 * eq.shape[0]:
+        raise ValueError(f"equirect grid must be (W/2, W, C), got {eq.shape}")
     if resolution < 1:
         raise ValueError("face resolution must be >= 1")
-    u, v = direction_to_equirect_pixel(face_directions(resolution), eq.width)
-    return _bilinear(eq.pixels, v, u, wrap_cols=True)
+    u, v = direction_to_equirect_pixel(face_directions(resolution), eq.shape[1])
+    return _bilinear(eq, v, u, wrap_cols=True)
 
 
 # ---------------------------------------------------------------------------

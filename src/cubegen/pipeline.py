@@ -17,17 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .faces import FACE_INDEX
+from .faces import FACES
 from .geometry import CubemapVideo
 from .planner import FrameCoverage, GenerationPlan, PlanStep, frame_coverage
-from .context import (
-    ContextBundle,
-    ContextPool,
-    WindowState,
-    assemble_context,
-    pool_push,
-    select_future_fragments,
-)
+from .context import ContextBundle, assemble_context, select_future_fragments
 from .continuity import CubeLayout, blend_overlaps, pad_face
 
 __all__ = [
@@ -132,19 +125,19 @@ def euler_sample(denoiser, shape: tuple, context, conditioning,
 
 @dataclass
 class GenerationState:
-    """Everything a step needs: plan progress, pool, canvas, coverage."""
+    """Everything a step needs: plan progress, canvas, coverage.  Window and
+    history bookkeeping is arithmetic on ``next_index`` over the plan."""
 
     cond: CubemapVideo
     coverage: FrameCoverage
     plan: GenerationPlan
     layout: CubeLayout
     pad: int
+    history_capacity: int
     frag_length: int
     frag_threshold: float
-    pool: ContextPool
     working: np.ndarray                # (N, 6, R, R, C) canvas, canonical face order
     next_index: int = 0
-    window_state: WindowState | None = None
     ground_truth: CubemapVideo | None = None
     pool_trace: list = field(default_factory=list)
     resident_trace: list = field(default_factory=list)
@@ -160,29 +153,48 @@ def init_state(cond: CubemapVideo, plan: GenerationPlan, *, layout: CubeLayout,
                pad: int, history_capacity: int, frag_length: int,
                frag_threshold: float,
                ground_truth: CubemapVideo | None = None) -> GenerationState:
-    if plan.steps and plan.steps[-1].end > cond.num_frames:
-        raise ValueError("plan extends past the conditional video")
+    _check_plan(plan, cond.num_frames)
     return GenerationState(
         cond=cond,
         coverage=frame_coverage(cond.masks),
         plan=plan,
         layout=layout,
         pad=pad,
+        history_capacity=history_capacity,
         frag_length=frag_length,
         frag_threshold=frag_threshold,
-        pool=ContextPool(capacity=history_capacity),
         working=cond.pixels.copy(),
         ground_truth=ground_truth,
     )
 
 
-def build_context(state: GenerationState, step: PlanStep) -> ContextBundle:
-    """Fragments plus [hist; curr; fut] assembly for one plan step."""
+def _check_plan(plan: GenerationPlan, num_frames: int) -> None:
+    """Window-major: blocks of six steps sharing one (start, end) and naming
+    every face once, the blocks tiling [0, num_frames) in order."""
+    steps = plan.steps
+    length = steps[0].end - steps[0].start if steps else 0
+    if length < 1 or len(steps) % 6 or len(steps) // 6 * length != num_frames:
+        raise ValueError(f"plan of {len(steps)} steps does not tile {num_frames} "
+                         f"frames with windows of six faces")
+    for w in range(len(steps) // 6):
+        block = steps[6 * w:6 * w + 6]
+        if ({(st.start, st.end) for st in block} != {(w * length, (w + 1) * length)}
+                or sorted(st.face for st in block) != sorted(FACES)):
+            raise ValueError(f"plan window {w + 1} is not the six faces over frames "
+                             f"[{w * length}, {(w + 1) * length}): {block}")
+
+
+def build_context(state: GenerationState, step: PlanStep,
+                  source: np.ndarray) -> ContextBundle:
+    """Fragments plus [hist; curr; fut] assembly for the next plan step;
+    hist and curr-gen view ``source``, an (N, 6, R, R, C) video."""
     fragments = select_future_fragments(
         state.coverage, step.face, step.end, state.frag_length,
         state.frag_threshold, state.cond.num_frames)
-    return assemble_context(state.pool, state.window_state, step.face,
-                            fragments, state.cond.pixels)
+    first = state.next_index - state.next_index % 6
+    done = tuple(st.face for st in state.plan.steps[first:state.next_index])
+    return assemble_context(source, state.cond.pixels, step, done,
+                            state.history_capacity, fragments)
 
 
 def _step_seed(cfg: SamplerConfig, index: int) -> int:
@@ -200,66 +212,43 @@ def _check_step_order(state: GenerationState, step: PlanStep,
         raise ValueError("teacher forcing requires ground truth content")
 
 
-def _advance_window(state: GenerationState, step: PlanStep) -> None:
-    if state.window_state is None or state.window_state.start != step.start:
-        if state.window_state is not None and len(state.window_state.order) != 6:
-            raise ValueError("previous window is incomplete")
-        window = step.start // (step.end - step.start) + 1
-        state.window_state = WindowState(window=window, start=step.start,
-                                         end=step.end)
-
-
-def _log_step(state: GenerationState, step: PlanStep, bundle) -> None:
-    resident = 6 * len(state.pool.entries) + 6 + len(bundle.fut)
+def _finish_step(state: GenerationState, step: PlanStep,
+                 bundle: ContextBundle) -> None:
+    """Log the step's context and move on to the next plan step."""
+    resident = len(bundle.sources)
     state.resident_trace.append(resident)
     state.step_log.append({
         "face": step.face, "s": step.start, "e": step.end,
-        "window": state.window_state.window,
+        "window": bundle.window,
         "fragments": len(bundle.fut),
         "sources": bundle.provenance(),
         "resident_latents": resident,
     })
-
-
-def _finish_step(state: GenerationState, step: PlanStep,
-                 content: np.ndarray) -> None:
-    """Record the step's face content and roll the window/pool forward."""
-    state.window_state.mark_generated(step.face, content)
-    if len(state.window_state.order) == 6:
-        state.pool = pool_push(state.pool, state.window_state.window,
-                               state.window_state.generated)
-        state.window_state = None
-    state.pool_trace.append(len(state.pool.entries))
     state.next_index += 1
+    state.pool_trace.append(min(state.history_capacity, state.next_index // 6))
 
 
 def generate_step(state: GenerationState, step: PlanStep, denoiser,
                   cfg: SamplerConfig) -> np.ndarray:
     """Run one plan step: assemble context, sample the padded face video,
-    blend it into the canvas, advance window progress.
+    blend it into the canvas.
 
-    Steps must arrive exactly in plan order.  Returns the sampled
+    Steps must arrive exactly in plan order.  The context views the canvas,
+    or the ground truth under teacher forcing.  Returns the sampled
     (T, R+2p, R+2p, C) padded face video of the window; its core is
     ``out[:, p:p+R, p:p+R]``.
     """
     _check_step_order(state, step, cfg)
     t_begin = time.perf_counter()
-    _advance_window(state, step)
-    bundle = build_context(state, step)
+    source = state.ground_truth.pixels if cfg.teacher_forcing else state.working
+    bundle = build_context(state, step, source)
     r, p = state.resolution, state.pad
     shape = (step.end - step.start, r + 2 * p, r + 2 * p, state.cond.channels)
     step_cfg = SamplerConfig(steps=cfg.steps, seed=_step_seed(cfg, state.next_index),
                              teacher_forcing=cfg.teacher_forcing)
     z = euler_sample(denoiser, shape, bundle, ConditioningTag(), step_cfg)
     blend_overlaps(z, state.working[step.start:step.end], step.face, p, state.layout)
-
-    if cfg.teacher_forcing:
-        content = state.ground_truth.pixels[step.start:step.end,
-                                            FACE_INDEX[step.face]].copy()
-    else:
-        content = z[:, p:p + r, p:p + r].copy()
-    _log_step(state, step, bundle)
-    _finish_step(state, step, content)
+    _finish_step(state, step, bundle)
     state.step_timings.append(time.perf_counter() - t_begin)
     return z
 
@@ -267,18 +256,14 @@ def generate_step(state: GenerationState, step: PlanStep, denoiser,
 def simulate_contexts(state: GenerationState) -> list[dict]:
     """Walk the whole plan without sampling, recording per-step provenance.
 
-    Window content comes from ground truth when present (mirroring teacher
-    forcing), otherwise from the conditional input; the bookkeeping is the
-    same as the real loop's, so provenance matches a generation run.
+    The context views ground truth when present (mirroring teacher forcing),
+    otherwise the conditional input; the bookkeeping is the real loop's, so
+    provenance matches a generation run.
     """
-    source = state.ground_truth or state.cond
+    source = (state.ground_truth or state.cond).pixels
     for step in state.plan.steps:
         _check_step_order(state, step, None)
-        _advance_window(state, step)
-        bundle = build_context(state, step)
-        _log_step(state, step, bundle)
-        _finish_step(state, step,
-                     source.pixels[step.start:step.end, FACE_INDEX[step.face]].copy())
+        _finish_step(state, step, build_context(state, step, source))
     return state.step_log
 
 

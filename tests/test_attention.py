@@ -300,10 +300,10 @@ class TestLayoutHelpers:
             tokens_per_frame(60, 8)
 
     def test_layout_from_bundle(self):
-        from cubegen.context import ContextPool, WindowState, assemble_context
+        from cubegen.context import assemble_context
+        from cubegen.planner import PlanStep
         cond = np.zeros((8, 6, 16, 16, 1))
-        state = WindowState(window=1, start=0, end=4)
-        bundle = assemble_context(ContextPool(capacity=0), state, "F", [], cond)
+        bundle = assemble_context(cond, cond, PlanStep("F", 0, 4), (), 0, [])
         layout = layout_from_bundle(bundle, generation_frames=4, resolution=16,
                                     patch_size=8)
         assert layout.num_generation == 4 * 4

@@ -1,4 +1,4 @@
-"""Context pool, fragment selection, and bundle assembly tests.  Fragment
+"""History windows, fragment selection, and bundle assembly tests.  Fragment
 starts are verified against exhaustive linear scans."""
 
 import numpy as np
@@ -6,19 +6,13 @@ import pytest
 
 from cubegen.faces import FACES, FACE_INDEX, adjacent_faces
 from cubegen.context import (
-    ContextPool,
     FragmentSpec,
-    WindowState,
     assemble_context,
-    pool_push,
+    history_windows,
     select_future_fragments,
     short_horizon_coverage,
 )
-from cubegen.planner import FrameCoverage
-
-
-def face_content(value, t=4, res=4, c=1):
-    return {f: np.full((t, res, res, c), value) for f in FACES}
+from cubegen.planner import FrameCoverage, PlanStep
 
 
 def coverage_from_rows(rows):
@@ -31,43 +25,31 @@ def coverage_from_rows(rows):
 
 
 class TestContextPool:
+    """The FIFO history pool is plan arithmetic: ``history_windows``."""
+
     def test_fifo_eviction(self):
-        pool = ContextPool(capacity=2)
-        for w in (1, 2, 3):
-            pool = pool_push(pool, w, face_content(w))
-        assert pool.windows == (2, 3)
+        # windows 1, 2, 3 completed, capacity 2: window 1 was evicted
+        assert tuple(history_windows(4, 2)) == (2, 3)
 
     def test_zero_capacity(self):
-        pool = ContextPool(capacity=0)
-        pool = pool_push(pool, 1, face_content(1.0))
-        assert pool.windows == ()
+        assert tuple(history_windows(2, 0)) == ()
 
     def test_capacity_three(self):
-        pool = ContextPool(capacity=3)
-        for w in range(1, 6):
-            pool = pool_push(pool, w, face_content(w))
-        assert pool.windows == (3, 4, 5)
-
-    def test_out_of_order_rejected(self):
-        pool = pool_push(ContextPool(capacity=2), 2, face_content(0.0))
-        with pytest.raises(ValueError):
-            pool_push(pool, 2, face_content(0.0))
-        with pytest.raises(ValueError):
-            pool_push(pool, 1, face_content(0.0))
+        assert tuple(history_windows(6, 3)) == (3, 4, 5)
+        assert tuple(history_windows(1, 3)) == ()
 
     def test_bound_holds_under_random_pushes(self, rng):
-        pool = ContextPool(capacity=2)
-        w = 0
-        for _ in range(20):
-            w += int(rng.integers(1, 3))
-            pool = pool_push(pool, w, face_content(0.0))
-            assert len(pool.entries) <= 2
+        for _ in range(50):
+            window, capacity = int(rng.integers(1, 30)), int(rng.integers(0, 5))
+            held = tuple(history_windows(window, capacity))
+            assert len(held) <= capacity
+            # the newest completed windows, oldest first, none in the future
+            assert held == tuple(range(window - len(held), window))
+            assert len(held) == min(capacity, window - 1)
 
-    def test_missing_face_rejected(self):
-        content = face_content(0.0)
-        del content["D"]
+    def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
-            pool_push(ContextPool(capacity=1), 1, content)
+            history_windows(3, -1)
 
 
 class TestShortHorizonCoverage:
@@ -161,32 +143,37 @@ class TestAssembleContext:
         return np.broadcast_to(0.1 * np.arange(6)[:, None, None, None],
                                (n, 6, res, res, c)).copy()
 
+    def source(self, n=8, res=4, c=1):
+        """(n, 6, res, res, c) video being composed; frame t holds t."""
+        return np.broadcast_to(np.arange(n, dtype=np.float64)[:, None, None, None, None],
+                               (n, 6, res, res, c)).copy()
+
     def test_first_step_boundary_case(self):
-        state = WindowState(window=1, start=0, end=4)
-        bundle = assemble_context(ContextPool(capacity=2), state, "F", [], self.cond())
+        bundle = assemble_context(self.source(), self.cond(), PlanStep("F", 0, 4),
+                                  (), 2, [])
         assert bundle.hist == ()
         assert [s.kind for s in bundle.curr] == ["curr-cond"] * 6
         assert [s.face for s in bundle.curr] == list(FACES)
         assert bundle.fut == ()
+        assert bundle.window == 1
 
     def test_history_respects_capacity(self):
-        cond = self.cond()
-        pool = ContextPool(capacity=1)
-        pool = pool_push(pool, 1, face_content(1.0))
-        pool = pool_push(pool, 2, face_content(2.0))
-        state = WindowState(window=3, start=8, end=12)
-        bundle = assemble_context(pool, state, "F", [], self.cond(n=12))
+        source = self.source(n=12)
+        bundle = assemble_context(source, self.cond(n=12), PlanStep("F", 8, 12),
+                                  (), 1, [])
         hist_windows = {(s.start, s.end) for s in bundle.hist}
         assert hist_windows == {(4, 8)}
         assert len(bundle.hist) == 6
+        assert bundle.window == 3
+        for src in bundle.hist:
+            assert np.shares_memory(src.content, source)
+            np.testing.assert_array_equal(src.content,
+                                          source[4:8, FACE_INDEX[src.face]])
 
     def test_mid_window_structure(self):
-        cond = self.cond()
-        state = WindowState(window=1, start=0, end=4)
-        state.mark_generated("R", np.zeros((4, 4, 4, 1)))
-        state.mark_generated("F", np.ones((4, 4, 4, 1)))
         frags = [FragmentSpec("F", 4, 4), FragmentSpec("U", 5, 3)]
-        bundle = assemble_context(ContextPool(capacity=2), state, "B", frags, cond)
+        bundle = assemble_context(self.source(), self.cond(), PlanStep("B", 0, 4),
+                                  ("R", "F"), 2, frags)
         expect = [
             {"kind": "curr-gen", "face": "R", "s": 0, "e": 4},
             {"kind": "curr-gen", "face": "F", "s": 0, "e": 4},
@@ -200,33 +187,31 @@ class TestAssembleContext:
         assert bundle.provenance() == expect
 
     def test_curr_always_six_sources(self):
-        state = WindowState(window=1, start=0, end=4)
-        cond = self.cond()
+        done = ()
         for face in ("F", "R", "B"):
-            bundle = assemble_context(ContextPool(capacity=0), state, face, [], cond)
+            bundle = assemble_context(self.source(), self.cond(),
+                                      PlanStep(face, 0, 4), done, 0, [])
             assert len(bundle.curr) == 6
-            state.mark_generated(face, np.zeros((4, 4, 4, 1)))
+            done += (face,)
 
     def test_fut_content_slices_cond(self):
-        cond = self.cond()
-        state = WindowState(window=1, start=0, end=4)
-        bundle = assemble_context(ContextPool(capacity=0), state, "F",
-                                  [FragmentSpec("R", 5, 2)], cond)
+        cond, source = self.cond(), self.source()
+        bundle = assemble_context(source, cond, PlanStep("F", 0, 4), ("U",), 0,
+                                  [FragmentSpec("R", 5, 2)])
         np.testing.assert_array_equal(bundle.fut[0].content,
                                       cond[5:7, FACE_INDEX["R"]])
         for src in bundle.curr:
-            np.testing.assert_array_equal(src.content, cond[0:4, FACE_INDEX[src.face]])
+            video = source if src.kind == "curr-gen" else cond
+            np.testing.assert_array_equal(src.content,
+                                          video[0:4, FACE_INDEX[src.face]])
 
     def test_missing_cond_range_is_internal_error(self):
-        state = WindowState(window=1, start=0, end=4)
         with pytest.raises(RuntimeError):
-            assemble_context(ContextPool(capacity=0), state, "F",
-                             [FragmentSpec("R", 6, 4)], self.cond(n=8))
+            assemble_context(self.source(), self.cond(n=8), PlanStep("F", 0, 4),
+                             (), 0, [FragmentSpec("R", 6, 4)])
 
     def test_deterministic(self):
-        cond = self.cond()
-        state = WindowState(window=1, start=0, end=4)
-        state.mark_generated("F", np.zeros((4, 4, 4, 1)))
-        a = assemble_context(ContextPool(capacity=0), state, "R", [], cond)
-        b = assemble_context(ContextPool(capacity=0), state, "R", [], cond)
+        cond, source = self.cond(), self.source()
+        a = assemble_context(source, cond, PlanStep("R", 0, 4), ("F",), 0, [])
+        b = assemble_context(source, cond, PlanStep("R", 0, 4), ("F",), 0, [])
         assert a.provenance() == b.provenance()

@@ -2,6 +2,7 @@
 pixel-center formulas or computed by an independent scalar/brute-force oracle
 in this file."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,6 @@ from cubegen import geometry as geo
 from cubegen.geometry import (
     CameraPose,
     CubemapVideo,
-    EquirectGrid,
     PerspectiveFrame,
 )
 
@@ -180,16 +180,37 @@ class TestProjectPerspective:
         with pytest.raises(ValueError):
             geo.project_perspective_to_cubemap(frame, CameraPose(np.eye(3), 90, 90), 2)
 
+    def test_pixel_centre_on_the_side_plane_is_observed(self):
+        # R=8, identity pose: face F's pixel centres sit at |x/z| in
+        # {1/8, 3/8, 5/8, 7/8} up to rounding.  Pick an hfov whose
+        # tan(hfov/2) equals one centre's |x/z| exactly, so the centre lies
+        # on the frustum's side plane; the boundary counts as observed.
+        res, f, row = 8, FACE_INDEX["F"], 3
+        d = geo.face_directions(res)[f, row]
+        for col in range(1, res // 2):  # left half, an outer neighbour exists
+            edge = abs(d[col, 0] / d[col, 2])
+            hfov = float(np.degrees(2.0 * np.arctan(edge)))
+            if np.tan(np.radians(hfov) / 2.0) == edge:
+                break
+        else:
+            pytest.fail("no pixel centre of the row lies exactly on a frustum edge")
+        frame = PerspectiveFrame(np.full((4, 4, 1), 0.5))
+        _, masks = geo.project_perspective_to_cubemap(
+            frame, CameraPose(np.eye(3), hfov, 170.0), res)
+        assert masks[f, row, col] == 1
+        assert masks[f, row, col - 1] == 0  # one pixel further out
+
 
 # ── cubemap <-> equirect ─────────────────────────────────────────────────
 
 class TestCubemapEquirect:
     def test_constant_cubemap_constant_equirect(self):
         eq = geo.cubemap_to_equirect(np.full((6, 8, 8, 2), 0.7), 64)
-        np.testing.assert_allclose(eq.pixels, 0.7, atol=1e-12)
+        assert eq.shape == (32, 64, 2)
+        np.testing.assert_allclose(eq, 0.7, atol=1e-12)
 
     def test_constant_equirect_constant_cubemap(self):
-        eq = EquirectGrid(np.full((32, 64, 1), 0.3))
+        eq = np.full((32, 64, 1), 0.3)
         faces = geo.equirect_to_cubemap(eq, 16)
         assert faces.shape == (6, 16, 16, 1)
         np.testing.assert_allclose(faces, 0.3, atol=1e-12)
@@ -204,9 +225,9 @@ class TestCubemapEquirect:
     def test_band_limited_round_trip_equirect_start(self):
         res, w = 64, 256
         u, v = np.meshgrid(np.arange(w), np.arange(w // 2), indexing="xy")
-        eq = EquirectGrid(smooth_field(geo.equirect_pixel_to_direction(u, v, w)))
+        eq = smooth_field(geo.equirect_pixel_to_direction(u, v, w))
         back = geo.cubemap_to_equirect(geo.equirect_to_cubemap(eq, res), w)
-        assert np.abs(back.pixels - eq.pixels).max() <= 0.02
+        assert np.abs(back - eq).max() <= 0.02
 
     def test_single_face_solid_angle_fraction(self):
         # area-weighted equirect mean of the F indicator ~= 1/6 of the sphere;
@@ -216,7 +237,7 @@ class TestCubemapEquirect:
         faces[FACE_INDEX["F"]] = 1.0
         eq = geo.cubemap_to_equirect(faces, w)
         area = geo.equirect_pixel_solid_angles(w)
-        measured = (eq.pixels[..., 0] * area).sum() / area.sum()
+        measured = (eq[..., 0] * area).sum() / area.sum()
 
         u, v = np.meshgrid(np.arange(w), np.arange(w // 2), indexing="xy")
         face_idx, _, _ = geo.direction_to_face_coords(
@@ -226,13 +247,18 @@ class TestCubemapEquirect:
         assert abs(oracle - 1.0 / 6.0) <= 0.002
 
     def test_minimum_sizes(self):
-        eq = EquirectGrid(np.full((4, 8, 1), 0.5))
+        eq = np.full((4, 8, 1), 0.5)
         faces = geo.equirect_to_cubemap(eq, 2)
         assert faces.shape == (6, 2, 2, 1)
 
     def test_width_not_multiple_of_four_rejected(self):
         with pytest.raises(ValueError):
             geo.cubemap_to_equirect(np.zeros((6, 4, 4, 1)), 30)
+
+    @pytest.mark.parametrize("shape", [(32, 32, 1), (32, 64)])
+    def test_equirect_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="equirect grid"):
+            geo.equirect_to_cubemap(np.zeros(shape), 8)
 
     def test_total_equirect_solid_angle(self):
         total = geo.equirect_pixel_solid_angles(512).sum()
@@ -318,10 +344,23 @@ class TestEquirectTaps:
         masks = (rng.random((6, res, res)) < 0.5).astype(np.uint8)
         taps = geo.EquirectTaps.create(res, width)
         assert np.array_equal(taps.apply(faces), ref_cubemap_to_equirect(faces, width))
-        assert np.array_equal(geo.cubemap_to_equirect(faces, width).pixels,
+        assert np.array_equal(geo.cubemap_to_equirect(faces, width),
                               ref_cubemap_to_equirect(faces, width))
         assert np.array_equal(taps.apply_mask(masks),
                               ref_mask_to_equirect(masks, width))
+
+    def test_build_peak_bounded_by_table(self):
+        # built in blocks of rows: the whole-grid directions and face
+        # coordinates never exist at once
+        tracemalloc.start()
+        try:
+            taps = geo.EquirectTaps.create(256, 1024)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        table = sum(a.nbytes for a in (taps.index, taps.row_frac,
+                                       taps.col_frac, taps.nearest))
+        assert peak <= 2.5 * table, (peak / table, peak, table)
 
     def test_one_table_serves_many_frames(self, rng):
         res, width = 8, 32
@@ -375,11 +414,11 @@ def ref_project(frame, pose, res):
 
 
 def ref_equirect_to_cubemap(eq, res):
-    faces = np.empty((6, res, res, eq.pixels.shape[2]))
+    faces = np.empty((6, res, res, eq.shape[2]))
     for i, f in enumerate(FACES):
         u, v = geo.direction_to_equirect_pixel(ref_face_pixel_directions(f, res),
-                                               eq.width)
-        faces[i] = geo._bilinear(eq.pixels, v, u, wrap_cols=True)
+                                               eq.shape[1])
+        faces[i] = geo._bilinear(eq, v, u, wrap_cols=True)
     return faces
 
 
@@ -431,7 +470,7 @@ class TestDirectionStack:
 
     @pytest.mark.parametrize("res", [2, 16, 64])
     def test_equirect_to_cubemap_equals_per_face_loop(self, rng, res):
-        eq = EquirectGrid(rng.random((32, 64, 3)))
+        eq = rng.random((32, 64, 3))
         got = geo.equirect_to_cubemap(eq, res)
         assert got.shape == (6, res, res, 3)
         assert np.array_equal(got, ref_equirect_to_cubemap(eq, res))

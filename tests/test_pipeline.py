@@ -3,16 +3,19 @@ sampler configuration land exactly on the clean latent, which calibrates the
 integrator; end-to-end runs are checked against the analytic scene."""
 
 import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cubegen.faces import FACES, FACE_INDEX
-from cubegen.config import default_config
+from cubegen.config import default_config, parse_config
 from cubegen.context import ContextBundle
 from cubegen.continuity import CubeLayout
 from cubegen.geometry import CubemapVideo, EquirectTaps
 from cubegen.planner import (
+    GenerationPlan,
     frame_coverage,
     partition_windows,
     plan_order,
@@ -211,9 +214,7 @@ class TestGenerateStep:
     def test_first_step_context_boundary(self):
         cfg, truth, cond, plan, state, denoiser = self.setup_state()
         from cubegen.pipeline import build_context
-        from cubegen.context import WindowState
-        state.window_state = WindowState(window=1, start=0, end=4)
-        bundle = build_context(state, plan.steps[0])
+        bundle = build_context(state, plan.steps[0], state.working)
         assert bundle.hist == ()
         assert [s.kind for s in bundle.curr] == ["curr-cond"] * 6
 
@@ -245,6 +246,71 @@ class TestGenerateStep:
             for src in entry["sources"]:
                 if src["kind"] != "fut":
                     assert src["e"] <= entry["e"]
+
+
+class TestInitState:
+    """The plan is checked once, up front: window-major blocks of six steps
+    sharing one (start, end), every face once, tiling [0, N) in order."""
+
+    def reject(self, edit):
+        """``edit`` maps the planner's steps to the plan to be rejected."""
+        cfg, truth, cond, plan = small_scene(res=8, n=8, t_win=4)
+        with pytest.raises(ValueError, match="plan"):
+            init_state(cond, GenerationPlan(steps=tuple(edit(plan.steps))),
+                       layout=CubeLayout.create(8), pad=2, history_capacity=2,
+                       frag_length=4, frag_threshold=0.5)
+
+    def test_repeated_face_in_window_rejected(self):
+        self.reject(lambda s: (s[0], replace(s[1], face=s[0].face)) + s[2:])
+
+    def test_five_step_window_rejected(self):
+        self.reject(lambda s: s[:5] + s[6:])
+
+    def test_windows_out_of_order_rejected(self):
+        self.reject(lambda s: s[6:] + s[:6])
+
+    def test_plan_not_covering_video_rejected(self):
+        self.reject(lambda s: s[:6])
+        self.reject(lambda s: ())
+
+
+class TestContextViews:
+    """Every source's content is a view of one (N, 6, R, R, C) video: the
+    canvas, or the ground truth under teacher forcing, for hist and curr-gen;
+    the conditional for curr-cond and fut."""
+
+    @pytest.mark.parametrize("teacher", [False, True])
+    def test_sources_view_the_videos(self, teacher):
+        res = 16
+        cfg, truth, cond, plan = small_scene(res=res, n=8, t_win=4)
+        layout = CubeLayout.create(res)
+        inner = padded_target_denoiser(truth, 2, layout)
+        bundles = []
+
+        def recording(z_t, t, context, conditioning=None):
+            if not bundles or bundles[-1] is not context:
+                bundles.append(context)
+            return inner(z_t, t, context, conditioning)
+
+        # face F is about 38% covered, so its steps in window 1 take a fragment
+        state = init_state(cond, plan, layout=layout, pad=2, history_capacity=2,
+                           frag_length=4, frag_threshold=0.3, ground_truth=truth)
+        scfg = SamplerConfig(steps=2, seed=0, teacher_forcing=teacher)
+        for step in plan.steps:
+            generate_step(state, step, recording, scfg)
+        assert len(bundles) == len(plan.steps)
+        composed = truth.pixels if teacher else state.working
+        other = state.working if teacher else truth.pixels
+        kinds = set()
+        for bundle in bundles:
+            for src in bundle.sources:
+                kinds.add(src.kind)
+                video = composed if src.kind in ("hist", "curr-gen") else cond.pixels
+                assert np.shares_memory(src.content, video), src.provenance()
+                assert not np.shares_memory(src.content, other)
+                assert np.array_equal(src.content,
+                                      video[src.start:src.end, FACE_INDEX[src.face]])
+        assert kinds == {"hist", "curr-gen", "curr-cond", "fut"}
 
 
 class TestGenerateAll:
@@ -311,6 +377,30 @@ class TestGenerateAll:
         assert result.cubemap.pixels.shape == (8, 6, res, res, 3)
         assert result.cubemap.pixels.flags.c_contiguous
         assert result.cubemap.masks.dtype == np.uint8 and result.cubemap.masks.all()
+
+    @pytest.mark.parametrize("teacher", [True, False])
+    def test_peak_above_start_bounded_by_canvas(self, teacher):
+        # the loop holds the canvas and per-step buffers only: the context
+        # is views, so no window of generated faces is copied
+        cfg = parse_config(Path(__file__).parents[1] / "configs" / "demo.json")
+        truth, frames, poses = sc.synth_scene(cfg)
+        cond = sc.conditional_video(cfg.resolution, frames, poses)
+        wp = partition_windows(cfg.num_frames, cfg.window_length)
+        plan = plan_order(window_coverage(frame_coverage(cond.masks), wp), wp)
+        layout = CubeLayout.create(cfg.resolution)
+        denoiser = padded_target_denoiser(truth, cfg.pad, layout)
+        scfg = SamplerConfig(steps=cfg.sampler_steps, seed=cfg.seed,
+                             teacher_forcing=teacher)
+        tracemalloc.start()
+        try:
+            generate_all(cond, plan, denoiser, scfg, layout=layout, pad=cfg.pad,
+                         history_capacity=cfg.history, frag_length=cfg.frag_length,
+                         frag_threshold=cfg.frag_threshold, ground_truth=truth)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        canvas = cond.pixels.nbytes
+        assert peak <= 1.6 * canvas, (peak / canvas, peak, canvas)
 
 
 class TestPaddedTargetDenoiser:
