@@ -6,13 +6,25 @@ Subcommands: project, plan, context, attend-bench, generate, metrics.
 All artifacts are deterministic under a fixed config and seed, except the
 declared wall-clock outputs: timings.json and the wall_ms columns of
 bench.csv (pass --trials 0 to zero those columns).
+
+generate runs one side thread next to the sampling loop.  It fills the
+synthetic truth while the main thread projects and plans, builds the
+cube->equirect tap table during the first window, and resamples and writes
+each window's frames (handed over by ``generate_all``'s ``on_window``)
+while the next window is sampled.  Every artifact is written into a
+``.staging-*`` directory inside ``--out`` and moved into place only after the
+last one is written, so a failed run, on either thread, leaves none behind.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import shutil
 import sys
+import tempfile
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -35,7 +47,7 @@ from .attention import (
 )
 from .config import ConfigError, RunConfig, parse_config
 from .continuity import CubeLayout, seam_metric
-from .geometry import CubemapVideo, EquirectTaps, PerspectiveFrame
+from .geometry import CubemapVideo, EquirectTaps, PerspectiveFrame, face_directions
 from .imgio import (
     read_pfm,
     read_ppm,
@@ -126,11 +138,10 @@ def run_subcommand(name: str, cfg: RunConfig, out_dir: Path, args=None) -> None:
 # ---------------------------------------------------------------------------
 
 def _load_inputs(cfg: RunConfig):
-    """(ground truth | None, perspective frames, poses).  Without input paths
+    """(scene field | None, perspective frames, poses).  Without input paths
     the deterministic synthetic scene supplies everything."""
     if cfg.paths.frames_dir is None and cfg.paths.poses is None:
-        truth, frames, poses = scene_mod.synth_scene(cfg)
-        return truth, frames, poses
+        return scene_mod.synth_inputs(cfg)
     if cfg.paths.frames_dir is None or cfg.paths.poses is None:
         raise ConfigError("config fields 'paths.frames_dir' and 'paths.poses' "
                           "must be provided together")
@@ -147,6 +158,12 @@ def _load_inputs(cfg: RunConfig):
     frames = [PerspectiveFrame(read_pfm(f) if f.suffix == ".pfm" else read_ppm(f))
               for f in files]
     return None, frames, poses
+
+
+def _truth(cfg: RunConfig, field) -> CubemapVideo | None:
+    """The synthetic scene's ground-truth cubemap video, None for file input."""
+    return None if field is None else field.cubemap_video(cfg.resolution,
+                                                          cfg.num_frames)
 
 
 def _coverage_tables(cfg: RunConfig, cond: CubemapVideo):
@@ -203,7 +220,8 @@ def cmd_plan(cfg: RunConfig, out_dir: Path) -> None:
 
 
 def cmd_context(cfg: RunConfig, out_dir: Path) -> None:
-    truth, frames, poses = _load_inputs(cfg)
+    field, frames, poses = _load_inputs(cfg)
+    truth = _truth(cfg, field)
     cond = scene_mod.conditional_video(cfg.resolution, frames, poses)
     fc, wp, ct = _coverage_tables(cfg, cond)
     plan = plan_order(ct, wp)
@@ -271,54 +289,110 @@ def _make_denoiser(cfg: RunConfig, truth, cond, layout):
 
 
 def cmd_generate(cfg: RunConfig, out_dir: Path, dry_run: bool = False) -> None:
-    if dry_run:
-        _write_dry_run(cfg, out_dir)
-        return
-    marks = [time.perf_counter()]  # stage boundaries, see ``stages`` below
-    truth, frames, poses = _load_inputs(cfg)
-    marks.append(time.perf_counter())
-    cond = scene_mod.conditional_video(cfg.resolution, frames, poses)
-    fc, wp, ct = _coverage_tables(cfg, cond)
-    plan = plan_order(ct, wp)
-    marks.append(time.perf_counter())
-    layout = CubeLayout.create(cfg.resolution)
-    if cfg.mode.teacher_forcing and truth is None:
-        raise ConfigError("mode.teacher_forcing requires the synthetic scene")
-    denoiser = _make_denoiser(cfg, truth, cond, layout)
-    result = generate_all(
-        cond, plan, denoiser,
-        SamplerConfig(steps=cfg.sampler_steps, seed=cfg.seed,
-                      teacher_forcing=cfg.mode.teacher_forcing),
-        layout=layout, pad=cfg.pad, history_capacity=cfg.history,
-        frag_length=cfg.frag_length, frag_threshold=cfg.frag_threshold,
-        ground_truth=truth)
-    marks.append(time.perf_counter())
+    with _staged(out_dir) as stage:
+        if dry_run:
+            _write_dry_run(cfg, stage)
+        else:
+            _generate(cfg, stage)
 
-    # One tap table and one frame buffer: each equirect frame is resampled
-    # and written before the next, so the (N, W/2, W, C) video never exists.
-    taps = EquirectTaps.create(cfg.resolution, cfg.equirect_width)
-    frame = None
-    for t in range(cfg.num_frames):
-        frame = taps.apply(result.cubemap.pixels[t], out=frame)
-        write_pfm(out_dir / f"frame_{t:03d}.pfm", frame)
-        _write_image(out_dir / f"frame_{t:03d}", np.clip(frame, 0, 1))
-    report = {
-        "config": cfg.to_json_dict(),
-        "plan": plan.to_json_dict()["steps"],
-        "pool_trace": result.pool_trace,
-        "resident_trace": result.resident_trace,
-        "peak_resident": result.peak_resident,
-        "seam_per_frame": _seam_per_frame(result.cubemap, layout),
-        "steps": result.step_log,
-    }
-    write_json_artifact(out_dir / "run_report.json", "run_report", report)
-    marks.append(time.perf_counter())
+
+@contextmanager
+def _staged(out_dir: Path):
+    """A fresh staging directory inside ``out_dir``.  On a clean exit every
+    file written there moves into ``out_dir``; the directory is removed
+    either way, so a failed run leaves no artifact behind."""
+    stage = Path(tempfile.mkdtemp(dir=out_dir, prefix=".staging-"))
+    try:
+        yield stage
+        for path in sorted(stage.iterdir()):
+            os.replace(path, out_dir / path.name)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+
+
+def _generate(cfg: RunConfig, out_dir: Path) -> None:
+    """Sample the video and write its artifacts into ``out_dir``, with the
+    truth, the tap table and the frames on one side thread (see above)."""
+    # Imported here, not at module level: only this function starts a thread,
+    # and the import adds about 8 ms to every subcommand's start-up.
+    from concurrent.futures import ThreadPoolExecutor
+
+    marks = [time.perf_counter()]  # stage boundaries, see ``stages`` below
+    side = ThreadPoolExecutor(max_workers=1)
+    try:
+        field, frames, poses = _load_inputs(cfg)
+        marks.append(time.perf_counter())
+        if cfg.mode.teacher_forcing and field is None:
+            raise ConfigError("mode.teacher_forcing requires the synthetic scene")
+        # Both threads read the cached direction stack: build it once, here.
+        face_directions(cfg.resolution)
+        truth_job = side.submit(_truth, cfg, field)
+        cond = scene_mod.conditional_video(cfg.resolution, frames, poses)
+        fc, wp, ct = _coverage_tables(cfg, cond)
+        plan = plan_order(ct, wp)
+        truth = truth_job.result()
+        marks.append(time.perf_counter())
+
+        taps_job = side.submit(EquirectTaps.create, cfg.resolution,
+                               cfg.equirect_width)
+        # One frame buffer, reused by the one side thread frame after frame.
+        frame_buf = np.empty((cfg.equirect_width // 2, cfg.equirect_width,
+                              cfg.channels))
+        jobs = []
+
+        def on_window(start: int, end: int, window: np.ndarray) -> None:
+            _raise_failed(jobs)
+            for k in range(end - start):
+                jobs.append(side.submit(_write_frame, taps_job, window[k],
+                                        frame_buf, out_dir / f"frame_{start + k:03d}"))
+
+        layout = CubeLayout.create(cfg.resolution)
+        denoiser = _make_denoiser(cfg, truth, cond, layout)
+        result = generate_all(
+            cond, plan, denoiser,
+            SamplerConfig(steps=cfg.sampler_steps, seed=cfg.seed,
+                          teacher_forcing=cfg.mode.teacher_forcing),
+            layout=layout, pad=cfg.pad, history_capacity=cfg.history,
+            frag_length=cfg.frag_length, frag_threshold=cfg.frag_threshold,
+            ground_truth=truth, on_window=on_window)
+        marks.append(time.perf_counter())
+
+        # The report is built while the side thread writes the last window.
+        report = {
+            "config": cfg.to_json_dict(),
+            "plan": plan.to_json_dict()["steps"],
+            "pool_trace": result.pool_trace,
+            "resident_trace": result.resident_trace,
+            "peak_resident": result.peak_resident,
+            "seam_per_frame": _seam_per_frame(result.cubemap, layout),
+            "steps": result.step_log,
+        }
+        write_json_artifact(out_dir / "run_report.json", "run_report", report)
+        for job in jobs:
+            job.result()
+        marks.append(time.perf_counter())
+    finally:
+        side.shutdown(cancel_futures=True)
     stages = ("inputs", "conditional", "sampling", "output")
     write_json_artifact(out_dir / "timings.json", "timings", {
         "stage_seconds": {k: b - a for k, a, b in zip(stages, marks, marks[1:])},
         "step_seconds": result.step_timings,
         "total_seconds": time.perf_counter() - marks[0],
     })
+
+
+def _raise_failed(jobs: list) -> None:
+    """Re-raise the exception of the first finished side-thread job that
+    failed, so a failed write stops the run at the next window."""
+    for job in jobs:
+        if job.done():
+            job.result()
+
+
+def _write_frame(taps_job, faces: np.ndarray, buf: np.ndarray, base: Path) -> None:
+    frame = taps_job.result().apply(faces, out=buf)
+    write_pfm(base.with_suffix(".pfm"), frame)
+    _write_image(base, frame)
 
 
 def _seam_per_frame(video: CubemapVideo, layout: CubeLayout) -> list[float]:
@@ -359,7 +433,8 @@ def _write_dry_run(cfg: RunConfig, out_dir: Path) -> None:
 
 
 def cmd_metrics(cfg: RunConfig, out_dir: Path) -> None:
-    truth, frames, poses = _load_inputs(cfg)
+    field, frames, poses = _load_inputs(cfg)
+    truth = _truth(cfg, field)
     cond = scene_mod.conditional_video(cfg.resolution, frames, poses)
     fc, wp, ct = _coverage_tables(cfg, cond)
     layout = CubeLayout.create(cfg.resolution)

@@ -59,6 +59,7 @@ __all__ = [
 _UNIT_TOL = 1e-9
 _ORTHO_TOL = 1e-7
 _TAP_BLOCK_PIXELS = 1 << 16  # equirect pixels per block of EquirectTaps.create
+_APPLY_BLOCK_PIXELS = 1 << 13  # equirect pixels per block of EquirectTaps.apply
 
 
 # ---------------------------------------------------------------------------
@@ -358,32 +359,43 @@ class EquirectTaps:
         writes into ``out`` when given."""
         faces = np.asarray(faces)
         self._check(faces, 4)
-        res, height = self.resolution, self.width // 2
+        res, width = self.resolution, self.width
         channels = faces.shape[3]
         if out is None:
-            out = np.empty((height, self.width, channels), dtype=np.float64)
+            out = np.empty((width // 2, width, channels), dtype=np.float64)
         # At R == 1 both taps of an axis are pixel 0 (see _clamped_taps).
         step_c, step_r = (1, res) if res > 1 else (0, 0)
-        idx, fr, fc = self.index, self.row_frac, self.col_frac
-        wr, wc = 1.0 - fr, 1.0 - fc
-        # In place, but the same products and sums in the same order as
-        # _bilinear, so the result is bit-identical to it.
+        # One channel at a time, in blocks of equirect rows whose four work
+        # buffers stay in cache and are reused, so a frame allocates one
+        # channel plane and four blocks.  In place, but the same products and
+        # sums in the same order as _bilinear, so the result is bit-identical.
+        rows = max(1, _APPLY_BLOCK_PIXELS // width)
+        top, tap, bot, w = np.empty((4, rows * width))
+        src = np.empty(6 * res * res)
         for c in range(channels):
-            src = faces[..., c].ravel()
-            top = np.take(src, idx)
-            top *= wc
-            tap = np.take(src[step_c:], idx)
-            tap *= fc
-            top += tap
-            bot = np.take(src[step_r:], idx)
-            bot *= wc
-            np.take(src[step_r + step_c:], idx, out=tap)
-            tap *= fc
-            bot += tap
-            top *= wr
-            bot *= fr
-            top += bot
-            out[..., c] = top.reshape(height, self.width)
+            np.copyto(src.reshape(faces.shape[:3]), faces[..., c])
+            for r0 in range(0, width // 2, rows):
+                r1 = min(r0 + rows, width // 2)
+                blk = slice(r0 * width, r1 * width)
+                n = (r1 - r0) * width
+                idx, fr, fc = self.index[blk], self.row_frac[blk], self.col_frac[blk]
+                t, p, b, wb = top[:n], tap[:n], bot[:n], w[:n]
+                np.subtract(1.0, fc, out=wb)
+                np.take(src, idx, out=t)
+                t *= wb
+                np.take(src[step_c:], idx, out=p)
+                p *= fc
+                t += p
+                np.take(src[step_r:], idx, out=b)
+                b *= wb
+                np.take(src[step_r + step_c:], idx, out=p)
+                p *= fc
+                b += p
+                np.subtract(1.0, fr, out=wb)
+                t *= wb
+                b *= fr
+                t += b
+                out[r0:r1, :, c] = t.reshape(r1 - r0, width)
         return out
 
     def apply_mask(self, masks) -> np.ndarray:

@@ -28,11 +28,19 @@ def write_ppm(path, pixels: np.ndarray) -> None:
     px = np.asarray(pixels)
     if px.ndim != 3 or px.shape[2] != 3:
         raise ValueError(f"P6 needs (H, W, 3) pixels, got {px.shape}")
-    data = np.clip(np.rint(px * 255.0), 0, 255).astype(np.uint8)
-    h, w = data.shape[:2]
+    h, w = px.shape[:2]
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(data.tobytes())
+        fh.write(_quantize(px))
+
+
+def _quantize(values: np.ndarray) -> np.ndarray:
+    """C-ordered uint8 ``clip(rint(values * 255), 0, 255)``, through one
+    float temporary rounded and clipped in place."""
+    q = np.multiply(values, 255.0, order="C")
+    np.rint(q, out=q)
+    np.clip(q, 0, 255, out=q)
+    return q.astype(np.uint8)
 
 
 def read_ppm(path) -> np.ndarray:
@@ -48,11 +56,10 @@ def write_pgm(path, gray: np.ndarray) -> None:
     g = np.asarray(gray)
     if g.ndim != 2:
         raise ValueError(f"P5 needs (H, W) pixels, got {g.shape}")
-    data = np.clip(np.rint(g * 255.0), 0, 255).astype(np.uint8)
-    h, w = data.shape
+    h, w = g.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(data.tobytes())
+        fh.write(_quantize(g))
 
 
 def read_pgm(path) -> np.ndarray:
@@ -95,7 +102,7 @@ def _read_netpbm(path):
 
 def write_pfm(path, pixels: np.ndarray) -> None:
     """Little-endian PFM; (H, W, 3) writes "PF", (H, W) or (H, W, 1) "Pf"."""
-    px = np.asarray(pixels, dtype=np.float32)
+    px = np.asarray(pixels)
     if px.ndim == 3 and px.shape[2] == 1:
         px = px[..., 0]
     if px.ndim == 2:
@@ -107,7 +114,7 @@ def write_pfm(path, pixels: np.ndarray) -> None:
     h, w = px.shape[:2]
     with open(path, "wb") as fh:
         fh.write(magic + f"\n{w} {h}\n-1.0\n".encode("ascii"))
-        fh.write(px[::-1].astype("<f4").tobytes())  # bottom-to-top rows
+        fh.write(px[::-1].astype("<f4", order="C"))  # bottom-to-top rows
 
 
 def read_pfm(path) -> np.ndarray:

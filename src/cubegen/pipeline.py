@@ -284,15 +284,25 @@ def generate_all(cond_video: CubemapVideo, plan: GenerationPlan, denoiser,
                  cfg: SamplerConfig, *, layout: CubeLayout | None = None,
                  pad: int = 4, history_capacity: int = 2, frag_length: int = 4,
                  frag_threshold: float = 0.5,
-                 ground_truth: CubemapVideo | None = None) -> GenerationResult:
+                 ground_truth: CubemapVideo | None = None,
+                 on_window=None) -> GenerationResult:
     """Run every plan step window-major; the result is the cube canvas,
-    which callers resample to equirect frames one at a time."""
+    which callers resample to equirect frames one at a time.
+
+    ``on_window(start, end, frames)``, when given, is called once per window,
+    in order, after its six faces are blended, with ``frames`` the canvas
+    view ``working[start:end]``.  Blending writes only frames of the current
+    window, so these frames are final: a caller may read them from another
+    thread while later windows are sampled, but must not write them.
+    """
     layout = layout or CubeLayout.create(cond_video.resolution)
     state = init_state(cond_video, plan, layout=layout, pad=pad,
                        history_capacity=history_capacity, frag_length=frag_length,
                        frag_threshold=frag_threshold, ground_truth=ground_truth)
-    for step in plan.steps:
+    for i, step in enumerate(plan.steps):
         generate_step(state, step, denoiser, cfg)
+        if on_window is not None and i % 6 == 5:  # init_state checked the blocks
+            on_window(step.start, step.end, state.working[step.start:step.end])
 
     out_video = CubemapVideo(pixels=state.working,
                              masks=np.ones_like(cond_video.masks))

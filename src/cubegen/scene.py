@@ -20,7 +20,7 @@ from .geometry import (
     sample_trajectory,
 )
 
-__all__ = ["SyntheticScene", "synth_scene", "render_equirect_video"]
+__all__ = ["SyntheticScene", "synth_inputs", "synth_scene", "render_equirect_video"]
 
 # Quadratic direction-polynomial basis, each term scaled to max 1 on the sphere.
 _BASIS = (
@@ -97,20 +97,25 @@ def _trajectory_anchors(cfg: RunConfig, rng: np.random.Generator) -> list[Camera
     return anchors
 
 
+def synth_inputs(cfg: RunConfig, seed: int | None = None):
+    """The config's scene field, plus the perspective input rendered along a
+    smooth trajectory and its poses; the truth is left to the caller."""
+    seed = cfg.seed if seed is None else seed
+    field = SyntheticScene.random(cfg.channels, seed)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 2)))
+    poses = sample_trajectory(_trajectory_anchors(cfg, rng), cfg.num_frames)
+    height = max(8, cfg.resolution // 2)
+    width = max(8, cfg.resolution)
+    frames = [field.perspective_frame(pose, height, width, t)
+              for t, pose in enumerate(poses)]
+    return field, frames, poses
+
+
 def synth_scene(cfg: RunConfig, seed: int | None = None):
     """Deterministic scene for a config: ground-truth cubemap video, the
     perspective input rendered along a smooth trajectory, and the poses."""
-    seed = cfg.seed if seed is None else seed
-    scene = SyntheticScene.random(cfg.channels, seed)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 2)))
-    poses = sample_trajectory(_trajectory_anchors(cfg, rng), cfg.num_frames)
-
-    truth = scene.cubemap_video(cfg.resolution, cfg.num_frames)
-    height = max(8, cfg.resolution // 2)
-    width = max(8, cfg.resolution)
-    frames = [scene.perspective_frame(pose, height, width, t)
-              for t, pose in enumerate(poses)]
-    return truth, frames, poses
+    field, frames, poses = synth_inputs(cfg, seed)
+    return field.cubemap_video(cfg.resolution, cfg.num_frames), frames, poses
 
 
 def conditional_video(truth_resolution: int, frames, poses) -> CubemapVideo:

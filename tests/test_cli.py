@@ -3,16 +3,23 @@
 import json
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cubegen import cli
+from cubegen import scene as sc
 from cubegen.artifacts import load_schema, validate_artifact
 from cubegen.attention import BandedMaskSpec, TokenLayout, attention_peak_bytes
 from cubegen.config import default_config, parse_config
-from cubegen.imgio import read_pfm, read_mask_pgm, write_pfm, write_poses
+from cubegen.continuity import CubeLayout
+from cubegen.geometry import EquirectTaps
+from cubegen.imgio import read_pfm, read_mask_pgm, write_pfm, write_poses, write_ppm
+from cubegen.pipeline import SamplerConfig, generate_all
+from cubegen.planner import plan_order
 
 import jsonschema
 
@@ -33,6 +40,14 @@ def small_cfg(tmp_path, **overrides) -> Path:
 
 def run(args) -> int:
     return cli.main([str(a) for a in args])
+
+
+DEMO = Path(__file__).resolve().parents[1] / "configs" / "demo.json"
+
+
+def side_threads() -> list:
+    return [t for t in threading.enumerate()
+            if t.name.startswith("ThreadPoolExecutor")]
 
 
 class TestSubcommands:
@@ -122,6 +137,42 @@ class TestSubcommands:
         stages = timings["stage_seconds"]
         assert set(stages) == {"inputs", "conditional", "sampling", "output"}
         assert sum(stages.values()) <= timings["total_seconds"]
+        assert not list(out.glob(".staging-*"))
+
+    def test_generate_frames_equal_serial_writes(self, tmp_path):
+        # the side thread writes each window's frames during later windows;
+        # the bytes are those of resampling the finished canvas afterwards,
+        # also when the two threads switch as often as possible
+        out = tmp_path / "out"
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert run(["generate", "--config", DEMO, "--out", out]) == 0
+        finally:
+            sys.setswitchinterval(interval)
+        cfg = parse_config(DEMO)
+        truth, frames, poses = sc.synth_scene(cfg)
+        cond = sc.conditional_video(cfg.resolution, frames, poses)
+        _, wp, ct = cli._coverage_tables(cfg, cond)
+        layout = CubeLayout.create(cfg.resolution)
+        result = generate_all(
+            cond, plan_order(ct, wp), cli._make_denoiser(cfg, truth, cond, layout),
+            SamplerConfig(steps=cfg.sampler_steps, seed=cfg.seed,
+                          teacher_forcing=cfg.mode.teacher_forcing),
+            layout=layout, pad=cfg.pad, history_capacity=cfg.history,
+            frag_length=cfg.frag_length, frag_threshold=cfg.frag_threshold,
+            ground_truth=truth)
+        taps = EquirectTaps.create(cfg.resolution, cfg.equirect_width)
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        for t in range(cfg.num_frames):
+            frame = taps.apply(result.cubemap.pixels[t])
+            write_pfm(ref / "x.pfm", frame)
+            write_ppm(ref / "x.ppm", np.clip(frame, 0, 1))
+            for ext in ("pfm", "ppm"):
+                assert ((out / f"frame_{t:03d}.{ext}").read_bytes()
+                        == (ref / f"x.{ext}").read_bytes()), (t, ext)
+        assert len(list(out.glob("frame_*"))) == 2 * cfg.num_frames
 
     def test_generate_dry_run_allocates_nothing(self, tmp_path):
         cfg = small_cfg(tmp_path, resolution=960, equirect_width=3840,
@@ -236,15 +287,71 @@ class TestErrorPaths:
         assert message in err["error"]["message"]
         assert not list(out.glob("frame_*.pfm"))
 
+    def assert_failed_cleanly(self, out, capsys, error_type, message):
+        err = json.loads(capsys.readouterr().err)
+        validate_artifact("error", err)
+        assert err["error"]["type"] == error_type
+        assert message in err["error"]["message"]
+        assert not list(out.glob("frame_*"))
+        assert not (out / "run_report.json").exists()
+        assert not list(out.glob(".staging-*"))
+        assert not side_threads()
+
+    def test_denoiser_failure_after_first_window_leaves_nothing(
+            self, tmp_path, capsys, monkeypatch):
+        make = cli._make_denoiser
+        out = tmp_path / "o"
+
+        def failing(*args):
+            denoise, keys = make(*args), set()
+
+            def wrapped(z_t, t, context, conditioning=None):
+                keys.add((context.face, context.start))
+                if len(keys) == 7:
+                    # window 1's frames reach the staging directory first
+                    deadline = time.monotonic() + 30.0
+                    while not list(out.glob(".staging-*/frame_003.ppm")):
+                        assert time.monotonic() < deadline
+                        time.sleep(0.01)
+                    raise RuntimeError("denoiser failed at plan step 7")
+                return denoise(z_t, t, context, conditioning)
+
+            return wrapped
+
+        monkeypatch.setattr(cli, "_make_denoiser", failing)
+        assert run(["generate", "--config", small_cfg(tmp_path), "--out", out]) == 1
+        self.assert_failed_cleanly(out, capsys, "RuntimeError", "plan step 7")
+
+    def test_frame_write_failure_leaves_nothing(self, tmp_path, capsys,
+                                                monkeypatch):
+        def failing_write_pfm(path, pixels):
+            if Path(path).name == "frame_001.pfm":
+                raise OSError("disk full writing frame 1")
+            write_pfm(path, pixels)
+
+        monkeypatch.setattr(cli, "write_pfm", failing_write_pfm)
+        out = tmp_path / "o"
+        assert run(["generate", "--config", small_cfg(tmp_path), "--out", out]) == 1
+        self.assert_failed_cleanly(out, capsys, "OSError", "frame 1")
+
     def test_schemas_are_valid_jsonschema(self):
         for name in ("plan", "coverage", "context", "run_report", "timings",
                      "metrics", "error", "dry_run"):
             jsonschema.Draft202012Validator.check_schema(load_schema(name))
 
 
-def test_cli_import_leaves_scipy_out():
-    code = "import sys, cubegen.cli; print('scipy' in sys.modules)"
+def imported_by_cli(module: str) -> bool:
+    code = f"import sys, cubegen.cli; print({module!r} in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True,
                           cwd=Path(__file__).resolve().parents[1] / "src")
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_scipy_out():
+    assert not imported_by_cli("scipy")
+
+
+def test_cli_import_leaves_thread_pool_out():
+    # only generate starts the side thread; other subcommands skip the import
+    assert not imported_by_cli("concurrent.futures")

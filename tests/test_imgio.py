@@ -1,5 +1,7 @@
 """Image and pose serialization round trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,64 @@ class TestPfm:
         imgio.write_pfm(path, np.zeros((3, 4, 3), np.float32))
         head = path.read_bytes()[:32]
         assert head.startswith(b"PF\n4 3\n-1.0\n")
+
+
+def edge_values() -> np.ndarray:
+    """Out-of-range values, negative zero and every 8-bit level and
+    half-level, where rounding and clipping decide the byte."""
+    k = np.arange(256)
+    return np.concatenate([[-1e9, -1.0, -0.5 / 255, -0.0, 0.0, 1.0 + 0.4 / 255,
+                            1.5, 1e9], k / 255, (k + 0.5) / 255])
+
+
+def old_quantized(px) -> bytes:
+    """The writers' former bytes: three float temporaries and a copy."""
+    return np.clip(np.rint(np.asarray(px) * 255.0), 0, 255).astype(np.uint8).tobytes()
+
+
+class TestWriterBytes:
+    """The one-buffer writers produce the former formulas' bytes, also
+    without the preview clip that ``generate`` used to apply first."""
+
+    @pytest.fixture
+    def image(self, rng):
+        values = rng.permutation(np.tile(edge_values(), 6))
+        return values[:len(values) // 36 * 36].reshape(-1, 12, 3)
+
+    def test_ppm(self, image, tmp_path):
+        imgio.write_ppm(tmp_path / "x.ppm", image)
+        body = (tmp_path / "x.ppm").read_bytes().split(b"\n", 3)[3]
+        assert body == old_quantized(image)
+        assert body == old_quantized(np.clip(image, 0, 1))
+
+    def test_pgm_from_channel_view(self, image, tmp_path):
+        gray = image[..., 1]  # a strided view, as generate passes one channel
+        imgio.write_pgm(tmp_path / "x.pgm", gray)
+        body = (tmp_path / "x.pgm").read_bytes().split(b"\n", 3)[3]
+        assert body == old_quantized(gray)
+        assert body == old_quantized(np.clip(gray, 0, 1))
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_pfm(self, image, tmp_path, channels):
+        px = image[..., :channels]
+        imgio.write_pfm(tmp_path / "x.pfm", px)
+        old = np.asarray(px, dtype=np.float32)
+        if channels == 1:
+            old = old[..., 0]
+        body = (tmp_path / "x.pfm").read_bytes().split(b"\n", 3)[3]
+        assert body == old[::-1].astype("<f4").tobytes()
+
+    def test_ppm_peak_is_one_float_buffer(self, rng, tmp_path):
+        image = rng.random((256, 512, 3))
+        imgio.write_ppm(tmp_path / "warm.ppm", image[:2])
+        tracemalloc.start()
+        try:
+            imgio.write_ppm(tmp_path / "x.ppm", image)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one float64 temporary plus the uint8 image
+        assert peak <= 1.25 * image.nbytes, (peak / image.nbytes, peak)
 
 
 class TestPoses:

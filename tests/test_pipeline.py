@@ -379,6 +379,26 @@ class TestGenerateAll:
         assert result.cubemap.masks.dtype == np.uint8 and result.cubemap.masks.all()
 
     @pytest.mark.parametrize("teacher", [True, False])
+    def test_on_window_sees_final_frames(self, teacher):
+        # generate writes each window's frames from these views while later
+        # windows are sampled, so they must already equal the final canvas
+        res = 16
+        cfg, truth, cond, plan = small_scene(res=res, n=12, t_win=4)
+        layout = CubeLayout.create(res)
+        calls = []
+
+        def on_window(start, end, frames):
+            calls.append((start, end, frames.copy()))
+
+        result = generate_all(cond, plan, padded_target_denoiser(truth, 2, layout),
+                              SamplerConfig(steps=2, seed=4, teacher_forcing=teacher),
+                              layout=layout, pad=2, ground_truth=truth,
+                              on_window=on_window)
+        assert [(s, e) for s, e, _ in calls] == [(0, 4), (4, 8), (8, 12)]
+        for s, e, frames in calls:
+            assert np.array_equal(frames, result.cubemap.pixels[s:e])
+
+    @pytest.mark.parametrize("teacher", [True, False])
     def test_peak_above_start_bounded_by_canvas(self, teacher):
         # the loop holds the canvas and per-step buffers only: the context
         # is views, so no window of generated faces is copied

@@ -101,6 +101,21 @@ class TestSyntheticScene:
         for a, b in zip(p1, p2):
             assert np.array_equal(a.rotation, b.rotation)
 
+    def test_synth_inputs_plus_truth_is_synth_scene(self):
+        # generate fills the truth on a side thread from the split helper
+        cfg = default_config(resolution=16, equirect_width=64, seed=5)
+        truth, frames, poses = sc.synth_scene(cfg)
+        field, frames2, poses2 = sc.synth_inputs(cfg)
+        truth2 = field.cubemap_video(cfg.resolution, cfg.num_frames)
+        assert np.array_equal(truth.pixels, truth2.pixels)
+        assert np.array_equal(truth.masks, truth2.masks)
+        assert len(frames2) == len(frames) and len(poses2) == len(poses)
+        for a, b in zip(frames, frames2):
+            assert np.array_equal(a.pixels, b.pixels)
+        for a, b in zip(poses, poses2):
+            assert np.array_equal(a.rotation, b.rotation)
+            assert (a.hfov_deg, a.vfov_deg) == (b.hfov_deg, b.vfov_deg)
+
     def test_different_seeds_differ(self):
         cfg1 = default_config(resolution=16, equirect_width=64, seed=1)
         cfg2 = default_config(resolution=16, equirect_width=64, seed=2)
