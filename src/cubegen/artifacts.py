@@ -18,8 +18,18 @@ def load_schema(name: str) -> dict:
     return json.loads(ref.read_text())
 
 
+@lru_cache(maxsize=None)
+def _validator(name: str):
+    """One validator per schema, built once: ``jsonschema.validate`` would
+    re-check the schema itself on every call (the tests check each once)."""
+    schema = load_schema(name)
+    return jsonschema.validators.validator_for(schema)(schema)
+
+
 def validate_artifact(name: str, obj: dict) -> None:
-    jsonschema.validate(obj, load_schema(name))
+    error = jsonschema.exceptions.best_match(_validator(name).iter_errors(obj))
+    if error is not None:
+        raise error
 
 
 def dump_json(obj) -> str:

@@ -7,16 +7,18 @@ reference and a sliding-chunk sparse path are both provided; the sparse path
 takes query rows in blocks of ``BLOCK_ROWS`` and never materializes a
 (G+C)^2 score matrix.
 
-Reduction order: each block's scores come from one BLAS matmul and are
-reduced with numpy sums after max-subtraction; outputs are deterministic for
-a fixed BLAS, and tests compare with tolerances rather than bit equality.
+Reduction order: a generation block's scores come from one BLAS matmul; a
+context block's come from two, over the generation keys and the band window,
+written side by side into one score buffer.  Each row is reduced with numpy
+sums after max-subtraction, and a context block's values are the sum of two
+matmuls, generation keys first.  Outputs are deterministic for a fixed BLAS,
+and tests compare with tolerances rather than bit equality.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -182,35 +184,69 @@ def sparse_context_attention(inp: AttentionInputs, layout: TokenLayout,
     """Sliding-chunk path, numerically equal to the dense reference.
 
     Query rows are taken in blocks of ``BLOCK_ROWS``.  A generation block
-    scores against all G+C keys; a context block scores against the G
-    generation keys plus the contiguous context window [i0-K, i1+K), with
-    pairs outside the band |q-k| <= K set to -inf.  Each block is one scores
-    matmul, an in-place max-subtracted softmax and one values matmul, so no
-    temporary exceeds (heads, BLOCK_ROWS, G+C) and nothing is quadratic in C.
+    scores against all G+C keys.  A context block [i0, i1) scores against two
+    contiguous key slices, the generation keys [0, G) and its band window
+    [w0, w1) = [max(G, i0-K), min(G+C, i1+K)), written side by side into one
+    score buffer allocated once per call.  Pairs outside the band |q-k| <= K
+    are set to -inf from one (BLOCK_ROWS, BLOCK_ROWS+2K) band pattern, also
+    built once: the block takes its columns from w0 - (i0-K), which covers
+    windows clipped at either context end.  Each block is then softmaxed in
+    place and finished with one values matmul per key slice, so no temporary
+    exceeds (heads, BLOCK_ROWS, G+C) and nothing is quadratic in C.
     """
     g, n = layout.num_generation, layout.total
     if n != inp.num_tokens:
         raise ValueError(
             f"layout covers {n} tokens, inputs have {inp.num_tokens}")
-    kb = spec.bandwidth
     scale = 1.0 / math.sqrt(inp.dim)
-    idx = np.arange(n)
-    out = np.empty_like(inp.values)
-    for i0 in chain(range(0, g, BLOCK_ROWS), range(g, n, BLOCK_ROWS)):
-        i1 = min(i0 + BLOCK_ROWS, g if i0 < g else n)
-        if i0 < g:
-            keys, banned = slice(None), False     # generation rows read every key
-        else:
-            keys = np.concatenate((idx[:g], idx[max(g, i0 - kb):min(n, i1 + kb)]))
-            banned = (keys >= g) & (np.abs(idx[i0:i1, None] - keys) > kb)
-        scores = (inp.queries[:, i0:i1] * scale) @ inp.keys[:, keys].swapaxes(1, 2)
-        np.copyto(scores, -np.inf, where=banned)
+    q, k, v = inp.queries, inp.keys, inp.values
+    out = np.empty_like(v)
+    for i0 in range(0, g, BLOCK_ROWS):  # generation rows read every key
+        i1 = min(i0 + BLOCK_ROWS, g)
+        scores = (q[:, i0:i1] * scale) @ k.swapaxes(1, 2)
         scores -= scores.max(axis=-1, keepdims=True)
         np.exp(scores, out=scores)
-        out[:, i0:i1] = ((scores @ inp.values[:, keys])
-                         / scores.sum(axis=-1, keepdims=True))
+        out[:, i0:i1] = (scores @ v) / scores.sum(axis=-1, keepdims=True)
         del scores  # never hold two blocks' scores at once
+    if n == g:
+        return out
+    # A band wider than the context bans nothing more than one of width C.
+    kb = min(spec.bandwidth, n - g)
+    banned = _band_pattern(kb)
+    buf = np.empty(inp.num_heads * BLOCK_ROWS * (g + min(n - g, BLOCK_ROWS + 2 * kb)),
+                   dtype=np.result_type(q, k, scale))
+    k_gen, v_gen = k[:, :g].swapaxes(1, 2), v[:, :g]
+    for i0 in range(g, n, BLOCK_ROWS):
+        i1 = min(i0 + BLOCK_ROWS, n)
+        w0, w1 = max(g, i0 - kb), min(n, i1 + kb)
+        off = w0 - (i0 - kb)
+        shape = (inp.num_heads, i1 - i0, g + w1 - w0)
+        # A contiguous view, so the in-place softmax below needs no copies.
+        scores = buf[:math.prod(shape)].reshape(shape)
+        rows = q[:, i0:i1] * scale
+        np.matmul(rows, k_gen, out=scores[:, :, :g])
+        np.matmul(rows, k[:, w0:w1].swapaxes(1, 2), out=scores[:, :, g:])
+        np.copyto(scores[:, :, g:], -np.inf,
+                  where=banned[:i1 - i0, off:off + w1 - w0])
+        scores -= scores.max(axis=-1, keepdims=True)
+        np.exp(scores, out=scores)
+        mixed = scores[:, :, :g] @ v_gen
+        mixed += scores[:, :, g:] @ v[:, w0:w1]
+        mixed /= scores.sum(axis=-1, keepdims=True)
+        out[:, i0:i1] = mixed
     return out
+
+
+def _band_pattern(kb: int) -> np.ndarray:
+    """banned[r, j]: context row i0+r may not read key i0-K+j, |r-j+K| > K.
+
+    Built from two triangles of booleans, so no index arithmetic is
+    allocated: row r reads exactly the columns r <= j <= r + 2K.
+    """
+    width = BLOCK_ROWS + 2 * kb
+    banned = np.tri(BLOCK_ROWS, width, -1, dtype=bool)
+    banned |= ~np.tri(BLOCK_ROWS, width, 2 * kb, dtype=bool)
+    return banned
 
 
 def attention_flops(layout: TokenLayout, spec: BandedMaskSpec, dim: int) -> int:
@@ -233,20 +269,24 @@ def attention_peak_bytes(layout: TokenLayout, spec: BandedMaskSpec, dim: int,
                          itemsize: int) -> int:
     """Upper bound on the bytes one head of the sparse path allocates.
 
-    Sum of: the (G+C, dim) output, the int64 token index, one block's scores
-    (``BLOCK_ROWS`` rows by all G+C keys when G > 0, else by one context
-    window), the boolean band mask of one context block with its three
-    temporaries (two int64, one bool), that block's gathered keys and
-    values, its three (BLOCK_ROWS, dim) query/output temporaries, and 8 KiB
-    for the Python objects and array headers of one block.  This is
-    O(BLOCK_ROWS * (G+C)); ``h`` heads allocate at most ``h`` times as much.
+    Sum of: the (G+C, dim) output; one generation block's scores
+    (``BLOCK_ROWS`` rows by all G+C keys, when G > 0); the context score
+    buffer (``BLOCK_ROWS`` rows by G + min(C, BLOCK_ROWS+2K) keys) and the
+    (BLOCK_ROWS, BLOCK_ROWS+2K) boolean band pattern, when C > 0, with K at
+    most C; a block's three (BLOCK_ROWS, dim) query/output temporaries;
+    numpy's ufunc buffer of ``np.getbufsize()`` items, which the broadcast
+    max-subtraction fills; and 8 KiB for the Python objects and array headers
+    of one block.  This is O(BLOCK_ROWS * (G+C)); ``h`` heads allocate at
+    most ``h`` times as much.
     """
-    g, n = layout.num_generation, layout.total
-    k_ctx = g + min(layout.num_context, BLOCK_ROWS + 2 * spec.bandwidth)
-    k_max = n if g else k_ctx
-    return (itemsize * dim * n + 8 * n + itemsize * BLOCK_ROWS * k_max
-            + 18 * BLOCK_ROWS * k_ctx + 2 * itemsize * dim * k_ctx
-            + 3 * itemsize * BLOCK_ROWS * dim + 8192)
+    g, c, n = layout.num_generation, layout.num_context, layout.total
+    total = itemsize * (dim * n + 3 * BLOCK_ROWS * dim + np.getbufsize()) + 8192
+    if g:
+        total += itemsize * BLOCK_ROWS * n
+    if c:
+        width = BLOCK_ROWS + 2 * min(spec.bandwidth, c)
+        total += itemsize * BLOCK_ROWS * (g + min(c, width)) + BLOCK_ROWS * width
+    return total
 
 
 def dense_attention_flops(layout: TokenLayout, dim: int) -> int:

@@ -13,7 +13,9 @@ cube->equirect tap table during the first window, and resamples and writes
 each window's frames (handed over by ``generate_all``'s ``on_window``)
 while the next window is sampled.  Every artifact is written into a
 ``.staging-*`` directory inside ``--out`` and moved into place only after the
-last one is written, so a failed run, on either thread, leaves none behind.
+last one is written, so a failed run, on either thread, leaves none behind;
+so does a run stopped by SIGTERM, which ``generate`` turns into
+``SystemExit(143)`` while it runs on the main thread.
 """
 
 from __future__ import annotations
@@ -228,7 +230,8 @@ def cmd_context(cfg: RunConfig, out_dir: Path) -> None:
     state = init_state(cond, plan, layout=CubeLayout.create(cfg.resolution),
                        pad=cfg.pad, history_capacity=cfg.history,
                        frag_length=cfg.frag_length,
-                       frag_threshold=cfg.frag_threshold, ground_truth=truth)
+                       frag_threshold=cfg.frag_threshold, patch_size=cfg.patch_size,
+                       ground_truth=truth)
     entries = simulate_contexts(state)
     steps = [{"face": e["face"], "s": e["s"], "e": e["e"], "window": e["window"],
               "fragments": e["fragments"],
@@ -289,11 +292,35 @@ def _make_denoiser(cfg: RunConfig, truth, cond, layout):
 
 
 def cmd_generate(cfg: RunConfig, out_dir: Path, dry_run: bool = False) -> None:
-    with _staged(out_dir) as stage:
+    with _sigterm_as_exit(), _staged(out_dir) as stage:
         if dry_run:
             _write_dry_run(cfg, stage)
         else:
             _generate(cfg, stage)
+
+
+@contextmanager
+def _sigterm_as_exit():
+    """On the main thread, turn SIGTERM into ``SystemExit(143)`` until the
+    block exits, then restore the previous handler.  The exit unwinds like
+    any failure: side jobs are cancelled and the staging directory removed.
+    SIGKILL cannot be caught, so a killed run still leaves its staging
+    directory behind."""
+    import signal
+    import threading
+
+    if threading.current_thread() is not threading.main_thread():
+        yield  # signal handlers can only be installed on the main thread
+        return
+
+    def terminate(signum, frame):
+        raise SystemExit(128 + signum)
+
+    previous = signal.signal(signal.SIGTERM, terminate)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 @contextmanager
@@ -354,7 +381,7 @@ def _generate(cfg: RunConfig, out_dir: Path) -> None:
                           teacher_forcing=cfg.mode.teacher_forcing),
             layout=layout, pad=cfg.pad, history_capacity=cfg.history,
             frag_length=cfg.frag_length, frag_threshold=cfg.frag_threshold,
-            ground_truth=truth, on_window=on_window)
+            patch_size=cfg.patch_size, ground_truth=truth, on_window=on_window)
         marks.append(time.perf_counter())
 
         # The report is built while the side thread writes the last window.

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .attention import layout_from_bundle
 from .faces import FACES
 from .geometry import CubemapVideo
 from .planner import FrameCoverage, GenerationPlan, PlanStep, frame_coverage
@@ -137,6 +138,7 @@ class GenerationState:
     frag_length: int
     frag_threshold: float
     working: np.ndarray                # (N, 6, R, R, C) canvas, canonical face order
+    patch_size: int                    # tokens are patch_size^2 pixel patches
     next_index: int = 0
     ground_truth: CubemapVideo | None = None
     pool_trace: list = field(default_factory=list)
@@ -151,7 +153,7 @@ class GenerationState:
 
 def init_state(cond: CubemapVideo, plan: GenerationPlan, *, layout: CubeLayout,
                pad: int, history_capacity: int, frag_length: int,
-               frag_threshold: float,
+               frag_threshold: float, patch_size: int = 8,
                ground_truth: CubemapVideo | None = None) -> GenerationState:
     _check_plan(plan, cond.num_frames)
     return GenerationState(
@@ -164,6 +166,7 @@ def init_state(cond: CubemapVideo, plan: GenerationPlan, *, layout: CubeLayout,
         frag_length=frag_length,
         frag_threshold=frag_threshold,
         working=cond.pixels.copy(),
+        patch_size=patch_size,
         ground_truth=ground_truth,
     )
 
@@ -214,8 +217,15 @@ def _check_step_order(state: GenerationState, step: PlanStep,
 
 def _finish_step(state: GenerationState, step: PlanStep,
                  bundle: ContextBundle) -> None:
-    """Log the step's context and move on to the next plan step."""
+    """Log the step's context with its token counts by source kind, and move
+    on to the next plan step."""
     resident = len(bundle.sources)
+    layout = layout_from_bundle(bundle, step.end - step.start, state.resolution,
+                                state.patch_size)
+    tokens = {"generation": layout.num_generation,
+              "hist": 0, "curr-gen": 0, "curr-cond": 0, "fut": 0}
+    for src, (_, length, _) in zip(bundle.sources, layout.segments):
+        tokens[src.kind] += length
     state.resident_trace.append(resident)
     state.step_log.append({
         "face": step.face, "s": step.start, "e": step.end,
@@ -223,6 +233,7 @@ def _finish_step(state: GenerationState, step: PlanStep,
         "fragments": len(bundle.fut),
         "sources": bundle.provenance(),
         "resident_latents": resident,
+        "tokens": tokens,
     })
     state.next_index += 1
     state.pool_trace.append(min(state.history_capacity, state.next_index // 6))
@@ -283,7 +294,7 @@ class GenerationResult:
 def generate_all(cond_video: CubemapVideo, plan: GenerationPlan, denoiser,
                  cfg: SamplerConfig, *, layout: CubeLayout | None = None,
                  pad: int = 4, history_capacity: int = 2, frag_length: int = 4,
-                 frag_threshold: float = 0.5,
+                 frag_threshold: float = 0.5, patch_size: int = 8,
                  ground_truth: CubemapVideo | None = None,
                  on_window=None) -> GenerationResult:
     """Run every plan step window-major; the result is the cube canvas,
@@ -298,7 +309,8 @@ def generate_all(cond_video: CubemapVideo, plan: GenerationPlan, denoiser,
     layout = layout or CubeLayout.create(cond_video.resolution)
     state = init_state(cond_video, plan, layout=layout, pad=pad,
                        history_capacity=history_capacity, frag_length=frag_length,
-                       frag_threshold=frag_threshold, ground_truth=ground_truth)
+                       frag_threshold=frag_threshold, patch_size=patch_size,
+                       ground_truth=ground_truth)
     for i, step in enumerate(plan.steps):
         generate_step(state, step, denoiser, cfg)
         if on_window is not None and i % 6 == 5:  # init_state checked the blocks

@@ -223,6 +223,37 @@ class TestSparseBlockBoundaries:
         assert out.shape == inp.values.shape
 
 
+class TestSparseAtScale:
+    """Contexts of many blocks: interior windows, windows clipped at both
+    context ends, and bands wider than a block."""
+
+    @pytest.mark.parametrize("seed", [1, 11])
+    def test_attend_grid_gate(self, seed):
+        # The benchmark's correctness check: its C=1024 case, seeded the same
+        # way, against the dense reference within its 1e-5 gate.
+        g, c, d = 256, 1024, 32
+        rng = np.random.default_rng(np.random.SeedSequence((seed, c)))
+        inp = AttentionInputs(*(rng.standard_normal((1, g + c, d), dtype=np.float32)
+                                for _ in range(3)))
+        layout = TokenLayout(num_generation=g, num_context=c)
+        spec = BandedMaskSpec(bandwidth=64)
+        sparse = sparse_context_attention(inp, layout, spec)
+        dense = dense_masked_attention(inp, mask_matrix(layout, spec))
+        assert sparse.dtype == np.float32
+        assert np.abs(sparse - dense).max() <= 1e-5
+
+    @pytest.mark.parametrize("g", [0, 70])
+    def test_equivalence_float64(self, rng, g):
+        c = 1000
+        layout = TokenLayout(num_generation=g, num_context=c)
+        inp = random_inputs(rng, g + c, dim=8, heads=3)
+        for kb in (1, 63, 64, 65, 300):
+            spec = BandedMaskSpec(bandwidth=kb)
+            sparse = sparse_context_attention(inp, layout, spec)
+            dense = dense_masked_attention(inp, mask_matrix(layout, spec))
+            np.testing.assert_allclose(sparse, dense, rtol=0, atol=1e-10)
+
+
 class TestAttentionPeakBytes:
     @pytest.mark.parametrize("g", [0, 256])
     def test_tracemalloc_peak_within_bound(self, g):
@@ -241,6 +272,23 @@ class TestAttentionPeakBytes:
         finally:
             tracemalloc.stop()
         assert peak <= attention_peak_bytes(layout, spec, d, itemsize=4)
+
+    @pytest.mark.parametrize("g", [0, 256])
+    def test_bound_is_tight(self, g):
+        c, d = 16384, 32
+        layout = TokenLayout(num_generation=g, num_context=c)
+        spec = BandedMaskSpec(bandwidth=64)
+        rng = np.random.default_rng(7)
+        inp = AttentionInputs(*(rng.standard_normal((1, g + c, d), dtype=np.float32)
+                                for _ in range(3)))
+        tracemalloc.start()
+        try:
+            sparse_context_attention(inp, layout, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = attention_peak_bytes(layout, spec, d, itemsize=4)
+        assert peak <= bound <= 1.25 * peak
 
     def test_linear_in_context(self):
         spec = BandedMaskSpec(bandwidth=64)

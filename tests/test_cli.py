@@ -1,6 +1,8 @@
 """End-to-end CLI tests: artifacts, schemas, determinism, and error paths."""
 
 import json
+import os
+import signal
 import subprocess
 import sys
 import threading
@@ -189,6 +191,25 @@ class TestSubcommands:
             layout, BandedMaskSpec(bandwidth=tok["bandwidth"]), 64, 8)
         assert not list(out.glob("*.pfm"))
 
+    def test_step_token_counts_within_dry_run(self, tmp_path):
+        """Every step logs its tokens by kind; the dry-run's figures hold."""
+        assert run(["generate", "--config", DEMO, "--out", tmp_path / "run"]) == 0
+        assert run(["generate", "--config", DEMO, "--out", tmp_path / "dry",
+                    "--dry-run"]) == 0
+        steps = json.loads((tmp_path / "run" / "run_report.json").read_text())["steps"]
+        dry = json.loads((tmp_path / "dry" / "dry_run.json").read_text())["tokens"]
+        per_frame = 64  # (64 / 8)^2 patches of a demo face frame
+        for step in steps:
+            tokens = step["tokens"]
+            assert tokens["generation"] == dry["generation"]
+            for kind in ("hist", "curr-gen", "curr-cond", "fut"):
+                assert tokens[kind] == per_frame * sum(
+                    src["e"] - src["s"] for src in step["sources"]
+                    if src["kind"] == kind)
+        contexts = [sum(step["tokens"].values()) - step["tokens"]["generation"]
+                    for step in steps]
+        assert 0 < max(contexts) <= dry["max_context"]
+
     def test_metrics_validates(self, tmp_path):
         cfg = small_cfg(tmp_path)
         out = tmp_path / "out"
@@ -321,6 +342,44 @@ class TestErrorPaths:
         monkeypatch.setattr(cli, "_make_denoiser", failing)
         assert run(["generate", "--config", small_cfg(tmp_path), "--out", out]) == 1
         self.assert_failed_cleanly(out, capsys, "RuntimeError", "plan step 7")
+
+    def test_sigterm_after_first_window_leaves_nothing(
+            self, tmp_path, capsys, monkeypatch):
+        make = cli._make_denoiser
+        out = tmp_path / "o"
+
+        def terminated(*args):
+            denoise, keys = make(*args), set()
+
+            def wrapped(z_t, t, context, conditioning=None):
+                keys.add((context.face, context.start))
+                if len(keys) == 7:
+                    deadline = time.monotonic() + 30.0
+                    while not list(out.glob(".staging-*/frame_003.ppm")):
+                        assert time.monotonic() < deadline
+                        time.sleep(0.01)
+                    os.kill(os.getpid(), signal.SIGTERM)
+                return denoise(z_t, t, context, conditioning)
+
+            return wrapped
+
+        def outer(signum, frame):  # reached only if generate installs nothing
+            raise RuntimeError("SIGTERM reached the previous handler")
+
+        monkeypatch.setattr(cli, "_make_denoiser", terminated)
+        original = signal.signal(signal.SIGTERM, outer)
+        try:
+            with pytest.raises(SystemExit) as exc:
+                run(["generate", "--config", small_cfg(tmp_path), "--out", out])
+            assert signal.getsignal(signal.SIGTERM) is outer
+        finally:
+            signal.signal(signal.SIGTERM, original)
+        assert exc.value.code == 143
+        assert capsys.readouterr().err == ""
+        assert not list(out.glob("frame_*"))
+        assert not (out / "run_report.json").exists()
+        assert not list(out.glob(".staging-*"))
+        assert not side_threads()
 
     def test_frame_write_failure_leaves_nothing(self, tmp_path, capsys,
                                                 monkeypatch):
