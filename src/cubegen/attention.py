@@ -304,12 +304,10 @@ def tokens_per_frame(resolution: int, patch_size: int) -> int:
 
 
 def layout_from_bundle(bundle, generation_frames: int, resolution: int,
-                       patch_size: int,
-                       generation_resolution: int | None = None) -> TokenLayout:
+                       patch_size: int) -> TokenLayout:
     """Token layout for a context bundle: one segment per token source."""
     per_frame = tokens_per_frame(resolution, patch_size)
-    gen_res = resolution if generation_resolution is None else generation_resolution
-    g = generation_frames * tokens_per_frame(gen_res, patch_size)
+    g = generation_frames * per_frame
     segments = []
     offset = 0
     for src in bundle.sources:

@@ -63,7 +63,6 @@ from .imgio import (
 from .pipeline import (
     SamplerConfig,
     generate_all,
-    init_state,
     padded_target_denoiser,
     simulate_contexts,
     zero_denoiser,
@@ -115,7 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_subcommand(name: str, cfg: RunConfig, out_dir: Path, args=None) -> None:
+def run_subcommand(name: str, cfg: RunConfig, out_dir: Path, args) -> None:
     if name == "project":
         cmd_project(cfg, out_dir)
     elif name == "plan":
@@ -123,12 +122,9 @@ def run_subcommand(name: str, cfg: RunConfig, out_dir: Path, args=None) -> None:
     elif name == "context":
         cmd_context(cfg, out_dir)
     elif name == "attend-bench":
-        head_dim = getattr(args, "head_dim", 32) if args else 32
-        trials = getattr(args, "trials", 1) if args else 1
-        cmd_attend_bench(cfg, out_dir, head_dim=head_dim, trials=trials)
+        cmd_attend_bench(cfg, out_dir, head_dim=args.head_dim, trials=args.trials)
     elif name == "generate":
-        dry = bool(getattr(args, "dry_run", False)) if args else False
-        cmd_generate(cfg, out_dir, dry_run=dry)
+        cmd_generate(cfg, out_dir, dry_run=args.dry_run)
     elif name == "metrics":
         cmd_metrics(cfg, out_dir)
     else:
@@ -222,21 +218,17 @@ def cmd_plan(cfg: RunConfig, out_dir: Path) -> None:
 
 
 def cmd_context(cfg: RunConfig, out_dir: Path) -> None:
-    field, frames, poses = _load_inputs(cfg)
-    truth = _truth(cfg, field)
+    """The generation loop's step log, tokens left out; it does not depend
+    on content, so no truth is built."""
+    _, frames, poses = _load_inputs(cfg)
     cond = scene_mod.conditional_video(cfg.resolution, frames, poses)
-    fc, wp, ct = _coverage_tables(cfg, cond)
-    plan = plan_order(ct, wp)
-    state = init_state(cond, plan, layout=CubeLayout.create(cfg.resolution),
-                       pad=cfg.pad, history_capacity=cfg.history,
-                       frag_length=cfg.frag_length,
-                       frag_threshold=cfg.frag_threshold, patch_size=cfg.patch_size,
-                       ground_truth=truth)
-    entries = simulate_contexts(state)
-    steps = [{"face": e["face"], "s": e["s"], "e": e["e"], "window": e["window"],
-              "fragments": e["fragments"],
-              "resident_latents": e["resident_latents"],
-              "sources": e["sources"]} for e in entries]
+    _, wp, ct = _coverage_tables(cfg, cond)
+    entries = simulate_contexts(cond, plan_order(ct, wp),
+                                history_capacity=cfg.history,
+                                frag_length=cfg.frag_length,
+                                frag_threshold=cfg.frag_threshold,
+                                patch_size=cfg.patch_size)
+    steps = [{k: v for k, v in e.items() if k != "tokens"} for e in entries]
     write_json_artifact(out_dir / "context.json", "context", {"steps": steps})
 
 
@@ -377,11 +369,12 @@ def _generate(cfg: RunConfig, out_dir: Path) -> None:
         denoiser = _make_denoiser(cfg, truth, cond, layout)
         result = generate_all(
             cond, plan, denoiser,
-            SamplerConfig(steps=cfg.sampler_steps, seed=cfg.seed,
-                          teacher_forcing=cfg.mode.teacher_forcing),
+            SamplerConfig(steps=cfg.sampler_steps, seed=cfg.seed),
             layout=layout, pad=cfg.pad, history_capacity=cfg.history,
             frag_length=cfg.frag_length, frag_threshold=cfg.frag_threshold,
-            patch_size=cfg.patch_size, ground_truth=truth, on_window=on_window)
+            patch_size=cfg.patch_size,
+            teacher=truth if cfg.mode.teacher_forcing else None,
+            on_window=on_window)
         marks.append(time.perf_counter())
 
         # The report is built while the side thread writes the last window.

@@ -8,19 +8,26 @@ contracts onto the target.
 
 A denoiser is any callable (z_t, t, context, conditioning) -> velocity of
 identical shape, deterministic given identical inputs and seed.
+
+The generation loop is one pass over the plan.  :func:`plan_contexts`
+checks the plan once and yields each step with its context bundle;
+:func:`generate_all` samples and blends each step with :func:`generate_step`,
+and :func:`simulate_contexts` only logs the bundles.  Teacher forcing is
+``generate_all``'s ``teacher`` video, which hist and curr-gen context then
+view in place of the canvas.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .attention import layout_from_bundle
 from .faces import FACES
 from .geometry import CubemapVideo
-from .planner import FrameCoverage, GenerationPlan, PlanStep, frame_coverage
+from .planner import GenerationPlan, PlanStep, frame_coverage
 from .context import ContextBundle, assemble_context, select_future_fragments
 from .continuity import CubeLayout, blend_overlaps, pad_face
 
@@ -33,9 +40,8 @@ __all__ = [
     "padded_target_denoiser",
     "zero_denoiser",
     "euler_sample",
-    "GenerationState",
     "GenerationResult",
-    "init_state",
+    "plan_contexts",
     "generate_step",
     "generate_all",
     "simulate_contexts",
@@ -53,7 +59,6 @@ class ConditioningTag:
 class SamplerConfig:
     steps: int
     seed: int = 0
-    teacher_forcing: bool = False
 
     def __post_init__(self):
         if self.steps < 1:
@@ -124,51 +129,26 @@ def euler_sample(denoiser, shape: tuple, context, conditioning,
 # generation loop
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GenerationState:
-    """Everything a step needs: plan progress, canvas, coverage.  Window and
-    history bookkeeping is arithmetic on ``next_index`` over the plan."""
+def plan_contexts(cond: CubemapVideo, plan: GenerationPlan, source: np.ndarray, *,
+                  history_capacity: int, frag_length: int, frag_threshold: float):
+    """Check ``plan`` once, when iteration starts, then yield ``(step,
+    bundle)`` for each plan step in order, ``bundle`` its [hist; curr; fut]
+    context.
 
-    cond: CubemapVideo
-    coverage: FrameCoverage
-    plan: GenerationPlan
-    layout: CubeLayout
-    pad: int
-    history_capacity: int
-    frag_length: int
-    frag_threshold: float
-    working: np.ndarray                # (N, 6, R, R, C) canvas, canonical face order
-    patch_size: int                    # tokens are patch_size^2 pixel patches
-    next_index: int = 0
-    ground_truth: CubemapVideo | None = None
-    pool_trace: list = field(default_factory=list)
-    resident_trace: list = field(default_factory=list)
-    step_log: list = field(default_factory=list)
-    step_timings: list = field(default_factory=list)
-
-    @property
-    def resolution(self) -> int:
-        return self.cond.resolution
-
-
-def init_state(cond: CubemapVideo, plan: GenerationPlan, *, layout: CubeLayout,
-               pad: int, history_capacity: int, frag_length: int,
-               frag_threshold: float, patch_size: int = 8,
-               ground_truth: CubemapVideo | None = None) -> GenerationState:
+    hist and curr-gen view ``source``, an (N, 6, R, R, C) video; curr-cond
+    and fut view ``cond.pixels``.  Which sources a bundle holds depends only
+    on the step's plan index; their contents are views, so what a caller
+    writes into ``source`` between steps shows in later bundles.
+    """
     _check_plan(plan, cond.num_frames)
-    return GenerationState(
-        cond=cond,
-        coverage=frame_coverage(cond.masks),
-        plan=plan,
-        layout=layout,
-        pad=pad,
-        history_capacity=history_capacity,
-        frag_length=frag_length,
-        frag_threshold=frag_threshold,
-        working=cond.pixels.copy(),
-        patch_size=patch_size,
-        ground_truth=ground_truth,
-    )
+    coverage = frame_coverage(cond.masks)
+    for i, step in enumerate(plan.steps):
+        fragments = select_future_fragments(coverage, step.face, step.end,
+                                            frag_length, frag_threshold,
+                                            cond.num_frames)
+        done = tuple(st.face for st in plan.steps[i - i % 6:i])
+        yield step, assemble_context(source, cond.pixels, step, done,
+                                     history_capacity, fragments)
 
 
 def _check_plan(plan: GenerationPlan, num_frames: int) -> None:
@@ -187,141 +167,114 @@ def _check_plan(plan: GenerationPlan, num_frames: int) -> None:
                              f"[{w * length}, {(w + 1) * length}): {block}")
 
 
-def build_context(state: GenerationState, step: PlanStep,
-                  source: np.ndarray) -> ContextBundle:
-    """Fragments plus [hist; curr; fut] assembly for the next plan step;
-    hist and curr-gen view ``source``, an (N, 6, R, R, C) video."""
-    fragments = select_future_fragments(
-        state.coverage, step.face, step.end, state.frag_length,
-        state.frag_threshold, state.cond.num_frames)
-    first = state.next_index - state.next_index % 6
-    done = tuple(st.face for st in state.plan.steps[first:state.next_index])
-    return assemble_context(source, state.cond.pixels, step, done,
-                            state.history_capacity, fragments)
-
-
-def _step_seed(cfg: SamplerConfig, index: int) -> int:
-    return int(np.random.SeedSequence((cfg.seed, index)).generate_state(1)[0])
-
-
-def _check_step_order(state: GenerationState, step: PlanStep,
-                      cfg: SamplerConfig | None) -> None:
-    if state.next_index >= len(state.plan.steps):
-        raise ValueError("plan already completed")
-    expected = state.plan.steps[state.next_index]
-    if step != expected:
-        raise ValueError(f"plan-order violation: got {step}, expected {expected}")
-    if cfg is not None and cfg.teacher_forcing and state.ground_truth is None:
-        raise ValueError("teacher forcing requires ground truth content")
-
-
-def _finish_step(state: GenerationState, step: PlanStep,
-                 bundle: ContextBundle) -> None:
-    """Log the step's context with its token counts by source kind, and move
-    on to the next plan step."""
-    resident = len(bundle.sources)
-    layout = layout_from_bundle(bundle, step.end - step.start, state.resolution,
-                                state.patch_size)
+def _log_entry(step: PlanStep, bundle: ContextBundle, resolution: int,
+               patch_size: int) -> dict:
+    """The step's context, with its token counts by source kind."""
+    layout = layout_from_bundle(bundle, step.end - step.start, resolution,
+                                patch_size)
     tokens = {"generation": layout.num_generation,
               "hist": 0, "curr-gen": 0, "curr-cond": 0, "fut": 0}
     for src, (_, length, _) in zip(bundle.sources, layout.segments):
         tokens[src.kind] += length
-    state.resident_trace.append(resident)
-    state.step_log.append({
+    return {
         "face": step.face, "s": step.start, "e": step.end,
         "window": bundle.window,
         "fragments": len(bundle.fut),
         "sources": bundle.provenance(),
-        "resident_latents": resident,
+        "resident_latents": len(bundle.sources),
         "tokens": tokens,
-    })
-    state.next_index += 1
-    state.pool_trace.append(min(state.history_capacity, state.next_index // 6))
+    }
 
 
-def generate_step(state: GenerationState, step: PlanStep, denoiser,
-                  cfg: SamplerConfig) -> np.ndarray:
-    """Run one plan step: assemble context, sample the padded face video,
-    blend it into the canvas.
+def generate_step(canvas: np.ndarray, step: PlanStep, bundle: ContextBundle,
+                  denoiser, step_cfg: SamplerConfig, pad: int,
+                  layout: CubeLayout) -> np.ndarray:
+    """Sample the padded face video of ``step`` and blend it into ``canvas``,
+    the (N, 6, R, R, C) video being composed.
 
-    Steps must arrive exactly in plan order.  The context views the canvas,
-    or the ground truth under teacher forcing.  Returns the sampled
-    (T, R+2p, R+2p, C) padded face video of the window; its core is
-    ``out[:, p:p+R, p:p+R]``.
+    Returns the sampled (T, R+2p, R+2p, C) padded face video of the window;
+    its core is ``out[:, p:p+R, p:p+R]``.
     """
-    _check_step_order(state, step, cfg)
-    t_begin = time.perf_counter()
-    source = state.ground_truth.pixels if cfg.teacher_forcing else state.working
-    bundle = build_context(state, step, source)
-    r, p = state.resolution, state.pad
-    shape = (step.end - step.start, r + 2 * p, r + 2 * p, state.cond.channels)
-    step_cfg = SamplerConfig(steps=cfg.steps, seed=_step_seed(cfg, state.next_index),
-                             teacher_forcing=cfg.teacher_forcing)
+    r = canvas.shape[2]
+    shape = (step.end - step.start, r + 2 * pad, r + 2 * pad, canvas.shape[-1])
     z = euler_sample(denoiser, shape, bundle, ConditioningTag(), step_cfg)
-    blend_overlaps(z, state.working[step.start:step.end], step.face, p, state.layout)
-    _finish_step(state, step, bundle)
-    state.step_timings.append(time.perf_counter() - t_begin)
+    blend_overlaps(z, canvas[step.start:step.end], step.face, pad, layout)
     return z
 
 
-def simulate_contexts(state: GenerationState) -> list[dict]:
-    """Walk the whole plan without sampling, recording per-step provenance.
+def simulate_contexts(cond: CubemapVideo, plan: GenerationPlan, *,
+                      history_capacity: int, frag_length: int,
+                      frag_threshold: float, patch_size: int) -> list[dict]:
+    """The step log of a generation run over ``plan``, without sampling.
 
-    The context views ground truth when present (mirroring teacher forcing),
-    otherwise the conditional input; the bookkeeping is the real loop's, so
-    provenance matches a generation run.
+    The log holds provenance and token counts, never content, so every
+    source views ``cond.pixels``; the entries equal ``generate_all``'s.
     """
-    source = (state.ground_truth or state.cond).pixels
-    for step in state.plan.steps:
-        _check_step_order(state, step, None)
-        _finish_step(state, step, build_context(state, step, source))
-    return state.step_log
+    return [_log_entry(step, bundle, cond.resolution, patch_size)
+            for step, bundle in plan_contexts(
+                cond, plan, cond.pixels, history_capacity=history_capacity,
+                frag_length=frag_length, frag_threshold=frag_threshold)]
 
 
 @dataclass
 class GenerationResult:
     cubemap: CubemapVideo          # pixels is the (N, 6, R, R, C) canvas itself
-    pool_trace: list
-    resident_trace: list
+    pool_trace: list               # completed windows in the history after each step
     step_log: list
     step_timings: list
 
     @property
+    def resident_trace(self) -> list:
+        return [entry["resident_latents"] for entry in self.step_log]
+
+    @property
     def peak_resident(self) -> int:
-        return max(self.resident_trace) if self.resident_trace else 0
+        return max(self.resident_trace, default=0)
 
 
 def generate_all(cond_video: CubemapVideo, plan: GenerationPlan, denoiser,
                  cfg: SamplerConfig, *, layout: CubeLayout | None = None,
                  pad: int = 4, history_capacity: int = 2, frag_length: int = 4,
                  frag_threshold: float = 0.5, patch_size: int = 8,
-                 ground_truth: CubemapVideo | None = None,
+                 teacher: CubemapVideo | None = None,
                  on_window=None) -> GenerationResult:
     """Run every plan step window-major; the result is the cube canvas,
     which callers resample to equirect frames one at a time.
 
+    Step ``i`` samples with the seed ``SeedSequence((cfg.seed, i))``.  hist
+    and curr-gen context views the canvas, or ``teacher``'s pixels when it is
+    given (teacher forcing).
+
     ``on_window(start, end, frames)``, when given, is called once per window,
     in order, after its six faces are blended, with ``frames`` the canvas
-    view ``working[start:end]``.  Blending writes only frames of the current
+    view ``canvas[start:end]``.  Blending writes only frames of the current
     window, so these frames are final: a caller may read them from another
     thread while later windows are sampled, but must not write them.
     """
     layout = layout or CubeLayout.create(cond_video.resolution)
-    state = init_state(cond_video, plan, layout=layout, pad=pad,
-                       history_capacity=history_capacity, frag_length=frag_length,
-                       frag_threshold=frag_threshold, patch_size=patch_size,
-                       ground_truth=ground_truth)
-    for i, step in enumerate(plan.steps):
-        generate_step(state, step, denoiser, cfg)
-        if on_window is not None and i % 6 == 5:  # init_state checked the blocks
-            on_window(step.start, step.end, state.working[step.start:step.end])
+    canvas = cond_video.pixels.copy()
+    source = canvas if teacher is None else teacher.pixels
+    pool_trace, step_log, step_timings = [], [], []
+    t_end = time.perf_counter()
+    for i, (step, bundle) in enumerate(plan_contexts(
+            cond_video, plan, source, history_capacity=history_capacity,
+            frag_length=frag_length, frag_threshold=frag_threshold)):
+        step_cfg = SamplerConfig(steps=cfg.steps, seed=_step_seed(cfg, i))
+        generate_step(canvas, step, bundle, denoiser, step_cfg, pad, layout)
+        step_log.append(_log_entry(step, bundle, cond_video.resolution, patch_size))
+        pool_trace.append(min(history_capacity, (i + 1) // 6))
+        if on_window is not None and i % 6 == 5:  # the plan check fixed the blocks
+            on_window(step.start, step.end, canvas[step.start:step.end])
+        t_begin, t_end = t_end, time.perf_counter()
+        step_timings.append(t_end - t_begin)
 
-    out_video = CubemapVideo(pixels=state.working,
-                             masks=np.ones_like(cond_video.masks))
-    return GenerationResult(
-        cubemap=out_video,
-        pool_trace=state.pool_trace, resident_trace=state.resident_trace,
-        step_log=state.step_log, step_timings=state.step_timings)
+    out_video = CubemapVideo(pixels=canvas, masks=np.ones_like(cond_video.masks))
+    return GenerationResult(cubemap=out_video, pool_trace=pool_trace,
+                            step_log=step_log, step_timings=step_timings)
+
+
+def _step_seed(cfg: SamplerConfig, index: int) -> int:
+    return int(np.random.SeedSequence((cfg.seed, index)).generate_state(1)[0])
 
 
 # ---------------------------------------------------------------------------

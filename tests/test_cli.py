@@ -104,6 +104,30 @@ class TestSubcommands:
         later = ctx["steps"][6]
         assert any(s["kind"] == "hist" for s in later["sources"])
 
+    @pytest.mark.parametrize("teacher", [True, False])
+    def test_context_equals_generation_log(self, tmp_path, teacher):
+        # both subcommands walk the one plan loop; context.json is its step
+        # log without the token counts
+        cfg = small_cfg(tmp_path, num_frames=12, history=1, frag_threshold=0.3,
+                        mode={"teacher_forcing": teacher, "denoiser": "oracle"})
+        assert run(["context", "--config", cfg, "--out", tmp_path / "ctx"]) == 0
+        assert run(["generate", "--config", cfg, "--out", tmp_path / "gen"]) == 0
+        ctx = json.loads((tmp_path / "ctx" / "context.json").read_text())
+        report = json.loads((tmp_path / "gen" / "run_report.json").read_text())
+        assert ctx["steps"] == [{k: v for k, v in step.items() if k != "tokens"}
+                                for step in report["steps"]]
+        assert any(step["fragments"] for step in ctx["steps"])
+
+    def test_context_never_builds_truth(self, tmp_path, monkeypatch):
+        def no_truth(*args, **kwargs):
+            raise AssertionError("context built the synthetic truth")
+
+        monkeypatch.setattr(sc.SyntheticScene, "cubemap_video", no_truth)
+        cfg = small_cfg(tmp_path)
+        assert run(["context", "--config", cfg, "--out", tmp_path / "out"]) == 0
+        validate_artifact("context", json.loads(
+            (tmp_path / "out" / "context.json").read_text()))
+
     def test_attend_bench_csv(self, tmp_path):
         cfg = small_cfg(tmp_path)
         out = tmp_path / "out"
@@ -159,11 +183,10 @@ class TestSubcommands:
         layout = CubeLayout.create(cfg.resolution)
         result = generate_all(
             cond, plan_order(ct, wp), cli._make_denoiser(cfg, truth, cond, layout),
-            SamplerConfig(steps=cfg.sampler_steps, seed=cfg.seed,
-                          teacher_forcing=cfg.mode.teacher_forcing),
+            SamplerConfig(steps=cfg.sampler_steps, seed=cfg.seed),
             layout=layout, pad=cfg.pad, history_capacity=cfg.history,
             frag_length=cfg.frag_length, frag_threshold=cfg.frag_threshold,
-            ground_truth=truth)
+            teacher=truth if cfg.mode.teacher_forcing else None)
         taps = EquirectTaps.create(cfg.resolution, cfg.equirect_width)
         ref = tmp_path / "ref"
         ref.mkdir()

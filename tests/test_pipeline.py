@@ -27,10 +27,10 @@ from cubegen.pipeline import (
     flow_matching_loss,
     generate_all,
     generate_step,
-    init_state,
     oracle_denoiser,
     padded_target_denoiser,
     sample_path,
+    simulate_contexts,
     zero_denoiser,
 )
 from cubegen import pipeline as pl
@@ -192,37 +192,35 @@ class TestInPlaceEuler:
 
 
 class TestGenerateStep:
-    def setup_state(self, res=16, teacher=True):
-        cfg, truth, cond, plan = small_scene(res=res, n=8, t_win=4)
-        layout = CubeLayout.create(res)
-        state = init_state(cond, plan, layout=layout, pad=2, history_capacity=2,
-                           frag_length=4, frag_threshold=0.5,
-                           ground_truth=truth if teacher else None)
+    def first_step(self):
+        """The first plan step of a teacher-forced run, its context and the
+        scene oracle, with the canvas it blends into."""
+        cfg, truth, cond, plan = small_scene(res=16, n=8, t_win=4)
+        layout = CubeLayout.create(16)
+        step, bundle = next(pl.plan_contexts(cond, plan, truth.pixels,
+                                             history_capacity=2, frag_length=4,
+                                             frag_threshold=0.5))
         denoiser = padded_target_denoiser(truth, 2, layout)
-        return cfg, truth, cond, plan, state, denoiser
+        return truth, cond, cond.pixels.copy(), step, bundle, denoiser, layout
 
     def test_oracle_step_reproduces_truth(self):
-        cfg, truth, cond, plan, state, denoiser = self.setup_state()
-        step = plan.steps[0]
-        out = generate_step(state, step, denoiser,
-                            SamplerConfig(steps=4, seed=1, teacher_forcing=True))
+        truth, cond, canvas, step, bundle, denoiser, layout = self.first_step()
+        out = generate_step(canvas, step, bundle, denoiser,
+                            SamplerConfig(steps=4, seed=1), 2, layout)
         gt = truth.pixels[step.start:step.end, FACE_INDEX[step.face]]
         assert out.shape == (step.end - step.start, 16 + 4, 16 + 4, 3)
         got = out[:, 2:2 + 16, 2:2 + 16]
         assert np.abs(got - gt).max() <= 1e-5
 
     def test_first_step_context_boundary(self):
-        cfg, truth, cond, plan, state, denoiser = self.setup_state()
-        from cubegen.pipeline import build_context
-        bundle = build_context(state, plan.steps[0], state.working)
+        truth, cond, canvas, step, bundle, denoiser, layout = self.first_step()
         assert bundle.hist == ()
         assert [s.kind for s in bundle.curr] == ["curr-cond"] * 6
 
     def test_masked_pixels_reproduced(self):
-        cfg, truth, cond, plan, state, denoiser = self.setup_state()
-        step = plan.steps[0]
-        out = generate_step(state, step, denoiser,
-                            SamplerConfig(steps=4, seed=1, teacher_forcing=True))
+        truth, cond, canvas, step, bundle, denoiser, layout = self.first_step()
+        out = generate_step(canvas, step, bundle, denoiser,
+                            SamplerConfig(steps=4, seed=1), 2, layout)
         for k, t in enumerate(range(step.start, step.end)):
             fi = FACE_INDEX[step.face]
             m = cond.masks[t, fi].astype(bool)
@@ -230,35 +228,33 @@ class TestGenerateStep:
                 diff = np.abs(out[k, 2:2 + 16, 2:2 + 16] - cond.pixels[t, fi])[m]
                 assert diff.max() <= 0.02  # bilinear error of the conditional
 
-    def test_plan_order_violation(self):
-        cfg, truth, cond, plan, state, denoiser = self.setup_state()
-        with pytest.raises(ValueError):
-            generate_step(state, plan.steps[1], denoiser,
-                          SamplerConfig(steps=1, seed=0, teacher_forcing=True))
-
     def test_causality_of_context(self):
         # non-future sources never extend past the window end
-        cfg, truth, cond, plan, state, denoiser = self.setup_state()
-        scfg = SamplerConfig(steps=1, seed=0, teacher_forcing=True)
-        for step in plan.steps:
-            generate_step(state, step, denoiser, scfg)
-        for entry in state.step_log:
+        cfg, truth, cond, plan = small_scene(res=16, n=8, t_win=4)
+        layout = CubeLayout.create(16)
+        result = generate_all(cond, plan, padded_target_denoiser(truth, 2, layout),
+                              SamplerConfig(steps=1, seed=0), layout=layout,
+                              pad=2, teacher=truth)
+        for entry in result.step_log:
             for src in entry["sources"]:
                 if src["kind"] != "fut":
                     assert src["e"] <= entry["e"]
 
 
 class TestInitState:
-    """The plan is checked once, up front: window-major blocks of six steps
-    sharing one (start, end), every face once, tiling [0, N) in order."""
+    """The plan is checked once, up front, by both entry points: window-major
+    blocks of six steps sharing one (start, end), every face once, tiling
+    [0, N) in order."""
 
     def reject(self, edit):
         """``edit`` maps the planner's steps to the plan to be rejected."""
         cfg, truth, cond, plan = small_scene(res=8, n=8, t_win=4)
+        bad = GenerationPlan(steps=tuple(edit(plan.steps)))
         with pytest.raises(ValueError, match="plan"):
-            init_state(cond, GenerationPlan(steps=tuple(edit(plan.steps))),
-                       layout=CubeLayout.create(8), pad=2, history_capacity=2,
-                       frag_length=4, frag_threshold=0.5)
+            generate_all(cond, bad, zero_denoiser, SamplerConfig(steps=1), pad=2)
+        with pytest.raises(ValueError, match="plan"):
+            simulate_contexts(cond, bad, history_capacity=2, frag_length=4,
+                              frag_threshold=0.5, patch_size=8)
 
     def test_repeated_face_in_window_rejected(self):
         self.reject(lambda s: (s[0], replace(s[1], face=s[0].face)) + s[2:])
@@ -276,7 +272,7 @@ class TestInitState:
 
 class TestContextViews:
     """Every source's content is a view of one (N, 6, R, R, C) video: the
-    canvas, or the ground truth under teacher forcing, for hist and curr-gen;
+    canvas, or the teacher under teacher forcing, for hist and curr-gen;
     the conditional for curr-cond and fut."""
 
     @pytest.mark.parametrize("teacher", [False, True])
@@ -293,14 +289,14 @@ class TestContextViews:
             return inner(z_t, t, context, conditioning)
 
         # face F is about 38% covered, so its steps in window 1 take a fragment
-        state = init_state(cond, plan, layout=layout, pad=2, history_capacity=2,
-                           frag_length=4, frag_threshold=0.3, ground_truth=truth)
-        scfg = SamplerConfig(steps=2, seed=0, teacher_forcing=teacher)
-        for step in plan.steps:
-            generate_step(state, step, recording, scfg)
+        result = generate_all(cond, plan, recording, SamplerConfig(steps=2, seed=0),
+                              layout=layout, pad=2, history_capacity=2,
+                              frag_length=4, frag_threshold=0.3,
+                              teacher=truth if teacher else None)
         assert len(bundles) == len(plan.steps)
-        composed = truth.pixels if teacher else state.working
-        other = state.working if teacher else truth.pixels
+        canvas = result.cubemap.pixels
+        composed = truth.pixels if teacher else canvas
+        other = canvas if teacher else truth.pixels
         kinds = set()
         for bundle in bundles:
             for src in bundle.sources:
@@ -319,10 +315,9 @@ class TestGenerateAll:
         cfg, truth, cond, plan = small_scene(res=res)
         layout = CubeLayout.create(res)
         denoiser = padded_target_denoiser(truth, 2, layout)
-        result = generate_all(cond, plan, denoiser,
-                              SamplerConfig(steps=4, seed=5, teacher_forcing=True),
+        result = generate_all(cond, plan, denoiser, SamplerConfig(steps=4, seed=5),
                               layout=layout, pad=2, history_capacity=2,
-                              ground_truth=truth)
+                              teacher=truth)
         scene_obj = sc.SyntheticScene.random(cfg.channels, cfg.seed)
         expected = sc.render_equirect_video(scene_obj, 4 * res, 8)
         assert np.abs(equirect_frames(result) - expected).max() <= 0.02
@@ -345,24 +340,28 @@ class TestGenerateAll:
         layout = CubeLayout.create(res)
         denoiser = padded_target_denoiser(truth, 2, layout)
         h = 1
-        result = generate_all(cond, plan, denoiser,
-                              SamplerConfig(steps=1, seed=0, teacher_forcing=True),
+        result = generate_all(cond, plan, denoiser, SamplerConfig(steps=1, seed=0),
                               layout=layout, pad=2, history_capacity=h,
-                              ground_truth=truth)
+                              teacher=truth)
         assert max(result.pool_trace) <= h
+        # the history after a step is the one the next step's context reads
+        hist_windows = [len({src["s"] for src in e["sources"] if src["kind"] == "hist"})
+                        for e in result.step_log]
+        assert result.pool_trace[:-1] == hist_windows[1:]
         max_frag = max(e["fragments"] for e in result.step_log)
         assert result.peak_resident <= 6 * (h + 1) + max_frag
+        assert result.resident_trace == [len(e["sources"]) for e in result.step_log]
 
     def test_deterministic_runs(self):
         res = 16
         cfg, truth, cond, plan = small_scene(res=res)
         layout = CubeLayout.create(res)
         denoiser = padded_target_denoiser(truth, 2, layout)
-        scfg = SamplerConfig(steps=2, seed=9, teacher_forcing=True)
+        scfg = SamplerConfig(steps=2, seed=9)
         a = generate_all(cond, plan, denoiser, scfg, layout=layout, pad=2,
-                         ground_truth=truth)
+                         teacher=truth)
         b = generate_all(cond, plan, denoiser, scfg, layout=layout, pad=2,
-                         ground_truth=truth)
+                         teacher=truth)
         assert np.array_equal(equirect_frames(a), equirect_frames(b))
 
     def test_zero_denoiser_runs_and_differs(self):
@@ -391,8 +390,8 @@ class TestGenerateAll:
             calls.append((start, end, frames.copy()))
 
         result = generate_all(cond, plan, padded_target_denoiser(truth, 2, layout),
-                              SamplerConfig(steps=2, seed=4, teacher_forcing=teacher),
-                              layout=layout, pad=2, ground_truth=truth,
+                              SamplerConfig(steps=2, seed=4), layout=layout, pad=2,
+                              teacher=truth if teacher else None,
                               on_window=on_window)
         assert [(s, e) for s, e, _ in calls] == [(0, 4), (4, 8), (8, 12)]
         for s, e, frames in calls:
@@ -409,13 +408,13 @@ class TestGenerateAll:
         plan = plan_order(window_coverage(frame_coverage(cond.masks), wp), wp)
         layout = CubeLayout.create(cfg.resolution)
         denoiser = padded_target_denoiser(truth, cfg.pad, layout)
-        scfg = SamplerConfig(steps=cfg.sampler_steps, seed=cfg.seed,
-                             teacher_forcing=teacher)
+        scfg = SamplerConfig(steps=cfg.sampler_steps, seed=cfg.seed)
         tracemalloc.start()
         try:
             generate_all(cond, plan, denoiser, scfg, layout=layout, pad=cfg.pad,
                          history_capacity=cfg.history, frag_length=cfg.frag_length,
-                         frag_threshold=cfg.frag_threshold, ground_truth=truth)
+                         frag_threshold=cfg.frag_threshold,
+                         teacher=truth if teacher else None)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -438,15 +437,21 @@ class TestPaddedTargetDenoiser:
             calls.append(1)
             return real_pad(*args, **kwargs)
 
-        monkeypatch.setattr(pl, "pad_face", counting_pad)
-        state = init_state(cond, plan, layout=layout, pad=2, history_capacity=2,
-                           frag_length=4, frag_threshold=0.5, ground_truth=truth)
-        denoiser = padded_target_denoiser(truth, 2, layout)
-        scfg = SamplerConfig(steps=6, seed=2, teacher_forcing=True)
-        for step in plan.steps:
+        real_step = pl.generate_step
+        per_step = []
+
+        def counting_step(*args, **kwargs):
             before = len(calls)
-            generate_step(state, step, denoiser, scfg)
-            assert len(calls) - before == 1
+            out = real_step(*args, **kwargs)
+            per_step.append(len(calls) - before)
+            return out
+
+        monkeypatch.setattr(pl, "pad_face", counting_pad)
+        monkeypatch.setattr(pl, "generate_step", counting_step)
+        generate_all(cond, plan, padded_target_denoiser(truth, 2, layout),
+                     SamplerConfig(steps=6, seed=2), layout=layout, pad=2,
+                     teacher=truth)
+        assert per_step == [1] * len(plan.steps)
 
     @pytest.mark.parametrize("factory", ["oracle", "copy"])
     def test_cached_equals_uncached(self, factory):
@@ -464,9 +469,10 @@ class TestPaddedTargetDenoiser:
             return np.stack(frames) - z_t
 
         cached = padded_target_denoiser(video, 2, layout)
-        scfg = SamplerConfig(steps=3, seed=4, teacher_forcing=factory == "oracle")
-        runs = [generate_all(cond, plan, d, scfg, layout=layout, pad=2,
-                             ground_truth=truth) for d in (cached, uncached)]
+        teacher = truth if factory == "oracle" else None
+        runs = [generate_all(cond, plan, d, SamplerConfig(steps=3, seed=4),
+                             layout=layout, pad=2, teacher=teacher)
+                for d in (cached, uncached)]
         assert (equirect_frames(runs[0]).tobytes()
                 == equirect_frames(runs[1]).tobytes())
         assert runs[0].cubemap.pixels.tobytes() == runs[1].cubemap.pixels.tobytes()
