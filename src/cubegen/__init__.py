@@ -5,9 +5,9 @@ Submodules map one-to-one onto the processing stages:
 - :mod:`cubegen.geometry`   projections among perspective / equirect / cubemap
 - :mod:`cubegen.planner`    temporal windows and coverage-guided face order
 - :mod:`cubegen.context`    [hist; curr; fut] assembly as views of the cube video
-- :mod:`cubegen.attention`  banded context mask, dense/sparse paths, FLOPs
+- :mod:`cubegen.attention`  sparse context attention, its dense mask reference, FLOPs
 - :mod:`cubegen.continuity` flattened-cross positions, padding and blending index maps
-- :mod:`cubegen.pipeline`   flow-matching loss/sampler and the generation loop
+- :mod:`cubegen.pipeline`   flow-matching sampler and the generation loop
 - :mod:`cubegen.scene`      analytic synthetic scenes for oracles and demos
 - :mod:`cubegen.cli`        the ``cubegen`` command-line tool
 """
@@ -46,7 +46,6 @@ from .attention import (
     BandedMaskSpec,
     TokenLayout,
     attention_flops,
-    build_context_mask,
     dense_masked_attention,
     sparse_context_attention,
 )
@@ -59,14 +58,11 @@ from .continuity import (
     seam_metric,
 )
 from .pipeline import (
-    ConditioningTag,
     SamplerConfig,
     euler_sample,
-    flow_matching_loss,
     generate_all,
     generate_step,
     oracle_denoiser,
-    sample_path,
 )
 from .config import RunConfig, parse_config
 from .scene import SyntheticScene, synth_scene

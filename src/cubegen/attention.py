@@ -26,7 +26,6 @@ __all__ = [
     "TokenLayout",
     "BandedMaskSpec",
     "AttentionInputs",
-    "build_context_mask",
     "mask_matrix",
     "dense_masked_attention",
     "sparse_context_attention",
@@ -114,30 +113,13 @@ class AttentionInputs:
         return self.queries.shape[2]
 
 
-def build_context_mask(layout: TokenLayout, spec: BandedMaskSpec):
-    """Return allowed(q, k) for global token indices.
-
-    Generation tokens live at [0, G), context at [G, G+C).  Generation
-    queries read every key (full self-attention plus in-context conditioning);
-    context queries read all generation keys and context keys within the band
-    |q - k| <= K.
-    """
-    g = layout.num_generation
-    k_band = spec.bandwidth
-
-    # The whole attention pattern lives in this one rule; restricting
-    # generation->context reads (the alternative interpretation) would be a
-    # one-line change here plus the mirrored key window in the sparse path.
-    def allowed(q: int, k: int) -> bool:
-        if q < g or k < g:
-            return True
-        return abs(q - k) <= k_band
-
-    return allowed
-
-
 def mask_matrix(layout: TokenLayout, spec: BandedMaskSpec) -> np.ndarray:
-    """Materialized boolean mask; reference/debug use only (O((G+C)^2))."""
+    """The dense (G+C, G+C) boolean mask; reference use only (O((G+C)^2)).
+
+    Generation tokens are [0, G), context tokens [G, G+C).  Generation
+    queries read every key; context queries read every generation key and
+    the context keys within the band |q - k| <= K.
+    """
     n, g = layout.total, layout.num_generation
     idx = np.arange(n)
     ctx_q = (idx >= g)[:, None]

@@ -48,7 +48,7 @@ from .attention import (
     tokens_per_frame,
 )
 from .config import ConfigError, RunConfig, parse_config
-from .continuity import CubeLayout, seam_metric
+from .continuity import seam_metric
 from .geometry import CubemapVideo, EquirectTaps, PerspectiveFrame, face_directions
 from .imgio import (
     read_pfm,
@@ -272,14 +272,14 @@ def _best_ms(fn, trials: int) -> float:
     return best
 
 
-def _make_denoiser(cfg: RunConfig, truth, cond, layout):
+def _make_denoiser(cfg: RunConfig, truth, cond):
     if cfg.mode.denoiser == "oracle":
         if truth is None:
             raise ConfigError("mode.denoiser 'oracle' needs the synthetic scene "
                               "(ground truth); unset paths.frames_dir/poses")
-        return padded_target_denoiser(truth, cfg.pad, layout)
+        return padded_target_denoiser(truth, cfg.pad)
     if cfg.mode.denoiser == "copy":
-        return padded_target_denoiser(cond, cfg.pad, layout)
+        return padded_target_denoiser(cond, cfg.pad)
     return zero_denoiser
 
 
@@ -365,12 +365,10 @@ def _generate(cfg: RunConfig, out_dir: Path) -> None:
                 jobs.append(side.submit(_write_frame, taps_job, window[k],
                                         frame_buf, out_dir / f"frame_{start + k:03d}"))
 
-        layout = CubeLayout.create(cfg.resolution)
-        denoiser = _make_denoiser(cfg, truth, cond, layout)
         result = generate_all(
-            cond, plan, denoiser,
+            cond, plan, _make_denoiser(cfg, truth, cond),
             SamplerConfig(steps=cfg.sampler_steps, seed=cfg.seed),
-            layout=layout, pad=cfg.pad, history_capacity=cfg.history,
+            pad=cfg.pad, history_capacity=cfg.history,
             frag_length=cfg.frag_length, frag_threshold=cfg.frag_threshold,
             patch_size=cfg.patch_size,
             teacher=truth if cfg.mode.teacher_forcing else None,
@@ -384,7 +382,7 @@ def _generate(cfg: RunConfig, out_dir: Path) -> None:
             "pool_trace": result.pool_trace,
             "resident_trace": result.resident_trace,
             "peak_resident": result.peak_resident,
-            "seam_per_frame": _seam_per_frame(result.cubemap, layout),
+            "seam_per_frame": _seam_per_frame(result.canvas),
             "steps": result.step_log,
         }
         write_json_artifact(out_dir / "run_report.json", "run_report", report)
@@ -415,8 +413,9 @@ def _write_frame(taps_job, faces: np.ndarray, buf: np.ndarray, base: Path) -> No
     _write_image(base, frame)
 
 
-def _seam_per_frame(video: CubemapVideo, layout: CubeLayout) -> list[float]:
-    return [seam_metric(video.pixels[t], layout) for t in range(video.num_frames)]
+def _seam_per_frame(video: np.ndarray) -> list[float]:
+    """Seam metric of each frame of an (N, 6, R, R, C) cube video."""
+    return [seam_metric(faces) for faces in video]
 
 
 def _write_dry_run(cfg: RunConfig, out_dir: Path) -> None:
@@ -457,10 +456,9 @@ def cmd_metrics(cfg: RunConfig, out_dir: Path) -> None:
     truth = _truth(cfg, field)
     cond = scene_mod.conditional_video(cfg.resolution, frames, poses)
     fc, wp, ct = _coverage_tables(cfg, cond)
-    layout = CubeLayout.create(cfg.resolution)
     source = truth if truth is not None else cond
     report = {
-        "seam_per_frame": _seam_per_frame(source, layout),
+        "seam_per_frame": _seam_per_frame(source.pixels),
         "coverage": {
             "per_face_mean": {f: float(fc.values[i].mean())
                               for i, f in enumerate(FACES)},

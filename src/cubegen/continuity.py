@@ -239,42 +239,37 @@ def _pad_table(res: int, pad: int) -> _PadTable:
     return table
 
 
-def _checked_table(layout: CubeLayout, pad: int) -> _PadTable:
-    r = layout.resolution
+def _checked_table(stack: np.ndarray, pad: int, name: str) -> _PadTable:
+    """The index maps of ``pad`` and the R of ``stack``, which must be a
+    (T, 6, R, R, C) video of the six faces."""
+    if stack.ndim != 5 or stack.shape[1] != 6 or stack.shape[2] != stack.shape[3]:
+        raise ValueError(f"{name} must be (T, 6, R, R, C), got {stack.shape}")
+    r = stack.shape[2]
     if not 1 <= pad <= r // 2:
         raise ValueError(f"pad width must lie in [1, R/2], got {pad} for R={r}")
     return _pad_table(r, pad)
 
 
-def _check_stack(stack: np.ndarray, res: int, name: str) -> None:
-    if stack.ndim != 5 or stack.shape[1:4] != (6, res, res):
-        raise ValueError(f"{name} must be (T, 6, {res}, {res}, C), got {stack.shape}")
-
-
-def pad_face(stack: np.ndarray, face: str, pad: int,
-             layout: CubeLayout) -> np.ndarray:
+def pad_face(stack: np.ndarray, face: str, pad: int) -> np.ndarray:
     """(T, R+2p, R+2p, C) padded video of ``face`` from a (T, 6, R, R, C)
     window of the six faces in canonical order: one gather through the
     face's index map.  Pixel-exact copy, no resampling."""
-    table = _checked_table(layout, pad)
-    r = layout.resolution
-    _check_stack(stack, r, "stack")
-    t, c, n = stack.shape[0], stack.shape[-1], r + 2 * pad
+    table = _checked_table(stack, pad, "stack")
+    t, r, c = stack.shape[0], stack.shape[2], stack.shape[-1]
+    n = r + 2 * pad
     flat = stack.reshape(t, 6 * r * r, c)
     return np.take(flat, table.index[FACE_INDEX[face]], axis=1).reshape(t, n, n, c)
 
 
 def blend_overlaps(generated: np.ndarray, canvas: np.ndarray, face: str,
-                   pad: int, layout: CubeLayout) -> None:
+                   pad: int) -> None:
     """Write a generated (T, R+2p, R+2p, C) padded video of ``face`` into a
     C-contiguous (T, 6, R, R, C) canvas, in place: the core replaces the face
     wholesale, and each strip pixel blends into the neighbor pixel it pads
     with a linear ramp (weight 1 at the shared edge, falling to 1/p at depth
     p-1), as ``w * strip + (1 - w) * old``."""
-    table = _checked_table(layout, pad)
-    r, p = layout.resolution, pad
-    _check_stack(canvas, r, "canvas")
-    t, c = canvas.shape[0], canvas.shape[-1]
+    table = _checked_table(canvas, pad, "canvas")
+    t, r, c, p = canvas.shape[0], canvas.shape[2], canvas.shape[-1], pad
     if generated.shape != (t, r + 2 * p, r + 2 * p, c):
         raise ValueError(f"generated face must be {(t, r + 2 * p, r + 2 * p, c)}, "
                          f"got {generated.shape}")
@@ -303,11 +298,15 @@ def _seam_pairs(res: int) -> tuple[np.ndarray, np.ndarray]:
     return outside[keep], border[keep]
 
 
-def seam_metric(faces, layout: CubeLayout) -> float:
+def seam_metric(faces) -> float:
     """Mean absolute pixel difference across all 12 cube edges; ``faces``
-    are the six (R, R, C) grids in canonical order."""
-    r = layout.resolution
-    flat = np.asarray(faces).reshape(6 * r * r, -1)
+    is the (6, R, R) or (6, R, R, C) stack of faces in canonical order."""
+    faces = np.asarray(faces)
+    if (faces.ndim not in (3, 4) or faces.shape[0] != 6
+            or faces.shape[1] != faces.shape[2]):
+        raise ValueError(f"faces must be (6, R, R) or (6, R, R, C), got {faces.shape}")
+    r = faces.shape[1]
+    flat = faces.reshape(6 * r * r, -1)
     a, b = _seam_pairs(r)
     return float(np.abs(flat[a] - flat[b]).mean())
 

@@ -1,13 +1,14 @@
-"""Flow-matching loss/sampler and the autoregressive generation loop.
+"""Flow-matching sampler and the autoregressive generation loop.
 
-The working latent is the pixel grid at generation resolution.  The linear
-noising path is z_t = (1-t) z0 + t eps with velocity target v = z0 - z_t, and
-the Euler update z <- z + (dt / t) v makes the oracle denoiser land exactly
-on z0 for every step count: the final step has dt/t = 1, so any trajectory
-contracts onto the target.
+The working latent is the pixel grid at generation resolution.  Sampling
+follows the linear path z_t = (1-t) z0 + t eps, whose velocity is
+v = z0 - z_t, and the Euler update z <- z + (dt / t) v makes the oracle
+denoiser land exactly on z0 for every step count: the final step has
+dt/t = 1, so any trajectory contracts onto the target.
 
-A denoiser is any callable (z_t, t, context, conditioning) -> velocity of
-identical shape, deterministic given identical inputs and seed.
+A denoiser is any callable (z_t, t, context) -> velocity of identical shape,
+deterministic given identical inputs and seed; ``context`` is the step's
+[hist; curr; fut] :class:`~cubegen.context.ContextBundle`.
 
 The generation loop is one pass over the plan.  :func:`plan_contexts`
 checks the plan once and yields each step with its context bundle;
@@ -29,13 +30,10 @@ from .faces import FACES
 from .geometry import CubemapVideo
 from .planner import GenerationPlan, PlanStep, frame_coverage
 from .context import ContextBundle, assemble_context, select_future_fragments
-from .continuity import CubeLayout, blend_overlaps, pad_face
+from .continuity import blend_overlaps, pad_face
 
 __all__ = [
-    "ConditioningTag",
     "SamplerConfig",
-    "sample_path",
-    "flow_matching_loss",
     "oracle_denoiser",
     "padded_target_denoiser",
     "zero_denoiser",
@@ -49,13 +47,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ConditioningTag:
-    """Opaque stand-in for a global or face-wise prompt handle."""
-
-    name: str = "global"
-
-
-@dataclass(frozen=True)
 class SamplerConfig:
     steps: int
     seed: int = 0
@@ -65,42 +56,22 @@ class SamplerConfig:
             raise ValueError(f"sampler steps must be >= 1, got {self.steps}")
 
 
-def sample_path(z0: np.ndarray, eps: np.ndarray, t: float) -> np.ndarray:
-    """Noisy latent on the linear path: (1-t) z0 + t eps."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"path time must lie in [0, 1], got {t}")
-    z0 = np.asarray(z0, dtype=np.float64)
-    eps = np.asarray(eps, dtype=np.float64)
-    if z0.shape != eps.shape:
-        raise ValueError("z0 and eps shapes differ")
-    return (1.0 - t) * z0 + t * eps
-
-
-def flow_matching_loss(v_pred: np.ndarray, z0: np.ndarray,
-                       z_t: np.ndarray) -> float:
-    """Mean squared error of a velocity prediction against z0 - z_t."""
-    v_pred, z0, z_t = (np.asarray(a, dtype=np.float64) for a in (v_pred, z0, z_t))
-    if not v_pred.shape == z0.shape == z_t.shape:
-        raise ValueError("velocity/latent shapes differ")
-    return float(np.mean((v_pred - (z0 - z_t)) ** 2))
-
-
 def oracle_denoiser(z0: np.ndarray):
     """Perfect velocity field toward a fixed clean latent."""
     z0 = np.asarray(z0, dtype=np.float64)
 
-    def denoise(z_t, t, context=None, conditioning=None):
+    def denoise(z_t, t, context=None):
         return z0 - z_t
 
     return denoise
 
 
-def zero_denoiser(z_t, t, context=None, conditioning=None):
+def zero_denoiser(z_t, t, context=None):
     """Predicts zero velocity; the sample stays at its initial noise."""
     return np.zeros_like(z_t)
 
 
-def euler_sample(denoiser, shape: tuple, context, conditioning,
+def euler_sample(denoiser, shape: tuple, context,
                  cfg: SamplerConfig) -> np.ndarray:
     """Integrate the velocity field from seeded noise at t=1 down to t=0.
 
@@ -112,7 +83,7 @@ def euler_sample(denoiser, shape: tuple, context, conditioning,
     ts = np.linspace(1.0, 0.0, cfg.steps + 1)
     for s in range(cfg.steps):
         t, dt = ts[s], ts[s] - ts[s + 1]
-        v = np.asarray(denoiser(z, float(t), context, conditioning))
+        v = np.asarray(denoiser(z, float(t), context))
         if v.shape != z.shape:
             raise RuntimeError(
                 f"denoiser returned shape {v.shape}, expected {z.shape}")
@@ -187,8 +158,7 @@ def _log_entry(step: PlanStep, bundle: ContextBundle, resolution: int,
 
 
 def generate_step(canvas: np.ndarray, step: PlanStep, bundle: ContextBundle,
-                  denoiser, step_cfg: SamplerConfig, pad: int,
-                  layout: CubeLayout) -> np.ndarray:
+                  denoiser, step_cfg: SamplerConfig, pad: int) -> np.ndarray:
     """Sample the padded face video of ``step`` and blend it into ``canvas``,
     the (N, 6, R, R, C) video being composed.
 
@@ -197,8 +167,8 @@ def generate_step(canvas: np.ndarray, step: PlanStep, bundle: ContextBundle,
     """
     r = canvas.shape[2]
     shape = (step.end - step.start, r + 2 * pad, r + 2 * pad, canvas.shape[-1])
-    z = euler_sample(denoiser, shape, bundle, ConditioningTag(), step_cfg)
-    blend_overlaps(z, canvas[step.start:step.end], step.face, pad, layout)
+    z = euler_sample(denoiser, shape, bundle, step_cfg)
+    blend_overlaps(z, canvas[step.start:step.end], step.face, pad)
     return z
 
 
@@ -218,7 +188,7 @@ def simulate_contexts(cond: CubemapVideo, plan: GenerationPlan, *,
 
 @dataclass
 class GenerationResult:
-    cubemap: CubemapVideo          # pixels is the (N, 6, R, R, C) canvas itself
+    canvas: np.ndarray             # the (N, 6, R, R, C) cube video
     pool_trace: list               # completed windows in the history after each step
     step_log: list
     step_timings: list
@@ -233,9 +203,9 @@ class GenerationResult:
 
 
 def generate_all(cond_video: CubemapVideo, plan: GenerationPlan, denoiser,
-                 cfg: SamplerConfig, *, layout: CubeLayout | None = None,
-                 pad: int = 4, history_capacity: int = 2, frag_length: int = 4,
-                 frag_threshold: float = 0.5, patch_size: int = 8,
+                 cfg: SamplerConfig, *, pad: int = 4, history_capacity: int = 2,
+                 frag_length: int = 4, frag_threshold: float = 0.5,
+                 patch_size: int = 8,
                  teacher: CubemapVideo | None = None,
                  on_window=None) -> GenerationResult:
     """Run every plan step window-major; the result is the cube canvas,
@@ -251,7 +221,6 @@ def generate_all(cond_video: CubemapVideo, plan: GenerationPlan, denoiser,
     window, so these frames are final: a caller may read them from another
     thread while later windows are sampled, but must not write them.
     """
-    layout = layout or CubeLayout.create(cond_video.resolution)
     canvas = cond_video.pixels.copy()
     source = canvas if teacher is None else teacher.pixels
     pool_trace, step_log, step_timings = [], [], []
@@ -260,7 +229,7 @@ def generate_all(cond_video: CubemapVideo, plan: GenerationPlan, denoiser,
             cond_video, plan, source, history_capacity=history_capacity,
             frag_length=frag_length, frag_threshold=frag_threshold)):
         step_cfg = SamplerConfig(steps=cfg.steps, seed=_step_seed(cfg, i))
-        generate_step(canvas, step, bundle, denoiser, step_cfg, pad, layout)
+        generate_step(canvas, step, bundle, denoiser, step_cfg, pad)
         step_log.append(_log_entry(step, bundle, cond_video.resolution, patch_size))
         pool_trace.append(min(history_capacity, (i + 1) // 6))
         if on_window is not None and i % 6 == 5:  # the plan check fixed the blocks
@@ -268,8 +237,7 @@ def generate_all(cond_video: CubemapVideo, plan: GenerationPlan, denoiser,
         t_begin, t_end = t_end, time.perf_counter()
         step_timings.append(t_end - t_begin)
 
-    out_video = CubemapVideo(pixels=canvas, masks=np.ones_like(cond_video.masks))
-    return GenerationResult(cubemap=out_video, pool_trace=pool_trace,
+    return GenerationResult(canvas=canvas, pool_trace=pool_trace,
                             step_log=step_log, step_timings=step_timings)
 
 
@@ -281,7 +249,7 @@ def _step_seed(cfg: SamplerConfig, index: int) -> int:
 # built-in denoisers beyond the plain oracle
 # ---------------------------------------------------------------------------
 
-def padded_target_denoiser(video: CubemapVideo, pad: int, layout: CubeLayout):
+def padded_target_denoiser(video: CubemapVideo, pad: int):
     """Velocity toward ``video``'s padded face window for the step named by
     the context bundle.  Given the ground truth it is the scene oracle; given
     the (masked) conditional it is the copy baseline, whose unobserved pixels
@@ -289,11 +257,11 @@ def padded_target_denoiser(video: CubemapVideo, pad: int, layout: CubeLayout):
     reused for the remaining Euler steps of that plan step."""
     cached = {"key": None, "target": None}
 
-    def denoise(z_t, t, context, conditioning=None):
+    def denoise(z_t, t, context):
         key = (context.face, context.start, context.end)
         if cached["key"] != key:
             window = video.pixels[context.start:context.end]
-            cached["target"] = pad_face(window, context.face, pad, layout)
+            cached["target"] = pad_face(window, context.face, pad)
             cached["key"] = key
         return cached["target"] - z_t
 

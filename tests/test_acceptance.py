@@ -205,17 +205,17 @@ def test_criterion_6_continuity():
     res = 64
     layout = CubeLayout.create(res)
     cube = np.stack([smooth_field(face_pixel_directions(f, res)) for f in FACES])
-    smooth_seam = seam_metric(cube, layout)
+    smooth_seam = seam_metric(cube)
     assert smooth_seam <= 0.05
 
     offset = cube.copy()
     offset[FACE_INDEX["F"]] += 0.5
-    before = seam_metric(offset, layout)
+    before = seam_metric(offset)
     pad = 4
-    shifted = pad_face(cube[None], "F", pad, layout) + 0.5
+    shifted = pad_face(cube[None], "F", pad) + 0.5
     canvas = offset[None].copy()
-    blend_overlaps(shifted, canvas, "F", pad, layout)
-    after = seam_metric(canvas[0], layout)
+    blend_overlaps(shifted, canvas, "F", pad)
+    after = seam_metric(canvas[0])
     assert after < before
 
     assert corner_cycle_identity(layout)
@@ -251,7 +251,7 @@ def test_criterion_8_sampler_exactness():
     z0 = rng.normal(size=(4, 32, 32, 3))
     worst = 0.0
     for steps in (1, 4, 16):
-        out = euler_sample(oracle_denoiser(z0), z0.shape, None, None,
+        out = euler_sample(oracle_denoiser(z0), z0.shape, None,
                            SamplerConfig(steps=steps, seed=steps))
         worst = max(worst, float(np.abs(out - z0).max()))
     assert worst <= 1e-6

@@ -13,7 +13,6 @@ from cubegen.attention import (
     TokenLayout,
     attention_flops,
     attention_peak_bytes,
-    build_context_mask,
     dense_attention_flops,
     dense_masked_attention,
     layout_from_bundle,
@@ -30,6 +29,14 @@ def random_inputs(rng, tokens, dim=4, heads=2, dtype=np.float64):
         keys=rng.normal(size=shape).astype(dtype),
         values=rng.normal(size=shape).astype(dtype),
     )
+
+
+def allowed_pairs(layout, spec):
+    """The mask rule as a scalar predicate, independent of ``mask_matrix``:
+    generation queries and generation keys are always allowed, and context
+    pairs within the band |q - k| <= K."""
+    g, kb = layout.num_generation, spec.bandwidth
+    return lambda q, k: q < g or k < g or abs(q - k) <= kb
 
 
 def brute_force(inp, allowed):
@@ -49,15 +56,14 @@ def brute_force(inp, allowed):
 
 
 class TestBuildContextMask:
+    """``mask_matrix``, the dense reference mask."""
+
     def test_enumerated_small_case(self):
         layout = TokenLayout(num_generation=2, num_context=3)
-        allowed = build_context_mask(layout, BandedMaskSpec(bandwidth=1))
-        ctx_pairs = {(q, k) for q in (2, 3, 4) for k in (2, 3, 4) if allowed(q, k)}
+        m = mask_matrix(layout, BandedMaskSpec(bandwidth=1))
+        ctx_pairs = {(q, k) for q in (2, 3, 4) for k in (2, 3, 4) if m[q, k]}
         assert ctx_pairs == {(2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 3), (4, 4)}
-        for q in (0, 1):
-            assert all(allowed(q, k) for k in range(5))
-        for q in (2, 3, 4):
-            assert all(allowed(q, k) for k in (0, 1))
+        assert m[:2].all() and m[:, :2].all()
 
     def test_no_context_all_true(self):
         layout = TokenLayout(num_generation=3, num_context=0)
@@ -72,7 +78,7 @@ class TestBuildContextMask:
     def test_matrix_matches_predicate(self, rng):
         layout = TokenLayout(num_generation=3, num_context=7)
         spec = BandedMaskSpec(bandwidth=2)
-        allowed = build_context_mask(layout, spec)
+        allowed = allowed_pairs(layout, spec)
         m = mask_matrix(layout, spec)
         for q in range(10):
             for k in range(10):
@@ -110,7 +116,7 @@ class TestDenseMaskedAttention:
         spec = BandedMaskSpec(bandwidth=2)
         inp = random_inputs(rng, 8, dim=4)
         out = dense_masked_attention(inp, mask_matrix(layout, spec))
-        oracle = brute_force(inp, build_context_mask(layout, spec))
+        oracle = brute_force(inp, allowed_pairs(layout, spec))
         np.testing.assert_allclose(out, oracle, atol=1e-12)
 
     def test_empty_row_rejected(self, rng):

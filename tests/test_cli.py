@@ -17,7 +17,6 @@ from cubegen import scene as sc
 from cubegen.artifacts import load_schema, validate_artifact
 from cubegen.attention import BandedMaskSpec, TokenLayout, attention_peak_bytes
 from cubegen.config import default_config, parse_config
-from cubegen.continuity import CubeLayout
 from cubegen.geometry import EquirectTaps
 from cubegen.imgio import read_pfm, read_mask_pgm, write_pfm, write_poses, write_ppm
 from cubegen.pipeline import SamplerConfig, generate_all
@@ -180,18 +179,17 @@ class TestSubcommands:
         truth, frames, poses = sc.synth_scene(cfg)
         cond = sc.conditional_video(cfg.resolution, frames, poses)
         _, wp, ct = cli._coverage_tables(cfg, cond)
-        layout = CubeLayout.create(cfg.resolution)
         result = generate_all(
-            cond, plan_order(ct, wp), cli._make_denoiser(cfg, truth, cond, layout),
+            cond, plan_order(ct, wp), cli._make_denoiser(cfg, truth, cond),
             SamplerConfig(steps=cfg.sampler_steps, seed=cfg.seed),
-            layout=layout, pad=cfg.pad, history_capacity=cfg.history,
+            pad=cfg.pad, history_capacity=cfg.history,
             frag_length=cfg.frag_length, frag_threshold=cfg.frag_threshold,
             teacher=truth if cfg.mode.teacher_forcing else None)
         taps = EquirectTaps.create(cfg.resolution, cfg.equirect_width)
         ref = tmp_path / "ref"
         ref.mkdir()
         for t in range(cfg.num_frames):
-            frame = taps.apply(result.cubemap.pixels[t])
+            frame = taps.apply(result.canvas[t])
             write_pfm(ref / "x.pfm", frame)
             write_ppm(ref / "x.ppm", np.clip(frame, 0, 1))
             for ext in ("pfm", "ppm"):
@@ -349,7 +347,7 @@ class TestErrorPaths:
         def failing(*args):
             denoise, keys = make(*args), set()
 
-            def wrapped(z_t, t, context, conditioning=None):
+            def wrapped(z_t, t, context):
                 keys.add((context.face, context.start))
                 if len(keys) == 7:
                     # window 1's frames reach the staging directory first
@@ -358,7 +356,7 @@ class TestErrorPaths:
                         assert time.monotonic() < deadline
                         time.sleep(0.01)
                     raise RuntimeError("denoiser failed at plan step 7")
-                return denoise(z_t, t, context, conditioning)
+                return denoise(z_t, t, context)
 
             return wrapped
 
@@ -374,7 +372,7 @@ class TestErrorPaths:
         def terminated(*args):
             denoise, keys = make(*args), set()
 
-            def wrapped(z_t, t, context, conditioning=None):
+            def wrapped(z_t, t, context):
                 keys.add((context.face, context.start))
                 if len(keys) == 7:
                     deadline = time.monotonic() + 30.0
@@ -382,7 +380,7 @@ class TestErrorPaths:
                         assert time.monotonic() < deadline
                         time.sleep(0.01)
                     os.kill(os.getpid(), signal.SIGTERM)
-                return denoise(z_t, t, context, conditioning)
+                return denoise(z_t, t, context)
 
             return wrapped
 

@@ -123,10 +123,9 @@ class TestAdjacency:
         # a strip is geometrically the right band (coarse check; exactness
         # is covered by test_padding_fidelity_bit_exact)
         res = 16
-        layout = CubeLayout.create(res)
         cube = make_cube(res, smooth_field)[None]
         for f in FACES:
-            padded = pad_face(cube, f, 2, layout)
+            padded = pad_face(cube, f, 2)
             assert np.abs(padded).max() <= 1.0
 
 
@@ -136,7 +135,7 @@ class TestPadFace:
     def test_constant_cube_constant_strips(self):
         res = 8
         cube = np.full((1, 6, res, res, 1), 0.4)
-        padded = pad_face(cube, "F", 3, CubeLayout.create(res))
+        padded = pad_face(cube, "F", 3)
         assert padded.shape == (1, res + 6, res + 6, 1)
         np.testing.assert_allclose(padded, 0.4)
 
@@ -147,7 +146,7 @@ class TestPadFace:
         layout = CubeLayout.create(res)
         cube = random_cube(rng, res)
         for f in FACES:
-            _, strips = ref.split(pad_face(cube[None], f, pad, layout)[0], pad)
+            _, strips = ref.split(pad_face(cube[None], f, pad)[0], pad)
             for e in EDGES:
                 adj = layout.adjacency[(f, e)]
                 raw = ref.apply_transform(ref.INVERSE[adj.transform], strips[e])
@@ -165,12 +164,11 @@ class TestPadFace:
     def test_smooth_field_strip_error(self):
         # strip pixels vs the analytic field at their extended-grid directions
         res, pad = 64, 4
-        layout = CubeLayout.create(res)
         cube = make_cube(res, smooth_field)
         worst = 0.0
         for f in FACES:
             n, r, d = (np.asarray(v) for v in FACE_AXES[f])
-            _, strips = ref.split(pad_face(cube[None], f, pad, layout)[0], pad)
+            _, strips = ref.split(pad_face(cube[None], f, pad)[0], pad)
             along = 2.0 * (np.arange(res) + 0.5) / res - 1.0
             for e in EDGES:
                 for k in range(pad):
@@ -202,13 +200,12 @@ class TestPadFace:
 
     def test_pad_width_bounds(self):
         cube = make_cube(8, smooth_field)[None]
-        layout = CubeLayout.create(8)
         for pad in (0, 5):
             with pytest.raises(ValueError):
-                pad_face(cube, "F", pad, layout)
+                pad_face(cube, "F", pad)
             with pytest.raises(ValueError):
                 blend_overlaps(np.zeros((1, 8 + 2 * pad, 8 + 2 * pad, 3)),
-                               cube.copy(), "F", pad, layout)
+                               cube.copy(), "F", pad)
 
     def test_assembly_round_trip(self, rng):
         # the padded grid splits back into the face's core and the strips
@@ -216,7 +213,7 @@ class TestPadFace:
         res, pad = 8, 2
         layout = CubeLayout.create(res)
         cube = random_cube(rng, res)
-        core, strips = ref.split(pad_face(cube[None], "R", pad, layout)[0], pad)
+        core, strips = ref.split(pad_face(cube[None], "R", pad)[0], pad)
         np.testing.assert_array_equal(core, face_of(cube, "R"))
         want = ref.strips_of(as_dict(cube), "R", pad, layout)
         for e in EDGES:
@@ -234,11 +231,11 @@ class TestMatchesStripReference:
         cube = rng.random((6, res, res, c))
         faces = as_dict(cube)
         for f in FACES:
-            padded = pad_face(cube[None], f, pad, layout)[0]
+            padded = pad_face(cube[None], f, pad)[0]
             assert np.array_equal(padded, ref.pad_face(faces, f, pad, layout))
             generated = rng.random(padded.shape)
             canvas = cube[None].copy()
-            blend_overlaps(generated[None], canvas, f, pad, layout)
+            blend_overlaps(generated[None], canvas, f, pad)
             core, strips = ref.split(generated, pad)
             want = ref.blend_overlaps(f, core, strips, faces, pad, layout)
             for g in FACES:
@@ -248,18 +245,17 @@ class TestMatchesStripReference:
     def test_seam_metric_equals_reference(self, rng, res):
         layout = CubeLayout.create(res)
         cube = random_cube(rng, res, c=3)
-        assert abs(seam_metric(cube, layout)
+        assert abs(seam_metric(cube)
                    - ref.seam_metric(as_dict(cube), layout)) <= 1e-12
 
     def test_blends_every_frame_of_a_window(self, rng):
         res, pad, t = 8, 2, 3
-        layout = CubeLayout.create(res)
         canvas = rng.random((t, 6, res, res, 2))
         generated = rng.random((t, res + 2 * pad, res + 2 * pad, 2))
         per_frame = canvas.copy()
         for k in range(t):
-            blend_overlaps(generated[k:k + 1], per_frame[k:k + 1], "U", pad, layout)
-        blend_overlaps(generated, canvas, "U", pad, layout)
+            blend_overlaps(generated[k:k + 1], per_frame[k:k + 1], "U", pad)
+        blend_overlaps(generated, canvas, "U", pad)
         assert np.array_equal(canvas, per_frame)
 
 
@@ -268,20 +264,18 @@ class TestMatchesStripReference:
 class TestBlendOverlaps:
     def test_identical_strips_leave_neighbors_unchanged(self, rng):
         res, pad = 8, 2
-        layout = CubeLayout.create(res)
         cube = random_cube(rng, res)[None]
-        padded = pad_face(cube, "F", pad, layout)  # strips == neighbor bands
+        padded = pad_face(cube, "F", pad)  # strips == neighbor bands
         canvas = cube.copy()
-        blend_overlaps(padded, canvas, "F", pad, layout)
+        blend_overlaps(padded, canvas, "F", pad)
         np.testing.assert_allclose(canvas, cube, atol=1e-12)
 
     def test_p1_overwrites_edge_band(self, rng):
         res = 8
-        layout = CubeLayout.create(res)
         cube = random_cube(rng, res)[None]
-        stamped = np.full_like(pad_face(cube, "F", 1, layout), 9.0)
+        stamped = np.full_like(pad_face(cube, "F", 1), 9.0)
         stamped[:, 1:-1, 1:-1] = face_of(cube, "F")
-        blend_overlaps(stamped, cube, "F", 1, layout)
+        blend_overlaps(stamped, cube, "F", 1)
         out = as_dict(cube[0])
         np.testing.assert_allclose(out["U"][-1], 9.0)   # F.top -> U.bottom
         np.testing.assert_allclose(out["D"][0], 9.0)    # F.bottom -> D.top
@@ -291,12 +285,11 @@ class TestBlendOverlaps:
     def test_linear_ramp_weights(self, rng):
         # with constant strips, the blended band must equal w*s + (1-w)*old
         res, pad = 8, 4
-        layout = CubeLayout.create(res)
         cube = random_cube(rng, res, c=1)[None]
         old_u = face_of(cube[0], "U").copy()
-        stamped = np.full_like(pad_face(cube, "F", pad, layout), 2.0)
+        stamped = np.full_like(pad_face(cube, "F", pad), 2.0)
         stamped[:, pad:-pad, pad:-pad] = face_of(cube, "F")
-        blend_overlaps(stamped, cube, "F", pad, layout)
+        blend_overlaps(stamped, cube, "F", pad)
         new_u = face_of(cube[0], "U")
         for k in range(pad):  # depth k from the shared edge on U's side
             w = 1.0 - k / pad
@@ -306,34 +299,52 @@ class TestBlendOverlaps:
 
     def test_core_replaces_face_wholesale(self, rng):
         res, pad = 8, 2
-        layout = CubeLayout.create(res)
         cube = random_cube(rng, res)[None]
-        stamped = pad_face(cube, "B", pad, layout)
+        stamped = pad_face(cube, "B", pad)
         stamped[:, pad:-pad, pad:-pad] = 5.0
-        blend_overlaps(stamped, cube, "B", pad, layout)
+        blend_overlaps(stamped, cube, "B", pad)
         np.testing.assert_allclose(face_of(cube, "B"), 5.0)
 
     def test_blend_reduces_injected_seam(self):
         res, pad = 32, 4
-        layout = CubeLayout.create(res)
         cube = make_cube(res, smooth_field)
         offset = cube.copy()
         offset[FACE_INDEX["F"]] += 0.5
-        before = seam_metric(offset, layout)
+        before = seam_metric(offset)
         # consistent content for F, shifted by the same offset
-        shifted = pad_face(cube[None], "F", pad, layout) + 0.5
+        shifted = pad_face(cube[None], "F", pad) + 0.5
         canvas = offset[None].copy()
-        blend_overlaps(shifted, canvas, "F", pad, layout)
-        after = seam_metric(canvas[0], layout)
+        blend_overlaps(shifted, canvas, "F", pad)
+        after = seam_metric(canvas[0])
         assert after < before
 
     def test_canvas_must_be_writable_in_place(self, rng):
         res, pad = 8, 2
-        layout = CubeLayout.create(res)
         canvas = random_cube(rng, res)[None][..., ::-1]
-        generated = pad_face(canvas, "F", pad, layout)
+        generated = pad_face(canvas, "F", pad)
         with pytest.raises(ValueError, match="C-contiguous"):
-            blend_overlaps(generated, canvas, "F", pad, layout)
+            blend_overlaps(generated, canvas, "F", pad)
+
+
+class TestStackShapes:
+    """R is read from the stack, so a stack that is not (T, 6, R, R, C) is
+    rejected before any index map is built."""
+
+    @pytest.mark.parametrize("shape", [(1, 6, 8, 12, 1),   # non-square faces
+                                       (1, 5, 8, 8, 1),    # five faces
+                                       (6, 8, 8, 1)])      # no frame axis
+    def test_malformed_stack_rejected(self, shape):
+        stack = np.zeros(shape)
+        with pytest.raises(ValueError, match=r"\(T, 6, R, R, C\)"):
+            pad_face(stack, "F", 2)
+        with pytest.raises(ValueError, match=r"\(T, 6, R, R, C\)"):
+            blend_overlaps(np.zeros((1, 12, 12, 1)), stack, "F", 2)
+
+    def test_generated_of_another_resolution_rejected(self):
+        canvas = np.zeros((1, 6, 8, 8, 1))
+        generated = np.zeros((1, 16 + 4, 16 + 4, 1))  # padded R=16 face
+        with pytest.raises(ValueError, match="generated face must be"):
+            blend_overlaps(generated, canvas, "F", 2)
 
 
 # ── seam metric ──────────────────────────────────────────────────────────
@@ -350,17 +361,27 @@ class TestLayoutExport:
 class TestSeamMetric:
     def test_constant_cube_zero(self):
         res = 8
-        assert seam_metric(np.full((6, res, res, 1), 0.5),
-                           CubeLayout.create(res)) == 0.0
+        assert seam_metric(np.full((6, res, res, 1), 0.5)) == 0.0
 
     def test_smooth_field_low_seam(self):
         res = 64
-        assert seam_metric(make_cube(res, smooth_field), CubeLayout.create(res)) <= 0.05
+        assert seam_metric(make_cube(res, smooth_field)) <= 0.05
 
     def test_offset_face_contributes_third(self):
         res = 64
-        layout = CubeLayout.create(res)
         cube = make_cube(res, smooth_field)
         cube[FACE_INDEX["F"]] += 1.0
-        metric = seam_metric(cube, layout)
+        metric = seam_metric(cube)
         assert abs(metric - 1.0 / 3.0) <= 0.03
+
+    def test_single_channel_faces(self, rng):
+        cube = random_cube(rng, 8, c=1)
+        assert seam_metric(cube[..., 0]) == seam_metric(cube)
+
+    @pytest.mark.parametrize("shape", [(6, 4, 8, 1),      # non-square faces
+                                       (5, 4, 4, 1),      # five faces
+                                       (1, 6, 4, 4, 1),   # a video, not a frame
+                                       (6, 16)])
+    def test_malformed_faces_rejected(self, rng, shape):
+        with pytest.raises(ValueError, match="faces must be"):
+            seam_metric(rng.random(shape))

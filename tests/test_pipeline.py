@@ -24,12 +24,10 @@ from cubegen.planner import (
 from cubegen.pipeline import (
     SamplerConfig,
     euler_sample,
-    flow_matching_loss,
     generate_all,
     generate_step,
     oracle_denoiser,
     padded_target_denoiser,
-    sample_path,
     simulate_contexts,
     zero_denoiser,
 )
@@ -52,66 +50,12 @@ def small_scene(res=32, n=8, t_win=4, seed=7):
 def equirect_frames(result, width=None):
     """(N, W/2, W, C) equirect frames of a result's cube canvas, resampled
     the way ``generate`` writes them; W defaults to 4R."""
-    res = result.cubemap.resolution
+    res = result.canvas.shape[2]
     taps = EquirectTaps.create(res, width or 4 * res)
-    return np.stack([taps.apply(frame) for frame in result.cubemap.pixels])
-
-
-class TestSamplePath:
-    def test_endpoints(self, rng):
-        z0 = rng.normal(size=(2, 4, 4, 1))
-        eps = rng.normal(size=(2, 4, 4, 1))
-        np.testing.assert_array_equal(sample_path(z0, eps, 0.0), z0)
-        np.testing.assert_array_equal(sample_path(z0, eps, 1.0), eps)
-
-    def test_midpoint(self, rng):
-        z0 = rng.normal(size=(3, 5))
-        eps = rng.normal(size=(3, 5))
-        np.testing.assert_allclose(sample_path(z0, eps, 0.5), (z0 + eps) / 2,
-                                   atol=1e-15)
-
-    def test_time_out_of_range(self, rng):
-        z = rng.normal(size=(2, 2))
-        with pytest.raises(ValueError):
-            sample_path(z, z, -0.1)
-        with pytest.raises(ValueError):
-            sample_path(z, z, 1.1)
-
-
-class TestFlowMatchingLoss:
-    def test_perfect_prediction(self, rng):
-        z0 = rng.normal(size=(4, 4))
-        z_t = rng.normal(size=(4, 4))
-        assert flow_matching_loss(z0 - z_t, z0, z_t) == 0.0
-
-    def test_constant_offset(self, rng):
-        z0 = rng.normal(size=(4, 4))
-        z_t = rng.normal(size=(4, 4))
-        assert flow_matching_loss(z0 - z_t + 1.0, z0, z_t) == pytest.approx(1.0)
-
-    def test_matches_double_loop_mse(self, rng):
-        v = rng.normal(size=(3, 4))
-        z0 = rng.normal(size=(3, 4))
-        z_t = rng.normal(size=(3, 4))
-        acc = sum((v[i, j] - (z0[i, j] - z_t[i, j])) ** 2
-                  for i in range(3) for j in range(4)) / 12
-        assert flow_matching_loss(v, z0, z_t) == pytest.approx(acc, abs=1e-12)
-
-    def test_shape_mismatch(self, rng):
-        with pytest.raises(ValueError):
-            flow_matching_loss(rng.normal(size=(2, 2)), rng.normal(size=(2, 3)),
-                               rng.normal(size=(2, 3)))
+    return np.stack([taps.apply(frame) for frame in result.canvas])
 
 
 class TestOracleAndSampler:
-    def test_oracle_gives_zero_loss(self, rng):
-        z0 = rng.normal(size=(4, 8, 8, 2))
-        den = oracle_denoiser(z0)
-        for t in (0.0, 0.3, 1.0):
-            eps = rng.normal(size=z0.shape)
-            z_t = sample_path(z0, eps, t)
-            assert flow_matching_loss(den(z_t, t), z0, z_t) == 0.0
-
     def test_single_full_step_recovers_z0(self, rng):
         z0 = rng.normal(size=(2, 4, 4, 1))
         z_t = rng.normal(size=z0.shape)
@@ -121,38 +65,38 @@ class TestOracleAndSampler:
     @pytest.mark.parametrize("steps", [1, 4, 16])
     def test_sampler_exact_under_oracle(self, rng, steps):
         z0 = rng.normal(size=(4, 32, 32, 2))
-        out = euler_sample(oracle_denoiser(z0), z0.shape, None, None,
+        out = euler_sample(oracle_denoiser(z0), z0.shape, None,
                            SamplerConfig(steps=steps, seed=3))
         assert np.abs(out - z0).max() <= 1e-6
 
     def test_fixed_seed_bit_identical(self):
         cfg = SamplerConfig(steps=2, seed=11)
-        a = euler_sample(zero_denoiser, (2, 4, 4, 1), None, None, cfg)
-        b = euler_sample(zero_denoiser, (2, 4, 4, 1), None, None, cfg)
+        a = euler_sample(zero_denoiser, (2, 4, 4, 1), None, cfg)
+        b = euler_sample(zero_denoiser, (2, 4, 4, 1), None, cfg)
         assert np.array_equal(a, b)
         # zero velocity leaves the seeded initial noise untouched
         c = np.random.default_rng(11).standard_normal((2, 4, 4, 1))
         assert np.array_equal(a, c)
 
     def test_denoiser_shape_mismatch_is_error(self):
-        bad = lambda z, t, ctx, cond: np.zeros((1,))
+        bad = lambda z, t, ctx: np.zeros((1,))
         with pytest.raises(RuntimeError):
-            euler_sample(bad, (2, 2), None, None, SamplerConfig(steps=1, seed=0))
+            euler_sample(bad, (2, 2), None, SamplerConfig(steps=1, seed=0))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_denoiser_non_finite_is_error(self, value):
-        def bad(z, t, ctx, cond):
+        def bad(z, t, ctx):
             v = np.zeros_like(z)
             v[0, 1] = value
             return v
         with pytest.raises(RuntimeError, match="non-finite"):
-            euler_sample(bad, (2, 2), None, None, SamplerConfig(steps=2, seed=0))
+            euler_sample(bad, (2, 2), None, SamplerConfig(steps=2, seed=0))
 
     @pytest.mark.parametrize("dtype", [np.int64, np.bool_, np.complex128, object])
     def test_denoiser_non_float_is_error(self, dtype):
-        bad = lambda z, t, ctx, cond: np.zeros(z.shape, dtype=dtype)
+        bad = lambda z, t, ctx: np.zeros(z.shape, dtype=dtype)
         with pytest.raises(RuntimeError, match="dtype"):
-            euler_sample(bad, (2, 2), None, None, SamplerConfig(steps=1, seed=0))
+            euler_sample(bad, (2, 2), None, SamplerConfig(steps=1, seed=0))
 
 
 def out_of_place_euler(denoiser, shape, cfg):
@@ -161,7 +105,7 @@ def out_of_place_euler(denoiser, shape, cfg):
     ts = np.linspace(1.0, 0.0, cfg.steps + 1)
     for s in range(cfg.steps):
         t, dt = ts[s], ts[s] - ts[s + 1]
-        z = z + (dt / t) * np.asarray(denoiser(z, float(t), None, None))
+        z = z + (dt / t) * np.asarray(denoiser(z, float(t), None))
     return z
 
 
@@ -170,11 +114,11 @@ class TestInPlaceEuler:
     def test_equals_out_of_place_update(self, rng, dtype):
         target = rng.normal(size=(3, 5, 5, 2))
 
-        def denoiser(z_t, t, ctx, cond):
+        def denoiser(z_t, t, ctx):
             return (np.sin(3.0 * z_t) * t + target - z_t).astype(dtype)
 
         cfg = SamplerConfig(steps=5, seed=3)
-        got = euler_sample(denoiser, target.shape, None, None, cfg)
+        got = euler_sample(denoiser, target.shape, None, cfg)
         ref = out_of_place_euler(denoiser, target.shape, cfg)
         assert got.dtype == ref.dtype == np.float64
         assert got.tobytes() == ref.tobytes()
@@ -184,10 +128,9 @@ class TestInPlaceEuler:
         cached = rng.normal(size=(2, 4, 4, 1))
         before = cached.copy()
         cfg = SamplerConfig(steps=4, seed=1)
-        got = euler_sample(lambda z, t, ctx, cond: cached, cached.shape,
-                           None, None, cfg)
+        got = euler_sample(lambda z, t, ctx: cached, cached.shape, None, cfg)
         assert np.array_equal(cached, before)
-        ref = out_of_place_euler(lambda z, t, ctx, cond: before, cached.shape, cfg)
+        ref = out_of_place_euler(lambda z, t, ctx: before, cached.shape, cfg)
         assert got.tobytes() == ref.tobytes()
 
 
@@ -196,31 +139,30 @@ class TestGenerateStep:
         """The first plan step of a teacher-forced run, its context and the
         scene oracle, with the canvas it blends into."""
         cfg, truth, cond, plan = small_scene(res=16, n=8, t_win=4)
-        layout = CubeLayout.create(16)
         step, bundle = next(pl.plan_contexts(cond, plan, truth.pixels,
                                              history_capacity=2, frag_length=4,
                                              frag_threshold=0.5))
-        denoiser = padded_target_denoiser(truth, 2, layout)
-        return truth, cond, cond.pixels.copy(), step, bundle, denoiser, layout
+        denoiser = padded_target_denoiser(truth, 2)
+        return truth, cond, cond.pixels.copy(), step, bundle, denoiser
 
     def test_oracle_step_reproduces_truth(self):
-        truth, cond, canvas, step, bundle, denoiser, layout = self.first_step()
+        truth, cond, canvas, step, bundle, denoiser = self.first_step()
         out = generate_step(canvas, step, bundle, denoiser,
-                            SamplerConfig(steps=4, seed=1), 2, layout)
+                            SamplerConfig(steps=4, seed=1), 2)
         gt = truth.pixels[step.start:step.end, FACE_INDEX[step.face]]
         assert out.shape == (step.end - step.start, 16 + 4, 16 + 4, 3)
         got = out[:, 2:2 + 16, 2:2 + 16]
         assert np.abs(got - gt).max() <= 1e-5
 
     def test_first_step_context_boundary(self):
-        truth, cond, canvas, step, bundle, denoiser, layout = self.first_step()
+        truth, cond, canvas, step, bundle, denoiser = self.first_step()
         assert bundle.hist == ()
         assert [s.kind for s in bundle.curr] == ["curr-cond"] * 6
 
     def test_masked_pixels_reproduced(self):
-        truth, cond, canvas, step, bundle, denoiser, layout = self.first_step()
+        truth, cond, canvas, step, bundle, denoiser = self.first_step()
         out = generate_step(canvas, step, bundle, denoiser,
-                            SamplerConfig(steps=4, seed=1), 2, layout)
+                            SamplerConfig(steps=4, seed=1), 2)
         for k, t in enumerate(range(step.start, step.end)):
             fi = FACE_INDEX[step.face]
             m = cond.masks[t, fi].astype(bool)
@@ -231,10 +173,9 @@ class TestGenerateStep:
     def test_causality_of_context(self):
         # non-future sources never extend past the window end
         cfg, truth, cond, plan = small_scene(res=16, n=8, t_win=4)
-        layout = CubeLayout.create(16)
-        result = generate_all(cond, plan, padded_target_denoiser(truth, 2, layout),
-                              SamplerConfig(steps=1, seed=0), layout=layout,
-                              pad=2, teacher=truth)
+        result = generate_all(cond, plan, padded_target_denoiser(truth, 2),
+                              SamplerConfig(steps=1, seed=0), pad=2,
+                              teacher=truth)
         for entry in result.step_log:
             for src in entry["sources"]:
                 if src["kind"] != "fut":
@@ -279,22 +220,21 @@ class TestContextViews:
     def test_sources_view_the_videos(self, teacher):
         res = 16
         cfg, truth, cond, plan = small_scene(res=res, n=8, t_win=4)
-        layout = CubeLayout.create(res)
-        inner = padded_target_denoiser(truth, 2, layout)
+        inner = padded_target_denoiser(truth, 2)
         bundles = []
 
-        def recording(z_t, t, context, conditioning=None):
+        def recording(z_t, t, context):
             if not bundles or bundles[-1] is not context:
                 bundles.append(context)
-            return inner(z_t, t, context, conditioning)
+            return inner(z_t, t, context)
 
         # face F is about 38% covered, so its steps in window 1 take a fragment
         result = generate_all(cond, plan, recording, SamplerConfig(steps=2, seed=0),
-                              layout=layout, pad=2, history_capacity=2,
+                              pad=2, history_capacity=2,
                               frag_length=4, frag_threshold=0.3,
                               teacher=truth if teacher else None)
         assert len(bundles) == len(plan.steps)
-        canvas = result.cubemap.pixels
+        canvas = result.canvas
         composed = truth.pixels if teacher else canvas
         other = canvas if teacher else truth.pixels
         kinds = set()
@@ -313,10 +253,9 @@ class TestGenerateAll:
     def test_end_to_end_oracle_reproduces_scene(self):
         res = 32
         cfg, truth, cond, plan = small_scene(res=res)
-        layout = CubeLayout.create(res)
-        denoiser = padded_target_denoiser(truth, 2, layout)
+        denoiser = padded_target_denoiser(truth, 2)
         result = generate_all(cond, plan, denoiser, SamplerConfig(steps=4, seed=5),
-                              layout=layout, pad=2, history_capacity=2,
+                              pad=2, history_capacity=2,
                               teacher=truth)
         scene_obj = sc.SyntheticScene.random(cfg.channels, cfg.seed)
         expected = sc.render_equirect_video(scene_obj, 4 * res, 8)
@@ -328,7 +267,7 @@ class TestGenerateAll:
                             masks=np.ones((n, 6, res, res), np.uint8))
         wp = partition_windows(n, n)
         plan = plan_order(window_coverage(frame_coverage(cond.masks), wp), wp)
-        denoiser = padded_target_denoiser(cond, 2, CubeLayout.create(res))
+        denoiser = padded_target_denoiser(cond, 2)
         result = generate_all(cond, plan, denoiser,
                               SamplerConfig(steps=2, seed=0), pad=2,
                               history_capacity=1)
@@ -337,11 +276,10 @@ class TestGenerateAll:
     def test_pool_occupancy_and_residency_bounds(self):
         res = 16
         cfg, truth, cond, plan = small_scene(res=res)
-        layout = CubeLayout.create(res)
-        denoiser = padded_target_denoiser(truth, 2, layout)
+        denoiser = padded_target_denoiser(truth, 2)
         h = 1
         result = generate_all(cond, plan, denoiser, SamplerConfig(steps=1, seed=0),
-                              layout=layout, pad=2, history_capacity=h,
+                              pad=2, history_capacity=h,
                               teacher=truth)
         assert max(result.pool_trace) <= h
         # the history after a step is the one the next step's context reads
@@ -355,12 +293,11 @@ class TestGenerateAll:
     def test_deterministic_runs(self):
         res = 16
         cfg, truth, cond, plan = small_scene(res=res)
-        layout = CubeLayout.create(res)
-        denoiser = padded_target_denoiser(truth, 2, layout)
+        denoiser = padded_target_denoiser(truth, 2)
         scfg = SamplerConfig(steps=2, seed=9)
-        a = generate_all(cond, plan, denoiser, scfg, layout=layout, pad=2,
+        a = generate_all(cond, plan, denoiser, scfg, pad=2,
                          teacher=truth)
-        b = generate_all(cond, plan, denoiser, scfg, layout=layout, pad=2,
+        b = generate_all(cond, plan, denoiser, scfg, pad=2,
                          teacher=truth)
         assert np.array_equal(equirect_frames(a), equirect_frames(b))
 
@@ -372,10 +309,23 @@ class TestGenerateAll:
         equirect = equirect_frames(result)
         assert equirect.shape == (8, 2 * res, 4 * res, 3)
         assert np.isfinite(equirect).all()
-        # the returned cubemap is the (N, 6, R, R, C) canvas, fully observed
-        assert result.cubemap.pixels.shape == (8, 6, res, res, 3)
-        assert result.cubemap.pixels.flags.c_contiguous
-        assert result.cubemap.masks.dtype == np.uint8 and result.cubemap.masks.all()
+        # the result is the (N, 6, R, R, C) canvas itself
+        assert result.canvas.shape == (8, 6, res, res, 3)
+        assert result.canvas.flags.c_contiguous
+
+    def test_three_argument_denoiser(self):
+        # the protocol is denoiser(z_t, t, context): one that takes exactly
+        # these three, with no defaults, runs the whole loop
+        cfg, truth, cond, plan = small_scene(res=16)
+
+        def denoiser(z_t, t, context):
+            assert isinstance(context, ContextBundle)
+            return np.zeros_like(z_t)
+
+        scfg = SamplerConfig(steps=2, seed=0)
+        got = generate_all(cond, plan, denoiser, scfg, pad=2)
+        want = generate_all(cond, plan, zero_denoiser, scfg, pad=2)
+        assert got.canvas.tobytes() == want.canvas.tobytes()
 
     @pytest.mark.parametrize("teacher", [True, False])
     def test_on_window_sees_final_frames(self, teacher):
@@ -383,19 +333,18 @@ class TestGenerateAll:
         # windows are sampled, so they must already equal the final canvas
         res = 16
         cfg, truth, cond, plan = small_scene(res=res, n=12, t_win=4)
-        layout = CubeLayout.create(res)
         calls = []
 
         def on_window(start, end, frames):
             calls.append((start, end, frames.copy()))
 
-        result = generate_all(cond, plan, padded_target_denoiser(truth, 2, layout),
-                              SamplerConfig(steps=2, seed=4), layout=layout, pad=2,
+        result = generate_all(cond, plan, padded_target_denoiser(truth, 2),
+                              SamplerConfig(steps=2, seed=4), pad=2,
                               teacher=truth if teacher else None,
                               on_window=on_window)
         assert [(s, e) for s, e, _ in calls] == [(0, 4), (4, 8), (8, 12)]
         for s, e, frames in calls:
-            assert np.array_equal(frames, result.cubemap.pixels[s:e])
+            assert np.array_equal(frames, result.canvas[s:e])
 
     @pytest.mark.parametrize("teacher", [True, False])
     def test_peak_above_start_bounded_by_canvas(self, teacher):
@@ -406,12 +355,11 @@ class TestGenerateAll:
         cond = sc.conditional_video(cfg.resolution, frames, poses)
         wp = partition_windows(cfg.num_frames, cfg.window_length)
         plan = plan_order(window_coverage(frame_coverage(cond.masks), wp), wp)
-        layout = CubeLayout.create(cfg.resolution)
-        denoiser = padded_target_denoiser(truth, cfg.pad, layout)
+        denoiser = padded_target_denoiser(truth, cfg.pad)
         scfg = SamplerConfig(steps=cfg.sampler_steps, seed=cfg.seed)
         tracemalloc.start()
         try:
-            generate_all(cond, plan, denoiser, scfg, layout=layout, pad=cfg.pad,
+            generate_all(cond, plan, denoiser, scfg, pad=cfg.pad,
                          history_capacity=cfg.history, frag_length=cfg.frag_length,
                          frag_threshold=cfg.frag_threshold,
                          teacher=truth if teacher else None)
@@ -429,7 +377,6 @@ class TestPaddedTargetDenoiser:
     def test_pads_once_per_step(self, monkeypatch):
         res, t_win = 16, 4
         cfg, truth, cond, plan = small_scene(res=res, n=8, t_win=t_win)
-        layout = CubeLayout.create(res)
         calls = []
         real_pad = pl.pad_face
 
@@ -448,8 +395,8 @@ class TestPaddedTargetDenoiser:
 
         monkeypatch.setattr(pl, "pad_face", counting_pad)
         monkeypatch.setattr(pl, "generate_step", counting_step)
-        generate_all(cond, plan, padded_target_denoiser(truth, 2, layout),
-                     SamplerConfig(steps=6, seed=2), layout=layout, pad=2,
+        generate_all(cond, plan, padded_target_denoiser(truth, 2),
+                     SamplerConfig(steps=6, seed=2), pad=2,
                      teacher=truth)
         assert per_step == [1] * len(plan.steps)
 
@@ -459,23 +406,23 @@ class TestPaddedTargetDenoiser:
         # frame by frame on every Euler step
         res = 16
         cfg, truth, cond, plan = small_scene(res=res)
-        layout = CubeLayout.create(res)
         video = truth if factory == "oracle" else cond
+        layout = CubeLayout.create(res)  # the strip reference reads its adjacency
 
-        def uncached(z_t, t, context, conditioning=None):
+        def uncached(z_t, t, context):
             frames = [ref.pad_face(dict(zip(FACES, video.pixels[k])),
                                    context.face, 2, layout)
                       for k in range(context.start, context.end)]
             return np.stack(frames) - z_t
 
-        cached = padded_target_denoiser(video, 2, layout)
+        cached = padded_target_denoiser(video, 2)
         teacher = truth if factory == "oracle" else None
         runs = [generate_all(cond, plan, d, SamplerConfig(steps=3, seed=4),
-                             layout=layout, pad=2, teacher=teacher)
+                             pad=2, teacher=teacher)
                 for d in (cached, uncached)]
         assert (equirect_frames(runs[0]).tobytes()
                 == equirect_frames(runs[1]).tobytes())
-        assert runs[0].cubemap.pixels.tobytes() == runs[1].cubemap.pixels.tobytes()
+        assert runs[0].canvas.tobytes() == runs[1].canvas.tobytes()
 
     def test_first_call_allocates_less_than_the_window(self):
         # the target is padded from a view of the video's frames [s, e), so
@@ -484,7 +431,7 @@ class TestPaddedTargetDenoiser:
         rng = np.random.default_rng(0)
         video = CubemapVideo(pixels=rng.random((2 * t_win, 6, res, res, c)),
                              masks=np.ones((2 * t_win, 6, res, res), np.uint8))
-        denoiser = padded_target_denoiser(video, pad, CubeLayout.create(res))
+        denoiser = padded_target_denoiser(video, pad)
         context = ContextBundle(face="R", window=1, start=0, end=t_win,
                                 hist=(), curr=(), fut=())
         z = np.zeros((t_win, res + 2 * pad, res + 2 * pad, c))
