@@ -7,11 +7,15 @@ All artifacts are deterministic under a fixed config and seed, except the
 declared wall-clock outputs: timings.json and the wall_ms columns of
 bench.csv (pass --trials 0 to zero those columns).
 
-generate runs one side thread next to the sampling loop.  It fills the
-synthetic truth while the main thread projects and plans, builds the
-cube->equirect tap table during the first window, and resamples and writes
-each window's frames (handed over by ``generate_all``'s ``on_window``)
-while the next window is sampled.  Every artifact is written into a
+generate runs one side thread next to the sampling loop, so the main
+thread's critical path is the sampling loop itself.  In order, the side
+thread fills the synthetic truth and builds the cube->equirect tap table
+while the main thread projects and plans; then, during sampling, it draws
+each plan step's noise one step ahead (``generate_all``'s ``executor``) and
+resamples and writes each window's frames (handed over by ``on_window``)
+while the next window is sampled.  A draw still queued behind frames when
+its step begins is taken back: the main thread cancels it and draws the
+same noise itself.  Every artifact is written into a
 ``.staging-*`` directory inside ``--out`` and moved into place only after the
 last one is written, so a failed run, on either thread, leaves none behind;
 so does a run stopped by SIGTERM, which ``generate`` turns into
@@ -331,7 +335,8 @@ def _staged(out_dir: Path):
 
 def _generate(cfg: RunConfig, out_dir: Path) -> None:
     """Sample the video and write its artifacts into ``out_dir``, with the
-    truth, the tap table and the frames on one side thread (see above)."""
+    truth, the tap table, the noise and the frames on one side thread (see
+    above)."""
     # Imported here, not at module level: only this function starts a thread,
     # and the import adds about 8 ms to every subcommand's start-up.
     from concurrent.futures import ThreadPoolExecutor
@@ -346,14 +351,14 @@ def _generate(cfg: RunConfig, out_dir: Path) -> None:
         # Both threads read the cached direction stack: build it once, here.
         face_directions(cfg.resolution)
         truth_job = side.submit(_truth, cfg, field)
+        taps_job = side.submit(EquirectTaps.create, cfg.resolution,
+                               cfg.equirect_width)
         cond = scene_mod.conditional_video(cfg.resolution, frames, poses)
         fc, wp, ct = _coverage_tables(cfg, cond)
         plan = plan_order(ct, wp)
         truth = truth_job.result()
         marks.append(time.perf_counter())
 
-        taps_job = side.submit(EquirectTaps.create, cfg.resolution,
-                               cfg.equirect_width)
         # One frame buffer, reused by the one side thread frame after frame.
         frame_buf = np.empty((cfg.equirect_width // 2, cfg.equirect_width,
                               cfg.channels))
@@ -372,7 +377,7 @@ def _generate(cfg: RunConfig, out_dir: Path) -> None:
             frag_length=cfg.frag_length, frag_threshold=cfg.frag_threshold,
             patch_size=cfg.patch_size,
             teacher=truth if cfg.mode.teacher_forcing else None,
-            on_window=on_window)
+            on_window=on_window, executor=side)
         marks.append(time.perf_counter())
 
         # The report is built while the side thread writes the last window.

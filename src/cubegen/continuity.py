@@ -279,8 +279,16 @@ def blend_overlaps(generated: np.ndarray, canvas: np.ndarray, face: str,
     canvas[:, fi] = generated[:, p:p + r, p:p + r]
     flat = canvas.reshape(t, 6 * r * r, c)
     dst, w = table.dst[fi], table.weight[:, None]
-    strips = generated.reshape(t, -1, c)[:, table.src]
-    flat[:, dst] = strips * w + (1.0 - w) * flat[:, dst]
+    # w * strip + (1 - w) * old, combined in place in the dtype the
+    # expression would promote to: same products, same sum
+    dtype = np.result_type(generated, canvas, w)
+    strips = np.take(generated.reshape(t, -1, c), table.src, axis=1).astype(
+        dtype, copy=False)
+    old = np.take(flat, dst, axis=1).astype(dtype, copy=False)
+    strips *= w
+    old *= 1.0 - w
+    strips += old
+    flat[:, dst] = strips
 
 
 @lru_cache(maxsize=None)

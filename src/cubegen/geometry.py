@@ -424,15 +424,19 @@ def project_perspective_to_cubemap(frame: PerspectiveFrame, pose: CameraPose,
     tan_h = np.tan(np.radians(pose.hfov_deg) / 2.0)
     tan_v = np.tan(np.radians(pose.vfov_deg) / 2.0)
     d_cam = face_directions(resolution) @ pose.rotation  # R^T d, (6, R, R, 3)
-    # (x, -y) / z in place, so the stack is the only full-size temporary
-    np.negative(d_cam[..., 1], out=d_cam[..., 1])
+    x, y, z = np.moveaxis(d_cam, -1, 0)
+    # (x, -y) / z as two contiguous planes: dividing the interleaved stack
+    # in place writes strided and is slower
     with np.errstate(divide="ignore", invalid="ignore"):
-        d_cam[..., :2] /= d_cam[..., 2:]
-        px, py, z = np.moveaxis(d_cam, -1, 0)
-        inside = (z > 0) & (np.abs(px) <= tan_h) & (np.abs(py) <= tan_v)
+        px = x / z
+        py = np.negative(y)
+        py /= z
+        inside = z > 0
+        del d_cam, x, y, z  # the stack is freed before the bounds are tested
+        inside &= (np.abs(px) <= tan_h) & (np.abs(py) <= tan_v)
     cols = (px[inside] / tan_h + 1.0) / 2.0 * frame.width - 0.5
     rows = (py[inside] / tan_v + 1.0) / 2.0 * frame.height - 0.5
-    del d_cam, px, py, z  # freed before the faces are allocated
+    del px, py  # freed before the faces are allocated
     faces = np.zeros((6, resolution, resolution, frame.channels))
     faces[inside] = _bilinear(frame.pixels, rows, cols)
     return faces, inside.astype(np.uint8)

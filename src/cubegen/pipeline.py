@@ -4,7 +4,10 @@ The working latent is the pixel grid at generation resolution.  Sampling
 follows the linear path z_t = (1-t) z0 + t eps, whose velocity is
 v = z0 - z_t, and the Euler update z <- z + (dt / t) v makes the oracle
 denoiser land exactly on z0 for every step count: the final step has
-dt/t = 1, so any trajectory contracts onto the target.
+dt/t = 1, so any trajectory contracts onto the target.  The sampler
+integrates from the noise eps it is handed; :func:`generate_all` draws each
+plan step's noise from that step's own seed, so which thread draws it never
+changes a byte.
 
 A denoiser is any callable (z_t, t, context) -> velocity of identical shape,
 deterministic given identical inputs and seed; ``context`` is the step's
@@ -71,17 +74,15 @@ def zero_denoiser(z_t, t, context=None):
     return np.zeros_like(z_t)
 
 
-def euler_sample(denoiser, shape: tuple, context,
-                 cfg: SamplerConfig) -> np.ndarray:
-    """Integrate the velocity field from seeded noise at t=1 down to t=0.
+def euler_sample(denoiser, z: np.ndarray, context, steps: int) -> np.ndarray:
+    """Integrate the velocity field from the noise ``z`` at t=1 down to t=0.
 
+    ``z`` becomes the sampler's own: it is updated in place and returned.
     Raises ``RuntimeError`` when the denoiser returns the wrong shape, a
     non-floating-point dtype or a non-finite value.
     """
-    rng = np.random.default_rng(cfg.seed)
-    z = rng.standard_normal(shape)
-    ts = np.linspace(1.0, 0.0, cfg.steps + 1)
-    for s in range(cfg.steps):
+    ts = np.linspace(1.0, 0.0, steps + 1)
+    for s in range(steps):
         t, dt = ts[s], ts[s] - ts[s + 1]
         v = np.asarray(denoiser(z, float(t), context))
         if v.shape != z.shape:
@@ -94,6 +95,11 @@ def euler_sample(denoiser, shape: tuple, context,
             raise RuntimeError(f"denoiser returned non-finite values at t={t:g}")
         z += (dt / t) * v  # z is the sampler's own; v is never written
     return z
+
+
+def _draw_noise(seed: int, shape: tuple) -> np.ndarray:
+    """A plan step's initial noise: standard normal from its own seed."""
+    return np.random.default_rng(seed).standard_normal(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -158,16 +164,16 @@ def _log_entry(step: PlanStep, bundle: ContextBundle, resolution: int,
 
 
 def generate_step(canvas: np.ndarray, step: PlanStep, bundle: ContextBundle,
-                  denoiser, step_cfg: SamplerConfig, pad: int) -> np.ndarray:
-    """Sample the padded face video of ``step`` and blend it into ``canvas``,
-    the (N, 6, R, R, C) video being composed.
+                  denoiser, z: np.ndarray, steps: int, pad: int) -> np.ndarray:
+    """Sample the padded face video of ``step`` from the noise ``z``, a
+    (T, R+2p, R+2p, C) array the sampler takes over, in ``steps`` Euler
+    steps, and blend it into ``canvas``, the (N, 6, R, R, C) video being
+    composed.
 
-    Returns the sampled (T, R+2p, R+2p, C) padded face video of the window;
-    its core is ``out[:, p:p+R, p:p+R]``.
+    Returns the sampled padded face video of the window (``z`` itself); its
+    core is ``out[:, p:p+R, p:p+R]``.
     """
-    r = canvas.shape[2]
-    shape = (step.end - step.start, r + 2 * pad, r + 2 * pad, canvas.shape[-1])
-    z = euler_sample(denoiser, shape, bundle, step_cfg)
+    z = euler_sample(denoiser, z, bundle, steps)
     blend_overlaps(z, canvas[step.start:step.end], step.face, pad)
     return z
 
@@ -207,13 +213,19 @@ def generate_all(cond_video: CubemapVideo, plan: GenerationPlan, denoiser,
                  frag_length: int = 4, frag_threshold: float = 0.5,
                  patch_size: int = 8,
                  teacher: CubemapVideo | None = None,
-                 on_window=None) -> GenerationResult:
+                 on_window=None, executor=None) -> GenerationResult:
     """Run every plan step window-major; the result is the cube canvas,
     which callers resample to equirect frames one at a time.
 
-    Step ``i`` samples with the seed ``SeedSequence((cfg.seed, i))``.  hist
-    and curr-gen context views the canvas, or ``teacher``'s pixels when it is
-    given (teacher forcing).
+    Step ``i`` samples from noise drawn with the seed
+    ``SeedSequence((cfg.seed, i))``.  hist and curr-gen context views the
+    canvas, or ``teacher``'s pixels when it is given (teacher forcing).
+
+    ``executor``, when given, draws each step's noise one step ahead: at
+    step ``i`` the draw for step ``i + 1`` is submitted to it.  A draw the
+    executor has not started when its step begins (its worker is busy) is
+    cancelled and drawn here instead; one already running is waited for.
+    The noise is the same array either way.
 
     ``on_window(start, end, frames)``, when given, is called once per window,
     in order, after its six faces are blended, with ``frames`` the canvas
@@ -221,15 +233,29 @@ def generate_all(cond_video: CubemapVideo, plan: GenerationPlan, denoiser,
     window, so these frames are final: a caller may read them from another
     thread while later windows are sampled, but must not write them.
     """
-    canvas = cond_video.pixels.copy()
+    # The canvas starts as lazily zeroed pages, not as a copy of the
+    # conditional: every window names all six faces (the plan check), each
+    # face's core is assigned wholesale before anything reads it, and strips
+    # blended into a face not yet generated are overwritten by its core.
+    canvas = np.zeros(cond_video.pixels.shape)
     source = canvas if teacher is None else teacher.pixels
+    r, c = cond_video.resolution, canvas.shape[-1]
+
+    def noise(i: int) -> np.ndarray:
+        step = plan.steps[i]
+        shape = (step.end - step.start, r + 2 * pad, r + 2 * pad, c)
+        return _draw_noise(_step_seed(cfg, i), shape)
+
     pool_trace, step_log, step_timings = [], [], []
+    ahead = None  # the future of the next step's noise
     t_end = time.perf_counter()
     for i, (step, bundle) in enumerate(plan_contexts(
             cond_video, plan, source, history_capacity=history_capacity,
             frag_length=frag_length, frag_threshold=frag_threshold)):
-        step_cfg = SamplerConfig(steps=cfg.steps, seed=_step_seed(cfg, i))
-        generate_step(canvas, step, bundle, denoiser, step_cfg, pad)
+        z = noise(i) if ahead is None or ahead.cancel() else ahead.result()
+        ahead = (executor.submit(noise, i + 1)
+                 if executor is not None and i + 1 < len(plan.steps) else None)
+        generate_step(canvas, step, bundle, denoiser, z, cfg.steps, pad)
         step_log.append(_log_entry(step, bundle, cond_video.resolution, patch_size))
         pool_trace.append(min(history_capacity, (i + 1) // 6))
         if on_window is not None and i % 6 == 5:  # the plan check fixed the blocks

@@ -41,7 +41,7 @@ from cubegen.geometry import (
     frustum_solid_angle,
     project_perspective_to_cubemap,
 )
-from cubegen.pipeline import SamplerConfig, euler_sample, oracle_denoiser
+from cubegen.pipeline import euler_sample, oracle_denoiser
 from cubegen.planner import (
     frame_coverage,
     partition_windows,
@@ -251,8 +251,8 @@ def test_criterion_8_sampler_exactness():
     z0 = rng.normal(size=(4, 32, 32, 3))
     worst = 0.0
     for steps in (1, 4, 16):
-        out = euler_sample(oracle_denoiser(z0), z0.shape, None,
-                           SamplerConfig(steps=steps, seed=steps))
+        z = np.random.default_rng(steps).standard_normal(z0.shape)
+        out = euler_sample(oracle_denoiser(z0), z, None, steps)
         worst = max(worst, float(np.abs(out - z0).max()))
     assert worst <= 1e-6
     report(8, f"oracle sampler error {worst:.2e} <= 1e-6 for S in {{1,4,16}}")

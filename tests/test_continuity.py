@@ -318,6 +318,19 @@ class TestBlendOverlaps:
         after = seam_metric(canvas[0])
         assert after < before
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64])
+    def test_generated_of_another_dtype_blends_as_float64(self, rng, dtype):
+        # the blend is computed in the promoted dtype, so a float32 or an
+        # integer face blends as its exact float64 copy does
+        res, pad = 8, 2
+        cube = random_cube(rng, res)[None]
+        generated = (rng.random((1, res + 2 * pad, res + 2 * pad, 2))
+                     * 10).astype(dtype)
+        canvas, want = cube.copy(), cube.copy()
+        blend_overlaps(generated, canvas, "F", pad)
+        blend_overlaps(generated.astype(np.float64), want, "F", pad)
+        assert canvas.tobytes() == want.tobytes()
+
     def test_canvas_must_be_writable_in_place(self, rng):
         res, pad = 8, 2
         canvas = random_cube(rng, res)[None][..., ::-1]

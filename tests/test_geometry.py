@@ -413,6 +413,24 @@ def ref_project(frame, pose, res):
     return faces, masks
 
 
+def in_place_divide_project(frame, pose, res):
+    """The projection as it divided the interleaved (x, -y, z) stack in
+    place; the two-plane form is pinned to it bit for bit."""
+    tan_h = np.tan(np.radians(pose.hfov_deg) / 2.0)
+    tan_v = np.tan(np.radians(pose.vfov_deg) / 2.0)
+    d_cam = geo.face_directions(res) @ pose.rotation
+    np.negative(d_cam[..., 1], out=d_cam[..., 1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d_cam[..., :2] /= d_cam[..., 2:]
+        px, py, z = np.moveaxis(d_cam, -1, 0)
+        inside = (z > 0) & (np.abs(px) <= tan_h) & (np.abs(py) <= tan_v)
+    cols = (px[inside] / tan_h + 1.0) / 2.0 * frame.width - 0.5
+    rows = (py[inside] / tan_v + 1.0) / 2.0 * frame.height - 0.5
+    faces = np.zeros((6, res, res, frame.channels))
+    faces[inside] = geo._bilinear(frame.pixels, rows, cols)
+    return faces, inside.astype(np.uint8)
+
+
 def ref_equirect_to_cubemap(eq, res):
     faces = np.empty((6, res, res, eq.shape[2]))
     for i, f in enumerate(FACES):
@@ -463,10 +481,31 @@ class TestDirectionStack:
         frames, poses = _projection_case(case)
         for frame, pose in zip(frames, poses):
             faces, masks = geo.project_perspective_to_cubemap(frame, pose, res)
-            ref_faces, ref_masks = ref_project(frame, pose, res)
             assert masks.dtype == np.uint8 and masks.any()
-            assert np.array_equal(masks, ref_masks)
-            assert faces.tobytes() == ref_faces.tobytes()
+            for ref in (ref_project, in_place_divide_project):
+                ref_faces, ref_masks = ref(frame, pose, res)
+                assert np.array_equal(masks, ref_masks)
+                assert faces.tobytes() == ref_faces.tobytes()
+
+    def test_projection_equals_in_place_divide_on_the_boundary(self):
+        # an hfov whose tan(hfov/2) equals a pixel centre's |x/z| exactly puts
+        # that centre of face F on the frustum's side plane
+        res, f, row = 8, FACE_INDEX["F"], 3
+        ratios = np.abs(geo.face_directions(res)[f, row, :, 0]
+                        / geo.face_directions(res)[f, row, :, 2])
+        for edge in ratios:
+            hfov = float(np.degrees(2.0 * np.arctan(edge)))
+            if np.tan(np.radians(hfov) / 2.0) == edge:
+                break
+        else:
+            pytest.fail("no pixel centre of the row lies exactly on a frustum edge")
+        frame = PerspectiveFrame(np.random.default_rng(2).random((6, 9, 3)))
+        pose = CameraPose(np.eye(3), hfov, 170.0)
+        faces, masks = geo.project_perspective_to_cubemap(frame, pose, res)
+        ref_faces, ref_masks = in_place_divide_project(frame, pose, res)
+        assert masks[f, row][ratios == edge].all()
+        assert np.array_equal(masks, ref_masks)
+        assert faces.tobytes() == ref_faces.tobytes()
 
     @pytest.mark.parametrize("res", [2, 16, 64])
     def test_equirect_to_cubemap_equals_per_face_loop(self, rng, res):

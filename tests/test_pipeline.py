@@ -2,7 +2,9 @@
 sampler configuration land exactly on the clean latent, which calibrates the
 integrator; end-to-end runs are checked against the analytic scene."""
 
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -47,6 +49,11 @@ def small_scene(res=32, n=8, t_win=4, seed=7):
     return cfg, truth, cond, plan
 
 
+def noise(seed, shape):
+    """A sampler's initial noise, drawn the way ``generate_all`` draws it."""
+    return np.random.default_rng(seed).standard_normal(shape)
+
+
 def equirect_frames(result, width=None):
     """(N, W/2, W, C) equirect frames of a result's cube canvas, resampled
     the way ``generate`` writes them; W defaults to 4R."""
@@ -65,14 +72,13 @@ class TestOracleAndSampler:
     @pytest.mark.parametrize("steps", [1, 4, 16])
     def test_sampler_exact_under_oracle(self, rng, steps):
         z0 = rng.normal(size=(4, 32, 32, 2))
-        out = euler_sample(oracle_denoiser(z0), z0.shape, None,
-                           SamplerConfig(steps=steps, seed=3))
+        z = noise(3, z0.shape)
+        out = euler_sample(oracle_denoiser(z0), z, None, steps)
         assert np.abs(out - z0).max() <= 1e-6
 
     def test_fixed_seed_bit_identical(self):
-        cfg = SamplerConfig(steps=2, seed=11)
-        a = euler_sample(zero_denoiser, (2, 4, 4, 1), None, cfg)
-        b = euler_sample(zero_denoiser, (2, 4, 4, 1), None, cfg)
+        a = euler_sample(zero_denoiser, noise(11, (2, 4, 4, 1)), None, 2)
+        b = euler_sample(zero_denoiser, noise(11, (2, 4, 4, 1)), None, 2)
         assert np.array_equal(a, b)
         # zero velocity leaves the seeded initial noise untouched
         c = np.random.default_rng(11).standard_normal((2, 4, 4, 1))
@@ -81,7 +87,7 @@ class TestOracleAndSampler:
     def test_denoiser_shape_mismatch_is_error(self):
         bad = lambda z, t, ctx: np.zeros((1,))
         with pytest.raises(RuntimeError):
-            euler_sample(bad, (2, 2), None, SamplerConfig(steps=1, seed=0))
+            euler_sample(bad, noise(0, (2, 2)), None, 1)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_denoiser_non_finite_is_error(self, value):
@@ -90,18 +96,18 @@ class TestOracleAndSampler:
             v[0, 1] = value
             return v
         with pytest.raises(RuntimeError, match="non-finite"):
-            euler_sample(bad, (2, 2), None, SamplerConfig(steps=2, seed=0))
+            euler_sample(bad, noise(0, (2, 2)), None, 2)
 
     @pytest.mark.parametrize("dtype", [np.int64, np.bool_, np.complex128, object])
     def test_denoiser_non_float_is_error(self, dtype):
         bad = lambda z, t, ctx: np.zeros(z.shape, dtype=dtype)
         with pytest.raises(RuntimeError, match="dtype"):
-            euler_sample(bad, (2, 2), None, SamplerConfig(steps=1, seed=0))
+            euler_sample(bad, noise(0, (2, 2)), None, 1)
 
 
 def out_of_place_euler(denoiser, shape, cfg):
     """The sampler's update written out of place, as a bit-level reference."""
-    z = np.random.default_rng(cfg.seed).standard_normal(shape)
+    z = noise(cfg.seed, shape)
     ts = np.linspace(1.0, 0.0, cfg.steps + 1)
     for s in range(cfg.steps):
         t, dt = ts[s], ts[s] - ts[s + 1]
@@ -118,7 +124,8 @@ class TestInPlaceEuler:
             return (np.sin(3.0 * z_t) * t + target - z_t).astype(dtype)
 
         cfg = SamplerConfig(steps=5, seed=3)
-        got = euler_sample(denoiser, target.shape, None, cfg)
+        got = euler_sample(denoiser, noise(cfg.seed, target.shape), None,
+                           cfg.steps)
         ref = out_of_place_euler(denoiser, target.shape, cfg)
         assert got.dtype == ref.dtype == np.float64
         assert got.tobytes() == ref.tobytes()
@@ -128,7 +135,8 @@ class TestInPlaceEuler:
         cached = rng.normal(size=(2, 4, 4, 1))
         before = cached.copy()
         cfg = SamplerConfig(steps=4, seed=1)
-        got = euler_sample(lambda z, t, ctx: cached, cached.shape, None, cfg)
+        got = euler_sample(lambda z, t, ctx: cached, noise(cfg.seed, cached.shape),
+                           None, cfg.steps)
         assert np.array_equal(cached, before)
         ref = out_of_place_euler(lambda z, t, ctx: before, cached.shape, cfg)
         assert got.tobytes() == ref.tobytes()
@@ -147,8 +155,8 @@ class TestGenerateStep:
 
     def test_oracle_step_reproduces_truth(self):
         truth, cond, canvas, step, bundle, denoiser = self.first_step()
-        out = generate_step(canvas, step, bundle, denoiser,
-                            SamplerConfig(steps=4, seed=1), 2)
+        z = noise(1, (step.end - step.start, 16 + 4, 16 + 4, 3))
+        out = generate_step(canvas, step, bundle, denoiser, z, 4, 2)
         gt = truth.pixels[step.start:step.end, FACE_INDEX[step.face]]
         assert out.shape == (step.end - step.start, 16 + 4, 16 + 4, 3)
         got = out[:, 2:2 + 16, 2:2 + 16]
@@ -161,8 +169,8 @@ class TestGenerateStep:
 
     def test_masked_pixels_reproduced(self):
         truth, cond, canvas, step, bundle, denoiser = self.first_step()
-        out = generate_step(canvas, step, bundle, denoiser,
-                            SamplerConfig(steps=4, seed=1), 2)
+        z = noise(1, (step.end - step.start, 16 + 4, 16 + 4, 3))
+        out = generate_step(canvas, step, bundle, denoiser, z, 4, 2)
         for k, t in enumerate(range(step.start, step.end)):
             fi = FACE_INDEX[step.face]
             m = cond.masks[t, fi].astype(bool)
@@ -346,8 +354,10 @@ class TestGenerateAll:
         for s, e, frames in calls:
             assert np.array_equal(frames, result.canvas[s:e])
 
-    @pytest.mark.parametrize("teacher", [True, False])
-    def test_peak_above_start_bounded_by_canvas(self, teacher):
+    @pytest.mark.parametrize("teacher, ahead", [
+        (True, False), (False, False), (True, True), (False, True)],
+        ids=["True", "False", "True-executor", "False-executor"])
+    def test_peak_above_start_bounded_by_canvas(self, teacher, ahead):
         # the loop holds the canvas and per-step buffers only: the context
         # is views, so no window of generated faces is copied
         cfg = parse_config(Path(__file__).parents[1] / "configs" / "demo.json")
@@ -357,17 +367,99 @@ class TestGenerateAll:
         plan = plan_order(window_coverage(frame_coverage(cond.masks), wp), wp)
         denoiser = padded_target_denoiser(truth, cfg.pad)
         scfg = SamplerConfig(steps=cfg.sampler_steps, seed=cfg.seed)
+        # with an executor, the draw one step ahead is one more padded window
+        pool = ThreadPoolExecutor(max_workers=1) if ahead else None
         tracemalloc.start()
         try:
             generate_all(cond, plan, denoiser, scfg, pad=cfg.pad,
                          history_capacity=cfg.history, frag_length=cfg.frag_length,
                          frag_threshold=cfg.frag_threshold,
-                         teacher=truth if teacher else None)
+                         teacher=truth if teacher else None, executor=pool)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+            if pool is not None:
+                pool.shutdown()
         canvas = cond.pixels.nbytes
         assert peak <= 1.6 * canvas, (peak / canvas, peak, canvas)
+
+    @pytest.mark.parametrize("teacher", [True, False])
+    def test_conditional_pixels_never_reach_the_canvas(self, teacher):
+        # the canvas starts zeroed, not as a copy of the conditional: its
+        # initial values are overwritten before anything reads them, so other
+        # finite conditional pixels under the same masks give the same canvas
+        cfg, truth, cond, plan = small_scene(res=16, n=8, t_win=4)
+        other = CubemapVideo(pixels=np.random.default_rng(3).uniform(
+            -50.0, 50.0, cond.pixels.shape), masks=cond.masks)
+        runs = [generate_all(video, plan, padded_target_denoiser(truth, 2),
+                             SamplerConfig(steps=2, seed=6), pad=2,
+                             teacher=truth if teacher else None)
+                for video in (cond, other)]
+        assert runs[0].canvas.tobytes() == runs[1].canvas.tobytes()
+
+
+class RecordingExecutor:
+    """Submits to ``pool`` and keeps every future it hands out; with
+    ``wait``, returns each only once it has finished."""
+
+    def __init__(self, pool, wait=False):
+        self.pool, self.futures, self.wait = pool, [], wait
+
+    def submit(self, fn, *args):
+        future = self.pool.submit(fn, *args)
+        self.futures.append(future)
+        if self.wait:
+            future.result()
+        return future
+
+
+class TestNoiseAhead:
+    """With an executor, the next step's noise is drawn one step ahead; a
+    draw the executor has not started is taken back and drawn inline.
+    Either way each step samples from the same noise."""
+
+    def run(self, executor=None):
+        cfg, truth, cond, plan = small_scene(res=16, n=12, t_win=4)
+        result = generate_all(cond, plan, padded_target_denoiser(cond, 2),
+                              SamplerConfig(steps=3, seed=8), pad=2,
+                              executor=executor)
+        return result.canvas, len(plan.steps)
+
+    def test_busy_executor_takes_every_draw_back(self):
+        inline, _ = self.run()
+        release = threading.Event()
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            pool.submit(release.wait)  # the one worker is held until the end
+            recording = RecordingExecutor(pool)
+            try:
+                canvas, steps = self.run(recording)
+            finally:
+                release.set()
+        cancelled = sum(f.cancelled() for f in recording.futures)
+        assert len(recording.futures) == steps - 1
+        assert cancelled > 0 and cancelled == steps - 1
+        assert canvas.tobytes() == inline.tobytes()
+
+    def test_finished_draws_are_taken_from_the_executor(self, monkeypatch):
+        # every draw has finished before its step begins, so none can be
+        # cancelled and every step after the first samples the executor's
+        # own array
+        inline, _ = self.run()
+        sampled = []
+        real_step = pl.generate_step
+
+        def recording_step(canvas, step, bundle, denoiser, z, *args):
+            sampled.append(z)
+            return real_step(canvas, step, bundle, denoiser, z, *args)
+
+        monkeypatch.setattr(pl, "generate_step", recording_step)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            recording = RecordingExecutor(pool, wait=True)
+            canvas, steps = self.run(recording)
+        assert len(recording.futures) == steps - 1
+        assert not any(f.cancelled() for f in recording.futures)
+        assert all(z is f.result() for z, f in zip(sampled[1:], recording.futures))
+        assert canvas.tobytes() == inline.tobytes()
 
 
 class TestPaddedTargetDenoiser:

@@ -13,6 +13,7 @@ from cubegen.config import (
     paper_geometry_config,
     parse_config,
 )
+from cubegen import geometry as geo
 from cubegen import scene as sc
 from cubegen.faces import FACE_INDEX
 
@@ -131,6 +132,25 @@ class TestSyntheticScene:
         for t in (0, 5, 50):
             v = scene.value(d, t)
             assert v.min() >= 0.0 and v.max() <= 1.0
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_value_equals_interleaved_stack_form(self, rng, channels):
+        # the basis is stacked along a leading axis; pinned to the (..., 8)
+        # stack it replaced, on random and face directions.  The two layouts
+        # may be summed in another order by the BLAS (one channel differs by
+        # up to 1.8e-15 on OpenBLAS), so the pin is a few ulps, not bytes.
+        scene = sc.SyntheticScene.random(channels=channels, seed=4)
+        d = rng.normal(size=(3, 50, 40, 3))
+        d /= np.linalg.norm(d, axis=-1, keepdims=True)
+        for dirs in (d, geo.face_directions(32)):
+            for t in (0, 3, 17):
+                rot = geo.rotvec_to_matrix(-t * scene.spin_per_frame * scene.spin_axis)
+                r = dirs @ rot.T
+                x, y, z = r[..., 0], r[..., 1], r[..., 2]
+                basis = np.stack([b(x, y, z) for b in sc._BASIS], axis=-1)
+                want = 0.5 + basis @ scene.coeffs.T
+                np.testing.assert_allclose(scene.value(dirs, t), want,
+                                           rtol=0, atol=1e-14)
 
     def test_reprojection_self_consistency(self):
         # rendered perspective frames re-projected onto the cubemap agree
