@@ -22,7 +22,7 @@ traversal direction (columns for top/bottom edges, rows for left/right).
 :func:`_neighbor_pixel` is the one formula from (depth, along) to a neighbor
 pixel.  Each adjacency record also names the dihedral ``transform`` that
 rearranges the neighbor's raw border slice into a (depth, along) strip; the
-names are derived from the same formula at import time and documented in
+names are derived from the same formula on first use and documented in
 ``docs/cube_layout.json``.
 """
 
@@ -117,7 +117,10 @@ def _neighbor_pixel(neighbor_edge: str, flipped: bool, depth, along, res: int):
     return m, res - 1 - depth
 
 
-def _derive_adjacency() -> dict:
+@lru_cache(maxsize=None)
+def _adjacency() -> dict:
+    """The 24 directed edge records, derived once, on first use: a process
+    that never pads (attention alone) never pays for it."""
     table = {}
     probe = np.arange(36.0).reshape(6, 6)  # unique values force a unique match
     depth, along = np.indices((2, 6))
@@ -140,9 +143,6 @@ def _derive_adjacency() -> dict:
     return table
 
 
-_ADJACENCY = _derive_adjacency()
-
-
 @dataclass(frozen=True)
 class CubeLayout:
     """Flattened-cross face offsets plus the directed edge-adjacency table."""
@@ -158,7 +158,7 @@ class CubeLayout:
         r = resolution
         offsets = {"U": (0, r), "F": (r, r), "D": (2 * r, r),
                    "L": (r, 0), "R": (r, 2 * r), "B": (r, 3 * r)}
-        return cls(resolution=r, offsets=offsets, adjacency=dict(_ADJACENCY))
+        return cls(resolution=r, offsets=offsets, adjacency=dict(_adjacency()))
 
     def to_json_dict(self) -> dict:
         return {
@@ -224,7 +224,7 @@ def _pad_table(res: int, pad: int) -> _PadTable:
         index[fi] = (fi * res * res + rows_in.clip(0, res - 1) * res
                      + cols_in.clip(0, res - 1))
         for edge, sel, depth, along in bands:
-            adj = _ADJACENCY[(face, edge)]
+            adj = _adjacency()[(face, edge)]
             i2, j2 = _neighbor_pixel(adj.neighbor_edge, adj.flipped,
                                      depth[sel], along[sel], res)
             index[fi][sel] = FACE_INDEX[adj.neighbor] * res * res + i2 * res + j2

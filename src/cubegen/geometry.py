@@ -17,9 +17,10 @@ projection, resampling and the synthetic scene share.
 
 Cube->equirect resampling depends only on (R, W), so it is a fixed tap
 table, :class:`EquirectTaps`: for every equirect pixel the flat index of its
-top-left bilinear tap in the (6*R*R) flattened faces, its row and column
-fractions, and a nearest index for masks.  Build it once per run and apply
-it frame by frame; :func:`cubemap_to_equirect` is a one-shot caller of it.
+top-left bilinear tap in the (6*R*R) flattened faces and its row and column
+fractions; masks take the nearest pixel, rounded from those.  Build it once
+per run and apply it frame by frame; :func:`cubemap_to_equirect` is a
+one-shot caller of it.
 
 Rotations convert between matrices and rotation vectors with plain numpy
 (Rodrigues one way, the unit quaternion the other).
@@ -28,7 +29,7 @@ Rotations convert between matrices and rotation vectors with plain numpy
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -306,8 +307,9 @@ class EquirectTaps:
     Entries run over the (W/2, W) equirect pixels in row-major order and
     index the (6, R, R) faces flattened to (6*R*R):
     ``index`` is the top-left bilinear tap (the other taps sit one column
-    and one face row further on), ``row_frac``/``col_frac`` its fractions,
-    and ``nearest`` the nearest face pixel, used for masks.
+    and one face row further on) and ``row_frac``/``col_frac`` its
+    fractions.  The tap plus its fraction is the clamped face coordinate
+    itself, so the nearest face pixel, used for masks, is derived from them.
     """
 
     resolution: int
@@ -315,7 +317,6 @@ class EquirectTaps:
     index: np.ndarray
     row_frac: np.ndarray
     col_frac: np.ndarray
-    nearest: np.ndarray
 
     @classmethod
     def create(cls, resolution: int, width: int) -> "EquirectTaps":
@@ -323,7 +324,6 @@ class EquirectTaps:
             raise ValueError(f"equirect width must be a multiple of 4, got {width}")
         res, height = resolution, width // 2
         index = np.empty(height * width, dtype=np.intp)
-        nearest = np.empty_like(index)
         row_frac = np.empty(height * width)
         col_frac = np.empty_like(row_frac)
         # Built in blocks of equirect rows, so the per-pixel directions and
@@ -338,16 +338,12 @@ class EquirectTaps:
             cols = x * res - 0.5
             r0, fr = _clamped_taps(rows, res)
             c0, fc = _clamped_taps(cols, res)
-            base = face * (res * res)
-            near_r = np.clip(np.rint(rows).astype(np.intp), 0, res - 1)
-            near_c = np.clip(np.rint(cols).astype(np.intp), 0, res - 1)
             out = slice(top * width, top * width + u.size)
-            index[out] = (base + r0 * res + c0).ravel()
+            index[out] = (face * (res * res) + r0 * res + c0).ravel()
             row_frac[out] = fr.ravel()
             col_frac[out] = fc.ravel()
-            nearest[out] = (base + near_r * res + near_c).ravel()
         return cls(resolution=res, width=width, index=index,
-                   row_frac=row_frac, col_frac=col_frac, nearest=nearest)
+                   row_frac=row_frac, col_frac=col_frac)
 
     def _check(self, grids: np.ndarray, ndim: int) -> None:
         res = self.resolution
@@ -403,7 +399,21 @@ class EquirectTaps:
         (W/2, W) uint8 grid."""
         masks = np.asarray(masks, dtype=np.uint8)
         self._check(masks, 3)
-        return np.take(masks.ravel(), self.nearest).reshape(self.width // 2, self.width)
+        return np.take(masks.ravel(), self._nearest).reshape(
+            self.width // 2, self.width)
+
+    @cached_property
+    def _nearest(self) -> np.ndarray:
+        """Flat index of the nearest face pixel of every equirect pixel,
+        derived on the first mask transfer, which ``generate`` never makes.
+        ``r0 + row_frac`` is exactly the clamped row coordinate (the
+        fraction was taken from it by an exact subtraction), so rounding it
+        gives the nearest row; the same holds for columns."""
+        res = self.resolution
+        r0, c0 = np.divmod(self.index % (res * res), res)
+        near_r = np.rint(r0 + self.row_frac).astype(np.intp) - r0
+        near_c = np.rint(c0 + self.col_frac).astype(np.intp) - c0
+        return self.index + near_r * res + near_c
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cubegen import cli
+from cubegen import artifacts, cli
 from cubegen import scene as sc
-from cubegen.artifacts import load_schema, validate_artifact
+from cubegen.artifacts import load_schema
 from cubegen.attention import BandedMaskSpec, TokenLayout, attention_peak_bytes
 from cubegen.config import default_config, parse_config
 from cubegen.geometry import EquirectTaps
@@ -23,6 +23,13 @@ from cubegen.pipeline import SamplerConfig, generate_all
 from cubegen.planner import plan_order
 
 import jsonschema
+
+
+def validate_artifact(name: str, obj: dict) -> None:
+    """The shipped checker, then jsonschema, its reference: every artifact
+    these tests write must pass both."""
+    artifacts.validate_artifact(name, obj)
+    jsonschema.Draft202012Validator(load_schema(name)).validate(obj)
 
 
 def small_cfg(tmp_path, **overrides) -> Path:
@@ -414,6 +421,20 @@ class TestErrorPaths:
         assert run(["generate", "--config", small_cfg(tmp_path), "--out", out]) == 1
         self.assert_failed_cleanly(out, capsys, "OSError", "frame 1")
 
+    def test_report_breaking_its_schema_leaves_nothing(self, tmp_path, capsys,
+                                                       monkeypatch):
+        def broken_report(*args, **kwargs):
+            result = generate_all(*args, **kwargs)
+            result.pool_trace[-1] = -1  # the schema's minimum is 0
+            return result
+
+        monkeypatch.setattr(cli, "generate_all", broken_report)
+        out = tmp_path / "o"
+        assert run(["generate", "--config", small_cfg(tmp_path), "--out", out]) == 1
+        self.assert_failed_cleanly(out, capsys, "ArtifactSchemaError",
+                                   "run_report: $.pool_trace[11]: -1 is below 0")
+        assert not list(out.iterdir())
+
     def test_schemas_are_valid_jsonschema(self):
         for name in ("plan", "coverage", "context", "run_report", "timings",
                      "metrics", "error", "dry_run"):
@@ -435,3 +456,8 @@ def test_cli_import_leaves_scipy_out():
 def test_cli_import_leaves_thread_pool_out():
     # only generate starts the side thread; other subcommands skip the import
     assert not imported_by_cli("concurrent.futures")
+
+
+def test_cli_import_leaves_jsonschema_out():
+    # the artifact checker is cubegen's own; jsonschema is only its test reference
+    assert not imported_by_cli("jsonschema")

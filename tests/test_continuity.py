@@ -2,9 +2,14 @@
 oracles here are the analytic spherical field, explicit index bookkeeping,
 and the strip-based reference in ``strip_reference``."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from cubegen import continuity
 from cubegen.faces import FACES, FACE_AXES, FACE_INDEX
 from cubegen.continuity import (
     EDGES,
@@ -102,6 +107,17 @@ class TestAdjacency:
         for f in FACES:
             neighbors = {layout.adjacency[(f, e)].neighbor for e in EDGES}
             assert len(neighbors) == 4 and f not in neighbors
+
+    def test_derived_on_first_use_once(self):
+        # importing the CLI derives nothing; every layout shares one table
+        code = ("import cubegen.cli; from cubegen import continuity; "
+                "print(continuity._adjacency.cache_info().currsize)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True,
+                              cwd=Path(__file__).resolve().parents[1] / "src")
+        assert proc.stdout.strip() == "0"
+        assert continuity._adjacency() is continuity._adjacency()
+        assert CubeLayout.create(4).adjacency == continuity._adjacency()
 
     def test_corner_three_cycles_identity(self):
         assert corner_cycle_identity(CubeLayout.create(4))

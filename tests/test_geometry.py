@@ -358,9 +358,23 @@ class TestEquirectTaps:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        table = sum(a.nbytes for a in (taps.index, taps.row_frac,
-                                       taps.col_frac, taps.nearest))
+        table = sum(a.nbytes for a in (taps.index, taps.row_frac, taps.col_frac))
         assert peak <= 2.5 * table, (peak / table, peak, table)
+
+    @pytest.mark.parametrize("res,width", [(1, 8), (2, 8), (4, 16), (7, 28),
+                                           (16, 64), (33, 132), (64, 256),
+                                           (256, 1024)])
+    def test_nearest_derived_from_taps_equals_rounded_coords(self, res, width):
+        # the mask index, rounded from the bilinear tap and its fraction,
+        # is the per-face nearest pixel of the clamped coordinates, exactly
+        face, x, y = _ref_face_lookup(width)
+        flat = np.arange(6 * res * res).reshape(6, res, res)
+        want = np.empty(face.shape, dtype=np.intp)
+        for i in range(6):
+            sel = face == i
+            want[sel] = _ref_nearest(flat[i], y[sel] * res - 0.5, x[sel] * res - 0.5)
+        taps = geo.EquirectTaps.create(res, width)
+        assert np.array_equal(taps._nearest, want.ravel())
 
     def test_one_table_serves_many_frames(self, rng):
         res, width = 8, 32
