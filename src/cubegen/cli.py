@@ -159,6 +159,10 @@ def _load_inputs(cfg: RunConfig):
                           f"{cfg.num_frames}")
     frames = [PerspectiveFrame(read_pfm(f) if f.suffix == ".pfm" else read_ppm(f))
               for f in files]
+    for path, frame in zip(files, frames):
+        if frame.channels != cfg.channels:
+            raise ConfigError(f"config field 'channels' is {cfg.channels}, but "
+                              f"{path.name} has {frame.channels} channels")
     return None, frames, poses
 
 

@@ -15,12 +15,12 @@ The (6, R, R, 3) pixel-center directions of the cube depend only on R, so
 :func:`face_directions` builds them once per R as one read-only stack that
 projection, resampling and the synthetic scene share.
 
-Cube->equirect resampling depends only on (R, W), so it is a fixed tap
-table, :class:`EquirectTaps`: for every equirect pixel the flat index of its
-top-left bilinear tap in the (6*R*R) flattened faces and its row and column
-fractions; masks take the nearest pixel, rounded from those.  Build it once
-per run and apply it frame by frame; :func:`cubemap_to_equirect` is a
-one-shot caller of it.
+Every bilinear resample is one tap table (a flat top-left tap, a row
+stride, two fractions) and one blocked apply: projection builds it per frame
+on the perspective frame, :func:`equirect_to_cubemap` on the equirect grid
+with its first column appended, and :class:`EquirectTaps`, built once per
+(R, W) and applied per frame, on the six faces padded by one pixel through
+the pad-1 map of :mod:`cubegen.continuity`, so cube taps cross cube edges.
 
 Rotations convert between matrices and rotation vectors with plain numpy
 (Rodrigues one way, the unit quaternion the other).
@@ -33,6 +33,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .continuity import _pad_table
 from .faces import FACES, FACE_AXES
 
 __all__ = [
@@ -60,7 +61,7 @@ __all__ = [
 _UNIT_TOL = 1e-9
 _ORTHO_TOL = 1e-7
 _TAP_BLOCK_PIXELS = 1 << 16  # equirect pixels per block of EquirectTaps.create
-_APPLY_BLOCK_PIXELS = 1 << 13  # equirect pixels per block of EquirectTaps.apply
+_APPLY_BLOCK_PIXELS = 1 << 13  # output samples per block of _Taps.resample
 
 
 # ---------------------------------------------------------------------------
@@ -264,65 +265,101 @@ def face_pixel_directions(face: str, resolution: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# resampling helpers
+# bilinear tap tables
 # ---------------------------------------------------------------------------
 
-def _clamped_taps(coords: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lower tap index and fraction of fractional coords on an axis of n
-    samples that clamps at both ends; the upper tap is index + 1 (n > 1)."""
-    coords = np.clip(coords, 0.0, n - 1.0)
-    i0 = np.floor(coords).astype(np.intp)
-    i0 = np.minimum(i0, n - 2) if n > 1 else np.zeros_like(i0)
-    return i0, coords - i0
-
-
-def _bilinear(grid: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-              wrap_cols: bool = False) -> np.ndarray:
-    """Bilinear sample of (H, W, C) at fractional (rows, cols); rows clamp."""
-    h, w = grid.shape[:2]
-    r0, fr = _clamped_taps(rows, h)
-    r1 = np.minimum(r0 + 1, h - 1)
-
-    if wrap_cols:
-        cols = np.mod(cols, w)
-        c0 = np.floor(cols).astype(np.intp)
-        c1 = np.mod(c0 + 1, w)
-        fc = cols - c0
-        c0 = np.mod(c0, w)
-    else:
-        c0, fc = _clamped_taps(cols, w)
-        c1 = np.minimum(c0 + 1, w - 1)
-
-    fr = fr[..., None]
-    fc = fc[..., None]
-    top = grid[r0, c0] * (1.0 - fc) + grid[r0, c1] * fc
-    bot = grid[r1, c0] * (1.0 - fc) + grid[r1, c1] * fc
-    return top * (1.0 - fr) + bot * fr
+def _axis_taps(coords: np.ndarray, first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lower tap, counted from the first sample, and fraction of coordinates
+    on an axis sampled at first, ..., last; they clamp to [first, last], and
+    the upper tap is the next sample.  The fraction is ``a - tap`` on the
+    coordinate itself, so padding a grid changes no fraction off the pad."""
+    a = np.clip(coords, first, last)
+    tap = np.maximum(np.minimum(np.floor(a), last - 1), first)
+    return (tap - first).astype(np.intp), a - tap
 
 
 @dataclass(frozen=True)
-class EquirectTaps:
-    """Fixed cube->equirect resampling table for one (R, W).
+class _Taps:
+    """Bilinear taps into a grid flattened row-major: ``index`` is each
+    sample's top-left tap, the next column ``step`` and the next row
+    ``stride`` further on (0 on an axis of one sample), and the fractions
+    weight the upper taps."""
 
-    Entries run over the (W/2, W) equirect pixels in row-major order and
-    index the (6, R, R) faces flattened to (6*R*R):
-    ``index`` is the top-left bilinear tap (the other taps sit one column
-    and one face row further on) and ``row_frac``/``col_frac`` its
-    fractions.  The tap plus its fraction is the clamped face coordinate
-    itself, so the nearest face pixel, used for masks, is derived from them.
-    """
-
-    resolution: int
-    width: int
     index: np.ndarray
     row_frac: np.ndarray
     col_frac: np.ndarray
+    stride: int
+    step: int
+
+    def resample(self, pixels: np.ndarray, out: np.ndarray,
+                 gather: np.ndarray | None = None) -> np.ndarray:
+        """Write the bilinear samples of every channel of the (P, C) float64
+        pixels into ``out`` (len(index), C).  The taps index the P pixels,
+        or, given ``gather``, the grid ``pixels[gather]``."""
+        channels = pixels.shape[1]
+        plane = np.empty(len(pixels) if gather is None else gather.size)
+        if gather is not None:
+            flat, gather = pixels.reshape(-1), gather.reshape(-1) * channels
+        n, d, s = self.index.size, self.step, self.stride
+        # Channel by channel, in blocks whose four buffers stay in cache:
+        # top * (1 - fr) + bottom * fr, each (1 - fc) * left + fc * right.
+        # Indices are in range; mode="clip" skips the default's buffering.
+        block = _APPLY_BLOCK_PIXELS
+        buffers = np.empty((4, min(n, block)))
+        for c in range(channels):
+            if gather is None:
+                np.copyto(plane, pixels[:, c])
+            else:  # channel c of pixel k is flat[c:][k * channels]
+                np.take(flat[c:], gather, out=plane, mode="clip")
+            for lo in range(0, n, block):
+                blk = slice(lo, lo + block)
+                idx, fr, fc = self.index[blk], self.row_frac[blk], self.col_frac[blk]
+                t, p, b, wb = buffers[:, :idx.size]
+                np.subtract(1.0, fc, out=wb)
+                np.take(plane, idx, out=t, mode="clip")
+                t *= wb
+                np.take(plane[d:], idx, out=p, mode="clip")
+                p *= fc
+                t += p
+                np.take(plane[s:], idx, out=b, mode="clip")
+                b *= wb
+                np.take(plane[s + d:], idx, out=p, mode="clip")
+                p *= fc
+                b += p
+                np.subtract(1.0, fr, out=wb)
+                t *= wb
+                b *= fr
+                t += b
+                out[blk, c] = t
+        return out
+
+
+def _grid_taps(rows: np.ndarray, cols: np.ndarray, height: int, width: int) -> _Taps:
+    """Taps of (rows, cols) into a (height, width) grid, clamped at its borders."""
+    r0, fr = _axis_taps(rows, 0, height - 1)
+    c0, fc = _axis_taps(cols, 0, width - 1)
+    return _Taps(index=r0 * width + c0, row_frac=fr, col_frac=fc,
+                 stride=width if height > 1 else 0, step=1 if width > 1 else 0)
+
+
+@dataclass(frozen=True)
+class EquirectTaps(_Taps):
+    """Fixed cube->equirect resampling table for one (R, W): taps of the
+    (W/2, W) equirect pixels, row-major, into the (6, R+2, R+2) faces padded
+    by one pixel, which ``gather`` (the pad-1 map) copies from the (6*R*R)
+    faces.  Face coordinates run from -1 to R there, so a tap next to a cube
+    edge reads the neighbouring face and none is clamped.  Masks take the
+    nearest face pixel, derived from the taps."""
+
+    resolution: int
+    width: int
+    gather: np.ndarray
 
     @classmethod
     def create(cls, resolution: int, width: int) -> "EquirectTaps":
         if width % 4:
             raise ValueError(f"equirect width must be a multiple of 4, got {width}")
-        res, height = resolution, width // 2
+        res, height, n = resolution, width // 2, resolution + 2
         index = np.empty(height * width, dtype=np.intp)
         row_frac = np.empty(height * width)
         col_frac = np.empty_like(row_frac)
@@ -334,16 +371,15 @@ class EquirectTaps:
                                np.arange(top, min(top + block, height)), indexing="xy")
             face, x, y = direction_to_face_coords(
                 equirect_pixel_to_direction(u, v, width))
-            rows = y * res - 0.5
-            cols = x * res - 0.5
-            r0, fr = _clamped_taps(rows, res)
-            c0, fc = _clamped_taps(cols, res)
+            r0, fr = _axis_taps(y * res - 0.5, -1, res)
+            c0, fc = _axis_taps(x * res - 0.5, -1, res)
             out = slice(top * width, top * width + u.size)
-            index[out] = (face * (res * res) + r0 * res + c0).ravel()
+            index[out] = ((face * n + r0) * n + c0).ravel()
             row_frac[out] = fr.ravel()
             col_frac[out] = fc.ravel()
-        return cls(resolution=res, width=width, index=index,
-                   row_frac=row_frac, col_frac=col_frac)
+        return cls(index=index, row_frac=row_frac, col_frac=col_frac,
+                   stride=n, step=1, resolution=res, width=width,
+                   gather=_pad_table(res, 1).index)
 
     def _check(self, grids: np.ndarray, ndim: int) -> None:
         res = self.resolution
@@ -352,46 +388,15 @@ class EquirectTaps:
 
     def apply(self, faces, out: np.ndarray | None = None) -> np.ndarray:
         """Bilinear resample of (6, R, R, C) faces onto a (W/2, W, C) grid;
-        writes into ``out`` when given."""
-        faces = np.asarray(faces)
+        writes into ``out`` when given, which must have that shape."""
+        faces = np.asarray(faces, dtype=np.float64)
         self._check(faces, 4)
-        res, width = self.resolution, self.width
-        channels = faces.shape[3]
-        if out is None:
-            out = np.empty((width // 2, width, channels), dtype=np.float64)
-        # At R == 1 both taps of an axis are pixel 0 (see _clamped_taps).
-        step_c, step_r = (1, res) if res > 1 else (0, 0)
-        # One channel at a time, in blocks of equirect rows whose four work
-        # buffers stay in cache and are reused, so a frame allocates one
-        # channel plane and four blocks.  In place, but the same products and
-        # sums in the same order as _bilinear, so the result is bit-identical.
-        rows = max(1, _APPLY_BLOCK_PIXELS // width)
-        top, tap, bot, w = np.empty((4, rows * width))
-        src = np.empty(6 * res * res)
-        for c in range(channels):
-            np.copyto(src.reshape(faces.shape[:3]), faces[..., c])
-            for r0 in range(0, width // 2, rows):
-                r1 = min(r0 + rows, width // 2)
-                blk = slice(r0 * width, r1 * width)
-                n = (r1 - r0) * width
-                idx, fr, fc = self.index[blk], self.row_frac[blk], self.col_frac[blk]
-                t, p, b, wb = top[:n], tap[:n], bot[:n], w[:n]
-                np.subtract(1.0, fc, out=wb)
-                np.take(src, idx, out=t)
-                t *= wb
-                np.take(src[step_c:], idx, out=p)
-                p *= fc
-                t += p
-                np.take(src[step_r:], idx, out=b)
-                b *= wb
-                np.take(src[step_r + step_c:], idx, out=p)
-                p *= fc
-                b += p
-                np.subtract(1.0, fr, out=wb)
-                t *= wb
-                b *= fr
-                t += b
-                out[r0:r1, :, c] = t.reshape(r1 - r0, width)
+        shape = (self.width // 2, self.width, faces.shape[3])
+        out = np.empty(shape) if out is None else out
+        if out.shape != shape:
+            raise ValueError(f"out must be {shape}, got {out.shape}")
+        self.resample(faces.reshape(-1, shape[2]),
+                      out.reshape(-1, shape[2], copy=False), self.gather)
         return out
 
     def apply_mask(self, masks) -> np.ndarray:
@@ -404,16 +409,16 @@ class EquirectTaps:
 
     @cached_property
     def _nearest(self) -> np.ndarray:
-        """Flat index of the nearest face pixel of every equirect pixel,
+        """Flat (6*R*R) index of each equirect pixel's nearest face pixel,
         derived on the first mask transfer, which ``generate`` never makes.
-        ``r0 + row_frac`` is exactly the clamped row coordinate (the
-        fraction was taken from it by an exact subtraction), so rounding it
-        gives the nearest row; the same holds for columns."""
-        res = self.resolution
-        r0, c0 = np.divmod(self.index % (res * res), res)
-        near_r = np.rint(r0 + self.row_frac).astype(np.intp) - r0
-        near_c = np.rint(c0 + self.col_frac).astype(np.intp) - c0
-        return self.index + near_r * res + near_c
+        ``tap - 1 + row_frac`` is the row coordinate exactly where it is
+        >= 0 (an exact subtraction gave the fraction) and <= 0 below, so
+        rounding it clamped to the face gives the nearest row; so for columns."""
+        res, n = self.resolution, self.resolution + 2
+        face, r0, c0 = np.unravel_index(self.index, (6, n, n))
+        near_r = np.rint(np.clip(r0 - 1 + self.row_frac, 0, res - 1)).astype(np.intp)
+        near_c = np.rint(np.clip(c0 - 1 + self.col_frac, 0, res - 1)).astype(np.intp)
+        return (face * res + near_r) * res + near_c
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +452,10 @@ def project_perspective_to_cubemap(frame: PerspectiveFrame, pose: CameraPose,
     cols = (px[inside] / tan_h + 1.0) / 2.0 * frame.width - 0.5
     rows = (py[inside] / tan_v + 1.0) / 2.0 * frame.height - 0.5
     del px, py  # freed before the faces are allocated
+    taps = _grid_taps(rows, cols, frame.height, frame.width)
     faces = np.zeros((6, resolution, resolution, frame.channels))
-    faces[inside] = _bilinear(frame.pixels, rows, cols)
+    faces[inside] = taps.resample(frame.pixels.reshape(-1, frame.channels),
+                                  np.empty((rows.size, frame.channels)))
     return faces, inside.astype(np.uint8)
 
 
@@ -469,8 +476,14 @@ def equirect_to_cubemap(eq: np.ndarray, resolution: int) -> np.ndarray:
         raise ValueError(f"equirect grid must be (W/2, W, C), got {eq.shape}")
     if resolution < 1:
         raise ValueError("face resolution must be >= 1")
-    u, v = direction_to_equirect_pixel(face_directions(resolution), eq.shape[1])
-    return _bilinear(eq, v, u, wrap_cols=True)
+    height, width, channels = eq.shape
+    u, v = direction_to_equirect_pixel(face_directions(resolution), width)
+    # Column W repeats column 0, so the longitude seam is an ordinary tap.
+    grid = np.concatenate((eq, eq[:, :1]), axis=1).reshape(-1, channels)
+    taps = _grid_taps(v.ravel(), np.mod(u, width).ravel(), height, width + 1)
+    out = np.empty((6, resolution, resolution, channels))
+    taps.resample(grid, out.reshape(-1, channels))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -336,6 +336,32 @@ class TestErrorPaths:
         assert message in err["error"]["message"]
         assert not list(out.glob("frame_*.pfm"))
 
+    def test_channel_mismatch_rejected_before_projection(self, tmp_path, capsys,
+                                                         monkeypatch):
+        frames_dir = tmp_path / "frames"
+        frames_dir.mkdir()
+        _, frames, poses = sc.synth_scene(parse_config(small_cfg(tmp_path)))
+        for t, frame in enumerate(frames):
+            write_pfm(frames_dir / f"input_{t:03d}.pfm", frame.pixels)  # 3 channels
+        write_poses(frames_dir / "poses.json", poses)
+
+        def no_projection(*args, **kwargs):
+            raise AssertionError("generate projected mismatched frames")
+
+        monkeypatch.setattr(sc, "conditional_video", no_projection)
+        cfg = small_cfg(tmp_path, channels=1,
+                        paths={"frames_dir": str(frames_dir),
+                               "poses": str(frames_dir / "poses.json")},
+                        mode={"teacher_forcing": False, "denoiser": "copy"})
+        out = tmp_path / "o"
+        assert run(["generate", "--config", cfg, "--out", out]) == 1
+        err = json.loads(capsys.readouterr().err)
+        validate_artifact("error", err)
+        assert err["error"]["type"] == "ConfigError"
+        assert "'channels'" in err["error"]["message"]
+        assert not list(out.iterdir())
+        assert not side_threads()
+
     def assert_failed_cleanly(self, out, capsys, error_type, message):
         err = json.loads(capsys.readouterr().err)
         validate_artifact("error", err)

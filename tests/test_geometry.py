@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from cubegen.config import parse_config
+from cubegen.continuity import CubeLayout
 from cubegen.faces import FACES, FACE_AXES, FACE_INDEX
 from cubegen import scene as sc
 from cubegen import geometry as geo
@@ -19,6 +20,7 @@ from cubegen.geometry import (
 )
 
 from conftest import smooth_field
+import strip_reference
 
 
 def unit(v):
@@ -281,18 +283,27 @@ class TestCubemapEquirect:
 
 # ── tap table against the per-face loops it replaced ─────────────────────
 
-def _ref_bilinear(grid, rows, cols):
+def _ref_bilinear(grid, rows, cols, wrap_cols=False):
+    """Bilinear sample of (H, W, C) at fractional (rows, cols); rows clamp,
+    and columns clamp too or, with ``wrap_cols``, wrap modulo W."""
     h, w = grid.shape[:2]
     rows = np.clip(rows, 0.0, h - 1.0)
     r0 = np.floor(rows).astype(np.intp)
     r0 = np.minimum(r0, h - 2) if h > 1 else np.zeros_like(r0)
     r1 = np.minimum(r0 + 1, h - 1)
     fr = rows - r0
-    cols = np.clip(cols, 0.0, w - 1.0)
-    c0 = np.floor(cols).astype(np.intp)
-    c0 = np.minimum(c0, w - 2) if w > 1 else np.zeros_like(c0)
-    c1 = np.minimum(c0 + 1, w - 1)
-    fc = cols - c0
+    if wrap_cols:
+        cols = np.mod(cols, w)
+        c0 = np.floor(cols).astype(np.intp)
+        c1 = np.mod(c0 + 1, w)
+        fc = cols - c0
+        c0 = np.mod(c0, w)
+    else:
+        cols = np.clip(cols, 0.0, w - 1.0)
+        c0 = np.floor(cols).astype(np.intp)
+        c0 = np.minimum(c0, w - 2) if w > 1 else np.zeros_like(c0)
+        c1 = np.minimum(c0 + 1, w - 1)
+        fc = cols - c0
     fr = fr[..., None]
     fc = fc[..., None]
     top = grid[r0, c0] * (1.0 - fc) + grid[r0, c1] * fc
@@ -313,7 +324,8 @@ def _ref_face_lookup(width):
 
 
 def ref_cubemap_to_equirect(faces, width):
-    """Per-face selection loop: every equirect pixel samples its face."""
+    """Per-face selection loop: every equirect pixel samples its face, with
+    taps clamped to that face."""
     res = faces.shape[1]
     face, x, y = _ref_face_lookup(width)
     out = np.zeros((width // 2, width, faces.shape[3]), dtype=np.float64)
@@ -323,6 +335,42 @@ def ref_cubemap_to_equirect(faces, width):
             out[sel] = _ref_bilinear(faces[i], y[sel] * res - 0.5,
                                      x[sel] * res - 0.5)
     return out
+
+
+def ref_padded_cubemap_to_equirect(faces, width):
+    """Per-face selection loop on each face padded by one pixel across its
+    edges (the tests' strip-based padding): taps next to a cube edge read
+    the neighbouring face."""
+    res = faces.shape[1]
+    layout = CubeLayout.create(res)
+    by_name = {f: faces[i] for i, f in enumerate(FACES)}
+    face, x, y = _ref_face_lookup(width)
+    out = np.zeros((width // 2, width, faces.shape[3]), dtype=np.float64)
+    for i, f in enumerate(FACES):
+        sel = face == i
+        if sel.any():
+            padded = strip_reference.pad_face(by_name, f, 1, layout)
+            out[sel] = _ref_bilinear(padded, y[sel] * res + 0.5,
+                                     x[sel] * res + 0.5)
+    return out
+
+
+def strip_tap_pixels(res, width):
+    """(W/2, W) mask of the equirect pixels with a tap in a face's one-pixel
+    pad: a face coordinate below 0 or at least R - 1."""
+    _, x, y = _ref_face_lookup(width)
+    rows, cols = y * res - 0.5, x * res - 0.5
+    return (rows < 0) | (rows >= res - 1) | (cols < 0) | (cols >= res - 1)
+
+
+def assert_resampled(eq, faces, width):
+    """Bit-equal to the clamped per-face loop off the cube-edge band, and to
+    the padded one, up to the fractions' rounding, on it."""
+    strip = strip_tap_pixels(faces.shape[1], width)
+    assert np.array_equal(eq[~strip], ref_cubemap_to_equirect(faces, width)[~strip])
+    np.testing.assert_allclose(
+        eq[strip], ref_padded_cubemap_to_equirect(faces, width)[strip],
+        rtol=0, atol=1e-12)
 
 
 def ref_mask_to_equirect(masks, width):
@@ -338,16 +386,34 @@ def ref_mask_to_equirect(masks, width):
 
 
 class TestEquirectTaps:
-    @pytest.mark.parametrize("res,width", [(4, 16), (64, 256), (256, 1024), (64, 200)])
+    @pytest.mark.parametrize("res,width", [(1, 8), (2, 8), (4, 16), (64, 256),
+                                           (256, 1024), (64, 200)])
     def test_bit_identical_to_per_face_loops(self, rng, res, width):
         faces = rng.random((6, res, res, 3))
         masks = (rng.random((6, res, res)) < 0.5).astype(np.uint8)
         taps = geo.EquirectTaps.create(res, width)
-        assert np.array_equal(taps.apply(faces), ref_cubemap_to_equirect(faces, width))
+        assert_resampled(taps.apply(faces), faces, width)
         assert np.array_equal(geo.cubemap_to_equirect(faces, width),
-                              ref_cubemap_to_equirect(faces, width))
+                              taps.apply(faces))
         assert np.array_equal(taps.apply_mask(masks),
                               ref_mask_to_equirect(masks, width))
+
+    @pytest.mark.parametrize("res", [64, 256])
+    def test_cube_edge_band_error_falls(self, res):
+        # seed 7, frame 0 of the synthetic scene, against its analytic value:
+        # taps that cross cube edges cut the band's mean error at least 3x
+        # against taps clamped to their own face, and leave the rest alone
+        width = 4 * res
+        scene = sc.SyntheticScene.random(3, 7)
+        faces = scene.value(geo.face_directions(res), 0)
+        truth = sc.render_equirect_video(scene, width, 1)[0]
+        got = geo.EquirectTaps.create(res, width).apply(faces)
+        clamped = ref_cubemap_to_equirect(faces, width)
+        band = strip_tap_pixels(res, width)
+        assert 0 < band.mean() < 0.01
+        err, err_clamped = (np.abs(eq - truth)[band].mean() for eq in (got, clamped))
+        assert 3.0 * err <= err_clamped, (err, err_clamped)
+        assert np.array_equal(got[~band], clamped[~band])
 
     def test_build_peak_bounded_by_table(self):
         # built in blocks of rows: the whole-grid directions and face
@@ -383,7 +449,7 @@ class TestEquirectTaps:
         video = rng.random((3, 6, res, res, 2))
         for t in range(3):
             taps.apply(video[t], out=out[t])
-            assert np.array_equal(out[t], ref_cubemap_to_equirect(video[t], width))
+            assert_resampled(out[t], video[t], width)
 
     def test_wrong_face_grids_rejected(self):
         taps = geo.EquirectTaps.create(8, 32)
@@ -393,6 +459,9 @@ class TestEquirectTaps:
             taps.apply(np.zeros((6, 8, 8)))
         with pytest.raises(ValueError):
             taps.apply_mask(np.zeros((6, 4, 4), np.uint8))
+        for out in (np.empty((16, 32, 2)), np.empty((16, 16, 1)), np.empty((32, 16, 1))):
+            with pytest.raises(ValueError, match="out must be"):
+                taps.apply(np.zeros((6, 8, 8, 1)), out=out)
 
 
 # ── direction stack and frustum-only projection against the per-face code ──
@@ -441,7 +510,7 @@ def in_place_divide_project(frame, pose, res):
     cols = (px[inside] / tan_h + 1.0) / 2.0 * frame.width - 0.5
     rows = (py[inside] / tan_v + 1.0) / 2.0 * frame.height - 0.5
     faces = np.zeros((6, res, res, frame.channels))
-    faces[inside] = geo._bilinear(frame.pixels, rows, cols)
+    faces[inside] = _ref_bilinear(frame.pixels, rows, cols)
     return faces, inside.astype(np.uint8)
 
 
@@ -450,7 +519,7 @@ def ref_equirect_to_cubemap(eq, res):
     for i, f in enumerate(FACES):
         u, v = geo.direction_to_equirect_pixel(ref_face_pixel_directions(f, res),
                                                eq.shape[1])
-        faces[i] = geo._bilinear(eq, v, u, wrap_cols=True)
+        faces[i] = _ref_bilinear(eq, v, u, wrap_cols=True)
     return faces
 
 
@@ -527,6 +596,19 @@ class TestDirectionStack:
         got = geo.equirect_to_cubemap(eq, res)
         assert got.shape == (6, res, res, 3)
         assert np.array_equal(got, ref_equirect_to_cubemap(eq, res))
+
+    def test_one_sample_axes(self, rng):
+        # on an axis of one sample both bilinear taps are that sample
+        pose = CameraPose(geo.rotvec_to_matrix([0.1, 0.2, 0.0]), 100.0, 80.0)
+        for shape in [(1, 5, 3), (4, 1, 3), (1, 1, 2)]:
+            frame = PerspectiveFrame(rng.random(shape))
+            faces, masks = geo.project_perspective_to_cubemap(frame, pose, 16)
+            ref_faces, ref_masks = in_place_divide_project(frame, pose, 16)
+            assert masks.any() and np.array_equal(masks, ref_masks)
+            assert faces.tobytes() == ref_faces.tobytes()
+        eq = rng.random((1, 2, 3))
+        assert (geo.equirect_to_cubemap(eq, 5).tobytes()
+                == ref_equirect_to_cubemap(eq, 5).tobytes())
 
 
 # ── input validation ─────────────────────────────────────────────────────
