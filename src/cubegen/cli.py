@@ -9,13 +9,17 @@ bench.csv (pass --trials 0 to zero those columns).
 
 generate runs one side thread next to the sampling loop, so the main
 thread's critical path is the sampling loop itself.  In order, the side
-thread fills the synthetic truth and builds the cube->equirect tap table
-while the main thread projects and plans; then, during sampling, it draws
-each plan step's noise one step ahead (``generate_all``'s ``executor``) and
-resamples and writes each window's frames (handed over by ``on_window``)
-while the next window is sampled.  A draw still queued behind frames when
-its step begins is taken back: the main thread cancels it and draws the
-same noise itself.  Every artifact is written into a
+thread builds the cube-face direction stack and the pad map while the main
+thread loads the inputs; fills the synthetic truth and builds the
+cube->equirect tap table while the main thread projects and plans; then,
+during sampling, it draws each plan step's noise one step ahead
+(``generate_all``'s ``executor``) and resamples and writes each window's
+frames (handed over by ``on_window``) while the next window is sampled.  A
+job still queued when the main thread needs it is taken back: the main
+thread cancels it and does the same work itself.  So it draws a step's
+noise queued behind frames, and after sampling it writes the last window's
+unstarted frames, last first, into a buffer of its own while the side
+thread writes from the first.  Every artifact is written into a
 ``.staging-*`` directory inside ``--out`` and moved into place only after the
 last one is written, so a failed run, on either thread, leaves none behind;
 so does a run stopped by SIGTERM, which ``generate`` turns into
@@ -52,7 +56,7 @@ from .attention import (
     tokens_per_frame,
 )
 from .config import ConfigError, RunConfig, parse_config
-from .continuity import seam_metric
+from .continuity import _pad_table, seam_metric
 from .geometry import CubemapVideo, EquirectTaps, PerspectiveFrame, face_directions
 from .imgio import (
     read_pfm,
@@ -348,12 +352,15 @@ def _generate(cfg: RunConfig, out_dir: Path) -> None:
     marks = [time.perf_counter()]  # stage boundaries, see ``stages`` below
     side = ThreadPoolExecutor(max_workers=1)
     try:
+        # Both threads read the cached direction stack, and the first plan
+        # step the pad map: the side thread builds them while inputs load.
+        dirs_job = side.submit(face_directions, cfg.resolution)
+        side.submit(_pad_table, cfg.resolution, cfg.pad)
         field, frames, poses = _load_inputs(cfg)
         marks.append(time.perf_counter())
         if cfg.mode.teacher_forcing and field is None:
             raise ConfigError("mode.teacher_forcing requires the synthetic scene")
-        # Both threads read the cached direction stack: build it once, here.
-        face_directions(cfg.resolution)
+        dirs_job.result()
         truth_job = side.submit(_truth, cfg, field)
         taps_job = side.submit(EquirectTaps.create, cfg.resolution,
                                cfg.equirect_width)
@@ -369,10 +376,11 @@ def _generate(cfg: RunConfig, out_dir: Path) -> None:
         jobs = []
 
         def on_window(start: int, end: int, window: np.ndarray) -> None:
-            _raise_failed(jobs)
+            _raise_failed(job for job, _ in jobs)
             for k in range(end - start):
-                jobs.append(side.submit(_write_frame, taps_job, window[k],
-                                        frame_buf, out_dir / f"frame_{start + k:03d}"))
+                frame = (window[k], out_dir / f"frame_{start + k:03d}")
+                jobs.append((side.submit(_write_frame, taps_job, frame_buf, *frame),
+                             frame))
 
         result = generate_all(
             cond, plan, _make_denoiser(cfg, truth, cond),
@@ -395,8 +403,19 @@ def _generate(cfg: RunConfig, out_dir: Path) -> None:
             "steps": result.step_log,
         }
         write_json_artifact(out_dir / "run_report.json", "run_report", report)
-        for job in jobs:
-            job.result()
+        # Take back the frame jobs the side thread has not started, last
+        # first, and write them here into a buffer of this thread's own;
+        # the first job already running or done ends the walk.
+        own_buf = None
+        for job, frame in reversed(jobs):
+            if not job.cancel():
+                break
+            if own_buf is None:
+                own_buf = np.empty_like(frame_buf)
+            _write_frame(taps_job, own_buf, *frame)
+        for job, _ in jobs:
+            if not job.cancelled():
+                job.result()
         marks.append(time.perf_counter())
     finally:
         side.shutdown(cancel_futures=True)
@@ -408,7 +427,7 @@ def _generate(cfg: RunConfig, out_dir: Path) -> None:
     })
 
 
-def _raise_failed(jobs: list) -> None:
+def _raise_failed(jobs) -> None:
     """Re-raise the exception of the first finished side-thread job that
     failed, so a failed write stops the run at the next window."""
     for job in jobs:
@@ -416,7 +435,7 @@ def _raise_failed(jobs: list) -> None:
             job.result()
 
 
-def _write_frame(taps_job, faces: np.ndarray, buf: np.ndarray, base: Path) -> None:
+def _write_frame(taps_job, buf: np.ndarray, faces: np.ndarray, base: Path) -> None:
     frame = taps_job.result().apply(faces, out=buf)
     write_pfm(base.with_suffix(".pfm"), frame)
     _write_image(base, frame)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, asdict
+from functools import reduce
 from pathlib import Path
 
 __all__ = ["SceneConfig", "ModeConfig", "PathsConfig", "RunConfig",
@@ -12,6 +13,12 @@ __all__ = ["SceneConfig", "ModeConfig", "PathsConfig", "RunConfig",
 
 DENOISERS = ("oracle", "copy", "zero")
 PROTOCOLS = ("free", "paper")
+# Types are checked before any range: JSON's 64.0 parses as a float and its
+# true as a bool, which Python counts as an int; both pass a range check.
+_INT_FIELDS = ("resolution", "equirect_width", "num_frames", "window_length",
+               "history", "frag_length", "patch_size", "bandwidth", "pad",
+               "sampler_steps", "seed", "channels", "scene.anchors")
+_REAL_FIELDS = ("frag_threshold", "scene.hfov_deg", "scene.vfov_deg")
 
 
 class ConfigError(ValueError):
@@ -58,6 +65,15 @@ class RunConfig:
     paths: PathsConfig = field(default_factory=PathsConfig)
 
     def __post_init__(self):
+        for name in _INT_FIELDS + _REAL_FIELDS:
+            value = reduce(getattr, name.split("."), self)
+            if value is None and name in ("bandwidth", "pad"):
+                continue  # derived below
+            kinds = int if name in _INT_FIELDS else (int, float)
+            _require(isinstance(value, kinds) and not isinstance(value, bool), name,
+                     "must be an integer" if kinds is int else "must be a number")
+        _require(isinstance(self.mode.teacher_forcing, bool), "mode.teacher_forcing",
+                 "must be true or false")
         _require(self.resolution >= 4, "resolution", "must be >= 4")
         _require(self.equirect_width == 4 * self.resolution, "equirect_width",
                  f"must equal 4 * resolution = {4 * self.resolution}")

@@ -61,7 +61,7 @@ __all__ = [
 _UNIT_TOL = 1e-9
 _ORTHO_TOL = 1e-7
 _TAP_BLOCK_PIXELS = 1 << 16  # equirect pixels per block of EquirectTaps.create
-_APPLY_BLOCK_PIXELS = 1 << 13  # output samples per block of _Taps.resample
+_APPLY_BLOCK_PIXELS = 1 << 15  # output samples per block of _Taps.resample
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +301,9 @@ class _Taps:
         if gather is not None:
             flat, gather = pixels.reshape(-1), gather.reshape(-1) * channels
         n, d, s = self.index.size, self.step, self.stride
-        # Channel by channel, in blocks whose four buffers stay in cache:
+        # Channel by channel, in blocks whose four 256 KB buffers stay in
+        # cache and whose numpy calls, each run without the GIL, are long
+        # enough that two threads resampling at once both make progress:
         # top * (1 - fr) + bottom * fr, each (1 - fc) * left + fc * right.
         # Indices are in range; mode="clip" skips the default's buffering.
         block = _APPLY_BLOCK_PIXELS

@@ -58,6 +58,31 @@ def side_threads() -> list:
             if t.name.startswith("ThreadPoolExecutor")]
 
 
+def assert_frames_equal_serial_writes(out: Path, ref: Path) -> None:
+    """``generate``'s frames of the demo config in ``out`` are the bytes of
+    sampling the whole canvas first and then resampling it frame by frame."""
+    cfg = parse_config(DEMO)
+    truth, frames, poses = sc.synth_scene(cfg)
+    cond = sc.conditional_video(cfg.resolution, frames, poses)
+    _, wp, ct = cli._coverage_tables(cfg, cond)
+    result = generate_all(
+        cond, plan_order(ct, wp), cli._make_denoiser(cfg, truth, cond),
+        SamplerConfig(steps=cfg.sampler_steps, seed=cfg.seed),
+        pad=cfg.pad, history_capacity=cfg.history,
+        frag_length=cfg.frag_length, frag_threshold=cfg.frag_threshold,
+        teacher=truth if cfg.mode.teacher_forcing else None)
+    taps = EquirectTaps.create(cfg.resolution, cfg.equirect_width)
+    ref.mkdir()
+    for t in range(cfg.num_frames):
+        frame = taps.apply(result.canvas[t])
+        write_pfm(ref / "x.pfm", frame)
+        write_ppm(ref / "x.ppm", np.clip(frame, 0, 1))
+        for ext in ("pfm", "ppm"):
+            assert ((out / f"frame_{t:03d}.{ext}").read_bytes()
+                    == (ref / f"x.{ext}").read_bytes()), (t, ext)
+    assert len(list(out.glob("frame_*"))) == 2 * cfg.num_frames
+
+
 class TestSubcommands:
     def test_plan_artifacts_validate(self, tmp_path):
         cfg = small_cfg(tmp_path)
@@ -182,27 +207,30 @@ class TestSubcommands:
             assert run(["generate", "--config", DEMO, "--out", out]) == 0
         finally:
             sys.setswitchinterval(interval)
-        cfg = parse_config(DEMO)
-        truth, frames, poses = sc.synth_scene(cfg)
-        cond = sc.conditional_video(cfg.resolution, frames, poses)
-        _, wp, ct = cli._coverage_tables(cfg, cond)
-        result = generate_all(
-            cond, plan_order(ct, wp), cli._make_denoiser(cfg, truth, cond),
-            SamplerConfig(steps=cfg.sampler_steps, seed=cfg.seed),
-            pad=cfg.pad, history_capacity=cfg.history,
-            frag_length=cfg.frag_length, frag_threshold=cfg.frag_threshold,
-            teacher=truth if cfg.mode.teacher_forcing else None)
-        taps = EquirectTaps.create(cfg.resolution, cfg.equirect_width)
-        ref = tmp_path / "ref"
-        ref.mkdir()
-        for t in range(cfg.num_frames):
-            frame = taps.apply(result.canvas[t])
-            write_pfm(ref / "x.pfm", frame)
-            write_ppm(ref / "x.ppm", np.clip(frame, 0, 1))
-            for ext in ("pfm", "ppm"):
-                assert ((out / f"frame_{t:03d}.{ext}").read_bytes()
-                        == (ref / f"x.{ext}").read_bytes()), (t, ext)
-        assert len(list(out.glob("frame_*"))) == 2 * cfg.num_frames
+        assert_frames_equal_serial_writes(out, tmp_path / "ref")
+
+    def test_generate_main_thread_takes_back_last_frames(self, tmp_path,
+                                                         monkeypatch):
+        # the side thread stalls on the last window's first frame until the
+        # main thread has taken back and written the frames after it
+        write, released, on_main = cli._write_frame, threading.Event(), []
+
+        def stalling(taps_job, buf, faces, base):
+            if threading.current_thread() is not threading.main_thread():
+                if base.name == "frame_004":
+                    assert released.wait(30.0)
+                return write(taps_job, buf, faces, base)
+            write(taps_job, buf, faces, base)
+            on_main.append(base.name)
+            if base.name == "frame_005":
+                released.set()
+
+        monkeypatch.setattr(cli, "_write_frame", stalling)
+        out = tmp_path / "out"
+        assert run(["generate", "--config", DEMO, "--out", out]) == 0
+        assert {"frame_005", "frame_006", "frame_007"} <= set(on_main)
+        assert_frames_equal_serial_writes(out, tmp_path / "ref")
+        assert not side_threads()
 
     def test_generate_dry_run_allocates_nothing(self, tmp_path):
         cfg = small_cfg(tmp_path, resolution=960, equirect_width=3840,
@@ -446,6 +474,57 @@ class TestErrorPaths:
         out = tmp_path / "o"
         assert run(["generate", "--config", small_cfg(tmp_path), "--out", out]) == 1
         self.assert_failed_cleanly(out, capsys, "OSError", "frame 1")
+
+    def test_frame_write_failure_on_main_thread_leaves_nothing(
+            self, tmp_path, capsys, monkeypatch):
+        # the side thread stalls on the last window's first frame, so the
+        # main thread takes back frame 7 first, and its write fails
+        write, released = cli._write_frame, threading.Event()
+
+        def failing_on_main(taps_job, buf, faces, base):
+            if threading.current_thread() is threading.main_thread():
+                released.set()
+                raise OSError(f"disk full writing {base.name}")
+            if base.name == "frame_004":
+                assert released.wait(30.0)
+            write(taps_job, buf, faces, base)
+
+        monkeypatch.setattr(cli, "_write_frame", failing_on_main)
+        out = tmp_path / "o"
+        assert run(["generate", "--config", small_cfg(tmp_path), "--out", out]) == 1
+        self.assert_failed_cleanly(out, capsys, "OSError", "disk full writing frame_007")
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("overrides,name", [
+        ({"resolution": 16.0}, "resolution"),
+        ({"equirect_width": 64.0}, "equirect_width"),
+        ({"num_frames": 8.0}, "num_frames"),
+        ({"window_length": 4.0}, "window_length"),
+        ({"history": True}, "history"),
+        ({"frag_length": "4"}, "frag_length"),
+        ({"patch_size": 8.0}, "patch_size"),
+        ({"bandwidth": 4.0}, "bandwidth"),
+        ({"pad": 2.0}, "pad"),
+        ({"sampler_steps": True}, "sampler_steps"),
+        ({"seed": 7.5}, "seed"),
+        ({"channels": 3.0}, "channels"),
+        ({"scene": {"anchors": 2.0}}, "scene.anchors"),
+        ({"frag_threshold": True}, "frag_threshold"),
+        ({"scene": {"hfov_deg": "90"}}, "scene.hfov_deg"),
+        ({"scene": {"vfov_deg": False}}, "scene.vfov_deg"),
+        ({"mode": {"teacher_forcing": 1, "denoiser": "oracle"}},
+         "mode.teacher_forcing"),
+    ])
+    def test_wrongly_typed_field_rejected(self, tmp_path, capsys, overrides, name):
+        out = tmp_path / "o"
+        out.mkdir()
+        cfg = small_cfg(tmp_path, **overrides)
+        assert run(["generate", "--config", cfg, "--out", out]) == 1
+        err = json.loads(capsys.readouterr().err)
+        validate_artifact("error", err)
+        assert err["error"]["type"] == "ConfigError"
+        assert f"'{name}'" in err["error"]["message"]
+        assert not list(out.iterdir())
 
     def test_report_breaking_its_schema_leaves_nothing(self, tmp_path, capsys,
                                                        monkeypatch):

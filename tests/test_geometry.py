@@ -611,6 +611,29 @@ class TestDirectionStack:
                 == ref_equirect_to_cubemap(eq, 5).tobytes())
 
 
+def _resampled(res: int) -> list[bytes]:
+    """Bytes of the three resamplers at face resolution ``res``: projection
+    of a wide frame, equirect->cube, and the tap table's cube->equirect."""
+    rng = np.random.default_rng(res)
+    frame = PerspectiveFrame(rng.random((res // 2 + 3, res + 5, 3)))
+    pose = CameraPose(geo.rotvec_to_matrix([0.3, -0.2, 0.1]), 170.0, 170.0)
+    faces, _ = geo.project_perspective_to_cubemap(frame, pose, res)
+    eq = geo.equirect_to_cubemap(rng.random((2 * res, 4 * res, 3)), res)
+    taps = geo.EquirectTaps.create(res, 4 * res)
+    return [a.tobytes() for a in (faces, eq, taps.apply(rng.random((6, res, res, 3))))]
+
+
+@pytest.mark.parametrize("block,res", [(1, 8), (7, 8), (7, 16),
+                                       (1 << 13, 128), (1 << 15, 128)])
+def test_resample_block_size_changes_no_byte(monkeypatch, block, res):
+    # the reference resamples in one block larger than every sample count;
+    # at R=128 each resampler takes more than 2^15 samples
+    monkeypatch.setattr(geo, "_APPLY_BLOCK_PIXELS", 1 << 30)
+    ref = _resampled(res)
+    monkeypatch.setattr(geo, "_APPLY_BLOCK_PIXELS", block)
+    assert _resampled(res) == ref
+
+
 # ── input validation ─────────────────────────────────────────────────────
 
 def _video(pixels_shape=(2, 6, 4, 4, 1), mask_shape=None, mask_value=0):
