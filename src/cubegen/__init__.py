@@ -23,11 +23,8 @@ from .geometry import (
     sample_trajectory,
 )
 from .planner import (
-    CoverageTable,
-    FrameCoverage,
     GenerationPlan,
     PlanStep,
-    WindowPartition,
     frame_coverage,
     partition_windows,
     plan_order,
@@ -50,9 +47,9 @@ from .attention import (
     sparse_context_attention,
 )
 from .continuity import (
-    CubeLayout,
     blend_overlaps,
     corner_cycle_identity,
+    edge_adjacency,
     face_position_grid,
     pad_face,
     seam_metric,

@@ -170,25 +170,24 @@ def _load_inputs(cfg: RunConfig):
     return None, frames, poses
 
 
-def _truth(cfg: RunConfig, field) -> CubemapVideo | None:
-    """The synthetic scene's ground-truth cubemap video, None for file input."""
+def _truth(cfg: RunConfig, field) -> np.ndarray | None:
+    """The synthetic scene's ground-truth (N, 6, R, R, C) cube video, None
+    for file input."""
     return None if field is None else field.cubemap_video(cfg.resolution,
                                                           cfg.num_frames)
 
 
 def _coverage_tables(cfg: RunConfig, cond: CubemapVideo):
+    """(6, N) frame coverage, the windows, and (6, L) window coverage."""
     fc = frame_coverage(cond.masks)
-    wp = partition_windows(cfg.num_frames, cfg.window_length)
-    ct = window_coverage(fc, wp)
-    return fc, wp, ct
+    windows = partition_windows(cfg.num_frames, cfg.window_length)
+    return fc, windows, window_coverage(fc, windows)
 
 
-def _coverage_json(fc, ct) -> dict:
+def _coverage_json(fc: np.ndarray, ct: np.ndarray) -> dict:
     return {
-        "per_frame": {f: [float(v) for v in fc.values[i]]
-                      for i, f in enumerate(FACES)},
-        "per_window": {f: [float(v) for v in ct.values[i]]
-                       for i, f in enumerate(FACES)},
+        "per_frame": {f: [float(v) for v in fc[i]] for i, f in enumerate(FACES)},
+        "per_window": {f: [float(v) for v in ct[i]] for i, f in enumerate(FACES)},
     }
 
 
@@ -206,7 +205,7 @@ def _write_image(path_base: Path, pixels: np.ndarray) -> None:
 def cmd_project(cfg: RunConfig, out_dir: Path) -> None:
     _, frames, poses = _load_inputs(cfg)
     cond = scene_mod.conditional_video(cfg.resolution, frames, poses)
-    fc, wp, ct = _coverage_tables(cfg, cond)
+    fc, _, ct = _coverage_tables(cfg, cond)
     for i, f in enumerate(FACES):
         for t in range(cfg.num_frames):
             _write_image(out_dir / f"cond_{f}_{t:03d}", cond.pixels[t, i])
@@ -222,8 +221,8 @@ def cmd_project(cfg: RunConfig, out_dir: Path) -> None:
 def cmd_plan(cfg: RunConfig, out_dir: Path) -> None:
     _, frames, poses = _load_inputs(cfg)
     cond = scene_mod.conditional_video(cfg.resolution, frames, poses)
-    fc, wp, ct = _coverage_tables(cfg, cond)
-    plan = plan_order(ct, wp)
+    fc, windows, ct = _coverage_tables(cfg, cond)
+    plan = plan_order(ct, windows)
     write_json_artifact(out_dir / "plan.json", "plan", plan.to_json_dict())
     write_json_artifact(out_dir / "coverage.json", "coverage",
                         _coverage_json(fc, ct))
@@ -234,8 +233,8 @@ def cmd_context(cfg: RunConfig, out_dir: Path) -> None:
     on content, so no truth is built."""
     _, frames, poses = _load_inputs(cfg)
     cond = scene_mod.conditional_video(cfg.resolution, frames, poses)
-    _, wp, ct = _coverage_tables(cfg, cond)
-    entries = simulate_contexts(cond, plan_order(ct, wp),
+    _, windows, ct = _coverage_tables(cfg, cond)
+    entries = simulate_contexts(cond, plan_order(ct, windows),
                                 history_capacity=cfg.history,
                                 frag_length=cfg.frag_length,
                                 frag_threshold=cfg.frag_threshold,
@@ -291,7 +290,7 @@ def _make_denoiser(cfg: RunConfig, truth, cond):
                               "(ground truth); unset paths.frames_dir/poses")
         return padded_target_denoiser(truth, cfg.pad)
     if cfg.mode.denoiser == "copy":
-        return padded_target_denoiser(cond, cfg.pad)
+        return padded_target_denoiser(cond.pixels, cfg.pad)
     return zero_denoiser
 
 
@@ -365,8 +364,8 @@ def _generate(cfg: RunConfig, out_dir: Path) -> None:
         taps_job = side.submit(EquirectTaps.create, cfg.resolution,
                                cfg.equirect_width)
         cond = scene_mod.conditional_video(cfg.resolution, frames, poses)
-        fc, wp, ct = _coverage_tables(cfg, cond)
-        plan = plan_order(ct, wp)
+        _, windows, ct = _coverage_tables(cfg, cond)
+        plan = plan_order(ct, windows)
         truth = truth_job.result()
         marks.append(time.perf_counter())
 
@@ -448,9 +447,9 @@ def _seam_per_frame(video: np.ndarray) -> list[float]:
 
 def _write_dry_run(cfg: RunConfig, out_dir: Path) -> None:
     """Shape-only accounting for paper-scale geometry; no pixel buffers."""
-    wp = partition_windows(cfg.num_frames, cfg.window_length)
     steps = [{"face": f, "s": s, "e": e}
-             for s, e in wp.windows for f in FACES]
+             for s, e in partition_windows(cfg.num_frames, cfg.window_length)
+             for f in FACES]
     per_frame = tokens_per_frame(cfg.resolution, cfg.patch_size)
     g = cfg.window_length * per_frame
     # worst case: H full windows (6 faces), 6 current sources, 5 fragments
@@ -483,16 +482,13 @@ def cmd_metrics(cfg: RunConfig, out_dir: Path) -> None:
     field, frames, poses = _load_inputs(cfg)
     truth = _truth(cfg, field)
     cond = scene_mod.conditional_video(cfg.resolution, frames, poses)
-    fc, wp, ct = _coverage_tables(cfg, cond)
-    source = truth if truth is not None else cond
+    fc, _, ct = _coverage_tables(cfg, cond)
     report = {
-        "seam_per_frame": _seam_per_frame(source.pixels),
+        "seam_per_frame": _seam_per_frame(cond.pixels if truth is None else truth),
         "coverage": {
-            "per_face_mean": {f: float(fc.values[i].mean())
-                              for i, f in enumerate(FACES)},
-            "per_window": {f: [float(v) for v in ct.values[i]]
-                           for i, f in enumerate(FACES)},
-            "overall_mean": float(fc.values.mean()),
+            "per_face_mean": {f: float(fc[i].mean()) for i, f in enumerate(FACES)},
+            "per_window": {f: [float(v) for v in ct[i]] for i, f in enumerate(FACES)},
+            "overall_mean": float(fc.mean()),
         },
     }
     write_json_artifact(out_dir / "metrics.json", "metrics", report)

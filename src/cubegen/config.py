@@ -74,6 +74,10 @@ class RunConfig:
                      "must be an integer" if kinds is int else "must be a number")
         _require(isinstance(self.mode.teacher_forcing, bool), "mode.teacher_forcing",
                  "must be true or false")
+        for name, path in (("paths.frames_dir", self.paths.frames_dir),
+                           ("paths.poses", self.paths.poses)):
+            _require(path is None or isinstance(path, str), name,
+                     "must be a string or null")
         _require(self.resolution >= 4, "resolution", "must be >= 4")
         _require(self.equirect_width == 4 * self.resolution, "equirect_width",
                  f"must equal 4 * resolution = {4 * self.resolution}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .faces import FACES, FACE_INDEX, adjacent_faces
-from .planner import FrameCoverage, PlanStep
+from .planner import PlanStep
 
 __all__ = [
     "FragmentSpec",
@@ -50,24 +50,26 @@ class FragmentSpec:
     length: int
 
 
-def short_horizon_coverage(fc: FrameCoverage, face: str, start: int,
+def short_horizon_coverage(coverage: np.ndarray, face: str, start: int,
                            length: int) -> float:
-    """Mean coverage of ``face`` over frames [start, start+length)."""
-    n = fc.values.shape[1]
+    """Mean of the (6, N) frame coverage of ``face`` over frames
+    [start, start+length)."""
+    n = coverage.shape[1]
     if length < 1:
         raise ValueError("fragment length must be >= 1")
     if start < 0 or start + length > n:
         raise ValueError(f"horizon [{start}, {start + length}) exceeds [0, {n})")
-    return float(fc.values[FACE_INDEX[face], start:start + length].mean())
+    return float(coverage[FACE_INDEX[face], start:start + length].mean())
 
 
-def select_future_fragments(fc: FrameCoverage, face: str, window_end: int,
+def select_future_fragments(coverage: np.ndarray, face: str, window_end: int,
                             frag_length: int, threshold: float,
                             num_frames: int) -> list[FragmentSpec]:
     """Earliest qualifying fragment per face in {face} + neighbors.
 
     For each candidate face, tau* is the minimal start >= window_end whose
-    short-horizon coverage reaches ``threshold`` with the horizon fully
+    short-horizon coverage (of the (6, N) frame ``coverage``) reaches
+    ``threshold`` with the horizon fully
     inside [0, num_frames).  Faces with no qualifying start are omitted.
     Output order: current face first, then neighbors in canonical order.
     """
@@ -78,7 +80,7 @@ def select_future_fragments(fc: FrameCoverage, face: str, window_end: int,
     out = []
     for g in (face, *adjacent_faces(face)):
         for tau in range(window_end, num_frames - frag_length + 1):
-            if short_horizon_coverage(fc, g, tau, frag_length) >= threshold:
+            if short_horizon_coverage(coverage, g, tau, frag_length) >= threshold:
                 out.append(FragmentSpec(face=g, start=tau, length=frag_length))
                 break
     return out

@@ -23,14 +23,15 @@ traversal direction (columns for top/bottom edges, rows for left/right).
 :func:`_neighbor_pixel` is the one formula from (depth, along) to a neighbor
 pixel.  Each adjacency record also names the dihedral ``transform`` that
 rearranges the neighbor's raw border slice into a (depth, along) strip; the
-names are derived from the same formula on first use and documented in
-``docs/cube_layout.json``.
+names are derived from the same formula on first use, by
+:func:`edge_adjacency`, and documented in ``docs/cube_layout.json``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -39,7 +40,8 @@ from .faces import FACES, FACE_INDEX, face_axes
 __all__ = [
     "EDGES",
     "EdgeAdjacency",
-    "CubeLayout",
+    "edge_adjacency",
+    "cube_layout_json",
     "face_position_grid",
     "pad_face",
     "blend_overlaps",
@@ -119,9 +121,10 @@ def _neighbor_pixel(neighbor_edge: str, flipped: bool, depth, along, res: int):
 
 
 @lru_cache(maxsize=None)
-def _adjacency() -> dict:
-    """The 24 directed edge records, derived once, on first use: a process
-    that never pads (attention alone) never pays for it."""
+def edge_adjacency() -> MappingProxyType:
+    """The 24 directed edge records keyed by (face, edge), derived once, on
+    first use (a process that never pads, attention alone, never pays for
+    it), and read-only, since every caller shares them."""
     table = {}
     probe = np.arange(36.0).reshape(6, 6)  # unique values force a unique match
     depth, along = np.indices((2, 6))
@@ -141,45 +144,30 @@ def _adjacency() -> dict:
             table[(f, e)] = EdgeAdjacency(face=f, edge=e, neighbor=g,
                                           neighbor_edge=e_back,
                                           transform=names[0], flipped=flipped)
-    return table
+    return MappingProxyType(table)
 
 
-@dataclass(frozen=True)
-class CubeLayout:
-    """Flattened-cross face offsets plus the directed edge-adjacency table."""
-
-    resolution: int
-    offsets: dict
-    adjacency: dict
-
-    @classmethod
-    def create(cls, resolution: int) -> "CubeLayout":
-        if resolution < 1:
-            raise ValueError("resolution must be >= 1")
-        r = resolution
-        offsets = {"U": (0, r), "F": (r, r), "D": (2 * r, r),
-                   "L": (r, 0), "R": (r, 2 * r), "B": (r, 3 * r)}
-        return cls(resolution=r, offsets=offsets, adjacency=dict(_adjacency()))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "resolution": self.resolution,
-            "offsets": {f: list(self.offsets[f]) for f in FACES},
-            "adjacency": [
-                {"face": a.face, "edge": a.edge, "neighbor": a.neighbor,
-                 "neighbor_edge": a.neighbor_edge, "transform": a.transform,
-                 "flipped": a.flipped}
-                for a in (self.adjacency[(f, e)] for f in FACES for e in EDGES)
-            ],
-        }
+# Flattened-cross (row, col) offset of each face, in face units.
+_CROSS_OFFSETS = {"U": (0, 1), "F": (1, 1), "D": (2, 1),
+                  "L": (1, 0), "R": (1, 2), "B": (1, 3)}
 
 
-def face_position_grid(layout: CubeLayout, face: str, pad: int = 0) -> np.ndarray:
+def cube_layout_json(resolution: int) -> dict:
+    """The cross offsets at ``resolution`` and the adjacency table, as
+    documented in ``docs/cube_layout.json`` (at R=64)."""
+    return {
+        "resolution": resolution,
+        "offsets": {f: [resolution * o for o in _CROSS_OFFSETS[f]] for f in FACES},
+        "adjacency": [asdict(edge_adjacency()[(f, e)]) for f in FACES for e in EDGES],
+    }
+
+
+def face_position_grid(resolution: int, face: str, pad: int = 0) -> np.ndarray:
     """(R+2p, R+2p, 2) flattened-plane (row, col) coordinate of each pixel
     of the face's padded grid.  Strip coordinates continue the core grid by
     exactly one step per band, so positions stay monotone across each edge."""
-    r = layout.resolution
-    ro, co = layout.offsets[face]
+    r = resolution
+    ro, co = (r * o for o in _CROSS_OFFSETS[face])
     rows, cols = np.meshgrid(np.arange(-pad, r + pad) + ro,
                              np.arange(-pad, r + pad) + co, indexing="ij")
     return np.stack([rows, cols], axis=-1)
@@ -225,7 +213,7 @@ def _pad_table(res: int, pad: int) -> _PadTable:
         index[fi] = (fi * res * res + rows_in.clip(0, res - 1) * res
                      + cols_in.clip(0, res - 1))
         for edge, sel, depth, along in bands:
-            adj = _adjacency()[(face, edge)]
+            adj = edge_adjacency()[(face, edge)]
             i2, j2 = _neighbor_pixel(adj.neighbor_edge, adj.flipped,
                                      depth[sel], along[sel], res)
             index[fi][sel] = FACE_INDEX[adj.neighbor] * res * res + i2 * res + j2
@@ -328,18 +316,18 @@ def _corner_edges(ci: int, cj: int) -> tuple[str, str]:
     return ("top" if ci == 0 else "bottom", "left" if cj == 0 else "right")
 
 
-def _cross_corner(face: str, ci: int, cj: int, edge: str,
-                  layout: CubeLayout) -> tuple[str, int, int, str]:
+def _cross_corner(face: str, ci: int, cj: int,
+                  edge: str) -> tuple[str, int, int, str]:
     """Follow one edge crossing; returns (face', ci', cj', arrival edge).
     A corner is a pixel of a 2x2 face, so the crossing is one neighbor
     pixel lookup at depth 0."""
-    adj = layout.adjacency[(face, edge)]
+    adj = edge_adjacency()[(face, edge)]
     pos = cj if edge in ("top", "bottom") else ci  # 0 or 1 along traversal
     ci2, cj2 = _neighbor_pixel(adj.neighbor_edge, adj.flipped, 0, pos, 2)
     return adj.neighbor, ci2, cj2, adj.neighbor_edge
 
 
-def corner_cycle_identity(layout: CubeLayout) -> bool:
+def corner_cycle_identity() -> bool:
     """Check 3-cycle consistency of the edge transforms at every cube corner.
 
     Crossing the three edges meeting at a corner (leaving each arrival face
@@ -355,7 +343,7 @@ def corner_cycle_identity(layout: CubeLayout) -> bool:
                 for first in _corner_edges(ci, cj):
                     face, a, b, edge = f, ci, cj, first
                     for _ in range(3):
-                        face, a, b, arrived = _cross_corner(face, a, b, edge, layout)
+                        face, a, b, arrived = _cross_corner(face, a, b, edge)
                         e_h, e_v = _corner_edges(a, b)
                         edge = e_v if arrived == e_h else e_h
                     if (face, a, b) != (f, ci, cj):

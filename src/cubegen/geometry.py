@@ -1,10 +1,11 @@
 """Projections among perspective frames, equirectangular grids, and cubemaps.
 
 A cubemap is one stacked array: six (R, R, C) faces in the canonical order
-:data:`cubegen.faces.FACES`, so one frame is (6, R, R, C) with (6, R, R)
-binary masks, and a video, :class:`CubemapVideo`, is (N, 6, R, R, C) with
-(N, 6, R, R) masks.  Every layer indexes that layout directly; face ``f`` of
-frame ``t`` is ``pixels[t, FACE_INDEX[f]]``.
+:data:`cubegen.faces.FACES`, so one frame is (6, R, R, C) and a video is a
+plain (N, 6, R, R, C) float64 array.  Every layer indexes that layout
+directly; face ``f`` of frame ``t`` is ``video[t, FACE_INDEX[f]]``.  The
+masked conditional, :class:`CubemapVideo`, pairs such a video with its
+(N, 6, R, R) binary observation masks.
 
 All mappings use pixel-center sampling (offset 0.5).  Images are sampled
 bilinearly; binary masks nearest-neighbor.  The equirectangular longitude
@@ -139,7 +140,7 @@ class PerspectiveFrame:
 
 @dataclass(frozen=True)
 class CubemapVideo:
-    """A cubemap video as one stacked array: ``pixels`` (N, 6, R, R, C)
+    """The masked conditional: the projected ``pixels`` (N, 6, R, R, C)
     float64 and binary observation ``masks`` (N, 6, R, R) uint8, faces in
     canonical order.  Shapes and masks are checked once, here."""
 

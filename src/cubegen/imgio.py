@@ -44,11 +44,8 @@ def _quantize(values: np.ndarray) -> np.ndarray:
 
 
 def read_ppm(path) -> np.ndarray:
-    magic, (w, h), maxval, data = _read_netpbm(path)
-    if magic != b"P6":
-        raise ValueError(f"not a P6 file: {path}")
-    img = np.frombuffer(data, dtype=np.uint8, count=w * h * 3).reshape(h, w, 3)
-    return img.astype(np.float64) / maxval
+    """(H, W, 3) float pixels in [0, 1] of an 8-bit binary P6 file."""
+    return _read_netpbm(path, b"P6", 3)
 
 
 def write_pgm(path, gray: np.ndarray) -> None:
@@ -63,11 +60,8 @@ def write_pgm(path, gray: np.ndarray) -> None:
 
 
 def read_pgm(path) -> np.ndarray:
-    magic, (w, h), maxval, data = _read_netpbm(path)
-    if magic != b"P5":
-        raise ValueError(f"not a P5 file: {path}")
-    img = np.frombuffer(data, dtype=np.uint8, count=w * h).reshape(h, w)
-    return img.astype(np.float64) / maxval
+    """(H, W) float values in [0, 1] of an 8-bit binary P5 file."""
+    return _read_netpbm(path, b"P5", 1)[..., 0]
 
 
 def write_mask_pgm(path, mask: np.ndarray) -> None:
@@ -82,7 +76,10 @@ def read_mask_pgm(path) -> np.ndarray:
     return (read_pgm(path) >= 0.5).astype(np.uint8)
 
 
-def _read_netpbm(path):
+def _read_netpbm(path, magic: bytes, channels: int) -> np.ndarray:
+    """(H, W, channels) samples / maxval of a binary netpbm file, which must
+    be ``magic`` with one byte per sample (maxval 1..255) and hold all of
+    its W*H*channels samples."""
     raw = Path(path).read_bytes()
     fields, pos = [], 0
     while len(fields) < 4:
@@ -96,8 +93,18 @@ def _read_netpbm(path):
             pos += 1
         fields.append(raw[start:pos])
     pos += 1  # single whitespace after maxval
-    magic, w, h, maxval = fields[0], int(fields[1]), int(fields[2]), int(fields[3])
-    return magic, (w, h), maxval, raw[pos:]
+    if fields[0] != magic:
+        raise ValueError(f"not a {magic.decode()} file: {path}")
+    w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
+    if not 1 <= maxval <= 255:
+        raise ValueError(f"{path}: maxval {maxval} is outside 1..255; only "
+                         "8-bit samples are read")
+    count = w * h * channels
+    if len(raw) - pos < count:
+        raise ValueError(f"{path}: {len(raw) - pos} bytes of pixel data, "
+                         f"{w}x{h}x{channels} needs {count}")
+    img = np.frombuffer(raw, dtype=np.uint8, count=count, offset=pos)
+    return img.reshape(h, w, channels).astype(np.float64) / maxval
 
 
 def write_pfm(path, pixels: np.ndarray) -> None:

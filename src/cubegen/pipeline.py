@@ -17,8 +17,8 @@ The generation loop is one pass over the plan.  :func:`plan_contexts`
 checks the plan once and yields each step with its context bundle;
 :func:`generate_all` samples and blends each step with :func:`generate_step`,
 and :func:`simulate_contexts` only logs the bundles.  Teacher forcing is
-``generate_all``'s ``teacher`` video, which hist and curr-gen context then
-view in place of the canvas.
+``generate_all``'s ``teacher`` video, an (N, 6, R, R, C) array, which hist
+and curr-gen context then view in place of the canvas.
 """
 
 from __future__ import annotations
@@ -212,14 +212,14 @@ def generate_all(cond_video: CubemapVideo, plan: GenerationPlan, denoiser,
                  cfg: SamplerConfig, *, pad: int = 4, history_capacity: int = 2,
                  frag_length: int = 4, frag_threshold: float = 0.5,
                  patch_size: int = 8,
-                 teacher: CubemapVideo | None = None,
+                 teacher: np.ndarray | None = None,
                  on_window=None, executor=None) -> GenerationResult:
     """Run every plan step window-major; the result is the cube canvas,
     which callers resample to equirect frames one at a time.
 
     Step ``i`` samples from noise drawn with the seed
     ``SeedSequence((cfg.seed, i))``.  hist and curr-gen context views the
-    canvas, or ``teacher``'s pixels when it is given (teacher forcing).
+    canvas, or ``teacher`` when it is given (teacher forcing).
 
     ``executor``, when given, draws each step's noise one step ahead: at
     step ``i`` the draw for step ``i + 1`` is submitted to it.  A draw the
@@ -238,7 +238,7 @@ def generate_all(cond_video: CubemapVideo, plan: GenerationPlan, denoiser,
     # face's core is assigned wholesale before anything reads it, and strips
     # blended into a face not yet generated are overwritten by its core.
     canvas = np.zeros(cond_video.pixels.shape)
-    source = canvas if teacher is None else teacher.pixels
+    source = canvas if teacher is None else teacher
     r, c = cond_video.resolution, canvas.shape[-1]
 
     def noise(i: int) -> np.ndarray:
@@ -275,18 +275,19 @@ def _step_seed(cfg: SamplerConfig, index: int) -> int:
 # built-in denoisers beyond the plain oracle
 # ---------------------------------------------------------------------------
 
-def padded_target_denoiser(video: CubemapVideo, pad: int):
-    """Velocity toward ``video``'s padded face window for the step named by
-    the context bundle.  Given the ground truth it is the scene oracle; given
-    the (masked) conditional it is the copy baseline, whose unobserved pixels
-    head to zero.  The target is padded when (face, start, end) changes and
-    reused for the remaining Euler steps of that plan step."""
+def padded_target_denoiser(video: np.ndarray, pad: int):
+    """Velocity toward the padded face window of ``video``, an
+    (N, 6, R, R, C) array, for the step named by the context bundle.  Given
+    the ground truth it is the scene oracle; given the (masked) conditional's
+    pixels it is the copy baseline, whose unobserved pixels head to zero.
+    The target is padded when (face, start, end) changes and reused for the
+    remaining Euler steps of that plan step."""
     cached = {"key": None, "target": None}
 
     def denoise(z_t, t, context):
         key = (context.face, context.start, context.end)
         if cached["key"] != key:
-            window = video.pixels[context.start:context.end]
+            window = video[context.start:context.end]
             cached["target"] = pad_face(window, context.face, pad)
             cached["key"] = key
         return cached["target"] - z_t

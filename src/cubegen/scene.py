@@ -62,14 +62,15 @@ class SyntheticScene:
         basis = np.moveaxis(np.stack([b(x, y, z) for b in _BASIS]), 0, -1)
         return 0.5 + basis @ self.coeffs.T
 
-    def cubemap_video(self, resolution: int, num_frames: int) -> CubemapVideo:
-        """Fully observed (N, 6, R, R, C) video, filled one face at a time."""
+    def cubemap_video(self, resolution: int, num_frames: int) -> np.ndarray:
+        """The (N, 6, R, R, C) cube video of the field, filled one face at a
+        time."""
         pixels = np.empty((num_frames, 6, resolution, resolution, len(self.coeffs)))
         dirs = face_directions(resolution)
         for i in range(6):
             for t in range(num_frames):
                 pixels[t, i] = self.value(dirs[i], t)
-        return CubemapVideo(pixels=pixels, masks=np.ones(pixels.shape[:4], np.uint8))
+        return pixels
 
     def perspective_frame(self, pose: CameraPose, height: int, width: int,
                           frame: int) -> PerspectiveFrame:
@@ -114,8 +115,9 @@ def synth_inputs(cfg: RunConfig, seed: int | None = None):
 
 
 def synth_scene(cfg: RunConfig, seed: int | None = None):
-    """Deterministic scene for a config: ground-truth cubemap video, the
-    perspective input rendered along a smooth trajectory, and the poses."""
+    """Deterministic scene for a config: the ground-truth (N, 6, R, R, C)
+    cube video, the perspective input rendered along a smooth trajectory, and
+    the poses."""
     field, frames, poses = synth_inputs(cfg, seed)
     return field.cubemap_video(cfg.resolution, cfg.num_frames), frames, poses
 

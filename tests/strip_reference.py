@@ -4,11 +4,13 @@ reference the tests compare against.
 
 Faces are dicts face -> (R, R, C) grids.  A strip is a (p, R, C) array in
 (depth, along) orientation, obtained from the neighbor's raw border slice
-through the adjacency record's named dihedral ``transform``.
+through the named dihedral ``transform`` of the adjacency record in
+:func:`cubegen.continuity.edge_adjacency`.
 """
 
 import numpy as np
 
+from cubegen.continuity import edge_adjacency
 from cubegen.faces import FACES
 
 EDGES = ("top", "bottom", "left", "right")
@@ -61,14 +63,14 @@ def assign_border(grid, edge, pad, value):
         grid[:, grid.shape[1] - pad:] = value
 
 
-def extract_strip(faces, face, edge, pad, layout):
-    adj = layout.adjacency[(face, edge)]
+def extract_strip(faces, face, edge, pad):
+    adj = edge_adjacency()[(face, edge)]
     raw = border_slice(faces[adj.neighbor], adj.neighbor_edge, pad)
     return apply_transform(adj.transform, raw).copy()
 
 
-def strips_of(faces, face, pad, layout):
-    return {e: extract_strip(faces, face, e, pad, layout) for e in EDGES}
+def strips_of(faces, face, pad):
+    return {e: extract_strip(faces, face, e, pad) for e in EDGES}
 
 
 def _fill_corner(out, rows, cols, p, r):
@@ -116,18 +118,18 @@ def split(arr, pad):
     return arr[p:p + r, p:p + r].copy(), strips
 
 
-def pad_face(faces, face, pad, layout):
-    return assemble(faces[face], strips_of(faces, face, pad, layout), pad)
+def pad_face(faces, face, pad):
+    return assemble(faces[face], strips_of(faces, face, pad), pad)
 
 
-def blend_overlaps(face, core, strips, faces, pad, layout):
+def blend_overlaps(face, core, strips, faces, pad):
     """New faces dict: ``core`` replaces ``face``, strips ramp-blend into
     each neighbor's border band."""
     out = {f: faces[f].copy() for f in FACES}
     out[face] = core.copy()
     ramp = (1.0 - np.arange(pad) / pad)[:, None]
     for e in EDGES:
-        adj = layout.adjacency[(face, e)]
+        adj = edge_adjacency()[(face, e)]
         strip = strips[e]
         w = np.broadcast_to(ramp, strip.shape[:2])
         if strip.ndim == 3:
@@ -151,17 +153,17 @@ def _own_border_line(grid, edge):
     return grid[:, grid.shape[1] - 1]
 
 
-def seam_metric(faces, layout):
+def seam_metric(faces):
     total, count = 0.0, 0
     seen = set()
     for f in FACES:
         for e in EDGES:
-            adj = layout.adjacency[(f, e)]
+            adj = edge_adjacency()[(f, e)]
             key = frozenset({(f, e), (adj.neighbor, adj.neighbor_edge)})
             if key in seen:
                 continue
             seen.add(key)
-            carried = extract_strip(faces, adj.neighbor, adj.neighbor_edge, 1, layout)[0]
+            carried = extract_strip(faces, adj.neighbor, adj.neighbor_edge, 1)[0]
             native = _own_border_line(faces[adj.neighbor], adj.neighbor_edge)
             total += np.abs(carried - native).sum()
             count += carried.size

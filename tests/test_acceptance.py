@@ -22,9 +22,9 @@ from cubegen.attention import (
     sparse_context_attention,
 )
 from cubegen.continuity import (
-    CubeLayout,
     blend_overlaps,
     corner_cycle_identity,
+    edge_adjacency,
     face_position_grid,
     pad_face,
     seam_metric,
@@ -49,7 +49,6 @@ from cubegen.planner import (
     window_coverage,
 )
 from cubegen.context import select_future_fragments
-from cubegen.planner import FrameCoverage
 
 from conftest import smooth_field
 
@@ -88,13 +87,13 @@ def test_criterion_1_projection_round_trip():
 def test_criterion_2_planner_oracle_equivalence():
     rng = np.random.default_rng(2002)
     res, n, t_win = 16, 8, 4
-    wp = partition_windows(n, t_win)
+    windows = partition_windows(n, t_win)
     for _ in range(100):
         masks = np.stack([(rng.random((n, res, res)) < rng.uniform(0.1, 0.9))
                           .astype(np.uint8) for f in FACES], axis=1)
-        plan = plan_order(window_coverage(frame_coverage(masks), wp), wp)
+        plan = plan_order(window_coverage(frame_coverage(masks), windows), windows)
         expect = []
-        for s, e in wp.windows:
+        for s, e in windows:
             means = {f: sum(int(masks[t, FACE_INDEX[f], i, j]) for t in range(s, e)
                             for i in range(res) for j in range(res))
                      / (t_win * res * res) for f in FACES}
@@ -110,9 +109,8 @@ def test_criterion_3_fragment_minimality():
     n, e_w, t_frag, r = 16, 8, 4, 0.5
     for _ in range(100):
         vals = rng.random((6, n)) ** 2
-        fc = FrameCoverage(values=vals)
         face = FACES[int(rng.integers(6))]
-        frags = select_future_fragments(fc, face, e_w, t_frag, r, n)
+        frags = select_future_fragments(vals, face, e_w, t_frag, r, n)
         by_face = {fr.face: fr for fr in frags}
         for g in (face, *adjacent_faces(face)):
             row = vals[FACE_INDEX[g]]
@@ -203,7 +201,6 @@ def test_criterion_5_linear_complexity_and_wall_clock():
 
 def test_criterion_6_continuity():
     res = 64
-    layout = CubeLayout.create(res)
     cube = np.stack([smooth_field(face_pixel_directions(f, res)) for f in FACES])
     smooth_seam = seam_metric(cube)
     assert smooth_seam <= 0.05
@@ -218,7 +215,7 @@ def test_criterion_6_continuity():
     after = seam_metric(canvas[0])
     assert after < before
 
-    assert corner_cycle_identity(layout)
+    assert corner_cycle_identity()
     report(6, f"smooth seam {smooth_seam:.4f} <= 0.05; blending reduces an "
               f"injected seam {before:.3f} -> {after:.3f}; all 8 corner "
               "3-cycles compose to identity")
@@ -226,13 +223,12 @@ def test_criterion_6_continuity():
 
 def test_criterion_7_positional_continuity():
     res = 16
-    layout = CubeLayout.create(res)
     checks = {("U", "F"): "bottom", ("F", "D"): "bottom",
               ("L", "F"): "right", ("F", "R"): "right", ("R", "B"): "right"}
     for (fa, fb), edge in checks.items():
-        adj = layout.adjacency[(fa, edge)]
+        adj = edge_adjacency()[(fa, edge)]
         assert adj.neighbor == fb and not adj.flipped
-        pa, pb = face_position_grid(layout, fa), face_position_grid(layout, fb)
+        pa, pb = face_position_grid(res, fa), face_position_grid(res, fb)
         for pos in range(res):
             if edge == "bottom":
                 ra, ca = pa[res - 1, pos]

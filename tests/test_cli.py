@@ -64,9 +64,9 @@ def assert_frames_equal_serial_writes(out: Path, ref: Path) -> None:
     cfg = parse_config(DEMO)
     truth, frames, poses = sc.synth_scene(cfg)
     cond = sc.conditional_video(cfg.resolution, frames, poses)
-    _, wp, ct = cli._coverage_tables(cfg, cond)
+    _, windows, ct = cli._coverage_tables(cfg, cond)
     result = generate_all(
-        cond, plan_order(ct, wp), cli._make_denoiser(cfg, truth, cond),
+        cond, plan_order(ct, windows), cli._make_denoiser(cfg, truth, cond),
         SamplerConfig(steps=cfg.sampler_steps, seed=cfg.seed),
         pad=cfg.pad, history_capacity=cfg.history,
         frag_length=cfg.frag_length, frag_threshold=cfg.frag_threshold,
@@ -390,6 +390,26 @@ class TestErrorPaths:
         assert not list(out.iterdir())
         assert not side_threads()
 
+    def test_16bit_ppm_input_rejected(self, tmp_path, capsys):
+        # one 16-bit P6 among the inputs stops the run before any artifact
+        frames_dir = tmp_path / "frames"
+        frames_dir.mkdir()
+        _, frames, poses = sc.synth_scene(parse_config(small_cfg(tmp_path)))
+        for t, frame in enumerate(frames):
+            write_ppm(frames_dir / f"input_{t:03d}.ppm", frame.pixels)
+        h, w, _ = frames[3].pixels.shape
+        (frames_dir / "input_003.ppm").write_bytes(
+            f"P6\n{w} {h}\n65535\n".encode() + bytes(2 * w * h * 3))
+        write_poses(frames_dir / "poses.json", poses)
+        cfg = small_cfg(tmp_path, paths={"frames_dir": str(frames_dir),
+                                         "poses": str(frames_dir / "poses.json")},
+                        mode={"teacher_forcing": False, "denoiser": "copy"})
+        out = tmp_path / "o"
+        assert run(["generate", "--config", cfg, "--out", out]) == 1
+        self.assert_failed_cleanly(out, capsys, "ValueError",
+                                   "input_003.ppm: maxval 65535 is outside 1..255")
+        assert not list(out.iterdir())
+
     def assert_failed_cleanly(self, out, capsys, error_type, message):
         err = json.loads(capsys.readouterr().err)
         validate_artifact("error", err)
@@ -514,6 +534,8 @@ class TestErrorPaths:
         ({"scene": {"vfov_deg": False}}, "scene.vfov_deg"),
         ({"mode": {"teacher_forcing": 1, "denoiser": "oracle"}},
          "mode.teacher_forcing"),
+        ({"paths": {"frames_dir": 5, "poses": "poses.json"}}, "paths.frames_dir"),
+        ({"paths": {"frames_dir": "frames", "poses": ["poses.json"]}}, "paths.poses"),
     ])
     def test_wrongly_typed_field_rejected(self, tmp_path, capsys, overrides, name):
         out = tmp_path / "o"

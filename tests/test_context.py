@@ -12,7 +12,7 @@ from cubegen.context import (
     select_future_fragments,
     short_horizon_coverage,
 )
-from cubegen.planner import FrameCoverage, PlanStep
+from cubegen.planner import PlanStep
 
 
 def coverage_from_rows(rows):
@@ -21,7 +21,7 @@ def coverage_from_rows(rows):
     vals = np.zeros((6, n))
     for f, row in rows.items():
         vals[FACES.index(f)] = row
-    return FrameCoverage(values=vals)
+    return vals
 
 
 class TestContextPool:
@@ -64,7 +64,7 @@ class TestShortHorizonCoverage:
 
     def test_matches_loop_oracle(self, rng):
         vals = rng.random((6, 12))
-        fc = FrameCoverage(values=vals)
+        fc = vals
         for f in FACES:
             for tau in range(9):
                 expect = sum(vals[FACES.index(f), tau + k] for k in range(4)) / 4
@@ -101,14 +101,14 @@ class TestSelectFutureFragments:
 
     def test_tiny_threshold_picks_window_end(self):
         vals = np.full((6, 12), 0.2)
-        fc = FrameCoverage(values=vals)
+        fc = vals
         frags = select_future_fragments(fc, "F", 4, 4, 1e-9, 12)
         assert all(fr.start == 4 for fr in frags)
         assert [fr.face for fr in frags] == ["F", "R", "L", "U", "D"]
 
     def test_face_order_current_then_canonical_neighbors(self):
         vals = np.full((6, 12), 1.0)
-        fc = FrameCoverage(values=vals)
+        fc = vals
         frags = select_future_fragments(fc, "U", 4, 4, 0.5, 12)
         assert [fr.face for fr in frags] == ["U", "F", "R", "B", "L"]
 
@@ -123,7 +123,7 @@ class TestSelectFutureFragments:
         # acceptance-style: tau* qualifies, every earlier tau fails
         for _ in range(100):
             vals = rng.random((6, 16)) ** 2
-            fc = FrameCoverage(values=vals)
+            fc = vals
             e_w, t_frag, r, n = 8, 4, 0.5, 16
             face = FACES[int(rng.integers(6))]
             frags = select_future_fragments(fc, face, e_w, t_frag, r, n)

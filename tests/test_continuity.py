@@ -13,9 +13,10 @@ from cubegen import continuity
 from cubegen.faces import FACES, FACE_AXES, FACE_INDEX
 from cubegen.continuity import (
     EDGES,
-    CubeLayout,
     blend_overlaps,
     corner_cycle_identity,
+    cube_layout_json,
+    edge_adjacency,
     face_position_grid,
     pad_face,
     seam_metric,
@@ -53,18 +54,16 @@ def border_pixel(edge, pos, res):
 
 class TestPositionGrid:
     def test_cross_offsets(self):
-        layout = CubeLayout.create(16)
-        assert tuple(face_position_grid(layout, "U")[0, 0]) == (0, 16)
-        assert tuple(face_position_grid(layout, "F")[0, 0]) == (16, 16)
-        assert tuple(face_position_grid(layout, "D")[0, 0]) == (32, 16)
-        assert tuple(face_position_grid(layout, "L")[0, 0]) == (16, 0)
-        assert tuple(face_position_grid(layout, "R")[0, 0]) == (16, 32)
-        assert tuple(face_position_grid(layout, "B")[0, 0]) == (16, 48)
+        assert tuple(face_position_grid(16, "U")[0, 0]) == (0, 16)
+        assert tuple(face_position_grid(16, "F")[0, 0]) == (16, 16)
+        assert tuple(face_position_grid(16, "D")[0, 0]) == (32, 16)
+        assert tuple(face_position_grid(16, "L")[0, 0]) == (16, 0)
+        assert tuple(face_position_grid(16, "R")[0, 0]) == (16, 32)
+        assert tuple(face_position_grid(16, "B")[0, 0]) == (16, 48)
 
     def test_vertical_stack_contiguous(self):
-        layout = CubeLayout.create(8)
-        u = face_position_grid(layout, "U")
-        f = face_position_grid(layout, "F")
+        u = face_position_grid(8, "U")
+        f = face_position_grid(8, "F")
         np.testing.assert_array_equal(f[0, :, 0] - u[-1, :, 0], 1)
         np.testing.assert_array_equal(f[0, :, 1], u[-1, :, 1])
 
@@ -75,12 +74,11 @@ class TestPositionGrid:
     def test_flattened_adjacent_edges_step_by_one(self, fa, fb, vertical):
         # pair border pixels through the adjacency and compare flattened coords
         res = 8
-        layout = CubeLayout.create(res)
         edge = "bottom" if vertical else "right"
-        adj = layout.adjacency[(fa, edge)]
+        adj = edge_adjacency()[(fa, edge)]
         assert adj.neighbor == fb and not adj.flipped
-        pa = face_position_grid(layout, fa)
-        pb = face_position_grid(layout, fb)
+        pa = face_position_grid(res, fa)
+        pb = face_position_grid(res, fb)
         for pos in range(res):
             ia, ja = border_pixel(edge, pos, res)
             ib, jb = border_pixel(adj.neighbor_edge, pos, res)
@@ -96,37 +94,46 @@ class TestPositionGrid:
 
 class TestAdjacency:
     def test_symmetric(self):
-        layout = CubeLayout.create(4)
-        for (f, e), adj in layout.adjacency.items():
-            back = layout.adjacency[(adj.neighbor, adj.neighbor_edge)]
+        adjacency = edge_adjacency()
+        for (f, e), adj in adjacency.items():
+            back = adjacency[(adj.neighbor, adj.neighbor_edge)]
             assert (back.neighbor, back.neighbor_edge) == (f, e)
 
     def test_every_edge_has_one_neighbor(self):
-        layout = CubeLayout.create(4)
-        assert len(layout.adjacency) == 24
+        adjacency = edge_adjacency()
+        assert len(adjacency) == 24
         for f in FACES:
-            neighbors = {layout.adjacency[(f, e)].neighbor for e in EDGES}
+            neighbors = {adjacency[(f, e)].neighbor for e in EDGES}
             assert len(neighbors) == 4 and f not in neighbors
 
     def test_derived_on_first_use_once(self):
-        # importing the CLI derives nothing; every layout shares one table
+        # importing the CLI derives nothing; every caller shares one table
         code = ("import cubegen.cli; from cubegen import continuity; "
-                "print(continuity._adjacency.cache_info().currsize)")
+                "print(continuity.edge_adjacency.cache_info().currsize); "
+                "continuity.edge_adjacency(); continuity.edge_adjacency(); "
+                "print(continuity.edge_adjacency.cache_info().misses)")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, check=True,
                               cwd=Path(__file__).resolve().parents[1] / "src")
-        assert proc.stdout.strip() == "0"
-        assert continuity._adjacency() is continuity._adjacency()
-        assert CubeLayout.create(4).adjacency == continuity._adjacency()
+        assert proc.stdout.split() == ["0", "1"]
+        assert continuity.edge_adjacency() is continuity.edge_adjacency()
+
+    def test_read_only(self):
+        adjacency = edge_adjacency()
+        with pytest.raises(TypeError):
+            adjacency[("F", "top")] = adjacency[("F", "bottom")]
+        with pytest.raises(TypeError):
+            del adjacency[("F", "top")]
+        assert len(edge_adjacency()) == 24
 
     def test_corner_three_cycles_identity(self):
-        assert corner_cycle_identity(CubeLayout.create(4))
+        assert corner_cycle_identity()
 
     def test_transform_inverse_round_trip(self, rng):
         # the documented transform names and their inverses, as the
         # fidelity test below applies them
         strip = rng.random((3, 8, 2))
-        documented = {a.transform for a in CubeLayout.create(4).adjacency.values()}
+        documented = {a.transform for a in edge_adjacency().values()}
         assert documented <= set(ref.TRANSFORMS)
         for name in ref.TRANSFORMS:
             back = ref.apply_transform(ref.INVERSE[name],
@@ -159,12 +166,11 @@ class TestPadFace:
         # each strip, carried back through the inverse of the documented
         # transform, is the neighbor's raw border band
         res, pad = 8, 2
-        layout = CubeLayout.create(res)
         cube = random_cube(rng, res)
         for f in FACES:
             _, strips = ref.split(pad_face(cube[None], f, pad)[0], pad)
             for e in EDGES:
-                adj = layout.adjacency[(f, e)]
+                adj = edge_adjacency()[(f, e)]
                 raw = ref.apply_transform(ref.INVERSE[adj.transform], strips[e])
                 neighbor = face_of(cube, adj.neighbor)
                 if adj.neighbor_edge == "top":
@@ -206,12 +212,11 @@ class TestPadFace:
 
     def test_positions_continue_monotonically(self):
         res, pad = 8, 2
-        layout = CubeLayout.create(res)
-        pos = face_position_grid(layout, "F", pad)
+        pos = face_position_grid(res, "F", pad)
         assert pos.shape == (res + 2 * pad, res + 2 * pad, 2)
         np.testing.assert_array_equal(np.diff(pos[:, 0, 0]), 1)
         np.testing.assert_array_equal(np.diff(pos[0, :, 1]), 1)
-        core = face_position_grid(layout, "F")
+        core = face_position_grid(res, "F")
         np.testing.assert_array_equal(pos[pad:pad + res, pad:pad + res], core)
 
     def test_pad_width_bounds(self):
@@ -227,11 +232,10 @@ class TestPadFace:
         # the padded grid splits back into the face's core and the strips
         # the reference extracts from the neighbors
         res, pad = 8, 2
-        layout = CubeLayout.create(res)
         cube = random_cube(rng, res)
         core, strips = ref.split(pad_face(cube[None], "R", pad)[0], pad)
         np.testing.assert_array_equal(core, face_of(cube, "R"))
-        want = ref.strips_of(as_dict(cube), "R", pad, layout)
+        want = ref.strips_of(as_dict(cube), "R", pad)
         for e in EDGES:
             np.testing.assert_array_equal(strips[e], want[e])
 
@@ -243,26 +247,24 @@ class TestMatchesStripReference:
     @pytest.mark.parametrize("c", [1, 3])
     def test_pad_and_blend_equal_reference(self, res, pad, c):
         rng = np.random.default_rng(res * 31 + pad * 7 + c)
-        layout = CubeLayout.create(res)
         cube = rng.random((6, res, res, c))
         faces = as_dict(cube)
         for f in FACES:
             padded = pad_face(cube[None], f, pad)[0]
-            assert np.array_equal(padded, ref.pad_face(faces, f, pad, layout))
+            assert np.array_equal(padded, ref.pad_face(faces, f, pad))
             generated = rng.random(padded.shape)
             canvas = cube[None].copy()
             blend_overlaps(generated[None], canvas, f, pad)
             core, strips = ref.split(generated, pad)
-            want = ref.blend_overlaps(f, core, strips, faces, pad, layout)
+            want = ref.blend_overlaps(f, core, strips, faces, pad)
             for g in FACES:
                 assert np.array_equal(face_of(canvas[0], g), want[g]), (f, g)
 
     @pytest.mark.parametrize("res", [4, 8, 64])
     def test_seam_metric_equals_reference(self, rng, res):
-        layout = CubeLayout.create(res)
         cube = random_cube(rng, res, c=3)
         assert abs(seam_metric(cube)
-                   - ref.seam_metric(as_dict(cube), layout)) <= 1e-12
+                   - ref.seam_metric(as_dict(cube))) <= 1e-12
 
     def test_blends_every_frame_of_a_window(self, rng):
         res, pad, t = 8, 2, 3
@@ -380,11 +382,11 @@ class TestStackShapes:
 
 class TestLayoutExport:
     def test_docs_table_matches_code(self):
-        # docs/cube_layout.json is generated from CubeLayout; keep in sync
+        # docs/cube_layout.json is generated by cube_layout_json; keep in sync
         import json
         from pathlib import Path
         doc = Path(__file__).resolve().parents[1] / "docs" / "cube_layout.json"
-        assert json.loads(doc.read_text()) == CubeLayout.create(64).to_json_dict()
+        assert json.loads(doc.read_text()) == cube_layout_json(64)
 
 
 class TestSeamMetric:

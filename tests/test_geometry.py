@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from cubegen.config import parse_config
-from cubegen.continuity import CubeLayout
 from cubegen.faces import FACES, FACE_AXES, FACE_INDEX
 from cubegen import scene as sc
 from cubegen import geometry as geo
@@ -342,14 +341,13 @@ def ref_padded_cubemap_to_equirect(faces, width):
     edges (the tests' strip-based padding): taps next to a cube edge read
     the neighbouring face."""
     res = faces.shape[1]
-    layout = CubeLayout.create(res)
     by_name = {f: faces[i] for i, f in enumerate(FACES)}
     face, x, y = _ref_face_lookup(width)
     out = np.zeros((width // 2, width, faces.shape[3]), dtype=np.float64)
     for i, f in enumerate(FACES):
         sel = face == i
         if sel.any():
-            padded = strip_reference.pad_face(by_name, f, 1, layout)
+            padded = strip_reference.pad_face(by_name, f, 1)
             out[sel] = _ref_bilinear(padded, y[sel] * res + 0.5,
                                      x[sel] * res + 0.5)
     return out

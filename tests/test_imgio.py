@@ -49,6 +49,40 @@ class TestPgmMask:
             imgio.write_mask_pgm(tmp_path / "m.pgm", np.full((4, 4), 2))
 
 
+class TestNetpbmInput:
+    """Only 8-bit binary netpbm is read: a wider maxval or a short pixel
+    block fails with the file's name instead of loading wrong values."""
+
+    @pytest.mark.parametrize("maxval", [65535, 0], ids=["16bit", "zero"])
+    @pytest.mark.parametrize("magic,channels,reader", [
+        ("P5", 1, imgio.read_pgm), ("P6", 3, imgio.read_ppm)])
+    def test_maxval_outside_8bit_rejected(self, tmp_path, magic, channels,
+                                          reader, maxval):
+        path = tmp_path / "wide.pnm"
+        path.write_bytes(f"{magic}\n4 3\n{maxval}\n".encode()
+                         + bytes(2 * 4 * 3 * channels))
+        with pytest.raises(ValueError, match=rf"wide\.pnm.*maxval {maxval}\b"):
+            reader(path)
+
+    def test_truncated_p6_rejected(self, rng, tmp_path):
+        path = tmp_path / "short.ppm"
+        imgio.write_ppm(path, rng.random((5, 6, 3)))
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(ValueError, match=r"short\.ppm.*89 bytes.*6x5x3 needs 90"):
+            imgio.read_ppm(path)
+
+    def test_lower_maxval_scales_to_unit_range(self, tmp_path):
+        path = tmp_path / "low.pgm"
+        path.write_bytes(b"P5\n2 1\n15\n" + bytes([0, 15]))
+        np.testing.assert_array_equal(imgio.read_pgm(path), [[0.0, 1.0]])
+
+    def test_wrong_magic_rejected(self, rng, tmp_path):
+        path = tmp_path / "gray.pgm"
+        imgio.write_pgm(path, rng.random((3, 3)))
+        with pytest.raises(ValueError, match="not a P6 file"):
+            imgio.read_ppm(path)
+
+
 class TestPfm:
     def test_color_round_trip_float32_exact(self, rng, tmp_path):
         img = rng.standard_normal((10, 14, 3)).astype(np.float32)

@@ -14,7 +14,6 @@ import pytest
 from cubegen.faces import FACES, FACE_INDEX
 from cubegen.config import default_config, parse_config
 from cubegen.context import ContextBundle
-from cubegen.continuity import CubeLayout
 from cubegen.geometry import CubemapVideo, EquirectTaps
 from cubegen.planner import (
     GenerationPlan,
@@ -44,8 +43,8 @@ def small_scene(res=32, n=8, t_win=4, seed=7):
                          num_frames=n, window_length=t_win, seed=seed)
     truth, frames, poses = sc.synth_scene(cfg)
     cond = sc.conditional_video(res, frames, poses)
-    wp = partition_windows(n, t_win)
-    plan = plan_order(window_coverage(frame_coverage(cond.masks), wp), wp)
+    windows = partition_windows(n, t_win)
+    plan = plan_order(window_coverage(frame_coverage(cond.masks), windows), windows)
     return cfg, truth, cond, plan
 
 
@@ -147,7 +146,7 @@ class TestGenerateStep:
         """The first plan step of a teacher-forced run, its context and the
         scene oracle, with the canvas it blends into."""
         cfg, truth, cond, plan = small_scene(res=16, n=8, t_win=4)
-        step, bundle = next(pl.plan_contexts(cond, plan, truth.pixels,
+        step, bundle = next(pl.plan_contexts(cond, plan, truth,
                                              history_capacity=2, frag_length=4,
                                              frag_threshold=0.5))
         denoiser = padded_target_denoiser(truth, 2)
@@ -157,7 +156,7 @@ class TestGenerateStep:
         truth, cond, canvas, step, bundle, denoiser = self.first_step()
         z = noise(1, (step.end - step.start, 16 + 4, 16 + 4, 3))
         out = generate_step(canvas, step, bundle, denoiser, z, 4, 2)
-        gt = truth.pixels[step.start:step.end, FACE_INDEX[step.face]]
+        gt = truth[step.start:step.end, FACE_INDEX[step.face]]
         assert out.shape == (step.end - step.start, 16 + 4, 16 + 4, 3)
         got = out[:, 2:2 + 16, 2:2 + 16]
         assert np.abs(got - gt).max() <= 1e-5
@@ -243,8 +242,8 @@ class TestContextViews:
                               teacher=truth if teacher else None)
         assert len(bundles) == len(plan.steps)
         canvas = result.canvas
-        composed = truth.pixels if teacher else canvas
-        other = canvas if teacher else truth.pixels
+        composed = truth if teacher else canvas
+        other = canvas if teacher else truth
         kinds = set()
         for bundle in bundles:
             for src in bundle.sources:
@@ -273,9 +272,9 @@ class TestGenerateAll:
         res, n = 16, 4
         cond = CubemapVideo(pixels=np.full((n, 6, res, res, 1), 0.6),
                             masks=np.ones((n, 6, res, res), np.uint8))
-        wp = partition_windows(n, n)
-        plan = plan_order(window_coverage(frame_coverage(cond.masks), wp), wp)
-        denoiser = padded_target_denoiser(cond, 2)
+        windows = partition_windows(n, n)
+        plan = plan_order(window_coverage(frame_coverage(cond.masks), windows), windows)
+        denoiser = padded_target_denoiser(cond.pixels, 2)
         result = generate_all(cond, plan, denoiser,
                               SamplerConfig(steps=2, seed=0), pad=2,
                               history_capacity=1)
@@ -363,8 +362,8 @@ class TestGenerateAll:
         cfg = parse_config(Path(__file__).parents[1] / "configs" / "demo.json")
         truth, frames, poses = sc.synth_scene(cfg)
         cond = sc.conditional_video(cfg.resolution, frames, poses)
-        wp = partition_windows(cfg.num_frames, cfg.window_length)
-        plan = plan_order(window_coverage(frame_coverage(cond.masks), wp), wp)
+        windows = partition_windows(cfg.num_frames, cfg.window_length)
+        plan = plan_order(window_coverage(frame_coverage(cond.masks), windows), windows)
         denoiser = padded_target_denoiser(truth, cfg.pad)
         scfg = SamplerConfig(steps=cfg.sampler_steps, seed=cfg.seed)
         # with an executor, the draw one step ahead is one more padded window
@@ -420,7 +419,7 @@ class TestNoiseAhead:
 
     def run(self, executor=None):
         cfg, truth, cond, plan = small_scene(res=16, n=12, t_win=4)
-        result = generate_all(cond, plan, padded_target_denoiser(cond, 2),
+        result = generate_all(cond, plan, padded_target_denoiser(cond.pixels, 2),
                               SamplerConfig(steps=3, seed=8), pad=2,
                               executor=executor)
         return result.canvas, len(plan.steps)
@@ -498,12 +497,10 @@ class TestPaddedTargetDenoiser:
         # frame by frame on every Euler step
         res = 16
         cfg, truth, cond, plan = small_scene(res=res)
-        video = truth if factory == "oracle" else cond
-        layout = CubeLayout.create(res)  # the strip reference reads its adjacency
+        video = truth if factory == "oracle" else cond.pixels
 
         def uncached(z_t, t, context):
-            frames = [ref.pad_face(dict(zip(FACES, video.pixels[k])),
-                                   context.face, 2, layout)
+            frames = [ref.pad_face(dict(zip(FACES, video[k])), context.face, 2)
                       for k in range(context.start, context.end)]
             return np.stack(frames) - z_t
 
@@ -521,8 +518,7 @@ class TestPaddedTargetDenoiser:
         # the first call never holds a (T, 6, R, R, C) copy of the window
         res, t_win, pad, c = 64, 4, 4, 3
         rng = np.random.default_rng(0)
-        video = CubemapVideo(pixels=rng.random((2 * t_win, 6, res, res, c)),
-                             masks=np.ones((2 * t_win, 6, res, res), np.uint8))
+        video = rng.random((2 * t_win, 6, res, res, c))
         denoiser = padded_target_denoiser(video, pad)
         context = ContextBundle(face="R", window=1, start=0, end=t_win,
                                 hist=(), curr=(), fut=())

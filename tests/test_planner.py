@@ -22,30 +22,30 @@ def random_masks(rng, n=8, res=16, p=0.4):
 
 class TestPartitionWindows:
     def test_two_windows(self):
-        wp = partition_windows(8, 4)
-        assert wp.windows == ((0, 4), (4, 8))
-        assert wp.num_windows == 2
+        windows = partition_windows(8, 4)
+        assert windows == ((0, 4), (4, 8))
+        assert len(windows) == 2
 
     def test_single_window(self):
-        assert partition_windows(4, 4).windows == ((0, 4),)
+        assert partition_windows(4, 4) == ((0, 4),)
 
     def test_indivisible_rejected(self):
         with pytest.raises(ValueError):
             partition_windows(7, 4)
 
     def test_covers_range_disjointly(self):
-        wp = partition_windows(24, 3)
-        seen = [t for s, e in wp.windows for t in range(s, e)]
+        windows = partition_windows(24, 3)
+        seen = [t for s, e in windows for t in range(s, e)]
         assert seen == list(range(24))
 
 
 class TestFrameCoverage:
     def test_all_ones(self):
         fc = frame_coverage(np.ones((2, 6, 4, 4), np.uint8))
-        assert fc.values.shape == (6, 2) and (fc.values == 1.0).all()
+        assert fc.shape == (6, 2) and (fc == 1.0).all()
 
     def test_all_zeros(self):
-        assert (frame_coverage(np.zeros((2, 6, 4, 4), np.uint8)).values == 0.0).all()
+        assert (frame_coverage(np.zeros((2, 6, 4, 4), np.uint8)) == 0.0).all()
 
     def test_matches_pixel_count_oracle(self, rng):
         masks = random_masks(rng)
@@ -54,7 +54,7 @@ class TestFrameCoverage:
             for t in range(8):
                 count = sum(int(masks[t, FACE_INDEX[f], i, j])
                             for i in range(16) for j in range(16))
-                assert fc.value(f, t) == count / 256
+                assert fc[FACE_INDEX[f], t] == count / 256
 
     def test_non_binary_rejected(self):
         masks = np.ones((1, 6, 4, 4), np.uint8)
@@ -70,27 +70,27 @@ class TestFrameCoverage:
 class TestWindowCoverage:
     def test_constant(self):
         fc = frame_coverage(np.zeros((8, 6, 4, 4), np.uint8))
-        fc.values[:] = 0.3
+        fc[:] = 0.3
         ct = window_coverage(fc, partition_windows(8, 4))
-        np.testing.assert_allclose(ct.values, 0.3)
+        np.testing.assert_allclose(ct, 0.3)
 
     def test_single_covered_frame(self):
         masks = np.zeros((4, 6, 4, 4), np.uint8)
         masks[0, FACE_INDEX["F"]] = 1
         ct = window_coverage(frame_coverage(masks), partition_windows(4, 4))
-        assert ct.value("F", 1) == 0.25
+        assert ct[FACE_INDEX["F"], 0] == 0.25
 
     def test_matches_double_loop_oracle(self, rng):
         masks = random_masks(rng)
-        wp = partition_windows(8, 4)
-        ct = window_coverage(frame_coverage(masks), wp)
+        windows = partition_windows(8, 4)
+        ct = window_coverage(frame_coverage(masks), windows)
         for f in FACES:
-            for w, (s, e) in enumerate(wp.windows, start=1):
+            for w, (s, e) in enumerate(windows, start=1):
                 acc = 0.0
                 for t in range(s, e):
                     face_mask = masks[t, FACE_INDEX[f]]
                     acc += face_mask.sum() / face_mask.size
-                assert np.isclose(ct.value(f, w), acc / (e - s), atol=1e-12)
+                assert np.isclose(ct[FACE_INDEX[f], w - 1], acc / (e - s), atol=1e-12)
 
 
 class TestPlanOrder:
@@ -99,8 +99,8 @@ class TestPlanOrder:
         pose = geo.CameraPose(np.eye(3), 90.0, 90.0)
         _, cube_masks = geo.project_perspective_to_cubemap(frame, pose, 16)
         masks = np.repeat(cube_masks[None], 8, axis=0)
-        wp = partition_windows(8, 4)
-        plan = plan_order(window_coverage(frame_coverage(masks), wp), wp)
+        windows = partition_windows(8, 4)
+        plan = plan_order(window_coverage(frame_coverage(masks), windows), windows)
         # F first in each window, the five uncovered faces tie -> canonical
         for w in range(2):
             faces = [s.face for s in plan.steps[6 * w:6 * (w + 1)]]
@@ -108,21 +108,19 @@ class TestPlanOrder:
         assert [s.start for s in plan.steps] == [0] * 6 + [4] * 6
 
     def test_mixed_coverage_row(self):
-        from cubegen.planner import CoverageTable
-        vals = np.array([[0.2], [0.9], [0.0], [0.0], [0.1], [0.0]])
-        ct = CoverageTable(values=vals)
-        wp = partition_windows(4, 4)
-        plan = plan_order(ct, wp)
+        ct = np.array([[0.2], [0.9], [0.0], [0.0], [0.1], [0.0]])
+        windows = partition_windows(4, 4)
+        plan = plan_order(ct, windows)
         assert [s.face for s in plan.steps] == ["R", "F", "U", "B", "L", "D"]
 
     def test_matches_brute_force_oracle(self, rng):
         # acceptance-style: stable sort on per-pixel means, canonical ties
         for _ in range(25):
             masks = random_masks(rng)
-            wp = partition_windows(8, 4)
-            plan = plan_order(window_coverage(frame_coverage(masks), wp), wp)
+            windows = partition_windows(8, 4)
+            plan = plan_order(window_coverage(frame_coverage(masks), windows), windows)
             expect = []
-            for s, e in wp.windows:
+            for s, e in windows:
                 means = {}
                 for f in FACES:
                     total = sum(masks[t, FACE_INDEX[f]].sum() for t in range(s, e))
@@ -133,33 +131,32 @@ class TestPlanOrder:
 
     def test_sorted_by_descending_coverage(self, rng):
         masks = random_masks(rng)
-        wp = partition_windows(8, 2)
-        ct = window_coverage(frame_coverage(masks), wp)
-        plan = plan_order(ct, wp)
-        for w in range(wp.num_windows):
-            cov = [ct.value(s.face, w + 1) for s in plan.steps[6 * w:6 * (w + 1)]]
+        windows = partition_windows(8, 2)
+        ct = window_coverage(frame_coverage(masks), windows)
+        plan = plan_order(ct, windows)
+        for w in range(len(windows)):
+            cov = [ct[FACE_INDEX[s.face], w] for s in plan.steps[6 * w:6 * (w + 1)]]
             assert all(a >= b for a, b in zip(cov, cov[1:]))
 
     def test_invariant_under_monotone_rescaling(self, rng):
-        from cubegen.planner import CoverageTable
         masks = random_masks(rng)
-        wp = partition_windows(8, 4)
-        ct = window_coverage(frame_coverage(masks), wp)
-        rescaled = CoverageTable(values=np.sqrt(ct.values) * 0.9)
-        assert plan_order(ct, wp) == plan_order(rescaled, wp)
+        windows = partition_windows(8, 4)
+        ct = window_coverage(frame_coverage(masks), windows)
+        rescaled = np.sqrt(ct) * 0.9
+        assert plan_order(ct, windows) == plan_order(rescaled, windows)
 
     def test_deterministic(self, rng):
         masks = random_masks(rng)
-        wp = partition_windows(8, 4)
-        ct = window_coverage(frame_coverage(masks), wp)
-        a = plan_order(ct, wp).to_json_dict()
-        b = plan_order(ct, wp).to_json_dict()
+        windows = partition_windows(8, 4)
+        ct = window_coverage(frame_coverage(masks), windows)
+        a = plan_order(ct, windows).to_json_dict()
+        b = plan_order(ct, windows).to_json_dict()
         assert a == b
 
     def test_temporal_causality(self, rng):
         masks = random_masks(rng)
-        wp = partition_windows(8, 2)
-        plan = plan_order(window_coverage(frame_coverage(masks), wp), wp)
+        windows = partition_windows(8, 2)
+        plan = plan_order(window_coverage(frame_coverage(masks), windows), windows)
         for i, si in enumerate(plan.steps):
             for sj in plan.steps[i + 1:]:
                 assert si.end <= sj.start or si.start == sj.start
@@ -167,6 +164,6 @@ class TestPlanOrder:
     def test_json_round_trip(self, rng):
         from cubegen.planner import GenerationPlan
         masks = random_masks(rng)
-        wp = partition_windows(8, 4)
-        plan = plan_order(window_coverage(frame_coverage(masks), wp), wp)
+        windows = partition_windows(8, 4)
+        plan = plan_order(window_coverage(frame_coverage(masks), windows), windows)
         assert GenerationPlan.from_json_dict(plan.to_json_dict()) == plan

@@ -95,8 +95,8 @@ class TestSyntheticScene:
         cfg = default_config(resolution=16, equirect_width=64, seed=5)
         t1, f1, p1 = sc.synth_scene(cfg)
         t2, f2, p2 = sc.synth_scene(cfg)
-        assert t1.pixels.shape == (cfg.num_frames, 6, 16, 16, cfg.channels)
-        assert np.array_equal(t1.pixels, t2.pixels)
+        assert t1.shape == (cfg.num_frames, 6, 16, 16, cfg.channels)
+        assert np.array_equal(t1, t2)
         for a, b in zip(f1, f2):
             assert np.array_equal(a.pixels, b.pixels)
         for a, b in zip(p1, p2):
@@ -108,8 +108,7 @@ class TestSyntheticScene:
         truth, frames, poses = sc.synth_scene(cfg)
         field, frames2, poses2 = sc.synth_inputs(cfg)
         truth2 = field.cubemap_video(cfg.resolution, cfg.num_frames)
-        assert np.array_equal(truth.pixels, truth2.pixels)
-        assert np.array_equal(truth.masks, truth2.masks)
+        assert np.array_equal(truth, truth2)
         assert len(frames2) == len(frames) and len(poses2) == len(poses)
         for a, b in zip(frames, frames2):
             assert np.array_equal(a.pixels, b.pixels)
@@ -122,8 +121,8 @@ class TestSyntheticScene:
         cfg2 = default_config(resolution=16, equirect_width=64, seed=2)
         t1, _, _ = sc.synth_scene(cfg1)
         t2, _, _ = sc.synth_scene(cfg2)
-        assert not np.array_equal(t1.pixels[:, FACE_INDEX["F"]],
-                                  t2.pixels[:, FACE_INDEX["F"]])
+        assert not np.array_equal(t1[:, FACE_INDEX["F"]],
+                                  t2[:, FACE_INDEX["F"]])
 
     def test_field_values_in_unit_interval(self, rng):
         scene = sc.SyntheticScene.random(channels=3, seed=9)
@@ -160,7 +159,7 @@ class TestSyntheticScene:
         cond = sc.conditional_video(cfg.resolution, frames, poses)
         observed = cond.masks.astype(bool)
         assert observed.any()
-        worst = np.abs(cond.pixels - truth.pixels)[observed].max()
+        worst = np.abs(cond.pixels - truth)[observed].max()
         assert worst <= 0.02
 
     def test_masks_nontrivial(self):
