@@ -32,7 +32,6 @@ __all__ = [
     "attention_flops",
     "attention_peak_bytes",
     "dense_attention_flops",
-    "layout_from_bundle",
     "tokens_per_frame",
 ]
 
@@ -43,28 +42,14 @@ BLOCK_ROWS = 64
 
 @dataclass(frozen=True)
 class TokenLayout:
-    """Token partition: G generation tokens then C context tokens.
-
-    ``segments`` optionally records (offset, length, tag) provenance blocks
-    that partition the C context tokens; offsets are context-local from 0.
-    """
+    """Token partition: G generation tokens then C context tokens."""
 
     num_generation: int
     num_context: int
-    segments: tuple = ()
 
     def __post_init__(self):
         if self.num_generation < 0 or self.num_context < 0:
             raise ValueError("token counts must be >= 0")
-        if self.segments:
-            off = 0
-            for seg_off, seg_len, _ in self.segments:
-                if seg_off != off or seg_len < 0:
-                    raise ValueError("segments must tile the context contiguously")
-                off += seg_len
-            if off != self.num_context:
-                raise ValueError(
-                    f"segments cover {off} tokens, context has {self.num_context}")
 
     @property
     def total(self) -> int:
@@ -284,17 +269,3 @@ def tokens_per_frame(resolution: int, patch_size: int) -> int:
             f"patch size {patch_size} must divide face resolution {resolution}")
     return (resolution // patch_size) ** 2
 
-
-def layout_from_bundle(bundle, generation_frames: int, resolution: int,
-                       patch_size: int) -> TokenLayout:
-    """Token layout for a context bundle: one segment per token source."""
-    per_frame = tokens_per_frame(resolution, patch_size)
-    g = generation_frames * per_frame
-    segments = []
-    offset = 0
-    for src in bundle.sources:
-        length = (src.end - src.start) * per_frame
-        segments.append((offset, length, f"{src.kind}:{src.face}"))
-        offset += length
-    return TokenLayout(num_generation=g, num_context=offset,
-                       segments=tuple(segments))

@@ -10,11 +10,12 @@ bench.csv (pass --trials 0 to zero those columns).
 generate runs one side thread next to the sampling loop, so the main
 thread's critical path is the sampling loop itself.  In order, the side
 thread builds the cube-face direction stack and the pad map while the main
-thread loads the inputs; fills the synthetic truth and builds the
-cube->equirect tap table while the main thread projects and plans; then,
-during sampling, it draws each plan step's noise one step ahead
-(``generate_all``'s ``executor``) and resamples and writes each window's
-frames (handed over by ``on_window``) while the next window is sampled.  A
+thread loads the inputs; fills the synthetic truth, when the oracle or
+teacher forcing reads it, and builds the cube->equirect tap table while the
+main thread projects and plans; then, during sampling, it draws each plan
+step's noise one step ahead (``generate_all``'s ``executor``) and resamples
+and writes each window's frames (handed over by ``on_window``) while the
+next window is sampled.  A
 job still queued when the main thread needs it is taken back: the main
 thread cancels it and does the same work itself.  So it draws a step's
 noise queued behind frames, and after sampling it writes the last window's
@@ -171,8 +172,8 @@ def _load_inputs(cfg: RunConfig):
 
 
 def _truth(cfg: RunConfig, field) -> np.ndarray | None:
-    """The synthetic scene's ground-truth (N, 6, R, R, C) cube video, None
-    for file input."""
+    """The synthetic scene's ground-truth (N, 6, R, R, C) cube video; None
+    without a field (file input, or a run that reads no truth)."""
     return None if field is None else field.cubemap_video(cfg.resolution,
                                                           cfg.num_frames)
 
@@ -360,7 +361,9 @@ def _generate(cfg: RunConfig, out_dir: Path) -> None:
         if cfg.mode.teacher_forcing and field is None:
             raise ConfigError("mode.teacher_forcing requires the synthetic scene")
         dirs_job.result()
-        truth_job = side.submit(_truth, cfg, field)
+        # Only the oracle and teacher forcing read the truth.
+        reads_truth = cfg.mode.denoiser == "oracle" or cfg.mode.teacher_forcing
+        truth_job = side.submit(_truth, cfg, field if reads_truth else None)
         taps_job = side.submit(EquirectTaps.create, cfg.resolution,
                                cfg.equirect_width)
         cond = scene_mod.conditional_video(cfg.resolution, frames, poses)

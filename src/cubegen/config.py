@@ -1,4 +1,4 @@
-"""Run configuration: parsing, validation, and desk/paper-scale presets."""
+"""Run configuration: parsing and validation."""
 
 from __future__ import annotations
 
@@ -8,8 +8,7 @@ from functools import reduce
 from pathlib import Path
 
 __all__ = ["SceneConfig", "ModeConfig", "PathsConfig", "RunConfig",
-           "parse_config", "config_from_dict", "default_config",
-           "paper_geometry_config", "ConfigError"]
+           "parse_config", "config_from_dict", "ConfigError"]
 
 DENOISERS = ("oracle", "copy", "zero")
 PROTOCOLS = ("free", "paper")
@@ -160,21 +159,3 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return config_from_dict(obj)
 
-
-def default_config(**overrides) -> RunConfig:
-    """Desk-scale defaults (R=64, N=8, 2 windows); see the README table."""
-    return config_from_dict(overrides)
-
-
-def paper_geometry_config(**overrides) -> RunConfig:
-    """4K shape preset (R=960, W=3840) for dry runs; do not allocate frames."""
-    base = {
-        "resolution": 960,
-        "equirect_width": 3840,
-        "num_frames": 8,
-        "window_length": 4,
-        "scene": {"protocol": "paper", "anchors": 3,
-                  "hfov_deg": 90.0, "vfov_deg": 60.0},
-    }
-    base.update(overrides)
-    return config_from_dict(base)

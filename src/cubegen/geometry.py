@@ -46,15 +46,12 @@ __all__ = [
     "direction_to_face_coords",
     "face_coords_to_direction",
     "face_directions",
-    "face_pixel_directions",
     "project_perspective_to_cubemap",
     "EquirectTaps",
-    "cubemap_to_equirect",
     "equirect_to_cubemap",
     "rotvec_to_matrix",
     "matrix_to_rotvec",
     "sample_trajectory",
-    "equirect_pixel_solid_angles",
     "face_pixel_solid_angles",
     "frustum_solid_angle",
 ]
@@ -101,11 +98,6 @@ class CameraPose:
             "hfov_deg": float(self.hfov_deg),
             "vfov_deg": float(self.vfov_deg),
         }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "CameraPose":
-        rot = np.asarray(obj["rotation"], dtype=np.float64).reshape(3, 3)
-        return cls(rot, float(obj["hfov_deg"]), float(obj["vfov_deg"]))
 
 
 @dataclass(frozen=True)
@@ -166,10 +158,6 @@ class CubemapVideo:
     @property
     def resolution(self) -> int:
         return self.pixels.shape[2]
-
-    @property
-    def channels(self) -> int:
-        return self.pixels.shape[4]
 
 
 # ---------------------------------------------------------------------------
@@ -257,12 +245,6 @@ def face_directions(resolution: int) -> np.ndarray:
     dirs = face_coords_to_direction(np.arange(6)[:, None, None], x, y)
     dirs.flags.writeable = False
     return dirs
-
-
-def face_pixel_directions(face: str, resolution: int) -> np.ndarray:
-    """(R, R, 3) unit directions of pixel centers of one cube face: a
-    read-only view of :func:`face_directions`."""
-    return face_directions(resolution)[FACES.index(face)]
 
 
 # ---------------------------------------------------------------------------
@@ -462,15 +444,6 @@ def project_perspective_to_cubemap(frame: PerspectiveFrame, pose: CameraPose,
     return faces, inside.astype(np.uint8)
 
 
-def cubemap_to_equirect(faces: np.ndarray, width: int) -> np.ndarray:
-    """Resample (6, R, R, C) faces onto a (W/2, W, C) equirectangular grid.
-
-    Builds the (R, W) tap table for one frame; callers resampling many
-    frames build :class:`EquirectTaps` once and apply it per frame."""
-    faces = np.asarray(faces)
-    return EquirectTaps.create(faces.shape[1], width).apply(faces)
-
-
 def equirect_to_cubemap(eq: np.ndarray, resolution: int) -> np.ndarray:
     """Resample a (W/2, W, C) equirectangular grid onto (6, R, R, C) cube
     faces."""
@@ -600,15 +573,6 @@ def sample_trajectory(anchors: list[CameraPose], n_frames: int) -> list[CameraPo
 # ---------------------------------------------------------------------------
 # solid-angle accounting (used by invariants and metrics)
 # ---------------------------------------------------------------------------
-
-def equirect_pixel_solid_angles(width: int) -> np.ndarray:
-    """(H, W) midpoint-rule solid angle of each equirect pixel; sums to ~4*pi."""
-    height = width // 2
-    v = np.arange(height)
-    lat = np.pi / 2.0 - (v + 0.5) / height * np.pi
-    band = np.cos(lat) * (np.pi / height) * (2.0 * np.pi / width)
-    return np.repeat(band[:, None], width, axis=1)
-
 
 def face_pixel_solid_angles(resolution: int) -> np.ndarray:
     """(R, R) midpoint-rule solid angle of each cube-face pixel."""

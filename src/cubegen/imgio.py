@@ -12,13 +12,15 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import _is_number
+from .config import ConfigError
 from .geometry import CameraPose
 
 __all__ = [
     "write_ppm", "read_ppm",
-    "write_pgm", "read_pgm",
+    "write_pgm",
     "write_pfm", "read_pfm",
-    "write_mask_pgm", "read_mask_pgm",
+    "write_mask_pgm",
     "write_poses", "read_poses",
 ]
 
@@ -59,21 +61,12 @@ def write_pgm(path, gray: np.ndarray) -> None:
         fh.write(_quantize(g))
 
 
-def read_pgm(path) -> np.ndarray:
-    """(H, W) float values in [0, 1] of an 8-bit binary P5 file."""
-    return _read_netpbm(path, b"P5", 1)[..., 0]
-
-
 def write_mask_pgm(path, mask: np.ndarray) -> None:
     """Binary mask as P5 with values {0, 255}."""
     m = np.asarray(mask)
     if not ((m == 0) | (m == 1)).all():
         raise ValueError("mask must be binary")
     write_pgm(path, m.astype(np.float64))
-
-
-def read_mask_pgm(path) -> np.ndarray:
-    return (read_pgm(path) >= 0.5).astype(np.uint8)
 
 
 def _read_netpbm(path, magic: bytes, channels: int) -> np.ndarray:
@@ -125,11 +118,26 @@ def write_pfm(path, pixels: np.ndarray) -> None:
 
 
 def read_pfm(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    parts = raw.split(b"\n", 3)
-    magic, dims, scale, data = parts[0], parts[1], float(parts[2]), parts[3]
-    w, h = (int(v) for v in dims.split())
+    """(H, W, 3) or (H, W, 1) float pixels of a "PF" or "Pf" file, which
+    must give two positive dimensions and a numeric scale and hold all
+    W*H*channels floats."""
+    parts = Path(path).read_bytes().split(b"\n", 3)
+    if len(parts) < 4 or parts[0] not in (b"PF", b"Pf"):
+        raise ValueError(f"not a PF or Pf file: {path}")
+    magic, dims, data = parts[0], parts[1].split(), parts[3]
+    if len(dims) != 2 or not all(d.isdigit() and int(d) > 0 for d in dims):
+        raise ValueError(f"{path}: PFM dimensions {parts[1].decode(errors='replace')!r} "
+                         "are not two positive integers")
+    try:
+        scale = float(parts[2])
+    except ValueError:
+        raise ValueError(f"{path}: PFM scale {parts[2].decode(errors='replace')!r} "
+                         "is not a number") from None
+    w, h = (int(v) for v in dims)
     channels = 3 if magic == b"PF" else 1
+    if len(data) < 4 * w * h * channels:
+        raise ValueError(f"{path}: {len(data) // 4} floats of pixel data, "
+                         f"{w}x{h}x{channels} needs {w * h * channels}")
     dtype = "<f4" if scale < 0 else ">f4"
     img = np.frombuffer(data, dtype=dtype, count=w * h * channels)
     img = img.reshape(h, w, channels)[::-1]
@@ -142,5 +150,29 @@ def write_poses(path, poses: list) -> None:
 
 
 def read_poses(path) -> list:
+    """Camera poses of a JSON list of {rotation (9 numbers, row-major),
+    hfov_deg, vfov_deg} records; a bad record raises ``ConfigError`` naming
+    the file, the pose index and the field."""
     obj = json.loads(Path(path).read_text())
-    return [CameraPose.from_json_dict(p) for p in obj]
+    if not isinstance(obj, list):
+        raise ConfigError(f"pose file {path} must hold a JSON list of poses")
+    return [_pose(record, f"pose file {path}, pose {i}") for i, record in enumerate(obj)]
+
+
+def _pose(record, where: str) -> CameraPose:
+    if not isinstance(record, dict):
+        raise ConfigError(f"{where}: must be a JSON object")
+    for key in ("rotation", "hfov_deg", "vfov_deg"):
+        if key not in record:
+            raise ConfigError(f"{where}: field '{key}' is missing")
+    rot = record["rotation"]
+    if not (isinstance(rot, list) and len(rot) == 9 and all(map(_is_number, rot))):
+        raise ConfigError(f"{where}: field 'rotation' must be a list of 9 numbers")
+    for key in ("hfov_deg", "vfov_deg"):
+        if not _is_number(record[key]):
+            raise ConfigError(f"{where}: field '{key}' must be a number")
+    try:  # the pose's own checks name the field: rotation, hfov_deg, vfov_deg
+        return CameraPose(np.reshape(np.asarray(rot, dtype=np.float64), (3, 3)),
+                          float(record["hfov_deg"]), float(record["vfov_deg"]))
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import layout_from_bundle
+from .attention import tokens_per_frame
 from .faces import FACES
 from .geometry import CubemapVideo
 from .planner import GenerationPlan, PlanStep, frame_coverage
@@ -146,13 +146,12 @@ def _check_plan(plan: GenerationPlan, num_frames: int) -> None:
 
 def _log_entry(step: PlanStep, bundle: ContextBundle, resolution: int,
                patch_size: int) -> dict:
-    """The step's context, with its token counts by source kind."""
-    layout = layout_from_bundle(bundle, step.end - step.start, resolution,
-                                patch_size)
-    tokens = {"generation": layout.num_generation,
+    """The step's context, with its token counts summed per source kind."""
+    per_frame = tokens_per_frame(resolution, patch_size)
+    tokens = {"generation": (step.end - step.start) * per_frame,
               "hist": 0, "curr-gen": 0, "curr-cond": 0, "fut": 0}
-    for src, (_, length, _) in zip(bundle.sources, layout.segments):
-        tokens[src.kind] += length
+    for src in bundle.sources:
+        tokens[src.kind] += (src.end - src.start) * per_frame
     return {
         "face": step.face, "s": step.start, "e": step.end,
         "window": bundle.window,

@@ -39,11 +39,6 @@ class GenerationPlan:
     def to_json_dict(self) -> dict:
         return {"steps": [{"face": s.face, "s": s.start, "e": s.end} for s in self.steps]}
 
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "GenerationPlan":
-        steps = tuple(PlanStep(d["face"], int(d["s"]), int(d["e"])) for d in obj["steps"])
-        return cls(steps=steps)
-
 
 def partition_windows(num_frames: int, window_length: int) -> tuple:
     """Split N frames into windows of exactly ``window_length`` frames:

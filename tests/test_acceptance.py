@@ -32,11 +32,11 @@ from cubegen.continuity import (
 from cubegen.faces import FACES, FACE_INDEX, adjacent_faces
 from cubegen.geometry import (
     CameraPose,
+    EquirectTaps,
     PerspectiveFrame,
     equirect_pixel_to_direction,
     equirect_to_cubemap,
-    cubemap_to_equirect,
-    face_pixel_directions,
+    face_directions,
     face_pixel_solid_angles,
     frustum_solid_angle,
     project_perspective_to_cubemap,
@@ -59,14 +59,15 @@ def report(num, text):
 
 def test_criterion_1_projection_round_trip():
     res, width = 64, 256
-    faces = np.stack([smooth_field(face_pixel_directions(f, res)) for f in FACES])
-    back = equirect_to_cubemap(cubemap_to_equirect(faces, width), res)
+    taps = EquirectTaps.create(res, width)
+    faces = smooth_field(face_directions(res))
+    back = equirect_to_cubemap(taps.apply(faces), res)
     err_c = np.abs(back - faces).max()
     assert err_c <= 0.02
 
     u, v = np.meshgrid(np.arange(width), np.arange(width // 2), indexing="xy")
     eq = smooth_field(equirect_pixel_to_direction(u, v, width))
-    back_eq = cubemap_to_equirect(equirect_to_cubemap(eq, res), width)
+    back_eq = taps.apply(equirect_to_cubemap(eq, res))
     err_e = np.abs(back_eq - eq).max()
     assert err_e <= 0.02
 
@@ -201,7 +202,7 @@ def test_criterion_5_linear_complexity_and_wall_clock():
 
 def test_criterion_6_continuity():
     res = 64
-    cube = np.stack([smooth_field(face_pixel_directions(f, res)) for f in FACES])
+    cube = smooth_field(face_directions(res))
     smooth_seam = seam_metric(cube)
     assert smooth_seam <= 0.05
 

@@ -15,7 +15,6 @@ from cubegen.attention import (
     attention_peak_bytes,
     dense_attention_flops,
     dense_masked_attention,
-    layout_from_bundle,
     mask_matrix,
     sparse_context_attention,
     tokens_per_frame,
@@ -353,19 +352,17 @@ class TestLayoutHelpers:
         with pytest.raises(ValueError):
             tokens_per_frame(60, 8)
 
-    def test_layout_from_bundle(self):
-        from cubegen.context import assemble_context
-        from cubegen.planner import PlanStep
-        cond = np.zeros((8, 6, 16, 16, 1))
-        bundle = assemble_context(cond, cond, PlanStep("F", 0, 4), (), 0, [])
-        layout = layout_from_bundle(bundle, generation_frames=4, resolution=16,
-                                    patch_size=8)
-        assert layout.num_generation == 4 * 4
-        assert layout.num_context == 6 * 4 * 4
-        assert len(layout.segments) == 6
-        assert layout.segments[0] == (0, 16, "curr-cond:F")
-
-    def test_segment_tiling_enforced(self):
-        with pytest.raises(ValueError):
-            TokenLayout(num_generation=1, num_context=8,
-                        segments=((0, 4, "a"), (5, 3, "b")))
+    def test_step_tokens_counted_per_source(self):
+        # the first step's bundle: no history, all six faces curr-cond, and
+        # no fragments on an unobserved video; 4 frames of 4 tokens per face
+        from cubegen.geometry import CubemapVideo
+        from cubegen.pipeline import simulate_contexts
+        from cubegen.planner import partition_windows, plan_order
+        cond = CubemapVideo(np.zeros((8, 6, 16, 16, 1)), np.zeros((8, 6, 16, 16)))
+        windows = partition_windows(8, 4)
+        log = simulate_contexts(cond, plan_order(np.zeros((6, 2)), windows),
+                                history_capacity=0, frag_length=4,
+                                frag_threshold=0.5, patch_size=8)
+        assert (log[0]["face"], log[0]["s"], log[0]["e"]) == ("F", 0, 4)
+        assert log[0]["tokens"] == {"generation": 16, "hist": 0, "curr-gen": 0,
+                                    "curr-cond": 96, "fut": 0}

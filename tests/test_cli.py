@@ -16,9 +16,9 @@ from cubegen import artifacts, cli
 from cubegen import scene as sc
 from cubegen.artifacts import load_schema
 from cubegen.attention import BandedMaskSpec, TokenLayout, attention_peak_bytes
-from cubegen.config import default_config, parse_config
+from cubegen.config import config_from_dict, parse_config
 from cubegen.geometry import EquirectTaps
-from cubegen.imgio import read_pfm, read_mask_pgm, write_pfm, write_poses, write_ppm
+from cubegen.imgio import read_pfm, write_pfm, write_poses, write_ppm
 from cubegen.pipeline import SamplerConfig, generate_all
 from cubegen.planner import plan_order
 
@@ -117,9 +117,10 @@ class TestSubcommands:
         masks = sorted(out.glob("mask_*_*.pgm"))
         eq_masks = sorted(out.glob("eq_mask_*.pgm"))
         assert len(conds) == 48 and len(masks) == 48 and len(eq_masks) == 8
-        mask = read_mask_pgm(masks[0])
-        assert mask.shape == (16, 16)
-        assert read_mask_pgm(eq_masks[0]).shape == (32, 64)
+        for path, (h, w) in ((masks[0], (16, 16)), (eq_masks[0], (32, 64))):
+            header, raw = f"P5\n{w} {h}\n255\n".encode(), path.read_bytes()
+            assert raw[:len(header)] == header and len(raw) == len(header) + h * w
+            assert set(raw[len(header):]) <= {0, 255}
         validate_artifact("coverage", json.loads((out / "coverage.json").read_text()))
 
     def test_context_provenance_validates(self, tmp_path):
@@ -181,9 +182,9 @@ class TestSubcommands:
         assert max(report["pool_trace"]) <= 2
         # oracle + teacher forcing: output frames match the analytic scene
         from cubegen import scene as sc
-        cfg = default_config(resolution=32, equirect_width=128, num_frames=8,
-                             window_length=4, pad=2, seed=3,
-                             mode={"teacher_forcing": True, "denoiser": "oracle"})
+        cfg = config_from_dict(dict(resolution=32, equirect_width=128, num_frames=8,
+                                    window_length=4, pad=2, seed=3,
+                                    mode={"teacher_forcing": True, "denoiser": "oracle"}))
         scene = sc.SyntheticScene.random(cfg.channels, cfg.seed)
         expected = sc.render_equirect_video(scene, 128, 8)
         got = np.stack([read_pfm(out / f"frame_{t:03d}.pfm") for t in range(8)])
@@ -298,6 +299,24 @@ class TestDeterminism:
                 continue
             assert p.read_bytes() == (out_b / p.name).read_bytes(), p.name
 
+    def test_zero_denoiser_run_builds_no_truth(self, tmp_path, monkeypatch):
+        # only the oracle and teacher forcing read the truth: a zero-denoiser
+        # run that cannot build it writes the same artifacts
+        cfg = small_cfg(tmp_path, mode={"teacher_forcing": False, "denoiser": "zero"})
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert run(["generate", "--config", cfg, "--out", out_a]) == 0
+
+        def no_truth(*args, **kwargs):
+            raise AssertionError("generate built the synthetic truth")
+
+        monkeypatch.setattr(sc.SyntheticScene, "cubemap_video", no_truth)
+        assert run(["generate", "--config", cfg, "--out", out_b]) == 0
+        names = sorted(p.name for p in out_a.iterdir())
+        assert names == sorted(p.name for p in out_b.iterdir())
+        for name in names:
+            if name != "timings.json":
+                assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
     def test_seed_override_changes_artifacts(self, tmp_path):
         cfg = small_cfg(tmp_path)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -331,7 +350,7 @@ class TestErrorPaths:
     @pytest.mark.parametrize("bad,message", [
         ("nan-frame", "pixels must be finite"),
         ("out-of-range-frame", "pixels must lie in [0, 1]"),
-        ("skewed-pose", "rotation is not orthonormal"),
+        ("skewed-pose", "poses.json, pose 5: rotation is not orthonormal"),
     ], ids=["nan-frame", "out-of-range-frame", "skewed-pose"])
     def test_non_finite_input_frame_rejected_early(self, tmp_path, capsys,
                                                     bad, message):
@@ -360,7 +379,9 @@ class TestErrorPaths:
         assert code == 1
         err = json.loads(capsys.readouterr().err)
         validate_artifact("error", err)
-        assert err["error"]["type"] == "ValueError"
+        # a bad pose is a bad input file: ConfigError, a ValueError
+        assert err["error"]["type"] == ("ConfigError" if bad == "skewed-pose"
+                                        else "ValueError")
         assert message in err["error"]["message"]
         assert not list(out.glob("frame_*.pfm"))
 
@@ -408,6 +429,41 @@ class TestErrorPaths:
         assert run(["generate", "--config", cfg, "--out", out]) == 1
         self.assert_failed_cleanly(out, capsys, "ValueError",
                                    "input_003.ppm: maxval 65535 is outside 1..255")
+        assert not list(out.iterdir())
+
+    def file_input_cfg(self, tmp_path) -> tuple[Path, Path]:
+        """The small scene written as PFM frames and ``poses.json``, and a
+        copy-denoiser config that reads them."""
+        frames_dir = tmp_path / "frames"
+        frames_dir.mkdir()
+        _, frames, poses = sc.synth_scene(parse_config(small_cfg(tmp_path)))
+        for t, frame in enumerate(frames):
+            write_pfm(frames_dir / f"input_{t:03d}.pfm", frame.pixels)
+        write_poses(frames_dir / "poses.json", poses)
+        return frames_dir, small_cfg(
+            tmp_path, paths={"frames_dir": str(frames_dir),
+                             "poses": str(frames_dir / "poses.json")},
+            mode={"teacher_forcing": False, "denoiser": "copy"})
+
+    def test_short_pfm_input_rejected(self, tmp_path, capsys):
+        frames_dir, cfg = self.file_input_cfg(tmp_path)
+        path = frames_dir / "input_002.pfm"
+        path.write_bytes(path.read_bytes()[:-4])
+        out = tmp_path / "o"
+        assert run(["generate", "--config", cfg, "--out", out]) == 1
+        self.assert_failed_cleanly(out, capsys, "ValueError",
+                                   "input_002.pfm: 383 floats of pixel data")
+        assert not list(out.iterdir())
+
+    def test_bad_pose_record_rejected(self, tmp_path, capsys):
+        frames_dir, cfg = self.file_input_cfg(tmp_path)
+        records = json.loads((frames_dir / "poses.json").read_text())
+        del records[4]["vfov_deg"]
+        (frames_dir / "poses.json").write_text(json.dumps(records))
+        out = tmp_path / "o"
+        assert run(["generate", "--config", cfg, "--out", out]) == 1
+        self.assert_failed_cleanly(out, capsys, "ConfigError",
+                                   "poses.json, pose 4: field 'vfov_deg' is missing")
         assert not list(out.iterdir())
 
     def assert_failed_cleanly(self, out, capsys, error_type, message):

@@ -21,7 +21,7 @@ from cubegen.continuity import (
     pad_face,
     seam_metric,
 )
-from cubegen.geometry import face_pixel_directions
+from cubegen.geometry import face_directions
 
 import strip_reference as ref
 from conftest import smooth_field
@@ -29,7 +29,7 @@ from conftest import smooth_field
 
 def make_cube(res, fn):
     """(6, R, R, C) faces of an analytic field, canonical order."""
-    return np.stack([fn(face_pixel_directions(f, res)) for f in FACES])
+    return fn(face_directions(res))
 
 
 def random_cube(rng, res, c=2):

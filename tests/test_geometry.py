@@ -204,9 +204,17 @@ class TestProjectPerspective:
 
 # ── cubemap <-> equirect ─────────────────────────────────────────────────
 
+def equirect_cell_weights(width):
+    """cos(latitude) of each (W/2, W) equirect pixel centre, read off its
+    direction: proportional to the pixel's solid angle."""
+    u, v = np.meshgrid(np.arange(width), np.arange(width // 2), indexing="xy")
+    y = geo.equirect_pixel_to_direction(u, v, width)[..., 1]
+    return np.sqrt(1.0 - y * y)
+
+
 class TestCubemapEquirect:
     def test_constant_cubemap_constant_equirect(self):
-        eq = geo.cubemap_to_equirect(np.full((6, 8, 8, 2), 0.7), 64)
+        eq = geo.EquirectTaps.create(8, 64).apply(np.full((6, 8, 8, 2), 0.7))
         assert eq.shape == (32, 64, 2)
         np.testing.assert_allclose(eq, 0.7, atol=1e-12)
 
@@ -218,8 +226,8 @@ class TestCubemapEquirect:
 
     def test_band_limited_round_trip_cubemap_start(self):
         res, w = 64, 256
-        faces = np.stack([smooth_field(geo.face_pixel_directions(f, res)) for f in FACES])
-        back = geo.equirect_to_cubemap(geo.cubemap_to_equirect(faces, 4 * res), res)
+        faces = smooth_field(geo.face_directions(res))
+        back = geo.equirect_to_cubemap(geo.EquirectTaps.create(res, w).apply(faces), res)
         for i in range(6):
             assert np.abs(back[i] - faces[i]).max() <= 0.02
 
@@ -227,7 +235,7 @@ class TestCubemapEquirect:
         res, w = 64, 256
         u, v = np.meshgrid(np.arange(w), np.arange(w // 2), indexing="xy")
         eq = smooth_field(geo.equirect_pixel_to_direction(u, v, w))
-        back = geo.cubemap_to_equirect(geo.equirect_to_cubemap(eq, res), w)
+        back = geo.EquirectTaps.create(res, w).apply(geo.equirect_to_cubemap(eq, res))
         assert np.abs(back - eq).max() <= 0.02
 
     def test_single_face_solid_angle_fraction(self):
@@ -236,8 +244,8 @@ class TestCubemapEquirect:
         res, w = 64, 512
         faces = np.zeros((6, res, res, 1))
         faces[FACE_INDEX["F"]] = 1.0
-        eq = geo.cubemap_to_equirect(faces, w)
-        area = geo.equirect_pixel_solid_angles(w)
+        eq = geo.EquirectTaps.create(res, w).apply(faces)
+        area = equirect_cell_weights(w)
         measured = (eq[..., 0] * area).sum() / area.sum()
 
         u, v = np.meshgrid(np.arange(w), np.arange(w // 2), indexing="xy")
@@ -254,16 +262,12 @@ class TestCubemapEquirect:
 
     def test_width_not_multiple_of_four_rejected(self):
         with pytest.raises(ValueError):
-            geo.cubemap_to_equirect(np.zeros((6, 4, 4, 1)), 30)
+            geo.EquirectTaps.create(4, 30)
 
     @pytest.mark.parametrize("shape", [(32, 32, 1), (32, 64)])
     def test_equirect_shape_rejected(self, shape):
         with pytest.raises(ValueError, match="equirect grid"):
             geo.equirect_to_cubemap(np.zeros(shape), 8)
-
-    def test_total_equirect_solid_angle(self):
-        total = geo.equirect_pixel_solid_angles(512).sum()
-        assert abs(total - 4 * np.pi) / (4 * np.pi) <= 1e-3
 
     def test_mask_transfer_stays_binary_and_tracks_coverage(self):
         # nearest-neighbor mask resampling: binary output, and the observed
@@ -273,10 +277,10 @@ class TestCubemapEquirect:
             frame, CameraPose(np.eye(3), 90.0, 60.0), 64)
         eq_mask = geo.EquirectTaps.create(64, 256).apply_mask(masks)
         assert set(np.unique(eq_mask)) <= {0, 1}
-        area = geo.equirect_pixel_solid_angles(256)
-        observed = (area * eq_mask).sum()
+        area = equirect_cell_weights(256)
+        observed = (area * eq_mask).sum() / area.sum()
         w = geo.face_pixel_solid_angles(64)
-        expected = (w * masks).sum()
+        expected = (w * masks).sum() / (6 * w.sum())
         assert abs(observed - expected) / expected <= 0.02
 
 
@@ -391,8 +395,6 @@ class TestEquirectTaps:
         masks = (rng.random((6, res, res)) < 0.5).astype(np.uint8)
         taps = geo.EquirectTaps.create(res, width)
         assert_resampled(taps.apply(faces), faces, width)
-        assert np.array_equal(geo.cubemap_to_equirect(faces, width),
-                              taps.apply(faces))
         assert np.array_equal(taps.apply_mask(masks),
                               ref_mask_to_equirect(masks, width))
 
@@ -544,7 +546,7 @@ class TestDirectionStack:
     @pytest.mark.parametrize("res", [1, 4, 64, 256])
     def test_face_views_equal_meshgrid_formula(self, res):
         for f in FACES:
-            got = geo.face_pixel_directions(f, res)
+            got = geo.face_directions(res)[FACE_INDEX[f]]
             assert got.tobytes() == ref_face_pixel_directions(f, res).tobytes()
 
     def test_read_only_and_cached(self):
@@ -554,7 +556,7 @@ class TestDirectionStack:
         with pytest.raises(ValueError):
             dirs[0, 0, 0, 0] = 1.0
         with pytest.raises(ValueError):
-            geo.face_pixel_directions("U", 8)[...] = 0.0
+            geo.face_directions(8)[FACE_INDEX["U"]][...] = 0.0
 
     @pytest.mark.parametrize("res", [4, 64, 256])
     @pytest.mark.parametrize("case", ["demo", "up", "down", "hfov179", "gray"])
@@ -659,7 +661,7 @@ class TestCubemapVideoValidation:
         video = CubemapVideo(pixels=pixels.astype(np.float32), masks=masks.astype(dtype))
         assert video.masks.dtype == np.uint8 and video.pixels.dtype == np.float64
         assert video.masks.flat[5] == 0 and video.masks.sum() == video.masks.size - 1
-        assert (video.num_frames, video.resolution, video.channels) == (2, 4, 1)
+        assert (video.num_frames, video.resolution, video.pixels.shape[4]) == (2, 4, 1)
 
 
 class TestPerspectiveFrameValidation:

@@ -1,11 +1,13 @@
 """Image and pose serialization round trips."""
 
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from cubegen import imgio
+from cubegen.config import ConfigError
 from cubegen.geometry import CameraPose
 
 
@@ -39,10 +41,10 @@ class TestPgmMask:
         mask = (rng.random((9, 9)) < 0.5).astype(np.uint8)
         path = tmp_path / "m.pgm"
         imgio.write_mask_pgm(path, mask)
-        np.testing.assert_array_equal(imgio.read_mask_pgm(path), mask)
-        raw = path.read_bytes()
-        body = raw.split(b"\n", 3)[3]
-        assert set(body) <= {0, 255}
+        *head, body = path.read_bytes().split(b"\n", 3)
+        assert head == [b"P5", b"9 9", b"255"]
+        np.testing.assert_array_equal(np.frombuffer(body, np.uint8).reshape(9, 9),
+                                      255 * mask)
 
     def test_non_binary_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -54,8 +56,7 @@ class TestNetpbmInput:
     block fails with the file's name instead of loading wrong values."""
 
     @pytest.mark.parametrize("maxval", [65535, 0], ids=["16bit", "zero"])
-    @pytest.mark.parametrize("magic,channels,reader", [
-        ("P5", 1, imgio.read_pgm), ("P6", 3, imgio.read_ppm)])
+    @pytest.mark.parametrize("magic,channels,reader", [("P6", 3, imgio.read_ppm)])
     def test_maxval_outside_8bit_rejected(self, tmp_path, magic, channels,
                                           reader, maxval):
         path = tmp_path / "wide.pnm"
@@ -72,9 +73,9 @@ class TestNetpbmInput:
             imgio.read_ppm(path)
 
     def test_lower_maxval_scales_to_unit_range(self, tmp_path):
-        path = tmp_path / "low.pgm"
-        path.write_bytes(b"P5\n2 1\n15\n" + bytes([0, 15]))
-        np.testing.assert_array_equal(imgio.read_pgm(path), [[0.0, 1.0]])
+        path = tmp_path / "low.ppm"
+        path.write_bytes(b"P6\n2 1\n15\n" + bytes([0, 0, 0, 15, 15, 15]))
+        np.testing.assert_array_equal(imgio.read_ppm(path), [[[0.0] * 3, [1.0] * 3]])
 
     def test_wrong_magic_rejected(self, rng, tmp_path):
         path = tmp_path / "gray.pgm"
@@ -84,6 +85,19 @@ class TestNetpbmInput:
 
 
 class TestPfm:
+    @pytest.mark.parametrize("head,match", [
+        (b"PX\n2 2\n-1.0\n", r"not a PF or Pf file: .*bad\.pfm"),
+        (b"Pf\n2\n-1.0\n", r"bad\.pfm: PFM dimensions '2' are not two positive"),
+        (b"PF\n0 2\n-1.0\n", r"bad\.pfm: PFM dimensions '0 2' are not two positive"),
+        (b"PF\n2 2\nhalf\n", r"bad\.pfm: PFM scale 'half' is not a number"),
+        (b"PF\n2 2\n-1.0\n", r"bad\.pfm: 4 floats of pixel data, 2x2x3 needs 12"),
+    ], ids=["magic", "one-dimension", "zero-width", "scale", "short-data"])
+    def test_bad_file_rejected_with_its_name(self, tmp_path, head, match):
+        path = tmp_path / "bad.pfm"
+        path.write_bytes(head + bytes(16))
+        with pytest.raises(ValueError, match=match):
+            imgio.read_pfm(path)
+
     def test_color_round_trip_float32_exact(self, rng, tmp_path):
         img = rng.standard_normal((10, 14, 3)).astype(np.float32)
         path = tmp_path / "x.pfm"
@@ -164,6 +178,29 @@ class TestWriterBytes:
 
 
 class TestPoses:
+    @pytest.mark.parametrize("records,match", [
+        ({"rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1]}, "must hold a JSON list"),
+        ([[1, 0, 0, 0, 1, 0, 0, 0, 1]], "pose 0: must be a JSON object"),
+        ([{"rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1], "hfov_deg": 90}],
+         "pose 0: field 'vfov_deg' is missing"),
+        ([{"rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1], "vfov_deg": 60}],
+         "pose 0: field 'hfov_deg' is missing"),
+        ([{"hfov_deg": 90, "vfov_deg": 60}], "pose 0: field 'rotation' is missing"),
+        ([{"rotation": [1, 0, 0], "hfov_deg": 90, "vfov_deg": 60}],
+         "pose 0: field 'rotation' must be a list of 9 numbers"),
+        ([{"rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1], "hfov_deg": "90",
+           "vfov_deg": 60}], "pose 0: field 'hfov_deg' must be a number"),
+        ([{"rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1], "hfov_deg": 90, "vfov_deg": 60},
+          {"rotation": [1, 0.5, 0, 0, 1, 0, 0, 0, 1], "hfov_deg": 90,
+           "vfov_deg": 60}], "pose 1: rotation is not orthonormal"),
+    ], ids=["not-a-list", "not-an-object", "no-vfov", "no-hfov", "no-rotation", "rotation-of-3",
+            "string-fov", "skewed-rotation"])
+    def test_bad_record_names_file_pose_and_field(self, tmp_path, records, match):
+        path = tmp_path / "poses.json"
+        path.write_text(json.dumps(records))
+        with pytest.raises(ConfigError, match=rf"poses\.json.*{match}"):
+            imgio.read_poses(path)
+
     def test_round_trip(self, tmp_path):
         a = np.radians(30)
         rot = np.array([[np.cos(a), 0, np.sin(a)], [0, 1, 0],

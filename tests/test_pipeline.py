@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from cubegen.faces import FACES, FACE_INDEX
-from cubegen.config import default_config, parse_config
+from cubegen.config import config_from_dict, parse_config
 from cubegen.context import ContextBundle
 from cubegen.geometry import CubemapVideo, EquirectTaps
 from cubegen.planner import (
@@ -39,8 +39,8 @@ import strip_reference as ref
 
 
 def small_scene(res=32, n=8, t_win=4, seed=7):
-    cfg = default_config(resolution=res, equirect_width=4 * res,
-                         num_frames=n, window_length=t_win, seed=seed)
+    cfg = config_from_dict(dict(resolution=res, equirect_width=4 * res,
+                                num_frames=n, window_length=t_win, seed=seed))
     truth, frames, poses = sc.synth_scene(cfg)
     cond = sc.conditional_video(res, frames, poses)
     windows = partition_windows(n, t_win)

@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,45 +10,45 @@ import pytest
 from cubegen.config import (
     ConfigError,
     config_from_dict,
-    default_config,
-    paper_geometry_config,
     parse_config,
 )
 from cubegen import geometry as geo
 from cubegen import scene as sc
 from cubegen.faces import FACE_INDEX
 
+PAPER_GEOMETRY = Path(__file__).resolve().parents[1] / "configs" / "paper_geometry.json"
+
 
 class TestRunConfig:
     def test_minimal_round_trip(self, tmp_path):
-        cfg = default_config(seed=3)
+        cfg = config_from_dict(dict(seed=3))
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg.to_json_dict()))
         assert parse_config(path) == cfg
 
     def test_divisibility_rejection_names_field(self):
         with pytest.raises(ConfigError, match="num_frames.*divisible"):
-            default_config(num_frames=7)
+            config_from_dict(dict(num_frames=7))
 
     def test_threshold_rejection(self):
         with pytest.raises(ConfigError, match="frag_threshold"):
-            default_config(frag_threshold=1.5)
+            config_from_dict(dict(frag_threshold=1.5))
 
     def test_width_must_be_4r(self):
         with pytest.raises(ConfigError, match="equirect_width"):
-            default_config(equirect_width=300)
+            config_from_dict(dict(equirect_width=300))
 
     def test_default_bandwidth_is_face_token_count(self):
-        cfg = default_config()
+        cfg = config_from_dict({})
         assert cfg.bandwidth == (64 // 8) ** 2
 
     def test_default_pad_is_r_over_16(self):
-        assert default_config().pad == 4
-        assert paper_geometry_config().pad == 60
+        assert config_from_dict({}).pad == 4
+        assert parse_config(PAPER_GEOMETRY).pad == 60
 
     def test_pad_bounds(self):
         with pytest.raises(ConfigError, match="pad"):
-            default_config(pad=40)
+            config_from_dict(dict(pad=40))
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
@@ -55,28 +56,28 @@ class TestRunConfig:
 
     def test_denoiser_name_checked(self):
         with pytest.raises(ConfigError, match="mode.denoiser"):
-            default_config(mode={"denoiser": "magic"})
+            config_from_dict(dict(mode={"denoiser": "magic"}))
 
     def test_paper_protocol_anchor_range(self):
         with pytest.raises(ConfigError, match="anchors"):
-            default_config(scene={"protocol": "paper", "anchors": 2})
+            config_from_dict(dict(scene={"protocol": "paper", "anchors": 2}))
         with pytest.raises(ConfigError, match="anchors"):
-            default_config(scene={"protocol": "paper", "anchors": 6})
-        cfg = default_config(scene={"protocol": "paper", "anchors": 4,
-                                    "hfov_deg": 100.0, "vfov_deg": 80.0})
+            config_from_dict(dict(scene={"protocol": "paper", "anchors": 6}))
+        cfg = config_from_dict(dict(scene={"protocol": "paper", "anchors": 4,
+                                           "hfov_deg": 100.0, "vfov_deg": 80.0}))
         assert cfg.scene.anchors == 4
 
     def test_paper_protocol_fov_range(self):
         with pytest.raises(ConfigError, match="hfov"):
-            default_config(scene={"protocol": "paper", "anchors": 3,
-                                  "hfov_deg": 150.0})
+            config_from_dict(dict(scene={"protocol": "paper", "anchors": 3,
+                                         "hfov_deg": 150.0}))
         # free protocol allows it
-        cfg = default_config(scene={"protocol": "free", "anchors": 3,
-                                    "hfov_deg": 150.0})
+        cfg = config_from_dict(dict(scene={"protocol": "free", "anchors": 3,
+                                           "hfov_deg": 150.0}))
         assert cfg.scene.hfov_deg == 150.0
 
     def test_paper_geometry_preset(self):
-        cfg = paper_geometry_config()
+        cfg = parse_config(PAPER_GEOMETRY)
         assert cfg.resolution == 960 and cfg.equirect_width == 3840
 
     def test_missing_file(self, tmp_path):
@@ -92,7 +93,7 @@ class TestRunConfig:
 
 class TestSyntheticScene:
     def test_seed_determinism(self):
-        cfg = default_config(resolution=16, equirect_width=64, seed=5)
+        cfg = config_from_dict(dict(resolution=16, equirect_width=64, seed=5))
         t1, f1, p1 = sc.synth_scene(cfg)
         t2, f2, p2 = sc.synth_scene(cfg)
         assert t1.shape == (cfg.num_frames, 6, 16, 16, cfg.channels)
@@ -104,7 +105,7 @@ class TestSyntheticScene:
 
     def test_synth_inputs_plus_truth_is_synth_scene(self):
         # generate fills the truth on a side thread from the split helper
-        cfg = default_config(resolution=16, equirect_width=64, seed=5)
+        cfg = config_from_dict(dict(resolution=16, equirect_width=64, seed=5))
         truth, frames, poses = sc.synth_scene(cfg)
         field, frames2, poses2 = sc.synth_inputs(cfg)
         truth2 = field.cubemap_video(cfg.resolution, cfg.num_frames)
@@ -117,8 +118,8 @@ class TestSyntheticScene:
             assert (a.hfov_deg, a.vfov_deg) == (b.hfov_deg, b.vfov_deg)
 
     def test_different_seeds_differ(self):
-        cfg1 = default_config(resolution=16, equirect_width=64, seed=1)
-        cfg2 = default_config(resolution=16, equirect_width=64, seed=2)
+        cfg1 = config_from_dict(dict(resolution=16, equirect_width=64, seed=1))
+        cfg2 = config_from_dict(dict(resolution=16, equirect_width=64, seed=2))
         t1, _, _ = sc.synth_scene(cfg1)
         t2, _, _ = sc.synth_scene(cfg2)
         assert not np.array_equal(t1[:, FACE_INDEX["F"]],
@@ -154,7 +155,7 @@ class TestSyntheticScene:
     def test_reprojection_self_consistency(self):
         # rendered perspective frames re-projected onto the cubemap agree
         # with the ground truth wherever observed (bilinear error budget)
-        cfg = default_config(resolution=32, equirect_width=128, seed=11)
+        cfg = config_from_dict(dict(resolution=32, equirect_width=128, seed=11))
         truth, frames, poses = sc.synth_scene(cfg)
         cond = sc.conditional_video(cfg.resolution, frames, poses)
         observed = cond.masks.astype(bool)
@@ -163,7 +164,7 @@ class TestSyntheticScene:
         assert worst <= 0.02
 
     def test_masks_nontrivial(self):
-        cfg = default_config(resolution=32, equirect_width=128, seed=11)
+        cfg = config_from_dict(dict(resolution=32, equirect_width=128, seed=11))
         truth, frames, poses = sc.synth_scene(cfg)
         cond = sc.conditional_video(cfg.resolution, frames, poses)
         total = cond.masks.mean(axis=(0, 2, 3)).sum()
@@ -173,7 +174,7 @@ class TestSyntheticScene:
         # filled in place frame by frame: the peak is the result plus one
         # frame's projection, not every frame's projection plus their stack
         res, n = 64, 8
-        cfg = default_config(resolution=res, num_frames=n, channels=3)
+        cfg = config_from_dict(dict(resolution=res, num_frames=n, channels=3))
         _, frames, poses = sc.synth_scene(cfg)
         # the per-R direction stack is shared fixed work; build it first
         sc.conditional_video(res, frames[:1], poses[:1])
@@ -187,7 +188,7 @@ class TestSyntheticScene:
         assert peak <= 1.3 * video.pixels.nbytes, (peak, video.pixels.nbytes)
 
     def test_conditional_video_rejects_pose_count_mismatch(self):
-        cfg = default_config(resolution=16, equirect_width=64, num_frames=8)
+        cfg = config_from_dict(dict(resolution=16, equirect_width=64, num_frames=8))
         _, frames, poses = sc.synth_scene(cfg)
         with pytest.raises(ValueError, match="poses"):
             sc.conditional_video(16, frames, poses[:-1])
