@@ -70,13 +70,12 @@ from .imgio import (
     write_ppm,
 )
 from .pipeline import (
-    SamplerConfig,
     generate_all,
     padded_target_denoiser,
     simulate_contexts,
     zero_denoiser,
 )
-from .planner import frame_coverage, partition_windows, plan_order, window_coverage
+from .planner import frame_coverage, plan_order, plan_steps, window_coverage
 
 SUBCOMMANDS = ("project", "plan", "context", "attend-bench", "generate", "metrics")
 
@@ -154,7 +153,7 @@ def _load_inputs(cfg: RunConfig):
                           "must be provided together")
     poses = read_poses(cfg.paths.poses)
     frame_dir = Path(cfg.paths.frames_dir)
-    files = sorted(frame_dir.glob("*.pfm")) + sorted(frame_dir.glob("*.ppm"))
+    files = sorted([*frame_dir.glob("*.pfm"), *frame_dir.glob("*.ppm")])
     if len(files) != cfg.num_frames:
         raise ConfigError(
             f"paths.frames_dir holds {len(files)} frames, config expects "
@@ -179,10 +178,9 @@ def _truth(cfg: RunConfig, field) -> np.ndarray | None:
 
 
 def _coverage_tables(cfg: RunConfig, cond: CubemapVideo):
-    """(6, N) frame coverage, the windows, and (6, L) window coverage."""
+    """(6, N) frame coverage and (6, L) window coverage."""
     fc = frame_coverage(cond.masks)
-    windows = partition_windows(cfg.num_frames, cfg.window_length)
-    return fc, windows, window_coverage(fc, windows)
+    return fc, window_coverage(fc, cfg.window_length)
 
 
 def _coverage_json(fc: np.ndarray, ct: np.ndarray) -> dict:
@@ -206,7 +204,7 @@ def _write_image(path_base: Path, pixels: np.ndarray) -> None:
 def cmd_project(cfg: RunConfig, out_dir: Path) -> None:
     _, frames, poses = _load_inputs(cfg)
     cond = scene_mod.conditional_video(cfg.resolution, frames, poses)
-    fc, _, ct = _coverage_tables(cfg, cond)
+    fc, ct = _coverage_tables(cfg, cond)
     for i, f in enumerate(FACES):
         for t in range(cfg.num_frames):
             _write_image(out_dir / f"cond_{f}_{t:03d}", cond.pixels[t, i])
@@ -222,9 +220,9 @@ def cmd_project(cfg: RunConfig, out_dir: Path) -> None:
 def cmd_plan(cfg: RunConfig, out_dir: Path) -> None:
     _, frames, poses = _load_inputs(cfg)
     cond = scene_mod.conditional_video(cfg.resolution, frames, poses)
-    fc, windows, ct = _coverage_tables(cfg, cond)
-    plan = plan_order(ct, windows)
-    write_json_artifact(out_dir / "plan.json", "plan", plan.to_json_dict())
+    fc, ct = _coverage_tables(cfg, cond)
+    write_json_artifact(out_dir / "plan.json", "plan",
+                        {"steps": plan_steps(plan_order(ct), cfg.window_length)})
     write_json_artifact(out_dir / "coverage.json", "coverage",
                         _coverage_json(fc, ct))
 
@@ -234,8 +232,8 @@ def cmd_context(cfg: RunConfig, out_dir: Path) -> None:
     on content, so no truth is built."""
     _, frames, poses = _load_inputs(cfg)
     cond = scene_mod.conditional_video(cfg.resolution, frames, poses)
-    _, windows, ct = _coverage_tables(cfg, cond)
-    entries = simulate_contexts(cond, plan_order(ct, windows),
+    _, ct = _coverage_tables(cfg, cond)
+    entries = simulate_contexts(cond, plan_order(ct),
                                 history_capacity=cfg.history,
                                 frag_length=cfg.frag_length,
                                 frag_threshold=cfg.frag_threshold,
@@ -367,8 +365,8 @@ def _generate(cfg: RunConfig, out_dir: Path) -> None:
         taps_job = side.submit(EquirectTaps.create, cfg.resolution,
                                cfg.equirect_width)
         cond = scene_mod.conditional_video(cfg.resolution, frames, poses)
-        _, windows, ct = _coverage_tables(cfg, cond)
-        plan = plan_order(ct, windows)
+        _, ct = _coverage_tables(cfg, cond)
+        order = plan_order(ct)
         truth = truth_job.result()
         marks.append(time.perf_counter())
 
@@ -385,8 +383,8 @@ def _generate(cfg: RunConfig, out_dir: Path) -> None:
                              frame))
 
         result = generate_all(
-            cond, plan, _make_denoiser(cfg, truth, cond),
-            SamplerConfig(steps=cfg.sampler_steps, seed=cfg.seed),
+            cond, order, _make_denoiser(cfg, truth, cond),
+            steps=cfg.sampler_steps, seed=cfg.seed,
             pad=cfg.pad, history_capacity=cfg.history,
             frag_length=cfg.frag_length, frag_threshold=cfg.frag_threshold,
             patch_size=cfg.patch_size,
@@ -397,7 +395,7 @@ def _generate(cfg: RunConfig, out_dir: Path) -> None:
         # The report is built while the side thread writes the last window.
         report = {
             "config": cfg.to_json_dict(),
-            "plan": plan.to_json_dict()["steps"],
+            "plan": plan_steps(order, cfg.window_length),
             "pool_trace": result.pool_trace,
             "resident_trace": result.resident_trace,
             "peak_resident": result.peak_resident,
@@ -450,9 +448,7 @@ def _seam_per_frame(video: np.ndarray) -> list[float]:
 
 def _write_dry_run(cfg: RunConfig, out_dir: Path) -> None:
     """Shape-only accounting for paper-scale geometry; no pixel buffers."""
-    steps = [{"face": f, "s": s, "e": e}
-             for s, e in partition_windows(cfg.num_frames, cfg.window_length)
-             for f in FACES]
+    canonical = np.tile(np.arange(6), (cfg.num_frames // cfg.window_length, 1))
     per_frame = tokens_per_frame(cfg.resolution, cfg.patch_size)
     g = cfg.window_length * per_frame
     # worst case: H full windows (6 faces), 6 current sources, 5 fragments
@@ -465,7 +461,7 @@ def _write_dry_run(cfg: RunConfig, out_dir: Path) -> None:
     peak_bound = 6 * (cfg.history + 1) + 5
     report = {
         "config": cfg.to_json_dict(),
-        "plan": steps,
+        "plan": plan_steps(canonical, cfg.window_length),
         "tokens": {
             "generation": g,
             "max_context": max_context,
@@ -485,7 +481,7 @@ def cmd_metrics(cfg: RunConfig, out_dir: Path) -> None:
     field, frames, poses = _load_inputs(cfg)
     truth = _truth(cfg, field)
     cond = scene_mod.conditional_video(cfg.resolution, frames, poses)
-    fc, _, ct = _coverage_tables(cfg, cond)
+    fc, ct = _coverage_tables(cfg, cond)
     report = {
         "seam_per_frame": _seam_per_frame(cond.pixels if truth is None else truth),
         "coverage": {

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .faces import FACES, FACE_INDEX, adjacent_faces
-from .planner import PlanStep
 
 __all__ = [
     "FragmentSpec",
@@ -120,14 +119,15 @@ class ContextBundle:
         return [s.provenance() for s in self.sources]
 
 
-def assemble_context(source: np.ndarray, cond: np.ndarray, step: PlanStep,
-                     done: tuple, capacity: int,
+def assemble_context(source: np.ndarray, cond: np.ndarray, face: str, s: int,
+                     e: int, done: tuple, capacity: int,
                      fragments: list[FragmentSpec]) -> ContextBundle:
-    """Build the [hist; curr; fut] bundle for generating ``step``.
+    """Build the [hist; curr; fut] bundle for generating ``face`` over the
+    window of frames [s, e).
 
     ``source`` is the (N, 6, R, R, C) video being composed and ``cond`` the
-    conditional one; ``done`` names the faces of the step's window generated
-    before it, in generation order.  hist views ``source`` over the last
+    conditional one; ``done`` names the faces of the window generated before
+    ``face``, in generation order.  hist views ``source`` over the last
     ``capacity`` windows, all six faces each.  curr holds the done faces from
     ``source``, then the conditional input of the others (current face
     included) in canonical order.  fut views ``cond`` over ``fragments``.
@@ -137,7 +137,6 @@ def assemble_context(source: np.ndarray, cond: np.ndarray, step: PlanStep,
     does: with the ramp blends that faces generated later in the same window
     wrote into their border strips.
     """
-    s, e = step.start, step.end
     length = e - s
     window = s // length + 1
     hist = tuple(
@@ -154,7 +153,7 @@ def assemble_context(source: np.ndarray, cond: np.ndarray, step: PlanStep,
                             content=_view(cond, fr.face, fr.start,
                                           fr.start + fr.length))
                 for fr in fragments)
-    return ContextBundle(face=step.face, window=window, start=s, end=e,
+    return ContextBundle(face=face, window=window, start=s, end=e,
                          hist=hist, curr=curr, fut=fut)
 
 

@@ -75,19 +75,25 @@ def _read_netpbm(path, magic: bytes, channels: int) -> np.ndarray:
     its W*H*channels samples."""
     raw = Path(path).read_bytes()
     fields, pos = [], 0
-    while len(fields) < 4:
+    while len(fields) < 4 and pos < len(raw):
         while pos < len(raw) and raw[pos : pos + 1].isspace():
             pos += 1
-        if raw[pos : pos + 1] == b"#":  # comment line
-            pos = raw.index(b"\n", pos) + 1
+        if raw[pos : pos + 1] == b"#":  # comment line, maybe the file's last
+            end = raw.find(b"\n", pos)
+            pos = len(raw) if end < 0 else end + 1
             continue
         start = pos
         while pos < len(raw) and not raw[pos : pos + 1].isspace():
             pos += 1
-        fields.append(raw[start:pos])
+        if pos > start:
+            fields.append(raw[start:pos])
     pos += 1  # single whitespace after maxval
-    if fields[0] != magic:
+    if fields[:1] != [magic]:
         raise ValueError(f"not a {magic.decode()} file: {path}")
+    if len(fields) < 4 or not all(f.isdigit() for f in fields[1:]):
+        raise ValueError(f"{path}: {magic.decode()} header "
+                         f"{b' '.join(fields[1:]).decode(errors='replace')!r} is "
+                         "not a width, a height and a maxval")
     w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
     if not 1 <= maxval <= 255:
         raise ValueError(f"{path}: maxval {maxval} is outside 1..255; only "

@@ -13,12 +13,13 @@ A denoiser is any callable (z_t, t, context) -> velocity of identical shape,
 deterministic given identical inputs and seed; ``context`` is the step's
 [hist; curr; fut] :class:`~cubegen.context.ContextBundle`.
 
-The generation loop is one pass over the plan.  :func:`plan_contexts`
-checks the plan once and yields each step with its context bundle;
-:func:`generate_all` samples and blends each step with :func:`generate_step`,
-and :func:`simulate_contexts` only logs the bundles.  Teacher forcing is
-``generate_all``'s ``teacher`` video, an (N, 6, R, R, C) array, which hist
-and curr-gen context then view in place of the canvas.
+The generation loop is one pass over the plan, an (L, 6) array of face
+indices (see :mod:`cubegen.planner`).  :func:`plan_contexts` checks the plan
+once and yields each step's context bundle, which names the step's face,
+frames and window; :func:`generate_all` samples and blends each step with
+:func:`generate_step`, and :func:`simulate_contexts` only logs the bundles.
+Teacher forcing is ``generate_all``'s ``teacher`` video, an (N, 6, R, R, C)
+array, which hist and curr-gen context then view in place of the canvas.
 """
 
 from __future__ import annotations
@@ -31,12 +32,11 @@ import numpy as np
 from .attention import tokens_per_frame
 from .faces import FACES
 from .geometry import CubemapVideo
-from .planner import GenerationPlan, PlanStep, frame_coverage
+from .planner import frame_coverage
 from .context import ContextBundle, assemble_context, select_future_fragments
 from .continuity import blend_overlaps, pad_face
 
 __all__ = [
-    "SamplerConfig",
     "oracle_denoiser",
     "padded_target_denoiser",
     "zero_denoiser",
@@ -47,16 +47,6 @@ __all__ = [
     "generate_all",
     "simulate_contexts",
 ]
-
-
-@dataclass(frozen=True)
-class SamplerConfig:
-    steps: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError(f"sampler steps must be >= 1, got {self.steps}")
 
 
 def oracle_denoiser(z0: np.ndarray):
@@ -81,6 +71,8 @@ def euler_sample(denoiser, z: np.ndarray, context, steps: int) -> np.ndarray:
     Raises ``RuntimeError`` when the denoiser returns the wrong shape, a
     non-floating-point dtype or a non-finite value.
     """
+    if steps < 1:
+        raise ValueError(f"sampler steps must be >= 1, got {steps}")
     ts = np.linspace(1.0, 0.0, steps + 1)
     for s in range(steps):
         t, dt = ts[s], ts[s] - ts[s + 1]
@@ -106,54 +98,52 @@ def _draw_noise(seed: int, shape: tuple) -> np.ndarray:
 # generation loop
 # ---------------------------------------------------------------------------
 
-def plan_contexts(cond: CubemapVideo, plan: GenerationPlan, source: np.ndarray, *,
+def plan_contexts(cond: CubemapVideo, order: np.ndarray, source: np.ndarray, *,
                   history_capacity: int, frag_length: int, frag_threshold: float):
-    """Check ``plan`` once, when iteration starts, then yield ``(step,
-    bundle)`` for each plan step in order, ``bundle`` its [hist; curr; fut]
-    context.
+    """Check the (L, 6) plan ``order`` once, when iteration starts, then
+    yield the [hist; curr; fut] context bundle of each plan step in order.
 
     hist and curr-gen view ``source``, an (N, 6, R, R, C) video; curr-cond
     and fut view ``cond.pixels``.  Which sources a bundle holds depends only
     on the step's plan index; their contents are views, so what a caller
     writes into ``source`` between steps shows in later bundles.
     """
-    _check_plan(plan, cond.num_frames)
+    length = _check_plan(order, cond.num_frames)
     coverage = frame_coverage(cond.masks)
-    for i, step in enumerate(plan.steps):
-        fragments = select_future_fragments(coverage, step.face, step.end,
-                                            frag_length, frag_threshold,
-                                            cond.num_frames)
-        done = tuple(st.face for st in plan.steps[i - i % 6:i])
-        yield step, assemble_context(source, cond.pixels, step, done,
-                                     history_capacity, fragments)
+    for w, row in enumerate(order):
+        s, e = w * length, (w + 1) * length
+        faces = tuple(FACES[f] for f in row)
+        for k, face in enumerate(faces):
+            fragments = select_future_fragments(coverage, face, e, frag_length,
+                                                frag_threshold, cond.num_frames)
+            yield assemble_context(source, cond.pixels, face, s, e, faces[:k],
+                                   history_capacity, fragments)
 
 
-def _check_plan(plan: GenerationPlan, num_frames: int) -> None:
-    """Window-major: blocks of six steps sharing one (start, end) and naming
-    every face once, the blocks tiling [0, num_frames) in order."""
-    steps = plan.steps
-    length = steps[0].end - steps[0].start if steps else 0
-    if length < 1 or len(steps) % 6 or len(steps) // 6 * length != num_frames:
-        raise ValueError(f"plan of {len(steps)} steps does not tile {num_frames} "
-                         f"frames with windows of six faces")
-    for w in range(len(steps) // 6):
-        block = steps[6 * w:6 * w + 6]
-        if ({(st.start, st.end) for st in block} != {(w * length, (w + 1) * length)}
-                or sorted(st.face for st in block) != sorted(FACES)):
-            raise ValueError(f"plan window {w + 1} is not the six faces over frames "
-                             f"[{w * length}, {(w + 1) * length}): {block}")
+def _check_plan(order: np.ndarray, num_frames: int) -> int:
+    """The window length of the (L, 6) plan ``order``: each row must be a
+    permutation of the face indices 0..5, and L must divide the frames."""
+    order = np.asarray(order)
+    if (order.ndim != 2 or order.shape[1] != 6
+            or not np.issubdtype(order.dtype, np.integer)
+            or not (np.sort(order, axis=1) == np.arange(6)).all()):
+        raise ValueError(f"plan of shape {order.shape} is not one permutation "
+                         f"of the six faces per window: {order.tolist()}")
+    if len(order) < 1 or num_frames % len(order):
+        raise ValueError(f"plan of {len(order)} windows does not tile "
+                         f"{num_frames} frames")
+    return num_frames // len(order)
 
 
-def _log_entry(step: PlanStep, bundle: ContextBundle, resolution: int,
-               patch_size: int) -> dict:
+def _log_entry(bundle: ContextBundle, resolution: int, patch_size: int) -> dict:
     """The step's context, with its token counts summed per source kind."""
     per_frame = tokens_per_frame(resolution, patch_size)
-    tokens = {"generation": (step.end - step.start) * per_frame,
+    tokens = {"generation": (bundle.end - bundle.start) * per_frame,
               "hist": 0, "curr-gen": 0, "curr-cond": 0, "fut": 0}
     for src in bundle.sources:
         tokens[src.kind] += (src.end - src.start) * per_frame
     return {
-        "face": step.face, "s": step.start, "e": step.end,
+        "face": bundle.face, "s": bundle.start, "e": bundle.end,
         "window": bundle.window,
         "fragments": len(bundle.fut),
         "sources": bundle.provenance(),
@@ -162,32 +152,33 @@ def _log_entry(step: PlanStep, bundle: ContextBundle, resolution: int,
     }
 
 
-def generate_step(canvas: np.ndarray, step: PlanStep, bundle: ContextBundle,
-                  denoiser, z: np.ndarray, steps: int, pad: int) -> np.ndarray:
-    """Sample the padded face video of ``step`` from the noise ``z``, a
-    (T, R+2p, R+2p, C) array the sampler takes over, in ``steps`` Euler
-    steps, and blend it into ``canvas``, the (N, 6, R, R, C) video being
-    composed.
+def generate_step(canvas: np.ndarray, bundle: ContextBundle, denoiser,
+                  z: np.ndarray, steps: int, pad: int) -> np.ndarray:
+    """Sample the padded face video of ``bundle``'s step from the noise
+    ``z``, a (T, R+2p, R+2p, C) array the sampler takes over, in ``steps``
+    Euler steps, and blend it into ``canvas``, the (N, 6, R, R, C) video
+    being composed.
 
     Returns the sampled padded face video of the window (``z`` itself); its
     core is ``out[:, p:p+R, p:p+R]``.
     """
     z = euler_sample(denoiser, z, bundle, steps)
-    blend_overlaps(z, canvas[step.start:step.end], step.face, pad)
+    blend_overlaps(z, canvas[bundle.start:bundle.end], bundle.face, pad)
     return z
 
 
-def simulate_contexts(cond: CubemapVideo, plan: GenerationPlan, *,
+def simulate_contexts(cond: CubemapVideo, order: np.ndarray, *,
                       history_capacity: int, frag_length: int,
                       frag_threshold: float, patch_size: int) -> list[dict]:
-    """The step log of a generation run over ``plan``, without sampling.
+    """The step log of a generation run over the (L, 6) plan ``order``,
+    without sampling.
 
     The log holds provenance and token counts, never content, so every
     source views ``cond.pixels``; the entries equal ``generate_all``'s.
     """
-    return [_log_entry(step, bundle, cond.resolution, patch_size)
-            for step, bundle in plan_contexts(
-                cond, plan, cond.pixels, history_capacity=history_capacity,
+    return [_log_entry(bundle, cond.resolution, patch_size)
+            for bundle in plan_contexts(
+                cond, order, cond.pixels, history_capacity=history_capacity,
                 frag_length=frag_length, frag_threshold=frag_threshold)]
 
 
@@ -207,17 +198,17 @@ class GenerationResult:
         return max(self.resident_trace, default=0)
 
 
-def generate_all(cond_video: CubemapVideo, plan: GenerationPlan, denoiser,
-                 cfg: SamplerConfig, *, pad: int = 4, history_capacity: int = 2,
-                 frag_length: int = 4, frag_threshold: float = 0.5,
-                 patch_size: int = 8,
+def generate_all(cond_video: CubemapVideo, order: np.ndarray, denoiser, *,
+                 steps: int, seed: int, pad: int, history_capacity: int,
+                 frag_length: int, frag_threshold: float, patch_size: int,
                  teacher: np.ndarray | None = None,
                  on_window=None, executor=None) -> GenerationResult:
-    """Run every plan step window-major; the result is the cube canvas,
-    which callers resample to equirect frames one at a time.
+    """Run every step of the (L, 6) plan ``order`` window-major, each in
+    ``steps`` Euler steps; the result is the cube canvas, which callers
+    resample to equirect frames one at a time.
 
     Step ``i`` samples from noise drawn with the seed
-    ``SeedSequence((cfg.seed, i))``.  hist and curr-gen context views the
+    ``SeedSequence((seed, i))``.  hist and curr-gen context views the
     canvas, or ``teacher`` when it is given (teacher forcing).
 
     ``executor``, when given, draws each step's noise one step ahead: at
@@ -239,26 +230,27 @@ def generate_all(cond_video: CubemapVideo, plan: GenerationPlan, denoiser,
     canvas = np.zeros(cond_video.pixels.shape)
     source = canvas if teacher is None else teacher
     r, c = cond_video.resolution, canvas.shape[-1]
+    num_steps = np.size(order)
+    # Every step samples one padded face window.
+    shape = (_check_plan(order, cond_video.num_frames), r + 2 * pad, r + 2 * pad, c)
 
     def noise(i: int) -> np.ndarray:
-        step = plan.steps[i]
-        shape = (step.end - step.start, r + 2 * pad, r + 2 * pad, c)
-        return _draw_noise(_step_seed(cfg, i), shape)
+        return _draw_noise(_step_seed(seed, i), shape)
 
     pool_trace, step_log, step_timings = [], [], []
     ahead = None  # the future of the next step's noise
     t_end = time.perf_counter()
-    for i, (step, bundle) in enumerate(plan_contexts(
-            cond_video, plan, source, history_capacity=history_capacity,
+    for i, bundle in enumerate(plan_contexts(
+            cond_video, order, source, history_capacity=history_capacity,
             frag_length=frag_length, frag_threshold=frag_threshold)):
         z = noise(i) if ahead is None or ahead.cancel() else ahead.result()
         ahead = (executor.submit(noise, i + 1)
-                 if executor is not None and i + 1 < len(plan.steps) else None)
-        generate_step(canvas, step, bundle, denoiser, z, cfg.steps, pad)
-        step_log.append(_log_entry(step, bundle, cond_video.resolution, patch_size))
+                 if executor is not None and i + 1 < num_steps else None)
+        generate_step(canvas, bundle, denoiser, z, steps, pad)
+        step_log.append(_log_entry(bundle, cond_video.resolution, patch_size))
         pool_trace.append(min(history_capacity, (i + 1) // 6))
-        if on_window is not None and i % 6 == 5:  # the plan check fixed the blocks
-            on_window(step.start, step.end, canvas[step.start:step.end])
+        if on_window is not None and i % 6 == 5:  # the window's last face
+            on_window(bundle.start, bundle.end, canvas[bundle.start:bundle.end])
         t_begin, t_end = t_end, time.perf_counter()
         step_timings.append(t_end - t_begin)
 
@@ -266,8 +258,8 @@ def generate_all(cond_video: CubemapVideo, plan: GenerationPlan, denoiser,
                             step_log=step_log, step_timings=step_timings)
 
 
-def _step_seed(cfg: SamplerConfig, index: int) -> int:
-    return int(np.random.SeedSequence((cfg.seed, index)).generate_state(1)[0])
+def _step_seed(seed: int, index: int) -> int:
+    return int(np.random.SeedSequence((seed, index)).generate_state(1)[0])
 
 
 # ---------------------------------------------------------------------------

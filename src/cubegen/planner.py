@@ -1,55 +1,24 @@
-"""Window partitioning and the coverage-guided generation order.
+"""Per-face coverage and the coverage-guided generation order.
 
-Frames are split into equal windows; per-face coverage is averaged over each
-window and faces are generated in descending-coverage order, window-major.
-Windows are 1-indexed; frame indices are 0-based half-open ranges.
-Coverage is a plain array with one row per face in canonical order: (6, N)
-per frame, (6, L) per window.
+A plan is an (L, 6) integer array: row w lists the face indices of window w
+in generation order, and window w covers frames [w*T, (w+1)*T), T = N / L.
+Faces are generated in descending-coverage order, window-major.  Coverage
+is a plain array with one row per face in canonical order: (6, N) per
+frame, (6, L) per window.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .faces import FACES, FACE_INDEX
+from .faces import FACES
 
 __all__ = [
-    "PlanStep",
-    "GenerationPlan",
-    "partition_windows",
     "frame_coverage",
     "window_coverage",
     "plan_order",
+    "plan_steps",
 ]
-
-
-@dataclass(frozen=True)
-class PlanStep:
-    face: str
-    start: int
-    end: int
-
-
-@dataclass(frozen=True)
-class GenerationPlan:
-    steps: tuple  # 6*L PlanStep entries, window-major
-
-    def to_json_dict(self) -> dict:
-        return {"steps": [{"face": s.face, "s": s.start, "e": s.end} for s in self.steps]}
-
-
-def partition_windows(num_frames: int, window_length: int) -> tuple:
-    """Split N frames into windows of exactly ``window_length`` frames:
-    ``((s_1, e_1), ..., (s_L, e_L))``, 0-based half-open."""
-    if window_length < 1:
-        raise ValueError(f"window length must be >= 1, got {window_length}")
-    if num_frames < 1 or num_frames % window_length:
-        raise ValueError(
-            f"frame count {num_frames} is not a positive multiple of "
-            f"window length {window_length}; pad or trim the input first")
-    return tuple((s, s + window_length) for s in range(0, num_frames, window_length))
 
 
 def frame_coverage(masks: np.ndarray) -> np.ndarray:
@@ -63,24 +32,26 @@ def frame_coverage(masks: np.ndarray) -> np.ndarray:
     return m.reshape(m.shape[0], 6, -1).mean(axis=2).T.copy()
 
 
-def window_coverage(coverage: np.ndarray, windows: tuple) -> np.ndarray:
-    """(6, L) temporal mean of the (6, N) frame coverage over each window."""
-    if coverage.shape[1] < windows[-1][1]:
-        raise ValueError("coverage does not span all frames of the partition")
-    return np.stack([coverage[:, s:e].mean(axis=1) for s, e in windows], axis=1)
+def window_coverage(coverage: np.ndarray, window_length: int) -> np.ndarray:
+    """(6, L) temporal mean of the (6, N) frame coverage over each window of
+    ``window_length`` frames."""
+    n = coverage.shape[1]
+    if window_length < 1 or n % window_length:
+        raise ValueError(f"frame count {n} is not a multiple of window length "
+                         f"{window_length}")
+    return coverage.reshape(6, n // window_length, window_length).mean(axis=2)
 
 
-def plan_order(coverage: np.ndarray, windows: tuple) -> GenerationPlan:
-    """Window-major steps; faces sorted by descending (6, L) window coverage
-    per window.
+def plan_order(coverage: np.ndarray) -> np.ndarray:
+    """(L, 6) plan: each window's faces by descending (6, L) window coverage.
 
-    Equal coverage resolves to the canonical order F,R,B,L,U,D, so plans are
-    deterministic for identical inputs.
+    The stable sort resolves equal coverage to the canonical order
+    F,R,B,L,U,D, so plans are deterministic for identical inputs.
     """
-    if coverage.shape[1] != len(windows):
-        raise ValueError("coverage table does not match the window partition")
-    steps = []
-    for w, (s, e) in enumerate(windows):
-        order = sorted(FACES, key=lambda f: (-coverage[FACE_INDEX[f], w], FACE_INDEX[f]))
-        steps.extend(PlanStep(f, s, e) for f in order)
-    return GenerationPlan(steps=tuple(steps))
+    return np.argsort(-coverage.T, axis=1, kind="stable")
+
+
+def plan_steps(order: np.ndarray, window_length: int) -> list[dict]:
+    """The (L, 6) plan as its window-major ``{"face", "s", "e"}`` steps."""
+    return [{"face": FACES[f], "s": w * window_length, "e": (w + 1) * window_length}
+            for w, row in enumerate(order) for f in row]

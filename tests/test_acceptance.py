@@ -42,12 +42,7 @@ from cubegen.geometry import (
     project_perspective_to_cubemap,
 )
 from cubegen.pipeline import euler_sample, oracle_denoiser
-from cubegen.planner import (
-    frame_coverage,
-    partition_windows,
-    plan_order,
-    window_coverage,
-)
+from cubegen.planner import frame_coverage, plan_order, plan_steps, window_coverage
 from cubegen.context import select_future_fragments
 
 from conftest import smooth_field
@@ -88,19 +83,20 @@ def test_criterion_1_projection_round_trip():
 def test_criterion_2_planner_oracle_equivalence():
     rng = np.random.default_rng(2002)
     res, n, t_win = 16, 8, 4
-    windows = partition_windows(n, t_win)
     for _ in range(100):
         masks = np.stack([(rng.random((n, res, res)) < rng.uniform(0.1, 0.9))
                           .astype(np.uint8) for f in FACES], axis=1)
-        plan = plan_order(window_coverage(frame_coverage(masks), windows), windows)
+        plan = plan_order(window_coverage(frame_coverage(masks), t_win))
         expect = []
-        for s, e in windows:
+        for s in range(0, n, t_win):
+            e = s + t_win
             means = {f: sum(int(masks[t, FACE_INDEX[f], i, j]) for t in range(s, e)
                             for i in range(res) for j in range(res))
                      / (t_win * res * res) for f in FACES}
             order = sorted(FACES, key=lambda f: (-means[f], FACE_INDEX[f]))
             expect.extend((f, s, e) for f in order)
-        assert [(p.face, p.start, p.end) for p in plan.steps] == expect
+        steps = plan_steps(plan, t_win)
+        assert [(d["face"], d["s"], d["e"]) for d in steps] == expect
     report(2, "plan_order equals the brute-force sort oracle on 100 random "
               "mask tensors")
 

@@ -357,10 +357,9 @@ class TestLayoutHelpers:
         # no fragments on an unobserved video; 4 frames of 4 tokens per face
         from cubegen.geometry import CubemapVideo
         from cubegen.pipeline import simulate_contexts
-        from cubegen.planner import partition_windows, plan_order
+        from cubegen.planner import plan_order
         cond = CubemapVideo(np.zeros((8, 6, 16, 16, 1)), np.zeros((8, 6, 16, 16)))
-        windows = partition_windows(8, 4)
-        log = simulate_contexts(cond, plan_order(np.zeros((6, 2)), windows),
+        log = simulate_contexts(cond, plan_order(np.zeros((6, 2))),
                                 history_capacity=0, frag_length=4,
                                 frag_threshold=0.5, patch_size=8)
         assert (log[0]["face"], log[0]["s"], log[0]["e"]) == ("F", 0, 4)

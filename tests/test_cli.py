@@ -17,10 +17,11 @@ from cubegen import scene as sc
 from cubegen.artifacts import load_schema
 from cubegen.attention import BandedMaskSpec, TokenLayout, attention_peak_bytes
 from cubegen.config import config_from_dict, parse_config
+from cubegen.faces import FACES
 from cubegen.geometry import EquirectTaps
-from cubegen.imgio import read_pfm, write_pfm, write_poses, write_ppm
-from cubegen.pipeline import SamplerConfig, generate_all
-from cubegen.planner import plan_order
+from cubegen.imgio import read_pfm, read_ppm, write_pfm, write_poses, write_ppm
+from cubegen.pipeline import generate_all
+from cubegen.planner import plan_order, plan_steps
 
 import jsonschema
 
@@ -64,12 +65,13 @@ def assert_frames_equal_serial_writes(out: Path, ref: Path) -> None:
     cfg = parse_config(DEMO)
     truth, frames, poses = sc.synth_scene(cfg)
     cond = sc.conditional_video(cfg.resolution, frames, poses)
-    _, windows, ct = cli._coverage_tables(cfg, cond)
+    _, ct = cli._coverage_tables(cfg, cond)
     result = generate_all(
-        cond, plan_order(ct, windows), cli._make_denoiser(cfg, truth, cond),
-        SamplerConfig(steps=cfg.sampler_steps, seed=cfg.seed),
+        cond, plan_order(ct), cli._make_denoiser(cfg, truth, cond),
+        steps=cfg.sampler_steps, seed=cfg.seed,
         pad=cfg.pad, history_capacity=cfg.history,
         frag_length=cfg.frag_length, frag_threshold=cfg.frag_threshold,
+        patch_size=cfg.patch_size,
         teacher=truth if cfg.mode.teacher_forcing else None)
     taps = EquirectTaps.create(cfg.resolution, cfg.equirect_width)
     ref.mkdir()
@@ -149,6 +151,26 @@ class TestSubcommands:
         assert ctx["steps"] == [{k: v for k, v in step.items() if k != "tokens"}
                                 for step in report["steps"]]
         assert any(step["fragments"] for step in ctx["steps"])
+
+    def test_plan_writers_agree(self, tmp_path):
+        # plan.json, run_report.json and context.json write the planner's
+        # steps; dry_run.json writes the canonical order over the same windows
+        cfg = small_cfg(tmp_path, num_frames=12)
+        for sub in ("plan", "generate", "context"):
+            assert run([sub, "--config", cfg, "--out", tmp_path / sub]) == 0
+        assert run(["generate", "--dry-run", "--config", cfg,
+                    "--out", tmp_path / "dry"]) == 0
+
+        def read(sub, name):
+            return json.loads((tmp_path / sub / name).read_text())
+
+        steps = read("plan", "plan.json")["steps"]
+        assert read("generate", "run_report.json")["plan"] == steps
+        assert [{k: e[k] for k in ("face", "s", "e")}
+                for e in read("context", "context.json")["steps"]] == steps
+        assert read("dry", "dry_run.json")["plan"] == plan_steps(
+            np.tile(np.arange(6), (3, 1)), 4)
+        assert [d["face"] for d in steps] != list(FACES) * 3
 
     def test_context_never_builds_truth(self, tmp_path, monkeypatch):
         def no_truth(*args, **kwargs):
@@ -431,6 +453,17 @@ class TestErrorPaths:
                                    "input_003.ppm: maxval 65535 is outside 1..255")
         assert not list(out.iterdir())
 
+    @pytest.mark.parametrize("header", [b"P6\n4", b"P6\n# no newline"],
+                             ids=["cut-short", "open-comment"])
+    def test_broken_ppm_header_rejected(self, tmp_path, capsys, header):
+        frames_dir, cfg = self.file_input_cfg(tmp_path)
+        (frames_dir / "input_005.pfm").unlink()
+        (frames_dir / "input_005.ppm").write_bytes(header)
+        out = tmp_path / "o"
+        assert run(["generate", "--config", cfg, "--out", out]) == 1
+        self.assert_failed_cleanly(out, capsys, "ValueError", "input_005.ppm: P6 header")
+        assert not list(out.iterdir())
+
     def file_input_cfg(self, tmp_path) -> tuple[Path, Path]:
         """The small scene written as PFM frames and ``poses.json``, and a
         copy-denoiser config that reads them."""
@@ -630,6 +663,28 @@ def imported_by_cli(module: str) -> bool:
                           text=True, check=True,
                           cwd=Path(__file__).resolve().parents[1] / "src")
     return proc.stdout.strip() == "True"
+
+
+def test_mixed_file_input_read_in_name_order(tmp_path):
+    # PPM and PFM frames in one directory: frame t is input_t, whatever
+    # its kind, and takes pose t
+    frames_dir = tmp_path / "frames"
+    frames_dir.mkdir()
+    _, frames, poses = sc.synth_scene(parse_config(small_cfg(tmp_path)))
+    for t, frame in enumerate(frames):
+        writer, suffix = (write_ppm, ".ppm") if t % 2 == 0 else (write_pfm, ".pfm")
+        writer(frames_dir / f"input_{t:03d}{suffix}", frame.pixels)
+    write_poses(frames_dir / "poses.json", poses)
+    cfg = parse_config(small_cfg(
+        tmp_path, paths={"frames_dir": str(frames_dir),
+                         "poses": str(frames_dir / "poses.json")},
+        mode={"teacher_forcing": False, "denoiser": "copy"}))
+    _, loaded, loaded_poses = cli._load_inputs(cfg)
+    for t, frame in enumerate(loaded):
+        reader, suffix = (read_ppm, ".ppm") if t % 2 == 0 else (read_pfm, ".pfm")
+        want = reader(frames_dir / f"input_{t:03d}{suffix}")
+        assert np.array_equal(frame.pixels, want), t
+        assert np.array_equal(loaded_poses[t].rotation, poses[t].rotation), t
 
 
 def test_cli_import_leaves_scipy_out():

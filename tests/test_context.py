@@ -12,7 +12,6 @@ from cubegen.context import (
     select_future_fragments,
     short_horizon_coverage,
 )
-from cubegen.planner import PlanStep
 
 
 def coverage_from_rows(rows):
@@ -149,7 +148,7 @@ class TestAssembleContext:
                                (n, 6, res, res, c)).copy()
 
     def test_first_step_boundary_case(self):
-        bundle = assemble_context(self.source(), self.cond(), PlanStep("F", 0, 4),
+        bundle = assemble_context(self.source(), self.cond(), "F", 0, 4,
                                   (), 2, [])
         assert bundle.hist == ()
         assert [s.kind for s in bundle.curr] == ["curr-cond"] * 6
@@ -159,7 +158,7 @@ class TestAssembleContext:
 
     def test_history_respects_capacity(self):
         source = self.source(n=12)
-        bundle = assemble_context(source, self.cond(n=12), PlanStep("F", 8, 12),
+        bundle = assemble_context(source, self.cond(n=12), "F", 8, 12,
                                   (), 1, [])
         hist_windows = {(s.start, s.end) for s in bundle.hist}
         assert hist_windows == {(4, 8)}
@@ -172,7 +171,7 @@ class TestAssembleContext:
 
     def test_mid_window_structure(self):
         frags = [FragmentSpec("F", 4, 4), FragmentSpec("U", 5, 3)]
-        bundle = assemble_context(self.source(), self.cond(), PlanStep("B", 0, 4),
+        bundle = assemble_context(self.source(), self.cond(), "B", 0, 4,
                                   ("R", "F"), 2, frags)
         expect = [
             {"kind": "curr-gen", "face": "R", "s": 0, "e": 4},
@@ -190,13 +189,13 @@ class TestAssembleContext:
         done = ()
         for face in ("F", "R", "B"):
             bundle = assemble_context(self.source(), self.cond(),
-                                      PlanStep(face, 0, 4), done, 0, [])
+                                      face, 0, 4, done, 0, [])
             assert len(bundle.curr) == 6
             done += (face,)
 
     def test_fut_content_slices_cond(self):
         cond, source = self.cond(), self.source()
-        bundle = assemble_context(source, cond, PlanStep("F", 0, 4), ("U",), 0,
+        bundle = assemble_context(source, cond, "F", 0, 4, ("U",), 0,
                                   [FragmentSpec("R", 5, 2)])
         np.testing.assert_array_equal(bundle.fut[0].content,
                                       cond[5:7, FACE_INDEX["R"]])
@@ -207,11 +206,11 @@ class TestAssembleContext:
 
     def test_missing_cond_range_is_internal_error(self):
         with pytest.raises(RuntimeError):
-            assemble_context(self.source(), self.cond(n=8), PlanStep("F", 0, 4),
+            assemble_context(self.source(), self.cond(n=8), "F", 0, 4,
                              (), 0, [FragmentSpec("R", 6, 4)])
 
     def test_deterministic(self):
         cond, source = self.cond(), self.source()
-        a = assemble_context(source, cond, PlanStep("R", 0, 4), ("F",), 0, [])
-        b = assemble_context(source, cond, PlanStep("R", 0, 4), ("F",), 0, [])
+        a = assemble_context(source, cond, "R", 0, 4, ("F",), 0, [])
+        b = assemble_context(source, cond, "R", 0, 4, ("F",), 0, [])
         assert a.provenance() == b.provenance()

@@ -72,6 +72,17 @@ class TestNetpbmInput:
         with pytest.raises(ValueError, match=r"short\.ppm.*89 bytes.*6x5x3 needs 90"):
             imgio.read_ppm(path)
 
+    @pytest.mark.parametrize("raw,fields", [
+        (b"P6\n4", "'4'"),
+        (b"P6\n# no newline", "''"),
+        (b"P6\n4 x\n255\n", "'4 x 255'"),
+    ], ids=["cut-short", "open-comment", "not-a-number"])
+    def test_broken_header_rejected_with_its_name(self, tmp_path, raw, fields):
+        path = tmp_path / "broken.ppm"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match=rf"broken\.ppm: P6 header {fields} is not"):
+            imgio.read_ppm(path)
+
     def test_lower_maxval_scales_to_unit_range(self, tmp_path):
         path = tmp_path / "low.ppm"
         path.write_bytes(b"P6\n2 1\n15\n" + bytes([0, 0, 0, 15, 15, 15]))

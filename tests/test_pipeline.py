@@ -5,7 +5,6 @@ integrator; end-to-end runs are checked against the analytic scene."""
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,15 +14,8 @@ from cubegen.faces import FACES, FACE_INDEX
 from cubegen.config import config_from_dict, parse_config
 from cubegen.context import ContextBundle
 from cubegen.geometry import CubemapVideo, EquirectTaps
-from cubegen.planner import (
-    GenerationPlan,
-    frame_coverage,
-    partition_windows,
-    plan_order,
-    window_coverage,
-)
+from cubegen.planner import frame_coverage, plan_order, window_coverage
 from cubegen.pipeline import (
-    SamplerConfig,
     euler_sample,
     generate_all,
     generate_step,
@@ -43,9 +35,18 @@ def small_scene(res=32, n=8, t_win=4, seed=7):
                                 num_frames=n, window_length=t_win, seed=seed))
     truth, frames, poses = sc.synth_scene(cfg)
     cond = sc.conditional_video(res, frames, poses)
-    windows = partition_windows(n, t_win)
-    plan = plan_order(window_coverage(frame_coverage(cond.masks), windows), windows)
+    plan = plan_order(window_coverage(frame_coverage(cond.masks), t_win))
     return cfg, truth, cond, plan
+
+
+def run_generate(cond, plan, denoiser, *, steps, seed=0, pad=2,
+                 history_capacity=2, frag_length=4, frag_threshold=0.5,
+                 patch_size=8, **kwargs):
+    """``generate_all`` with the loop settings of the small scenes."""
+    return generate_all(cond, plan, denoiser, steps=steps, seed=seed, pad=pad,
+                        history_capacity=history_capacity,
+                        frag_length=frag_length, frag_threshold=frag_threshold,
+                        patch_size=patch_size, **kwargs)
 
 
 def noise(seed, shape):
@@ -97,6 +98,12 @@ class TestOracleAndSampler:
         with pytest.raises(RuntimeError, match="non-finite"):
             euler_sample(bad, noise(0, (2, 2)), None, 2)
 
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_fewer_than_one_step_is_error(self, steps):
+        # zero steps would hand back the noise as the sample
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            euler_sample(zero_denoiser, noise(0, (2, 2)), None, steps)
+
     @pytest.mark.parametrize("dtype", [np.int64, np.bool_, np.complex128, object])
     def test_denoiser_non_float_is_error(self, dtype):
         bad = lambda z, t, ctx: np.zeros(z.shape, dtype=dtype)
@@ -104,11 +111,11 @@ class TestOracleAndSampler:
             euler_sample(bad, noise(0, (2, 2)), None, 1)
 
 
-def out_of_place_euler(denoiser, shape, cfg):
+def out_of_place_euler(denoiser, shape, steps, seed):
     """The sampler's update written out of place, as a bit-level reference."""
-    z = noise(cfg.seed, shape)
-    ts = np.linspace(1.0, 0.0, cfg.steps + 1)
-    for s in range(cfg.steps):
+    z = noise(seed, shape)
+    ts = np.linspace(1.0, 0.0, steps + 1)
+    for s in range(steps):
         t, dt = ts[s], ts[s] - ts[s + 1]
         z = z + (dt / t) * np.asarray(denoiser(z, float(t), None))
     return z
@@ -122,10 +129,8 @@ class TestInPlaceEuler:
         def denoiser(z_t, t, ctx):
             return (np.sin(3.0 * z_t) * t + target - z_t).astype(dtype)
 
-        cfg = SamplerConfig(steps=5, seed=3)
-        got = euler_sample(denoiser, noise(cfg.seed, target.shape), None,
-                           cfg.steps)
-        ref = out_of_place_euler(denoiser, target.shape, cfg)
+        got = euler_sample(denoiser, noise(3, target.shape), None, 5)
+        ref = out_of_place_euler(denoiser, target.shape, 5, 3)
         assert got.dtype == ref.dtype == np.float64
         assert got.tobytes() == ref.tobytes()
 
@@ -133,11 +138,10 @@ class TestInPlaceEuler:
         # a denoiser handing back one cached array every call
         cached = rng.normal(size=(2, 4, 4, 1))
         before = cached.copy()
-        cfg = SamplerConfig(steps=4, seed=1)
-        got = euler_sample(lambda z, t, ctx: cached, noise(cfg.seed, cached.shape),
-                           None, cfg.steps)
+        got = euler_sample(lambda z, t, ctx: cached, noise(1, cached.shape),
+                           None, 4)
         assert np.array_equal(cached, before)
-        ref = out_of_place_euler(lambda z, t, ctx: before, cached.shape, cfg)
+        ref = out_of_place_euler(lambda z, t, ctx: before, cached.shape, 4, 1)
         assert got.tobytes() == ref.tobytes()
 
 
@@ -146,30 +150,29 @@ class TestGenerateStep:
         """The first plan step of a teacher-forced run, its context and the
         scene oracle, with the canvas it blends into."""
         cfg, truth, cond, plan = small_scene(res=16, n=8, t_win=4)
-        step, bundle = next(pl.plan_contexts(cond, plan, truth,
-                                             history_capacity=2, frag_length=4,
-                                             frag_threshold=0.5))
+        bundle = next(pl.plan_contexts(cond, plan, truth, history_capacity=2,
+                                       frag_length=4, frag_threshold=0.5))
         denoiser = padded_target_denoiser(truth, 2)
-        return truth, cond, cond.pixels.copy(), step, bundle, denoiser
+        return truth, cond, cond.pixels.copy(), bundle, denoiser
 
     def test_oracle_step_reproduces_truth(self):
-        truth, cond, canvas, step, bundle, denoiser = self.first_step()
+        truth, cond, canvas, step, denoiser = self.first_step()
         z = noise(1, (step.end - step.start, 16 + 4, 16 + 4, 3))
-        out = generate_step(canvas, step, bundle, denoiser, z, 4, 2)
+        out = generate_step(canvas, step, denoiser, z, 4, 2)
         gt = truth[step.start:step.end, FACE_INDEX[step.face]]
         assert out.shape == (step.end - step.start, 16 + 4, 16 + 4, 3)
         got = out[:, 2:2 + 16, 2:2 + 16]
         assert np.abs(got - gt).max() <= 1e-5
 
     def test_first_step_context_boundary(self):
-        truth, cond, canvas, step, bundle, denoiser = self.first_step()
+        truth, cond, canvas, bundle, denoiser = self.first_step()
         assert bundle.hist == ()
         assert [s.kind for s in bundle.curr] == ["curr-cond"] * 6
 
     def test_masked_pixels_reproduced(self):
-        truth, cond, canvas, step, bundle, denoiser = self.first_step()
+        truth, cond, canvas, step, denoiser = self.first_step()
         z = noise(1, (step.end - step.start, 16 + 4, 16 + 4, 3))
-        out = generate_step(canvas, step, bundle, denoiser, z, 4, 2)
+        out = generate_step(canvas, step, denoiser, z, 4, 2)
         for k, t in enumerate(range(step.start, step.end)):
             fi = FACE_INDEX[step.face]
             m = cond.masks[t, fi].astype(bool)
@@ -180,8 +183,8 @@ class TestGenerateStep:
     def test_causality_of_context(self):
         # non-future sources never extend past the window end
         cfg, truth, cond, plan = small_scene(res=16, n=8, t_win=4)
-        result = generate_all(cond, plan, padded_target_denoiser(truth, 2),
-                              SamplerConfig(steps=1, seed=0), pad=2,
+        result = run_generate(cond, plan, padded_target_denoiser(truth, 2),
+                              steps=1, seed=0, pad=2,
                               teacher=truth)
         for entry in result.step_log:
             for src in entry["sources"]:
@@ -190,32 +193,35 @@ class TestGenerateStep:
 
 
 class TestInitState:
-    """The plan is checked once, up front, by both entry points: window-major
-    blocks of six steps sharing one (start, end), every face once, tiling
-    [0, N) in order."""
+    """The (L, 6) plan is checked once, up front, by both entry points: each
+    row a permutation of the six face indices, and L dividing N."""
 
-    def reject(self, edit):
-        """``edit`` maps the planner's steps to the plan to be rejected."""
+    def reject(self, bad):
         cfg, truth, cond, plan = small_scene(res=8, n=8, t_win=4)
-        bad = GenerationPlan(steps=tuple(edit(plan.steps)))
         with pytest.raises(ValueError, match="plan"):
-            generate_all(cond, bad, zero_denoiser, SamplerConfig(steps=1), pad=2)
+            run_generate(cond, bad, zero_denoiser, steps=1)
         with pytest.raises(ValueError, match="plan"):
             simulate_contexts(cond, bad, history_capacity=2, frag_length=4,
                               frag_threshold=0.5, patch_size=8)
 
     def test_repeated_face_in_window_rejected(self):
-        self.reject(lambda s: (s[0], replace(s[1], face=s[0].face)) + s[2:])
-
-    def test_five_step_window_rejected(self):
-        self.reject(lambda s: s[:5] + s[6:])
-
-    def test_windows_out_of_order_rejected(self):
-        self.reject(lambda s: s[6:] + s[:6])
+        bad = np.tile(np.arange(6), (2, 1))
+        bad[1, 1] = bad[1, 0]
+        self.reject(bad)
 
     def test_plan_not_covering_video_rejected(self):
-        self.reject(lambda s: s[:6])
-        self.reject(lambda s: ())
+        # 3 windows cannot tile 8 frames, and no window tiles nothing
+        self.reject(np.tile(np.arange(6), (3, 1)))
+        self.reject(np.zeros((0, 6), int))
+
+    def test_ablation_orders_accepted(self):
+        # the canonical and the reversed orders are plans like the planner's
+        cfg, truth, cond, plan = small_scene(res=8, n=8, t_win=4)
+        for order in (np.tile(np.arange(6), (2, 1)), plan[:, ::-1]):
+            log = simulate_contexts(cond, order, history_capacity=2,
+                                    frag_length=4, frag_threshold=0.5,
+                                    patch_size=8)
+            assert [e["face"] for e in log] == [FACES[f] for f in order.ravel()]
 
 
 class TestContextViews:
@@ -236,11 +242,11 @@ class TestContextViews:
             return inner(z_t, t, context)
 
         # face F is about 38% covered, so its steps in window 1 take a fragment
-        result = generate_all(cond, plan, recording, SamplerConfig(steps=2, seed=0),
+        result = run_generate(cond, plan, recording, steps=2, seed=0,
                               pad=2, history_capacity=2,
                               frag_length=4, frag_threshold=0.3,
                               teacher=truth if teacher else None)
-        assert len(bundles) == len(plan.steps)
+        assert len(bundles) == plan.size
         canvas = result.canvas
         composed = truth if teacher else canvas
         other = canvas if teacher else truth
@@ -261,7 +267,7 @@ class TestGenerateAll:
         res = 32
         cfg, truth, cond, plan = small_scene(res=res)
         denoiser = padded_target_denoiser(truth, 2)
-        result = generate_all(cond, plan, denoiser, SamplerConfig(steps=4, seed=5),
+        result = run_generate(cond, plan, denoiser, steps=4, seed=5,
                               pad=2, history_capacity=2,
                               teacher=truth)
         scene_obj = sc.SyntheticScene.random(cfg.channels, cfg.seed)
@@ -272,11 +278,10 @@ class TestGenerateAll:
         res, n = 16, 4
         cond = CubemapVideo(pixels=np.full((n, 6, res, res, 1), 0.6),
                             masks=np.ones((n, 6, res, res), np.uint8))
-        windows = partition_windows(n, n)
-        plan = plan_order(window_coverage(frame_coverage(cond.masks), windows), windows)
+        plan = plan_order(window_coverage(frame_coverage(cond.masks), n))
         denoiser = padded_target_denoiser(cond.pixels, 2)
-        result = generate_all(cond, plan, denoiser,
-                              SamplerConfig(steps=2, seed=0), pad=2,
+        result = run_generate(cond, plan, denoiser,
+                              steps=2, seed=0, pad=2,
                               history_capacity=1)
         np.testing.assert_allclose(equirect_frames(result), 0.6, atol=1e-9)
 
@@ -285,7 +290,7 @@ class TestGenerateAll:
         cfg, truth, cond, plan = small_scene(res=res)
         denoiser = padded_target_denoiser(truth, 2)
         h = 1
-        result = generate_all(cond, plan, denoiser, SamplerConfig(steps=1, seed=0),
+        result = run_generate(cond, plan, denoiser, steps=1, seed=0,
                               pad=2, history_capacity=h,
                               teacher=truth)
         assert max(result.pool_trace) <= h
@@ -301,18 +306,15 @@ class TestGenerateAll:
         res = 16
         cfg, truth, cond, plan = small_scene(res=res)
         denoiser = padded_target_denoiser(truth, 2)
-        scfg = SamplerConfig(steps=2, seed=9)
-        a = generate_all(cond, plan, denoiser, scfg, pad=2,
-                         teacher=truth)
-        b = generate_all(cond, plan, denoiser, scfg, pad=2,
-                         teacher=truth)
+        a = run_generate(cond, plan, denoiser, steps=2, seed=9, teacher=truth)
+        b = run_generate(cond, plan, denoiser, steps=2, seed=9, teacher=truth)
         assert np.array_equal(equirect_frames(a), equirect_frames(b))
 
     def test_zero_denoiser_runs_and_differs(self):
         res = 16
         cfg, truth, cond, plan = small_scene(res=res)
-        result = generate_all(cond, plan, zero_denoiser,
-                              SamplerConfig(steps=2, seed=0), pad=2)
+        result = run_generate(cond, plan, zero_denoiser,
+                              steps=2, seed=0, pad=2)
         equirect = equirect_frames(result)
         assert equirect.shape == (8, 2 * res, 4 * res, 3)
         assert np.isfinite(equirect).all()
@@ -329,9 +331,8 @@ class TestGenerateAll:
             assert isinstance(context, ContextBundle)
             return np.zeros_like(z_t)
 
-        scfg = SamplerConfig(steps=2, seed=0)
-        got = generate_all(cond, plan, denoiser, scfg, pad=2)
-        want = generate_all(cond, plan, zero_denoiser, scfg, pad=2)
+        got = run_generate(cond, plan, denoiser, steps=2)
+        want = run_generate(cond, plan, zero_denoiser, steps=2)
         assert got.canvas.tobytes() == want.canvas.tobytes()
 
     @pytest.mark.parametrize("teacher", [True, False])
@@ -345,8 +346,8 @@ class TestGenerateAll:
         def on_window(start, end, frames):
             calls.append((start, end, frames.copy()))
 
-        result = generate_all(cond, plan, padded_target_denoiser(truth, 2),
-                              SamplerConfig(steps=2, seed=4), pad=2,
+        result = run_generate(cond, plan, padded_target_denoiser(truth, 2),
+                              steps=2, seed=4, pad=2,
                               teacher=truth if teacher else None,
                               on_window=on_window)
         assert [(s, e) for s, e, _ in calls] == [(0, 4), (4, 8), (8, 12)]
@@ -362,17 +363,18 @@ class TestGenerateAll:
         cfg = parse_config(Path(__file__).parents[1] / "configs" / "demo.json")
         truth, frames, poses = sc.synth_scene(cfg)
         cond = sc.conditional_video(cfg.resolution, frames, poses)
-        windows = partition_windows(cfg.num_frames, cfg.window_length)
-        plan = plan_order(window_coverage(frame_coverage(cond.masks), windows), windows)
+        plan = plan_order(window_coverage(frame_coverage(cond.masks),
+                                          cfg.window_length))
         denoiser = padded_target_denoiser(truth, cfg.pad)
-        scfg = SamplerConfig(steps=cfg.sampler_steps, seed=cfg.seed)
         # with an executor, the draw one step ahead is one more padded window
         pool = ThreadPoolExecutor(max_workers=1) if ahead else None
         tracemalloc.start()
         try:
-            generate_all(cond, plan, denoiser, scfg, pad=cfg.pad,
-                         history_capacity=cfg.history, frag_length=cfg.frag_length,
+            generate_all(cond, plan, denoiser, steps=cfg.sampler_steps,
+                         seed=cfg.seed, pad=cfg.pad, history_capacity=cfg.history,
+                         frag_length=cfg.frag_length,
                          frag_threshold=cfg.frag_threshold,
+                         patch_size=cfg.patch_size,
                          teacher=truth if teacher else None, executor=pool)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -390,8 +392,8 @@ class TestGenerateAll:
         cfg, truth, cond, plan = small_scene(res=16, n=8, t_win=4)
         other = CubemapVideo(pixels=np.random.default_rng(3).uniform(
             -50.0, 50.0, cond.pixels.shape), masks=cond.masks)
-        runs = [generate_all(video, plan, padded_target_denoiser(truth, 2),
-                             SamplerConfig(steps=2, seed=6), pad=2,
+        runs = [run_generate(video, plan, padded_target_denoiser(truth, 2),
+                             steps=2, seed=6, pad=2,
                              teacher=truth if teacher else None)
                 for video in (cond, other)]
         assert runs[0].canvas.tobytes() == runs[1].canvas.tobytes()
@@ -419,10 +421,10 @@ class TestNoiseAhead:
 
     def run(self, executor=None):
         cfg, truth, cond, plan = small_scene(res=16, n=12, t_win=4)
-        result = generate_all(cond, plan, padded_target_denoiser(cond.pixels, 2),
-                              SamplerConfig(steps=3, seed=8), pad=2,
+        result = run_generate(cond, plan, padded_target_denoiser(cond.pixels, 2),
+                              steps=3, seed=8, pad=2,
                               executor=executor)
-        return result.canvas, len(plan.steps)
+        return result.canvas, plan.size
 
     def test_busy_executor_takes_every_draw_back(self):
         inline, _ = self.run()
@@ -447,9 +449,9 @@ class TestNoiseAhead:
         sampled = []
         real_step = pl.generate_step
 
-        def recording_step(canvas, step, bundle, denoiser, z, *args):
+        def recording_step(canvas, bundle, denoiser, z, *args):
             sampled.append(z)
-            return real_step(canvas, step, bundle, denoiser, z, *args)
+            return real_step(canvas, bundle, denoiser, z, *args)
 
         monkeypatch.setattr(pl, "generate_step", recording_step)
         with ThreadPoolExecutor(max_workers=1) as pool:
@@ -486,10 +488,10 @@ class TestPaddedTargetDenoiser:
 
         monkeypatch.setattr(pl, "pad_face", counting_pad)
         monkeypatch.setattr(pl, "generate_step", counting_step)
-        generate_all(cond, plan, padded_target_denoiser(truth, 2),
-                     SamplerConfig(steps=6, seed=2), pad=2,
+        run_generate(cond, plan, padded_target_denoiser(truth, 2),
+                     steps=6, seed=2, pad=2,
                      teacher=truth)
-        assert per_step == [1] * len(plan.steps)
+        assert per_step == [1] * plan.size
 
     @pytest.mark.parametrize("factory", ["oracle", "copy"])
     def test_cached_equals_uncached(self, factory):
@@ -506,7 +508,7 @@ class TestPaddedTargetDenoiser:
 
         cached = padded_target_denoiser(video, 2)
         teacher = truth if factory == "oracle" else None
-        runs = [generate_all(cond, plan, d, SamplerConfig(steps=3, seed=4),
+        runs = [run_generate(cond, plan, d, steps=3, seed=4,
                              pad=2, teacher=teacher)
                 for d in (cached, uncached)]
         assert (equirect_frames(runs[0]).tobytes()

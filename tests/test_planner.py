@@ -8,12 +8,7 @@ import pytest
 
 from cubegen.faces import FACES, FACE_INDEX
 from cubegen import geometry as geo
-from cubegen.planner import (
-    frame_coverage,
-    partition_windows,
-    plan_order,
-    window_coverage,
-)
+from cubegen.planner import frame_coverage, plan_order, plan_steps, window_coverage
 
 
 def random_masks(rng, n=8, res=16, p=0.4):
@@ -22,23 +17,31 @@ def random_masks(rng, n=8, res=16, p=0.4):
                     axis=1)
 
 
+def canonical(num_windows):
+    """The (L, 6) plan generating every window in canonical face order."""
+    return np.tile(np.arange(6), (num_windows, 1))
+
+
 class TestPartitionWindows:
+    """Row w of an (L, 6) plan is the window of frames [w*T, (w+1)*T)."""
+
     def test_two_windows(self):
-        windows = partition_windows(8, 4)
-        assert windows == ((0, 4), (4, 8))
-        assert len(windows) == 2
+        steps = plan_steps(canonical(2), 4)
+        assert [(d["s"], d["e"]) for d in steps] == [(0, 4)] * 6 + [(4, 8)] * 6
+        assert [d["face"] for d in steps] == list(FACES) * 2
 
     def test_single_window(self):
-        assert partition_windows(4, 4) == ((0, 4),)
+        assert {(d["s"], d["e"]) for d in plan_steps(canonical(1), 4)} == {(0, 4)}
 
     def test_indivisible_rejected(self):
-        with pytest.raises(ValueError):
-            partition_windows(7, 4)
+        with pytest.raises(ValueError, match="multiple of window length 4"):
+            window_coverage(np.zeros((6, 7)), 4)
 
     def test_covers_range_disjointly(self):
-        windows = partition_windows(24, 3)
-        seen = [t for s, e in windows for t in range(s, e)]
-        assert seen == list(range(24))
+        for face in FACES:
+            seen = [t for d in plan_steps(canonical(8), 3) if d["face"] == face
+                    for t in range(d["s"], d["e"])]
+            assert seen == list(range(24))
 
 
 class TestFrameCoverage:
@@ -73,26 +76,29 @@ class TestWindowCoverage:
     def test_constant(self):
         fc = frame_coverage(np.zeros((8, 6, 4, 4), np.uint8))
         fc[:] = 0.3
-        ct = window_coverage(fc, partition_windows(8, 4))
+        ct = window_coverage(fc, 4)
         np.testing.assert_allclose(ct, 0.3)
 
     def test_single_covered_frame(self):
         masks = np.zeros((4, 6, 4, 4), np.uint8)
         masks[0, FACE_INDEX["F"]] = 1
-        ct = window_coverage(frame_coverage(masks), partition_windows(4, 4))
+        ct = window_coverage(frame_coverage(masks), 4)
         assert ct[FACE_INDEX["F"], 0] == 0.25
 
     def test_matches_double_loop_oracle(self, rng):
         masks = random_masks(rng)
-        windows = partition_windows(8, 4)
-        ct = window_coverage(frame_coverage(masks), windows)
+        ct = window_coverage(frame_coverage(masks), 4)
         for f in FACES:
-            for w, (s, e) in enumerate(windows, start=1):
+            for w, (s, e) in enumerate([(0, 4), (4, 8)], start=1):
                 acc = 0.0
                 for t in range(s, e):
                     face_mask = masks[t, FACE_INDEX[f]]
                     acc += face_mask.sum() / face_mask.size
                 assert np.isclose(ct[FACE_INDEX[f], w - 1], acc / (e - s), atol=1e-12)
+
+
+def faces_of(plan):
+    return [FACES[f] for f in plan.ravel()]
 
 
 class TestPlanOrder:
@@ -101,72 +107,64 @@ class TestPlanOrder:
         pose = geo.CameraPose(np.eye(3), 90.0, 90.0)
         _, cube_masks = geo.project_perspective_to_cubemap(frame, pose, 16)
         masks = np.repeat(cube_masks[None], 8, axis=0)
-        windows = partition_windows(8, 4)
-        plan = plan_order(window_coverage(frame_coverage(masks), windows), windows)
+        plan = plan_order(window_coverage(frame_coverage(masks), 4))
         # F first in each window, the five uncovered faces tie -> canonical
-        for w in range(2):
-            faces = [s.face for s in plan.steps[6 * w:6 * (w + 1)]]
-            assert faces == ["F", "R", "B", "L", "U", "D"]
-        assert [s.start for s in plan.steps] == [0] * 6 + [4] * 6
+        assert plan.shape == (2, 6)
+        assert faces_of(plan) == ["F", "R", "B", "L", "U", "D"] * 2
+        assert [d["s"] for d in plan_steps(plan, 4)] == [0] * 6 + [4] * 6
 
     def test_mixed_coverage_row(self):
         ct = np.array([[0.2], [0.9], [0.0], [0.0], [0.1], [0.0]])
-        windows = partition_windows(4, 4)
-        plan = plan_order(ct, windows)
-        assert [s.face for s in plan.steps] == ["R", "F", "U", "B", "L", "D"]
+        assert faces_of(plan_order(ct)) == ["R", "F", "U", "B", "L", "D"]
+
+    def test_negative_zero_ties_with_zero(self):
+        ct = np.array([[0.0], [-0.0], [0.0], [-0.0], [0.0], [0.0]])
+        assert faces_of(plan_order(ct)) == list(FACES)
 
     def test_matches_brute_force_oracle(self, rng):
         # acceptance-style: stable sort on per-pixel means, canonical ties
         for _ in range(25):
             masks = random_masks(rng)
-            windows = partition_windows(8, 4)
-            plan = plan_order(window_coverage(frame_coverage(masks), windows), windows)
+            plan = plan_order(window_coverage(frame_coverage(masks), 4))
             expect = []
-            for s, e in windows:
+            for s, e in [(0, 4), (4, 8)]:
                 means = {}
                 for f in FACES:
                     total = sum(masks[t, FACE_INDEX[f]].sum() for t in range(s, e))
                     means[f] = total / ((e - s) * masks[0, FACE_INDEX[f]].size)
                 order = sorted(FACES, key=lambda f: (-means[f], FACE_INDEX[f]))
                 expect.extend((f, s, e) for f in order)
-            assert [(p.face, p.start, p.end) for p in plan.steps] == expect
+            assert [(d["face"], d["s"], d["e"]) for d in plan_steps(plan, 4)] == expect
 
     def test_sorted_by_descending_coverage(self, rng):
         masks = random_masks(rng)
-        windows = partition_windows(8, 2)
-        ct = window_coverage(frame_coverage(masks), windows)
-        plan = plan_order(ct, windows)
-        for w in range(len(windows)):
-            cov = [ct[FACE_INDEX[s.face], w] for s in plan.steps[6 * w:6 * (w + 1)]]
+        ct = window_coverage(frame_coverage(masks), 2)
+        plan = plan_order(ct)
+        for w, row in enumerate(plan):
+            cov = ct[row, w]
             assert all(a >= b for a, b in zip(cov, cov[1:]))
 
     def test_invariant_under_monotone_rescaling(self, rng):
         masks = random_masks(rng)
-        windows = partition_windows(8, 4)
-        ct = window_coverage(frame_coverage(masks), windows)
+        ct = window_coverage(frame_coverage(masks), 4)
         rescaled = np.sqrt(ct) * 0.9
-        assert plan_order(ct, windows) == plan_order(rescaled, windows)
+        assert np.array_equal(plan_order(ct), plan_order(rescaled))
 
     def test_deterministic(self, rng):
         masks = random_masks(rng)
-        windows = partition_windows(8, 4)
-        ct = window_coverage(frame_coverage(masks), windows)
-        a = plan_order(ct, windows).to_json_dict()
-        b = plan_order(ct, windows).to_json_dict()
-        assert a == b
+        ct = window_coverage(frame_coverage(masks), 4)
+        assert plan_steps(plan_order(ct), 4) == plan_steps(plan_order(ct), 4)
 
     def test_temporal_causality(self, rng):
         masks = random_masks(rng)
-        windows = partition_windows(8, 2)
-        plan = plan_order(window_coverage(frame_coverage(masks), windows), windows)
-        for i, si in enumerate(plan.steps):
-            for sj in plan.steps[i + 1:]:
-                assert si.end <= sj.start or si.start == sj.start
+        steps = plan_steps(plan_order(window_coverage(frame_coverage(masks), 2)), 2)
+        for i, si in enumerate(steps):
+            for sj in steps[i + 1:]:
+                assert si["e"] <= sj["s"] or si["s"] == sj["s"]
 
     def test_json_round_trip(self, rng):
         masks = random_masks(rng)
-        windows = partition_windows(8, 4)
-        plan = plan_order(window_coverage(frame_coverage(masks), windows), windows)
-        steps = json.loads(json.dumps(plan.to_json_dict()))["steps"]
-        assert [(d["face"], d["s"], d["e"]) for d in steps] == [
-            (st.face, st.start, st.end) for st in plan.steps]
+        plan = plan_order(window_coverage(frame_coverage(masks), 4))
+        steps = json.loads(json.dumps({"steps": plan_steps(plan, 4)}))["steps"]
+        assert [d["face"] for d in steps] == faces_of(plan)
+        assert steps == plan_steps(plan, 4)
