@@ -205,16 +205,22 @@ def cmd_project(cfg: RunConfig, out_dir: Path) -> None:
     _, frames, poses = _load_inputs(cfg)
     cond = scene_mod.conditional_video(cfg.resolution, frames, poses)
     fc, ct = _coverage_tables(cfg, cond)
-    for i, f in enumerate(FACES):
-        for t in range(cfg.num_frames):
-            _write_image(out_dir / f"cond_{f}_{t:03d}", cond.pixels[t, i])
-            write_mask_pgm(out_dir / f"mask_{f}_{t:03d}.pgm", cond.masks[t, i])
     taps = EquirectTaps.create(cfg.resolution, cfg.equirect_width)
     for t in range(cfg.num_frames):
+        _write_cond_frame(out_dir, t, cond[t:t + 1][0], cond.masks[t])
         write_mask_pgm(out_dir / f"eq_mask_{t:03d}.pgm", taps.apply_mask(cond.masks[t]))
     write_poses(out_dir / "poses.json", poses)
     write_json_artifact(out_dir / "coverage.json", "coverage",
                         _coverage_json(fc, ct))
+
+
+def _write_cond_frame(out_dir: Path, t: int, faces: np.ndarray,
+                      masks: np.ndarray) -> None:
+    """Write frame ``t``'s six conditional faces and masks; its pixels are
+    freed when this returns, so one frame is held at a time."""
+    for i, f in enumerate(FACES):
+        _write_image(out_dir / f"cond_{f}_{t:03d}", faces[i])
+        write_mask_pgm(out_dir / f"mask_{f}_{t:03d}.pgm", masks[i])
 
 
 def cmd_plan(cfg: RunConfig, out_dir: Path) -> None:
@@ -289,7 +295,7 @@ def _make_denoiser(cfg: RunConfig, truth, cond):
                               "(ground truth); unset paths.frames_dir/poses")
         return padded_target_denoiser(truth, cfg.pad)
     if cfg.mode.denoiser == "copy":
-        return padded_target_denoiser(cond.pixels, cfg.pad)
+        return padded_target_denoiser(cond, cfg.pad)
     return zero_denoiser
 
 
@@ -441,9 +447,10 @@ def _write_frame(taps_job, buf: np.ndarray, faces: np.ndarray, base: Path) -> No
     _write_image(base, frame)
 
 
-def _seam_per_frame(video: np.ndarray) -> list[float]:
-    """Seam metric of each frame of an (N, 6, R, R, C) cube video."""
-    return [seam_metric(faces) for faces in video]
+def _seam_per_frame(video) -> list[float]:
+    """Seam metric of each frame of an (N, 6, R, R, C) cube video or of the
+    conditional, read one frame at a time."""
+    return [seam_metric(video[t:t + 1][0]) for t in range(video.shape[0])]
 
 
 def _write_dry_run(cfg: RunConfig, out_dir: Path) -> None:
@@ -483,7 +490,7 @@ def cmd_metrics(cfg: RunConfig, out_dir: Path) -> None:
     cond = scene_mod.conditional_video(cfg.resolution, frames, poses)
     fc, ct = _coverage_tables(cfg, cond)
     report = {
-        "seam_per_frame": _seam_per_frame(cond.pixels if truth is None else truth),
+        "seam_per_frame": _seam_per_frame(cond if truth is None else truth),
         "coverage": {
             "per_face_mean": {f: float(fc[i].mean()) for i, f in enumerate(FACES)},
             "per_window": {f: [float(v) for v in ct[i]] for i, f in enumerate(FACES)},

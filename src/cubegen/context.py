@@ -7,10 +7,10 @@ store.  Future fragments are the nearest fully-inside spans of conditional
 input, on the current face and its neighbors, whose short-horizon coverage
 clears the threshold.
 
-Every source's content is a view ``video[s:e, FACE_INDEX[f]]`` of an
-(N, 6, R, R, C) array, never a copy: history and generated current-window
-faces view the video being composed, the other current-window faces and the
-fragments view the conditional input.
+A source holds its video and frame range, and its content reads them on
+access: a view of the video being composed, an (N, 6, R, R, C) array, for
+history and generated current-window faces; the conditional input, whose
+frames are projected by each read, for the others and the fragments.
 """
 
 from __future__ import annotations
@@ -93,7 +93,12 @@ class TokenSource:
     face: str
     start: int
     end: int
-    content: np.ndarray  # (end-start, R, R, C) view of a cube video
+    video: object  # an (N, 6, R, R, C) array or the conditional CubemapVideo
+
+    @property
+    def content(self) -> np.ndarray:
+        """(end-start, R, R, C) pixels of the face, read from the video now."""
+        return self.video[self.start:self.end][:, FACE_INDEX[self.face]]
 
     def provenance(self) -> dict:
         return {"kind": self.kind, "face": self.face, "s": self.start, "e": self.end}
@@ -119,46 +124,38 @@ class ContextBundle:
         return [s.provenance() for s in self.sources]
 
 
-def assemble_context(source: np.ndarray, cond: np.ndarray, face: str, s: int,
-                     e: int, done: tuple, capacity: int,
-                     fragments: list[FragmentSpec]) -> ContextBundle:
+def assemble_context(source, cond, face: str, s: int, e: int, done: tuple,
+                     capacity: int, fragments: list[FragmentSpec]) -> ContextBundle:
     """Build the [hist; curr; fut] bundle for generating ``face`` over the
     window of frames [s, e).
 
     ``source`` is the (N, 6, R, R, C) video being composed and ``cond`` the
     conditional one; ``done`` names the faces of the window generated before
-    ``face``, in generation order.  hist views ``source`` over the last
+    ``face``, in generation order.  hist reads ``source`` over the last
     ``capacity`` windows, all six faces each.  curr holds the done faces from
     ``source``, then the conditional input of the others (current face
-    included) in canonical order.  fut views ``cond`` over ``fragments``.
+    included) in canonical order.  fut reads ``cond`` over ``fragments``.
 
-    Every content is a view.  Where ``source`` is the canvas (a run without
-    teacher forcing), a hist or curr-gen view shows the faces as the output
-    does: with the ramp blends that faces generated later in the same window
-    wrote into their border strips.
+    No content is read here.  Where ``source`` is the canvas (a run without
+    teacher forcing), a hist or curr-gen content read later shows the faces
+    as the output does: with the ramp blends that faces generated later in
+    the same window wrote into their border strips.
     """
     length = e - s
     window = s // length + 1
-    hist = tuple(
-        TokenSource(kind="hist", face=f, start=(w - 1) * length, end=w * length,
-                    content=_view(source, f, (w - 1) * length, w * length))
-        for w in history_windows(window, capacity) for f in FACES)
-    curr = tuple(TokenSource(kind="curr-gen", face=f, start=s, end=e,
-                             content=_view(source, f, s, e)) for f in done)
-    curr += tuple(TokenSource(kind="curr-cond", face=f, start=s, end=e,
-                              content=_view(cond, f, s, e))
+    hist = tuple(_source("hist", source, f, (w - 1) * length, w * length)
+                 for w in history_windows(window, capacity) for f in FACES)
+    curr = tuple(_source("curr-gen", source, f, s, e) for f in done)
+    curr += tuple(_source("curr-cond", cond, f, s, e)
                   for f in FACES if f not in done)
-    fut = tuple(TokenSource(kind="fut", face=fr.face, start=fr.start,
-                            end=fr.start + fr.length,
-                            content=_view(cond, fr.face, fr.start,
-                                          fr.start + fr.length))
+    fut = tuple(_source("fut", cond, fr.face, fr.start, fr.start + fr.length)
                 for fr in fragments)
     return ContextBundle(face=face, window=window, start=s, end=e,
                          hist=hist, curr=curr, fut=fut)
 
 
-def _view(video: np.ndarray, face: str, start: int, end: int) -> np.ndarray:
+def _source(kind: str, video, face: str, start: int, end: int) -> TokenSource:
     if video.shape[0] < end:
         raise RuntimeError(
             f"content for face {face} frames [{start}, {end}) unavailable")
-    return video[start:end, FACE_INDEX[face]]
+    return TokenSource(kind=kind, face=face, start=start, end=end, video=video)

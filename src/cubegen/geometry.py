@@ -4,8 +4,9 @@ A cubemap is one stacked array: six (R, R, C) faces in the canonical order
 :data:`cubegen.faces.FACES`, so one frame is (6, R, R, C) and a video is a
 plain (N, 6, R, R, C) float64 array.  Every layer indexes that layout
 directly; face ``f`` of frame ``t`` is ``video[t, FACE_INDEX[f]]``.  The
-masked conditional, :class:`CubemapVideo`, pairs such a video with its
-(N, 6, R, R) binary observation masks.
+masked conditional, :class:`CubemapVideo`, holds its (N, 6, R, R) binary
+observation masks whole and reads like such a video, projecting a frame's
+pixels each time a read names it.
 
 All mappings use pixel-center sampling (offset 0.5).  Images are sampled
 bilinearly; binary masks nearest-neighbor.  The equirectangular longitude
@@ -46,6 +47,7 @@ __all__ = [
     "direction_to_face_coords",
     "face_coords_to_direction",
     "face_directions",
+    "frustum_masks",
     "project_perspective_to_cubemap",
     "EquirectTaps",
     "equirect_to_cubemap",
@@ -130,34 +132,32 @@ class PerspectiveFrame:
         return self.pixels.shape[2]
 
 
-@dataclass(frozen=True)
 class CubemapVideo:
-    """The masked conditional: the projected ``pixels`` (N, 6, R, R, C)
-    float64 and binary observation ``masks`` (N, 6, R, R) uint8, faces in
-    canonical order.  Shapes and masks are checked once, here."""
+    """The masked conditional: binary observation ``masks`` (N, 6, R, R)
+    uint8, faces in canonical order, held whole, and each frame's (6, R, R,
+    C) float64 pixels, which ``frame_pixels(t, out)`` writes into ``out``.
+    A read, ``video[s:e]``, projects every frame it names into a new
+    read-only (e-s, 6, R, R, C) array with the bytes of the same slice of an
+    (N, 6, R, R, C) array; nothing else holds pixels.  Masks are checked
+    once, here."""
 
-    pixels: np.ndarray
-    masks: np.ndarray
-
-    def __post_init__(self):
-        px = np.asarray(self.pixels, dtype=np.float64)
-        mk = np.asarray(self.masks)
-        if px.ndim != 5 or px.shape[1] != 6 or px.shape[2] != px.shape[3]:
-            raise ValueError(f"pixels must be (N, 6, R, R, C), got {px.shape}")
-        if mk.shape != px.shape[:4]:
-            raise ValueError(f"masks must be {px.shape[:4]}, got {mk.shape}")
+    def __init__(self, masks, channels: int, frame_pixels):
+        mk = np.asarray(masks)
+        if mk.ndim != 4 or mk.shape[1] != 6 or mk.shape[2] != mk.shape[3]:
+            raise ValueError(f"masks must be (N, 6, R, R), got {mk.shape}")
         if not ((mk == 0) | (mk == 1)).all():
             raise ValueError("masks must be binary")
-        object.__setattr__(self, "pixels", px)
-        object.__setattr__(self, "masks", mk.astype(np.uint8, copy=False))
+        self.masks = mk.astype(np.uint8, copy=False)
+        self.shape = (*mk.shape, channels)
+        self._frame_pixels = frame_pixels
 
-    @property
-    def num_frames(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def resolution(self) -> int:
-        return self.pixels.shape[2]
+    def __getitem__(self, frames: slice) -> np.ndarray:
+        ts = range(*frames.indices(self.shape[0]))
+        out = np.empty((len(ts), *self.shape[1:]))
+        for k, t in enumerate(ts):
+            self._frame_pixels(t, out[k])
+        out.flags.writeable = False
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -410,38 +410,42 @@ class EquirectTaps(_Taps):
 # projection operations
 # ---------------------------------------------------------------------------
 
-def project_perspective_to_cubemap(frame: PerspectiveFrame, pose: CameraPose,
-                                   resolution: int) -> tuple[np.ndarray, np.ndarray]:
-    """Project one perspective frame onto a cubemap with observation masks.
-
-    The cached direction stack is rotated into the camera frame by one
-    matmul; only pixels inside the FoV frustum (boundary inclusive) sample
-    the frame bilinearly and get mask 1, everything else is 0 with mask 0.
-    Returns the (6, R, R, C) faces and the (6, R, R) uint8 masks.
-    """
+def frustum_masks(pose: CameraPose, resolution: int) -> np.ndarray:
+    """(6, R, R) uint8 observation masks of a pose: 1 where the cube pixel
+    center lies inside the FoV frustum, boundary inclusive.  The cached
+    direction stack is rotated into the camera frame by one matmul."""
     if resolution < 4:
         raise ValueError(f"face resolution must be >= 4, got {resolution}")
     tan_h = np.tan(np.radians(pose.hfov_deg) / 2.0)
     tan_v = np.tan(np.radians(pose.vfov_deg) / 2.0)
-    d_cam = face_directions(resolution) @ pose.rotation  # R^T d, (6, R, R, 3)
-    x, y, z = np.moveaxis(d_cam, -1, 0)
-    # (x, -y) / z as two contiguous planes: dividing the interleaved stack
-    # in place writes strided and is slower
+    d = face_directions(resolution) @ pose.rotation  # R^T d, (6, R, R, 3)
+    x, y, z = d[..., 0], d[..., 1], d[..., 2]
     with np.errstate(divide="ignore", invalid="ignore"):
-        px = x / z
-        py = np.negative(y)
-        py /= z
-        inside = z > 0
-        del d_cam, x, y, z  # the stack is freed before the bounds are tested
-        inside &= (np.abs(px) <= tan_h) & (np.abs(py) <= tan_v)
-    cols = (px[inside] / tan_h + 1.0) / 2.0 * frame.width - 0.5
-    rows = (py[inside] / tan_v + 1.0) / 2.0 * frame.height - 0.5
-    del px, py  # freed before the faces are allocated
+        inside = (z > 0) & (np.abs(x / z) <= tan_h) & (np.abs(y / z) <= tan_v)
+    return inside.astype(np.uint8)
+
+
+def project_perspective_to_cubemap(frame: PerspectiveFrame, pose: CameraPose,
+                                   masks: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Project one perspective frame onto a cubemap: write the (6, R, R, C)
+    faces into ``out`` and return it.
+
+    Pixels inside the FoV frustum by ``masks``, the pose's
+    :func:`frustum_masks`, sample the frame bilinearly; every other pixel is
+    0.  Only their directions are rotated into the camera frame, so the
+    frustum test is not repeated.
+    """
+    inside = masks.astype(bool)
+    tan_h = np.tan(np.radians(pose.hfov_deg) / 2.0)
+    tan_v = np.tan(np.radians(pose.vfov_deg) / 2.0)
+    x, y, z = (face_directions(masks.shape[-1])[inside] @ pose.rotation).T
+    cols = (x / z / tan_h + 1.0) / 2.0 * frame.width - 0.5
+    rows = (-y / z / tan_v + 1.0) / 2.0 * frame.height - 0.5
     taps = _grid_taps(rows, cols, frame.height, frame.width)
-    faces = np.zeros((6, resolution, resolution, frame.channels))
-    faces[inside] = taps.resample(frame.pixels.reshape(-1, frame.channels),
-                                  np.empty((rows.size, frame.channels)))
-    return faces, inside.astype(np.uint8)
+    out.fill(0.0)
+    out[inside] = taps.resample(frame.pixels.reshape(-1, frame.channels),
+                                np.empty((rows.size, frame.channels)))
+    return out
 
 
 def equirect_to_cubemap(eq: np.ndarray, resolution: int) -> np.ndarray:

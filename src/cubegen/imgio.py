@@ -71,8 +71,8 @@ def write_mask_pgm(path, mask: np.ndarray) -> None:
 
 def _read_netpbm(path, magic: bytes, channels: int) -> np.ndarray:
     """(H, W, channels) samples / maxval of a binary netpbm file, which must
-    be ``magic`` with one byte per sample (maxval 1..255) and hold all of
-    its W*H*channels samples."""
+    be ``magic`` with two positive dimensions and one byte per sample
+    (maxval 1..255) and hold all of its W*H*channels samples."""
     raw = Path(path).read_bytes()
     fields, pos = [], 0
     while len(fields) < 4 and pos < len(raw):
@@ -90,10 +90,11 @@ def _read_netpbm(path, magic: bytes, channels: int) -> np.ndarray:
     pos += 1  # single whitespace after maxval
     if fields[:1] != [magic]:
         raise ValueError(f"not a {magic.decode()} file: {path}")
-    if len(fields) < 4 or not all(f.isdigit() for f in fields[1:]):
+    if (len(fields) < 4 or not all(f.isdigit() for f in fields[1:])
+            or not int(fields[1]) * int(fields[2])):
         raise ValueError(f"{path}: {magic.decode()} header "
                          f"{b' '.join(fields[1:]).decode(errors='replace')!r} is "
-                         "not a width, a height and a maxval")
+                         "not a positive width and height and a maxval")
     w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
     if not 1 <= maxval <= 255:
         raise ValueError(f"{path}: maxval {maxval} is outside 1..255; only "

@@ -19,7 +19,7 @@ once and yields each step's context bundle, which names the step's face,
 frames and window; :func:`generate_all` samples and blends each step with
 :func:`generate_step`, and :func:`simulate_contexts` only logs the bundles.
 Teacher forcing is ``generate_all``'s ``teacher`` video, an (N, 6, R, R, C)
-array, which hist and curr-gen context then view in place of the canvas.
+array, which hist and curr-gen context then read in place of the canvas.
 """
 
 from __future__ import annotations
@@ -103,20 +103,21 @@ def plan_contexts(cond: CubemapVideo, order: np.ndarray, source: np.ndarray, *,
     """Check the (L, 6) plan ``order`` once, when iteration starts, then
     yield the [hist; curr; fut] context bundle of each plan step in order.
 
-    hist and curr-gen view ``source``, an (N, 6, R, R, C) video; curr-cond
-    and fut view ``cond.pixels``.  Which sources a bundle holds depends only
-    on the step's plan index; their contents are views, so what a caller
-    writes into ``source`` between steps shows in later bundles.
+    hist and curr-gen read ``source``, an (N, 6, R, R, C) video; curr-cond
+    and fut read ``cond``, whose frames are projected by each read.  Which
+    sources a bundle holds depends only on the step's plan index; contents
+    are read on access, so what a caller writes into ``source`` shows in
+    them.
     """
-    length = _check_plan(order, cond.num_frames)
+    length = _check_plan(order, cond.shape[0])
     coverage = frame_coverage(cond.masks)
     for w, row in enumerate(order):
         s, e = w * length, (w + 1) * length
         faces = tuple(FACES[f] for f in row)
         for k, face in enumerate(faces):
             fragments = select_future_fragments(coverage, face, e, frag_length,
-                                                frag_threshold, cond.num_frames)
-            yield assemble_context(source, cond.pixels, face, s, e, faces[:k],
+                                                frag_threshold, cond.shape[0])
+            yield assemble_context(source, cond, face, s, e, faces[:k],
                                    history_capacity, fragments)
 
 
@@ -174,11 +175,12 @@ def simulate_contexts(cond: CubemapVideo, order: np.ndarray, *,
     without sampling.
 
     The log holds provenance and token counts, never content, so every
-    source views ``cond.pixels``; the entries equal ``generate_all``'s.
+    source reads ``cond`` and no pixel is projected; the entries equal
+    ``generate_all``'s.
     """
-    return [_log_entry(bundle, cond.resolution, patch_size)
+    return [_log_entry(bundle, cond.shape[2], patch_size)
             for bundle in plan_contexts(
-                cond, order, cond.pixels, history_capacity=history_capacity,
+                cond, order, cond, history_capacity=history_capacity,
                 frag_length=frag_length, frag_threshold=frag_threshold)]
 
 
@@ -208,7 +210,7 @@ def generate_all(cond_video: CubemapVideo, order: np.ndarray, denoiser, *,
     resample to equirect frames one at a time.
 
     Step ``i`` samples from noise drawn with the seed
-    ``SeedSequence((seed, i))``.  hist and curr-gen context views the
+    ``SeedSequence((seed, i))``.  hist and curr-gen context reads the
     canvas, or ``teacher`` when it is given (teacher forcing).
 
     ``executor``, when given, draws each step's noise one step ahead: at
@@ -227,12 +229,12 @@ def generate_all(cond_video: CubemapVideo, order: np.ndarray, denoiser, *,
     # conditional: every window names all six faces (the plan check), each
     # face's core is assigned wholesale before anything reads it, and strips
     # blended into a face not yet generated are overwritten by its core.
-    canvas = np.zeros(cond_video.pixels.shape)
+    canvas = np.zeros(cond_video.shape)
     source = canvas if teacher is None else teacher
-    r, c = cond_video.resolution, canvas.shape[-1]
+    n, _, r, _, c = canvas.shape
     num_steps = np.size(order)
     # Every step samples one padded face window.
-    shape = (_check_plan(order, cond_video.num_frames), r + 2 * pad, r + 2 * pad, c)
+    shape = (_check_plan(order, n), r + 2 * pad, r + 2 * pad, c)
 
     def noise(i: int) -> np.ndarray:
         return _draw_noise(_step_seed(seed, i), shape)
@@ -247,7 +249,7 @@ def generate_all(cond_video: CubemapVideo, order: np.ndarray, denoiser, *,
         ahead = (executor.submit(noise, i + 1)
                  if executor is not None and i + 1 < num_steps else None)
         generate_step(canvas, bundle, denoiser, z, steps, pad)
-        step_log.append(_log_entry(bundle, cond_video.resolution, patch_size))
+        step_log.append(_log_entry(bundle, r, patch_size))
         pool_trace.append(min(history_capacity, (i + 1) // 6))
         if on_window is not None and i % 6 == 5:  # the window's last face
             on_window(bundle.start, bundle.end, canvas[bundle.start:bundle.end])
@@ -266,21 +268,25 @@ def _step_seed(seed: int, index: int) -> int:
 # built-in denoisers beyond the plain oracle
 # ---------------------------------------------------------------------------
 
-def padded_target_denoiser(video: np.ndarray, pad: int):
-    """Velocity toward the padded face window of ``video``, an
-    (N, 6, R, R, C) array, for the step named by the context bundle.  Given
-    the ground truth it is the scene oracle; given the (masked) conditional's
-    pixels it is the copy baseline, whose unobserved pixels head to zero.
-    The target is padded when (face, start, end) changes and reused for the
-    remaining Euler steps of that plan step."""
-    cached = {"key": None, "target": None}
+def padded_target_denoiser(video, pad: int):
+    """The oracle toward the padded face window ``video[start:end]`` of the
+    step named by the context bundle, read like a source's content.  Given
+    the ground truth it is the scene oracle; given the (masked) conditional
+    it is the copy baseline, whose unobserved pixels head to zero.  The
+    window is read once per (start, end), and the target padded once per
+    (face, start, end) and reused for the Euler steps of that plan step."""
+    cached = {"span": None, "window": None, "key": None, "oracle": None}
 
     def denoise(z_t, t, context):
         key = (context.face, context.start, context.end)
         if cached["key"] != key:
-            window = video[context.start:context.end]
-            cached["target"] = pad_face(window, context.face, pad)
+            if cached["span"] != key[1:]:
+                cached["window"] = None  # dropped before the next is read
+                cached["window"] = video[context.start:context.end]
+                cached["span"] = key[1:]
+            cached["oracle"] = oracle_denoiser(
+                pad_face(cached["window"], context.face, pad))
             cached["key"] = key
-        return cached["target"] - z_t
+        return cached["oracle"](z_t, t)
 
     return denoise

@@ -15,6 +15,7 @@ from .geometry import (
     PerspectiveFrame,
     equirect_pixel_to_direction,
     face_directions,
+    frustum_masks,
     project_perspective_to_cubemap,
     rotvec_to_matrix,
     sample_trajectory,
@@ -123,16 +124,18 @@ def synth_scene(cfg: RunConfig, seed: int | None = None):
 
 
 def conditional_video(truth_resolution: int, frames, poses) -> CubemapVideo:
-    """Project perspective frames into the masked conditional cubemap video,
-    filled frame by frame so only one frame's projection is held at a time."""
+    """The masked conditional of perspective frames: every frame's masks
+    now, and a frame's pixels projected from its masks when a read first
+    names it, so a run that reads no pixel projects none."""
     if len(frames) != len(poses):
         raise ValueError(f"{len(frames)} frames but {len(poses)} poses")
     r = truth_resolution
-    pixels = np.empty((len(frames), 6, r, r, frames[0].channels))
-    masks = np.empty(pixels.shape[:4], np.uint8)
-    for t, (frame, pose) in enumerate(zip(frames, poses)):
-        pixels[t], masks[t] = project_perspective_to_cubemap(frame, pose, r)
-    return CubemapVideo(pixels=pixels, masks=masks)
+    masks = np.empty((len(poses), 6, r, r), np.uint8)
+    for t, pose in enumerate(poses):
+        masks[t] = frustum_masks(pose, r)
+    return CubemapVideo(masks, frames[0].channels,
+                        lambda t, out: project_perspective_to_cubemap(
+                            frames[t], poses[t], masks[t], out))
 
 
 def render_equirect_video(scene: SyntheticScene, width: int,

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -349,6 +350,64 @@ class TestDeterminism:
         assert cov_a != cov_b  # different trajectory, different coverage
 
 
+class TestPixelProjection:
+    """A conditional frame's pixels are projected only when something reads
+    them: in ``generate`` the oracle and zero denoisers read none and the
+    copy denoiser each window once, dropping it before the next is read;
+    ``project`` and ``metrics`` read one frame at a time."""
+
+    def projections(self, monkeypatch, command, cfg, out) -> tuple[int, int]:
+        """(pixel frames projected, most of them alive at once) in a run; a
+        frame lives as long as the array that holds its pixels."""
+        real = sc.project_perspective_to_cubemap
+        count, alive, most = [0], set(), [0]
+
+        def counting(*args, **kwargs):
+            faces = real(*args, **kwargs)
+            count[0] += 1
+            alive.add(count[0])
+            storage = faces if faces.base is None else faces.base
+            weakref.finalize(storage, alive.discard, count[0])
+            most[0] = max(most[0], len(alive))
+            return faces
+
+        monkeypatch.setattr(sc, "project_perspective_to_cubemap", counting)
+        assert run([command, "--config", cfg, "--out", out]) == 0
+        return count[0], most[0]
+
+    @staticmethod
+    def file_input_cfg(tmp_path, **overrides):
+        frames_dir = tmp_path / "frames"
+        frames_dir.mkdir()
+        _, frames, poses = sc.synth_scene(parse_config(small_cfg(tmp_path)))
+        for t, frame in enumerate(frames):
+            write_pfm(frames_dir / f"input_{t:03d}.pfm", frame.pixels)
+        write_poses(frames_dir / "poses.json", poses)
+        return small_cfg(tmp_path, paths={"frames_dir": str(frames_dir),
+                                          "poses": str(frames_dir / "poses.json")},
+                         **overrides)
+
+    @pytest.mark.parametrize("mode", [
+        {"teacher_forcing": True, "denoiser": "oracle"},
+        {"teacher_forcing": False, "denoiser": "zero"}], ids=["oracle", "zero"])
+    def test_no_pixel_read_projects_none(self, tmp_path, monkeypatch, mode):
+        cfg = small_cfg(tmp_path, mode=mode)
+        assert self.projections(monkeypatch, "generate", cfg, tmp_path / "o") == (0, 0)
+
+    def test_copy_projects_each_frame_once(self, tmp_path, monkeypatch):
+        cfg = self.file_input_cfg(
+            tmp_path, mode={"teacher_forcing": False, "denoiser": "copy"})
+        projected, most = self.projections(monkeypatch, "generate", cfg,
+                                           tmp_path / "o")
+        assert projected == 8  # N
+        assert most <= 4  # T
+
+    @pytest.mark.parametrize("command", ["project", "metrics"])
+    def test_reads_one_frame_at_a_time(self, tmp_path, monkeypatch, command):
+        cfg = self.file_input_cfg(tmp_path)
+        assert self.projections(monkeypatch, command, cfg, tmp_path / "o") == (8, 1)
+
+
 class TestErrorPaths:
     def test_invalid_config_yields_error_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -453,8 +512,9 @@ class TestErrorPaths:
                                    "input_003.ppm: maxval 65535 is outside 1..255")
         assert not list(out.iterdir())
 
-    @pytest.mark.parametrize("header", [b"P6\n4", b"P6\n# no newline"],
-                             ids=["cut-short", "open-comment"])
+    @pytest.mark.parametrize("header", [b"P6\n4", b"P6\n# no newline",
+                                        b"P6\n0 3\n255\n"],
+                             ids=["cut-short", "open-comment", "zero-width"])
     def test_broken_ppm_header_rejected(self, tmp_path, capsys, header):
         frames_dir, cfg = self.file_input_cfg(tmp_path)
         (frames_dir / "input_005.pfm").unlink()

@@ -107,18 +107,23 @@ def coverage(masks):
     return {f: masks[i].mean() for i, f in enumerate(FACES)}
 
 
+def project(frame, pose, res):
+    """(faces, masks) of one frame projected at face resolution ``res``."""
+    masks = geo.frustum_masks(pose, res)
+    faces = np.empty((6, res, res, frame.channels))
+    return geo.project_perspective_to_cubemap(frame, pose, masks, faces), masks
+
+
 class TestProjectPerspective:
     def test_90x90_identity_covers_exactly_front(self):
-        frame = PerspectiveFrame(np.full((32, 32, 1), 0.25))
-        _, masks = geo.project_perspective_to_cubemap(frame, CameraPose(np.eye(3), 90, 90), 64)
+        masks = geo.frustum_masks(CameraPose(np.eye(3), 90, 90), 64)
         cov = coverage(masks)
         assert cov["F"] == 1.0
         for f in "RBLUD":
             assert cov[f] == 0.0
 
     def test_yaw_90_covers_right(self):
-        frame = PerspectiveFrame(np.full((32, 32, 1), 0.25))
-        _, masks = geo.project_perspective_to_cubemap(frame, yaw_pose(90.0), 64)
+        masks = geo.frustum_masks(yaw_pose(90.0), 64)
         cov = coverage(masks)
         assert cov["R"] == 1.0
         for f in "FBLUD":
@@ -126,8 +131,7 @@ class TestProjectPerspective:
 
     def test_narrow_vfov_band_coverage(self):
         # hfov=90, vfov=45: F rows with |b| <= tan(22.5 deg) are observed
-        frame = PerspectiveFrame(np.full((64, 128, 1), 0.5))
-        _, masks = geo.project_perspective_to_cubemap(frame, CameraPose(np.eye(3), 90, 45), 256)
+        masks = geo.frustum_masks(CameraPose(np.eye(3), 90, 45), 256)
         cov = coverage(masks)["F"]
         assert abs(cov - np.tan(np.radians(22.5))) <= 1.5 / 256
 
@@ -136,7 +140,7 @@ class TestProjectPerspective:
         hfov, vfov, res = 75.0, 50.0, 24
         pose = yaw_pose(30.0, hfov, vfov)
         frame = PerspectiveFrame(np.full((16, 16, 1), 1.0))
-        faces, masks = geo.project_perspective_to_cubemap(frame, pose, res)
+        faces, masks = project(frame, pose, res)
         assert faces.shape == (6, res, res, 1) and masks.shape == (6, res, res)
         assert masks.dtype == np.uint8
         th, tv = np.tan(np.radians(hfov) / 2), np.tan(np.radians(vfov) / 2)
@@ -153,19 +157,16 @@ class TestProjectPerspective:
                     assert masks[FACE_INDEX[face], i, j] == int(inside), (face, i, j)
 
     def test_cube_symmetry_permutes_coverage_exactly(self):
-        frame = PerspectiveFrame(np.full((20, 30, 1), 1.0))
-        _, base = geo.project_perspective_to_cubemap(frame, CameraPose(np.eye(3), 73, 100), 64)
-        _, yawed = geo.project_perspective_to_cubemap(frame, yaw_pose(90.0, 73, 100), 64)
+        base = geo.frustum_masks(CameraPose(np.eye(3), 73, 100), 64)
+        yawed = geo.frustum_masks(yaw_pose(90.0, 73, 100), 64)
         perm = {"F": "R", "R": "B", "B": "L", "L": "F", "U": "U", "D": "D"}
         for f in FACES:
             assert base[FACE_INDEX[f]].sum() == yawed[FACE_INDEX[perm[f]]].sum()
 
     def test_masked_solid_angle_matches_frustum(self):
-        frame = PerspectiveFrame(np.full((16, 16, 1), 1.0))
         w = geo.face_pixel_solid_angles(256)
         for hfov, vfov in [(90.0, 45.0), (120.0, 60.0), (73.0, 100.0)]:
-            _, masks = geo.project_perspective_to_cubemap(
-                frame, CameraPose(np.eye(3), hfov, vfov), 256)
+            masks = geo.frustum_masks(CameraPose(np.eye(3), hfov, vfov), 256)
             total = (w * masks).sum()
             ana = geo.frustum_solid_angle(hfov, vfov)
             assert abs(total - ana) / ana <= 0.01
@@ -177,9 +178,8 @@ class TestProjectPerspective:
             CameraPose(np.eye(3), 90.0, 180.0)
 
     def test_small_resolution_rejected(self):
-        frame = PerspectiveFrame(np.full((8, 8, 1), 1.0))
         with pytest.raises(ValueError):
-            geo.project_perspective_to_cubemap(frame, CameraPose(np.eye(3), 90, 90), 2)
+            geo.frustum_masks(CameraPose(np.eye(3), 90, 90), 2)
 
     def test_pixel_centre_on_the_side_plane_is_observed(self):
         # R=8, identity pose: face F's pixel centres sit at |x/z| in
@@ -195,9 +195,7 @@ class TestProjectPerspective:
                 break
         else:
             pytest.fail("no pixel centre of the row lies exactly on a frustum edge")
-        frame = PerspectiveFrame(np.full((4, 4, 1), 0.5))
-        _, masks = geo.project_perspective_to_cubemap(
-            frame, CameraPose(np.eye(3), hfov, 170.0), res)
+        masks = geo.frustum_masks(CameraPose(np.eye(3), hfov, 170.0), res)
         assert masks[f, row, col] == 1
         assert masks[f, row, col - 1] == 0  # one pixel further out
 
@@ -272,9 +270,7 @@ class TestCubemapEquirect:
     def test_mask_transfer_stays_binary_and_tracks_coverage(self):
         # nearest-neighbor mask resampling: binary output, and the observed
         # sphere fraction matches the cubemap's solid-angle-weighted masks
-        frame = PerspectiveFrame(np.full((16, 16, 1), 1.0))
-        _, masks = geo.project_perspective_to_cubemap(
-            frame, CameraPose(np.eye(3), 90.0, 60.0), 64)
+        masks = geo.frustum_masks(CameraPose(np.eye(3), 90.0, 60.0), 64)
         eq_mask = geo.EquirectTaps.create(64, 256).apply_mask(masks)
         assert set(np.unique(eq_mask)) <= {0, 1}
         area = equirect_cell_weights(256)
@@ -563,7 +559,7 @@ class TestDirectionStack:
     def test_projection_equals_full_grid_reference(self, res, case):
         frames, poses = _projection_case(case)
         for frame, pose in zip(frames, poses):
-            faces, masks = geo.project_perspective_to_cubemap(frame, pose, res)
+            faces, masks = project(frame, pose, res)
             assert masks.dtype == np.uint8 and masks.any()
             for ref in (ref_project, in_place_divide_project):
                 ref_faces, ref_masks = ref(frame, pose, res)
@@ -584,7 +580,7 @@ class TestDirectionStack:
             pytest.fail("no pixel centre of the row lies exactly on a frustum edge")
         frame = PerspectiveFrame(np.random.default_rng(2).random((6, 9, 3)))
         pose = CameraPose(np.eye(3), hfov, 170.0)
-        faces, masks = geo.project_perspective_to_cubemap(frame, pose, res)
+        faces, masks = project(frame, pose, res)
         ref_faces, ref_masks = in_place_divide_project(frame, pose, res)
         assert masks[f, row][ratios == edge].all()
         assert np.array_equal(masks, ref_masks)
@@ -602,7 +598,7 @@ class TestDirectionStack:
         pose = CameraPose(geo.rotvec_to_matrix([0.1, 0.2, 0.0]), 100.0, 80.0)
         for shape in [(1, 5, 3), (4, 1, 3), (1, 1, 2)]:
             frame = PerspectiveFrame(rng.random(shape))
-            faces, masks = geo.project_perspective_to_cubemap(frame, pose, 16)
+            faces, masks = project(frame, pose, 16)
             ref_faces, ref_masks = in_place_divide_project(frame, pose, 16)
             assert masks.any() and np.array_equal(masks, ref_masks)
             assert faces.tobytes() == ref_faces.tobytes()
@@ -617,7 +613,7 @@ def _resampled(res: int) -> list[bytes]:
     rng = np.random.default_rng(res)
     frame = PerspectiveFrame(rng.random((res // 2 + 3, res + 5, 3)))
     pose = CameraPose(geo.rotvec_to_matrix([0.3, -0.2, 0.1]), 170.0, 170.0)
-    faces, _ = geo.project_perspective_to_cubemap(frame, pose, res)
+    faces, _ = project(frame, pose, res)
     eq = geo.equirect_to_cubemap(rng.random((2 * res, 4 * res, 3)), res)
     taps = geo.EquirectTaps.create(res, 4 * res)
     return [a.tobytes() for a in (faces, eq, taps.apply(rng.random((6, res, res, 3))))]
@@ -637,16 +633,19 @@ def test_resample_block_size_changes_no_byte(monkeypatch, block, res):
 # ── input validation ─────────────────────────────────────────────────────
 
 def _video(pixels_shape=(2, 6, 4, 4, 1), mask_shape=None, mask_value=0):
+    """(masks, channels, frame_pixels) of a conditional whose pixel frames,
+    read on demand, are zeros of ``pixels_shape``; its masks have the
+    leading four dimensions unless ``mask_shape`` is given."""
     masks = np.ones(mask_shape or pixels_shape[:4])
     masks.flat[5] = mask_value
-    return np.zeros(pixels_shape), masks
+    return masks, pixels_shape[-1], lambda t, out: out.fill(0.0)
 
 
 class TestCubemapVideoValidation:
     @pytest.mark.parametrize("video,match", [
-        pytest.param(_video((6, 4, 4, 1)), "pixels", id="ndim"),
-        pytest.param(_video((2, 5, 4, 4, 1)), "pixels", id="five-faces"),
-        pytest.param(_video((2, 6, 4, 3, 1)), "pixels", id="non-square"),
+        pytest.param(_video((6, 4, 4, 1)), "masks must be", id="ndim"),
+        pytest.param(_video((2, 5, 4, 4, 1)), "masks must be", id="five-faces"),
+        pytest.param(_video((2, 6, 4, 3, 1)), "masks must be", id="non-square"),
         pytest.param(_video(mask_shape=(2, 6, 4, 3)), "masks must be", id="mask-shape"),
         *(pytest.param(_video(mask_value=v), "binary", id=f"mask-{v}")
           for v in (2.0, 0.5, -1.0, np.nan)),
@@ -657,11 +656,13 @@ class TestCubemapVideoValidation:
 
     @pytest.mark.parametrize("dtype", [bool, np.uint8, np.float64])
     def test_binary_dtypes_accepted(self, dtype):
-        pixels, masks = _video()
-        video = CubemapVideo(pixels=pixels.astype(np.float32), masks=masks.astype(dtype))
-        assert video.masks.dtype == np.uint8 and video.pixels.dtype == np.float64
+        masks, channels, _ = _video()
+        pixels = np.zeros((2, 6, 4, 4, 1), np.float32)
+        video = CubemapVideo(masks.astype(dtype), channels,
+                             lambda t, out: np.copyto(out, pixels[t]))
+        assert video.masks.dtype == np.uint8 and video[0:2].dtype == np.float64
         assert video.masks.flat[5] == 0 and video.masks.sum() == video.masks.size - 1
-        assert (video.num_frames, video.resolution, video.pixels.shape[4]) == (2, 4, 1)
+        assert video.shape == (2, 6, 4, 4, 1)
 
 
 class TestPerspectiveFrameValidation:

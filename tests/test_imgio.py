@@ -76,7 +76,9 @@ class TestNetpbmInput:
         (b"P6\n4", "'4'"),
         (b"P6\n# no newline", "''"),
         (b"P6\n4 x\n255\n", "'4 x 255'"),
-    ], ids=["cut-short", "open-comment", "not-a-number"])
+        (b"P6\n0 3\n255\n", "'0 3 255'"),
+        (b"P6\n3 0\n255\n", "'3 0 255'"),
+    ], ids=["cut-short", "open-comment", "not-a-number", "zero-width", "zero-height"])
     def test_broken_header_rejected_with_its_name(self, tmp_path, raw, fields):
         path = tmp_path / "broken.ppm"
         path.write_bytes(raw)

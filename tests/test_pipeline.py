@@ -153,7 +153,7 @@ class TestGenerateStep:
         bundle = next(pl.plan_contexts(cond, plan, truth, history_capacity=2,
                                        frag_length=4, frag_threshold=0.5))
         denoiser = padded_target_denoiser(truth, 2)
-        return truth, cond, cond.pixels.copy(), bundle, denoiser
+        return truth, cond, cond[:].copy(), bundle, denoiser
 
     def test_oracle_step_reproduces_truth(self):
         truth, cond, canvas, step, denoiser = self.first_step()
@@ -177,7 +177,7 @@ class TestGenerateStep:
             fi = FACE_INDEX[step.face]
             m = cond.masks[t, fi].astype(bool)
             if m.any():
-                diff = np.abs(out[k, 2:2 + 16, 2:2 + 16] - cond.pixels[t, fi])[m]
+                diff = np.abs(out[k, 2:2 + 16, 2:2 + 16] - cond[t:t + 1][0, fi])[m]
                 assert diff.max() <= 0.02  # bilinear error of the conditional
 
     def test_causality_of_context(self):
@@ -225,9 +225,9 @@ class TestInitState:
 
 
 class TestContextViews:
-    """Every source's content is a view of one (N, 6, R, R, C) video: the
-    canvas, or the teacher under teacher forcing, for hist and curr-gen;
-    the conditional for curr-cond and fut."""
+    """Every source's content is read from one video when it is read: a view
+    of the canvas, or of the teacher under teacher forcing, for hist and
+    curr-gen; the conditional's frames for curr-cond and fut."""
 
     @pytest.mark.parametrize("teacher", [False, True])
     def test_sources_view_the_videos(self, teacher):
@@ -251,11 +251,14 @@ class TestContextViews:
         composed = truth if teacher else canvas
         other = canvas if teacher else truth
         kinds = set()
+        cond_pixels = cond[:]
         for bundle in bundles:
             for src in bundle.sources:
                 kinds.add(src.kind)
-                video = composed if src.kind in ("hist", "curr-gen") else cond.pixels
-                assert np.shares_memory(src.content, video), src.provenance()
+                generated = src.kind in ("hist", "curr-gen")
+                video = composed if generated else cond_pixels
+                assert np.shares_memory(src.content, composed) == generated, \
+                    src.provenance()
                 assert not np.shares_memory(src.content, other)
                 assert np.array_equal(src.content,
                                       video[src.start:src.end, FACE_INDEX[src.face]])
@@ -276,10 +279,10 @@ class TestGenerateAll:
 
     def test_constant_scene_constant_output(self):
         res, n = 16, 4
-        cond = CubemapVideo(pixels=np.full((n, 6, res, res, 1), 0.6),
-                            masks=np.ones((n, 6, res, res), np.uint8))
+        cond = CubemapVideo(np.ones((n, 6, res, res), np.uint8), 1,
+                            lambda t, out: out.fill(0.6))
         plan = plan_order(window_coverage(frame_coverage(cond.masks), n))
-        denoiser = padded_target_denoiser(cond.pixels, 2)
+        denoiser = padded_target_denoiser(cond, 2)
         result = run_generate(cond, plan, denoiser,
                               steps=2, seed=0, pad=2,
                               history_capacity=1)
@@ -381,7 +384,7 @@ class TestGenerateAll:
             tracemalloc.stop()
             if pool is not None:
                 pool.shutdown()
-        canvas = cond.pixels.nbytes
+        canvas = np.zeros(cond.shape).nbytes
         assert peak <= 1.6 * canvas, (peak / canvas, peak, canvas)
 
     @pytest.mark.parametrize("teacher", [True, False])
@@ -390,8 +393,9 @@ class TestGenerateAll:
         # initial values are overwritten before anything reads them, so other
         # finite conditional pixels under the same masks give the same canvas
         cfg, truth, cond, plan = small_scene(res=16, n=8, t_win=4)
-        other = CubemapVideo(pixels=np.random.default_rng(3).uniform(
-            -50.0, 50.0, cond.pixels.shape), masks=cond.masks)
+        pixels = np.random.default_rng(3).uniform(-50.0, 50.0, cond.shape)
+        other = CubemapVideo(cond.masks, cond.shape[-1],
+                             lambda t, out: np.copyto(out, pixels[t]))
         runs = [run_generate(video, plan, padded_target_denoiser(truth, 2),
                              steps=2, seed=6, pad=2,
                              teacher=truth if teacher else None)
@@ -421,7 +425,7 @@ class TestNoiseAhead:
 
     def run(self, executor=None):
         cfg, truth, cond, plan = small_scene(res=16, n=12, t_win=4)
-        result = run_generate(cond, plan, padded_target_denoiser(cond.pixels, 2),
+        result = run_generate(cond, plan, padded_target_denoiser(cond, 2),
                               steps=3, seed=8, pad=2,
                               executor=executor)
         return result.canvas, plan.size
@@ -499,14 +503,14 @@ class TestPaddedTargetDenoiser:
         # frame by frame on every Euler step
         res = 16
         cfg, truth, cond, plan = small_scene(res=res)
-        video = truth if factory == "oracle" else cond.pixels
+        video = truth if factory == "oracle" else cond[:]
 
         def uncached(z_t, t, context):
             frames = [ref.pad_face(dict(zip(FACES, video[k])), context.face, 2)
                       for k in range(context.start, context.end)]
             return np.stack(frames) - z_t
 
-        cached = padded_target_denoiser(video, 2)
+        cached = padded_target_denoiser(truth if factory == "oracle" else cond, 2)
         teacher = truth if factory == "oracle" else None
         runs = [run_generate(cond, plan, d, steps=3, seed=4,
                              pad=2, teacher=teacher)

@@ -103,9 +103,8 @@ def faces_of(plan):
 
 class TestPlanOrder:
     def test_static_front_camera(self):
-        frame = geo.PerspectiveFrame(np.full((16, 16, 1), 1.0))
         pose = geo.CameraPose(np.eye(3), 90.0, 90.0)
-        _, cube_masks = geo.project_perspective_to_cubemap(frame, pose, 16)
+        cube_masks = geo.frustum_masks(pose, 16)
         masks = np.repeat(cube_masks[None], 8, axis=0)
         plan = plan_order(window_coverage(frame_coverage(masks), 4))
         # F first in each window, the five uncovered faces tie -> canonical

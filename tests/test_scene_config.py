@@ -160,7 +160,7 @@ class TestSyntheticScene:
         cond = sc.conditional_video(cfg.resolution, frames, poses)
         observed = cond.masks.astype(bool)
         assert observed.any()
-        worst = np.abs(cond.pixels - truth)[observed].max()
+        worst = np.abs(cond[:] - truth)[observed].max()
         assert worst <= 0.02
 
     def test_masks_nontrivial(self):
@@ -171,21 +171,51 @@ class TestSyntheticScene:
         assert 0.0 < total < 6.0
 
     def test_conditional_video_holds_one_copy(self):
-        # filled in place frame by frame: the peak is the result plus one
-        # frame's projection, not every frame's projection plus their stack
+        # masks up front, pixels on read: building holds the masks only, and
+        # a read projects frame by frame into the array it returns, which
+        # holds them, so its peak is that array plus one frame's projection,
+        # not every frame's projection plus their stack
         res, n = 64, 8
         cfg = config_from_dict(dict(resolution=res, num_frames=n, channels=3))
         _, frames, poses = sc.synth_scene(cfg)
         # the per-R direction stack is shared fixed work; build it first
-        sc.conditional_video(res, frames[:1], poses[:1])
+        sc.conditional_video(res, frames[:1], poses[:1])[0:1]
         tracemalloc.start()
         try:
             video = sc.conditional_video(res, frames, poses)
-            _, peak = tracemalloc.get_traced_memory()
+            built, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            pixels = video[0:n]
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert video.pixels.shape == (n, 6, res, res, 3)
-        assert peak <= 1.3 * video.pixels.nbytes, (peak, video.pixels.nbytes)
+        assert pixels.shape == (n, 6, res, res, 3)
+        assert built < video.masks.nbytes + 4096, (built, video.masks.nbytes)
+        assert held - built < pixels.nbytes + 4096, (held - built, pixels.nbytes)
+        assert peak - built <= 1.3 * pixels.nbytes, (peak - built, pixels.nbytes)
+
+    def test_conditional_peak_grows_with_frames_by_the_masks_only(self):
+        # read window by window as a copy run reads it, each window dropped
+        # before the next is read: only the masks scale with N
+        res, t_win = 32, 4
+
+        def peak(n):
+            cfg = config_from_dict(dict(resolution=res, equirect_width=4 * res,
+                                        num_frames=n, window_length=t_win))
+            _, frames, poses = sc.synth_scene(cfg)
+            tracemalloc.start()
+            try:
+                video = sc.conditional_video(res, frames, poses)
+                for s in range(0, n, t_win):
+                    video[s:s + t_win]
+                _, top = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return top, video.masks.nbytes
+
+        peak(8)  # first-use costs: the direction stack, numpy's caches
+        (peak_8, masks_8), (peak_32, masks_32) = peak(8), peak(32)
+        assert peak_32 - peak_8 <= masks_32 - masks_8, (peak_8, peak_32)
 
     def test_conditional_video_rejects_pose_count_mismatch(self):
         cfg = config_from_dict(dict(resolution=16, equirect_width=64, num_frames=8))
