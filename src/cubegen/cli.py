@@ -10,14 +10,15 @@ bench.csv (pass --trials 0 to zero those columns).
 generate runs one side thread next to the sampling loop, so the main
 thread's critical path is the sampling loop itself.  In order, the side
 thread builds the cube-face direction stack and the pad map while the main
-thread loads the inputs; fills the synthetic truth, when the oracle or
-teacher forcing reads it, and builds the cube->equirect tap table while the
-main thread projects and plans; then, during sampling, it draws each plan
-step's noise one step ahead (``generate_all``'s ``executor``) and resamples
-and writes each window's frames (handed over by ``on_window``) while the
-next window is sampled.  A
-job still queued when the main thread needs it is taken back: the main
-thread cancels it and does the same work itself.  So it draws a step's
+thread loads the inputs; builds the cube->equirect tap table while the main
+thread projects the masks and plans; then, during sampling, it draws each
+plan step's noise one step ahead (``generate_all``'s ``executor``) and
+resamples and writes each window's frames (handed over by ``on_window``)
+while the next window is sampled.  The synthetic truth, like the
+conditional, is computed frame by frame when read: the oracle reads it one
+window at a time while sampling, and the other denoisers never.  A job
+still queued when the main thread needs it is taken back: the main thread
+cancels it and does the same work itself.  So it draws a step's
 noise queued behind frames, and after sampling it writes the last window's
 unstarted frames, last first, into a buffer of its own while the side
 thread writes from the first.  Every artifact is written into a
@@ -58,7 +59,7 @@ from .attention import (
 )
 from .config import ConfigError, RunConfig, parse_config
 from .continuity import _pad_table, seam_metric
-from .geometry import CubemapVideo, EquirectTaps, PerspectiveFrame, face_directions
+from .geometry import EquirectTaps, PerspectiveFrame, face_directions
 from .imgio import (
     read_pfm,
     read_ppm,
@@ -144,10 +145,11 @@ def run_subcommand(name: str, cfg: RunConfig, out_dir: Path, args) -> None:
 # ---------------------------------------------------------------------------
 
 def _load_inputs(cfg: RunConfig):
-    """(scene field | None, perspective frames, poses).  Without input paths
-    the deterministic synthetic scene supplies everything."""
+    """(truth | None, perspective frames, poses).  Without input paths the
+    deterministic synthetic scene supplies everything, its ground-truth cube
+    video computed when read."""
     if cfg.paths.frames_dir is None and cfg.paths.poses is None:
-        return scene_mod.synth_inputs(cfg)
+        return scene_mod.synth_scene(cfg)
     if cfg.paths.frames_dir is None or cfg.paths.poses is None:
         raise ConfigError("config fields 'paths.frames_dir' and 'paths.poses' "
                           "must be provided together")
@@ -170,16 +172,10 @@ def _load_inputs(cfg: RunConfig):
     return None, frames, poses
 
 
-def _truth(cfg: RunConfig, field) -> np.ndarray | None:
-    """The synthetic scene's ground-truth (N, 6, R, R, C) cube video; None
-    without a field (file input, or a run that reads no truth)."""
-    return None if field is None else field.cubemap_video(cfg.resolution,
-                                                          cfg.num_frames)
-
-
-def _coverage_tables(cfg: RunConfig, cond: CubemapVideo):
-    """(6, N) frame coverage and (6, L) window coverage."""
-    fc = frame_coverage(cond.masks)
+def _coverage_tables(cfg: RunConfig, masks: np.ndarray):
+    """(6, N) frame coverage and (6, L) window coverage of the
+    conditional's (N, 6, R, R) masks."""
+    fc = frame_coverage(masks)
     return fc, window_coverage(fc, cfg.window_length)
 
 
@@ -203,12 +199,12 @@ def _write_image(path_base: Path, pixels: np.ndarray) -> None:
 
 def cmd_project(cfg: RunConfig, out_dir: Path) -> None:
     _, frames, poses = _load_inputs(cfg)
-    cond = scene_mod.conditional_video(cfg.resolution, frames, poses)
-    fc, ct = _coverage_tables(cfg, cond)
+    masks, cond = scene_mod.conditional_video(cfg.resolution, frames, poses)
+    fc, ct = _coverage_tables(cfg, masks)
     taps = EquirectTaps.create(cfg.resolution, cfg.equirect_width)
     for t in range(cfg.num_frames):
-        _write_cond_frame(out_dir, t, cond[t:t + 1][0], cond.masks[t])
-        write_mask_pgm(out_dir / f"eq_mask_{t:03d}.pgm", taps.apply_mask(cond.masks[t]))
+        _write_cond_frame(out_dir, t, cond[t:t + 1][0], masks[t])
+        write_mask_pgm(out_dir / f"eq_mask_{t:03d}.pgm", taps.apply_mask(masks[t]))
     write_poses(out_dir / "poses.json", poses)
     write_json_artifact(out_dir / "coverage.json", "coverage",
                         _coverage_json(fc, ct))
@@ -225,8 +221,8 @@ def _write_cond_frame(out_dir: Path, t: int, faces: np.ndarray,
 
 def cmd_plan(cfg: RunConfig, out_dir: Path) -> None:
     _, frames, poses = _load_inputs(cfg)
-    cond = scene_mod.conditional_video(cfg.resolution, frames, poses)
-    fc, ct = _coverage_tables(cfg, cond)
+    masks, _ = scene_mod.conditional_video(cfg.resolution, frames, poses)
+    fc, ct = _coverage_tables(cfg, masks)
     write_json_artifact(out_dir / "plan.json", "plan",
                         {"steps": plan_steps(plan_order(ct), cfg.window_length)})
     write_json_artifact(out_dir / "coverage.json", "coverage",
@@ -235,11 +231,11 @@ def cmd_plan(cfg: RunConfig, out_dir: Path) -> None:
 
 def cmd_context(cfg: RunConfig, out_dir: Path) -> None:
     """The generation loop's step log, tokens left out; it does not depend
-    on content, so no truth is built."""
+    on content, so no truth frame is computed."""
     _, frames, poses = _load_inputs(cfg)
-    cond = scene_mod.conditional_video(cfg.resolution, frames, poses)
-    _, ct = _coverage_tables(cfg, cond)
-    entries = simulate_contexts(cond, plan_order(ct),
+    masks, cond = scene_mod.conditional_video(cfg.resolution, frames, poses)
+    fc, ct = _coverage_tables(cfg, masks)
+    entries = simulate_contexts(cond, fc, plan_order(ct),
                                 history_capacity=cfg.history,
                                 frag_length=cfg.frag_length,
                                 frag_threshold=cfg.frag_threshold,
@@ -347,8 +343,7 @@ def _staged(out_dir: Path):
 
 def _generate(cfg: RunConfig, out_dir: Path) -> None:
     """Sample the video and write its artifacts into ``out_dir``, with the
-    truth, the tap table, the noise and the frames on one side thread (see
-    above)."""
+    tap table, the noise and the frames on one side thread (see above)."""
     # Imported here, not at module level: only this function starts a thread,
     # and the import adds about 8 ms to every subcommand's start-up.
     from concurrent.futures import ThreadPoolExecutor
@@ -360,20 +355,16 @@ def _generate(cfg: RunConfig, out_dir: Path) -> None:
         # step the pad map: the side thread builds them while inputs load.
         dirs_job = side.submit(face_directions, cfg.resolution)
         side.submit(_pad_table, cfg.resolution, cfg.pad)
-        field, frames, poses = _load_inputs(cfg)
+        truth, frames, poses = _load_inputs(cfg)
         marks.append(time.perf_counter())
-        if cfg.mode.teacher_forcing and field is None:
+        if cfg.mode.teacher_forcing and truth is None:
             raise ConfigError("mode.teacher_forcing requires the synthetic scene")
         dirs_job.result()
-        # Only the oracle and teacher forcing read the truth.
-        reads_truth = cfg.mode.denoiser == "oracle" or cfg.mode.teacher_forcing
-        truth_job = side.submit(_truth, cfg, field if reads_truth else None)
         taps_job = side.submit(EquirectTaps.create, cfg.resolution,
                                cfg.equirect_width)
-        cond = scene_mod.conditional_video(cfg.resolution, frames, poses)
-        _, ct = _coverage_tables(cfg, cond)
+        masks, cond = scene_mod.conditional_video(cfg.resolution, frames, poses)
+        fc, ct = _coverage_tables(cfg, masks)
         order = plan_order(ct)
-        truth = truth_job.result()
         marks.append(time.perf_counter())
 
         # One frame buffer, reused by the one side thread frame after frame.
@@ -389,7 +380,7 @@ def _generate(cfg: RunConfig, out_dir: Path) -> None:
                              frame))
 
         result = generate_all(
-            cond, order, _make_denoiser(cfg, truth, cond),
+            cond, fc, order, _make_denoiser(cfg, truth, cond),
             steps=cfg.sampler_steps, seed=cfg.seed,
             pad=cfg.pad, history_capacity=cfg.history,
             frag_length=cfg.frag_length, frag_threshold=cfg.frag_threshold,
@@ -448,8 +439,8 @@ def _write_frame(taps_job, buf: np.ndarray, faces: np.ndarray, base: Path) -> No
 
 
 def _seam_per_frame(video) -> list[float]:
-    """Seam metric of each frame of an (N, 6, R, R, C) cube video or of the
-    conditional, read one frame at a time."""
+    """Seam metric of each frame of an (N, 6, R, R, C) cube video, an array
+    or a ``CubemapVideo``, read one frame at a time."""
     return [seam_metric(video[t:t + 1][0]) for t in range(video.shape[0])]
 
 
@@ -485,10 +476,9 @@ def _write_dry_run(cfg: RunConfig, out_dir: Path) -> None:
 
 
 def cmd_metrics(cfg: RunConfig, out_dir: Path) -> None:
-    field, frames, poses = _load_inputs(cfg)
-    truth = _truth(cfg, field)
-    cond = scene_mod.conditional_video(cfg.resolution, frames, poses)
-    fc, ct = _coverage_tables(cfg, cond)
+    truth, frames, poses = _load_inputs(cfg)
+    masks, cond = scene_mod.conditional_video(cfg.resolution, frames, poses)
+    fc, ct = _coverage_tables(cfg, masks)
     report = {
         "seam_per_frame": _seam_per_frame(cond if truth is None else truth),
         "coverage": {

@@ -81,6 +81,10 @@ class RunConfig:
         _require(self.equirect_width == 4 * self.resolution, "equirect_width",
                  f"must equal 4 * resolution = {4 * self.resolution}")
         _require(self.num_frames >= 1, "num_frames", "must be >= 1")
+        # the synthetic scene's trajectory needs two frames to interpolate
+        _require(self.num_frames >= 2 or self.paths.frames_dir is not None
+                 or self.paths.poses is not None, "num_frames",
+                 "must be >= 2 for the synthetic scene")
         _require(self.window_length >= 1, "window_length", "must be >= 1")
         _require(self.num_frames % self.window_length == 0, "num_frames",
                  f"must be divisible by window_length={self.window_length}")
@@ -92,7 +96,9 @@ class RunConfig:
         _require(self.resolution % self.patch_size == 0, "patch_size",
                  f"must divide resolution={self.resolution}")
         _require(self.sampler_steps >= 1, "sampler_steps", "must be >= 1")
-        _require(self.channels >= 1, "channels", "must be >= 1")
+        _require(self.channels in (1, 3), "channels",
+                 "must be 1 or 3, the counts the image writers take")
+        _require(self.seed >= 0, "seed", "must be >= 0")
 
         if self.bandwidth is None:
             object.__setattr__(self, "bandwidth",

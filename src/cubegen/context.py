@@ -8,9 +8,10 @@ input, on the current face and its neighbors, whose short-horizon coverage
 clears the threshold.
 
 A source holds its video and frame range, and its content reads them on
-access: a view of the video being composed, an (N, 6, R, R, C) array, for
-history and generated current-window faces; the conditional input, whose
-frames are projected by each read, for the others and the fragments.
+access: a view of the video being composed, an (N, 6, R, R, C) array, or
+the teacher's frames, computed by each read, for history and generated
+current-window faces; the conditional input, whose frames are projected by
+each read, for the others and the fragments.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ class TokenSource:
     face: str
     start: int
     end: int
-    video: object  # an (N, 6, R, R, C) array or the conditional CubemapVideo
+    video: object  # an (N, 6, R, R, C) array or a CubemapVideo
 
     @property
     def content(self) -> np.ndarray:

@@ -3,9 +3,9 @@
 A cubemap is one stacked array: six (R, R, C) faces in the canonical order
 :data:`cubegen.faces.FACES`, so one frame is (6, R, R, C) and a video is a
 plain (N, 6, R, R, C) float64 array.  Every layer indexes that layout
-directly; face ``f`` of frame ``t`` is ``video[t, FACE_INDEX[f]]``.  The
-masked conditional, :class:`CubemapVideo`, holds its (N, 6, R, R) binary
-observation masks whole and reads like such a video, projecting a frame's
+directly; face ``f`` of frame ``t`` is ``video[t, FACE_INDEX[f]]``.  A video
+that nothing needs whole, the synthetic truth or the masked conditional, is
+a :class:`CubemapVideo`: it reads like such an array and computes a frame's
 pixels each time a read names it.
 
 All mappings use pixel-center sampling (offset 0.5).  Images are sampled
@@ -133,29 +133,23 @@ class PerspectiveFrame:
 
 
 class CubemapVideo:
-    """The masked conditional: binary observation ``masks`` (N, 6, R, R)
-    uint8, faces in canonical order, held whole, and each frame's (6, R, R,
-    C) float64 pixels, which ``frame_pixels(t, out)`` writes into ``out``.
-    A read, ``video[s:e]``, projects every frame it names into a new
-    read-only (e-s, 6, R, R, C) array with the bytes of the same slice of an
-    (N, 6, R, R, C) array; nothing else holds pixels.  Masks are checked
-    once, here."""
+    """An (N, 6, R, R, C) cube video read by frame: ``frame(t, out)`` writes
+    frame ``t``'s (6, R, R, C) float64 pixels, faces in canonical order, into
+    ``out``.  A read, ``video[s:e]``, computes every frame it names into a
+    new read-only (e-s, 6, R, R, C) array with the bytes of the same slice of
+    the whole array; nothing else holds pixels."""
 
-    def __init__(self, masks, channels: int, frame_pixels):
-        mk = np.asarray(masks)
-        if mk.ndim != 4 or mk.shape[1] != 6 or mk.shape[2] != mk.shape[3]:
-            raise ValueError(f"masks must be (N, 6, R, R), got {mk.shape}")
-        if not ((mk == 0) | (mk == 1)).all():
-            raise ValueError("masks must be binary")
-        self.masks = mk.astype(np.uint8, copy=False)
-        self.shape = (*mk.shape, channels)
-        self._frame_pixels = frame_pixels
+    def __init__(self, shape, frame):
+        if len(shape) != 5 or shape[1] != 6 or shape[2] != shape[3]:
+            raise ValueError(f"shape must be (N, 6, R, R, C), got {shape}")
+        self.shape = tuple(shape)
+        self._frame = frame
 
     def __getitem__(self, frames: slice) -> np.ndarray:
         ts = range(*frames.indices(self.shape[0]))
         out = np.empty((len(ts), *self.shape[1:]))
         for k, t in enumerate(ts):
-            self._frame_pixels(t, out[k])
+            self._frame(t, out[k])
         out.flags.writeable = False
         return out
 

@@ -18,8 +18,9 @@ indices (see :mod:`cubegen.planner`).  :func:`plan_contexts` checks the plan
 once and yields each step's context bundle, which names the step's face,
 frames and window; :func:`generate_all` samples and blends each step with
 :func:`generate_step`, and :func:`simulate_contexts` only logs the bundles.
-Teacher forcing is ``generate_all``'s ``teacher`` video, an (N, 6, R, R, C)
-array, which hist and curr-gen context then read in place of the canvas.
+All three take the conditional's (6, N) frame coverage, which picks the
+future fragments.  Teacher forcing is ``generate_all``'s ``teacher`` video,
+(N, 6, R, R, C) like the canvas, which hist and curr-gen context then read.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import numpy as np
 from .attention import tokens_per_frame
 from .faces import FACES
 from .geometry import CubemapVideo
-from .planner import frame_coverage
 from .context import ContextBundle, assemble_context, select_future_fragments
 from .continuity import blend_overlaps, pad_face
 
@@ -98,19 +98,19 @@ def _draw_noise(seed: int, shape: tuple) -> np.ndarray:
 # generation loop
 # ---------------------------------------------------------------------------
 
-def plan_contexts(cond: CubemapVideo, order: np.ndarray, source: np.ndarray, *,
-                  history_capacity: int, frag_length: int, frag_threshold: float):
+def plan_contexts(cond: CubemapVideo, coverage: np.ndarray, order: np.ndarray,
+                  source, *, history_capacity: int, frag_length: int,
+                  frag_threshold: float):
     """Check the (L, 6) plan ``order`` once, when iteration starts, then
     yield the [hist; curr; fut] context bundle of each plan step in order.
 
     hist and curr-gen read ``source``, an (N, 6, R, R, C) video; curr-cond
-    and fut read ``cond``, whose frames are projected by each read.  Which
-    sources a bundle holds depends only on the step's plan index; contents
-    are read on access, so what a caller writes into ``source`` shows in
-    them.
+    and fut read ``cond``, whose frames are projected by each read, over
+    fragments picked by its (6, N) frame ``coverage``.  Which sources a
+    bundle holds depends only on the step's plan index; contents are read on
+    access, so what a caller writes into ``source`` shows in them.
     """
     length = _check_plan(order, cond.shape[0])
-    coverage = frame_coverage(cond.masks)
     for w, row in enumerate(order):
         s, e = w * length, (w + 1) * length
         faces = tuple(FACES[f] for f in row)
@@ -168,11 +168,12 @@ def generate_step(canvas: np.ndarray, bundle: ContextBundle, denoiser,
     return z
 
 
-def simulate_contexts(cond: CubemapVideo, order: np.ndarray, *,
-                      history_capacity: int, frag_length: int,
-                      frag_threshold: float, patch_size: int) -> list[dict]:
+def simulate_contexts(cond: CubemapVideo, coverage: np.ndarray,
+                      order: np.ndarray, *, history_capacity: int,
+                      frag_length: int, frag_threshold: float,
+                      patch_size: int) -> list[dict]:
     """The step log of a generation run over the (L, 6) plan ``order``,
-    without sampling.
+    without sampling; ``coverage`` is the (6, N) frame coverage of ``cond``.
 
     The log holds provenance and token counts, never content, so every
     source reads ``cond`` and no pixel is projected; the entries equal
@@ -180,7 +181,7 @@ def simulate_contexts(cond: CubemapVideo, order: np.ndarray, *,
     """
     return [_log_entry(bundle, cond.shape[2], patch_size)
             for bundle in plan_contexts(
-                cond, order, cond, history_capacity=history_capacity,
+                cond, coverage, order, cond, history_capacity=history_capacity,
                 frag_length=frag_length, frag_threshold=frag_threshold)]
 
 
@@ -200,14 +201,15 @@ class GenerationResult:
         return max(self.resident_trace, default=0)
 
 
-def generate_all(cond_video: CubemapVideo, order: np.ndarray, denoiser, *,
-                 steps: int, seed: int, pad: int, history_capacity: int,
-                 frag_length: int, frag_threshold: float, patch_size: int,
-                 teacher: np.ndarray | None = None,
+def generate_all(cond_video: CubemapVideo, coverage: np.ndarray,
+                 order: np.ndarray, denoiser, *, steps: int, seed: int,
+                 pad: int, history_capacity: int, frag_length: int,
+                 frag_threshold: float, patch_size: int, teacher=None,
                  on_window=None, executor=None) -> GenerationResult:
     """Run every step of the (L, 6) plan ``order`` window-major, each in
     ``steps`` Euler steps; the result is the cube canvas, which callers
-    resample to equirect frames one at a time.
+    resample to equirect frames one at a time.  ``coverage`` is the (6, N)
+    frame coverage of ``cond_video``.
 
     Step ``i`` samples from noise drawn with the seed
     ``SeedSequence((seed, i))``.  hist and curr-gen context reads the
@@ -243,7 +245,7 @@ def generate_all(cond_video: CubemapVideo, order: np.ndarray, denoiser, *,
     ahead = None  # the future of the next step's noise
     t_end = time.perf_counter()
     for i, bundle in enumerate(plan_contexts(
-            cond_video, order, source, history_capacity=history_capacity,
+            cond_video, coverage, order, source, history_capacity=history_capacity,
             frag_length=frag_length, frag_threshold=frag_threshold)):
         z = noise(i) if ahead is None or ahead.cancel() else ahead.result()
         ahead = (executor.submit(noise, i + 1)

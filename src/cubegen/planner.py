@@ -25,7 +25,7 @@ def frame_coverage(masks: np.ndarray) -> np.ndarray:
     """(6, N) observed fraction of each face in each frame, in [0, 1]: the
     spatial mean of each binary face mask; ``masks`` is (N, 6, R, R)."""
     m = np.asarray(masks)
-    if m.ndim != 4 or m.shape[1] != 6:
+    if m.ndim != 4 or m.shape[1] != 6 or m.shape[2] != m.shape[3]:
         raise ValueError(f"masks must be (N, 6, R, R), got {m.shape}")
     if not ((m == 0) | (m == 1)).all():
         raise ValueError("masks must be binary")

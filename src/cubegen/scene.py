@@ -63,15 +63,18 @@ class SyntheticScene:
         basis = np.moveaxis(np.stack([b(x, y, z) for b in _BASIS]), 0, -1)
         return 0.5 + basis @ self.coeffs.T
 
-    def cubemap_video(self, resolution: int, num_frames: int) -> np.ndarray:
-        """The (N, 6, R, R, C) cube video of the field, filled one face at a
-        time."""
-        pixels = np.empty((num_frames, 6, resolution, resolution, len(self.coeffs)))
-        dirs = face_directions(resolution)
+    def cubemap_video(self, resolution: int, num_frames: int) -> CubemapVideo:
+        """The (N, 6, R, R, C) cube video of the field; a read computes the
+        frames it names, so nothing holds the whole video."""
+        return CubemapVideo((num_frames, 6, resolution, resolution,
+                             len(self.coeffs)), self.cubemap_frame)
+
+    def cubemap_frame(self, frame: int, out: np.ndarray) -> None:
+        """Write the (6, R, R, C) cube faces of one frame into ``out``, one
+        face at a time."""
+        dirs = face_directions(out.shape[1])
         for i in range(6):
-            for t in range(num_frames):
-                pixels[t, i] = self.value(dirs[i], t)
-        return pixels
+            out[i] = self.value(dirs[i], frame)
 
     def perspective_frame(self, pose: CameraPose, height: int, width: int,
                           frame: int) -> PerspectiveFrame:
@@ -101,12 +104,11 @@ def _trajectory_anchors(cfg: RunConfig, rng: np.random.Generator) -> list[Camera
     return anchors
 
 
-def synth_inputs(cfg: RunConfig, seed: int | None = None):
+def synth_inputs(cfg: RunConfig):
     """The config's scene field, plus the perspective input rendered along a
-    smooth trajectory and its poses; the truth is left to the caller."""
-    seed = cfg.seed if seed is None else seed
-    field = SyntheticScene.random(cfg.channels, seed)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 2)))
+    smooth trajectory and its poses."""
+    field = SyntheticScene.random(cfg.channels, cfg.seed)
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 2)))
     poses = sample_trajectory(_trajectory_anchors(cfg, rng), cfg.num_frames)
     height = max(8, cfg.resolution // 2)
     width = max(8, cfg.resolution)
@@ -115,27 +117,28 @@ def synth_inputs(cfg: RunConfig, seed: int | None = None):
     return field, frames, poses
 
 
-def synth_scene(cfg: RunConfig, seed: int | None = None):
+def synth_scene(cfg: RunConfig):
     """Deterministic scene for a config: the ground-truth (N, 6, R, R, C)
-    cube video, the perspective input rendered along a smooth trajectory, and
-    the poses."""
-    field, frames, poses = synth_inputs(cfg, seed)
+    cube video, computed when read, the perspective input rendered along a
+    smooth trajectory, and the poses."""
+    field, frames, poses = synth_inputs(cfg)
     return field.cubemap_video(cfg.resolution, cfg.num_frames), frames, poses
 
 
-def conditional_video(truth_resolution: int, frames, poses) -> CubemapVideo:
-    """The masked conditional of perspective frames: every frame's masks
-    now, and a frame's pixels projected from its masks when a read first
-    names it, so a run that reads no pixel projects none."""
+def conditional_video(truth_resolution: int, frames, poses):
+    """The masked conditional of perspective frames: every frame's (N, 6, R,
+    R) uint8 masks now, and the video whose read projects a frame's pixels
+    from its masks, so a run that reads no pixel projects none."""
     if len(frames) != len(poses):
         raise ValueError(f"{len(frames)} frames but {len(poses)} poses")
     r = truth_resolution
     masks = np.empty((len(poses), 6, r, r), np.uint8)
     for t, pose in enumerate(poses):
         masks[t] = frustum_masks(pose, r)
-    return CubemapVideo(masks, frames[0].channels,
-                        lambda t, out: project_perspective_to_cubemap(
-                            frames[t], poses[t], masks[t], out))
+    return masks, CubemapVideo(
+        (*masks.shape, frames[0].channels),
+        lambda t, out: project_perspective_to_cubemap(frames[t], poses[t],
+                                                      masks[t], out))
 
 
 def render_equirect_video(scene: SyntheticScene, width: int,

@@ -358,9 +358,8 @@ class TestLayoutHelpers:
         from cubegen.geometry import CubemapVideo
         from cubegen.pipeline import simulate_contexts
         from cubegen.planner import plan_order
-        cond = CubemapVideo(np.zeros((8, 6, 16, 16)), 1,
-                            lambda t, out: out.fill(0.0))
-        log = simulate_contexts(cond, plan_order(np.zeros((6, 2))),
+        cond = CubemapVideo((8, 6, 16, 16, 1), lambda t, out: out.fill(0.0))
+        log = simulate_contexts(cond, np.zeros((6, 8)), plan_order(np.zeros((6, 2))),
                                 history_capacity=0, frag_length=4,
                                 frag_threshold=0.5, patch_size=8)
         assert (log[0]["face"], log[0]["s"], log[0]["e"]) == ("F", 0, 4)

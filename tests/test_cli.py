@@ -65,10 +65,10 @@ def assert_frames_equal_serial_writes(out: Path, ref: Path) -> None:
     sampling the whole canvas first and then resampling it frame by frame."""
     cfg = parse_config(DEMO)
     truth, frames, poses = sc.synth_scene(cfg)
-    cond = sc.conditional_video(cfg.resolution, frames, poses)
-    _, ct = cli._coverage_tables(cfg, cond)
+    masks, cond = sc.conditional_video(cfg.resolution, frames, poses)
+    fc, ct = cli._coverage_tables(cfg, masks)
     result = generate_all(
-        cond, plan_order(ct), cli._make_denoiser(cfg, truth, cond),
+        cond, fc, plan_order(ct), cli._make_denoiser(cfg, truth, cond),
         steps=cfg.sampler_steps, seed=cfg.seed,
         pad=cfg.pad, history_capacity=cfg.history,
         frag_length=cfg.frag_length, frag_threshold=cfg.frag_threshold,
@@ -175,9 +175,9 @@ class TestSubcommands:
 
     def test_context_never_builds_truth(self, tmp_path, monkeypatch):
         def no_truth(*args, **kwargs):
-            raise AssertionError("context built the synthetic truth")
+            raise AssertionError("context computed a synthetic truth frame")
 
-        monkeypatch.setattr(sc.SyntheticScene, "cubemap_video", no_truth)
+        monkeypatch.setattr(sc.SyntheticScene, "cubemap_frame", no_truth)
         cfg = small_cfg(tmp_path)
         assert run(["context", "--config", cfg, "--out", tmp_path / "out"]) == 0
         validate_artifact("context", json.loads(
@@ -330,9 +330,9 @@ class TestDeterminism:
         assert run(["generate", "--config", cfg, "--out", out_a]) == 0
 
         def no_truth(*args, **kwargs):
-            raise AssertionError("generate built the synthetic truth")
+            raise AssertionError("generate computed a synthetic truth frame")
 
-        monkeypatch.setattr(sc.SyntheticScene, "cubemap_video", no_truth)
+        monkeypatch.setattr(sc.SyntheticScene, "cubemap_frame", no_truth)
         assert run(["generate", "--config", cfg, "--out", out_b]) == 0
         names = sorted(p.name for p in out_a.iterdir())
         assert names == sorted(p.name for p in out_b.iterdir())
@@ -406,6 +406,49 @@ class TestPixelProjection:
     def test_reads_one_frame_at_a_time(self, tmp_path, monkeypatch, command):
         cfg = self.file_input_cfg(tmp_path)
         assert self.projections(monkeypatch, command, cfg, tmp_path / "o") == (8, 1)
+
+
+class TestTruthFrames:
+    """A synthetic truth frame is computed only when something reads it: in
+    ``generate`` the oracle reads each window once, dropping it before the
+    next is read, and the zero and copy denoisers read none; ``metrics``
+    reads one frame at a time."""
+
+    def computed(self, monkeypatch, command, cfg, out) -> tuple[int, int]:
+        """(truth frames computed, most of them alive at once) in a run; a
+        frame lives as long as the array that holds its pixels."""
+        real = sc.SyntheticScene.cubemap_frame
+        count, alive, most = [0], set(), [0]
+
+        def counting(self, frame, out):
+            real(self, frame, out)
+            count[0] += 1
+            alive.add(count[0])
+            weakref.finalize(out if out.base is None else out.base,
+                             alive.discard, count[0])
+            most[0] = max(most[0], len(alive))
+
+        monkeypatch.setattr(sc.SyntheticScene, "cubemap_frame", counting)
+        assert run([command, "--config", cfg, "--out", out]) == 0
+        return count[0], most[0]
+
+    @pytest.mark.parametrize("teacher", [True, False])
+    def test_oracle_computes_each_frame_once(self, tmp_path, monkeypatch, teacher):
+        cfg = small_cfg(tmp_path, mode={"teacher_forcing": teacher,
+                                        "denoiser": "oracle"})
+        computed, most = self.computed(monkeypatch, "generate", cfg, tmp_path / "o")
+        assert computed == 8  # N
+        assert most <= 4  # T
+
+    @pytest.mark.parametrize("denoiser", ["zero", "copy"])
+    def test_no_truth_read_computes_none(self, tmp_path, monkeypatch, denoiser):
+        cfg = small_cfg(tmp_path, mode={"teacher_forcing": False,
+                                        "denoiser": denoiser})
+        assert self.computed(monkeypatch, "generate", cfg, tmp_path / "o") == (0, 0)
+
+    def test_metrics_reads_one_frame_at_a_time(self, tmp_path, monkeypatch):
+        cfg = small_cfg(tmp_path)
+        assert self.computed(monkeypatch, "metrics", cfg, tmp_path / "o") == (8, 1)
 
 
 class TestErrorPaths:
@@ -685,6 +728,10 @@ class TestErrorPaths:
          "mode.teacher_forcing"),
         ({"paths": {"frames_dir": 5, "poses": "poses.json"}}, "paths.frames_dir"),
         ({"paths": {"frames_dir": "frames", "poses": ["poses.json"]}}, "paths.poses"),
+        # well typed, but out of the range the run can use
+        ({"seed": -1}, "seed"),
+        ({"channels": 2}, "channels"),
+        ({"num_frames": 1, "window_length": 1}, "num_frames"),
     ])
     def test_wrongly_typed_field_rejected(self, tmp_path, capsys, overrides, name):
         out = tmp_path / "o"
@@ -695,6 +742,18 @@ class TestErrorPaths:
         validate_artifact("error", err)
         assert err["error"]["type"] == "ConfigError"
         assert f"'{name}'" in err["error"]["message"]
+        assert not list(out.iterdir())
+
+    def test_negative_seed_flag_rejected(self, tmp_path, capsys):
+        # --seed overrides the config through the same check
+        out = tmp_path / "o"
+        out.mkdir()
+        assert run(["generate", "--config", small_cfg(tmp_path), "--out", out,
+                    "--seed", "-1"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        validate_artifact("error", err)
+        assert err["error"]["type"] == "ConfigError"
+        assert "'seed'" in err["error"]["message"]
         assert not list(out.iterdir())
 
     def test_report_breaking_its_schema_leaves_nothing(self, tmp_path, capsys,

@@ -632,37 +632,30 @@ def test_resample_block_size_changes_no_byte(monkeypatch, block, res):
 
 # ── input validation ─────────────────────────────────────────────────────
 
-def _video(pixels_shape=(2, 6, 4, 4, 1), mask_shape=None, mask_value=0):
-    """(masks, channels, frame_pixels) of a conditional whose pixel frames,
-    read on demand, are zeros of ``pixels_shape``; its masks have the
-    leading four dimensions unless ``mask_shape`` is given."""
-    masks = np.ones(mask_shape or pixels_shape[:4])
-    masks.flat[5] = mask_value
-    return masks, pixels_shape[-1], lambda t, out: out.fill(0.0)
+def _video(shape=(2, 6, 4, 4, 1)):
+    """(shape, frame) of a video whose frames, computed on read, are each
+    filled with the frame's index."""
+    return shape, lambda t, out: out.fill(t)
 
 
 class TestCubemapVideoValidation:
     @pytest.mark.parametrize("video,match", [
-        pytest.param(_video((6, 4, 4, 1)), "masks must be", id="ndim"),
-        pytest.param(_video((2, 5, 4, 4, 1)), "masks must be", id="five-faces"),
-        pytest.param(_video((2, 6, 4, 3, 1)), "masks must be", id="non-square"),
-        pytest.param(_video(mask_shape=(2, 6, 4, 3)), "masks must be", id="mask-shape"),
-        *(pytest.param(_video(mask_value=v), "binary", id=f"mask-{v}")
-          for v in (2.0, 0.5, -1.0, np.nan)),
+        pytest.param(_video((6, 4, 4, 1)), "shape must be", id="ndim"),
+        pytest.param(_video((2, 5, 4, 4, 1)), "shape must be", id="five-faces"),
+        pytest.param(_video((2, 6, 4, 3, 1)), "shape must be", id="non-square"),
     ])
     def test_rejected(self, video, match):
         with pytest.raises(ValueError, match=match):
             CubemapVideo(*video)
 
-    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.float64])
-    def test_binary_dtypes_accepted(self, dtype):
-        masks, channels, _ = _video()
-        pixels = np.zeros((2, 6, 4, 4, 1), np.float32)
-        video = CubemapVideo(masks.astype(dtype), channels,
-                             lambda t, out: np.copyto(out, pixels[t]))
-        assert video.masks.dtype == np.uint8 and video[0:2].dtype == np.float64
-        assert video.masks.flat[5] == 0 and video.masks.sum() == video.masks.size - 1
-        assert video.shape == (2, 6, 4, 4, 1)
+    def test_read_computes_the_frames_it_names(self):
+        video = CubemapVideo(*_video((4, 6, 4, 4, 1)))
+        assert video.shape == (4, 6, 4, 4, 1)
+        window = video[1:3]
+        assert window.shape == (2, 6, 4, 4, 1) and window.dtype == np.float64
+        assert (window[0] == 1.0).all() and (window[1] == 2.0).all()
+        assert not window.flags.writeable
+        assert video[:].shape == video.shape
 
 
 class TestPerspectiveFrameValidation:

@@ -2,6 +2,7 @@
 sampler configuration land exactly on the clean latent, which calibrates the
 integrator; end-to-end runs are checked against the analytic scene."""
 
+import gc
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -34,16 +35,18 @@ def small_scene(res=32, n=8, t_win=4, seed=7):
     cfg = config_from_dict(dict(resolution=res, equirect_width=4 * res,
                                 num_frames=n, window_length=t_win, seed=seed))
     truth, frames, poses = sc.synth_scene(cfg)
-    cond = sc.conditional_video(res, frames, poses)
-    plan = plan_order(window_coverage(frame_coverage(cond.masks), t_win))
-    return cfg, truth, cond, plan
+    masks, cond = sc.conditional_video(res, frames, poses)
+    plan = plan_order(window_coverage(frame_coverage(masks), t_win))
+    return cfg, truth, masks, cond, plan
 
 
-def run_generate(cond, plan, denoiser, *, steps, seed=0, pad=2,
+def run_generate(cond, masks, plan, denoiser, *, steps, seed=0, pad=2,
                  history_capacity=2, frag_length=4, frag_threshold=0.5,
                  patch_size=8, **kwargs):
-    """``generate_all`` with the loop settings of the small scenes."""
-    return generate_all(cond, plan, denoiser, steps=steps, seed=seed, pad=pad,
+    """``generate_all`` with the frame coverage of ``masks`` and the loop
+    settings of the small scenes."""
+    return generate_all(cond, frame_coverage(masks), plan, denoiser,
+                        steps=steps, seed=seed, pad=pad,
                         history_capacity=history_capacity,
                         frag_length=frag_length, frag_threshold=frag_threshold,
                         patch_size=patch_size, **kwargs)
@@ -149,41 +152,42 @@ class TestGenerateStep:
     def first_step(self):
         """The first plan step of a teacher-forced run, its context and the
         scene oracle, with the canvas it blends into."""
-        cfg, truth, cond, plan = small_scene(res=16, n=8, t_win=4)
-        bundle = next(pl.plan_contexts(cond, plan, truth, history_capacity=2,
-                                       frag_length=4, frag_threshold=0.5))
+        cfg, truth, masks, cond, plan = small_scene(res=16, n=8, t_win=4)
+        bundle = next(pl.plan_contexts(cond, frame_coverage(masks), plan, truth,
+                                       history_capacity=2, frag_length=4,
+                                       frag_threshold=0.5))
         denoiser = padded_target_denoiser(truth, 2)
-        return truth, cond, cond[:].copy(), bundle, denoiser
+        return truth, masks, cond, cond[:].copy(), bundle, denoiser
 
     def test_oracle_step_reproduces_truth(self):
-        truth, cond, canvas, step, denoiser = self.first_step()
+        truth, masks, cond, canvas, step, denoiser = self.first_step()
         z = noise(1, (step.end - step.start, 16 + 4, 16 + 4, 3))
         out = generate_step(canvas, step, denoiser, z, 4, 2)
-        gt = truth[step.start:step.end, FACE_INDEX[step.face]]
+        gt = truth[:][step.start:step.end, FACE_INDEX[step.face]]
         assert out.shape == (step.end - step.start, 16 + 4, 16 + 4, 3)
         got = out[:, 2:2 + 16, 2:2 + 16]
         assert np.abs(got - gt).max() <= 1e-5
 
     def test_first_step_context_boundary(self):
-        truth, cond, canvas, bundle, denoiser = self.first_step()
+        truth, masks, cond, canvas, bundle, denoiser = self.first_step()
         assert bundle.hist == ()
         assert [s.kind for s in bundle.curr] == ["curr-cond"] * 6
 
     def test_masked_pixels_reproduced(self):
-        truth, cond, canvas, step, denoiser = self.first_step()
+        truth, masks, cond, canvas, step, denoiser = self.first_step()
         z = noise(1, (step.end - step.start, 16 + 4, 16 + 4, 3))
         out = generate_step(canvas, step, denoiser, z, 4, 2)
         for k, t in enumerate(range(step.start, step.end)):
             fi = FACE_INDEX[step.face]
-            m = cond.masks[t, fi].astype(bool)
+            m = masks[t, fi].astype(bool)
             if m.any():
                 diff = np.abs(out[k, 2:2 + 16, 2:2 + 16] - cond[t:t + 1][0, fi])[m]
                 assert diff.max() <= 0.02  # bilinear error of the conditional
 
     def test_causality_of_context(self):
         # non-future sources never extend past the window end
-        cfg, truth, cond, plan = small_scene(res=16, n=8, t_win=4)
-        result = run_generate(cond, plan, padded_target_denoiser(truth, 2),
+        cfg, truth, masks, cond, plan = small_scene(res=16, n=8, t_win=4)
+        result = run_generate(cond, masks, plan, padded_target_denoiser(truth, 2),
                               steps=1, seed=0, pad=2,
                               teacher=truth)
         for entry in result.step_log:
@@ -197,11 +201,12 @@ class TestInitState:
     row a permutation of the six face indices, and L dividing N."""
 
     def reject(self, bad):
-        cfg, truth, cond, plan = small_scene(res=8, n=8, t_win=4)
+        cfg, truth, masks, cond, plan = small_scene(res=8, n=8, t_win=4)
         with pytest.raises(ValueError, match="plan"):
-            run_generate(cond, bad, zero_denoiser, steps=1)
+            run_generate(cond, masks, bad, zero_denoiser, steps=1)
         with pytest.raises(ValueError, match="plan"):
-            simulate_contexts(cond, bad, history_capacity=2, frag_length=4,
+            simulate_contexts(cond, frame_coverage(masks), bad,
+                              history_capacity=2, frag_length=4,
                               frag_threshold=0.5, patch_size=8)
 
     def test_repeated_face_in_window_rejected(self):
@@ -216,9 +221,10 @@ class TestInitState:
 
     def test_ablation_orders_accepted(self):
         # the canonical and the reversed orders are plans like the planner's
-        cfg, truth, cond, plan = small_scene(res=8, n=8, t_win=4)
+        cfg, truth, masks, cond, plan = small_scene(res=8, n=8, t_win=4)
         for order in (np.tile(np.arange(6), (2, 1)), plan[:, ::-1]):
-            log = simulate_contexts(cond, order, history_capacity=2,
+            log = simulate_contexts(cond, frame_coverage(masks), order,
+                                    history_capacity=2,
                                     frag_length=4, frag_threshold=0.5,
                                     patch_size=8)
             assert [e["face"] for e in log] == [FACES[f] for f in order.ravel()]
@@ -232,7 +238,8 @@ class TestContextViews:
     @pytest.mark.parametrize("teacher", [False, True])
     def test_sources_view_the_videos(self, teacher):
         res = 16
-        cfg, truth, cond, plan = small_scene(res=res, n=8, t_win=4)
+        cfg, truth, masks, cond, plan = small_scene(res=res, n=8, t_win=4)
+        truth = truth[:]  # shares_memory needs the teacher as an array
         inner = padded_target_denoiser(truth, 2)
         bundles = []
 
@@ -242,7 +249,7 @@ class TestContextViews:
             return inner(z_t, t, context)
 
         # face F is about 38% covered, so its steps in window 1 take a fragment
-        result = run_generate(cond, plan, recording, steps=2, seed=0,
+        result = run_generate(cond, masks, plan, recording, steps=2, seed=0,
                               pad=2, history_capacity=2,
                               frag_length=4, frag_threshold=0.3,
                               teacher=truth if teacher else None)
@@ -268,9 +275,9 @@ class TestContextViews:
 class TestGenerateAll:
     def test_end_to_end_oracle_reproduces_scene(self):
         res = 32
-        cfg, truth, cond, plan = small_scene(res=res)
+        cfg, truth, masks, cond, plan = small_scene(res=res)
         denoiser = padded_target_denoiser(truth, 2)
-        result = run_generate(cond, plan, denoiser, steps=4, seed=5,
+        result = run_generate(cond, masks, plan, denoiser, steps=4, seed=5,
                               pad=2, history_capacity=2,
                               teacher=truth)
         scene_obj = sc.SyntheticScene.random(cfg.channels, cfg.seed)
@@ -279,21 +286,21 @@ class TestGenerateAll:
 
     def test_constant_scene_constant_output(self):
         res, n = 16, 4
-        cond = CubemapVideo(np.ones((n, 6, res, res), np.uint8), 1,
-                            lambda t, out: out.fill(0.6))
-        plan = plan_order(window_coverage(frame_coverage(cond.masks), n))
+        masks = np.ones((n, 6, res, res), np.uint8)
+        cond = CubemapVideo((n, 6, res, res, 1), lambda t, out: out.fill(0.6))
+        plan = plan_order(window_coverage(frame_coverage(masks), n))
         denoiser = padded_target_denoiser(cond, 2)
-        result = run_generate(cond, plan, denoiser,
+        result = run_generate(cond, masks, plan, denoiser,
                               steps=2, seed=0, pad=2,
                               history_capacity=1)
         np.testing.assert_allclose(equirect_frames(result), 0.6, atol=1e-9)
 
     def test_pool_occupancy_and_residency_bounds(self):
         res = 16
-        cfg, truth, cond, plan = small_scene(res=res)
+        cfg, truth, masks, cond, plan = small_scene(res=res)
         denoiser = padded_target_denoiser(truth, 2)
         h = 1
-        result = run_generate(cond, plan, denoiser, steps=1, seed=0,
+        result = run_generate(cond, masks, plan, denoiser, steps=1, seed=0,
                               pad=2, history_capacity=h,
                               teacher=truth)
         assert max(result.pool_trace) <= h
@@ -307,16 +314,16 @@ class TestGenerateAll:
 
     def test_deterministic_runs(self):
         res = 16
-        cfg, truth, cond, plan = small_scene(res=res)
+        cfg, truth, masks, cond, plan = small_scene(res=res)
         denoiser = padded_target_denoiser(truth, 2)
-        a = run_generate(cond, plan, denoiser, steps=2, seed=9, teacher=truth)
-        b = run_generate(cond, plan, denoiser, steps=2, seed=9, teacher=truth)
+        a = run_generate(cond, masks, plan, denoiser, steps=2, seed=9, teacher=truth)
+        b = run_generate(cond, masks, plan, denoiser, steps=2, seed=9, teacher=truth)
         assert np.array_equal(equirect_frames(a), equirect_frames(b))
 
     def test_zero_denoiser_runs_and_differs(self):
         res = 16
-        cfg, truth, cond, plan = small_scene(res=res)
-        result = run_generate(cond, plan, zero_denoiser,
+        cfg, truth, masks, cond, plan = small_scene(res=res)
+        result = run_generate(cond, masks, plan, zero_denoiser,
                               steps=2, seed=0, pad=2)
         equirect = equirect_frames(result)
         assert equirect.shape == (8, 2 * res, 4 * res, 3)
@@ -328,14 +335,14 @@ class TestGenerateAll:
     def test_three_argument_denoiser(self):
         # the protocol is denoiser(z_t, t, context): one that takes exactly
         # these three, with no defaults, runs the whole loop
-        cfg, truth, cond, plan = small_scene(res=16)
+        cfg, truth, masks, cond, plan = small_scene(res=16)
 
         def denoiser(z_t, t, context):
             assert isinstance(context, ContextBundle)
             return np.zeros_like(z_t)
 
-        got = run_generate(cond, plan, denoiser, steps=2)
-        want = run_generate(cond, plan, zero_denoiser, steps=2)
+        got = run_generate(cond, masks, plan, denoiser, steps=2)
+        want = run_generate(cond, masks, plan, zero_denoiser, steps=2)
         assert got.canvas.tobytes() == want.canvas.tobytes()
 
     @pytest.mark.parametrize("teacher", [True, False])
@@ -343,13 +350,13 @@ class TestGenerateAll:
         # generate writes each window's frames from these views while later
         # windows are sampled, so they must already equal the final canvas
         res = 16
-        cfg, truth, cond, plan = small_scene(res=res, n=12, t_win=4)
+        cfg, truth, masks, cond, plan = small_scene(res=res, n=12, t_win=4)
         calls = []
 
         def on_window(start, end, frames):
             calls.append((start, end, frames.copy()))
 
-        result = run_generate(cond, plan, padded_target_denoiser(truth, 2),
+        result = run_generate(cond, masks, plan, padded_target_denoiser(truth, 2),
                               steps=2, seed=4, pad=2,
                               teacher=truth if teacher else None,
                               on_window=on_window)
@@ -365,15 +372,16 @@ class TestGenerateAll:
         # is views, so no window of generated faces is copied
         cfg = parse_config(Path(__file__).parents[1] / "configs" / "demo.json")
         truth, frames, poses = sc.synth_scene(cfg)
-        cond = sc.conditional_video(cfg.resolution, frames, poses)
-        plan = plan_order(window_coverage(frame_coverage(cond.masks),
-                                          cfg.window_length))
+        truth = truth[:]  # materialised before the trace, as a plain array
+        masks, cond = sc.conditional_video(cfg.resolution, frames, poses)
+        coverage = frame_coverage(masks)
+        plan = plan_order(window_coverage(coverage, cfg.window_length))
         denoiser = padded_target_denoiser(truth, cfg.pad)
         # with an executor, the draw one step ahead is one more padded window
         pool = ThreadPoolExecutor(max_workers=1) if ahead else None
         tracemalloc.start()
         try:
-            generate_all(cond, plan, denoiser, steps=cfg.sampler_steps,
+            generate_all(cond, coverage, plan, denoiser, steps=cfg.sampler_steps,
                          seed=cfg.seed, pad=cfg.pad, history_capacity=cfg.history,
                          frag_length=cfg.frag_length,
                          frag_threshold=cfg.frag_threshold,
@@ -388,15 +396,56 @@ class TestGenerateAll:
         assert peak <= 1.6 * canvas, (peak / canvas, peak, canvas)
 
     @pytest.mark.parametrize("teacher", [True, False])
+    def test_oracle_peak_grows_with_frames_by_canvas_masks_and_logs(self, teacher):
+        # the truth and the conditional are built inside the trace, and the
+        # oracle reads the truth window by window: of what the loop holds,
+        # only the canvas, the masks, the coverage, the plan and the per-step
+        # logs scale with N
+        res, t_win = 32, 4
+
+        def peak(n):
+            cfg = config_from_dict(dict(resolution=res, equirect_width=4 * res,
+                                        num_frames=n, window_length=t_win))
+            field, frames, poses = sc.synth_inputs(cfg)
+            tracemalloc.start()
+            try:
+                truth = field.cubemap_video(res, n)
+                masks, cond = sc.conditional_video(res, frames, poses)
+                coverage = frame_coverage(masks)
+                plan = plan_order(window_coverage(coverage, t_win))
+                result = generate_all(
+                    cond, coverage, plan, padded_target_denoiser(truth, 2),
+                    steps=2, seed=0, pad=2, history_capacity=2, frag_length=4,
+                    frag_threshold=0.5, patch_size=8,
+                    teacher=truth if teacher else None)
+                held, top = tracemalloc.get_traced_memory()
+                # the step log, pool trace and step timings, one entry per
+                # step, are the run report's: measured by what freeing them
+                # frees, the interpreter's free lists emptied
+                for log in (result.step_log, result.pool_trace, result.step_timings):
+                    log.clear()
+                gc.collect()
+                logs = held - tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            return top, (result.canvas.nbytes + masks.nbytes + coverage.nbytes
+                         + plan.nbytes + logs)
+
+        peak(8)  # first-use costs: the direction stack, numpy's caches
+        (peak_8, held_8), (peak_32, held_32) = peak(8), peak(32)
+        # 4 KB of allocator noise; an N-sized truth would add 3.5 MB
+        assert peak_32 - peak_8 <= held_32 - held_8 + 4096, (peak_32 - peak_8,
+                                                             held_32 - held_8)
+
+    @pytest.mark.parametrize("teacher", [True, False])
     def test_conditional_pixels_never_reach_the_canvas(self, teacher):
         # the canvas starts zeroed, not as a copy of the conditional: its
         # initial values are overwritten before anything reads them, so other
         # finite conditional pixels under the same masks give the same canvas
-        cfg, truth, cond, plan = small_scene(res=16, n=8, t_win=4)
+        cfg, truth, masks, cond, plan = small_scene(res=16, n=8, t_win=4)
         pixels = np.random.default_rng(3).uniform(-50.0, 50.0, cond.shape)
-        other = CubemapVideo(cond.masks, cond.shape[-1],
-                             lambda t, out: np.copyto(out, pixels[t]))
-        runs = [run_generate(video, plan, padded_target_denoiser(truth, 2),
+        other = CubemapVideo(cond.shape, lambda t, out: np.copyto(out, pixels[t]))
+        runs = [run_generate(video, masks, plan, padded_target_denoiser(truth, 2),
                              steps=2, seed=6, pad=2,
                              teacher=truth if teacher else None)
                 for video in (cond, other)]
@@ -424,8 +473,8 @@ class TestNoiseAhead:
     Either way each step samples from the same noise."""
 
     def run(self, executor=None):
-        cfg, truth, cond, plan = small_scene(res=16, n=12, t_win=4)
-        result = run_generate(cond, plan, padded_target_denoiser(cond, 2),
+        cfg, truth, masks, cond, plan = small_scene(res=16, n=12, t_win=4)
+        result = run_generate(cond, masks, plan, padded_target_denoiser(cond, 2),
                               steps=3, seed=8, pad=2,
                               executor=executor)
         return result.canvas, plan.size
@@ -473,7 +522,7 @@ class TestPaddedTargetDenoiser:
 
     def test_pads_once_per_step(self, monkeypatch):
         res, t_win = 16, 4
-        cfg, truth, cond, plan = small_scene(res=res, n=8, t_win=t_win)
+        cfg, truth, masks, cond, plan = small_scene(res=res, n=8, t_win=t_win)
         calls = []
         real_pad = pl.pad_face
 
@@ -492,7 +541,7 @@ class TestPaddedTargetDenoiser:
 
         monkeypatch.setattr(pl, "pad_face", counting_pad)
         monkeypatch.setattr(pl, "generate_step", counting_step)
-        run_generate(cond, plan, padded_target_denoiser(truth, 2),
+        run_generate(cond, masks, plan, padded_target_denoiser(truth, 2),
                      steps=6, seed=2, pad=2,
                      teacher=truth)
         assert per_step == [1] * plan.size
@@ -502,8 +551,8 @@ class TestPaddedTargetDenoiser:
         # the cached index-map target against the strip reference, padded
         # frame by frame on every Euler step
         res = 16
-        cfg, truth, cond, plan = small_scene(res=res)
-        video = truth if factory == "oracle" else cond[:]
+        cfg, truth, masks, cond, plan = small_scene(res=res)
+        video = truth[:] if factory == "oracle" else cond[:]
 
         def uncached(z_t, t, context):
             frames = [ref.pad_face(dict(zip(FACES, video[k])), context.face, 2)
@@ -512,7 +561,7 @@ class TestPaddedTargetDenoiser:
 
         cached = padded_target_denoiser(truth if factory == "oracle" else cond, 2)
         teacher = truth if factory == "oracle" else None
-        runs = [run_generate(cond, plan, d, steps=3, seed=4,
+        runs = [run_generate(cond, masks, plan, d, steps=3, seed=4,
                              pad=2, teacher=teacher)
                 for d in (cached, uncached)]
         assert (equirect_frames(runs[0]).tobytes()

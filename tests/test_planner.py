@@ -44,6 +44,14 @@ class TestPartitionWindows:
             assert seen == list(range(24))
 
 
+def _masks(shape=(2, 6, 4, 4), value=0):
+    """All-ones masks but for pixel 5 of face 0 of frame 0, which is
+    ``value``."""
+    masks = np.ones(shape)
+    masks.flat[5] = value
+    return masks
+
+
 class TestFrameCoverage:
     def test_all_ones(self):
         fc = frame_coverage(np.ones((2, 6, 4, 4), np.uint8))
@@ -70,6 +78,21 @@ class TestFrameCoverage:
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError):
             frame_coverage(np.ones((1, 5, 4, 4), np.uint8))
+
+    @pytest.mark.parametrize("masks,match", [
+        pytest.param(_masks((2, 6, 4, 3)), "masks must be", id="mask-shape"),
+        *(pytest.param(_masks(value=v), "binary", id=f"mask-{v}")
+          for v in (2.0, 0.5, -1.0, np.nan)),
+    ])
+    def test_rejected(self, masks, match):
+        with pytest.raises(ValueError, match=match):
+            frame_coverage(masks)
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.float64])
+    def test_binary_dtypes_accepted(self, dtype):
+        fc = frame_coverage(_masks().astype(dtype))
+        assert fc.dtype == np.float64 and fc.shape == (6, 2)
+        assert fc[0, 0] == 15 / 16 and (fc.flat[1:] == 1.0).all()
 
 
 class TestWindowCoverage:

@@ -32,7 +32,6 @@ ALLOWLIST = {
     "context.TokenSource.content": "no built-in denoiser reads context; the "
                                    "attention denoiser planned on the ROADMAP will",
     "continuity.cube_layout_json": "keeps docs/cube_layout.json in sync",
-    "scene.synth_scene": "perfbench writes its file input with it",
     "scene.render_equirect_video": "perfbench's in-frustum copy check",
     "geometry.face_pixel_solid_angles": "the solid-angle weights of the "
                                         "quality metrics planned on the ROADMAP",

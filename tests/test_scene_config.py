@@ -97,19 +97,19 @@ class TestSyntheticScene:
         t1, f1, p1 = sc.synth_scene(cfg)
         t2, f2, p2 = sc.synth_scene(cfg)
         assert t1.shape == (cfg.num_frames, 6, 16, 16, cfg.channels)
-        assert np.array_equal(t1, t2)
+        assert np.array_equal(t1[:], t2[:])
         for a, b in zip(f1, f2):
             assert np.array_equal(a.pixels, b.pixels)
         for a, b in zip(p1, p2):
             assert np.array_equal(a.rotation, b.rotation)
 
     def test_synth_inputs_plus_truth_is_synth_scene(self):
-        # generate fills the truth on a side thread from the split helper
+        # generate builds the truth from the split helper's field
         cfg = config_from_dict(dict(resolution=16, equirect_width=64, seed=5))
         truth, frames, poses = sc.synth_scene(cfg)
         field, frames2, poses2 = sc.synth_inputs(cfg)
         truth2 = field.cubemap_video(cfg.resolution, cfg.num_frames)
-        assert np.array_equal(truth, truth2)
+        assert np.array_equal(truth[:], truth2[:])
         assert len(frames2) == len(frames) and len(poses2) == len(poses)
         for a, b in zip(frames, frames2):
             assert np.array_equal(a.pixels, b.pixels)
@@ -117,13 +117,25 @@ class TestSyntheticScene:
             assert np.array_equal(a.rotation, b.rotation)
             assert (a.hfov_deg, a.vfov_deg) == (b.hfov_deg, b.vfov_deg)
 
+    def test_truth_reads_the_field_face_by_face(self):
+        # any read holds the bytes of filling the whole video face by face
+        field = sc.SyntheticScene.random(channels=3, seed=5)
+        truth = field.cubemap_video(16, 6)
+        dirs = geo.face_directions(16)
+        whole = np.empty(truth.shape)
+        for i in range(6):
+            for t in range(6):
+                whole[t, i] = field.value(dirs[i], t)
+        assert truth[:].tobytes() == whole.tobytes()
+        assert truth[2:5].tobytes() == whole[2:5].tobytes()
+
     def test_different_seeds_differ(self):
         cfg1 = config_from_dict(dict(resolution=16, equirect_width=64, seed=1))
         cfg2 = config_from_dict(dict(resolution=16, equirect_width=64, seed=2))
         t1, _, _ = sc.synth_scene(cfg1)
         t2, _, _ = sc.synth_scene(cfg2)
-        assert not np.array_equal(t1[:, FACE_INDEX["F"]],
-                                  t2[:, FACE_INDEX["F"]])
+        assert not np.array_equal(t1[:][:, FACE_INDEX["F"]],
+                                  t2[:][:, FACE_INDEX["F"]])
 
     def test_field_values_in_unit_interval(self, rng):
         scene = sc.SyntheticScene.random(channels=3, seed=9)
@@ -157,17 +169,17 @@ class TestSyntheticScene:
         # with the ground truth wherever observed (bilinear error budget)
         cfg = config_from_dict(dict(resolution=32, equirect_width=128, seed=11))
         truth, frames, poses = sc.synth_scene(cfg)
-        cond = sc.conditional_video(cfg.resolution, frames, poses)
-        observed = cond.masks.astype(bool)
+        masks, cond = sc.conditional_video(cfg.resolution, frames, poses)
+        observed = masks.astype(bool)
         assert observed.any()
-        worst = np.abs(cond[:] - truth)[observed].max()
+        worst = np.abs(cond[:] - truth[:])[observed].max()
         assert worst <= 0.02
 
     def test_masks_nontrivial(self):
         cfg = config_from_dict(dict(resolution=32, equirect_width=128, seed=11))
-        truth, frames, poses = sc.synth_scene(cfg)
-        cond = sc.conditional_video(cfg.resolution, frames, poses)
-        total = cond.masks.mean(axis=(0, 2, 3)).sum()
+        _, frames, poses = sc.synth_scene(cfg)
+        masks, _ = sc.conditional_video(cfg.resolution, frames, poses)
+        total = masks.mean(axis=(0, 2, 3)).sum()
         assert 0.0 < total < 6.0
 
     def test_conditional_video_holds_one_copy(self):
@@ -179,10 +191,10 @@ class TestSyntheticScene:
         cfg = config_from_dict(dict(resolution=res, num_frames=n, channels=3))
         _, frames, poses = sc.synth_scene(cfg)
         # the per-R direction stack is shared fixed work; build it first
-        sc.conditional_video(res, frames[:1], poses[:1])[0:1]
+        sc.conditional_video(res, frames[:1], poses[:1])[1][0:1]
         tracemalloc.start()
         try:
-            video = sc.conditional_video(res, frames, poses)
+            masks, video = sc.conditional_video(res, frames, poses)
             built, _ = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             pixels = video[0:n]
@@ -190,7 +202,7 @@ class TestSyntheticScene:
         finally:
             tracemalloc.stop()
         assert pixels.shape == (n, 6, res, res, 3)
-        assert built < video.masks.nbytes + 4096, (built, video.masks.nbytes)
+        assert built < masks.nbytes + 4096, (built, masks.nbytes)
         assert held - built < pixels.nbytes + 4096, (held - built, pixels.nbytes)
         assert peak - built <= 1.3 * pixels.nbytes, (peak - built, pixels.nbytes)
 
@@ -205,13 +217,13 @@ class TestSyntheticScene:
             _, frames, poses = sc.synth_scene(cfg)
             tracemalloc.start()
             try:
-                video = sc.conditional_video(res, frames, poses)
+                masks, video = sc.conditional_video(res, frames, poses)
                 for s in range(0, n, t_win):
                     video[s:s + t_win]
                 _, top = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            return top, video.masks.nbytes
+            return top, masks.nbytes
 
         peak(8)  # first-use costs: the direction stack, numpy's caches
         (peak_8, masks_8), (peak_32, masks_32) = peak(8), peak(32)
