@@ -20,12 +20,15 @@ window at a time while sampling, and the other denoisers never.  A job
 still queued when the main thread needs it is taken back: the main thread
 cancels it and does the same work itself.  So it draws a step's
 noise queued behind frames, and after sampling it writes the last window's
-unstarted frames, last first, into a buffer of its own while the side
-thread writes from the first.  Every artifact is written into a
-``.staging-*`` directory inside ``--out`` and moved into place only after the
-last one is written, so a failed run, on either thread, leaves none behind;
-so does a run stopped by SIGTERM, which ``generate`` turns into
-``SystemExit(143)`` while it runs on the main thread.
+unstarted frames, last first, while the side thread writes from the first.
+Either thread resamples a frame a block of equirect rows at a time and
+writes each block straight into the frame's PFM and 8-bit image at its
+rows, so no frame-sized array exists on the output path.  Every artifact
+is written into a ``.staging-*`` directory inside ``--out`` and moved into
+place only after the last one is written, so a failed run, on either
+thread, leaves none behind; so does a run stopped by SIGTERM, which
+``generate`` turns into ``SystemExit(143)`` while it runs on the main
+thread.
 """
 
 from __future__ import annotations
@@ -148,11 +151,8 @@ def _load_inputs(cfg: RunConfig):
     """(truth | None, perspective frames, poses).  Without input paths the
     deterministic synthetic scene supplies everything, its ground-truth cube
     video computed when read."""
-    if cfg.paths.frames_dir is None and cfg.paths.poses is None:
+    if not _file_input(cfg):
         return scene_mod.synth_scene(cfg)
-    if cfg.paths.frames_dir is None or cfg.paths.poses is None:
-        raise ConfigError("config fields 'paths.frames_dir' and 'paths.poses' "
-                          "must be provided together")
     poses = read_poses(cfg.paths.poses)
     frame_dir = Path(cfg.paths.frames_dir)
     files = sorted([*frame_dir.glob("*.pfm"), *frame_dir.glob("*.ppm")])
@@ -172,6 +172,17 @@ def _load_inputs(cfg: RunConfig):
     return None, frames, poses
 
 
+def _file_input(cfg: RunConfig) -> bool:
+    """Whether the run reads its frames and poses from files; only without
+    both is there a synthetic scene, and so a ground truth."""
+    if cfg.paths.frames_dir is None and cfg.paths.poses is None:
+        return False
+    if cfg.paths.frames_dir is None or cfg.paths.poses is None:
+        raise ConfigError("config fields 'paths.frames_dir' and 'paths.poses' "
+                          "must be provided together")
+    return True
+
+
 def _coverage_tables(cfg: RunConfig, masks: np.ndarray):
     """(6, N) frame coverage and (6, L) window coverage of the
     conditional's (N, 6, R, R) masks."""
@@ -186,11 +197,14 @@ def _coverage_json(fc: np.ndarray, ct: np.ndarray) -> dict:
     }
 
 
-def _write_image(path_base: Path, pixels: np.ndarray) -> None:
+def _write_image(path_base: Path, pixels: np.ndarray, top: int = 0,
+                 height: int | None = None) -> None:
+    """8-bit PPM or PGM of (H, W, 3) or (H, W, 1) pixels; given ``height``,
+    rows [top, top + H) of an image that tall."""
     if pixels.shape[-1] == 3:
-        write_ppm(path_base.with_suffix(".ppm"), pixels)
+        write_ppm(path_base.with_suffix(".ppm"), pixels, top, height)
     else:
-        write_pgm(path_base.with_suffix(".pgm"), pixels[..., 0])
+        write_pgm(path_base.with_suffix(".pgm"), pixels[..., 0], top, height)
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +300,6 @@ def _best_ms(fn, trials: int) -> float:
 
 def _make_denoiser(cfg: RunConfig, truth, cond):
     if cfg.mode.denoiser == "oracle":
-        if truth is None:
-            raise ConfigError("mode.denoiser 'oracle' needs the synthetic scene "
-                              "(ground truth); unset paths.frames_dir/poses")
         return padded_target_denoiser(truth, cfg.pad)
     if cfg.mode.denoiser == "copy":
         return padded_target_denoiser(cond, cfg.pad)
@@ -348,6 +359,14 @@ def _generate(cfg: RunConfig, out_dir: Path) -> None:
     # and the import adds about 8 ms to every subcommand's start-up.
     from concurrent.futures import ThreadPoolExecutor
 
+    # Only the synthetic scene has a truth to read: reject file input that
+    # needs one before any frame is read.
+    if _file_input(cfg):
+        if cfg.mode.teacher_forcing:
+            raise ConfigError("mode.teacher_forcing requires the synthetic scene")
+        if cfg.mode.denoiser == "oracle":
+            raise ConfigError("mode.denoiser 'oracle' needs the synthetic scene "
+                              "(ground truth); unset paths.frames_dir/poses")
     marks = [time.perf_counter()]  # stage boundaries, see ``stages`` below
     side = ThreadPoolExecutor(max_workers=1)
     try:
@@ -357,8 +376,6 @@ def _generate(cfg: RunConfig, out_dir: Path) -> None:
         side.submit(_pad_table, cfg.resolution, cfg.pad)
         truth, frames, poses = _load_inputs(cfg)
         marks.append(time.perf_counter())
-        if cfg.mode.teacher_forcing and truth is None:
-            raise ConfigError("mode.teacher_forcing requires the synthetic scene")
         dirs_job.result()
         taps_job = side.submit(EquirectTaps.create, cfg.resolution,
                                cfg.equirect_width)
@@ -367,16 +384,13 @@ def _generate(cfg: RunConfig, out_dir: Path) -> None:
         order = plan_order(ct)
         marks.append(time.perf_counter())
 
-        # One frame buffer, reused by the one side thread frame after frame.
-        frame_buf = np.empty((cfg.equirect_width // 2, cfg.equirect_width,
-                              cfg.channels))
         jobs = []
 
         def on_window(start: int, end: int, window: np.ndarray) -> None:
             _raise_failed(job for job, _ in jobs)
             for k in range(end - start):
                 frame = (window[k], out_dir / f"frame_{start + k:03d}")
-                jobs.append((side.submit(_write_frame, taps_job, frame_buf, *frame),
+                jobs.append((side.submit(_write_frame, taps_job, *frame),
                              frame))
 
         result = generate_all(
@@ -401,15 +415,12 @@ def _generate(cfg: RunConfig, out_dir: Path) -> None:
         }
         write_json_artifact(out_dir / "run_report.json", "run_report", report)
         # Take back the frame jobs the side thread has not started, last
-        # first, and write them here into a buffer of this thread's own;
-        # the first job already running or done ends the walk.
-        own_buf = None
+        # first, and write them here; the first job already running or done
+        # ends the walk.
         for job, frame in reversed(jobs):
             if not job.cancel():
                 break
-            if own_buf is None:
-                own_buf = np.empty_like(frame_buf)
-            _write_frame(taps_job, own_buf, *frame)
+            _write_frame(taps_job, *frame)
         for job, _ in jobs:
             if not job.cancelled():
                 job.result()
@@ -432,10 +443,15 @@ def _raise_failed(jobs) -> None:
             job.result()
 
 
-def _write_frame(taps_job, buf: np.ndarray, faces: np.ndarray, base: Path) -> None:
-    frame = taps_job.result().apply(faces, out=buf)
-    write_pfm(base.with_suffix(".pfm"), frame)
-    _write_image(base, frame)
+def _write_frame(taps_job, faces: np.ndarray, base: Path) -> None:
+    """Resample the (6, R, R, C) faces onto the equirect grid a block of rows
+    at a time, and write each block into the frame's PFM and 8-bit image at
+    its rows, so no frame-sized array exists."""
+    taps = taps_job.result()
+    height = taps.width // 2
+    for top, rows in taps.row_blocks(faces):
+        write_pfm(base.with_suffix(".pfm"), rows, top, height)
+        _write_image(base, rows, top, height)
 
 
 def _seam_per_frame(video) -> list[float]:

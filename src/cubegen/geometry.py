@@ -18,11 +18,14 @@ The (6, R, R, 3) pixel-center directions of the cube depend only on R, so
 projection, resampling and the synthetic scene share.
 
 Every bilinear resample is one tap table (a flat top-left tap, a row
-stride, two fractions) and one blocked apply: projection builds it per frame
-on the perspective frame, :func:`equirect_to_cubemap` on the equirect grid
-with its first column appended, and :class:`EquirectTaps`, built once per
-(R, W) and applied per frame, on the six faces padded by one pixel through
-the pad-1 map of :mod:`cubegen.continuity`, so cube taps cross cube edges.
+stride, two fractions) and one blocked loop, ``_Taps.resample``, over a
+(P, C) pixel array: projection builds the table per frame on the perspective
+frame, :func:`equirect_to_cubemap` on the equirect grid with its first
+column appended, and :class:`EquirectTaps`, built once per (R, W), on the
+six faces padded by one pixel through the pad-1 map of
+:mod:`cubegen.continuity`, so cube taps cross cube edges.  It pads a frame
+once and can resample it a block of equirect rows at a time
+(:meth:`EquirectTaps.row_blocks`), so no equirect frame need be held whole.
 
 Rotations convert between matrices and rotation vectors with plain numpy
 (Rodrigues one way, the unit quaternion the other).
@@ -61,7 +64,7 @@ __all__ = [
 _UNIT_TOL = 1e-9
 _ORTHO_TOL = 1e-7
 _TAP_BLOCK_PIXELS = 1 << 16  # equirect pixels per block of EquirectTaps.create
-_APPLY_BLOCK_PIXELS = 1 << 15  # output samples per block of _Taps.resample
+_APPLY_BLOCK_PIXELS = 1 << 15  # samples per _Taps.resample block, taps per row block
 
 
 # ---------------------------------------------------------------------------
@@ -269,47 +272,43 @@ class _Taps:
     step: int
 
     def resample(self, pixels: np.ndarray, out: np.ndarray,
-                 gather: np.ndarray | None = None) -> np.ndarray:
-        """Write the bilinear samples of every channel of the (P, C) float64
-        pixels into ``out`` (len(index), C).  The taps index the P pixels,
-        or, given ``gather``, the grid ``pixels[gather]``."""
-        channels = pixels.shape[1]
-        plane = np.empty(len(pixels) if gather is None else gather.size)
-        if gather is not None:
-            flat, gather = pixels.reshape(-1), gather.reshape(-1) * channels
-        n, d, s = self.index.size, self.step, self.stride
-        # Channel by channel, in blocks whose four 256 KB buffers stay in
-        # cache and whose numpy calls, each run without the GIL, are long
-        # enough that two threads resampling at once both make progress:
+                 start: int = 0) -> np.ndarray:
+        """Write the bilinear samples of taps [start, start + len(out)) of
+        the (P, C) float64 pixels the taps index into ``out``, (len(out), C)."""
+        channels, n = pixels.shape[1], len(out)
+        flat = pixels.reshape(-1)  # channel c of pixel k is flat[c:][k * channels]
+        d, s = self.step * channels, self.stride * channels
+        # In blocks whose buffers stay in cache and whose numpy calls, each
+        # run without the GIL, are long enough that two threads resampling
+        # at once both make progress, channel by channel within a block:
         # top * (1 - fr) + bottom * fr, each (1 - fc) * left + fc * right.
         # Indices are in range; mode="clip" skips the default's buffering.
-        block = _APPLY_BLOCK_PIXELS
-        buffers = np.empty((4, min(n, block)))
-        for c in range(channels):
-            if gather is None:
-                np.copyto(plane, pixels[:, c])
-            else:  # channel c of pixel k is flat[c:][k * channels]
-                np.take(flat[c:], gather, out=plane, mode="clip")
-            for lo in range(0, n, block):
-                blk = slice(lo, lo + block)
-                idx, fr, fc = self.index[blk], self.row_frac[blk], self.col_frac[blk]
-                t, p, b, wb = buffers[:, :idx.size]
-                np.subtract(1.0, fc, out=wb)
-                np.take(plane, idx, out=t, mode="clip")
-                t *= wb
-                np.take(plane[d:], idx, out=p, mode="clip")
+        block = max(1, _APPLY_BLOCK_PIXELS // channels)
+        buffers = np.empty((5, min(n, block)))
+        taps = np.empty(min(n, block), dtype=np.intp)
+        for lo in range(0, n, block):
+            blk = slice(start + lo, start + min(lo + block, n))
+            fr, fc = self.row_frac[blk], self.col_frac[blk]
+            t, p, b, wr, wc = buffers[:, :fr.size]
+            tap = taps[:fr.size]
+            np.multiply(self.index[blk], channels, out=tap)
+            np.subtract(1.0, fr, out=wr)
+            np.subtract(1.0, fc, out=wc)
+            for c in range(channels):
+                np.take(flat[c:], tap, out=t, mode="clip")
+                t *= wc
+                np.take(flat[c + d:], tap, out=p, mode="clip")
                 p *= fc
                 t += p
-                np.take(plane[s:], idx, out=b, mode="clip")
-                b *= wb
-                np.take(plane[s + d:], idx, out=p, mode="clip")
+                np.take(flat[c + s:], tap, out=b, mode="clip")
+                b *= wc
+                np.take(flat[c + s + d:], tap, out=p, mode="clip")
                 p *= fc
                 b += p
-                np.subtract(1.0, fr, out=wb)
-                t *= wb
+                t *= wr
                 b *= fr
                 t += b
-                out[blk, c] = t
+                out[lo:lo + fr.size, c] = t
         return out
 
 
@@ -325,10 +324,10 @@ def _grid_taps(rows: np.ndarray, cols: np.ndarray, height: int, width: int) -> _
 class EquirectTaps(_Taps):
     """Fixed cube->equirect resampling table for one (R, W): taps of the
     (W/2, W) equirect pixels, row-major, into the (6, R+2, R+2) faces padded
-    by one pixel, which ``gather`` (the pad-1 map) copies from the (6*R*R)
-    faces.  Face coordinates run from -1 to R there, so a tap next to a cube
-    edge reads the neighbouring face and none is clamped.  Masks take the
-    nearest face pixel, derived from the taps."""
+    by one pixel, which :meth:`pad` copies from the (6*R*R) faces through
+    ``gather``, the pad-1 map.  Face coordinates run from -1 to R there, so
+    a tap next to a cube edge reads the neighbouring face and none is
+    clamped.  Masks take the nearest face pixel, derived from the taps."""
 
     resolution: int
     width: int
@@ -365,18 +364,47 @@ class EquirectTaps(_Taps):
         if grids.ndim != ndim or grids.shape[:3] != (6, res, res):
             raise ValueError(f"need (6, {res}, {res}) face grids, got {grids.shape}")
 
-    def apply(self, faces, out: np.ndarray | None = None) -> np.ndarray:
-        """Bilinear resample of (6, R, R, C) faces onto a (W/2, W, C) grid;
-        writes into ``out`` when given, which must have that shape."""
-        faces = np.asarray(faces, dtype=np.float64)
+    def pad(self, faces) -> np.ndarray:
+        """(6, R, R, C) faces padded by one pixel through the pad-1 map: the
+        (6, R+2, R+2, C) grid the taps index."""
+        faces = np.ascontiguousarray(faces, dtype=np.float64)
         self._check(faces, 4)
-        shape = (self.width // 2, self.width, faces.shape[3])
-        out = np.empty(shape) if out is None else out
-        if out.shape != shape:
-            raise ValueError(f"out must be {shape}, got {out.shape}")
-        self.resample(faces.reshape(-1, shape[2]),
-                      out.reshape(-1, shape[2], copy=False), self.gather)
+        n, channels = self.resolution + 2, faces.shape[3]
+        # A pixel's channels as one item, so one index copies whole pixels:
+        # several times faster than indexing rows of the (6*R*R, C) array,
+        # and unlike np.take it does not copy the read-only map first.
+        pixels = faces.reshape(-1).view(np.dtype((np.void, 8 * channels)))
+        return pixels[self.gather].view(np.float64).reshape(6, n, n, channels)
+
+    def apply(self, faces, out: np.ndarray | None = None, top: int = 0) -> np.ndarray:
+        """Bilinear resample of (6, R, R, C) faces onto the (W/2, W, C)
+        equirect grid, or into ``out`` onto its rows [top, top + len(out)).
+        ``faces`` may be padded already, as :meth:`pad` returns them, so a
+        frame resampled a block of rows at a time is padded once."""
+        faces = np.asarray(faces, dtype=np.float64)
+        n = self.resolution + 2
+        padded = faces if faces.shape[:-1] == (6, n, n) else self.pad(faces)
+        height, width, channels = self.width // 2, self.width, padded.shape[3]
+        out = np.empty((height - top, width, channels)) if out is None else out
+        if (out.ndim != 3 or out.shape[1:] != (width, channels)
+                or not 0 <= top <= top + len(out) <= height):
+            raise ValueError(f"out must be (rows, {width}, {channels}) within the "
+                             f"{height} rows from row {top}, got {out.shape}")
+        self.resample(padded.reshape(-1, channels),
+                      out.reshape(-1, channels, copy=False), top * width)
         return out
+
+    def row_blocks(self, faces):
+        """Resample (6, R, R, C) faces onto the (W/2, W, C) equirect grid a
+        block of rows at a time, padding them once: yield ``(top, rows)``,
+        ``rows`` the grid's rows [top, top + len(rows)) in one buffer that
+        the next block overwrites."""
+        padded = self.pad(faces)
+        height, width = self.width // 2, self.width
+        step = max(1, _APPLY_BLOCK_PIXELS // width)
+        buf = np.empty((min(step, height), width, padded.shape[3]))
+        for top in range(0, height, step):
+            yield top, self.apply(padded, buf[:height - top], top)
 
     def apply_mask(self, masks) -> np.ndarray:
         """Nearest-neighbor transfer of (6, R, R) binary masks onto a

@@ -2,12 +2,17 @@
 
 Formats: binary P6 (8-bit RGB), P5 (8-bit gray; masks use values {0, 255}),
 and PFM ("PF" color / "Pf" gray, little-endian, bottom-to-top scanlines as
-the format specifies).  All writers produce deterministic bytes.
+the format specifies).  All writers produce deterministic bytes.  Each
+image writer takes a whole image or, given the image's height, one block of
+its rows, which it writes at the block's place in the file, so an image
+written block by block, first block first, has the bytes of one written
+whole and is never held whole.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -25,15 +30,41 @@ __all__ = [
 ]
 
 
-def write_ppm(path, pixels: np.ndarray) -> None:
-    """8-bit binary P6 from float pixels in [0, 1], shape (H, W, 3)."""
+def write_ppm(path, pixels: np.ndarray, top: int = 0,
+              height: int | None = None) -> None:
+    """8-bit binary P6 from float pixels in [0, 1], shape (H, W, 3); given
+    ``height``, rows [top, top + H) of it (see :func:`_write_rows`)."""
     px = np.asarray(pixels)
     if px.ndim != 3 or px.shape[2] != 3:
         raise ValueError(f"P6 needs (H, W, 3) pixels, got {px.shape}")
+    _write_netpbm(path, "P6", px, top, height)
+
+
+def _write_netpbm(path, magic: str, px: np.ndarray, top: int,
+                  height: int | None) -> None:
+    """Rows [top, top + H) of a binary netpbm image ``height`` rows tall,
+    top to bottom, one byte per sample."""
     h, w = px.shape[:2]
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(_quantize(px))
+    height = h if height is None else height
+    _write_rows(path, f"{magic}\n{w} {height}\n255\n".encode("ascii"),
+                _quantize(px), top * math.prod(px.shape[1:]), top, top + h, height)
+
+
+def _write_rows(path, header: bytes, data: np.ndarray, offset: int,
+                top: int, end: int, height: int) -> None:
+    """Write the ``data`` of image rows [top, end) ``offset`` bytes after the
+    ``header`` of an image ``height`` rows tall.  The block at row 0
+    creates the file and writes the header; any other writes into the file
+    that block created, so an image written a block of rows at a time,
+    first block first, holds the bytes of writing it whole."""
+    if not 0 <= top <= end <= height:
+        raise ValueError(f"rows [{top}, {end}) are not rows of an image "
+                         f"{height} rows tall")
+    with open(path, "wb" if top == 0 else "r+b") as fh:
+        if top == 0:
+            fh.write(header)
+        fh.seek(len(header) + offset)
+        fh.write(data)
 
 
 def _quantize(values: np.ndarray) -> np.ndarray:
@@ -50,15 +81,14 @@ def read_ppm(path) -> np.ndarray:
     return _read_netpbm(path, b"P6", 3)
 
 
-def write_pgm(path, gray: np.ndarray) -> None:
-    """8-bit binary P5 from float gray values in [0, 1], shape (H, W)."""
+def write_pgm(path, gray: np.ndarray, top: int = 0,
+              height: int | None = None) -> None:
+    """8-bit binary P5 from float gray values in [0, 1], shape (H, W); given
+    ``height``, rows [top, top + H) of it (see :func:`_write_rows`)."""
     g = np.asarray(gray)
     if g.ndim != 2:
         raise ValueError(f"P5 needs (H, W) pixels, got {g.shape}")
-    h, w = g.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(_quantize(g))
+    _write_netpbm(path, "P5", g, top, height)
 
 
 def write_mask_pgm(path, mask: np.ndarray) -> None:
@@ -107,21 +137,26 @@ def _read_netpbm(path, magic: bytes, channels: int) -> np.ndarray:
     return img.reshape(h, w, channels).astype(np.float64) / maxval
 
 
-def write_pfm(path, pixels: np.ndarray) -> None:
-    """Little-endian PFM; (H, W, 3) writes "PF", (H, W) or (H, W, 1) "Pf"."""
+def write_pfm(path, pixels: np.ndarray, top: int = 0,
+              height: int | None = None) -> None:
+    """Little-endian PFM; (H, W, 3) writes "PF", (H, W) or (H, W, 1) "Pf".
+    Given ``height``, the pixels are rows [top, top + H) of an image that
+    tall (see :func:`_write_rows`); the file holds rows bottom to top."""
     px = np.asarray(pixels)
     if px.ndim == 3 and px.shape[2] == 1:
         px = px[..., 0]
     if px.ndim == 2:
-        magic = b"Pf"
+        magic = "Pf"
     elif px.ndim == 3 and px.shape[2] == 3:
-        magic = b"PF"
+        magic = "PF"
     else:
         raise ValueError(f"PFM needs 1 or 3 channels, got shape {px.shape}")
     h, w = px.shape[:2]
-    with open(path, "wb") as fh:
-        fh.write(magic + f"\n{w} {h}\n-1.0\n".encode("ascii"))
-        fh.write(px[::-1].astype("<f4", order="C"))  # bottom-to-top rows
+    height = h if height is None else height
+    _write_rows(path, f"{magic}\n{w} {height}\n-1.0\n".encode("ascii"),
+                px[::-1].astype("<f4", order="C"),
+                (height - top - h) * math.prod(px.shape[1:]) * 4, top, top + h,
+                height)
 
 
 def read_pfm(path) -> np.ndarray:

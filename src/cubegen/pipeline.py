@@ -25,6 +25,7 @@ future fragments.  Teacher forcing is ``generate_all``'s ``teacher`` video,
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -60,8 +61,10 @@ def oracle_denoiser(z0: np.ndarray):
 
 
 def zero_denoiser(z_t, t, context=None):
-    """Predicts zero velocity; the sample stays at its initial noise."""
-    return np.zeros_like(z_t)
+    """Predicts zero velocity; the sample stays at its initial noise.  The
+    velocity is a read-only zero view of ``z_t``'s shape, which allocates
+    no array."""
+    return np.broadcast_to(np.zeros((), z_t.dtype), z_t.shape)
 
 
 def euler_sample(denoiser, z: np.ndarray, context, steps: int) -> np.ndarray:
@@ -69,11 +72,15 @@ def euler_sample(denoiser, z: np.ndarray, context, steps: int) -> np.ndarray:
 
     ``z`` becomes the sampler's own: it is updated in place and returned.
     Raises ``RuntimeError`` when the denoiser returns the wrong shape, a
-    non-floating-point dtype or a non-finite value.
+    non-floating-point dtype or a non-finite value; ``z`` is then left as
+    the last update made it.  Each update runs over views of ``z`` and the
+    velocity of about :data:`_SLICE_BYTES` each, so its temporaries do not
+    grow with the step.
     """
     if steps < 1:
         raise ValueError(f"sampler steps must be >= 1, got {steps}")
     ts = np.linspace(1.0, 0.0, steps + 1)
+    slices = _slices(z.shape, z.itemsize)
     for s in range(steps):
         t, dt = ts[s], ts[s] - ts[s + 1]
         v = np.asarray(denoiser(z, float(t), context))
@@ -83,10 +90,31 @@ def euler_sample(denoiser, z: np.ndarray, context, steps: int) -> np.ndarray:
         if not np.issubdtype(v.dtype, np.floating):
             raise RuntimeError(
                 f"denoiser returned dtype {v.dtype}, expected floating point")
-        if not np.isfinite(v).all():
+        if not all(np.isfinite(v[sl]).all() for sl in slices):
             raise RuntimeError(f"denoiser returned non-finite values at t={t:g}")
-        z += (dt / t) * v  # z is the sampler's own; v is never written
+        for sl in slices:  # z is the sampler's own; v is never written
+            view = z[sl]
+            view += (dt / t) * v[sl]
     return z
+
+
+_SLICE_BYTES = 1 << 20  # about this much of z per slice of an Euler update
+
+
+def _slices(shape: tuple, itemsize: int) -> list[tuple]:
+    """Index tuples that cut an array of ``shape`` into views of at most
+    :data:`_SLICE_BYTES`: runs of indices along the first axis, or, when one
+    index holds more, each index's sub-array cut the same way.  An array
+    within one slice is one view, ``(...,)``."""
+    size = itemsize * math.prod(shape)
+    if size <= _SLICE_BYTES or not shape:
+        return [(...,)]
+    item = size // shape[0]  # bytes of one index of the first axis
+    if item > _SLICE_BYTES and len(shape) > 1:
+        return [(i, *rest) for i in range(shape[0])
+                for rest in _slices(shape[1:], itemsize)]
+    step = max(1, _SLICE_BYTES // item)
+    return [(slice(i, i + step),) for i in range(0, shape[0], step)]
 
 
 def _draw_noise(seed: int, shape: tuple) -> np.ndarray:

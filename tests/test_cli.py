@@ -7,7 +7,9 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,8 @@ from cubegen.attention import BandedMaskSpec, TokenLayout, attention_peak_bytes
 from cubegen.config import config_from_dict, parse_config
 from cubegen.faces import FACES
 from cubegen.geometry import EquirectTaps
-from cubegen.imgio import read_pfm, read_ppm, write_pfm, write_poses, write_ppm
+from cubegen.imgio import (read_pfm, read_ppm, write_pfm, write_pgm, write_poses,
+                           write_ppm)
 from cubegen.pipeline import generate_all
 from cubegen.planner import plan_order, plan_steps
 
@@ -239,12 +242,12 @@ class TestSubcommands:
         # main thread has taken back and written the frames after it
         write, released, on_main = cli._write_frame, threading.Event(), []
 
-        def stalling(taps_job, buf, faces, base):
+        def stalling(taps_job, faces, base):
             if threading.current_thread() is not threading.main_thread():
                 if base.name == "frame_004":
                     assert released.wait(30.0)
-                return write(taps_job, buf, faces, base)
-            write(taps_job, buf, faces, base)
+                return write(taps_job, faces, base)
+            write(taps_job, faces, base)
             on_main.append(base.name)
             if base.name == "frame_005":
                 released.set()
@@ -298,6 +301,55 @@ class TestSubcommands:
         validate_artifact("metrics", rep)
         assert len(rep["seam_per_frame"]) == 8
         assert 0.0 <= rep["coverage"]["overall_mean"] <= 1.0
+
+
+class TestStreamedFrames:
+    """``_write_frame`` resamples a frame a block of equirect rows at a time
+    and writes each block into both files at its rows."""
+
+    @staticmethod
+    def taps_job(res: int, width: int) -> Future:
+        job = Future()
+        job.set_result(EquirectTaps.create(res, width))
+        return job
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_blocks_write_the_whole_frame_bytes(self, tmp_path, channels):
+        # W=1000: blocks of 32 rows, the last of the 500 rows holds 20
+        res, width = 16, 1000
+        job = self.taps_job(res, width)
+        taps = job.result()
+        assert len(list(taps.row_blocks(np.zeros((6, res, res, 1))))) == 16
+        faces = np.random.default_rng(channels).uniform(-0.2, 1.2,
+                                                        (6, res, res, channels))
+        cli._write_frame(job, faces, tmp_path / "frame_000")
+        frame = taps.apply(faces)
+        write_pfm(tmp_path / "ref.pfm", frame)
+        if channels == 3:
+            write_ppm(tmp_path / "ref.ppm", np.clip(frame, 0, 1))
+        else:
+            write_pgm(tmp_path / "ref.pgm", np.clip(frame[..., 0], 0, 1))
+        ext = "ppm" if channels == 3 else "pgm"
+        for suffix in ("pfm", ext):
+            assert ((tmp_path / f"frame_000.{suffix}").read_bytes()
+                    == (tmp_path / f"ref.{suffix}").read_bytes()), suffix
+        assert len(list(tmp_path.glob("frame_000.*"))) == 2
+
+    def test_frame_write_holds_no_frame_sized_array(self, tmp_path):
+        # beyond the faces padded by one pixel, which every block reads,
+        # writing a frame peaks below half of one float64 frame
+        res, width, channels = 256, 1024, 3
+        job = self.taps_job(res, width)
+        faces = np.random.default_rng(0).random((6, res, res, channels))
+        padded = 6 * (res + 2) ** 2 * channels * 8
+        frame = width // 2 * width * channels * 8
+        tracemalloc.start()
+        try:
+            cli._write_frame(job, faces, tmp_path / "frame_000")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - padded < frame / 2
 
 
 class TestDeterminism:
@@ -602,6 +654,36 @@ class TestErrorPaths:
                                    "poses.json, pose 4: field 'vfov_deg' is missing")
         assert not list(out.iterdir())
 
+    @pytest.mark.parametrize("mode,message", [
+        ({"teacher_forcing": False, "denoiser": "oracle"},
+         "mode.denoiser 'oracle' needs the synthetic scene"),
+        ({"teacher_forcing": True, "denoiser": "copy"},
+         "mode.teacher_forcing requires the synthetic scene"),
+    ], ids=["oracle", "teacher-forcing"])
+    def test_truth_on_file_input_rejected_before_reading(
+            self, tmp_path, capsys, monkeypatch, mode, message):
+        # only the synthetic scene has a truth: the config alone says so,
+        # before any frame is read or any mask computed
+        frames_dir, copy_cfg = self.file_input_cfg(tmp_path)
+        calls = []
+        for module, name in ((cli, "read_pfm"), (sc, "frustum_masks")):
+            def counting(*args, _real=getattr(module, name), _name=name):
+                calls.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(module, name, counting)
+        assert run(["generate", "--config", copy_cfg, "--out", tmp_path / "copy"]) == 0
+        assert {"read_pfm", "frustum_masks"} <= set(calls)
+        calls.clear()
+        cfg = small_cfg(tmp_path, paths={"frames_dir": str(frames_dir),
+                                         "poses": str(frames_dir / "poses.json")},
+                        mode=mode)
+        out = tmp_path / "o"
+        assert run(["generate", "--config", cfg, "--out", out]) == 1
+        self.assert_failed_cleanly(out, capsys, "ConfigError", message)
+        assert not list(out.iterdir())
+        assert calls == []
+
     def assert_failed_cleanly(self, out, capsys, error_type, message):
         err = json.loads(capsys.readouterr().err)
         validate_artifact("error", err)
@@ -677,10 +759,10 @@ class TestErrorPaths:
 
     def test_frame_write_failure_leaves_nothing(self, tmp_path, capsys,
                                                 monkeypatch):
-        def failing_write_pfm(path, pixels):
+        def failing_write_pfm(path, pixels, *rows):
             if Path(path).name == "frame_001.pfm":
                 raise OSError("disk full writing frame 1")
-            write_pfm(path, pixels)
+            write_pfm(path, pixels, *rows)
 
         monkeypatch.setattr(cli, "write_pfm", failing_write_pfm)
         out = tmp_path / "o"
@@ -693,13 +775,13 @@ class TestErrorPaths:
         # main thread takes back frame 7 first, and its write fails
         write, released = cli._write_frame, threading.Event()
 
-        def failing_on_main(taps_job, buf, faces, base):
+        def failing_on_main(taps_job, faces, base):
             if threading.current_thread() is threading.main_thread():
                 released.set()
                 raise OSError(f"disk full writing {base.name}")
             if base.name == "frame_004":
                 assert released.wait(30.0)
-            write(taps_job, buf, faces, base)
+            write(taps_job, faces, base)
 
         monkeypatch.setattr(cli, "_write_frame", failing_on_main)
         out = tmp_path / "o"

@@ -148,6 +148,65 @@ class TestInPlaceEuler:
         assert got.tobytes() == ref.tobytes()
 
 
+class TestSlicedEuler:
+    """Each Euler update runs over views of about ``_SLICE_BYTES``: the
+    finiteness check over every slice first, then the update slice by slice."""
+
+    # (5, 100, 100, 3) slices along the first axis, 4 frames then 1; in
+    # (2, 300, 250, 3) one frame exceeds a slice, so each is cut into rows,
+    # 174 then 126
+    SHAPES = [(5, 100, 100, 3), (2, 300, 250, 3)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_equals_out_of_place_update(self, rng, shape, dtype):
+        slices, z = pl._slices(shape, 8), noise(3, shape)
+        assert len(slices) > 1 and z[slices[-1]].size < z[slices[0]].size
+        target = rng.normal(size=shape)
+
+        def denoiser(z_t, t, ctx):
+            return (np.sin(3.0 * z_t) * t + target - z_t).astype(dtype)
+
+        got = euler_sample(denoiser, z, None, 3)
+        ref = out_of_place_euler(denoiser, shape, 3, 3)
+        assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_non_finite_last_slice_leaves_z_unchanged(self, shape):
+        v = np.zeros(shape)
+        v[-1, -1, -1, -1] = np.nan  # only the last slice holds it
+        z = noise(5, shape)
+        before = z.tobytes()
+        with pytest.raises(RuntimeError, match="non-finite"):
+            euler_sample(lambda z_t, t, ctx: v, z, None, 1)
+        assert z.tobytes() == before
+
+    def test_update_allocates_one_slice(self):
+        # a whole-array update of this 8 MB z would allocate 8 MB
+        shape = (4, 288, 288, 3)
+        v = noise(6, shape)
+        z = noise(7, shape)
+        tracemalloc.start()
+        try:
+            euler_sample(lambda z_t, t, ctx: v, z, None, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < pl._SLICE_BYTES + 64 * 1024
+
+    def test_zero_denoiser_returns_a_read_only_view(self):
+        z = noise(8, (4, 72, 72, 3))
+        tracemalloc.start()
+        try:
+            v = zero_denoiser(z, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024
+        assert v.shape == z.shape and v.dtype == z.dtype
+        assert not v.flags.writeable and not v.any()
+
+
 class TestGenerateStep:
     def first_step(self):
         """The first plan step of a teacher-forced run, its context and the
