@@ -16,14 +16,18 @@ plan step's noise one step ahead (``generate_all``'s ``executor``) and
 resamples and writes each window's frames (handed over by ``on_window``)
 while the next window is sampled.  The synthetic truth, like the
 conditional, is computed frame by frame when read: the oracle reads it one
-window at a time while sampling, and the other denoisers never.  A job
+window at a time while sampling, and the other denoisers never.  So are the
+synthetic scene's perspective frames: a frame is rendered only when the
+conditional projects it, which the copy denoiser does once per frame and
+the oracle and zero denoisers never.  A job
 still queued when the main thread needs it is taken back: the main thread
 cancels it and does the same work itself.  So it draws a step's
 noise queued behind frames, and after sampling it writes the last window's
 unstarted frames, last first, while the side thread writes from the first.
-Either thread resamples a frame a block of equirect rows at a time and
-writes each block straight into the frame's PFM and 8-bit image at its
-rows, so no frame-sized array exists on the output path.  Every artifact
+Either thread resamples a frame a block of equirect rows at a time,
+straight from the canvas's six faces, and writes each block into the
+frame's PFM and 8-bit image at its rows, so no frame-sized array, and no
+copy of the faces, exists on the output path.  Every artifact
 is written into a ``.staging-*`` directory inside ``--out`` and moved into
 place only after the last one is written, so a failed run, on either
 thread, leaves none behind; so does a run stopped by SIGTERM, which
@@ -150,7 +154,7 @@ def run_subcommand(name: str, cfg: RunConfig, out_dir: Path, args) -> None:
 def _load_inputs(cfg: RunConfig):
     """(truth | None, perspective frames, poses).  Without input paths the
     deterministic synthetic scene supplies everything, its ground-truth cube
-    video computed when read."""
+    video and perspective frames computed when read."""
     if not _file_input(cfg):
         return scene_mod.synth_scene(cfg)
     poses = read_poses(cfg.paths.poses)
@@ -446,7 +450,7 @@ def _raise_failed(jobs) -> None:
 def _write_frame(taps_job, faces: np.ndarray, base: Path) -> None:
     """Resample the (6, R, R, C) faces onto the equirect grid a block of rows
     at a time, and write each block into the frame's PFM and 8-bit image at
-    its rows, so no frame-sized array exists."""
+    its rows, so no frame-sized array and no copy of the faces exists."""
     taps = taps_job.result()
     height = taps.width // 2
     for top, rows in taps.row_blocks(faces):

@@ -14,8 +14,9 @@ ties going to the top/bottom strip.  Blending a generated padded face back
 scatters its 4*p*R strip pixels onto the neighbor pixels they were copied
 from, with ramp weight 1 - k/p at depth k.  :func:`pad_face`,
 :func:`blend_overlaps` and :func:`seam_metric` read the same map, built once
-per (R, p); the pad-1 map also gathers the faces that the output resampler,
-:class:`cubegen.geometry.EquirectTaps`, reads, so its taps cross edges.
+per (R, p); the pad-1 map also gives the output resampler,
+:class:`cubegen.geometry.EquirectTaps`, the taps of its pixels next to a
+cube edge, so they cross onto the neighbouring face.
 
 A strip pixel is addressed by (depth, along): depth k is its distance from
 the shared edge (0 next to it), and along runs in the owning face's

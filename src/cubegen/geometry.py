@@ -22,10 +22,13 @@ stride, two fractions) and one blocked loop, ``_Taps.resample``, over a
 (P, C) pixel array: projection builds the table per frame on the perspective
 frame, :func:`equirect_to_cubemap` on the equirect grid with its first
 column appended, and :class:`EquirectTaps`, built once per (R, W), on the
-six faces padded by one pixel through the pad-1 map of
-:mod:`cubegen.continuity`, so cube taps cross cube edges.  It pads a frame
-once and can resample it a block of equirect rows at a time
-(:meth:`EquirectTaps.row_blocks`), so no equirect frame need be held whole.
+six faces themselves.  A sample whose four taps are not one grid square
+also has its own four taps, which the loop reads after each block: the few
+equirect pixels next to a cube edge take theirs through the pad-1 map of
+:mod:`cubegen.continuity`, so their taps cross onto the neighbouring face.
+A frame is resampled from its faces as they are, with no padded copy, and
+can be a block of equirect rows at a time (:meth:`EquirectTaps.row_blocks`),
+so no equirect frame need be held whole.
 
 Rotations convert between matrices and rotation vectors with plain numpy
 (Rodrigues one way, the unit quaternion the other).
@@ -64,7 +67,9 @@ __all__ = [
 _UNIT_TOL = 1e-9
 _ORTHO_TOL = 1e-7
 _TAP_BLOCK_PIXELS = 1 << 16  # equirect pixels per block of EquirectTaps.create
-_APPLY_BLOCK_PIXELS = 1 << 15  # samples per _Taps.resample block, taps per row block
+# samples per _Taps.resample block, taps per row block, directions per
+# frustum_masks block
+_APPLY_BLOCK_PIXELS = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +268,18 @@ class _Taps:
     """Bilinear taps into a grid flattened row-major: ``index`` is each
     sample's top-left tap, the next column ``step`` and the next row
     ``stride`` further on (0 on an axis of one sample), and the fractions
-    weight the upper taps."""
+    weight the upper taps.  The samples at ``edge_pos``, sorted, whose four
+    taps are not one grid square, have them (top-left, top-right,
+    bottom-left, bottom-right) in the (4, k) ``edge_taps``: what their
+    ``index`` gives is overwritten."""
 
     index: np.ndarray
     row_frac: np.ndarray
     col_frac: np.ndarray
     stride: int
     step: int
+    edge_pos: np.ndarray
+    edge_taps: np.ndarray
 
     def resample(self, pixels: np.ndarray, out: np.ndarray,
                  start: int = 0) -> np.ndarray:
@@ -280,36 +290,62 @@ class _Taps:
         d, s = self.step * channels, self.stride * channels
         # In blocks whose buffers stay in cache and whose numpy calls, each
         # run without the GIL, are long enough that two threads resampling
-        # at once both make progress, channel by channel within a block:
-        # top * (1 - fr) + bottom * fr, each (1 - fc) * left + fc * right.
-        # Indices are in range; mode="clip" skips the default's buffering.
+        # at once both make progress.
         block = max(1, _APPLY_BLOCK_PIXELS // channels)
         buffers = np.empty((5, min(n, block)))
         taps = np.empty(min(n, block), dtype=np.intp)
         for lo in range(0, n, block):
-            blk = slice(start + lo, start + min(lo + block, n))
-            fr, fc = self.row_frac[blk], self.col_frac[blk]
-            t, p, b, wr, wc = buffers[:, :fr.size]
-            tap = taps[:fr.size]
-            np.multiply(self.index[blk], channels, out=tap)
-            np.subtract(1.0, fr, out=wr)
-            np.subtract(1.0, fc, out=wc)
-            for c in range(channels):
-                np.take(flat[c:], tap, out=t, mode="clip")
-                t *= wc
-                np.take(flat[c + d:], tap, out=p, mode="clip")
-                p *= fc
-                t += p
-                np.take(flat[c + s:], tap, out=b, mode="clip")
-                b *= wc
-                np.take(flat[c + s + d:], tap, out=p, mode="clip")
-                p *= fc
-                b += p
-                t *= wr
-                b *= fr
-                t += b
-                out[lo:lo + fr.size, c] = t
+            hi = min(lo + block, n)
+            blk = slice(start + lo, start + hi)
+            tap = np.multiply(self.index[blk], channels, out=taps[:hi - lo])
+            _bilinear(flat, ((0, tap), (d, tap), (s, tap), (s + d, tap)),
+                      self.row_frac[blk], self.col_frac[blk], buffers,
+                      out, slice(lo, hi))
+            # The block's samples whose taps are not one grid square: the
+            # same operations again, on their own four taps.
+            a, b = np.searchsorted(self.edge_pos, (blk.start, blk.stop))
+            if a < b:
+                pos = self.edge_pos[a:b]
+                _bilinear(flat, [(0, k) for k in self.edge_taps[:, a:b] * channels],
+                          self.row_frac[pos], self.col_frac[pos], buffers,
+                          out, pos - start)
         return out
+
+
+def _bilinear(flat: np.ndarray, corners, row_frac: np.ndarray,
+              col_frac: np.ndarray, buffers: np.ndarray, out: np.ndarray,
+              rows) -> None:
+    """Write ``out[rows]``, channel by channel, from the flat pixels: each
+    of the four ``corners`` (top-left, top-right, bottom-left,
+    bottom-right) is an (offset, taps) pair, channel c of a sample's corner
+    being ``flat[c + offset:][taps]``.  ``buffers`` is (5, >= len(taps))
+    scratch.  top * (1 - fr) + bottom * fr, each (1 - fc) * left + fc *
+    right.  mode="clip" skips the default's buffering; only an edge
+    sample's ``index``, whose result is overwritten, can run past the end."""
+    fr, fc = row_frac, col_frac
+    t, p, b, wr, wc = buffers[:, :fr.size]
+    np.subtract(1.0, fr, out=wr)
+    np.subtract(1.0, fc, out=wc)
+    (o0, i0), (o1, i1), (o2, i2), (o3, i3) = corners
+    for c in range(out.shape[1]):
+        np.take(flat[c + o0:], i0, out=t, mode="clip")
+        t *= wc
+        np.take(flat[c + o1:], i1, out=p, mode="clip")
+        p *= fc
+        t += p
+        np.take(flat[c + o2:], i2, out=b, mode="clip")
+        b *= wc
+        np.take(flat[c + o3:], i3, out=p, mode="clip")
+        p *= fc
+        b += p
+        t *= wr
+        b *= fr
+        t += b
+        out[rows, c] = t
+
+
+_NO_EDGES = {"edge_pos": np.empty(0, np.intp),
+             "edge_taps": np.empty((4, 0), np.intp)}
 
 
 def _grid_taps(rows: np.ndarray, cols: np.ndarray, height: int, width: int) -> _Taps:
@@ -317,30 +353,45 @@ def _grid_taps(rows: np.ndarray, cols: np.ndarray, height: int, width: int) -> _
     r0, fr = _axis_taps(rows, 0, height - 1)
     c0, fc = _axis_taps(cols, 0, width - 1)
     return _Taps(index=r0 * width + c0, row_frac=fr, col_frac=fc,
-                 stride=width if height > 1 else 0, step=1 if width > 1 else 0)
+                 stride=width if height > 1 else 0, step=1 if width > 1 else 0,
+                 **_NO_EDGES)
+
+
+def _nearest_pixel(face, row, col, row_frac, col_frac, res: int) -> np.ndarray:
+    """Flat (6*R*R) index of the face pixel nearest to the bilinear point
+    at tap (row, col) of ``face`` plus the fractions.  ``row + row_frac``
+    is the row coordinate exactly where it is >= 0 (an exact subtraction
+    gave the fraction) and <= 0 below, so rounding it clamped to the face
+    gives the nearest row; so for columns."""
+    near_r = np.rint(np.clip(row + row_frac, 0, res - 1)).astype(np.intp)
+    near_c = np.rint(np.clip(col + col_frac, 0, res - 1)).astype(np.intp)
+    return (face * res + near_r) * res + near_c
 
 
 @dataclass(frozen=True)
 class EquirectTaps(_Taps):
     """Fixed cube->equirect resampling table for one (R, W): taps of the
-    (W/2, W) equirect pixels, row-major, into the (6, R+2, R+2) faces padded
-    by one pixel, which :meth:`pad` copies from the (6*R*R) faces through
-    ``gather``, the pad-1 map.  Face coordinates run from -1 to R there, so
-    a tap next to a cube edge reads the neighbouring face and none is
-    clamped.  Masks take the nearest face pixel, derived from the taps."""
+    (W/2, W) equirect pixels, row-major, into the (6*R*R) stack of faces.
+    Face coordinates run from -1 to R, so a pixel next to a cube edge has
+    taps on the neighbouring face and none is clamped: such an edge pixel,
+    one whose four taps are not one square of its own face, reads them
+    through the pad-1 map from ``edge_taps``, and its ``index`` holds its
+    nearest face pixel.  Masks take the nearest face pixel, derived from the
+    taps."""
 
     resolution: int
     width: int
-    gather: np.ndarray
 
     @classmethod
     def create(cls, resolution: int, width: int) -> "EquirectTaps":
         if width % 4:
             raise ValueError(f"equirect width must be a multiple of 4, got {width}")
         res, height, n = resolution, width // 2, resolution + 2
+        padded = _pad_table(res, 1).index  # (6, n*n) stack pixel of each padded pixel
         index = np.empty(height * width, dtype=np.intp)
         row_frac = np.empty(height * width)
         col_frac = np.empty_like(row_frac)
+        edge_pos, edge_taps = [], []
         # Built in blocks of equirect rows, so the per-pixel directions and
         # face coordinates never exist for the whole grid at once.
         block = max(1, _TAP_BLOCK_PIXELS // width)
@@ -349,62 +400,57 @@ class EquirectTaps(_Taps):
                                np.arange(top, min(top + block, height)), indexing="xy")
             face, x, y = direction_to_face_coords(
                 equirect_pixel_to_direction(u, v, width))
+            # taps counted from row and column -1 of the face padded by one
             r0, fr = _axis_taps(y * res - 0.5, -1, res)
             c0, fc = _axis_taps(x * res - 0.5, -1, res)
+            face, r0, c0, fr, fc = (a.ravel() for a in (face, r0, c0, fr, fc))
             out = slice(top * width, top * width + u.size)
-            index[out] = ((face * n + r0) * n + c0).ravel()
-            row_frac[out] = fr.ravel()
-            col_frac[out] = fc.ravel()
+            index[out] = (face * res + r0 - 1) * res + c0 - 1
+            row_frac[out] = fr
+            col_frac[out] = fc
+            pos = np.flatnonzero((np.minimum(r0, c0) < 1) | (np.maximum(r0, c0) > res - 1))
+            f, r, c = face[pos], r0[pos], c0[pos]
+            edge_taps.append([padded[f, (r + i) * n + c + j]
+                              for i in (0, 1) for j in (0, 1)])
+            index[out][pos] = _nearest_pixel(f, r - 1, c - 1, fr[pos], fc[pos], res)
+            edge_pos.append(pos + out.start)
         return cls(index=index, row_frac=row_frac, col_frac=col_frac,
-                   stride=n, step=1, resolution=res, width=width,
-                   gather=_pad_table(res, 1).index)
+                   stride=res, step=1, edge_pos=np.concatenate(edge_pos),
+                   edge_taps=np.concatenate(edge_taps, axis=1),
+                   resolution=res, width=width)
 
     def _check(self, grids: np.ndarray, ndim: int) -> None:
         res = self.resolution
         if grids.ndim != ndim or grids.shape[:3] != (6, res, res):
             raise ValueError(f"need (6, {res}, {res}) face grids, got {grids.shape}")
 
-    def pad(self, faces) -> np.ndarray:
-        """(6, R, R, C) faces padded by one pixel through the pad-1 map: the
-        (6, R+2, R+2, C) grid the taps index."""
-        faces = np.ascontiguousarray(faces, dtype=np.float64)
-        self._check(faces, 4)
-        n, channels = self.resolution + 2, faces.shape[3]
-        # A pixel's channels as one item, so one index copies whole pixels:
-        # several times faster than indexing rows of the (6*R*R, C) array,
-        # and unlike np.take it does not copy the read-only map first.
-        pixels = faces.reshape(-1).view(np.dtype((np.void, 8 * channels)))
-        return pixels[self.gather].view(np.float64).reshape(6, n, n, channels)
-
     def apply(self, faces, out: np.ndarray | None = None, top: int = 0) -> np.ndarray:
         """Bilinear resample of (6, R, R, C) faces onto the (W/2, W, C)
-        equirect grid, or into ``out`` onto its rows [top, top + len(out)).
-        ``faces`` may be padded already, as :meth:`pad` returns them, so a
-        frame resampled a block of rows at a time is padded once."""
-        faces = np.asarray(faces, dtype=np.float64)
-        n = self.resolution + 2
-        padded = faces if faces.shape[:-1] == (6, n, n) else self.pad(faces)
-        height, width, channels = self.width // 2, self.width, padded.shape[3]
+        equirect grid, or into ``out`` onto its rows [top, top + len(out))."""
+        faces = np.ascontiguousarray(faces, dtype=np.float64)
+        self._check(faces, 4)
+        height, width, channels = self.width // 2, self.width, faces.shape[3]
         out = np.empty((height - top, width, channels)) if out is None else out
         if (out.ndim != 3 or out.shape[1:] != (width, channels)
                 or not 0 <= top <= top + len(out) <= height):
             raise ValueError(f"out must be (rows, {width}, {channels}) within the "
                              f"{height} rows from row {top}, got {out.shape}")
-        self.resample(padded.reshape(-1, channels),
+        self.resample(faces.reshape(-1, channels),
                       out.reshape(-1, channels, copy=False), top * width)
         return out
 
     def row_blocks(self, faces):
         """Resample (6, R, R, C) faces onto the (W/2, W, C) equirect grid a
-        block of rows at a time, padding them once: yield ``(top, rows)``,
-        ``rows`` the grid's rows [top, top + len(rows)) in one buffer that
-        the next block overwrites."""
-        padded = self.pad(faces)
+        block of rows at a time: yield ``(top, rows)``, ``rows`` the grid's
+        rows [top, top + len(rows)) in one buffer that the next block
+        overwrites."""
+        faces = np.ascontiguousarray(faces, dtype=np.float64)
+        self._check(faces, 4)
         height, width = self.width // 2, self.width
         step = max(1, _APPLY_BLOCK_PIXELS // width)
-        buf = np.empty((min(step, height), width, padded.shape[3]))
+        buf = np.empty((min(step, height), width, faces.shape[3]))
         for top in range(0, height, step):
-            yield top, self.apply(padded, buf[:height - top], top)
+            yield top, self.apply(faces, buf[:height - top], top)
 
     def apply_mask(self, masks) -> np.ndarray:
         """Nearest-neighbor transfer of (6, R, R) binary masks onto a
@@ -417,15 +463,13 @@ class EquirectTaps(_Taps):
     @cached_property
     def _nearest(self) -> np.ndarray:
         """Flat (6*R*R) index of each equirect pixel's nearest face pixel,
-        derived on the first mask transfer, which ``generate`` never makes.
-        ``tap - 1 + row_frac`` is the row coordinate exactly where it is
-        >= 0 (an exact subtraction gave the fraction) and <= 0 below, so
-        rounding it clamped to the face gives the nearest row; so for columns."""
-        res, n = self.resolution, self.resolution + 2
-        face, r0, c0 = np.unravel_index(self.index, (6, n, n))
-        near_r = np.rint(np.clip(r0 - 1 + self.row_frac, 0, res - 1)).astype(np.intp)
-        near_c = np.rint(np.clip(c0 - 1 + self.col_frac, 0, res - 1)).astype(np.intp)
-        return (face * res + near_r) * res + near_c
+        derived on the first mask transfer, which ``generate`` never makes:
+        rounded from each tap and its fractions, and an edge pixel's index."""
+        res = self.resolution
+        near = _nearest_pixel(*np.unravel_index(self.index, (6, res, res)),
+                              self.row_frac, self.col_frac, res)
+        near[self.edge_pos] = self.index[self.edge_pos]
+        return near
 
 
 # ---------------------------------------------------------------------------
@@ -435,16 +479,33 @@ class EquirectTaps(_Taps):
 def frustum_masks(pose: CameraPose, resolution: int) -> np.ndarray:
     """(6, R, R) uint8 observation masks of a pose: 1 where the cube pixel
     center lies inside the FoV frustum, boundary inclusive.  The cached
-    direction stack is rotated into the camera frame by one matmul."""
+    direction stack is rotated into the camera frame by its per-row matmul,
+    in blocks of face rows, and a block with no row facing the camera is
+    skipped.
+
+    Along a face row, a direction's camera z has the sign of a linear
+    function, so a row whose two end pixels have z <= 0 has no pixel in
+    front of the camera (one within rounding of z = 0 fails the FoV test).
+    A block holds about :data:`_APPLY_BLOCK_PIXELS` directions, so its
+    temporaries stay small, and at small R the whole stack is one block."""
     if resolution < 4:
         raise ValueError(f"face resolution must be >= 4, got {resolution}")
     tan_h = np.tan(np.radians(pose.hfov_deg) / 2.0)
     tan_v = np.tan(np.radians(pose.vfov_deg) / 2.0)
-    d = face_directions(resolution) @ pose.rotation  # R^T d, (6, R, R, 3)
-    x, y, z = d[..., 0], d[..., 1], d[..., 2]
+    rows = face_directions(resolution).reshape(-1, resolution, 3)  # (6R, R, 3)
+    w = pose.rotation[:, 2]  # camera z of a direction d is d @ w
+    facing = np.maximum(rows[:, 0] @ w, rows[:, -1] @ w) > 0
+    masks = np.zeros((6 * resolution, resolution), np.uint8)
+    step = max(1, _APPLY_BLOCK_PIXELS // resolution)
     with np.errstate(divide="ignore", invalid="ignore"):
-        inside = (z > 0) & (np.abs(x / z) <= tan_h) & (np.abs(y / z) <= tan_v)
-    return inside.astype(np.uint8)
+        for a in range(0, len(rows), step):
+            if not facing[a:a + step].any():
+                continue
+            d = rows[a:a + step] @ pose.rotation  # R^T d
+            x, y, z = d[..., 0], d[..., 1], d[..., 2]
+            masks[a:a + step] = ((z > 0) & (np.abs(x / z) <= tan_h)
+                                 & (np.abs(y / z) <= tan_v))
+    return masks.reshape(6, resolution, resolution)
 
 
 def project_perspective_to_cubemap(frame: PerspectiveFrame, pose: CameraPose,

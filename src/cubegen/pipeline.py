@@ -75,7 +75,8 @@ def euler_sample(denoiser, z: np.ndarray, context, steps: int) -> np.ndarray:
     non-floating-point dtype or a non-finite value; ``z`` is then left as
     the last update made it.  Each update runs over views of ``z`` and the
     velocity of about :data:`_SLICE_BYTES` each, so its temporaries do not
-    grow with the step.
+    grow with the step, and each velocity is dropped before the denoiser
+    is asked for the next, so the sampler never holds two.
     """
     if steps < 1:
         raise ValueError(f"sampler steps must be >= 1, got {steps}")
@@ -95,6 +96,7 @@ def euler_sample(denoiser, z: np.ndarray, context, steps: int) -> np.ndarray:
         for sl in slices:  # z is the sampler's own; v is never written
             view = z[sl]
             view += (dt / t) * v[sl]
+        del v  # dropped before the denoiser builds the next one
     return z
 
 

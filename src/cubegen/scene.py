@@ -1,9 +1,13 @@
 """Deterministic synthetic scenes: a band-limited spherical field that spins
 slowly over time, analytically evaluable at any direction and frame.  Serves
-as the ground-truth oracle for end-to-end tests and CLI demos."""
+as the ground-truth oracle for end-to-end tests and CLI demos.  Both of a
+scene's videos are computed when read, frame by frame: the ground-truth
+cube video (:class:`cubegen.geometry.CubemapVideo`) and the perspective
+input along the camera trajectory (:class:`SceneFrames`)."""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +25,8 @@ from .geometry import (
     sample_trajectory,
 )
 
-__all__ = ["SyntheticScene", "synth_inputs", "synth_scene", "render_equirect_video"]
+__all__ = ["SyntheticScene", "SceneFrames", "synth_inputs", "synth_scene",
+           "render_equirect_video"]
 
 # Quadratic direction-polynomial basis, each term scaled to max 1 on the sphere.
 _BASIS = (
@@ -104,23 +109,47 @@ def _trajectory_anchors(cfg: RunConfig, rng: np.random.Generator) -> list[Camera
     return anchors
 
 
+class SceneFrames(Sequence):
+    """The perspective input of a synthetic scene along its poses, rendered
+    when read: ``frames[t]`` renders frame ``t``'s :class:`PerspectiveFrame`
+    each time, so a frame that nothing reads is never rendered.  Its length
+    and channel count need no frame."""
+
+    def __init__(self, field: SyntheticScene, poses: list[CameraPose],
+                 height: int, width: int):
+        self.field, self.poses = field, poses
+        self.height, self.width = height, width
+
+    @property
+    def channels(self) -> int:
+        return len(self.field.coeffs)
+
+    def __len__(self) -> int:
+        return len(self.poses)
+
+    def __getitem__(self, t):
+        if isinstance(t, slice):
+            return [self[k] for k in range(*t.indices(len(self)))]
+        t = range(len(self))[t]  # IndexError past the end ends iteration
+        return self.field.perspective_frame(self.poses[t], self.height,
+                                            self.width, t)
+
+
 def synth_inputs(cfg: RunConfig):
-    """The config's scene field, plus the perspective input rendered along a
-    smooth trajectory and its poses."""
+    """The config's scene field, plus the perspective input along a smooth
+    trajectory, rendered when read, and its poses."""
     field = SyntheticScene.random(cfg.channels, cfg.seed)
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 2)))
     poses = sample_trajectory(_trajectory_anchors(cfg, rng), cfg.num_frames)
-    height = max(8, cfg.resolution // 2)
-    width = max(8, cfg.resolution)
-    frames = [field.perspective_frame(pose, height, width, t)
-              for t, pose in enumerate(poses)]
+    frames = SceneFrames(field, poses, height=max(8, cfg.resolution // 2),
+                         width=max(8, cfg.resolution))
     return field, frames, poses
 
 
 def synth_scene(cfg: RunConfig):
     """Deterministic scene for a config: the ground-truth (N, 6, R, R, C)
-    cube video, computed when read, the perspective input rendered along a
-    smooth trajectory, and the poses."""
+    cube video and the perspective input along a smooth trajectory, each
+    computed when read, and the poses."""
     field, frames, poses = synth_inputs(cfg)
     return field.cubemap_video(cfg.resolution, cfg.num_frames), frames, poses
 
@@ -128,15 +157,19 @@ def synth_scene(cfg: RunConfig):
 def conditional_video(truth_resolution: int, frames, poses):
     """The masked conditional of perspective frames: every frame's (N, 6, R,
     R) uint8 masks now, and the video whose read projects a frame's pixels
-    from its masks, so a run that reads no pixel projects none."""
+    from its masks, so a run that reads no pixel projects none.  Frame
+    ``t`` is read, and so for :class:`SceneFrames` rendered, only by a read
+    of the video that names it."""
     if len(frames) != len(poses):
         raise ValueError(f"{len(frames)} frames but {len(poses)} poses")
     r = truth_resolution
     masks = np.empty((len(poses), 6, r, r), np.uint8)
     for t, pose in enumerate(poses):
         masks[t] = frustum_masks(pose, r)
+    channels = (frames.channels if isinstance(frames, SceneFrames)
+                else frames[0].channels)
     return masks, CubemapVideo(
-        (*masks.shape, frames[0].channels),
+        (*masks.shape, channels),
         lambda t, out: project_perspective_to_cubemap(frames[t], poses[t],
                                                       masks[t], out))
 

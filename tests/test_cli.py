@@ -352,6 +352,19 @@ class TestStreamedFrames:
         assert peak - padded < frame / 2
 
 
+    def test_frame_write_peaks_below_2_mib(self, tmp_path):
+        # the faces are read as they are: no padded copy (9.6 MB here)
+        res, width, channels = 256, 1024, 3
+        job = self.taps_job(res, width)
+        faces = np.random.default_rng(0).random((6, res, res, channels))
+        tracemalloc.start()
+        try:
+            cli._write_frame(job, faces, tmp_path / "frame_000")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20, peak
+
 class TestDeterminism:
     @pytest.mark.parametrize("sub", ["plan", "project", "context", "metrics"])
     def test_byte_identical_artifacts(self, tmp_path, sub):
@@ -453,6 +466,26 @@ class TestPixelProjection:
                                            tmp_path / "o")
         assert projected == 8  # N
         assert most <= 4  # T
+
+    @pytest.mark.parametrize("mode,renders", [
+        ({"teacher_forcing": True, "denoiser": "oracle"}, 0),
+        ({"teacher_forcing": False, "denoiser": "oracle"}, 0),
+        ({"teacher_forcing": False, "denoiser": "zero"}, 0),
+        ({"teacher_forcing": False, "denoiser": "copy"}, 8)],
+        ids=["oracle-teacher", "oracle", "zero", "copy"])
+    def test_synthetic_frames_rendered_only_when_projected(
+            self, tmp_path, monkeypatch, mode, renders):
+        real = sc.SyntheticScene.perspective_frame
+        count = [0]
+
+        def counting(self, *args, **kwargs):
+            count[0] += 1
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(sc.SyntheticScene, "perspective_frame", counting)
+        cfg = small_cfg(tmp_path, mode=mode)
+        assert run(["generate", "--config", cfg, "--out", tmp_path / "o"]) == 0
+        assert count[0] == renders
 
     @pytest.mark.parametrize("command", ["project", "metrics"])
     def test_reads_one_frame_at_a_time(self, tmp_path, monkeypatch, command):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from cubegen.config import parse_config
+from cubegen.continuity import _pad_table
 from cubegen.faces import FACES, FACE_AXES, FACE_INDEX
 from cubegen import scene as sc
 from cubegen import geometry as geo
@@ -180,6 +181,30 @@ class TestProjectPerspective:
     def test_small_resolution_rejected(self):
         with pytest.raises(ValueError):
             geo.frustum_masks(CameraPose(np.eye(3), 90, 90), 2)
+
+    @pytest.mark.parametrize("res", [4, 16, 64, 256])
+    @pytest.mark.parametrize("rows_per_block", [None, 3])
+    def test_rows_facing_away_skipped_bytes_equal(self, monkeypatch, res,
+                                                  rows_per_block):
+        # against rotating every direction of the cube and testing it, as
+        # one (6, R, R, 3) matmul: 60 random poses per R, FoV 10-179
+        # degrees, in the default blocks of rows and in blocks of 3 rows
+        if rows_per_block:
+            monkeypatch.setattr(geo, "_APPLY_BLOCK_PIXELS", rows_per_block * res)
+        rng = np.random.default_rng(res)
+        dirs = geo.face_directions(res)
+        for _ in range(60):
+            rot = geo.rotvec_to_matrix(rng.normal(size=3) * rng.uniform(0.0, 3.0))
+            pose = CameraPose(rot, *rng.uniform(10.0, 179.0, size=2))
+            tan_h = np.tan(np.radians(pose.hfov_deg) / 2.0)
+            tan_v = np.tan(np.radians(pose.vfov_deg) / 2.0)
+            d = dirs @ pose.rotation
+            x, y, z = d[..., 0], d[..., 1], d[..., 2]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                want = (z > 0) & (np.abs(x / z) <= tan_h) & (np.abs(y / z) <= tan_v)
+            got = geo.frustum_masks(pose, res)
+            assert got.dtype == np.uint8
+            assert got.tobytes() == want.astype(np.uint8).tobytes()
 
     def test_pixel_centre_on_the_side_plane_is_observed(self):
         # R=8, identity pose: face F's pixel centres sit at |x/z| in
@@ -381,6 +406,74 @@ def ref_mask_to_equirect(masks, width):
             out[sel] = _ref_nearest(masks[i], y[sel] * res - 0.5,
                                     x[sel] * res - 0.5)
     return out
+
+
+def ref_padded_taps(res, width):
+    """(face, row, col, row_frac, col_frac) of each equirect pixel's
+    top-left tap into the (6, R+2, R+2) faces padded by one pixel, rows
+    and columns counted from -1: every pixel's four taps are one square."""
+    face, x, y = _ref_face_lookup(width)
+    r0, fr = geo._axis_taps(y * res - 0.5, -1, res)
+    c0, fc = geo._axis_taps(x * res - 0.5, -1, res)
+    return face, r0, c0, fr, fc
+
+
+def ref_padded_resample(faces, width):
+    """The bilinear resample over the faces padded through the pad-1 map,
+    in the same operations as ``_Taps.resample``."""
+    res, channels = faces.shape[1], faces.shape[3]
+    n = res + 2
+    padded = faces.reshape(-1, channels)[_pad_table(res, 1).index].reshape(
+        6, n, n, channels)
+    face, r0, c0, fr, fc = ref_padded_taps(res, width)
+    fr, fc = fr[..., None], fc[..., None]
+    top = padded[face, r0, c0] * (1.0 - fc) + padded[face, r0, c0 + 1] * fc
+    bottom = padded[face, r0 + 1, c0] * (1.0 - fc) + padded[face, r0 + 1, c0 + 1] * fc
+    return top * (1.0 - fr) + bottom * fr
+
+
+def ref_padded_mask(masks, width):
+    """Nearest face pixel of each equirect pixel, rounded from its padded
+    tap and fractions, the coordinates clamped to the face."""
+    res = masks.shape[1]
+    face, r0, c0, fr, fc = ref_padded_taps(res, width)
+    near_r = np.rint(np.clip(r0 - 1 + fr, 0, res - 1)).astype(np.intp)
+    near_c = np.rint(np.clip(c0 - 1 + fc, 0, res - 1)).astype(np.intp)
+    return masks[face, near_r, near_c]
+
+
+class TestEdgePixels:
+    """``EquirectTaps`` reads the faces as they are; a pixel whose four taps
+    do not lie on one face takes them through the pad-1 map."""
+
+    CASES = [(4, 16), (4, 20), (4, 64), (16, 64), (16, 100), (16, 256),
+             (64, 200), (64, 256), (64, 1000)]
+
+    @pytest.mark.parametrize("res,width", CASES)
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_equals_padded_faces_reference(self, rng, res, width, channels):
+        taps = geo.EquirectTaps.create(res, width)
+        faces = rng.random((6, res, res, channels))
+        want = ref_padded_resample(faces, width)
+        assert taps.apply(faces).tobytes() == want.tobytes()
+        rows = np.concatenate([blk.copy() for _, blk in taps.row_blocks(faces)])
+        assert rows.tobytes() == want.tobytes()
+        masks = (rng.random((6, res, res)) < 0.5).astype(np.uint8)
+        assert (taps.apply_mask(masks).tobytes()
+                == ref_padded_mask(masks, width).tobytes())
+
+    @pytest.mark.parametrize("res,width", CASES)
+    def test_edge_pixels_are_those_off_one_face_square(self, res, width):
+        _, r0, c0, _, _ = ref_padded_taps(res, width)
+        off = (np.minimum(r0, c0) < 1) | (np.maximum(r0, c0) > res - 1)
+        taps = geo.EquirectTaps.create(res, width)
+        assert np.array_equal(taps.edge_pos, np.flatnonzero(off))
+        assert taps.edge_taps.shape == (4, off.sum())
+        assert (taps.stride, taps.step) == (res, 1)
+
+    @pytest.mark.parametrize("res,width,edges", [(64, 256, 304), (256, 1024, 1184)])
+    def test_few_edge_pixels(self, res, width, edges):
+        assert geo.EquirectTaps.create(res, width).edge_pos.size == edges
 
 
 class TestEquirectTaps:

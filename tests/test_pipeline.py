@@ -5,6 +5,7 @@ integrator; end-to-end runs are checked against the analytic scene."""
 import gc
 import threading
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -193,6 +194,20 @@ class TestSlicedEuler:
         finally:
             tracemalloc.stop()
         assert peak < pl._SLICE_BYTES + 64 * 1024
+
+    def test_previous_velocity_dropped_before_next_call(self):
+        # the sampler holds no velocity while the denoiser builds the next
+        shape = (2, 16, 16, 3)
+        refs = []
+
+        def denoiser(z_t, t, ctx):
+            assert all(r() is None for r in refs), "a previous velocity is alive"
+            v = -z_t
+            refs.append(weakref.ref(v))
+            return v
+
+        euler_sample(denoiser, noise(9, shape), None, 4)
+        assert len(refs) == 4
 
     def test_zero_denoiser_returns_a_read_only_view(self):
         z = noise(8, (4, 72, 72, 3))

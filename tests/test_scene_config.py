@@ -215,6 +215,7 @@ class TestSyntheticScene:
             cfg = config_from_dict(dict(resolution=res, equirect_width=4 * res,
                                         num_frames=n, window_length=t_win))
             _, frames, poses = sc.synth_scene(cfg)
+            frames = list(frames)  # rendered up front, like frames read from files
             tracemalloc.start()
             try:
                 masks, video = sc.conditional_video(res, frames, poses)
