@@ -126,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="wall-clock repetitions; 0 writes 0.000 (deterministic)")
         if name == "generate":
             p.add_argument("--dry-run", action="store_true",
-                           help="report shapes/flops/memory without allocating frames")
+                           help="report the run's plan and peaks without sampling")
     return parser
 
 
@@ -187,11 +187,35 @@ def _file_input(cfg: RunConfig) -> bool:
     return True
 
 
-def _coverage_tables(cfg: RunConfig, masks: np.ndarray):
-    """(6, N) frame coverage and (6, L) window coverage of the
-    conditional's (N, 6, R, R) masks."""
+def _check_truth_source(cfg: RunConfig) -> None:
+    """Only the synthetic scene has a truth: reject file input that needs
+    one from the config, before any frame is read."""
+    if _file_input(cfg):
+        if cfg.mode.teacher_forcing:
+            raise ConfigError("mode.teacher_forcing requires the synthetic scene")
+        if cfg.mode.denoiser == "oracle":
+            raise ConfigError("mode.denoiser 'oracle' needs the synthetic scene "
+                              "(ground truth); unset paths.frames_dir/poses")
+
+
+def _prologue(cfg: RunConfig):
+    """(truth | None, poses, masks, conditional, (6, N) frame and (6, L)
+    window coverage); ``_generate`` runs these steps between side jobs."""
+    truth, frames, poses = _load_inputs(cfg)
+    masks, cond = scene_mod.conditional_video(cfg.resolution, frames, poses,
+                                              cfg.channels)
     fc = frame_coverage(masks)
-    return fc, window_coverage(fc, cfg.window_length)
+    return truth, poses, masks, cond, fc, window_coverage(fc, cfg.window_length)
+
+
+def _step_log(cfg: RunConfig):
+    """The planner's (L, 6) order and the generation loop's step log over
+    it; the log reads no content, so no truth or pixel frame is computed."""
+    _, _, _, cond, fc, ct = _prologue(cfg)
+    order = plan_order(ct)
+    return order, simulate_contexts(
+        cond, fc, order, history_capacity=cfg.history, frag_length=cfg.frag_length,
+        frag_threshold=cfg.frag_threshold, patch_size=cfg.patch_size)
 
 
 def _coverage_json(fc: np.ndarray, ct: np.ndarray) -> dict:
@@ -216,9 +240,7 @@ def _write_image(path_base: Path, pixels: np.ndarray, top: int = 0,
 # ---------------------------------------------------------------------------
 
 def cmd_project(cfg: RunConfig, out_dir: Path) -> None:
-    _, frames, poses = _load_inputs(cfg)
-    masks, cond = scene_mod.conditional_video(cfg.resolution, frames, poses)
-    fc, ct = _coverage_tables(cfg, masks)
+    _, poses, masks, cond, fc, ct = _prologue(cfg)
     taps = EquirectTaps.create(cfg.resolution, cfg.equirect_width)
     for t in range(cfg.num_frames):
         _write_cond_frame(out_dir, t, cond[t:t + 1][0], masks[t])
@@ -238,9 +260,7 @@ def _write_cond_frame(out_dir: Path, t: int, faces: np.ndarray,
 
 
 def cmd_plan(cfg: RunConfig, out_dir: Path) -> None:
-    _, frames, poses = _load_inputs(cfg)
-    masks, _ = scene_mod.conditional_video(cfg.resolution, frames, poses)
-    fc, ct = _coverage_tables(cfg, masks)
+    _, _, _, _, fc, ct = _prologue(cfg)
     write_json_artifact(out_dir / "plan.json", "plan",
                         {"steps": plan_steps(plan_order(ct), cfg.window_length)})
     write_json_artifact(out_dir / "coverage.json", "coverage",
@@ -248,16 +268,8 @@ def cmd_plan(cfg: RunConfig, out_dir: Path) -> None:
 
 
 def cmd_context(cfg: RunConfig, out_dir: Path) -> None:
-    """The generation loop's step log, tokens left out; it does not depend
-    on content, so no truth frame is computed."""
-    _, frames, poses = _load_inputs(cfg)
-    masks, cond = scene_mod.conditional_video(cfg.resolution, frames, poses)
-    fc, ct = _coverage_tables(cfg, masks)
-    entries = simulate_contexts(cond, fc, plan_order(ct),
-                                history_capacity=cfg.history,
-                                frag_length=cfg.frag_length,
-                                frag_threshold=cfg.frag_threshold,
-                                patch_size=cfg.patch_size)
+    """The generation loop's step log, tokens left out."""
+    _, entries = _step_log(cfg)
     steps = [{k: v for k, v in e.items() if k != "tokens"} for e in entries]
     write_json_artifact(out_dir / "context.json", "context", {"steps": steps})
 
@@ -311,6 +323,7 @@ def _make_denoiser(cfg: RunConfig, truth, cond):
 
 
 def cmd_generate(cfg: RunConfig, out_dir: Path, dry_run: bool = False) -> None:
+    _check_truth_source(cfg)
     with _sigterm_as_exit(), _staged(out_dir) as stage:
         if dry_run:
             _write_dry_run(cfg, stage)
@@ -363,14 +376,6 @@ def _generate(cfg: RunConfig, out_dir: Path) -> None:
     # and the import adds about 8 ms to every subcommand's start-up.
     from concurrent.futures import ThreadPoolExecutor
 
-    # Only the synthetic scene has a truth to read: reject file input that
-    # needs one before any frame is read.
-    if _file_input(cfg):
-        if cfg.mode.teacher_forcing:
-            raise ConfigError("mode.teacher_forcing requires the synthetic scene")
-        if cfg.mode.denoiser == "oracle":
-            raise ConfigError("mode.denoiser 'oracle' needs the synthetic scene "
-                              "(ground truth); unset paths.frames_dir/poses")
     marks = [time.perf_counter()]  # stage boundaries, see ``stages`` below
     side = ThreadPoolExecutor(max_workers=1)
     try:
@@ -383,9 +388,10 @@ def _generate(cfg: RunConfig, out_dir: Path) -> None:
         dirs_job.result()
         taps_job = side.submit(EquirectTaps.create, cfg.resolution,
                                cfg.equirect_width)
-        masks, cond = scene_mod.conditional_video(cfg.resolution, frames, poses)
-        fc, ct = _coverage_tables(cfg, masks)
-        order = plan_order(ct)
+        masks, cond = scene_mod.conditional_video(cfg.resolution, frames, poses,
+                                                  cfg.channels)
+        fc = frame_coverage(masks)
+        order = plan_order(window_coverage(fc, cfg.window_length))
         marks.append(time.perf_counter())
 
         jobs = []
@@ -465,21 +471,21 @@ def _seam_per_frame(video) -> list[float]:
 
 
 def _write_dry_run(cfg: RunConfig, out_dir: Path) -> None:
-    """Shape-only accounting for paper-scale geometry; no pixel buffers."""
-    canonical = np.tile(np.arange(6), (cfg.num_frames // cfg.window_length, 1))
-    per_frame = tokens_per_frame(cfg.resolution, cfg.patch_size)
-    g = cfg.window_length * per_frame
-    # worst case: H full windows (6 faces), 6 current sources, 5 fragments
-    max_context = (6 * cfg.history * cfg.window_length + 6 * cfg.window_length
-                   + 5 * cfg.frag_length) * per_frame
+    """The run's plan, largest context and resident peak, off the step log
+    ``context`` writes, and the attention's FLOPs and bytes at that context;
+    the bytes count the peak step's latents, not the process's memory."""
+    order, entries = _step_log(cfg)
+    g = cfg.window_length * tokens_per_frame(cfg.resolution, cfg.patch_size)
+    max_context = max(sum(e["tokens"].values()) - e["tokens"]["generation"]
+                      for e in entries)
     layout = TokenLayout(num_generation=g, num_context=max_context)
     band = BandedMaskSpec(bandwidth=cfg.bandwidth)
     bytes_per_latent = (cfg.window_length
                         * (cfg.resolution + 2 * cfg.pad) ** 2 * cfg.channels * 8)
-    peak_bound = 6 * (cfg.history + 1) + 5
+    peak = max(e["resident_latents"] for e in entries)
     report = {
         "config": cfg.to_json_dict(),
-        "plan": plan_steps(canonical, cfg.window_length),
+        "plan": plan_steps(order, cfg.window_length),
         "tokens": {
             "generation": g,
             "max_context": max_context,
@@ -489,16 +495,15 @@ def _write_dry_run(cfg: RunConfig, out_dir: Path) -> None:
                 layout, band, 64, 8),
         },
         "bytes_per_face_window_latent": bytes_per_latent,
-        "peak_resident_bound": peak_bound,
-        "peak_working_set_bytes_bound": peak_bound * bytes_per_latent,
+        "peak_resident_bound": peak,
+        "peak_working_set_bytes_bound": peak * bytes_per_latent,
     }
     write_json_artifact(out_dir / "dry_run.json", "dry_run", report)
 
 
 def cmd_metrics(cfg: RunConfig, out_dir: Path) -> None:
-    truth, frames, poses = _load_inputs(cfg)
-    masks, cond = scene_mod.conditional_video(cfg.resolution, frames, poses)
-    fc, ct = _coverage_tables(cfg, masks)
+    """Input statistics: the truth's (or conditional's) seams and coverage."""
+    truth, _, _, cond, fc, ct = _prologue(cfg)
     report = {
         "seam_per_frame": _seam_per_frame(cond if truth is None else truth),
         "coverage": {

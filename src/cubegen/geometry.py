@@ -241,10 +241,12 @@ def face_coords_to_direction(face, x, y) -> np.ndarray:
 @lru_cache(maxsize=4)
 def face_directions(resolution: int) -> np.ndarray:
     """Read-only (6, R, R, 3) unit directions of every cube-face pixel
-    center, faces in canonical order; built once per resolution."""
+    center, faces in canonical order; built once per R, a face at a time."""
     c = (np.arange(resolution) + 0.5) / resolution
     y, x = np.meshgrid(c, c, indexing="ij")
-    dirs = face_coords_to_direction(np.arange(6)[:, None, None], x, y)
+    dirs = np.empty((6, resolution, resolution, 3))
+    for i in range(6):
+        dirs[i] = face_coords_to_direction(i, x, y)
     dirs.flags.writeable = False
     return dirs
 

@@ -27,7 +27,7 @@ def frame_coverage(masks: np.ndarray) -> np.ndarray:
     m = np.asarray(masks)
     if m.ndim != 4 or m.shape[1] != 6 or m.shape[2] != m.shape[3]:
         raise ValueError(f"masks must be (N, 6, R, R), got {m.shape}")
-    if not ((m == 0) | (m == 1)).all():
+    if not all(((f == 0) | (f == 1)).all() for f in m):  # a frame at a time
         raise ValueError("masks must be binary")
     return m.reshape(m.shape[0], 6, -1).mean(axis=2).T.copy()
 

@@ -112,17 +112,12 @@ def _trajectory_anchors(cfg: RunConfig, rng: np.random.Generator) -> list[Camera
 class SceneFrames(Sequence):
     """The perspective input of a synthetic scene along its poses, rendered
     when read: ``frames[t]`` renders frame ``t``'s :class:`PerspectiveFrame`
-    each time, so a frame that nothing reads is never rendered.  Its length
-    and channel count need no frame."""
+    each time, so a frame that nothing reads is never rendered."""
 
     def __init__(self, field: SyntheticScene, poses: list[CameraPose],
                  height: int, width: int):
         self.field, self.poses = field, poses
         self.height, self.width = height, width
-
-    @property
-    def channels(self) -> int:
-        return len(self.field.coeffs)
 
     def __len__(self) -> int:
         return len(self.poses)
@@ -154,20 +149,18 @@ def synth_scene(cfg: RunConfig):
     return field.cubemap_video(cfg.resolution, cfg.num_frames), frames, poses
 
 
-def conditional_video(truth_resolution: int, frames, poses):
-    """The masked conditional of perspective frames: every frame's (N, 6, R,
-    R) uint8 masks now, and the video whose read projects a frame's pixels
-    from its masks, so a run that reads no pixel projects none.  Frame
-    ``t`` is read, and so for :class:`SceneFrames` rendered, only by a read
-    of the video that names it."""
+def conditional_video(truth_resolution: int, frames, poses, channels: int):
+    """The masked conditional of ``channels``-channel perspective frames:
+    every frame's (N, 6, R, R) uint8 masks now, and the video whose read
+    projects a frame's pixels from its masks, so a run that reads no pixel
+    projects none.  Frame ``t`` is read, and so for :class:`SceneFrames`
+    rendered, only by a read of the video that names it."""
     if len(frames) != len(poses):
         raise ValueError(f"{len(frames)} frames but {len(poses)} poses")
     r = truth_resolution
     masks = np.empty((len(poses), 6, r, r), np.uint8)
     for t, pose in enumerate(poses):
         masks[t] = frustum_masks(pose, r)
-    channels = (frames.channels if isinstance(frames, SceneFrames)
-                else frames[0].channels)
     return masks, CubemapVideo(
         (*masks.shape, channels),
         lambda t, out: project_perspective_to_cubemap(frames[t], poses[t],

@@ -25,7 +25,7 @@ from cubegen.geometry import EquirectTaps
 from cubegen.imgio import (read_pfm, read_ppm, write_pfm, write_pgm, write_poses,
                            write_ppm)
 from cubegen.pipeline import generate_all
-from cubegen.planner import plan_order, plan_steps
+from cubegen.planner import frame_coverage, plan_order, window_coverage
 
 import jsonschema
 
@@ -68,10 +68,11 @@ def assert_frames_equal_serial_writes(out: Path, ref: Path) -> None:
     sampling the whole canvas first and then resampling it frame by frame."""
     cfg = parse_config(DEMO)
     truth, frames, poses = sc.synth_scene(cfg)
-    masks, cond = sc.conditional_video(cfg.resolution, frames, poses)
-    fc, ct = cli._coverage_tables(cfg, masks)
+    masks, cond = sc.conditional_video(cfg.resolution, frames, poses, cfg.channels)
+    fc = frame_coverage(masks)
+    order = plan_order(window_coverage(fc, cfg.window_length))
     result = generate_all(
-        cond, fc, plan_order(ct), cli._make_denoiser(cfg, truth, cond),
+        cond, fc, order, cli._make_denoiser(cfg, truth, cond),
         steps=cfg.sampler_steps, seed=cfg.seed,
         pad=cfg.pad, history_capacity=cfg.history,
         frag_length=cfg.frag_length, frag_threshold=cfg.frag_threshold,
@@ -157,8 +158,8 @@ class TestSubcommands:
         assert any(step["fragments"] for step in ctx["steps"])
 
     def test_plan_writers_agree(self, tmp_path):
-        # plan.json, run_report.json and context.json write the planner's
-        # steps; dry_run.json writes the canonical order over the same windows
+        # plan.json, run_report.json, context.json and dry_run.json write
+        # the planner's steps
         cfg = small_cfg(tmp_path, num_frames=12)
         for sub in ("plan", "generate", "context"):
             assert run([sub, "--config", cfg, "--out", tmp_path / sub]) == 0
@@ -172,8 +173,7 @@ class TestSubcommands:
         assert read("generate", "run_report.json")["plan"] == steps
         assert [{k: e[k] for k in ("face", "s", "e")}
                 for e in read("context", "context.json")["steps"]] == steps
-        assert read("dry", "dry_run.json")["plan"] == plan_steps(
-            np.tile(np.arange(6), (3, 1)), 4)
+        assert read("dry", "dry_run.json")["plan"] == steps
         assert [d["face"] for d in steps] != list(FACES) * 3
 
     def test_context_never_builds_truth(self, tmp_path, monkeypatch):
@@ -275,7 +275,8 @@ class TestSubcommands:
         assert not list(out.glob("*.pfm"))
 
     def test_step_token_counts_within_dry_run(self, tmp_path):
-        """Every step logs its tokens by kind; the dry-run's figures hold."""
+        """Every step logs its tokens by kind; the dry-run's largest context
+        is the run's."""
         assert run(["generate", "--config", DEMO, "--out", tmp_path / "run"]) == 0
         assert run(["generate", "--config", DEMO, "--out", tmp_path / "dry",
                     "--dry-run"]) == 0
@@ -291,7 +292,54 @@ class TestSubcommands:
                     if src["kind"] == kind)
         contexts = [sum(step["tokens"].values()) - step["tokens"]["generation"]
                     for step in steps]
-        assert 0 < max(contexts) <= dry["max_context"]
+        assert 0 < max(contexts) == dry["max_context"]
+
+    @pytest.mark.parametrize("variant", ["demo", "pfm", "n16-h1"])
+    def test_dry_run_describes_the_run(self, tmp_path, variant):
+        # the dry-run walks the run's own plan and contexts: its plan, its
+        # largest context and its resident peak are the run's
+        demo, cfg = json.loads(DEMO.read_text()), tmp_path / "cfg.json"
+        if variant == "pfm":
+            # the demo scene's frames and poses, read back from files
+            frames_dir = tmp_path / "frames"
+            frames_dir.mkdir()
+            _, frames, poses = sc.synth_scene(parse_config(DEMO))
+            for t, frame in enumerate(frames):
+                write_pfm(frames_dir / f"input_{t:03d}.pfm", frame.pixels)
+            write_poses(frames_dir / "poses.json", poses)
+            demo.update(paths={"frames_dir": str(frames_dir),
+                               "poses": str(frames_dir / "poses.json")},
+                        mode={"teacher_forcing": False, "denoiser": "copy"})
+        elif variant == "n16-h1":
+            demo.update(num_frames=16, history=1)
+        cfg.write_text(json.dumps(demo))
+        assert run(["generate", "--config", cfg, "--out", tmp_path / "run"]) == 0
+        assert run(["generate", "--dry-run", "--config", cfg,
+                    "--out", tmp_path / "dry"]) == 0
+        report = json.loads((tmp_path / "run" / "run_report.json").read_text())
+        dry = json.loads((tmp_path / "dry" / "dry_run.json").read_text())
+        validate_artifact("dry_run", dry)
+        assert dry["plan"] == report["plan"]
+        assert dry["tokens"]["max_context"] == max(
+            sum(step["tokens"].values()) - step["tokens"]["generation"]
+            for step in report["steps"])
+        assert dry["peak_resident_bound"] == report["peak_resident"]
+        assert dry["peak_working_set_bytes_bound"] == (
+            report["peak_resident"] * dry["bytes_per_face_window_latent"])
+
+    def test_dry_run_reads_no_pixel(self, tmp_path, monkeypatch):
+        # the step log reads provenance only: no perspective frame is
+        # rendered, no truth frame computed and no pixel projected
+        def no_pixels(*args, **kwargs):
+            raise AssertionError("the dry-run read a pixel")
+
+        monkeypatch.setattr(sc.SyntheticScene, "perspective_frame", no_pixels)
+        monkeypatch.setattr(sc.SyntheticScene, "cubemap_frame", no_pixels)
+        monkeypatch.setattr(sc, "project_perspective_to_cubemap", no_pixels)
+        out = tmp_path / "dry"
+        assert run(["generate", "--dry-run", "--config", small_cfg(tmp_path),
+                    "--out", out]) == 0
+        validate_artifact("dry_run", json.loads((out / "dry_run.json").read_text()))
 
     def test_metrics_validates(self, tmp_path):
         cfg = small_cfg(tmp_path)
@@ -696,7 +744,8 @@ class TestErrorPaths:
     def test_truth_on_file_input_rejected_before_reading(
             self, tmp_path, capsys, monkeypatch, mode, message):
         # only the synthetic scene has a truth: the config alone says so,
-        # before any frame is read or any mask computed
+        # before any frame is read or any mask computed, and the dry-run
+        # accepts only what the run accepts
         frames_dir, copy_cfg = self.file_input_cfg(tmp_path)
         calls = []
         for module, name in ((cli, "read_pfm"), (sc, "frustum_masks")):
@@ -711,11 +760,12 @@ class TestErrorPaths:
         cfg = small_cfg(tmp_path, paths={"frames_dir": str(frames_dir),
                                          "poses": str(frames_dir / "poses.json")},
                         mode=mode)
-        out = tmp_path / "o"
-        assert run(["generate", "--config", cfg, "--out", out]) == 1
-        self.assert_failed_cleanly(out, capsys, "ConfigError", message)
-        assert not list(out.iterdir())
-        assert calls == []
+        for dry_run in ([], ["--dry-run"]):
+            out = tmp_path / f"o{len(dry_run)}"
+            assert run(["generate", *dry_run, "--config", cfg, "--out", out]) == 1
+            self.assert_failed_cleanly(out, capsys, "ConfigError", message)
+            assert not list(out.iterdir())
+            assert calls == []
 
     def assert_failed_cleanly(self, out, capsys, error_type, message):
         err = json.loads(capsys.readouterr().err)

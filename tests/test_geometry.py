@@ -632,11 +632,27 @@ def _projection_case(name):
 
 
 class TestDirectionStack:
-    @pytest.mark.parametrize("res", [1, 4, 64, 256])
+    @pytest.mark.parametrize("res", [1, 4, 16, 64, 256])
     def test_face_views_equal_meshgrid_formula(self, res):
         for f in FACES:
             got = geo.face_directions(res)[FACE_INDEX[f]]
             assert got.tobytes() == ref_face_pixel_directions(f, res).tobytes()
+        # the stack built a face at a time is the six-face formula's bytes
+        c = (np.arange(res) + 0.5) / res
+        y, x = np.meshgrid(c, c, indexing="ij")
+        stacked = geo.face_coords_to_direction(np.arange(6)[:, None, None], x, y)
+        assert geo.face_directions(res).tobytes() == stacked.tobytes()
+
+    def test_stack_built_a_face_at_a_time(self):
+        # no temporary is stack-sized: the build, uncached, peaks below
+        # twice the stack
+        tracemalloc.start()
+        try:
+            dirs = geo.face_directions.__wrapped__(256)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * dirs.nbytes, (peak, dirs.nbytes)
 
     def test_read_only_and_cached(self):
         dirs = geo.face_directions(8)

@@ -36,7 +36,7 @@ def small_scene(res=32, n=8, t_win=4, seed=7):
     cfg = config_from_dict(dict(resolution=res, equirect_width=4 * res,
                                 num_frames=n, window_length=t_win, seed=seed))
     truth, frames, poses = sc.synth_scene(cfg)
-    masks, cond = sc.conditional_video(res, frames, poses)
+    masks, cond = sc.conditional_video(res, frames, poses, cfg.channels)
     plan = plan_order(window_coverage(frame_coverage(masks), t_win))
     return cfg, truth, masks, cond, plan
 
@@ -447,7 +447,7 @@ class TestGenerateAll:
         cfg = parse_config(Path(__file__).parents[1] / "configs" / "demo.json")
         truth, frames, poses = sc.synth_scene(cfg)
         truth = truth[:]  # materialised before the trace, as a plain array
-        masks, cond = sc.conditional_video(cfg.resolution, frames, poses)
+        masks, cond = sc.conditional_video(cfg.resolution, frames, poses, cfg.channels)
         coverage = frame_coverage(masks)
         plan = plan_order(window_coverage(coverage, cfg.window_length))
         denoiser = padded_target_denoiser(truth, cfg.pad)
@@ -484,7 +484,7 @@ class TestGenerateAll:
             tracemalloc.start()
             try:
                 truth = field.cubemap_video(res, n)
-                masks, cond = sc.conditional_video(res, frames, poses)
+                masks, cond = sc.conditional_video(res, frames, poses, cfg.channels)
                 coverage = frame_coverage(masks)
                 plan = plan_order(window_coverage(coverage, t_win))
                 result = generate_all(

@@ -2,6 +2,7 @@
 as the oracle for every derived value."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,6 +75,17 @@ class TestFrameCoverage:
         masks[0, FACE_INDEX["F"]] = 2
         with pytest.raises(ValueError, match="binary"):
             frame_coverage(masks)
+
+    def test_binary_check_reads_a_frame_at_a_time(self):
+        # the check's temporaries are one frame's, not the masks' size
+        masks = np.ones((8, 6, 128, 128), np.uint8)
+        tracemalloc.start()
+        try:
+            frame_coverage(masks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < masks.nbytes, (peak, masks.nbytes)
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError):

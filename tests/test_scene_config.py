@@ -169,7 +169,7 @@ class TestSyntheticScene:
         # with the ground truth wherever observed (bilinear error budget)
         cfg = config_from_dict(dict(resolution=32, equirect_width=128, seed=11))
         truth, frames, poses = sc.synth_scene(cfg)
-        masks, cond = sc.conditional_video(cfg.resolution, frames, poses)
+        masks, cond = sc.conditional_video(cfg.resolution, frames, poses, cfg.channels)
         observed = masks.astype(bool)
         assert observed.any()
         worst = np.abs(cond[:] - truth[:])[observed].max()
@@ -178,7 +178,7 @@ class TestSyntheticScene:
     def test_masks_nontrivial(self):
         cfg = config_from_dict(dict(resolution=32, equirect_width=128, seed=11))
         _, frames, poses = sc.synth_scene(cfg)
-        masks, _ = sc.conditional_video(cfg.resolution, frames, poses)
+        masks, _ = sc.conditional_video(cfg.resolution, frames, poses, cfg.channels)
         total = masks.mean(axis=(0, 2, 3)).sum()
         assert 0.0 < total < 6.0
 
@@ -191,10 +191,10 @@ class TestSyntheticScene:
         cfg = config_from_dict(dict(resolution=res, num_frames=n, channels=3))
         _, frames, poses = sc.synth_scene(cfg)
         # the per-R direction stack is shared fixed work; build it first
-        sc.conditional_video(res, frames[:1], poses[:1])[1][0:1]
+        sc.conditional_video(res, frames[:1], poses[:1], cfg.channels)[1][0:1]
         tracemalloc.start()
         try:
-            masks, video = sc.conditional_video(res, frames, poses)
+            masks, video = sc.conditional_video(res, frames, poses, cfg.channels)
             built, _ = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             pixels = video[0:n]
@@ -218,7 +218,7 @@ class TestSyntheticScene:
             frames = list(frames)  # rendered up front, like frames read from files
             tracemalloc.start()
             try:
-                masks, video = sc.conditional_video(res, frames, poses)
+                masks, video = sc.conditional_video(res, frames, poses, cfg.channels)
                 for s in range(0, n, t_win):
                     video[s:s + t_win]
                 _, top = tracemalloc.get_traced_memory()
@@ -234,4 +234,4 @@ class TestSyntheticScene:
         cfg = config_from_dict(dict(resolution=16, equirect_width=64, num_frames=8))
         _, frames, poses = sc.synth_scene(cfg)
         with pytest.raises(ValueError, match="poses"):
-            sc.conditional_video(16, frames, poses[:-1])
+            sc.conditional_video(16, frames, poses[:-1], cfg.channels)
