@@ -14,11 +14,10 @@ thread loads the inputs; builds the cube->equirect tap table while the main
 thread projects the masks and plans; then, during sampling, it draws each
 plan step's noise one step ahead (``generate_all``'s ``executor``) and
 resamples and writes each window's frames (handed over by ``on_window``)
-while the next window is sampled.  The synthetic truth, like the
-conditional, is computed frame by frame when read: the oracle reads it one
-window at a time while sampling, and the other denoisers never.  So are the
-synthetic scene's perspective frames: a frame is rendered only when the
-conditional projects it, which the copy denoiser does once per frame and
+while the next window is sampled.  The oracle evaluates the synthetic
+scene on each plan step's padded face grid, so no denoiser reads a truth
+frame.  The synthetic perspective frames are rendered only when the
+conditional projects them, which the copy denoiser does once per frame and
 the oracle and zero denoisers never.  A job
 still queued when the main thread needs it is taken back: the main thread
 cancels it and does the same work itself.  So it draws a step's
@@ -44,6 +43,7 @@ import sys
 import tempfile
 import time
 from contextlib import contextmanager
+from functools import partial
 from dataclasses import replace
 from pathlib import Path
 
@@ -81,6 +81,7 @@ from .pipeline import (
     generate_all,
     padded_target_denoiser,
     simulate_contexts,
+    target_denoiser,
     zero_denoiser,
 )
 from .planner import frame_coverage, plan_order, plan_steps, window_coverage
@@ -152,11 +153,11 @@ def run_subcommand(name: str, cfg: RunConfig, out_dir: Path, args) -> None:
 # ---------------------------------------------------------------------------
 
 def _load_inputs(cfg: RunConfig):
-    """(truth | None, perspective frames, poses).  Without input paths the
-    deterministic synthetic scene supplies everything, its ground-truth cube
-    video and perspective frames computed when read."""
+    """(scene | None, perspective frames, poses).  Without input paths the
+    deterministic synthetic scene supplies everything: its field, the
+    ground truth, and its perspective frames, rendered when read."""
     if not _file_input(cfg):
-        return scene_mod.synth_scene(cfg)
+        return scene_mod.synth_inputs(cfg)
     poses = read_poses(cfg.paths.poses)
     frame_dir = Path(cfg.paths.frames_dir)
     files = sorted([*frame_dir.glob("*.pfm"), *frame_dir.glob("*.ppm")])
@@ -199,13 +200,13 @@ def _check_truth_source(cfg: RunConfig) -> None:
 
 
 def _prologue(cfg: RunConfig):
-    """(truth | None, poses, masks, conditional, (6, N) frame and (6, L)
+    """(scene | None, poses, masks, conditional, (6, N) frame and (6, L)
     window coverage); ``_generate`` runs these steps between side jobs."""
-    truth, frames, poses = _load_inputs(cfg)
+    field, frames, poses = _load_inputs(cfg)
     masks, cond = scene_mod.conditional_video(cfg.resolution, frames, poses,
                                               cfg.channels)
     fc = frame_coverage(masks)
-    return truth, poses, masks, cond, fc, window_coverage(fc, cfg.window_length)
+    return field, poses, masks, cond, fc, window_coverage(fc, cfg.window_length)
 
 
 def _step_log(cfg: RunConfig):
@@ -314,9 +315,10 @@ def _best_ms(fn, trials: int) -> float:
     return best
 
 
-def _make_denoiser(cfg: RunConfig, truth, cond):
+def _make_denoiser(cfg: RunConfig, field, cond):
     if cfg.mode.denoiser == "oracle":
-        return padded_target_denoiser(truth, cfg.pad)
+        return target_denoiser(partial(field.padded_face_video,
+                                       cfg.resolution, cfg.pad))
     if cfg.mode.denoiser == "copy":
         return padded_target_denoiser(cond, cfg.pad)
     return zero_denoiser
@@ -383,7 +385,7 @@ def _generate(cfg: RunConfig, out_dir: Path) -> None:
         # step the pad map: the side thread builds them while inputs load.
         dirs_job = side.submit(face_directions, cfg.resolution)
         side.submit(_pad_table, cfg.resolution, cfg.pad)
-        truth, frames, poses = _load_inputs(cfg)
+        field, frames, poses = _load_inputs(cfg)
         marks.append(time.perf_counter())
         dirs_job.result()
         taps_job = side.submit(EquirectTaps.create, cfg.resolution,
@@ -404,12 +406,13 @@ def _generate(cfg: RunConfig, out_dir: Path) -> None:
                              frame))
 
         result = generate_all(
-            cond, fc, order, _make_denoiser(cfg, truth, cond),
+            cond, fc, order, _make_denoiser(cfg, field, cond),
             steps=cfg.sampler_steps, seed=cfg.seed,
             pad=cfg.pad, history_capacity=cfg.history,
             frag_length=cfg.frag_length, frag_threshold=cfg.frag_threshold,
             patch_size=cfg.patch_size,
-            teacher=truth if cfg.mode.teacher_forcing else None,
+            teacher=(field.cubemap_video(cfg.resolution, cfg.num_frames)
+                     if cfg.mode.teacher_forcing else None),
             on_window=on_window, executor=side)
         marks.append(time.perf_counter())
 
@@ -503,9 +506,11 @@ def _write_dry_run(cfg: RunConfig, out_dir: Path) -> None:
 
 def cmd_metrics(cfg: RunConfig, out_dir: Path) -> None:
     """Input statistics: the truth's (or conditional's) seams and coverage."""
-    truth, _, _, cond, fc, ct = _prologue(cfg)
+    field, _, _, cond, fc, ct = _prologue(cfg)
+    video = cond if field is None else field.cubemap_video(cfg.resolution,
+                                                           cfg.num_frames)
     report = {
-        "seam_per_frame": _seam_per_frame(cond if truth is None else truth),
+        "seam_per_frame": _seam_per_frame(video),
         "coverage": {
             "per_face_mean": {f: float(fc[i].mean()) for i, f in enumerate(FACES)},
             "per_window": {f: [float(v) for v in ct[i]] for i, f in enumerate(FACES)},

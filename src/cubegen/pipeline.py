@@ -1,15 +1,15 @@
 """Flow-matching sampler and the autoregressive generation loop.
 
 The working latent is the pixel grid at generation resolution.  Sampling
-follows the linear path z_t = (1-t) z0 + t eps, whose velocity is
-v = z0 - z_t, and the Euler update z <- z + (dt / t) v makes the oracle
-denoiser land exactly on z0 for every step count: the final step has
-dt/t = 1, so any trajectory contracts onto the target.  The sampler
+follows the linear path z_t = (1-t) z0 + t eps.  A denoiser predicts the
+clean latent x̂0, and the Euler update z <- z + (dt / t) (x̂0 - z) makes a
+perfect prediction land exactly on z0 for every step count: the final step
+has dt/t = 1, so any trajectory contracts onto the target.  The sampler
 integrates from the noise eps it is handed; :func:`generate_all` draws each
 plan step's noise from that step's own seed, so which thread draws it never
 changes a byte.
 
-A denoiser is any callable (z_t, t, context) -> velocity of identical shape,
+A denoiser is any callable (z_t, t, context) -> x̂0 of identical shape,
 deterministic given identical inputs and seed; ``context`` is the step's
 [hist; curr; fut] :class:`~cubegen.context.ContextBundle`.
 
@@ -40,6 +40,7 @@ from .continuity import blend_overlaps, pad_face
 __all__ = [
     "oracle_denoiser",
     "padded_target_denoiser",
+    "target_denoiser",
     "zero_denoiser",
     "euler_sample",
     "GenerationResult",
@@ -51,32 +52,30 @@ __all__ = [
 
 
 def oracle_denoiser(z0: np.ndarray):
-    """Perfect velocity field toward a fixed clean latent."""
+    """Perfect prediction of a fixed clean latent: x̂0 = z0 at every t."""
     z0 = np.asarray(z0, dtype=np.float64)
 
     def denoise(z_t, t, context=None):
-        return z0 - z_t
+        return z0
 
     return denoise
 
 
 def zero_denoiser(z_t, t, context=None):
-    """Predicts zero velocity; the sample stays at its initial noise.  The
-    velocity is a read-only zero view of ``z_t``'s shape, which allocates
-    no array."""
-    return np.broadcast_to(np.zeros((), z_t.dtype), z_t.shape)
+    """Predicts x̂0 = z_t, so the velocity is zero and the sample stays at
+    its initial noise; it returns ``z_t`` itself and allocates nothing."""
+    return z_t
 
 
 def euler_sample(denoiser, z: np.ndarray, context, steps: int) -> np.ndarray:
-    """Integrate the velocity field from the noise ``z`` at t=1 down to t=0.
+    """Integrate from the noise ``z`` at t=1 down to t=0 toward x̂0.
 
     ``z`` becomes the sampler's own: it is updated in place and returned.
     Raises ``RuntimeError`` when the denoiser returns the wrong shape, a
     non-floating-point dtype or a non-finite value; ``z`` is then left as
-    the last update made it.  Each update runs over views of ``z`` and the
-    velocity of about :data:`_SLICE_BYTES` each, so its temporaries do not
-    grow with the step, and each velocity is dropped before the denoiser
-    is asked for the next, so the sampler never holds two.
+    the last update made it.  Each update runs over views of ``z`` and x̂0
+    of about :data:`_SLICE_BYTES` each, in one slice-sized buffer, and x̂0,
+    never written and possibly ``z`` itself, is dropped before the next.
     """
     if steps < 1:
         raise ValueError(f"sampler steps must be >= 1, got {steps}")
@@ -84,19 +83,22 @@ def euler_sample(denoiser, z: np.ndarray, context, steps: int) -> np.ndarray:
     slices = _slices(z.shape, z.itemsize)
     for s in range(steps):
         t, dt = ts[s], ts[s] - ts[s + 1]
-        v = np.asarray(denoiser(z, float(t), context))
-        if v.shape != z.shape:
+        x0 = np.asarray(denoiser(z, float(t), context))
+        if x0.shape != z.shape:
             raise RuntimeError(
-                f"denoiser returned shape {v.shape}, expected {z.shape}")
-        if not np.issubdtype(v.dtype, np.floating):
+                f"denoiser returned shape {x0.shape}, expected {z.shape}")
+        if not np.issubdtype(x0.dtype, np.floating):
             raise RuntimeError(
-                f"denoiser returned dtype {v.dtype}, expected floating point")
-        if not all(np.isfinite(v[sl]).all() for sl in slices):
+                f"denoiser returned dtype {x0.dtype}, expected floating point")
+        if not all(np.isfinite(x0[sl]).all() for sl in slices):
             raise RuntimeError(f"denoiser returned non-finite values at t={t:g}")
-        for sl in slices:  # z is the sampler's own; v is never written
+        # z += (dt / t) * (x0 - z) in the dtype the expression promotes to
+        buf = np.empty(z[slices[0]].size, np.result_type(x0, z, ts))
+        for sl in slices:
             view = z[sl]
-            view += (dt / t) * v[sl]
-        del v  # dropped before the denoiser builds the next one
+            step = np.subtract(x0[sl], view, out=buf[:view.size].reshape(view.shape))
+            view += np.multiply(step, dt / t, out=step)
+        del x0, buf, step  # dropped before the denoiser builds the next
     return z
 
 
@@ -300,25 +302,33 @@ def _step_seed(seed: int, index: int) -> int:
 # built-in denoisers beyond the plain oracle
 # ---------------------------------------------------------------------------
 
-def padded_target_denoiser(video, pad: int):
-    """The oracle toward the padded face window ``video[start:end]`` of the
-    step named by the context bundle, read like a source's content.  Given
-    the ground truth it is the scene oracle; given the (masked) conditional
-    it is the copy baseline, whose unobserved pixels head to zero.  The
-    window is read once per (start, end), and the target padded once per
-    (face, start, end) and reused for the Euler steps of that plan step."""
-    cached = {"span": None, "window": None, "key": None, "oracle": None}
+def target_denoiser(target):
+    """The denoiser whose x̂0 is ``target(face, start, end)``, the padded
+    face window of the step the context bundle names, read once per plan
+    step and dropped before the next step's is read."""
+    cached = {}
 
     def denoise(z_t, t, context):
         key = (context.face, context.start, context.end)
-        if cached["key"] != key:
-            if cached["span"] != key[1:]:
-                cached["window"] = None  # dropped before the next is read
-                cached["window"] = video[context.start:context.end]
-                cached["span"] = key[1:]
-            cached["oracle"] = oracle_denoiser(
-                pad_face(cached["window"], context.face, pad))
-            cached["key"] = key
-        return cached["oracle"](z_t, t)
+        if key not in cached:
+            cached.clear()
+            cached[key] = target(*key)
+        return cached[key]
 
     return denoise
+
+
+def padded_target_denoiser(video, pad: int):
+    """:func:`target_denoiser` toward the padded face window of ``video``;
+    given the masked conditional, it is the copy baseline.  Each window
+    ``video[start:end]`` is read once, dropped before the next is read, and
+    padded once per plan step."""
+    window = {}
+
+    def target(face, start, end):
+        if (start, end) not in window:
+            window.clear()
+            window[start, end] = video[start:end]
+        return pad_face(window[start, end], face, pad)
+
+    return target_denoiser(target)

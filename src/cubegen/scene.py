@@ -3,7 +3,8 @@ slowly over time, analytically evaluable at any direction and frame.  Serves
 as the ground-truth oracle for end-to-end tests and CLI demos.  Both of a
 scene's videos are computed when read, frame by frame: the ground-truth
 cube video (:class:`cubegen.geometry.CubemapVideo`) and the perspective
-input along the camera trajectory (:class:`SceneFrames`)."""
+input along the camera trajectory (:class:`SceneFrames`); so is the
+oracle's target, one face's padded window (``padded_face_video``)."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
+from .continuity import pad_face
 from .geometry import (
     CameraPose,
     CubemapVideo,
@@ -61,12 +63,14 @@ class SyntheticScene:
     def value(self, directions: np.ndarray, frame: int) -> np.ndarray:
         """Evaluate the field at unit directions for one frame; (..., C)."""
         rot = rotvec_to_matrix(-frame * self.spin_per_frame * self.spin_axis)
-        d = directions @ rot.T
-        x, y, z = d[..., 0], d[..., 1], d[..., 2]
-        # stacked along a leading axis, each plane is written contiguously,
-        # which is much cheaper than interleaving them into a (..., 8) stack
-        basis = np.moveaxis(np.stack([b(x, y, z) for b in _BASIS]), 0, -1)
-        return 0.5 + basis @ self.coeffs.T
+        # x, y and z, and the basis planes after them, each contiguous along
+        # a leading axis: elementwise work on strided planes costs about 2x,
+        # and interleaving them into a (..., 8) stack costs more
+        x, y, z = np.moveaxis(directions @ rot.T, -1, 0).copy()
+        basis = np.empty((len(_BASIS), *x.shape))
+        for plane, b in zip(basis, _BASIS):
+            plane[...] = b(x, y, z)
+        return 0.5 + np.moveaxis(basis, 0, -1) @ self.coeffs.T
 
     def cubemap_video(self, resolution: int, num_frames: int) -> CubemapVideo:
         """The (N, 6, R, R, C) cube video of the field; a read computes the
@@ -80,6 +84,17 @@ class SyntheticScene:
         dirs = face_directions(out.shape[1])
         for i in range(6):
             out[i] = self.value(dirs[i], frame)
+
+    def padded_face_video(self, resolution: int, pad: int, face: str,
+                          start: int, end: int) -> np.ndarray:
+        """Frames [start, end) of ``face`` padded by ``pad``, evaluated a frame
+        at a time on the padded grid's directions: byte for byte ``pad_face``
+        of the cube video's window, without the window."""
+        dirs = pad_face(face_directions(resolution)[None], face, pad)[0]
+        out = np.empty((end - start, *dirs.shape[:2], len(self.coeffs)))
+        for k in range(end - start):
+            out[k] = self.value(dirs, start + k)
+        return out
 
     def perspective_frame(self, pose: CameraPose, height: int, width: int,
                           frame: int) -> PerspectiveFrame:

@@ -20,6 +20,7 @@ from cubegen import scene as sc
 from cubegen.artifacts import load_schema
 from cubegen.attention import BandedMaskSpec, TokenLayout, attention_peak_bytes
 from cubegen.config import config_from_dict, parse_config
+from cubegen.context import ContextBundle
 from cubegen.faces import FACES
 from cubegen.geometry import EquirectTaps
 from cubegen.imgio import (read_pfm, read_ppm, write_pfm, write_pgm, write_poses,
@@ -67,17 +68,18 @@ def assert_frames_equal_serial_writes(out: Path, ref: Path) -> None:
     """``generate``'s frames of the demo config in ``out`` are the bytes of
     sampling the whole canvas first and then resampling it frame by frame."""
     cfg = parse_config(DEMO)
-    truth, frames, poses = sc.synth_scene(cfg)
+    field, frames, poses = sc.synth_inputs(cfg)
     masks, cond = sc.conditional_video(cfg.resolution, frames, poses, cfg.channels)
     fc = frame_coverage(masks)
     order = plan_order(window_coverage(fc, cfg.window_length))
     result = generate_all(
-        cond, fc, order, cli._make_denoiser(cfg, truth, cond),
+        cond, fc, order, cli._make_denoiser(cfg, field, cond),
         steps=cfg.sampler_steps, seed=cfg.seed,
         pad=cfg.pad, history_capacity=cfg.history,
         frag_length=cfg.frag_length, frag_threshold=cfg.frag_threshold,
         patch_size=cfg.patch_size,
-        teacher=truth if cfg.mode.teacher_forcing else None)
+        teacher=(field.cubemap_video(cfg.resolution, cfg.num_frames)
+                 if cfg.mode.teacher_forcing else None))
     taps = EquirectTaps.create(cfg.resolution, cfg.equirect_width)
     ref.mkdir()
     for t in range(cfg.num_frames):
@@ -543,9 +545,9 @@ class TestPixelProjection:
 
 class TestTruthFrames:
     """A synthetic truth frame is computed only when something reads it: in
-    ``generate`` the oracle reads each window once, dropping it before the
-    next is read, and the zero and copy denoisers read none; ``metrics``
-    reads one frame at a time."""
+    ``generate`` no denoiser reads one, the oracle evaluating each plan
+    step's padded face grid instead; ``metrics`` reads one frame at a
+    time."""
 
     def computed(self, monkeypatch, command, cfg, out) -> tuple[int, int]:
         """(truth frames computed, most of them alive at once) in a run; a
@@ -567,11 +569,46 @@ class TestTruthFrames:
 
     @pytest.mark.parametrize("teacher", [True, False])
     def test_oracle_computes_each_frame_once(self, tmp_path, monkeypatch, teacher):
+        # each plan step's padded grid is evaluated once, frame by frame, and
+        # dropped before the next step's; no cube frame is computed
+        real = sc.SyntheticScene.padded_face_video
+        steps, alive, most = [], set(), [0]
+
+        def counting(self, resolution, pad, face, start, end):
+            out = real(self, resolution, pad, face, start, end)
+            steps.append((face, start, end))
+            alive.add(len(steps))
+            weakref.finalize(out, alive.discard, len(steps))
+            most[0] = max(most[0], len(alive))
+            return out
+
+        monkeypatch.setattr(sc.SyntheticScene, "padded_face_video", counting)
         cfg = small_cfg(tmp_path, mode={"teacher_forcing": teacher,
                                         "denoiser": "oracle"})
-        computed, most = self.computed(monkeypatch, "generate", cfg, tmp_path / "o")
-        assert computed == 8  # N
-        assert most <= 4  # T
+        computed, _ = self.computed(monkeypatch, "generate", cfg, tmp_path / "o")
+        assert computed == 0
+        assert len(steps) == len(set(steps)) == 12  # 6 faces x 2 windows
+        assert most[0] == 1
+
+    def test_oracle_target_allocates_less_than_the_window(self):
+        # one step's target is its padded face grid, evaluated a frame at a
+        # time: the (T, 6, R, R, C) window of the truth never exists
+        cfg = config_from_dict(dict(resolution=64, equirect_width=256,
+                                    num_frames=8, window_length=4, pad=4))
+        field = sc.synth_inputs(cfg)[0]
+        denoiser = cli._make_denoiser(cfg, field, None)
+        z = np.zeros((4, 72, 72, 3))
+        steps = [ContextBundle(face=f, window=0, start=0, end=4,
+                               hist=(), curr=(), fut=()) for f in ("F", "R")]
+        denoiser(z, 1.0, steps[0])  # the direction stack and the pad map
+        tracemalloc.start()
+        try:
+            denoiser(z, 1.0, steps[1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        window_bytes = 4 * 6 * 64 * 64 * 3 * 8  # 2.36 MB
+        assert peak < window_bytes, (peak, window_bytes)
 
     @pytest.mark.parametrize("denoiser", ["zero", "copy"])
     def test_no_truth_read_computes_none(self, tmp_path, monkeypatch, denoiser):

@@ -7,6 +7,7 @@ import threading
 import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from cubegen.pipeline import (
     oracle_denoiser,
     padded_target_denoiser,
     simulate_contexts,
+    target_denoiser,
     zero_denoiser,
 )
 from cubegen import pipeline as pl
@@ -68,10 +70,12 @@ def equirect_frames(result, width=None):
 
 class TestOracleAndSampler:
     def test_single_full_step_recovers_z0(self, rng):
+        # the oracle predicts z0 itself, and one step from t=1 has dt/t = 1
         z0 = rng.normal(size=(2, 4, 4, 1))
         z_t = rng.normal(size=z0.shape)
-        np.testing.assert_allclose(z_t + oracle_denoiser(z0)(z_t, 1.0), z0,
-                                   atol=1e-12)
+        assert oracle_denoiser(z0)(z_t, 1.0) is z0
+        np.testing.assert_allclose(euler_sample(oracle_denoiser(z0), z_t, None, 1),
+                                   z0, atol=1e-12)
 
     @pytest.mark.parametrize("steps", [1, 4, 16])
     def test_sampler_exact_under_oracle(self, rng, steps):
@@ -84,7 +88,7 @@ class TestOracleAndSampler:
         a = euler_sample(zero_denoiser, noise(11, (2, 4, 4, 1)), None, 2)
         b = euler_sample(zero_denoiser, noise(11, (2, 4, 4, 1)), None, 2)
         assert np.array_equal(a, b)
-        # zero velocity leaves the seeded initial noise untouched
+        # predicting z_t leaves the seeded initial noise untouched
         c = np.random.default_rng(11).standard_normal((2, 4, 4, 1))
         assert np.array_equal(a, c)
 
@@ -96,9 +100,9 @@ class TestOracleAndSampler:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_denoiser_non_finite_is_error(self, value):
         def bad(z, t, ctx):
-            v = np.zeros_like(z)
-            v[0, 1] = value
-            return v
+            x0 = np.zeros_like(z)
+            x0[0, 1] = value
+            return x0
         with pytest.raises(RuntimeError, match="non-finite"):
             euler_sample(bad, noise(0, (2, 2)), None, 2)
 
@@ -121,7 +125,7 @@ def out_of_place_euler(denoiser, shape, steps, seed):
     ts = np.linspace(1.0, 0.0, steps + 1)
     for s in range(steps):
         t, dt = ts[s], ts[s] - ts[s + 1]
-        z = z + (dt / t) * np.asarray(denoiser(z, float(t), None))
+        z = z + (dt / t) * (np.asarray(denoiser(z, float(t), None)) - z)
     return z
 
 
@@ -130,8 +134,8 @@ class TestInPlaceEuler:
     def test_equals_out_of_place_update(self, rng, dtype):
         target = rng.normal(size=(3, 5, 5, 2))
 
-        def denoiser(z_t, t, ctx):
-            return (np.sin(3.0 * z_t) * t + target - z_t).astype(dtype)
+        def denoiser(z_t, t, ctx):  # an x̂0 that depends on z_t and t
+            return (np.sin(3.0 * z_t) * t + target).astype(dtype)
 
         got = euler_sample(denoiser, noise(3, target.shape), None, 5)
         ref = out_of_place_euler(denoiser, target.shape, 5, 3)
@@ -166,7 +170,7 @@ class TestSlicedEuler:
         target = rng.normal(size=shape)
 
         def denoiser(z_t, t, ctx):
-            return (np.sin(3.0 * z_t) * t + target - z_t).astype(dtype)
+            return (np.sin(3.0 * z_t) * t + target).astype(dtype)
 
         got = euler_sample(denoiser, z, None, 3)
         ref = out_of_place_euler(denoiser, shape, 3, 3)
@@ -174,52 +178,64 @@ class TestSlicedEuler:
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_non_finite_last_slice_leaves_z_unchanged(self, shape):
-        v = np.zeros(shape)
-        v[-1, -1, -1, -1] = np.nan  # only the last slice holds it
+        x0 = np.zeros(shape)
+        x0[-1, -1, -1, -1] = np.nan  # only the last slice holds it
         z = noise(5, shape)
         before = z.tobytes()
         with pytest.raises(RuntimeError, match="non-finite"):
-            euler_sample(lambda z_t, t, ctx: v, z, None, 1)
+            euler_sample(lambda z_t, t, ctx: x0, z, None, 1)
         assert z.tobytes() == before
 
     def test_update_allocates_one_slice(self):
-        # a whole-array update of this 8 MB z would allocate 8 MB
+        # a whole-array update of this 8 MB z would allocate 8 MB, and a
+        # slice's velocity and step in two buffers 2 MB; each update frees
+        # its buffer before the next
         shape = (4, 288, 288, 3)
-        v = noise(6, shape)
+        x0 = noise(6, shape)
         z = noise(7, shape)
         tracemalloc.start()
         try:
-            euler_sample(lambda z_t, t, ctx: v, z, None, 1)
+            euler_sample(lambda z_t, t, ctx: x0, z, None, 2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < pl._SLICE_BYTES + 64 * 1024
 
-    def test_previous_velocity_dropped_before_next_call(self):
-        # the sampler holds no velocity while the denoiser builds the next
-        shape = (2, 16, 16, 3)
-        refs = []
+    def test_previous_prediction_dropped_before_next_call(self):
+        # the sampler holds no step-sized array, neither the previous x̂0 nor
+        # an update's buffer, while the denoiser builds the next
+        shape = (2, 64, 64, 3)
+        refs, held = [], []
 
         def denoiser(z_t, t, ctx):
-            assert all(r() is None for r in refs), "a previous velocity is alive"
-            v = -z_t
-            refs.append(weakref.ref(v))
-            return v
+            assert all(r() is None for r in refs), "a previous x̂0 is alive"
+            held.append(tracemalloc.get_traced_memory()[0])
+            x0 = -z_t
+            refs.append(weakref.ref(x0))
+            return x0
 
-        euler_sample(denoiser, noise(9, shape), None, 4)
-        assert len(refs) == 4
-
-    def test_zero_denoiser_returns_a_read_only_view(self):
-        z = noise(8, (4, 72, 72, 3))
+        z = noise(9, shape)
         tracemalloc.start()
         try:
-            v = zero_denoiser(z, 0.5)
+            euler_sample(denoiser, z, None, 4)
+        finally:
+            tracemalloc.stop()
+        assert len(refs) == 4
+        assert max(held) - held[0] < z.nbytes // 4, (held, z.nbytes)
+
+    def test_zero_denoiser_returns_z_t(self):
+        # x̂0 = z_t: no array is allocated, and the update adds +0.0
+        z = noise(8, (4, 72, 72, 3))
+        before = z.tobytes()
+        tracemalloc.start()
+        try:
+            x0 = zero_denoiser(z, 0.5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1024
-        assert v.shape == z.shape and v.dtype == z.dtype
-        assert not v.flags.writeable and not v.any()
+        assert x0 is z
+        assert euler_sample(zero_denoiser, z, None, 3).tobytes() == before
 
 
 class TestGenerateStep:
@@ -413,7 +429,7 @@ class TestGenerateAll:
 
         def denoiser(z_t, t, context):
             assert isinstance(context, ContextBundle)
-            return np.zeros_like(z_t)
+            return z_t.copy()
 
         got = run_generate(cond, masks, plan, denoiser, steps=2)
         want = run_generate(cond, masks, plan, zero_denoiser, steps=2)
@@ -622,8 +638,9 @@ class TestPaddedTargetDenoiser:
 
     @pytest.mark.parametrize("factory", ["oracle", "copy"])
     def test_cached_equals_uncached(self, factory):
-        # the cached index-map target against the strip reference, padded
-        # frame by frame on every Euler step
+        # the cached targets, the oracle's evaluated on the padded grid and
+        # copy's padded through the index map, against the strip reference,
+        # padded frame by frame on every Euler step
         res = 16
         cfg, truth, masks, cond, plan = small_scene(res=res)
         video = truth[:] if factory == "oracle" else cond[:]
@@ -631,9 +648,11 @@ class TestPaddedTargetDenoiser:
         def uncached(z_t, t, context):
             frames = [ref.pad_face(dict(zip(FACES, video[k])), context.face, 2)
                       for k in range(context.start, context.end)]
-            return np.stack(frames) - z_t
+            return np.stack(frames)
 
-        cached = padded_target_denoiser(truth if factory == "oracle" else cond, 2)
+        field = sc.synth_inputs(cfg)[0]
+        cached = (target_denoiser(partial(field.padded_face_video, res, 2))
+                  if factory == "oracle" else padded_target_denoiser(cond, 2))
         teacher = truth if factory == "oracle" else None
         runs = [run_generate(cond, masks, plan, d, steps=3, seed=4,
                              pad=2, teacher=teacher)

@@ -35,6 +35,9 @@ ALLOWLIST = {
     "scene.render_equirect_video": "perfbench's in-frustum copy check",
     "geometry.face_pixel_solid_angles": "the solid-angle weights of the "
                                         "quality metrics planned on the ROADMAP",
+    "pipeline.oracle_denoiser": "acceptance criterion 8",
+    "scene.synth_scene": "the scene's inputs and truth in one call, for "
+                         "perfbench's and CI's file input",
 }
 
 SMALL = {

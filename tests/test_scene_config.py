@@ -14,7 +14,8 @@ from cubegen.config import (
 )
 from cubegen import geometry as geo
 from cubegen import scene as sc
-from cubegen.faces import FACE_INDEX
+from cubegen.continuity import pad_face
+from cubegen.faces import FACES, FACE_INDEX
 
 PAPER_GEOMETRY = Path(__file__).resolve().parents[1] / "configs" / "paper_geometry.json"
 
@@ -128,6 +129,31 @@ class TestSyntheticScene:
                 whole[t, i] = field.value(dirs[i], t)
         assert truth[:].tobytes() == whole.tobytes()
         assert truth[2:5].tobytes() == whole[2:5].tobytes()
+
+    @pytest.mark.parametrize("res", [16, 64, 256])
+    def test_padded_face_video_is_the_padded_truth_window(self, res):
+        # the oracle's target, the field on a face's padded grid, is the
+        # truth window padded through the index map, byte for byte: strips
+        # and corners hold the neighbouring faces' directions
+        field = sc.SyntheticScene.random(channels=3, seed=5)
+        window = field.cubemap_video(res, 5)[3:5]
+        for pad in sorted({1, res // 16, res // 2}):
+            for face in FACES:
+                got = field.padded_face_video(res, pad, face, 3, 5)
+                want = pad_face(window, face, pad)
+                assert got.tobytes() == want.tobytes(), (pad, face)
+
+    def test_value_equals_leading_stack_form(self, rng):
+        # the basis planes are written into one array, in the layout of the
+        # np.stack of eight planes they replaced: the same bytes
+        scene = sc.SyntheticScene.random(channels=3, seed=4)
+        for dirs in (rng.normal(size=(3, 50, 40, 3)), geo.face_directions(32)):
+            rot = geo.rotvec_to_matrix(-3 * scene.spin_per_frame * scene.spin_axis)
+            r = dirs @ rot.T
+            x, y, z = r[..., 0], r[..., 1], r[..., 2]
+            basis = np.moveaxis(np.stack([b(x, y, z) for b in sc._BASIS]), 0, -1)
+            want = 0.5 + basis @ scene.coeffs.T
+            assert scene.value(dirs, 3).tobytes() == want.tobytes()
 
     def test_different_seeds_differ(self):
         cfg1 = config_from_dict(dict(resolution=16, equirect_width=64, seed=1))
