@@ -4,15 +4,19 @@ The G generation tokens attend everywhere.  The C context tokens attend to
 all generation tokens but only to a diagonal band of half-width K among
 themselves, which keeps context self-attention linear in C.  A dense masked
 reference and a sliding-chunk sparse path are both provided; the sparse path
-takes query rows in blocks of ``BLOCK_ROWS`` and never materializes a
-(G+C)^2 score matrix.
+takes generation query rows in blocks of ``BLOCK_ROWS`` and context query
+rows in chunks of ``CHUNK_ROWS``, and never materializes a (G+C)^2 score
+matrix.
 
-Reduction order: a generation block's scores come from one BLAS matmul; a
-context block's come from two, over the generation keys and the band window,
-written side by side into one score buffer.  Each row is reduced with numpy
-sums after max-subtraction, and a context block's values are the sum of two
-matmuls, generation keys first.  Outputs are deterministic for a fixed BLAS,
-and tests compare with tolerances rather than bit equality.
+Reduction order: a generation block's scores come from one BLAS matmul.  A
+context chunk's scores against the generation keys come from one matmul,
+and each of its ``BLOCK_ROWS``-row blocks adds one over its band window,
+written beside them in one score buffer.  Each row is reduced with numpy
+sums after max-subtraction over the whole buffer width, whose columns past
+a clipped window are -inf and so add exact zeros.  A context row's values
+are the sum of two matmuls, generation keys first: one per chunk, then one
+per block.  Outputs are deterministic for a fixed BLAS, and tests compare
+with tolerances rather than bit equality.
 """
 
 from __future__ import annotations
@@ -38,6 +42,9 @@ __all__ = [
 # Query rows per block of the sparse path.  64 rows keep each block's
 # matmuls in BLAS's efficient range while its scores stay O(64 * (G+C)).
 BLOCK_ROWS = 64
+# Context rows per chunk: one generation-key matmul and one softmax pass
+# cover 16 blocks, whose band windows keep their own matmuls.
+CHUNK_ROWS = 16 * BLOCK_ROWS
 
 
 @dataclass(frozen=True)
@@ -69,7 +76,8 @@ class BandedMaskSpec:
 
 @dataclass(frozen=True)
 class AttentionInputs:
-    """Per-head queries/keys/values of shape (heads, G+C, dim)."""
+    """Per-head queries and keys of shape (heads, G+C, dim), and values of
+    shape (heads, G+C, dim_v), all floating point."""
 
     queries: np.ndarray
     keys: np.ndarray
@@ -77,10 +85,14 @@ class AttentionInputs:
 
     def __post_init__(self):
         q, k, v = (np.asarray(a) for a in (self.queries, self.keys, self.values))
-        if q.ndim != 3 or q.shape != k.shape or q.shape != v.shape:
-            raise ValueError("queries/keys/values must share shape (heads, tokens, dim)")
-        if q.shape[2] < 1:
-            raise ValueError("head dim must be >= 1")
+        if q.ndim != 3 or q.shape != k.shape or v.ndim != 3 or v.shape[:2] != q.shape[:2]:
+            raise ValueError("queries/keys must share shape (heads, tokens, dim) "
+                             "and values shape (heads, tokens, dim_v)")
+        if q.shape[2] < 1 or v.shape[2] < 1:
+            raise ValueError("head dims must be >= 1")
+        for a in (q, k, v):
+            if not np.issubdtype(a.dtype, np.floating):
+                raise ValueError(f"attention inputs must be floating point, got {a.dtype}")
         object.__setattr__(self, "queries", q)
         object.__setattr__(self, "keys", k)
         object.__setattr__(self, "values", v)
@@ -150,16 +162,20 @@ def sparse_context_attention(inp: AttentionInputs, layout: TokenLayout,
                              spec: BandedMaskSpec) -> np.ndarray:
     """Sliding-chunk path, numerically equal to the dense reference.
 
-    Query rows are taken in blocks of ``BLOCK_ROWS``.  A generation block
-    scores against all G+C keys.  A context block [i0, i1) scores against two
-    contiguous key slices, the generation keys [0, G) and its band window
-    [w0, w1) = [max(G, i0-K), min(G+C, i1+K)), written side by side into one
-    score buffer allocated once per call.  Pairs outside the band |q-k| <= K
-    are set to -inf from one (BLOCK_ROWS, BLOCK_ROWS+2K) band pattern, also
-    built once: the block takes its columns from w0 - (i0-K), which covers
-    windows clipped at either context end.  Each block is then softmaxed in
-    place and finished with one values matmul per key slice, so no temporary
-    exceeds (heads, BLOCK_ROWS, G+C) and nothing is quadratic in C.
+    Generation query rows are taken in blocks of ``BLOCK_ROWS``, each
+    scored against all G+C keys.  Context rows are taken in chunks of
+    ``CHUNK_ROWS``, scored in one score buffer allocated once per call: the
+    chunk's scores against the generation keys [0, G) come from one matmul,
+    and each ``BLOCK_ROWS``-row block [i0, i1) of the chunk writes its band
+    window [w0, w1) = [max(G, i0-K), min(G+C, i1+K)) beside them.  Pairs
+    outside the band |q-k| <= K are set to -inf from one (BLOCK_ROWS,
+    BLOCK_ROWS+2K) band pattern, also built once: the block takes its
+    columns from w0 - (i0-K), which covers windows clipped at either context
+    end, and the buffer's columns past a clipped window are -inf too.  Each
+    chunk is then softmaxed in place and finished with one generation-values
+    matmul and one band-values matmul per block, so no temporary exceeds
+    (heads, CHUNK_ROWS, G+C) and nothing is quadratic in C.
+    The output has the values' dim and the dtype all three inputs promote to.
     """
     g, n = layout.num_generation, layout.total
     if n != inp.num_tokens:
@@ -167,7 +183,7 @@ def sparse_context_attention(inp: AttentionInputs, layout: TokenLayout,
             f"layout covers {n} tokens, inputs have {inp.num_tokens}")
     scale = 1.0 / math.sqrt(inp.dim)
     q, k, v = inp.queries, inp.keys, inp.values
-    out = np.empty_like(v)
+    out = np.empty(v.shape, dtype=np.result_type(q, k, v))
     for i0 in range(0, g, BLOCK_ROWS):  # generation rows read every key
         i1 = min(i0 + BLOCK_ROWS, g)
         scores = (q[:, i0:i1] * scale) @ k.swapaxes(1, 2)
@@ -180,27 +196,34 @@ def sparse_context_attention(inp: AttentionInputs, layout: TokenLayout,
     # A band wider than the context bans nothing more than one of width C.
     kb = min(spec.bandwidth, n - g)
     banned = _band_pattern(kb)
-    buf = np.empty(inp.num_heads * BLOCK_ROWS * (g + min(n - g, BLOCK_ROWS + 2 * kb)),
+    width = min(n - g, BLOCK_ROWS + 2 * kb)
+    buf = np.empty(inp.num_heads * min(n - g, CHUNK_ROWS) * (g + width),
                    dtype=np.result_type(q, k, scale))
     k_gen, v_gen = k[:, :g].swapaxes(1, 2), v[:, :g]
-    for i0 in range(g, n, BLOCK_ROWS):
-        i1 = min(i0 + BLOCK_ROWS, n)
-        w0, w1 = max(g, i0 - kb), min(n, i1 + kb)
-        off = w0 - (i0 - kb)
-        shape = (inp.num_heads, i1 - i0, g + w1 - w0)
+    for c0 in range(g, n, CHUNK_ROWS):
+        c1 = min(c0 + CHUNK_ROWS, n)
+        shape = (inp.num_heads, c1 - c0, g + width)
         # A contiguous view, so the in-place softmax below needs no copies.
         scores = buf[:math.prod(shape)].reshape(shape)
-        rows = q[:, i0:i1] * scale
+        rows = q[:, c0:c1] * scale
         np.matmul(rows, k_gen, out=scores[:, :, :g])
-        np.matmul(rows, k[:, w0:w1].swapaxes(1, 2), out=scores[:, :, g:])
-        np.copyto(scores[:, :, g:], -np.inf,
-                  where=banned[:i1 - i0, off:off + w1 - w0])
+        windows = []
+        for r0 in range(0, c1 - c0, BLOCK_ROWS):
+            r1 = min(r0 + BLOCK_ROWS, c1 - c0)
+            w0, w1 = max(g, c0 + r0 - kb), min(n, c0 + r1 + kb)
+            off = w0 - (c0 + r0 - kb)
+            band = scores[:, r0:r1, g:g + w1 - w0]
+            np.matmul(rows[:, r0:r1], k[:, w0:w1].swapaxes(1, 2), out=band)
+            np.copyto(band, -np.inf, where=banned[:r1 - r0, off:off + w1 - w0])
+            scores[:, r0:r1, g + w1 - w0:] = -np.inf  # past a clipped window
+            windows.append((r0, r1, w0, w1))
         scores -= scores.max(axis=-1, keepdims=True)
         np.exp(scores, out=scores)
-        mixed = scores[:, :, :g] @ v_gen
-        mixed += scores[:, :, g:] @ v[:, w0:w1]
+        mixed = out[:, c0:c1]
+        np.matmul(scores[:, :, :g], v_gen, out=mixed)
+        for r0, r1, w0, w1 in windows:
+            mixed[:, r0:r1] += scores[:, r0:r1, g:g + w1 - w0] @ v[:, w0:w1]
         mixed /= scores.sum(axis=-1, keepdims=True)
-        out[:, i0:i1] = mixed
     return out
 
 
@@ -226,6 +249,7 @@ def attention_flops(layout: TokenLayout, spec: BandedMaskSpec, dim: int) -> int:
     model counts allowed pairs only: the block path also computes, then
     masks out, the scores of a context block's window that fall outside each
     row's band (up to ``BLOCK_ROWS - 1`` extra keys per context row).
+    Values are assumed to have the keys' dim.
     """
     g, c = layout.num_generation, layout.num_context
     band = min(2 * spec.bandwidth + 1, c)
@@ -236,24 +260,27 @@ def attention_peak_bytes(layout: TokenLayout, spec: BandedMaskSpec, dim: int,
                          itemsize: int) -> int:
     """Upper bound on the bytes one head of the sparse path allocates.
 
-    Sum of: the (G+C, dim) output; one generation block's scores
-    (``BLOCK_ROWS`` rows by all G+C keys, when G > 0); the context score
-    buffer (``BLOCK_ROWS`` rows by G + min(C, BLOCK_ROWS+2K) keys) and the
-    (BLOCK_ROWS, BLOCK_ROWS+2K) boolean band pattern, when C > 0, with K at
-    most C; a block's three (BLOCK_ROWS, dim) query/output temporaries;
-    numpy's ufunc buffer of ``np.getbufsize()`` items, which the broadcast
-    max-subtraction fills; and 8 KiB for the Python objects and array headers
-    of one block.  This is O(BLOCK_ROWS * (G+C)); ``h`` heads allocate at
-    most ``h`` times as much.
+    The (G+C, dim) output; numpy's ufunc buffer of ``np.getbufsize()``
+    items, which the broadcast max-subtraction fills; 8 KiB for the Python
+    objects and array headers of one block or chunk; and the larger of the
+    two phases, which never coexist.  The generation phase, when G > 0,
+    holds one block's scores (``BLOCK_ROWS`` rows by all G+C keys) and its
+    three (BLOCK_ROWS, dim) query/output temporaries.  The context phase,
+    when C > 0, holds the chunk score buffer (R = min(C, ``CHUNK_ROWS``)
+    rows by G + min(C, BLOCK_ROWS+2K) keys), two chunks' (R, dim) scaled
+    queries (the next chunk's are made before the last's are freed), the
+    chunk's (R, 1) row maxima, and the (BLOCK_ROWS, BLOCK_ROWS+2K) boolean
+    band pattern, with K at most C.  This is O(BLOCK_ROWS * (G+C)); ``h``
+    heads allocate at most ``h`` times as much.  Values are assumed to
+    have the keys' dim.
     """
     g, c, n = layout.num_generation, layout.num_context, layout.total
-    total = itemsize * (dim * n + 3 * BLOCK_ROWS * dim + np.getbufsize()) + 8192
-    if g:
-        total += itemsize * BLOCK_ROWS * n
+    phase = itemsize * BLOCK_ROWS * (n + 3 * dim) if g else 0
     if c:
-        width = BLOCK_ROWS + 2 * min(spec.bandwidth, c)
-        total += itemsize * BLOCK_ROWS * (g + min(c, width)) + BLOCK_ROWS * width
-    return total
+        rows, width = min(c, CHUNK_ROWS), BLOCK_ROWS + 2 * min(spec.bandwidth, c)
+        phase = max(phase, itemsize * rows * (g + min(c, width) + 2 * dim + 1)
+                    + BLOCK_ROWS * width)
+    return itemsize * (dim * n + np.getbufsize()) + 8192 + phase
 
 
 def dense_attention_flops(layout: TokenLayout, dim: int) -> int:

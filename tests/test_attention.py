@@ -8,6 +8,7 @@ import pytest
 
 from cubegen.attention import (
     BLOCK_ROWS,
+    CHUNK_ROWS,
     AttentionInputs,
     BandedMaskSpec,
     TokenLayout,
@@ -134,6 +135,36 @@ class TestDenseMaskedAttention:
         np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-6)
 
 
+class TestAttentionInputs:
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.bool_, np.complex128])
+    def test_non_floating_rejected(self, rng, dtype):
+        shape = (1, 10, 4)
+        arrays = [rng.normal(size=shape) for _ in range(3)]
+        arrays[1] = arrays[1].astype(dtype)
+        with pytest.raises(ValueError, match=np.dtype(dtype).name):
+            AttentionInputs(*arrays)
+
+    def test_values_must_share_heads_and_tokens(self, rng):
+        q = rng.normal(size=(2, 10, 4))
+        for shape in ((1, 10, 4), (2, 9, 4), (2, 10, 0), (20, 4)):
+            with pytest.raises(ValueError):
+                AttentionInputs(q, q, rng.normal(size=shape))
+
+    @pytest.mark.parametrize("dtypes", [(np.float32, np.float32, np.float64),
+                                        (np.float64, np.float32, np.float32),
+                                        (np.float32, np.float64, np.float32)])
+    def test_mixed_dtypes_promote(self, rng, dtypes):
+        layout = TokenLayout(num_generation=5, num_context=80)
+        spec = BandedMaskSpec(bandwidth=3)
+        inp = AttentionInputs(*(rng.normal(size=(2, 85, d)).astype(t)
+                                for t, d in zip(dtypes, (4, 4, 6))))
+        sparse = sparse_context_attention(inp, layout, spec)
+        dense = dense_masked_attention(inp, mask_matrix(layout, spec))
+        assert sparse.dtype == dense.dtype == np.float64
+        assert sparse.shape == dense.shape == (2, 85, 6)
+        assert np.abs(sparse - dense).max() < 1e-5
+
+
 class TestSparseContextAttention:
     @pytest.mark.parametrize("g", [4, 16])
     @pytest.mark.parametrize("c", [0, 8, 64])
@@ -187,8 +218,9 @@ class TestSparseContextAttention:
 
 
 class TestSparseBlockBoundaries:
-    """Layouts whose G and C straddle multiples of ``BLOCK_ROWS`` (64), with
-    band windows clipped at both context ends or wider than the context."""
+    """Layouts whose G and C straddle multiples of ``BLOCK_ROWS`` (64), and
+    whose C straddles multiples of ``CHUNK_ROWS`` (1024), with band windows
+    clipped at both context ends or wider than the context."""
 
     GS = (0, 1, 70, 130)
     CS = (1, 63, 64, 65, 200)
@@ -221,6 +253,25 @@ class TestSparseBlockBoundaries:
                     dense = dense_masked_attention(inp, mask_matrix(layout, spec))
                     worst = max(worst, np.abs(sparse - dense).max())
         assert worst < 1e-5
+
+    @pytest.mark.parametrize("heads", [1, 3])
+    @pytest.mark.parametrize("g", [0, 70])
+    @pytest.mark.parametrize("c", [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1,
+                                   2 * CHUNK_ROWS + BLOCK_ROWS + 1])
+    def test_chunk_boundaries(self, rng, g, c, heads):
+        layout = TokenLayout(num_generation=g, num_context=c)
+        inp = random_inputs(rng, g + c, dim=8, heads=heads)
+        inp32 = AttentionInputs(*(a.astype(np.float32)
+                                  for a in (inp.queries, inp.keys, inp.values)))
+        for kb in self.bandwidths(c):
+            spec = BandedMaskSpec(bandwidth=kb)
+            mask = mask_matrix(layout, spec)
+            sparse = sparse_context_attention(inp, layout, spec)
+            dense = dense_masked_attention(inp, mask)
+            np.testing.assert_allclose(sparse, dense, rtol=0, atol=1e-10)
+            sparse = sparse_context_attention(inp32, layout, spec)
+            assert sparse.dtype == np.float32
+            assert np.abs(sparse - dense_masked_attention(inp32, mask)).max() < 1e-5
 
     def test_empty_layout(self, rng):
         inp = random_inputs(rng, 0)
