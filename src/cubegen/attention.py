@@ -3,20 +3,22 @@
 The G generation tokens attend everywhere.  The C context tokens attend to
 all generation tokens but only to a diagonal band of half-width K among
 themselves, which keeps context self-attention linear in C.  A dense masked
-reference and a sliding-chunk sparse path are both provided; the sparse path
-takes generation query rows in blocks of ``BLOCK_ROWS`` and context query
-rows in chunks of ``CHUNK_ROWS``, and never materializes a (G+C)^2 score
-matrix.
+reference and a sliding-chunk sparse path are both provided.  Both take
+query rows in blocks of ``BLOCK_ROWS`` (the sparse path's context rows in
+chunks of ``CHUNK_ROWS``), and neither materializes a (G+C)^2 score
+matrix; only the reference's boolean mask is (G+C)^2.
 
-Reduction order: a generation block's scores come from one BLAS matmul.  A
-context chunk's scores against the generation keys come from one matmul,
-and each of its ``BLOCK_ROWS``-row blocks adds one over its band window,
-written beside them in one score buffer.  Each row is reduced with numpy
-sums after max-subtraction over the whole buffer width, whose columns past
-a clipped window are -inf and so add exact zeros.  A context row's values
-are the sum of two matmuls, generation keys first: one per chunk, then one
-per block.  Outputs are deterministic for a fixed BLAS, and tests compare
-with tolerances rather than bit equality.
+Reduction order: a block of the dense reference, like a generation block
+of the sparse path, gets its scores against all keys from one BLAS matmul
+and its values from one more.  A context chunk's scores against the
+generation keys come from one matmul, and each of its ``BLOCK_ROWS``-row
+blocks adds one over its band window, written beside them in one score
+buffer.  Each row is reduced with numpy sums after max-subtraction over the
+whole buffer width; masked pairs, and columns past a clipped window, are
+-inf and so add exact zeros.  A context row's values are the sum of two
+matmuls, generation keys first: one per chunk, then one per block.  Outputs
+are deterministic for a fixed BLAS; the two paths round differently, so
+tests compare them with tolerances rather than bit equality.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ __all__ = [
     "tokens_per_frame",
 ]
 
-# Query rows per block of the sparse path.  64 rows keep each block's
+# Query rows per block of either path.  64 rows keep each block's
 # matmuls in BLAS's efficient range while its scores stay O(64 * (G+C)).
 BLOCK_ROWS = 64
 # Context rows per chunk: one generation-key matmul and one softmax pass
@@ -111,37 +113,33 @@ class AttentionInputs:
 
 
 def mask_matrix(layout: TokenLayout, spec: BandedMaskSpec) -> np.ndarray:
-    """The dense (G+C, G+C) boolean mask; reference use only (O((G+C)^2)).
+    """The dense (G+C, G+C) boolean mask; reference use only.
 
     Generation tokens are [0, G), context tokens [G, G+C).  Generation
     queries read every key; context queries read every generation key and
-    the context keys within the band |q - k| <= K.
+    the context keys within the band |q - k| <= K.  Memory: the (G+C)^2
+    bytes of the mask plus, while it is built, one (C, C) boolean
+    triangle; no integer index matrix is made.
     """
-    n, g = layout.total, layout.num_generation
-    idx = np.arange(n)
-    ctx_q = (idx >= g)[:, None]
-    ctx_k = (idx >= g)[None, :]
-    band = np.abs(idx[:, None] - idx[None, :]) <= spec.bandwidth
-    return ~(ctx_q & ctx_k) | band
-
-
-def _softmax_rows(scores: np.ndarray, valid: np.ndarray | None = None) -> np.ndarray:
-    """Row softmax with max-subtraction; invalid entries contribute exactly 0."""
-    if valid is not None:
-        scores = np.where(valid, scores, -np.inf)
-    m = scores.max(axis=-1, keepdims=True)
-    e = np.exp(scores - m)
-    if valid is not None:
-        e = np.where(valid, e, 0.0)
-    return e / e.sum(axis=-1, keepdims=True)
+    n, g, kb = layout.total, layout.num_generation, spec.bandwidth
+    mask = np.ones((n, n), dtype=bool)
+    ctx = mask[g:, g:]
+    # k - q <= K minus its subset k - q < -K: XOR needs no third triangle.
+    ctx[...] = np.tri(n - g, n - g, kb, dtype=bool)
+    ctx ^= np.tri(n - g, n - g, -kb - 1, dtype=bool)
+    return mask
 
 
 def dense_masked_attention(inp: AttentionInputs, mask: np.ndarray,
                            return_weights: bool = False):
-    """Reference path: full score matrix, masked softmax, value mixing.
+    """Reference path: masked softmax over every key, then value mixing.
 
     ``mask`` is a boolean (tokens, tokens) matrix; every query row must keep
-    at least one allowed key.
+    at least one allowed key.  Query rows are taken in blocks of
+    ``BLOCK_ROWS``: one matmul scores a block against all keys, masked
+    pairs are set to -inf and add exact zeros to the row's softmax.  Beyond
+    the mask and the output this holds O(heads * BLOCK_ROWS * tokens);
+    ``return_weights`` also allocates the (heads, tokens, tokens) weights.
     """
     n = inp.num_tokens
     mask = np.asarray(mask, dtype=bool)
@@ -150,12 +148,24 @@ def dense_masked_attention(inp: AttentionInputs, mask: np.ndarray,
     if not mask.any(axis=1).all():
         raise ValueError("a query row has zero allowed keys")
     scale = 1.0 / math.sqrt(inp.dim)  # a Python float keeps the inputs' dtype
-    scores = np.einsum("hqd,hkd->hqk", inp.queries, inp.keys) * scale
-    weights = _softmax_rows(scores, valid=mask[None, :, :])
-    out = np.einsum("hqk,hkd->hqd", weights, inp.values)
-    if return_weights:
-        return out, weights
-    return out
+    q, k, v = inp.queries, inp.keys, inp.values
+    out = np.empty(v.shape, dtype=np.result_type(q, k, v))
+    weights = (np.empty((inp.num_heads, n, n), dtype=np.result_type(q, k))
+               if return_weights else None)
+    for i0 in range(0, n, BLOCK_ROWS):
+        i1 = min(i0 + BLOCK_ROWS, n)
+        scores = q[:, i0:i1] @ k.swapaxes(1, 2)
+        scores *= scale
+        np.copyto(scores, -np.inf, where=~mask[i0:i1])
+        scores -= scores.max(axis=-1, keepdims=True)
+        np.exp(scores, out=scores)
+        sums = scores.sum(axis=-1, keepdims=True)
+        np.matmul(scores, v, out=out[:, i0:i1])
+        out[:, i0:i1] /= sums
+        if return_weights:
+            np.divide(scores, sums, out=weights[:, i0:i1])
+        del scores  # never hold two blocks' scores at once
+    return (out, weights) if return_weights else out
 
 
 def sparse_context_attention(inp: AttentionInputs, layout: TokenLayout,

@@ -307,6 +307,9 @@ def cmd_attend_bench(cfg: RunConfig, out_dir: Path, head_dim: int = 32,
 
 
 def _best_ms(fn, trials: int) -> float:
+    """Best of ``trials`` timed calls, after one untimed call that pays the
+    first-call costs (page faults, BLAS set-up) no later call pays."""
+    fn()
     best = float("inf")
     for _ in range(trials):
         t0 = time.perf_counter()

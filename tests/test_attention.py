@@ -42,7 +42,7 @@ def allowed_pairs(layout, spec):
 def brute_force(inp, allowed):
     """Independent scalar re-implementation of masked attention."""
     h, n, d = inp.queries.shape
-    out = np.zeros((h, n, d))
+    out = np.zeros(inp.values.shape)
     for hh in range(h):
         for q in range(n):
             keys = [k for k in range(n) if allowed(q, k)]
@@ -75,14 +75,19 @@ class TestBuildContextMask:
         m = mask_matrix(layout, BandedMaskSpec(bandwidth=4))
         assert m.all()
 
-    def test_matrix_matches_predicate(self, rng):
-        layout = TokenLayout(num_generation=3, num_context=7)
-        spec = BandedMaskSpec(bandwidth=2)
-        allowed = allowed_pairs(layout, spec)
-        m = mask_matrix(layout, spec)
-        for q in range(10):
-            for k in range(10):
-                assert m[q, k] == allowed(q, k)
+    def test_matrix_matches_predicate(self):
+        # (G, C, K): no generation, no context, bands as wide as and wider
+        # than the context, the narrowest band, and bands narrower than C
+        for g, c, kb in ((0, 9, 2), (5, 0, 3), (4, 6, 6), (4, 6, 9), (3, 11, 1),
+                         (3, 7, 2), (2, 40, 4), (70, 130, 64)):
+            layout = TokenLayout(num_generation=g, num_context=c)
+            spec = BandedMaskSpec(bandwidth=kb)
+            allowed = allowed_pairs(layout, spec)
+            expected = np.array([[allowed(q, k) for k in range(g + c)]
+                                 for q in range(g + c)], dtype=bool).reshape(g + c, g + c)
+            m = mask_matrix(layout, spec)
+            assert m.dtype == bool
+            assert np.array_equal(m, expected), (g, c, kb)
 
     def test_context_row_key_budget(self):
         # every context query: all G generation keys + at most 2K+1 context keys
@@ -119,6 +124,35 @@ class TestDenseMaskedAttention:
         oracle = brute_force(inp, allowed_pairs(layout, spec))
         np.testing.assert_allclose(out, oracle, atol=1e-12)
 
+    @pytest.mark.parametrize("heads", [1, 3])
+    @pytest.mark.parametrize("n", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                   2 * BLOCK_ROWS + 1])
+    def test_blocks_match_double_loop_oracle(self, rng, n, heads):
+        # query rows straddling BLOCK_ROWS, with values of their own dim
+        layout = TokenLayout(num_generation=n // 3, num_context=n - n // 3)
+        spec = BandedMaskSpec(bandwidth=5)
+        inp = AttentionInputs(rng.normal(size=(heads, n, 4)),
+                              rng.normal(size=(heads, n, 4)),
+                              rng.normal(size=(heads, n, 7)))
+        out = dense_masked_attention(inp, mask_matrix(layout, spec))
+        assert out.shape == (heads, n, 7)
+        oracle = brute_force(inp, allowed_pairs(layout, spec))
+        np.testing.assert_allclose(out, oracle, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dtypes", [(np.float32, np.float32, np.float32),
+                                        (np.float32, np.float32, np.float64),
+                                        (np.float64, np.float32, np.float32),
+                                        (np.float32, np.float64, np.float32)])
+    def test_mixed_dtypes_promote(self, rng, dtypes):
+        layout = TokenLayout(num_generation=10, num_context=60)
+        spec = BandedMaskSpec(bandwidth=3)
+        inp = AttentionInputs(*(rng.normal(size=(2, 70, 4)).astype(t)
+                                for t in dtypes))
+        out = dense_masked_attention(inp, mask_matrix(layout, spec))
+        assert out.dtype == np.result_type(*dtypes)
+        oracle = brute_force(inp, allowed_pairs(layout, spec))
+        assert np.abs(out - oracle).max() < 1e-5
+
     def test_empty_row_rejected(self, rng):
         inp = random_inputs(rng, 3)
         mask = np.ones((3, 3), bool)
@@ -130,9 +164,47 @@ class TestDenseMaskedAttention:
         layout = TokenLayout(num_generation=4, num_context=9)
         spec = BandedMaskSpec(bandwidth=2)
         inp = random_inputs(rng, 13)
-        _, w = dense_masked_attention(inp, mask_matrix(layout, spec),
-                                      return_weights=True)
+        mask = mask_matrix(layout, spec)
+        _, w = dense_masked_attention(inp, mask, return_weights=True)
         np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-6)
+        # one masked softmax over the full (heads, n, n) score matrix
+        scores = inp.queries @ inp.keys.swapaxes(1, 2) / np.sqrt(inp.dim)
+        scores = np.where(mask, scores, -np.inf)
+        full = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        full /= full.sum(axis=-1, keepdims=True)
+        np.testing.assert_allclose(w, full, rtol=0, atol=1e-12)
+        assert not w[:, ~mask].any()
+
+    def test_memory_of_blocked_reference(self):
+        # The attend-grid check's shape: beyond its (n, n) boolean mask the
+        # reference holds O(BLOCK_ROWS * n); full float score matrices
+        # would be 4 n^2 bytes each.
+        g, c, d = 256, 1024, 32
+        n = g + c
+        layout = TokenLayout(num_generation=g, num_context=c)
+        spec = BandedMaskSpec(bandwidth=64)
+        rng = np.random.default_rng(7)
+        inp = AttentionInputs(*(rng.standard_normal((1, n, d), dtype=np.float32)
+                                for _ in range(3)))
+        tracemalloc.start()
+        try:
+            dense_masked_attention(inp, mask_matrix(layout, spec))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n * n + 2 * 2 ** 20
+
+    def test_memory_of_mask(self):
+        # no integer (n, n) index arrays: 8 n^2 bytes each
+        layout = TokenLayout(num_generation=256, num_context=4096)
+        n = layout.total
+        tracemalloc.start()
+        try:
+            mask_matrix(layout, BandedMaskSpec(bandwidth=64))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * n * n
 
 
 class TestAttentionInputs:

@@ -201,6 +201,25 @@ class TestSubcommands:
             assert int(fs) <= int(fd)
             assert ws == "0.000" and wd == "0.000"
 
+    @pytest.mark.parametrize("trials", [0, 2])
+    def test_attend_bench_warms_each_path(self, tmp_path, monkeypatch, trials):
+        # each path is called once untimed per context before its timed
+        # trials, and --trials 0 calls neither
+        calls = []
+        monkeypatch.setattr(cli, "mask_matrix", lambda layout, spec: None)
+        monkeypatch.setattr(cli, "sparse_context_attention", lambda inp, layout, spec:
+                            calls.append(("sparse", layout.num_context)))
+        monkeypatch.setattr(cli, "dense_masked_attention", lambda inp, mask:
+                            calls.append(("dense", inp.num_tokens)))
+        cfg = small_cfg(tmp_path)
+        assert run(["attend-bench", "--config", cfg, "--out", tmp_path / "out",
+                    "--trials", str(trials)]) == 0
+        g = int((tmp_path / "out" / "bench.csv").read_text().splitlines()[1].split(",")[0])
+        calls_per_path = trials + 1 if trials else 0
+        assert calls == [call for c in cli.BENCH_CONTEXT_GRID
+                         for call in [("sparse", c)] * calls_per_path
+                         + [("dense", g + c)] * calls_per_path]
+
     def test_generate_reproduces_scene(self, tmp_path):
         cfg_path = small_cfg(tmp_path, resolution=32, equirect_width=128, pad=2)
         out = tmp_path / "out"
