@@ -13,18 +13,19 @@ thread builds the cube-face direction stack and the pad map while the main
 thread loads the inputs; builds the cube->equirect tap table while the main
 thread projects the masks and plans; then, during sampling, it draws each
 plan step's noise one step ahead (``generate_all``'s ``executor``) and
-resamples and writes each window's frames (handed over by ``on_window``)
-while the next window is sampled.  The oracle evaluates the synthetic
-scene on each plan step's padded face grid, so no denoiser reads a truth
-frame.  The synthetic perspective frames are rendered only when the
-conditional projects them, which the copy denoiser does once per frame and
-the oracle and zero denoisers never.  A job
+resamples and writes each window's frames (handed over by ``on_window``,
+which also takes each frame's seam metric) while the next window is
+sampled, holding a frame's faces only until it has written them.  The
+oracle evaluates the synthetic scene on each plan step's padded face grid,
+so no denoiser reads a truth frame.  The synthetic perspective frames are
+rendered only when the conditional projects them, which the copy denoiser
+does once per frame and the oracle and zero denoisers never.  A job
 still queued when the main thread needs it is taken back: the main thread
 cancels it and does the same work itself.  So it draws a step's
 noise queued behind frames, and after sampling it writes the last window's
 unstarted frames, last first, while the side thread writes from the first.
 Either thread resamples a frame a block of equirect rows at a time,
-straight from the canvas's six faces, and writes each block into the
+straight from its six faces, and writes each block into the
 frame's PFM and 8-bit image at its rows, so no frame-sized array, and no
 copy of the faces, exists on the output path.  Every artifact
 is written into a ``.staging-*`` directory inside ``--out`` and moved into
@@ -399,14 +400,18 @@ def _generate(cfg: RunConfig, out_dir: Path) -> None:
         order = plan_order(window_coverage(fc, cfg.window_length))
         marks.append(time.perf_counter())
 
-        jobs = []
+        # jobs[t] writes frame t; ``unwritten`` holds its faces until then
+        jobs, unwritten, seams = [], {}, []
 
-        def on_window(start: int, end: int, window: np.ndarray) -> None:
-            _raise_failed(job for job, _ in jobs)
-            for k in range(end - start):
-                frame = (window[k], out_dir / f"frame_{start + k:03d}")
-                jobs.append((side.submit(_write_frame, taps_job, *frame),
-                             frame))
+        def write(t: int) -> None:
+            _write_frame(taps_job, unwritten.pop(t), out_dir / f"frame_{t:03d}")
+
+        def on_window(start: int, end: int, frames) -> None:
+            _raise_failed(jobs)
+            for t, faces in enumerate(frames, start):
+                unwritten[t] = faces
+                jobs.append(side.submit(write, t))
+            seams.extend(seam_metric(faces) for faces in frames)
 
         result = generate_all(
             cond, fc, order, _make_denoiser(cfg, field, cond),
@@ -426,18 +431,18 @@ def _generate(cfg: RunConfig, out_dir: Path) -> None:
             "pool_trace": result.pool_trace,
             "resident_trace": result.resident_trace,
             "peak_resident": result.peak_resident,
-            "seam_per_frame": _seam_per_frame(result.canvas),
+            "seam_per_frame": seams,
             "steps": result.step_log,
         }
         write_json_artifact(out_dir / "run_report.json", "run_report", report)
         # Take back the frame jobs the side thread has not started, last
         # first, and write them here; the first job already running or done
         # ends the walk.
-        for job, frame in reversed(jobs):
-            if not job.cancel():
+        for t in reversed(range(len(jobs))):
+            if not jobs[t].cancel():
                 break
-            _write_frame(taps_job, *frame)
-        for job, _ in jobs:
+            write(t)
+        for job in jobs:
             if not job.cancelled():
                 job.result()
         marks.append(time.perf_counter())

@@ -8,10 +8,10 @@ input, on the current face and its neighbors, whose short-horizon coverage
 clears the threshold.
 
 A source holds its video and frame range, and its content reads them on
-access: a view of the video being composed, an (N, 6, R, R, C) array, or
-the teacher's frames, computed by each read, for history and generated
-current-window faces; the conditional input, whose frames are projected by
-each read, for the others and the fragments.
+access: a copy of the generated frames the loop holds, or the teacher's
+frames, computed by each read, for history and generated current-window
+faces; the conditional input, whose frames are projected by each read, for
+the others and the fragments.
 """
 
 from __future__ import annotations
@@ -130,17 +130,19 @@ def assemble_context(source, cond, face: str, s: int, e: int, done: tuple,
     """Build the [hist; curr; fut] bundle for generating ``face`` over the
     window of frames [s, e).
 
-    ``source`` is the (N, 6, R, R, C) video being composed and ``cond`` the
-    conditional one; ``done`` names the faces of the window generated before
-    ``face``, in generation order.  hist reads ``source`` over the last
-    ``capacity`` windows, all six faces each.  curr holds the done faces from
-    ``source``, then the conditional input of the others (current face
-    included) in canonical order.  fut reads ``cond`` over ``fragments``.
+    ``source`` is the (N, 6, R, R, C) video being composed, or the teacher,
+    and ``cond`` the conditional one; ``done`` names the faces of the window
+    generated before ``face``, in generation order.  hist reads ``source``
+    over the last ``capacity`` windows, all six faces each.  curr holds the
+    done faces from ``source``, then the conditional input of the others
+    (current face included) in canonical order.  fut reads ``cond`` over
+    ``fragments``.
 
-    No content is read here.  Where ``source`` is the canvas (a run without
-    teacher forcing), a hist or curr-gen content read later shows the faces
-    as the output does: with the ramp blends that faces generated later in
-    the same window wrote into their border strips.
+    No content is read here.  Where ``source`` is the generated video (a
+    run without teacher forcing), a hist or curr-gen content read later
+    shows the faces as the output does: with the ramp blends that faces
+    generated later in the same window wrote into their border strips.  A
+    read after the loop has dropped the frames raises ``RuntimeError``.
     """
     length = e - s
     window = s // length + 1

@@ -229,12 +229,12 @@ def _pad_table(res: int, pad: int) -> _PadTable:
     return table
 
 
-def _checked_table(stack: np.ndarray, pad: int, name: str) -> _PadTable:
-    """The index maps of ``pad`` and the R of ``stack``, which must be a
-    (T, 6, R, R, C) video of the six faces."""
-    if stack.ndim != 5 or stack.shape[1] != 6 or stack.shape[2] != stack.shape[3]:
-        raise ValueError(f"{name} must be (T, 6, R, R, C), got {stack.shape}")
-    r = stack.shape[2]
+def _checked_table(shape: tuple, pad: int, name: str) -> _PadTable:
+    """The index maps of ``pad`` and the R of ``shape``, which must be that
+    of a (T, 6, R, R, C) video of the six faces."""
+    if len(shape) != 5 or shape[1] != 6 or shape[2] != shape[3]:
+        raise ValueError(f"{name} must be (T, 6, R, R, C), got {shape}")
+    r = shape[2]
     if not 1 <= pad <= r // 2:
         raise ValueError(f"pad width must lie in [1, R/2], got {pad} for R={r}")
     return _pad_table(r, pad)
@@ -244,41 +244,46 @@ def pad_face(stack: np.ndarray, face: str, pad: int) -> np.ndarray:
     """(T, R+2p, R+2p, C) padded video of ``face`` from a (T, 6, R, R, C)
     window of the six faces in canonical order: one gather through the
     face's index map.  Pixel-exact copy, no resampling."""
-    table = _checked_table(stack, pad, "stack")
+    table = _checked_table(stack.shape, pad, "stack")
     t, r, c = stack.shape[0], stack.shape[2], stack.shape[-1]
     n = r + 2 * pad
     flat = stack.reshape(t, 6 * r * r, c)
     return np.take(flat, table.index[FACE_INDEX[face]], axis=1).reshape(t, n, n, c)
 
 
-def blend_overlaps(generated: np.ndarray, canvas: np.ndarray, face: str,
-                   pad: int) -> None:
-    """Write a generated (T, R+2p, R+2p, C) padded video of ``face`` into a
-    C-contiguous (T, 6, R, R, C) canvas, in place: the core replaces the face
+def blend_overlaps(generated: np.ndarray, frames, face: str, pad: int) -> None:
+    """Write a generated (T, R+2p, R+2p, C) padded video of ``face`` into
+    ``frames``, its window's T C-contiguous (6, R, R, C) frames (a sequence,
+    or a (T, 6, R, R, C) array), in place: the core replaces the face
     wholesale, and each strip pixel blends into the neighbor pixel it pads
     with a linear ramp (weight 1 at the shared edge, falling to 1/p at depth
     p-1), as ``w * strip + (1 - w) * old``."""
-    table = _checked_table(canvas, pad, "canvas")
-    t, r, c, p = canvas.shape[0], canvas.shape[2], canvas.shape[-1], pad
+    shape = (len(frames), *frames[0].shape) if len(frames) else (0,)
+    table = _checked_table(shape, pad, "canvas")
+    t, r, c, p = shape[0], shape[2], shape[-1], pad
     if generated.shape != (t, r + 2 * p, r + 2 * p, c):
         raise ValueError(f"generated face must be {(t, r + 2 * p, r + 2 * p, c)}, "
                          f"got {generated.shape}")
-    if not canvas.flags.c_contiguous:
-        raise ValueError("canvas must be C-contiguous to be written in place")
+    if not all(frame.flags.c_contiguous for frame in frames):
+        raise ValueError("canvas frames must be C-contiguous to be written in place")
     fi = FACE_INDEX[face]
-    canvas[:, fi] = generated[:, p:p + r, p:p + r]
-    flat = canvas.reshape(t, 6 * r * r, c)
+    flats = [frame.reshape(6 * r * r, c) for frame in frames]
     dst, w = table.dst[fi], table.weight[:, None]
     # w * strip + (1 - w) * old, combined in place in the dtype the
     # expression would promote to: same products, same sum
-    dtype = np.result_type(generated, canvas, w)
+    dtype = np.result_type(generated, frames[0], w)
     strips = np.take(generated.reshape(t, -1, c), table.src, axis=1).astype(
         dtype, copy=False)
-    old = np.take(flat, dst, axis=1).astype(dtype, copy=False)
+    old = np.empty(strips.shape, dtype)
+    # dst is in range, so "clip" changes no index; "raise" would buffer ``out``
+    for k, frame in enumerate(frames):
+        frame[fi] = generated[k, p:p + r, p:p + r]
+        np.take(flats[k], dst, axis=0, out=old[k], mode="clip")
     strips *= w
     old *= 1.0 - w
     strips += old
-    flat[:, dst] = strips
+    for flat, blended in zip(flats, strips):
+        flat[dst] = blended
 
 
 @lru_cache(maxsize=None)

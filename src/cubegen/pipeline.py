@@ -20,12 +20,20 @@ frames and window; :func:`generate_all` samples and blends each step with
 :func:`generate_step`, and :func:`simulate_contexts` only logs the bundles.
 All three take the conditional's (6, N) frame coverage, which picks the
 future fragments.  Teacher forcing is ``generate_all``'s ``teacher`` video,
-(N, 6, R, R, C) like the canvas, which hist and curr-gen context then read.
+(N, 6, R, R, C) like the conditional, which hist and curr-gen context then
+read.
+
+The generated video is never one array: ``generate_all`` allocates each
+frame as its own (6, R, R, C) array when its window starts, hands a
+window's frames to ``on_window`` once they are final, and drops them as
+soon as no later step reads them, so the loop holds T frames under teacher
+forcing and at most (H+1)·T without it, for any N.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import time
 from dataclasses import dataclass
 
@@ -121,9 +129,22 @@ def _slices(shape: tuple, itemsize: int) -> list[tuple]:
     return [(slice(i, i + step),) for i in range(0, shape[0], step)]
 
 
-def _draw_noise(seed: int, shape: tuple) -> np.ndarray:
-    """A plan step's initial noise: standard normal from its own seed."""
-    return np.random.default_rng(seed).standard_normal(shape)
+def _draw_noise(seed: int, out: np.ndarray) -> np.ndarray:
+    """A plan step's initial noise, standard normal from its own seed, drawn
+    into ``out`` (the same bytes as a fresh draw of its shape)."""
+    return np.random.default_rng(seed).standard_normal(out=out)
+
+
+def _fresh_frame(shape: tuple) -> np.ndarray:
+    """A zeroed float64 array of ``shape`` on its own anonymous memory map.
+    Its pages are zero-filled when first touched and go back to the system
+    when the array is freed; a freed heap block of this size would be kept
+    by the allocator and cleared in full when handed out again.  The map is
+    shared (the default), so a page read before it is written, as blending
+    reads the strips of faces not yet generated, costs one fault, not a
+    zero-page fault and then a copy-on-write fault."""
+    buf = mmap.mmap(-1, 8 * math.prod(shape))
+    return np.frombuffer(buf, np.float64).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +161,7 @@ def plan_contexts(cond: CubemapVideo, coverage: np.ndarray, order: np.ndarray,
     and fut read ``cond``, whose frames are projected by each read, over
     fragments picked by its (6, N) frame ``coverage``.  Which sources a
     bundle holds depends only on the step's plan index; contents are read on
-    access, so what a caller writes into ``source`` shows in them.
+    access, so what ``source`` holds at that time shows in them.
     """
     length = _check_plan(order, cond.shape[0])
     for w, row in enumerate(order):
@@ -185,18 +206,18 @@ def _log_entry(bundle: ContextBundle, resolution: int, patch_size: int) -> dict:
     }
 
 
-def generate_step(canvas: np.ndarray, bundle: ContextBundle, denoiser,
-                  z: np.ndarray, steps: int, pad: int) -> np.ndarray:
+def generate_step(frames, bundle: ContextBundle, denoiser, z: np.ndarray,
+                  steps: int, pad: int) -> np.ndarray:
     """Sample the padded face video of ``bundle``'s step from the noise
     ``z``, a (T, R+2p, R+2p, C) array the sampler takes over, in ``steps``
-    Euler steps, and blend it into ``canvas``, the (N, 6, R, R, C) video
-    being composed.
+    Euler steps, and blend it into ``frames``, the window's T (6, R, R, C)
+    frames being composed.
 
     Returns the sampled padded face video of the window (``z`` itself); its
     core is ``out[:, p:p+R, p:p+R]``.
     """
     z = euler_sample(denoiser, z, bundle, steps)
-    blend_overlaps(z, canvas[bundle.start:bundle.end], bundle.face, pad)
+    blend_overlaps(z, frames, bundle.face, pad)
     return z
 
 
@@ -219,10 +240,10 @@ def simulate_contexts(cond: CubemapVideo, coverage: np.ndarray,
 
 @dataclass
 class GenerationResult:
-    canvas: np.ndarray             # the (N, 6, R, R, C) cube video
     pool_trace: list               # completed windows in the history after each step
     step_log: list
     step_timings: list
+    peak_frames: int               # most generated frames the loop held at once
 
     @property
     def resident_trace(self) -> list:
@@ -239,13 +260,15 @@ def generate_all(cond_video: CubemapVideo, coverage: np.ndarray,
                  frag_threshold: float, patch_size: int, teacher=None,
                  on_window=None, executor=None) -> GenerationResult:
     """Run every step of the (L, 6) plan ``order`` window-major, each in
-    ``steps`` Euler steps; the result is the cube canvas, which callers
-    resample to equirect frames one at a time.  ``coverage`` is the (6, N)
-    frame coverage of ``cond_video``.
+    ``steps`` Euler steps, composing the (N, 6, R, R, C) cube video of
+    ``cond_video``'s shape; ``coverage`` is its (6, N) frame coverage.
+    Callers receive the video through ``on_window``; the result holds the
+    run's logs, not its frames.
 
     Step ``i`` samples from noise drawn with the seed
-    ``SeedSequence((seed, i))``.  hist and curr-gen context reads the
-    canvas, or ``teacher`` when it is given (teacher forcing).
+    ``SeedSequence((seed, i))``, into one of two buffers used in turn.  hist
+    and curr-gen context reads the generated frames, or ``teacher`` when it
+    is given (teacher forcing).
 
     ``executor``, when given, draws each step's noise one step ahead: at
     step ``i`` the draw for step ``i + 1`` is submitted to it.  A draw the
@@ -254,44 +277,69 @@ def generate_all(cond_video: CubemapVideo, coverage: np.ndarray,
     The noise is the same array either way.
 
     ``on_window(start, end, frames)``, when given, is called once per window,
-    in order, after its six faces are blended, with ``frames`` the canvas
-    view ``canvas[start:end]``.  Blending writes only frames of the current
-    window, so these frames are final: a caller may read them from another
-    thread while later windows are sampled, but must not write them.
+    in order, after its six faces are blended, with ``frames`` the sequence
+    of its ``end - start`` (6, R, R, C) frames.  Blending writes only frames
+    of the current window, so these are final: a caller may read them from
+    another thread while later windows are sampled, but must not write them.
+
+    Each frame is allocated zeroed when its window starts.  The loop drops
+    it after ``on_window`` under teacher forcing, and otherwise once it has
+    left the history of the next window, so the loop holds at most
+    ``(history_capacity + 1) * T`` frames (``GenerationResult.peak_frames``).
+    A context read of a frame the loop does not hold raises ``RuntimeError``.
     """
-    # The canvas starts as lazily zeroed pages, not as a copy of the
-    # conditional: every window names all six faces (the plan check), each
-    # face's core is assigned wholesale before anything reads it, and strips
-    # blended into a face not yet generated are overwritten by its core.
-    canvas = np.zeros(cond_video.shape)
-    source = canvas if teacher is None else teacher
-    n, _, r, _, c = canvas.shape
+    n, _, r, _, c = cond_video.shape
+    length = _check_plan(order, n)
+    # Frames start as zero pages, not as copies of the conditional: every
+    # window names all six faces (the plan check), each face's core is
+    # assigned wholesale before anything reads it, and strips blended into a
+    # face not yet generated are overwritten by its core.
+    held = {}  # frame index -> its (6, R, R, C) array, while the loop holds it
+
+    def read_held(t: int, out: np.ndarray) -> None:
+        if t not in held:
+            raise RuntimeError(f"generated frame {t} is not held: its window "
+                               f"has not started or it was released")
+        np.copyto(out, held[t])
+
+    source = CubemapVideo(cond_video.shape, read_held) if teacher is None else teacher
+    # frames a finished window keeps for the next window's history
+    kept = 0 if teacher is not None else history_capacity * length
     num_steps = np.size(order)
     # Every step samples one padded face window.
-    shape = (_check_plan(order, n), r + 2 * pad, r + 2 * pad, c)
+    buffers = [np.empty((length, r + 2 * pad, r + 2 * pad, c)) for _ in range(2)]
 
     def noise(i: int) -> np.ndarray:
-        return _draw_noise(_step_seed(seed, i), shape)
+        return _draw_noise(_step_seed(seed, i), buffers[i % 2])
 
     pool_trace, step_log, step_timings = [], [], []
+    peak_frames = 0
     ahead = None  # the future of the next step's noise
     t_end = time.perf_counter()
     for i, bundle in enumerate(plan_contexts(
             cond_video, coverage, order, source, history_capacity=history_capacity,
             frag_length=frag_length, frag_threshold=frag_threshold)):
+        if i % 6 == 0:  # the window's first face
+            window = [_fresh_frame(cond_video.shape[1:]) for _ in range(length)]
+            held.update(zip(range(bundle.start, bundle.end), window))
+            peak_frames = max(peak_frames, len(held))
         z = noise(i) if ahead is None or ahead.cancel() else ahead.result()
         ahead = (executor.submit(noise, i + 1)
                  if executor is not None and i + 1 < num_steps else None)
-        generate_step(canvas, bundle, denoiser, z, steps, pad)
+        generate_step(window, bundle, denoiser, z, steps, pad)
         step_log.append(_log_entry(bundle, r, patch_size))
         pool_trace.append(min(history_capacity, (i + 1) // 6))
-        if on_window is not None and i % 6 == 5:  # the window's last face
-            on_window(bundle.start, bundle.end, canvas[bundle.start:bundle.end])
+        if i % 6 == 5:  # the window's last face
+            if on_window is not None:
+                on_window(bundle.start, bundle.end, window)
+            for t in range(bundle.start - kept, bundle.end - kept):
+                held.pop(t, None)
+            del window
         t_begin, t_end = t_end, time.perf_counter()
         step_timings.append(t_end - t_begin)
 
-    return GenerationResult(canvas=canvas, pool_trace=pool_trace,
-                            step_log=step_log, step_timings=step_timings)
+    return GenerationResult(pool_trace=pool_trace, step_log=step_log,
+                            step_timings=step_timings, peak_frames=peak_frames)
 
 
 def _step_seed(seed: int, index: int) -> int:

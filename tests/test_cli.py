@@ -66,24 +66,26 @@ def side_threads() -> list:
 
 def assert_frames_equal_serial_writes(out: Path, ref: Path) -> None:
     """``generate``'s frames of the demo config in ``out`` are the bytes of
-    sampling the whole canvas first and then resampling it frame by frame."""
+    sampling the whole video first and then resampling it frame by frame."""
     cfg = parse_config(DEMO)
     field, frames, poses = sc.synth_inputs(cfg)
     masks, cond = sc.conditional_video(cfg.resolution, frames, poses, cfg.channels)
     fc = frame_coverage(masks)
     order = plan_order(window_coverage(fc, cfg.window_length))
-    result = generate_all(
+    video = []
+    generate_all(
         cond, fc, order, cli._make_denoiser(cfg, field, cond),
         steps=cfg.sampler_steps, seed=cfg.seed,
         pad=cfg.pad, history_capacity=cfg.history,
         frag_length=cfg.frag_length, frag_threshold=cfg.frag_threshold,
         patch_size=cfg.patch_size,
         teacher=(field.cubemap_video(cfg.resolution, cfg.num_frames)
-                 if cfg.mode.teacher_forcing else None))
+                 if cfg.mode.teacher_forcing else None),
+        on_window=lambda start, end, frames: video.extend(frames))
     taps = EquirectTaps.create(cfg.resolution, cfg.equirect_width)
     ref.mkdir()
     for t in range(cfg.num_frames):
-        frame = taps.apply(result.canvas[t])
+        frame = taps.apply(video[t])
         write_pfm(ref / "x.pfm", frame)
         write_ppm(ref / "x.ppm", np.clip(frame, 0, 1))
         for ext in ("pfm", "ppm"):
@@ -246,7 +248,7 @@ class TestSubcommands:
 
     def test_generate_frames_equal_serial_writes(self, tmp_path):
         # the side thread writes each window's frames during later windows;
-        # the bytes are those of resampling the finished canvas afterwards,
+        # the bytes are those of resampling the finished video afterwards,
         # also when the two threads switch as often as possible
         out = tmp_path / "out"
         interval = sys.getswitchinterval()
@@ -279,6 +281,30 @@ class TestSubcommands:
         assert {"frame_005", "frame_006", "frame_007"} <= set(on_main)
         assert_frames_equal_serial_writes(out, tmp_path / "ref")
         assert not side_threads()
+
+    def test_generate_frees_each_frame_once_written(self, tmp_path,
+                                                    monkeypatch):
+        # under teacher forcing the loop drops a window's frames right after
+        # handing them over, before the next window's frames are handed
+        # over; so when any frame of window 2 is written, every frame of
+        # window 1 whose write has finished must be freed: the writer does
+        # not hold written faces until the run ends
+        write, last, done, alive = cli._write_frame, {}, [], []
+
+        def recording(taps_job, faces, base):
+            t = int(base.name.split("_")[1])
+            thread = threading.get_ident()
+            if thread in last:  # this thread's previous write has returned
+                done.append(last.pop(thread))
+            if t >= 4:
+                alive.append(sum(ref() is not None for ref in done))
+            write(taps_job, faces, base)
+            if t < 4:
+                last[thread] = weakref.ref(faces)
+
+        monkeypatch.setattr(cli, "_write_frame", recording)
+        assert run(["generate", "--config", DEMO, "--out", tmp_path / "o"]) == 0
+        assert done and len(alive) == 4 and not any(alive), (len(done), alive)
 
     def test_generate_dry_run_allocates_nothing(self, tmp_path):
         cfg = small_cfg(tmp_path, resolution=960, equirect_width=3840,

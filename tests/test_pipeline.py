@@ -55,17 +55,27 @@ def run_generate(cond, masks, plan, denoiser, *, steps, seed=0, pad=2,
                         patch_size=patch_size, **kwargs)
 
 
+def run_composed(cond, masks, plan, denoiser, **kwargs):
+    """``run_generate``, and the (N, 6, R, R, C) video it composed, stacked
+    from the frames handed to ``on_window``."""
+    frames = []
+    result = run_generate(cond, masks, plan, denoiser,
+                          on_window=lambda s, e, window: frames.extend(window),
+                          **kwargs)
+    return result, np.stack(frames)
+
+
 def noise(seed, shape):
     """A sampler's initial noise, drawn the way ``generate_all`` draws it."""
     return np.random.default_rng(seed).standard_normal(shape)
 
 
-def equirect_frames(result, width=None):
-    """(N, W/2, W, C) equirect frames of a result's cube canvas, resampled
-    the way ``generate`` writes them; W defaults to 4R."""
-    res = result.canvas.shape[2]
+def equirect_frames(video, width=None):
+    """(N, W/2, W, C) equirect frames of an (N, 6, R, R, C) cube video,
+    resampled the way ``generate`` writes them; W defaults to 4R."""
+    res = video.shape[2]
     taps = EquirectTaps.create(res, width or 4 * res)
-    return np.stack([taps.apply(frame) for frame in result.canvas])
+    return np.stack([taps.apply(frame) for frame in video])
 
 
 class TestOracleAndSampler:
@@ -252,7 +262,7 @@ class TestGenerateStep:
     def test_oracle_step_reproduces_truth(self):
         truth, masks, cond, canvas, step, denoiser = self.first_step()
         z = noise(1, (step.end - step.start, 16 + 4, 16 + 4, 3))
-        out = generate_step(canvas, step, denoiser, z, 4, 2)
+        out = generate_step(canvas[step.start:step.end], step, denoiser, z, 4, 2)
         gt = truth[:][step.start:step.end, FACE_INDEX[step.face]]
         assert out.shape == (step.end - step.start, 16 + 4, 16 + 4, 3)
         got = out[:, 2:2 + 16, 2:2 + 16]
@@ -266,7 +276,7 @@ class TestGenerateStep:
     def test_masked_pixels_reproduced(self):
         truth, masks, cond, canvas, step, denoiser = self.first_step()
         z = noise(1, (step.end - step.start, 16 + 4, 16 + 4, 3))
-        out = generate_step(canvas, step, denoiser, z, 4, 2)
+        out = generate_step(canvas[step.start:step.end], step, denoiser, z, 4, 2)
         for k, t in enumerate(range(step.start, step.end)):
             fi = FACE_INDEX[step.face]
             m = masks[t, fi].astype(bool)
@@ -321,9 +331,10 @@ class TestInitState:
 
 
 class TestContextViews:
-    """Every source's content is read from one video when it is read: a view
-    of the canvas, or of the teacher under teacher forcing, for hist and
-    curr-gen; the conditional's frames for curr-cond and fut."""
+    """Every source's content is read from one video when it is read: a copy
+    of the generated frames the loop holds, or a view of the teacher under
+    teacher forcing, for hist and curr-gen; the conditional's frames for
+    curr-cond and fut."""
 
     @pytest.mark.parametrize("teacher", [False, True])
     def test_sources_view_the_videos(self, teacher):
@@ -331,7 +342,7 @@ class TestContextViews:
         cfg, truth, masks, cond, plan = small_scene(res=res, n=8, t_win=4)
         truth = truth[:]  # shares_memory needs the teacher as an array
         inner = padded_target_denoiser(truth, 2)
-        bundles = []
+        bundles, frames = [], []
 
         def recording(z_t, t, context):
             if not bundles or bundles[-1] is not context:
@@ -339,14 +350,14 @@ class TestContextViews:
             return inner(z_t, t, context)
 
         # face F is about 38% covered, so its steps in window 1 take a fragment
-        result = run_generate(cond, masks, plan, recording, steps=2, seed=0,
-                              pad=2, history_capacity=2,
-                              frag_length=4, frag_threshold=0.3,
-                              teacher=truth if teacher else None)
+        run_generate(cond, masks, plan, recording, steps=2, seed=0,
+                     pad=2, history_capacity=2,
+                     frag_length=4, frag_threshold=0.3,
+                     teacher=truth if teacher else None,
+                     on_window=lambda s, e, window: frames.extend(window))
         assert len(bundles) == plan.size
-        canvas = result.canvas
-        composed = truth if teacher else canvas
-        other = canvas if teacher else truth
+        # with H=2 and two windows, the loop releases no frame
+        composed = truth if teacher else np.stack(frames)
         kinds = set()
         cond_pixels = cond[:]
         for bundle in bundles:
@@ -354,12 +365,38 @@ class TestContextViews:
                 kinds.add(src.kind)
                 generated = src.kind in ("hist", "curr-gen")
                 video = composed if generated else cond_pixels
-                assert np.shares_memory(src.content, composed) == generated, \
+                content = src.content
+                assert np.shares_memory(content, truth) == (generated and teacher), \
                     src.provenance()
-                assert not np.shares_memory(src.content, other)
-                assert np.array_equal(src.content,
+                assert not any(np.shares_memory(content, f) for f in frames)
+                assert np.array_equal(content,
                                       video[src.start:src.end, FACE_INDEX[src.face]])
         assert kinds == {"hist", "curr-gen", "curr-cond", "fut"}
+
+    def test_source_kept_past_its_step_reads_no_released_frame(self):
+        # with H=1, window 1 (frames 0-3) leaves the history when window 2
+        # ends, and the loop drops its frames: a source that still names
+        # them raises, while window 3 reads window 2 as it was composed
+        cfg, truth, masks, cond, plan = small_scene(res=16, n=12, t_win=4)
+        bundles, frames, hist = [], [], []
+
+        def recording(z_t, t, context):
+            if not bundles or bundles[-1] is not context:
+                bundles.append(context)
+                if context.window == 3:
+                    hist.extend((src, src.content) for src in context.hist)
+            return z_t
+
+        run_generate(cond, masks, plan, recording, steps=1, history_capacity=1,
+                     on_window=lambda s, e, window: frames.extend(window))
+        curr_gen = [src for src in bundles[5].curr if src.kind == "curr-gen"]
+        assert curr_gen and (curr_gen[0].start, curr_gen[0].end) == (0, 4)
+        with pytest.raises(RuntimeError, match="generated frame 0 "):
+            curr_gen[0].content
+        assert {(src.start, src.end) for src, _ in hist} == {(4, 8)}
+        for src, content in hist:
+            assert np.array_equal(content,
+                                  np.stack(frames[4:8])[:, FACE_INDEX[src.face]])
 
 
 class TestGenerateAll:
@@ -367,12 +404,12 @@ class TestGenerateAll:
         res = 32
         cfg, truth, masks, cond, plan = small_scene(res=res)
         denoiser = padded_target_denoiser(truth, 2)
-        result = run_generate(cond, masks, plan, denoiser, steps=4, seed=5,
-                              pad=2, history_capacity=2,
-                              teacher=truth)
+        _, video = run_composed(cond, masks, plan, denoiser, steps=4, seed=5,
+                                pad=2, history_capacity=2,
+                                teacher=truth)
         scene_obj = sc.SyntheticScene.random(cfg.channels, cfg.seed)
         expected = sc.render_equirect_video(scene_obj, 4 * res, 8)
-        assert np.abs(equirect_frames(result) - expected).max() <= 0.02
+        assert np.abs(equirect_frames(video) - expected).max() <= 0.02
 
     def test_constant_scene_constant_output(self):
         res, n = 16, 4
@@ -380,10 +417,10 @@ class TestGenerateAll:
         cond = CubemapVideo((n, 6, res, res, 1), lambda t, out: out.fill(0.6))
         plan = plan_order(window_coverage(frame_coverage(masks), n))
         denoiser = padded_target_denoiser(cond, 2)
-        result = run_generate(cond, masks, plan, denoiser,
-                              steps=2, seed=0, pad=2,
-                              history_capacity=1)
-        np.testing.assert_allclose(equirect_frames(result), 0.6, atol=1e-9)
+        _, video = run_composed(cond, masks, plan, denoiser,
+                                steps=2, seed=0, pad=2,
+                                history_capacity=1)
+        np.testing.assert_allclose(equirect_frames(video), 0.6, atol=1e-9)
 
     def test_pool_occupancy_and_residency_bounds(self):
         res = 16
@@ -406,21 +443,24 @@ class TestGenerateAll:
         res = 16
         cfg, truth, masks, cond, plan = small_scene(res=res)
         denoiser = padded_target_denoiser(truth, 2)
-        a = run_generate(cond, masks, plan, denoiser, steps=2, seed=9, teacher=truth)
-        b = run_generate(cond, masks, plan, denoiser, steps=2, seed=9, teacher=truth)
+        _, a = run_composed(cond, masks, plan, denoiser, steps=2, seed=9, teacher=truth)
+        _, b = run_composed(cond, masks, plan, denoiser, steps=2, seed=9, teacher=truth)
         assert np.array_equal(equirect_frames(a), equirect_frames(b))
 
     def test_zero_denoiser_runs_and_differs(self):
         res = 16
         cfg, truth, masks, cond, plan = small_scene(res=res)
-        result = run_generate(cond, masks, plan, zero_denoiser,
-                              steps=2, seed=0, pad=2)
-        equirect = equirect_frames(result)
+        frames = []
+        run_generate(cond, masks, plan, zero_denoiser, steps=2, seed=0, pad=2,
+                     on_window=lambda s, e, window: frames.extend(window))
+        equirect = equirect_frames(np.stack(frames))
         assert equirect.shape == (8, 2 * res, 4 * res, 3)
         assert np.isfinite(equirect).all()
-        # the result is the (N, 6, R, R, C) canvas itself
-        assert result.canvas.shape == (8, 6, res, res, 3)
-        assert result.canvas.flags.c_contiguous
+        # on_window hands over each frame as a (6, R, R, C) array of its own
+        assert len(frames) == 8
+        assert all(f.shape == (6, res, res, 3) and f.flags.c_contiguous
+                   for f in frames)
+        assert not any(np.shares_memory(a, b) for a, b in zip(frames, frames[1:]))
 
     def test_three_argument_denoiser(self):
         # the protocol is denoiser(z_t, t, context): one that takes exactly
@@ -431,35 +471,60 @@ class TestGenerateAll:
             assert isinstance(context, ContextBundle)
             return z_t.copy()
 
-        got = run_generate(cond, masks, plan, denoiser, steps=2)
-        want = run_generate(cond, masks, plan, zero_denoiser, steps=2)
-        assert got.canvas.tobytes() == want.canvas.tobytes()
+        _, got = run_composed(cond, masks, plan, denoiser, steps=2)
+        _, want = run_composed(cond, masks, plan, zero_denoiser, steps=2)
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("teacher", [True, False])
     def test_on_window_sees_final_frames(self, teacher):
-        # generate writes each window's frames from these views while later
-        # windows are sampled, so they must already equal the final canvas
+        # generate writes each window's frames from these arrays while later
+        # windows are sampled, so they must already hold their final values
         res = 16
         cfg, truth, masks, cond, plan = small_scene(res=res, n=12, t_win=4)
         calls = []
 
         def on_window(start, end, frames):
-            calls.append((start, end, frames.copy()))
+            calls.append((start, end, frames, np.stack(frames)))
 
-        result = run_generate(cond, masks, plan, padded_target_denoiser(truth, 2),
-                              steps=2, seed=4, pad=2,
-                              teacher=truth if teacher else None,
-                              on_window=on_window)
-        assert [(s, e) for s, e, _ in calls] == [(0, 4), (4, 8), (8, 12)]
-        for s, e, frames in calls:
-            assert np.array_equal(frames, result.canvas[s:e])
+        run_generate(cond, masks, plan, padded_target_denoiser(truth, 2),
+                     steps=2, seed=4, pad=2,
+                     teacher=truth if teacher else None,
+                     on_window=on_window)
+        assert [(s, e) for s, e, _, _ in calls] == [(0, 4), (4, 8), (8, 12)]
+        for s, e, frames, copied in calls:
+            assert np.array_equal(np.stack(frames), copied)
+
+    @pytest.mark.parametrize("n", [8, 32])
+    @pytest.mark.parametrize("teacher", [True, False])
+    def test_loop_holds_at_most_the_history_of_frames(self, teacher, n):
+        # a window's T frames exist from its start; the loop drops them after
+        # on_window under teacher forcing, and otherwise once they leave the
+        # next window's history, so it holds at most (H+1)·T frames for any N
+        t_win, h = 4, 2
+        cfg, truth, masks, cond, plan = small_scene(res=8, n=n, t_win=t_win)
+        alive, most = set(), []
+
+        def on_window(start, end, frames):
+            for t, frame in enumerate(frames, start):
+                alive.add(t)
+                weakref.finalize(frame, alive.discard, t)
+            most.append(len(alive))
+
+        result = run_generate(cond, masks, plan, zero_denoiser, steps=1,
+                              history_capacity=h, on_window=on_window,
+                              teacher=truth if teacher else None)
+        want = t_win if teacher else min(n, (h + 1) * t_win)
+        assert result.peak_frames == max(most) == want
+        gc.collect()
+        assert not alive  # nothing outlives the run
 
     @pytest.mark.parametrize("teacher, ahead", [
         (True, False), (False, False), (True, True), (False, True)],
         ids=["True", "False", "True-executor", "False-executor"])
     def test_peak_above_start_bounded_by_canvas(self, teacher, ahead):
-        # the loop holds the canvas and per-step buffers only: the context
-        # is views, so no window of generated faces is copied
+        # the loop holds its frames and per-step buffers only, so no window
+        # of generated faces is copied; the frames are anonymous maps, which
+        # tracemalloc does not see, so their bytes are added
         cfg = parse_config(Path(__file__).parents[1] / "configs" / "demo.json")
         truth, frames, poses = sc.synth_scene(cfg)
         truth = truth[:]  # materialised before the trace, as a plain array
@@ -471,26 +536,29 @@ class TestGenerateAll:
         pool = ThreadPoolExecutor(max_workers=1) if ahead else None
         tracemalloc.start()
         try:
-            generate_all(cond, coverage, plan, denoiser, steps=cfg.sampler_steps,
-                         seed=cfg.seed, pad=cfg.pad, history_capacity=cfg.history,
-                         frag_length=cfg.frag_length,
-                         frag_threshold=cfg.frag_threshold,
-                         patch_size=cfg.patch_size,
-                         teacher=truth if teacher else None, executor=pool)
+            result = generate_all(
+                cond, coverage, plan, denoiser, steps=cfg.sampler_steps,
+                seed=cfg.seed, pad=cfg.pad, history_capacity=cfg.history,
+                frag_length=cfg.frag_length, frag_threshold=cfg.frag_threshold,
+                patch_size=cfg.patch_size,
+                teacher=truth if teacher else None, executor=pool)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
             if pool is not None:
                 pool.shutdown()
+        peak += result.peak_frames * np.zeros(cond.shape[1:]).nbytes
         canvas = np.zeros(cond.shape).nbytes
         assert peak <= 1.6 * canvas, (peak / canvas, peak, canvas)
 
     @pytest.mark.parametrize("teacher", [True, False])
-    def test_oracle_peak_grows_with_frames_by_canvas_masks_and_logs(self, teacher):
+    def test_oracle_peak_grows_with_frames_by_masks_and_logs(self, teacher):
         # the truth and the conditional are built inside the trace, and the
         # oracle reads the truth window by window: of what the loop holds,
-        # only the canvas, the masks, the coverage, the plan and the per-step
-        # logs scale with N
+        # only the masks, the coverage, the plan and the per-step logs scale
+        # with N.  The loop's frames, anonymous maps that tracemalloc does
+        # not see, are added to the peak; both runs are longer than the
+        # (H+1)·T = 12 frames the loop holds at most without teacher forcing
         res, t_win = 32, 4
 
         def peak(n):
@@ -518,28 +586,30 @@ class TestGenerateAll:
                 logs = held - tracemalloc.get_traced_memory()[0]
             finally:
                 tracemalloc.stop()
-            return top, (result.canvas.nbytes + masks.nbytes + coverage.nbytes
+            top += result.peak_frames * np.zeros(cond.shape[1:]).nbytes
+            return top, (masks.nbytes + coverage.nbytes
                          + plan.nbytes + logs)
 
         peak(8)  # first-use costs: the direction stack, numpy's caches
-        (peak_8, held_8), (peak_32, held_32) = peak(8), peak(32)
-        # 4 KB of allocator noise; an N-sized truth would add 3.5 MB
-        assert peak_32 - peak_8 <= held_32 - held_8 + 4096, (peak_32 - peak_8,
-                                                             held_32 - held_8)
+        (peak_16, held_16), (peak_32, held_32) = peak(16), peak(32)
+        # 4 KB of allocator noise; 16 more frames of truth or canvas would
+        # add 2.4 MB
+        assert peak_32 - peak_16 <= held_32 - held_16 + 4096, (
+            peak_32 - peak_16, held_32 - held_16)
 
     @pytest.mark.parametrize("teacher", [True, False])
     def test_conditional_pixels_never_reach_the_canvas(self, teacher):
-        # the canvas starts zeroed, not as a copy of the conditional: its
+        # each frame starts zeroed, not as a copy of the conditional: its
         # initial values are overwritten before anything reads them, so other
-        # finite conditional pixels under the same masks give the same canvas
+        # finite conditional pixels under the same masks give the same video
         cfg, truth, masks, cond, plan = small_scene(res=16, n=8, t_win=4)
         pixels = np.random.default_rng(3).uniform(-50.0, 50.0, cond.shape)
         other = CubemapVideo(cond.shape, lambda t, out: np.copyto(out, pixels[t]))
-        runs = [run_generate(video, masks, plan, padded_target_denoiser(truth, 2),
+        runs = [run_composed(video, masks, plan, padded_target_denoiser(truth, 2),
                              steps=2, seed=6, pad=2,
-                             teacher=truth if teacher else None)
+                             teacher=truth if teacher else None)[1]
                 for video in (cond, other)]
-        assert runs[0].canvas.tobytes() == runs[1].canvas.tobytes()
+        assert runs[0].tobytes() == runs[1].tobytes()
 
 
 class RecordingExecutor:
@@ -564,10 +634,10 @@ class TestNoiseAhead:
 
     def run(self, executor=None):
         cfg, truth, masks, cond, plan = small_scene(res=16, n=12, t_win=4)
-        result = run_generate(cond, masks, plan, padded_target_denoiser(cond, 2),
-                              steps=3, seed=8, pad=2,
-                              executor=executor)
-        return result.canvas, plan.size
+        _, video = run_composed(cond, masks, plan, padded_target_denoiser(cond, 2),
+                                steps=3, seed=8, pad=2,
+                                executor=executor)
+        return video, plan.size
 
     def test_busy_executor_takes_every_draw_back(self):
         inline, _ = self.run()
@@ -654,12 +724,12 @@ class TestPaddedTargetDenoiser:
         cached = (target_denoiser(partial(field.padded_face_video, res, 2))
                   if factory == "oracle" else padded_target_denoiser(cond, 2))
         teacher = truth if factory == "oracle" else None
-        runs = [run_generate(cond, masks, plan, d, steps=3, seed=4,
-                             pad=2, teacher=teacher)
+        runs = [run_composed(cond, masks, plan, d, steps=3, seed=4,
+                             pad=2, teacher=teacher)[1]
                 for d in (cached, uncached)]
         assert (equirect_frames(runs[0]).tobytes()
                 == equirect_frames(runs[1]).tobytes())
-        assert runs[0].canvas.tobytes() == runs[1].canvas.tobytes()
+        assert runs[0].tobytes() == runs[1].tobytes()
 
     def test_first_call_allocates_less_than_the_window(self):
         # the target is padded from a view of the video's frames [s, e), so
