@@ -130,16 +130,14 @@ def mask_matrix(layout: TokenLayout, spec: BandedMaskSpec) -> np.ndarray:
     return mask
 
 
-def dense_masked_attention(inp: AttentionInputs, mask: np.ndarray,
-                           return_weights: bool = False):
+def dense_masked_attention(inp: AttentionInputs, mask: np.ndarray) -> np.ndarray:
     """Reference path: masked softmax over every key, then value mixing.
 
     ``mask`` is a boolean (tokens, tokens) matrix; every query row must keep
     at least one allowed key.  Query rows are taken in blocks of
     ``BLOCK_ROWS``: one matmul scores a block against all keys, masked
     pairs are set to -inf and add exact zeros to the row's softmax.  Beyond
-    the mask and the output this holds O(heads * BLOCK_ROWS * tokens);
-    ``return_weights`` also allocates the (heads, tokens, tokens) weights.
+    the mask and the output this holds O(heads * BLOCK_ROWS * tokens).
     """
     n = inp.num_tokens
     mask = np.asarray(mask, dtype=bool)
@@ -150,8 +148,6 @@ def dense_masked_attention(inp: AttentionInputs, mask: np.ndarray,
     scale = 1.0 / math.sqrt(inp.dim)  # a Python float keeps the inputs' dtype
     q, k, v = inp.queries, inp.keys, inp.values
     out = np.empty(v.shape, dtype=np.result_type(q, k, v))
-    weights = (np.empty((inp.num_heads, n, n), dtype=np.result_type(q, k))
-               if return_weights else None)
     for i0 in range(0, n, BLOCK_ROWS):
         i1 = min(i0 + BLOCK_ROWS, n)
         scores = q[:, i0:i1] @ k.swapaxes(1, 2)
@@ -162,10 +158,8 @@ def dense_masked_attention(inp: AttentionInputs, mask: np.ndarray,
         sums = scores.sum(axis=-1, keepdims=True)
         np.matmul(scores, v, out=out[:, i0:i1])
         out[:, i0:i1] /= sums
-        if return_weights:
-            np.divide(scores, sums, out=weights[:, i0:i1])
         del scores  # never hold two blocks' scores at once
-    return (out, weights) if return_weights else out
+    return out
 
 
 def sparse_context_attention(inp: AttentionInputs, layout: TokenLayout,

@@ -11,27 +11,28 @@ generate runs one side thread next to the sampling loop, so the main
 thread's critical path is the sampling loop itself.  In order, the side
 thread builds the cube-face direction stack and the pad map while the main
 thread loads the inputs; builds the cube->equirect tap table while the main
-thread projects the masks and plans; then, during sampling, it draws each
-plan step's noise one step ahead (``generate_all``'s ``executor``) and
-resamples and writes each window's frames (handed over by ``on_window``,
-which also takes each frame's seam metric) while the next window is
-sampled, holding a frame's faces only until it has written them.  The
-oracle evaluates the synthetic scene on each plan step's padded face grid,
-so no denoiser reads a truth frame.  The synthetic perspective frames are
-rendered only when the conditional projects them, which the copy denoiser
-does once per frame and the oracle and zero denoisers never.  A job
-still queued when the main thread needs it is taken back: the main thread
-cancels it and does the same work itself.  So it draws a step's
-noise queued behind frames, and after sampling it writes the last window's
-unstarted frames, last first, while the side thread writes from the first.
-Either thread resamples a frame a block of equirect rows at a time,
-straight from its six faces, and writes each block into the
-frame's PFM and 8-bit image at its rows, so no frame-sized array, and no
-copy of the faces, exists on the output path.  Every artifact
-is written into a ``.staging-*`` directory inside ``--out`` and moved into
-place only after the last one is written, so a failed run, on either
-thread, leaves none behind; so does a run stopped by SIGTERM, which
-``generate`` turns into ``SystemExit(143)`` while it runs on the main
+thread takes each frame's coverage from its frustum test and plans; then,
+during sampling, it draws each plan step's noise one step ahead
+(``generate_all``'s ``executor``) and resamples and writes each window's
+frames (handed over by ``on_window``, which also takes each frame's seam
+metric) while the next window is sampled, holding a frame's faces only
+until it has written them.  The oracle evaluates the synthetic scene on
+each plan step's padded face grid, so no denoiser reads a truth frame.  The
+synthetic perspective frames are rendered only when the conditional
+projects them, which the copy denoiser does once per frame and the oracle
+and zero denoisers never; a projection runs its frame's frustum test again,
+so no subcommand holds every frame's masks.  A job still queued when the
+main thread needs it is taken back: the main thread cancels it and does the
+same work itself.  So it draws a step's noise queued behind frames, and
+after sampling it writes the last window's unstarted frames, last first,
+while the side thread writes from the first.  Either thread resamples a
+frame a block of equirect rows at a time, straight from its six faces, and
+writes each block into the frame's PFM and 8-bit image at its rows, so no
+frame-sized array, and no copy of the faces, exists on the output path.
+Every artifact is written into a ``.staging-*`` directory inside ``--out``
+and moved into place only after the last one is written, so a failed run,
+on either thread, leaves none behind; so does a run stopped by SIGTERM,
+which ``generate`` turns into ``SystemExit(143)`` while it runs on the main
 thread.
 """
 
@@ -67,7 +68,7 @@ from .attention import (
 )
 from .config import ConfigError, RunConfig, parse_config
 from .continuity import _pad_table, seam_metric
-from .geometry import EquirectTaps, PerspectiveFrame, face_directions
+from .geometry import EquirectTaps, PerspectiveFrame, face_directions, frustum_masks
 from .imgio import (
     read_pfm,
     read_ppm,
@@ -85,7 +86,7 @@ from .pipeline import (
     target_denoiser,
     zero_denoiser,
 )
-from .planner import frame_coverage, plan_order, plan_steps, window_coverage
+from .planner import plan_order, plan_steps, window_coverage
 
 SUBCOMMANDS = ("project", "plan", "context", "attend-bench", "generate", "metrics")
 
@@ -201,19 +202,18 @@ def _check_truth_source(cfg: RunConfig) -> None:
 
 
 def _prologue(cfg: RunConfig):
-    """(scene | None, poses, masks, conditional, (6, N) frame and (6, L)
-    window coverage); ``_generate`` runs these steps between side jobs."""
+    """(scene | None, poses, conditional, (6, N) frame and (6, L) window
+    coverage); ``_generate`` runs these steps between side jobs."""
     field, frames, poses = _load_inputs(cfg)
-    masks, cond = scene_mod.conditional_video(cfg.resolution, frames, poses,
-                                              cfg.channels)
-    fc = frame_coverage(masks)
-    return field, poses, masks, cond, fc, window_coverage(fc, cfg.window_length)
+    fc, cond = scene_mod.conditional_video(cfg.resolution, frames, poses,
+                                           cfg.channels)
+    return field, poses, cond, fc, window_coverage(fc, cfg.window_length)
 
 
 def _step_log(cfg: RunConfig):
     """The planner's (L, 6) order and the generation loop's step log over
     it; the log reads no content, so no truth or pixel frame is computed."""
-    _, _, _, cond, fc, ct = _prologue(cfg)
+    _, _, cond, fc, ct = _prologue(cfg)
     order = plan_order(ct)
     return order, simulate_contexts(
         cond, fc, order, history_capacity=cfg.history, frag_length=cfg.frag_length,
@@ -242,11 +242,12 @@ def _write_image(path_base: Path, pixels: np.ndarray, top: int = 0,
 # ---------------------------------------------------------------------------
 
 def cmd_project(cfg: RunConfig, out_dir: Path) -> None:
-    _, poses, masks, cond, fc, ct = _prologue(cfg)
+    _, poses, cond, fc, ct = _prologue(cfg)
     taps = EquirectTaps.create(cfg.resolution, cfg.equirect_width)
-    for t in range(cfg.num_frames):
-        _write_cond_frame(out_dir, t, cond[t:t + 1][0], masks[t])
-        write_mask_pgm(out_dir / f"eq_mask_{t:03d}.pgm", taps.apply_mask(masks[t]))
+    for t, pose in enumerate(poses):
+        masks = frustum_masks(pose, cfg.resolution)
+        _write_cond_frame(out_dir, t, cond[t:t + 1][0], masks)
+        write_mask_pgm(out_dir / f"eq_mask_{t:03d}.pgm", taps.apply_mask(masks))
     write_poses(out_dir / "poses.json", poses)
     write_json_artifact(out_dir / "coverage.json", "coverage",
                         _coverage_json(fc, ct))
@@ -262,7 +263,7 @@ def _write_cond_frame(out_dir: Path, t: int, faces: np.ndarray,
 
 
 def cmd_plan(cfg: RunConfig, out_dir: Path) -> None:
-    _, _, _, _, fc, ct = _prologue(cfg)
+    _, _, _, fc, ct = _prologue(cfg)
     write_json_artifact(out_dir / "plan.json", "plan",
                         {"steps": plan_steps(plan_order(ct), cfg.window_length)})
     write_json_artifact(out_dir / "coverage.json", "coverage",
@@ -385,8 +386,10 @@ def _generate(cfg: RunConfig, out_dir: Path) -> None:
     marks = [time.perf_counter()]  # stage boundaries, see ``stages`` below
     side = ThreadPoolExecutor(max_workers=1)
     try:
-        # Both threads read the cached direction stack, and the first plan
-        # step the pad map: the side thread builds them while inputs load.
+        # The side thread builds the direction stack, which the frustum
+        # tests read, and the pad map, which the first plan step reads,
+        # while inputs load.  Building the stack on the main thread instead
+        # made oracle-r256 slower in 4 of 4 pairs: median op_s 0.82 -> 0.98 s.
         dirs_job = side.submit(face_directions, cfg.resolution)
         side.submit(_pad_table, cfg.resolution, cfg.pad)
         field, frames, poses = _load_inputs(cfg)
@@ -394,9 +397,8 @@ def _generate(cfg: RunConfig, out_dir: Path) -> None:
         dirs_job.result()
         taps_job = side.submit(EquirectTaps.create, cfg.resolution,
                                cfg.equirect_width)
-        masks, cond = scene_mod.conditional_video(cfg.resolution, frames, poses,
-                                                  cfg.channels)
-        fc = frame_coverage(masks)
+        fc, cond = scene_mod.conditional_video(cfg.resolution, frames, poses,
+                                               cfg.channels)
         order = plan_order(window_coverage(fc, cfg.window_length))
         marks.append(time.perf_counter())
 
@@ -514,7 +516,7 @@ def _write_dry_run(cfg: RunConfig, out_dir: Path) -> None:
 
 def cmd_metrics(cfg: RunConfig, out_dir: Path) -> None:
     """Input statistics: the truth's (or conditional's) seams and coverage."""
-    field, _, _, cond, fc, ct = _prologue(cfg)
+    field, _, cond, fc, ct = _prologue(cfg)
     video = cond if field is None else field.cubemap_video(cfg.resolution,
                                                            cfg.num_frames)
     report = {

@@ -6,7 +6,9 @@ plain (N, 6, R, R, C) float64 array.  Every layer indexes that layout
 directly; face ``f`` of frame ``t`` is ``video[t, FACE_INDEX[f]]``.  A video
 that nothing needs whole, the synthetic truth or the masked conditional, is
 a :class:`CubemapVideo`: it reads like such an array and computes a frame's
-pixels each time a read names it.
+pixels each time a read names it.  A projected frame's masks are computed
+with its pixels: :func:`project_perspective_to_cubemap` runs the pose's
+frustum test itself, so no mask outlives the read that needed it.
 
 All mappings use pixel-center sampling (offset 0.5).  Images are sampled
 bilinearly; binary masks nearest-neighbor.  The equirectangular longitude
@@ -511,19 +513,18 @@ def frustum_masks(pose: CameraPose, resolution: int) -> np.ndarray:
 
 
 def project_perspective_to_cubemap(frame: PerspectiveFrame, pose: CameraPose,
-                                   masks: np.ndarray, out: np.ndarray) -> np.ndarray:
+                                   out: np.ndarray) -> np.ndarray:
     """Project one perspective frame onto a cubemap: write the (6, R, R, C)
     faces into ``out`` and return it.
 
-    Pixels inside the FoV frustum by ``masks``, the pose's
-    :func:`frustum_masks`, sample the frame bilinearly; every other pixel is
-    0.  Only their directions are rotated into the camera frame, so the
-    frustum test is not repeated.
+    Pixels inside the pose's FoV frustum, by its :func:`frustum_masks` at
+    ``out``'s R, sample the frame bilinearly; every other pixel is 0.  Only
+    their directions are rotated into the camera frame a second time.
     """
-    inside = masks.astype(bool)
+    inside = frustum_masks(pose, out.shape[1]).astype(bool)
     tan_h = np.tan(np.radians(pose.hfov_deg) / 2.0)
     tan_v = np.tan(np.radians(pose.vfov_deg) / 2.0)
-    x, y, z = (face_directions(masks.shape[-1])[inside] @ pose.rotation).T
+    x, y, z = (face_directions(out.shape[1])[inside] @ pose.rotation).T
     cols = (x / z / tan_h + 1.0) / 2.0 * frame.width - 0.5
     rows = (-y / z / tan_v + 1.0) / 2.0 * frame.height - 0.5
     taps = _grid_taps(rows, cols, frame.height, frame.width)

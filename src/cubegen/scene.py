@@ -3,8 +3,10 @@ slowly over time, analytically evaluable at any direction and frame.  Serves
 as the ground-truth oracle for end-to-end tests and CLI demos.  Both of a
 scene's videos are computed when read, frame by frame: the ground-truth
 cube video (:class:`cubegen.geometry.CubemapVideo`) and the perspective
-input along the camera trajectory (:class:`SceneFrames`); so is the
-oracle's target, one face's padded window (``padded_face_video``)."""
+input along the camera trajectory (:class:`SceneFrames`); so are the
+oracle's target, one face's padded window (``padded_face_video``), and the
+masked conditional of any perspective input, of which only the (6, N)
+coverage is computed up front (``conditional_video``)."""
 
 from __future__ import annotations
 
@@ -26,6 +28,7 @@ from .geometry import (
     rotvec_to_matrix,
     sample_trajectory,
 )
+from .planner import frame_coverage
 
 __all__ = ["SyntheticScene", "SceneFrames", "synth_inputs", "synth_scene",
            "render_equirect_video"]
@@ -137,9 +140,7 @@ class SceneFrames(Sequence):
     def __len__(self) -> int:
         return len(self.poses)
 
-    def __getitem__(self, t):
-        if isinstance(t, slice):
-            return [self[k] for k in range(*t.indices(len(self)))]
+    def __getitem__(self, t: int) -> PerspectiveFrame:
         t = range(len(self))[t]  # IndexError past the end ends iteration
         return self.field.perspective_frame(self.poses[t], self.height,
                                             self.width, t)
@@ -166,20 +167,20 @@ def synth_scene(cfg: RunConfig):
 
 def conditional_video(truth_resolution: int, frames, poses, channels: int):
     """The masked conditional of ``channels``-channel perspective frames:
-    every frame's (N, 6, R, R) uint8 masks now, and the video whose read
-    projects a frame's pixels from its masks, so a run that reads no pixel
-    projects none.  Frame ``t`` is read, and so for :class:`SceneFrames`
-    rendered, only by a read of the video that names it."""
+    the (6, N) frame coverage now, each pose's masks dropped once counted,
+    and the video whose read projects a frame's pixels, its frustum test
+    included, so a run that reads no pixel projects none.  Frame ``t`` is
+    read, and so for :class:`SceneFrames` rendered, only by a read of the
+    video that names it."""
     if len(frames) != len(poses):
         raise ValueError(f"{len(frames)} frames but {len(poses)} poses")
     r = truth_resolution
-    masks = np.empty((len(poses), 6, r, r), np.uint8)
+    coverage = np.empty((6, len(poses)))
     for t, pose in enumerate(poses):
-        masks[t] = frustum_masks(pose, r)
-    return masks, CubemapVideo(
-        (*masks.shape, channels),
-        lambda t, out: project_perspective_to_cubemap(frames[t], poses[t],
-                                                      masks[t], out))
+        coverage[:, t] = frame_coverage(frustum_masks(pose, r)[None])[:, 0]
+    return coverage, CubemapVideo(
+        (len(poses), 6, r, r, channels),
+        lambda t, out: project_perspective_to_cubemap(frames[t], poses[t], out))
 
 
 def render_equirect_video(scene: SyntheticScene, width: int,

@@ -39,6 +39,15 @@ def allowed_pairs(layout, spec):
     return lambda q, k: q < g or k < g or abs(q - k) <= kb
 
 
+def full_softmax(inp, mask):
+    """(heads, n, n) attention weights: one masked softmax over the full
+    score matrix, in the inputs' dtype."""
+    scores = inp.queries @ inp.keys.swapaxes(1, 2) / inp.dim ** 0.5
+    scores = np.where(mask, scores, -np.inf)
+    full = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return full / full.sum(axis=-1, keepdims=True)
+
+
 def brute_force(inp, allowed):
     """Independent scalar re-implementation of masked attention."""
     h, n, d = inp.queries.shape
@@ -161,19 +170,17 @@ class TestDenseMaskedAttention:
             dense_masked_attention(inp, mask)
 
     def test_weights_row_stochastic(self, rng):
+        # the output mixes the values by row-stochastic weights: one masked
+        # softmax over the full (heads, n, n) score matrix
         layout = TokenLayout(num_generation=4, num_context=9)
         spec = BandedMaskSpec(bandwidth=2)
         inp = random_inputs(rng, 13)
         mask = mask_matrix(layout, spec)
-        _, w = dense_masked_attention(inp, mask, return_weights=True)
-        np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-6)
-        # one masked softmax over the full (heads, n, n) score matrix
-        scores = inp.queries @ inp.keys.swapaxes(1, 2) / np.sqrt(inp.dim)
-        scores = np.where(mask, scores, -np.inf)
-        full = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        full /= full.sum(axis=-1, keepdims=True)
-        np.testing.assert_allclose(w, full, rtol=0, atol=1e-12)
-        assert not w[:, ~mask].any()
+        out = dense_masked_attention(inp, mask)
+        full = full_softmax(inp, mask)
+        np.testing.assert_allclose(full.sum(axis=-1), 1.0, atol=1e-12)
+        assert not full[:, ~mask].any()
+        np.testing.assert_allclose(out, full @ inp.values, rtol=0, atol=1e-12)
 
     def test_memory_of_blocked_reference(self):
         # The attend-grid check's shape: beyond its (n, n) boolean mask the
@@ -259,10 +266,13 @@ class TestSparseContextAttention:
                     spec = BandedMaskSpec(bandwidth=kb)
                     inp = random_inputs(rng, g + c, dtype=np.float32)
                     sparse = sparse_context_attention(inp, layout, spec)
-                    dense, weights = dense_masked_attention(
-                        inp, mask_matrix(layout, spec), return_weights=True)
-                    assert dense.dtype == weights.dtype == np.float32
-                    worst = max(worst, np.abs(sparse - dense).max())
+                    mask = mask_matrix(layout, spec)
+                    dense = dense_masked_attention(inp, mask)
+                    assert dense.dtype == np.float32
+                    want = full_softmax(inp, mask) @ inp.values
+                    assert want.dtype == np.float32
+                    worst = max(worst, np.abs(sparse - dense).max(),
+                                np.abs(want - dense).max())
         assert worst < 1e-5
 
     def test_no_context_is_plain_attention(self, rng):

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from cubegen import artifacts, cli
+from cubegen import geometry as geo
 from cubegen import scene as sc
 from cubegen.artifacts import load_schema
 from cubegen.attention import BandedMaskSpec, TokenLayout, attention_peak_bytes
@@ -26,7 +27,7 @@ from cubegen.geometry import EquirectTaps
 from cubegen.imgio import (read_pfm, read_ppm, write_pfm, write_pgm, write_poses,
                            write_ppm)
 from cubegen.pipeline import generate_all
-from cubegen.planner import frame_coverage, plan_order, window_coverage
+from cubegen.planner import plan_order, window_coverage
 
 import jsonschema
 
@@ -69,8 +70,7 @@ def assert_frames_equal_serial_writes(out: Path, ref: Path) -> None:
     sampling the whole video first and then resampling it frame by frame."""
     cfg = parse_config(DEMO)
     field, frames, poses = sc.synth_inputs(cfg)
-    masks, cond = sc.conditional_video(cfg.resolution, frames, poses, cfg.channels)
-    fc = frame_coverage(masks)
+    fc, cond = sc.conditional_video(cfg.resolution, frames, poses, cfg.channels)
     order = plan_order(window_coverage(fc, cfg.window_length))
     video = []
     generate_all(
@@ -586,6 +586,42 @@ class TestPixelProjection:
     def test_reads_one_frame_at_a_time(self, tmp_path, monkeypatch, command):
         cfg = self.file_input_cfg(tmp_path)
         assert self.projections(monkeypatch, command, cfg, tmp_path / "o") == (8, 1)
+
+    @pytest.mark.parametrize("args,mode,file_input,want", [
+        (["generate"], {"teacher_forcing": False, "denoiser": "copy"}, False, (16, 8)),
+        (["generate"], {"teacher_forcing": False, "denoiser": "copy"}, True, (16, 8)),
+        (["generate"], {"teacher_forcing": True, "denoiser": "oracle"}, False, (8, 0)),
+        (["generate"], {"teacher_forcing": False, "denoiser": "oracle"}, False, (8, 0)),
+        (["generate"], {"teacher_forcing": False, "denoiser": "zero"}, False, (8, 0)),
+        (["context"], {"teacher_forcing": False, "denoiser": "copy"}, True, (8, 0)),
+        (["generate", "--dry-run"], {"teacher_forcing": False, "denoiser": "copy"},
+         True, (8, 0)),
+    ], ids=["copy", "copy-file", "oracle-teacher", "oracle", "zero", "context",
+            "dry-run"])
+    def test_frustum_tests_per_run(self, tmp_path, monkeypatch, args, mode,
+                                   file_input, want):
+        # (frustum tests, pixel frames projected): N tests for the coverage,
+        # each pose's masks dropped once counted, and one more in each
+        # frame's projection, which only the copy denoiser reads, once
+        real_masks = geo.frustum_masks
+        real_project = sc.project_perspective_to_cubemap
+        counts = [0, 0]
+
+        def masks(*args, **kwargs):
+            counts[0] += 1
+            return real_masks(*args, **kwargs)
+
+        def project(*args, **kwargs):
+            counts[1] += 1
+            return real_project(*args, **kwargs)
+
+        for module in (geo, sc, cli):
+            monkeypatch.setattr(module, "frustum_masks", masks)
+        monkeypatch.setattr(sc, "project_perspective_to_cubemap", project)
+        cfg = (self.file_input_cfg(tmp_path, mode=mode) if file_input
+               else small_cfg(tmp_path, mode=mode))
+        assert run([*args, "--config", cfg, "--out", tmp_path / "o"]) == 0
+        assert tuple(counts) == want
 
 
 class TestTruthFrames:

@@ -110,9 +110,9 @@ def coverage(masks):
 
 def project(frame, pose, res):
     """(faces, masks) of one frame projected at face resolution ``res``."""
-    masks = geo.frustum_masks(pose, res)
     faces = np.empty((6, res, res, frame.channels))
-    return geo.project_perspective_to_cubemap(frame, pose, masks, faces), masks
+    return (geo.project_perspective_to_cubemap(frame, pose, faces),
+            geo.frustum_masks(pose, res))
 
 
 class TestProjectPerspective:

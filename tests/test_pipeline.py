@@ -16,7 +16,7 @@ import pytest
 from cubegen.faces import FACES, FACE_INDEX
 from cubegen.config import config_from_dict, parse_config
 from cubegen.context import ContextBundle
-from cubegen.geometry import CubemapVideo, EquirectTaps
+from cubegen.geometry import CubemapVideo, EquirectTaps, frustum_masks
 from cubegen.planner import frame_coverage, plan_order, window_coverage
 from cubegen.pipeline import (
     euler_sample,
@@ -38,28 +38,27 @@ def small_scene(res=32, n=8, t_win=4, seed=7):
     cfg = config_from_dict(dict(resolution=res, equirect_width=4 * res,
                                 num_frames=n, window_length=t_win, seed=seed))
     truth, frames, poses = sc.synth_scene(cfg)
-    masks, cond = sc.conditional_video(res, frames, poses, cfg.channels)
-    plan = plan_order(window_coverage(frame_coverage(masks), t_win))
-    return cfg, truth, masks, cond, plan
+    coverage, cond = sc.conditional_video(res, frames, poses, cfg.channels)
+    plan = plan_order(window_coverage(coverage, t_win))
+    return cfg, truth, coverage, cond, plan
 
 
-def run_generate(cond, masks, plan, denoiser, *, steps, seed=0, pad=2,
+def run_generate(cond, coverage, plan, denoiser, *, steps, seed=0, pad=2,
                  history_capacity=2, frag_length=4, frag_threshold=0.5,
                  patch_size=8, **kwargs):
-    """``generate_all`` with the frame coverage of ``masks`` and the loop
-    settings of the small scenes."""
-    return generate_all(cond, frame_coverage(masks), plan, denoiser,
+    """``generate_all`` with the loop settings of the small scenes."""
+    return generate_all(cond, coverage, plan, denoiser,
                         steps=steps, seed=seed, pad=pad,
                         history_capacity=history_capacity,
                         frag_length=frag_length, frag_threshold=frag_threshold,
                         patch_size=patch_size, **kwargs)
 
 
-def run_composed(cond, masks, plan, denoiser, **kwargs):
+def run_composed(cond, coverage, plan, denoiser, **kwargs):
     """``run_generate``, and the (N, 6, R, R, C) video it composed, stacked
     from the frames handed to ``on_window``."""
     frames = []
-    result = run_generate(cond, masks, plan, denoiser,
+    result = run_generate(cond, coverage, plan, denoiser,
                           on_window=lambda s, e, window: frames.extend(window),
                           **kwargs)
     return result, np.stack(frames)
@@ -251,16 +250,17 @@ class TestSlicedEuler:
 class TestGenerateStep:
     def first_step(self):
         """The first plan step of a teacher-forced run, its context and the
-        scene oracle, with the canvas it blends into."""
-        cfg, truth, masks, cond, plan = small_scene(res=16, n=8, t_win=4)
-        bundle = next(pl.plan_contexts(cond, frame_coverage(masks), plan, truth,
+        scene oracle, with the canvas it blends into and the scene's poses."""
+        cfg, truth, coverage, cond, plan = small_scene(res=16, n=8, t_win=4)
+        bundle = next(pl.plan_contexts(cond, coverage, plan, truth,
                                        history_capacity=2, frag_length=4,
                                        frag_threshold=0.5))
         denoiser = padded_target_denoiser(truth, 2)
-        return truth, masks, cond, cond[:].copy(), bundle, denoiser
+        poses = sc.synth_scene(cfg)[2]
+        return truth, poses, cond, cond[:].copy(), bundle, denoiser
 
     def test_oracle_step_reproduces_truth(self):
-        truth, masks, cond, canvas, step, denoiser = self.first_step()
+        truth, _, cond, canvas, step, denoiser = self.first_step()
         z = noise(1, (step.end - step.start, 16 + 4, 16 + 4, 3))
         out = generate_step(canvas[step.start:step.end], step, denoiser, z, 4, 2)
         gt = truth[:][step.start:step.end, FACE_INDEX[step.face]]
@@ -269,25 +269,25 @@ class TestGenerateStep:
         assert np.abs(got - gt).max() <= 1e-5
 
     def test_first_step_context_boundary(self):
-        truth, masks, cond, canvas, bundle, denoiser = self.first_step()
+        truth, _, cond, canvas, bundle, denoiser = self.first_step()
         assert bundle.hist == ()
         assert [s.kind for s in bundle.curr] == ["curr-cond"] * 6
 
     def test_masked_pixels_reproduced(self):
-        truth, masks, cond, canvas, step, denoiser = self.first_step()
+        truth, poses, cond, canvas, step, denoiser = self.first_step()
         z = noise(1, (step.end - step.start, 16 + 4, 16 + 4, 3))
         out = generate_step(canvas[step.start:step.end], step, denoiser, z, 4, 2)
         for k, t in enumerate(range(step.start, step.end)):
             fi = FACE_INDEX[step.face]
-            m = masks[t, fi].astype(bool)
+            m = frustum_masks(poses[t], 16)[fi].astype(bool)
             if m.any():
                 diff = np.abs(out[k, 2:2 + 16, 2:2 + 16] - cond[t:t + 1][0, fi])[m]
                 assert diff.max() <= 0.02  # bilinear error of the conditional
 
     def test_causality_of_context(self):
         # non-future sources never extend past the window end
-        cfg, truth, masks, cond, plan = small_scene(res=16, n=8, t_win=4)
-        result = run_generate(cond, masks, plan, padded_target_denoiser(truth, 2),
+        cfg, truth, coverage, cond, plan = small_scene(res=16, n=8, t_win=4)
+        result = run_generate(cond, coverage, plan, padded_target_denoiser(truth, 2),
                               steps=1, seed=0, pad=2,
                               teacher=truth)
         for entry in result.step_log:
@@ -301,11 +301,11 @@ class TestInitState:
     row a permutation of the six face indices, and L dividing N."""
 
     def reject(self, bad):
-        cfg, truth, masks, cond, plan = small_scene(res=8, n=8, t_win=4)
+        cfg, truth, coverage, cond, plan = small_scene(res=8, n=8, t_win=4)
         with pytest.raises(ValueError, match="plan"):
-            run_generate(cond, masks, bad, zero_denoiser, steps=1)
+            run_generate(cond, coverage, bad, zero_denoiser, steps=1)
         with pytest.raises(ValueError, match="plan"):
-            simulate_contexts(cond, frame_coverage(masks), bad,
+            simulate_contexts(cond, coverage, bad,
                               history_capacity=2, frag_length=4,
                               frag_threshold=0.5, patch_size=8)
 
@@ -321,9 +321,9 @@ class TestInitState:
 
     def test_ablation_orders_accepted(self):
         # the canonical and the reversed orders are plans like the planner's
-        cfg, truth, masks, cond, plan = small_scene(res=8, n=8, t_win=4)
+        cfg, truth, coverage, cond, plan = small_scene(res=8, n=8, t_win=4)
         for order in (np.tile(np.arange(6), (2, 1)), plan[:, ::-1]):
-            log = simulate_contexts(cond, frame_coverage(masks), order,
+            log = simulate_contexts(cond, coverage, order,
                                     history_capacity=2,
                                     frag_length=4, frag_threshold=0.5,
                                     patch_size=8)
@@ -339,7 +339,7 @@ class TestContextViews:
     @pytest.mark.parametrize("teacher", [False, True])
     def test_sources_view_the_videos(self, teacher):
         res = 16
-        cfg, truth, masks, cond, plan = small_scene(res=res, n=8, t_win=4)
+        cfg, truth, coverage, cond, plan = small_scene(res=res, n=8, t_win=4)
         truth = truth[:]  # shares_memory needs the teacher as an array
         inner = padded_target_denoiser(truth, 2)
         bundles, frames = [], []
@@ -350,7 +350,7 @@ class TestContextViews:
             return inner(z_t, t, context)
 
         # face F is about 38% covered, so its steps in window 1 take a fragment
-        run_generate(cond, masks, plan, recording, steps=2, seed=0,
+        run_generate(cond, coverage, plan, recording, steps=2, seed=0,
                      pad=2, history_capacity=2,
                      frag_length=4, frag_threshold=0.3,
                      teacher=truth if teacher else None,
@@ -377,7 +377,7 @@ class TestContextViews:
         # with H=1, window 1 (frames 0-3) leaves the history when window 2
         # ends, and the loop drops its frames: a source that still names
         # them raises, while window 3 reads window 2 as it was composed
-        cfg, truth, masks, cond, plan = small_scene(res=16, n=12, t_win=4)
+        cfg, truth, coverage, cond, plan = small_scene(res=16, n=12, t_win=4)
         bundles, frames, hist = [], [], []
 
         def recording(z_t, t, context):
@@ -387,7 +387,7 @@ class TestContextViews:
                     hist.extend((src, src.content) for src in context.hist)
             return z_t
 
-        run_generate(cond, masks, plan, recording, steps=1, history_capacity=1,
+        run_generate(cond, coverage, plan, recording, steps=1, history_capacity=1,
                      on_window=lambda s, e, window: frames.extend(window))
         curr_gen = [src for src in bundles[5].curr if src.kind == "curr-gen"]
         assert curr_gen and (curr_gen[0].start, curr_gen[0].end) == (0, 4)
@@ -402,9 +402,9 @@ class TestContextViews:
 class TestGenerateAll:
     def test_end_to_end_oracle_reproduces_scene(self):
         res = 32
-        cfg, truth, masks, cond, plan = small_scene(res=res)
+        cfg, truth, coverage, cond, plan = small_scene(res=res)
         denoiser = padded_target_denoiser(truth, 2)
-        _, video = run_composed(cond, masks, plan, denoiser, steps=4, seed=5,
+        _, video = run_composed(cond, coverage, plan, denoiser, steps=4, seed=5,
                                 pad=2, history_capacity=2,
                                 teacher=truth)
         scene_obj = sc.SyntheticScene.random(cfg.channels, cfg.seed)
@@ -413,21 +413,21 @@ class TestGenerateAll:
 
     def test_constant_scene_constant_output(self):
         res, n = 16, 4
-        masks = np.ones((n, 6, res, res), np.uint8)
+        coverage = frame_coverage(np.ones((n, 6, res, res), np.uint8))
         cond = CubemapVideo((n, 6, res, res, 1), lambda t, out: out.fill(0.6))
-        plan = plan_order(window_coverage(frame_coverage(masks), n))
+        plan = plan_order(window_coverage(coverage, n))
         denoiser = padded_target_denoiser(cond, 2)
-        _, video = run_composed(cond, masks, plan, denoiser,
+        _, video = run_composed(cond, coverage, plan, denoiser,
                                 steps=2, seed=0, pad=2,
                                 history_capacity=1)
         np.testing.assert_allclose(equirect_frames(video), 0.6, atol=1e-9)
 
     def test_pool_occupancy_and_residency_bounds(self):
         res = 16
-        cfg, truth, masks, cond, plan = small_scene(res=res)
+        cfg, truth, coverage, cond, plan = small_scene(res=res)
         denoiser = padded_target_denoiser(truth, 2)
         h = 1
-        result = run_generate(cond, masks, plan, denoiser, steps=1, seed=0,
+        result = run_generate(cond, coverage, plan, denoiser, steps=1, seed=0,
                               pad=2, history_capacity=h,
                               teacher=truth)
         assert max(result.pool_trace) <= h
@@ -441,17 +441,17 @@ class TestGenerateAll:
 
     def test_deterministic_runs(self):
         res = 16
-        cfg, truth, masks, cond, plan = small_scene(res=res)
+        cfg, truth, coverage, cond, plan = small_scene(res=res)
         denoiser = padded_target_denoiser(truth, 2)
-        _, a = run_composed(cond, masks, plan, denoiser, steps=2, seed=9, teacher=truth)
-        _, b = run_composed(cond, masks, plan, denoiser, steps=2, seed=9, teacher=truth)
+        _, a = run_composed(cond, coverage, plan, denoiser, steps=2, seed=9, teacher=truth)
+        _, b = run_composed(cond, coverage, plan, denoiser, steps=2, seed=9, teacher=truth)
         assert np.array_equal(equirect_frames(a), equirect_frames(b))
 
     def test_zero_denoiser_runs_and_differs(self):
         res = 16
-        cfg, truth, masks, cond, plan = small_scene(res=res)
+        cfg, truth, coverage, cond, plan = small_scene(res=res)
         frames = []
-        run_generate(cond, masks, plan, zero_denoiser, steps=2, seed=0, pad=2,
+        run_generate(cond, coverage, plan, zero_denoiser, steps=2, seed=0, pad=2,
                      on_window=lambda s, e, window: frames.extend(window))
         equirect = equirect_frames(np.stack(frames))
         assert equirect.shape == (8, 2 * res, 4 * res, 3)
@@ -465,14 +465,14 @@ class TestGenerateAll:
     def test_three_argument_denoiser(self):
         # the protocol is denoiser(z_t, t, context): one that takes exactly
         # these three, with no defaults, runs the whole loop
-        cfg, truth, masks, cond, plan = small_scene(res=16)
+        cfg, truth, coverage, cond, plan = small_scene(res=16)
 
         def denoiser(z_t, t, context):
             assert isinstance(context, ContextBundle)
             return z_t.copy()
 
-        _, got = run_composed(cond, masks, plan, denoiser, steps=2)
-        _, want = run_composed(cond, masks, plan, zero_denoiser, steps=2)
+        _, got = run_composed(cond, coverage, plan, denoiser, steps=2)
+        _, want = run_composed(cond, coverage, plan, zero_denoiser, steps=2)
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("teacher", [True, False])
@@ -480,13 +480,13 @@ class TestGenerateAll:
         # generate writes each window's frames from these arrays while later
         # windows are sampled, so they must already hold their final values
         res = 16
-        cfg, truth, masks, cond, plan = small_scene(res=res, n=12, t_win=4)
+        cfg, truth, coverage, cond, plan = small_scene(res=res, n=12, t_win=4)
         calls = []
 
         def on_window(start, end, frames):
             calls.append((start, end, frames, np.stack(frames)))
 
-        run_generate(cond, masks, plan, padded_target_denoiser(truth, 2),
+        run_generate(cond, coverage, plan, padded_target_denoiser(truth, 2),
                      steps=2, seed=4, pad=2,
                      teacher=truth if teacher else None,
                      on_window=on_window)
@@ -501,7 +501,7 @@ class TestGenerateAll:
         # on_window under teacher forcing, and otherwise once they leave the
         # next window's history, so it holds at most (H+1)·T frames for any N
         t_win, h = 4, 2
-        cfg, truth, masks, cond, plan = small_scene(res=8, n=n, t_win=t_win)
+        cfg, truth, coverage, cond, plan = small_scene(res=8, n=n, t_win=t_win)
         alive, most = set(), []
 
         def on_window(start, end, frames):
@@ -510,7 +510,7 @@ class TestGenerateAll:
                 weakref.finalize(frame, alive.discard, t)
             most.append(len(alive))
 
-        result = run_generate(cond, masks, plan, zero_denoiser, steps=1,
+        result = run_generate(cond, coverage, plan, zero_denoiser, steps=1,
                               history_capacity=h, on_window=on_window,
                               teacher=truth if teacher else None)
         want = t_win if teacher else min(n, (h + 1) * t_win)
@@ -528,8 +528,8 @@ class TestGenerateAll:
         cfg = parse_config(Path(__file__).parents[1] / "configs" / "demo.json")
         truth, frames, poses = sc.synth_scene(cfg)
         truth = truth[:]  # materialised before the trace, as a plain array
-        masks, cond = sc.conditional_video(cfg.resolution, frames, poses, cfg.channels)
-        coverage = frame_coverage(masks)
+        coverage, cond = sc.conditional_video(cfg.resolution, frames, poses,
+                                              cfg.channels)
         plan = plan_order(window_coverage(coverage, cfg.window_length))
         denoiser = padded_target_denoiser(truth, cfg.pad)
         # with an executor, the draw one step ahead is one more padded window
@@ -552,13 +552,13 @@ class TestGenerateAll:
         assert peak <= 1.6 * canvas, (peak / canvas, peak, canvas)
 
     @pytest.mark.parametrize("teacher", [True, False])
-    def test_oracle_peak_grows_with_frames_by_masks_and_logs(self, teacher):
+    def test_oracle_peak_grows_with_frames_by_coverage_and_logs(self, teacher):
         # the truth and the conditional are built inside the trace, and the
         # oracle reads the truth window by window: of what the loop holds,
-        # only the masks, the coverage, the plan and the per-step logs scale
-        # with N.  The loop's frames, anonymous maps that tracemalloc does
-        # not see, are added to the peak; both runs are longer than the
-        # (H+1)·T = 12 frames the loop holds at most without teacher forcing
+        # only the coverage, the plan and the per-step logs scale with N.
+        # The loop's frames, anonymous maps that tracemalloc does not see,
+        # are added to the peak; both runs are longer than the (H+1)·T = 12
+        # frames the loop holds at most without teacher forcing
         res, t_win = 32, 4
 
         def peak(n):
@@ -568,8 +568,8 @@ class TestGenerateAll:
             tracemalloc.start()
             try:
                 truth = field.cubemap_video(res, n)
-                masks, cond = sc.conditional_video(res, frames, poses, cfg.channels)
-                coverage = frame_coverage(masks)
+                coverage, cond = sc.conditional_video(res, frames, poses,
+                                                      cfg.channels)
                 plan = plan_order(window_coverage(coverage, t_win))
                 result = generate_all(
                     cond, coverage, plan, padded_target_denoiser(truth, 2),
@@ -587,8 +587,7 @@ class TestGenerateAll:
             finally:
                 tracemalloc.stop()
             top += result.peak_frames * np.zeros(cond.shape[1:]).nbytes
-            return top, (masks.nbytes + coverage.nbytes
-                         + plan.nbytes + logs)
+            return top, coverage.nbytes + plan.nbytes + logs
 
         peak(8)  # first-use costs: the direction stack, numpy's caches
         (peak_16, held_16), (peak_32, held_32) = peak(16), peak(32)
@@ -602,10 +601,10 @@ class TestGenerateAll:
         # each frame starts zeroed, not as a copy of the conditional: its
         # initial values are overwritten before anything reads them, so other
         # finite conditional pixels under the same masks give the same video
-        cfg, truth, masks, cond, plan = small_scene(res=16, n=8, t_win=4)
+        cfg, truth, coverage, cond, plan = small_scene(res=16, n=8, t_win=4)
         pixels = np.random.default_rng(3).uniform(-50.0, 50.0, cond.shape)
         other = CubemapVideo(cond.shape, lambda t, out: np.copyto(out, pixels[t]))
-        runs = [run_composed(video, masks, plan, padded_target_denoiser(truth, 2),
+        runs = [run_composed(video, coverage, plan, padded_target_denoiser(truth, 2),
                              steps=2, seed=6, pad=2,
                              teacher=truth if teacher else None)[1]
                 for video in (cond, other)]
@@ -633,8 +632,8 @@ class TestNoiseAhead:
     Either way each step samples from the same noise."""
 
     def run(self, executor=None):
-        cfg, truth, masks, cond, plan = small_scene(res=16, n=12, t_win=4)
-        _, video = run_composed(cond, masks, plan, padded_target_denoiser(cond, 2),
+        cfg, truth, coverage, cond, plan = small_scene(res=16, n=12, t_win=4)
+        _, video = run_composed(cond, coverage, plan, padded_target_denoiser(cond, 2),
                                 steps=3, seed=8, pad=2,
                                 executor=executor)
         return video, plan.size
@@ -682,7 +681,7 @@ class TestPaddedTargetDenoiser:
 
     def test_pads_once_per_step(self, monkeypatch):
         res, t_win = 16, 4
-        cfg, truth, masks, cond, plan = small_scene(res=res, n=8, t_win=t_win)
+        cfg, truth, coverage, cond, plan = small_scene(res=res, n=8, t_win=t_win)
         calls = []
         real_pad = pl.pad_face
 
@@ -701,7 +700,7 @@ class TestPaddedTargetDenoiser:
 
         monkeypatch.setattr(pl, "pad_face", counting_pad)
         monkeypatch.setattr(pl, "generate_step", counting_step)
-        run_generate(cond, masks, plan, padded_target_denoiser(truth, 2),
+        run_generate(cond, coverage, plan, padded_target_denoiser(truth, 2),
                      steps=6, seed=2, pad=2,
                      teacher=truth)
         assert per_step == [1] * plan.size
@@ -712,7 +711,7 @@ class TestPaddedTargetDenoiser:
         # copy's padded through the index map, against the strip reference,
         # padded frame by frame on every Euler step
         res = 16
-        cfg, truth, masks, cond, plan = small_scene(res=res)
+        cfg, truth, coverage, cond, plan = small_scene(res=res)
         video = truth[:] if factory == "oracle" else cond[:]
 
         def uncached(z_t, t, context):
@@ -724,7 +723,7 @@ class TestPaddedTargetDenoiser:
         cached = (target_denoiser(partial(field.padded_face_video, res, 2))
                   if factory == "oracle" else padded_target_denoiser(cond, 2))
         teacher = truth if factory == "oracle" else None
-        runs = [run_composed(cond, masks, plan, d, steps=3, seed=4,
+        runs = [run_composed(cond, coverage, plan, d, steps=3, seed=4,
                              pad=2, teacher=teacher)[1]
                 for d in (cached, uncached)]
         assert (equirect_frames(runs[0]).tobytes()

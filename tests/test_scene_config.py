@@ -16,6 +16,8 @@ from cubegen import geometry as geo
 from cubegen import scene as sc
 from cubegen.continuity import pad_face
 from cubegen.faces import FACES, FACE_INDEX
+from cubegen.imgio import read_poses, write_poses
+from cubegen.planner import frame_coverage
 
 PAPER_GEOMETRY = Path(__file__).resolve().parents[1] / "configs" / "paper_geometry.json"
 
@@ -195,8 +197,9 @@ class TestSyntheticScene:
         # with the ground truth wherever observed (bilinear error budget)
         cfg = config_from_dict(dict(resolution=32, equirect_width=128, seed=11))
         truth, frames, poses = sc.synth_scene(cfg)
-        masks, cond = sc.conditional_video(cfg.resolution, frames, poses, cfg.channels)
-        observed = masks.astype(bool)
+        _, cond = sc.conditional_video(cfg.resolution, frames, poses, cfg.channels)
+        observed = np.stack([geo.frustum_masks(p, cfg.resolution)
+                             for p in poses]).astype(bool)
         assert observed.any()
         worst = np.abs(cond[:] - truth[:])[observed].max()
         assert worst <= 0.02
@@ -204,23 +207,39 @@ class TestSyntheticScene:
     def test_masks_nontrivial(self):
         cfg = config_from_dict(dict(resolution=32, equirect_width=128, seed=11))
         _, frames, poses = sc.synth_scene(cfg)
-        masks, _ = sc.conditional_video(cfg.resolution, frames, poses, cfg.channels)
-        total = masks.mean(axis=(0, 2, 3)).sum()
+        coverage, _ = sc.conditional_video(cfg.resolution, frames, poses, cfg.channels)
+        total = coverage.mean(axis=1).sum()
         assert 0.0 < total < 6.0
 
+    @pytest.mark.parametrize("res", [16, 64])
+    @pytest.mark.parametrize("source", ["synthetic", "file"])
+    def test_coverage_is_frame_coverage_of_the_masks(self, tmp_path, res, source):
+        # each pose's masks are counted and dropped: the bytes of counting
+        # them all stacked, for the scene's poses and for poses read back
+        # from a pose file
+        cfg = config_from_dict(dict(resolution=res, equirect_width=4 * res, seed=5))
+        _, frames, poses = sc.synth_scene(cfg)
+        if source == "file":
+            write_poses(tmp_path / "poses.json", poses)
+            poses = read_poses(tmp_path / "poses.json")
+        coverage, _ = sc.conditional_video(res, frames, poses, cfg.channels)
+        want = frame_coverage(np.stack([geo.frustum_masks(p, res) for p in poses]))
+        assert coverage.shape == want.shape == (6, cfg.num_frames)
+        assert coverage.tobytes() == want.tobytes()
+
     def test_conditional_video_holds_one_copy(self):
-        # masks up front, pixels on read: building holds the masks only, and
-        # a read projects frame by frame into the array it returns, which
-        # holds them, so its peak is that array plus one frame's projection,
-        # not every frame's projection plus their stack
+        # coverage up front, masks and pixels on read: building holds the
+        # coverage only, and a read projects frame by frame into the array
+        # it returns, which holds them, so its peak is that array plus one
+        # frame's projection, not every frame's projection plus their stack
         res, n = 64, 8
         cfg = config_from_dict(dict(resolution=res, num_frames=n, channels=3))
         _, frames, poses = sc.synth_scene(cfg)
         # the per-R direction stack is shared fixed work; build it first
-        sc.conditional_video(res, frames[:1], poses[:1], cfg.channels)[1][0:1]
+        sc.conditional_video(res, [frames[0]], poses[:1], cfg.channels)[1][0:1]
         tracemalloc.start()
         try:
-            masks, video = sc.conditional_video(res, frames, poses, cfg.channels)
+            coverage, video = sc.conditional_video(res, frames, poses, cfg.channels)
             built, _ = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             pixels = video[0:n]
@@ -228,13 +247,13 @@ class TestSyntheticScene:
         finally:
             tracemalloc.stop()
         assert pixels.shape == (n, 6, res, res, 3)
-        assert built < masks.nbytes + 4096, (built, masks.nbytes)
+        assert built < coverage.nbytes + 4096, (built, coverage.nbytes)
         assert held - built < pixels.nbytes + 4096, (held - built, pixels.nbytes)
         assert peak - built <= 1.3 * pixels.nbytes, (peak - built, pixels.nbytes)
 
-    def test_conditional_peak_grows_with_frames_by_the_masks_only(self):
+    def test_conditional_peak_grows_with_frames_by_the_coverage_only(self):
         # read window by window as a copy run reads it, each window dropped
-        # before the next is read: only the masks scale with N
+        # before the next is read: only the (6, N) coverage scales with N
         res, t_win = 32, 4
 
         def peak(n):
@@ -244,17 +263,20 @@ class TestSyntheticScene:
             frames = list(frames)  # rendered up front, like frames read from files
             tracemalloc.start()
             try:
-                masks, video = sc.conditional_video(res, frames, poses, cfg.channels)
+                coverage, video = sc.conditional_video(res, frames, poses,
+                                                       cfg.channels)
                 for s in range(0, n, t_win):
                     video[s:s + t_win]
                 _, top = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            return top, masks.nbytes
+            return top, coverage.nbytes
 
         peak(8)  # first-use costs: the direction stack, numpy's caches
-        (peak_8, masks_8), (peak_32, masks_32) = peak(8), peak(32)
-        assert peak_32 - peak_8 <= masks_32 - masks_8, (peak_8, peak_32)
+        (peak_8, held_8), (peak_32, held_32) = peak(8), peak(32)
+        # 4 KB of allocator noise; the 24 more frames' masks, held, would
+        # add 147 KB
+        assert peak_32 - peak_8 <= held_32 - held_8 + 4096, (peak_8, peak_32)
 
     def test_conditional_video_rejects_pose_count_mismatch(self):
         cfg = config_from_dict(dict(resolution=16, equirect_width=64, num_frames=8))
